@@ -44,7 +44,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from itertools import compress, repeat
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -143,6 +144,56 @@ def _op_from_doc(doc: dict, where: str, lineno: int) -> MutationOp:
     return MutationOp(
         op=op, u=endpoints[0], v=endpoints[1], weight=weight, line=lineno
     )
+
+
+#: op kind codes of :func:`_op_columns`
+_INSERT, _DELETE, _GROW = 0, 1, 2
+_KIND = {"insert": _INSERT, "delete": _DELETE, "grow": _GROW}
+#: why :meth:`DeltaOverlayGraph.apply` rejects an op (0: it does not),
+#: and the message it raises, formatted with the op, the node count the
+#: op saw and the graph's name
+_OUT_OF_RANGE, _SELF_LOOP, _DUPLICATE, _WEIGHTED_INSERT, _MISSING_EDGE = 1, 2, 3, 4, 5
+_REJECTIONS = {
+    _OUT_OF_RANGE: (
+        "node id out of range in {op.op} {op.u} -> {op.v} (graph has {nodes} nodes)"
+    ),
+    _SELF_LOOP: "self-loop at node {op.u} (strict mode)",
+    _DUPLICATE: "duplicate edge {op.u} -> {op.v} (strict mode)",
+    _WEIGHTED_INSERT: "weight on insert into unweighted graph {name!r} (strict mode)",
+    _MISSING_EDGE: "cannot delete missing edge {op.u} -> {op.v}",
+}
+
+
+def _endpoints(values: List[int]) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        # An id past int64 is out of range for any graph; clamp it so
+        # the range check rejects it like any other.
+        return np.array([min(max(x, -1), 1 << 62) for x in values], dtype=np.int64)
+
+
+def _op_columns(ops: Tuple[MutationOp, ...]):
+    """A batch as parallel arrays, one entry per op: kind code, both
+    endpoints, weight (NaN when absent) and grown node count."""
+    kind = np.array([_KIND[op.op] for op in ops], dtype=np.int8)
+    u = _endpoints([op.u for op in ops])
+    v = _endpoints([op.v for op in ops])
+    weight = np.array([op.weight for op in ops], dtype=np.float64)
+    grown = np.array([op.nodes for op in ops], dtype=np.int64)
+    return kind, u, v, weight, grown
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``arange(lo[i], hi[i])`` for every i, concatenated."""
+    size = hi - lo
+    return np.arange(int(size.sum())) + np.repeat(lo - (np.cumsum(size) - size), size)
+
+
+def _pair_tuples(keys: np.ndarray, n: int) -> List[Tuple[int, int]]:
+    """Pair keys ``u * n + v`` as ``(u, v)`` tuples of Python ints."""
+    u, v = np.divmod(keys, n)
+    return list(zip(u.tolist(), v.tolist()))
 
 
 @dataclass
@@ -354,6 +405,22 @@ class MutationDelta:
         }
 
 
+class _Before(NamedTuple):
+    """What a batch's distinct pairs hold before it is applied."""
+
+    #: the overlay holds the edge
+    in_overlay: np.ndarray
+    #: live copies of the edge (duplicate base slots count one each)
+    copies: np.ndarray
+    #: the weight a delete removes: the minimum over the live copies
+    weight: np.ndarray
+    #: the base slots of the rows the pairs touch; pair i's are
+    #: ``slots[lo[i]:hi[i]]``
+    slots: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 @dataclass(frozen=True)
 class CompactionResult:
     """A compacted CSR plus the simulated price of producing it."""
@@ -439,26 +506,51 @@ class DeltaOverlayGraph:
 
     # -- membership ----------------------------------------------------
 
-    def _base_slots(self, u: int, v: int) -> np.ndarray:
-        """Base edge-array slots holding (u, v), deleted ones included."""
-        if u >= self.base.num_nodes:
-            return np.empty(0, dtype=np.int64)
-        lo = int(self.base.row_offsets[u])
-        hi = int(self.base.row_offsets[u + 1])
-        return lo + np.flatnonzero(self.base.col_indices[lo:hi] == v)
-
     def has_edge(self, u: int, v: int) -> bool:
         """True when the *logical* graph currently contains u -> v."""
         self._check_node(u)
         self._check_node(v)
-        if (u, v) in self._overlay:
-            return True
-        slots = self._base_slots(u, v)
-        if slots.size == 0:
-            return False
-        if self._deleted is None:
-            return True
-        return bool((~self._deleted[slots]).any())
+        n = self.num_nodes
+        return bool(self._lookup(np.array([u * n + v]), n).copies[0] > 0)
+
+    def _lookup(self, pairs: np.ndarray, n: int) -> _Before:
+        """What each pair key ``u * n + v`` (sorted, distinct) holds now.
+
+        Gathers each distinct base row the pairs touch once, so the
+        cost follows the rows touched, not the size of the graph."""
+        in_overlay = np.zeros(pairs.size, dtype=bool)
+        weight = np.ones(pairs.size)
+        if self._overlay:
+            held = _pair_tuples(pairs, n)
+            in_overlay[:] = [pair in self._overlay for pair in held]
+            if self.has_weights:
+                weight[in_overlay] = [
+                    self._overlay[pair] for pair in compress(held, in_overlay)
+                ]
+        base = self.base
+        pu = pairs // n
+        rows = np.unique(pu[pu < base.num_nodes])
+        slots = _ranges(base.row_offsets[rows], base.row_offsets[rows + 1])
+        key = np.repeat(rows * n, base.out_degrees[rows]) + base.col_indices[slots]
+        order = np.argsort(key, kind="stable")
+        key, slots = key[order], slots[order]
+        lo = np.searchsorted(key, pairs)
+        hi = np.searchsorted(key, pairs, side="right")
+        live = np.ones(slots.size, dtype=bool)
+        if self._deleted is not None:
+            live = ~self._deleted[slots]
+        live_count = np.concatenate([[0], np.cumsum(live)])
+        copies = np.where(in_overlay, 1, live_count[hi] - live_count[lo])
+        if base.weights is not None:
+            in_base = ~in_overlay & (copies > 0)
+            slot_weight = np.where(live, base.weights[slots], np.inf)
+            # The min over each slots[lo:hi]; reduceat also yields the
+            # stretches between pairs, which [::2] drops.
+            bounds = np.column_stack([lo[in_base], hi[in_base]]).ravel()
+            weight[in_base] = np.minimum.reduceat(
+                np.append(slot_weight, np.inf), bounds
+            )[::2]
+        return _Before(in_overlay, copies, weight, slots, lo, hi)
 
     # -- mutation ------------------------------------------------------
 
@@ -477,145 +569,157 @@ class DeltaOverlayGraph:
         raises a line-numbered :class:`~repro.errors.GraphFormatError`
         on any anomaly; ``"lenient"`` quarantines anomalous ops and
         tallies them in the :class:`MutationReport`.
+
+        Ops take effect in batch order, but the whole batch is checked
+        before anything changes: a rejected batch raises on its first
+        bad line and leaves the overlay and *report* as they were.  The
+        check is array work over the batch plus one gather of each base
+        row the batch touches, so its cost follows the batch, not the
+        graph.
         """
         if mode not in _MODES:
             raise GraphFormatError(
                 f"mutation mode must be None, 'strict' or 'lenient', got {mode!r}"
             )
+        ops = batch.ops
+        strict = mode == "strict"
+        lenient = mode == "lenient"
+        weighted = self.has_weights
+        kind, u, v, weight, grown = _op_columns(ops)
+        has_weight = ~np.isnan(weight)
+        weight[~has_weight] = 1.0
+
+        # Grows take effect in order: each op sees the node count left
+        # by the grows before it.
+        seen = self.num_nodes + np.cumsum(grown)
+        n = self.num_nodes + int(grown.sum())
+        insert = kind == _INSERT
+        edge = kind != _GROW
+        in_range = edge & (u >= 0) & (u < seen) & (v >= 0) & (v < seen)
+        dangling = edge & ~in_range
+        self_loop = insert & in_range & (u == v)
+
+        # Group the ops that reach the presence check by pair, keeping
+        # batch order within a pair.  (Strict mode rejects self-loops
+        # and lenient mode drops them before that check.)
+        at = np.flatnonzero(in_range & ~self_loop if mode is not None else in_range)
+        key = u[at] * n + v[at]
+        order = np.argsort(key, kind="stable")
+        at, key = at[order], key[order]
+        is_ins = insert[at]
+        first = np.ones(at.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        group = np.cumsum(first) - 1
+        pairs = key[first]
+        before = self._lookup(pairs, n)
+
+        # An op finds its edge present exactly when the previous op on
+        # the pair was an insert (applied, or collapsed onto the edge
+        # already there); the first op on a pair sees the edge as it was
+        # before the batch.
+        present = np.empty(at.size, dtype=bool)
+        present[1:] = is_ins[:-1]
+        present[first] = before.copies > 0
+        applied_ins = is_ins & ~present
+        applied_del = ~is_ins & present
+        duplicate = is_ins & present
+        missing = ~is_ins & ~present
+        ignored_weight = applied_ins & has_weight[at] & (not weighted)
+
+        reason = np.zeros(len(ops), dtype=np.int8)
+        if strict:
+            reason[self_loop] = _SELF_LOOP
+            reason[at[duplicate]] = _DUPLICATE
+            reason[at[ignored_weight]] = _WEIGHTED_INSERT
+        if not lenient:
+            reason[dangling] = _OUT_OF_RANGE
+            reason[at[missing]] = _MISSING_EDGE
+        bad = np.flatnonzero(reason)
+        if bad.size:
+            i = int(bad[0])
+            message = _REJECTIONS[int(reason[i])].format(
+                op=ops[i], nodes=int(seen[i]), name=self.name
+            )
+            raise GraphFormatError(f"{batch.path}:{ops[i].line}: {message}")
+
+        # The edge a delete removes is the pair's latest applied insert
+        # in this batch ("fresh"), else the edge it had before.
+        pos = np.arange(at.size)
+        last_ins = np.maximum.accumulate(np.where(applied_ins, pos, -1))
+        fresh = last_ins >= pos[first][group]
+        live_weight = np.where(fresh, weight[at][last_ins], before.weight[group])
+
+        # Commit, per pair: a delete that finds no fresh insert removes
+        # the edge the pair had before, and a pair whose last op is a
+        # fresh insert ends in the overlay (in batch order, as if each
+        # insert had been added in turn).
+        removed = np.zeros(pairs.size, dtype=bool)
+        removed[group[applied_del & ~fresh]] = True
+        last_op = np.ones(at.size, dtype=bool)
+        last_op[:-1] = first[1:]
+        ends_fresh = last_op & is_ins & fresh
+        fresh_at = at[last_ins[ends_fresh]]
+        by_line = np.argsort(fresh_at)
+        added = n - self.num_nodes
+        if added:
+            self._added_nodes += added
+            self._out_degrees = np.concatenate(
+                [self._out_degrees, np.zeros(added, dtype=np.int64)]
+            )
+        change = np.where(removed, -before.copies, 0)
+        change[group[ends_fresh]] += 1
+        np.add.at(self._out_degrees, pairs // n, change)
+        for pair in _pair_tuples(pairs[removed & before.in_overlay], n):
+            del self._overlay[pair]
+        gone = removed & ~before.in_overlay
+        tomb = before.slots[_ranges(before.lo[gone], before.hi[gone])]
+        if tomb.size:
+            if self._deleted is None:
+                self._deleted = np.zeros(self.base.num_edges, dtype=bool)
+            tomb = tomb[~self._deleted[tomb]]
+            self._deleted[tomb] = True
+            self._deleted_count += int(tomb.size)
+        self._overlay.update(
+            zip(
+                _pair_tuples(pairs[group[ends_fresh]][by_line], n),
+                weight[fresh_at][by_line].tolist() if weighted else repeat(None),
+            )
+        )
+
+        ins_at = np.sort(at[applied_ins])
+        del_order = np.argsort(at[applied_del])
+        del_at = at[applied_del][del_order]
         rep = report if report is not None else MutationReport()
         rep.path = batch.path
         rep.mode = mode
-        strict = mode == "strict"
-        lenient = mode == "lenient"
-        where = batch.path
-        weighted = self.has_weights
-
-        ins_src: List[int] = []
-        ins_dst: List[int] = []
-        ins_w: List[float] = []
-        del_src: List[int] = []
-        del_dst: List[int] = []
-        del_w: List[float] = []
-        nodes_added = 0
-        #: (u, v) pairs this batch already inserted (intra-batch dedupe)
-        batch_seen = set()
-
-        for op in batch:
-            rep.parsed_ops += 1
-            if op.op == "grow":
-                self._grow(op.nodes)
-                nodes_added += op.nodes
-                rep.nodes_added += op.nodes
-                continue
-            u, v = op.u, op.v
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                if lenient:
-                    rep.dangling_dropped += 1
-                    continue
-                raise GraphFormatError(
-                    f"{where}:{op.line}: node id out of range in "
-                    f"{op.op} {u} -> {v} (graph has {self.num_nodes} nodes)"
-                )
-            if op.op == "insert":
-                if u == v:
-                    if strict:
-                        raise GraphFormatError(
-                            f"{where}:{op.line}: self-loop at node {u} "
-                            "(strict mode)"
-                        )
-                    if lenient:
-                        rep.self_loops_dropped += 1
-                        continue
-                if (u, v) in batch_seen or self.has_edge(u, v):
-                    if strict:
-                        raise GraphFormatError(
-                            f"{where}:{op.line}: duplicate edge {u} -> {v} "
-                            "(strict mode)"
-                        )
-                    rep.duplicates_collapsed += 1
-                    continue
-                if op.weight is not None and not weighted:
-                    if strict:
-                        raise GraphFormatError(
-                            f"{where}:{op.line}: weight on insert into "
-                            f"unweighted graph {self.name!r} (strict mode)"
-                        )
-                    rep.notes.append(
-                        f"line {op.line}: weight ignored (graph is unweighted)"
-                    )
-                weight = op.weight if op.weight is not None else 1.0
-                self._insert(u, v, weight if weighted else None)
-                batch_seen.add((u, v))
-                ins_src.append(u)
-                ins_dst.append(v)
-                ins_w.append(weight)
-                rep.edges_inserted += 1
-            else:  # delete
-                removed = self._delete(u, v)
-                if removed is None:
-                    if lenient:
-                        rep.missing_deletes_dropped += 1
-                        continue
-                    raise GraphFormatError(
-                        f"{where}:{op.line}: cannot delete missing edge "
-                        f"{u} -> {v}"
-                    )
-                batch_seen.discard((u, v))
-                del_src.append(u)
-                del_dst.append(v)
-                del_w.append(removed)
-                rep.edges_deleted += 1
+        rep.parsed_ops += len(ops)
+        rep.edges_inserted += int(ins_at.size)
+        rep.edges_deleted += int(del_at.size)
+        rep.nodes_added += added
+        rep.duplicates_collapsed += int(duplicate.sum())
+        if lenient:
+            rep.self_loops_dropped += int(self_loop.sum())
+            rep.dangling_dropped += int(dangling.sum())
+            rep.missing_deletes_dropped += int(missing.sum())
+        rep.notes.extend(
+            f"line {ops[i].line}: weight ignored (graph is unweighted)"
+            for i in np.sort(at[ignored_weight]).tolist()
+        )
 
         self.epoch += 1
         self.mutations_applied += 1
-        self._observe(rep, nodes_added)
+        self._observe(rep, added)
         return MutationDelta(
-            ins_src=np.asarray(ins_src, dtype=np.int64),
-            ins_dst=np.asarray(ins_dst, dtype=np.int64),
-            ins_weight=(
-                np.asarray(ins_w, dtype=np.float64) if weighted else None
-            ),
-            del_src=np.asarray(del_src, dtype=np.int64),
-            del_dst=np.asarray(del_dst, dtype=np.int64),
-            del_weight=(
-                np.asarray(del_w, dtype=np.float64) if weighted else None
-            ),
-            nodes_added=nodes_added,
+            ins_src=u[ins_at],
+            ins_dst=v[ins_at],
+            ins_weight=weight[ins_at] if weighted else None,
+            del_src=u[del_at],
+            del_dst=v[del_at],
+            del_weight=live_weight[applied_del][del_order] if weighted else None,
+            nodes_added=added,
             epoch=self.epoch,
             report=rep,
         )
-
-    def _grow(self, count: int) -> None:
-        self._added_nodes += count
-        self._out_degrees = np.concatenate(
-            [self._out_degrees, np.zeros(count, dtype=np.int64)]
-        )
-
-    def _insert(self, u: int, v: int, weight: Optional[float]) -> None:
-        self._overlay[(u, v)] = weight
-        self._out_degrees[u] += 1
-
-    def _delete(self, u: int, v: int) -> Optional[float]:
-        """Remove the logical edge u -> v; returns its (min) weight, or
-        None when the edge does not exist.  Duplicate base slots are
-        all tombstoned — deletion has edge-set semantics."""
-        if (u, v) in self._overlay:
-            w = self._overlay.pop((u, v))
-            self._out_degrees[u] -= 1
-            return float(w) if w is not None else 1.0
-        slots = self._base_slots(u, v)
-        if slots.size:
-            if self._deleted is None:
-                self._deleted = np.zeros(self.base.num_edges, dtype=bool)
-            live = slots[~self._deleted[slots]]
-            if live.size:
-                self._deleted[live] = True
-                self._deleted_count += int(live.size)
-                self._out_degrees[u] -= int(live.size)
-                if self.base.weights is not None:
-                    return float(self.base.weights[live].min())
-                return 1.0
-        return None
 
     def _observe(self, rep: MutationReport, nodes_added: int) -> None:
         observer = current_observer()

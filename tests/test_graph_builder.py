@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph.builder import from_coo, from_edge_list, from_networkx, to_networkx
@@ -67,6 +69,64 @@ class TestFromEdgeList:
     def test_symmetric_duplicates_weights(self):
         g = from_edge_list([0], [1], weights=[3.0], num_nodes=2, symmetric=True)
         assert g.edge_weights_of(1).tolist() == [3.0]
+
+
+def _lexsort_build(src, dst, w, n, dedupe):
+    """The CSR arrays of an edge list, sorted the two-key way: dedupe by
+    ``lexsort((w, dst, src))``, then assemble by ``lexsort((dst, src))``
+    (stable, so tied edges keep their input order)."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    w = None if w is None else np.asarray(w, dtype=np.float32)
+    if dedupe and src.size:
+        order = np.lexsort((dst, src) if w is None else (w, dst, src))
+        src, dst = src[order], dst[order]
+        w = None if w is None else w[order]
+        first = np.ones(src.size, dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src, dst = src[first], dst[first]
+        w = None if w is None else w[first]
+    order = np.lexsort((dst, src))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst[order], None if w is None else w[order]
+
+
+@st.composite
+def edge_lists(draw):
+    """Small edge lists with duplicate pairs, self-loops and weights
+    drawn from a few values, so duplicates both tie and differ."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)
+    )
+    weights = None
+    if draw(st.booleans()):
+        weights = draw(
+            st.lists(
+                st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                min_size=len(pairs),
+                max_size=len(pairs),
+            )
+        )
+    return n, pairs, weights, draw(st.booleans())
+
+
+class TestCanonicalOrder:
+    @given(edge_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_one_key_sort_matches_lexsort(self, case):
+        n, pairs, weights, dedupe = case
+        src = [u for u, _ in pairs]
+        dst = [v for _, v in pairs]
+        g = from_edge_list(src, dst, weights, num_nodes=n, dedupe=dedupe)
+        offsets, cols, w = _lexsort_build(src, dst, weights, n, dedupe)
+        np.testing.assert_array_equal(g.row_offsets, offsets)
+        np.testing.assert_array_equal(g.col_indices, cols)
+        if weights is None:
+            assert g.weights is None
+        else:
+            np.testing.assert_array_equal(g.weights, w)
 
 
 class TestFromCoo:

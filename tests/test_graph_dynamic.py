@@ -5,9 +5,11 @@ stand-in for the mutated graph — its incremental statistics match the
 logical edge set after every apply, and realizing it (``materialize`` /
 ``compact``) produces a CSR that is array- and digest-identical to a
 from-scratch :func:`from_edge_list` build of the mutated edge list.
-The hypothesis round-trip drives random mutation sequences through both
-the overlay and an explicit edge-dict model with the same lenient
-semantics and requires the two to agree bit-for-bit.
+The hypothesis round-trip drives random mutation batches, in all three
+modes, through both the overlay and an explicit op-by-op edge-dict
+model and requires the two to agree bit-for-bit: every delta array,
+report tally and note, and for a rejected batch the exact message and
+an unchanged overlay.
 """
 
 import json
@@ -181,6 +183,49 @@ class TestOverlayApply:
         assert report.quarantined == 4
         assert report.to_dict()["quarantined"] == 4
 
+    def test_rejected_batch_changes_nothing(self):
+        overlay = DeltaOverlayGraph(_graph())
+        overlay.apply(EdgeBatch.inserts([(4, 0)]))
+        before = (
+            overlay.num_nodes,
+            overlay.num_edges,
+            overlay.out_degrees.tolist(),
+            overlay.epoch,
+        )
+        report = MutationReport()
+        batch = EdgeBatch.from_docs(
+            enumerate(
+                [
+                    {"op": "insert", "u": 0, "v": 4},
+                    {"op": "grow", "nodes": 2},
+                    {"op": "delete", "u": 3, "v": 0},  # missing
+                ],
+                start=1,
+            ),
+            path="<b>",
+        )
+        with pytest.raises(GraphFormatError) as exc:
+            overlay.apply(batch, report=report)
+        assert str(exc.value) == "<b>:3: cannot delete missing edge 3 -> 0"
+        # Neither line 1's insert nor line 2's grow took effect.
+        after = (
+            overlay.num_nodes,
+            overlay.num_edges,
+            overlay.out_degrees.tolist(),
+            overlay.epoch,
+        )
+        assert after == before
+        assert not overlay.has_edge(0, 4)
+        assert report.to_dict() == MutationReport().to_dict()
+
+    def test_ids_past_int64_are_out_of_range(self):
+        huge = {"op": "insert", "u": 2**70, "v": 0}
+        overlay = DeltaOverlayGraph(_graph())
+        with pytest.raises(GraphFormatError, match="out of range"):
+            overlay.apply(EdgeBatch.from_docs([(1, huge)]))
+        delta = overlay.apply(EdgeBatch.from_docs([(1, huge)]), mode="lenient")
+        assert delta.report.dangling_dropped == 1 and delta.num_inserts == 0
+
     def test_invalid_mode_rejected(self):
         overlay = DeltaOverlayGraph(_graph())
         with pytest.raises(GraphFormatError, match="mutation mode"):
@@ -306,24 +351,26 @@ class TestCompaction:
 
 
 # ----------------------------------------------------------------------
-# Hypothesis round-trip: overlay == from-scratch build, always
+# Hypothesis round-trip: overlay == per-op model == from-scratch build
 # ----------------------------------------------------------------------
+
+MODES = (None, "strict", "lenient")
+
 
 @st.composite
 def mutation_scenarios(draw):
-    """A base graph plus a random mutation-op stream.
+    """A base edge list plus random mutation batches, each with a mode.
 
-    Ops are drawn blind (endpoints may be out of range, duplicated,
-    self-looping, already deleted...) — lenient mode must quarantine
-    exactly what the explicit model quarantines.
+    The base may hold duplicate pairs and self-loops.  Ops are drawn
+    blind (endpoints may be out of range, duplicated, self-looping,
+    already deleted...), with some aimed at base pairs so deletes and
+    duplicate inserts hit live edges.
     """
     n = draw(st.integers(min_value=2, max_value=16))
     weighted = draw(st.booleans())
     base_pairs = draw(
-        st.sets(
-            st.tuples(
-                st.integers(0, n - 1), st.integers(0, n - 1)
-            ).filter(lambda p: p[0] != p[1]),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
             max_size=24,
         )
     )
@@ -337,52 +384,124 @@ def mutation_scenarios(draw):
             )
         )
     max_node = n + 6  # leave room for grown nodes and dangling ids
+    pair = st.tuples(st.integers(-1, max_node), st.integers(-1, max_node))
+    if base_pairs:
+        pair = st.one_of(pair, st.sampled_from(base_pairs))
     op = st.one_of(
-        st.fixed_dictionaries(
-            {
-                "op": st.just("insert"),
-                "u": st.integers(0, max_node),
-                "v": st.integers(0, max_node),
-            },
-            optional={"weight": st.floats(0.5, 8.0, allow_nan=False, width=32)},
+        pair.flatmap(
+            lambda p: st.fixed_dictionaries(
+                {"op": st.just("insert"), "u": st.just(p[0]), "v": st.just(p[1])},
+                optional={
+                    "weight": st.floats(0.5, 8.0, allow_nan=False, width=32)
+                },
+            )
         ),
-        st.fixed_dictionaries(
-            {
-                "op": st.just("delete"),
-                "u": st.integers(0, max_node),
-                "v": st.integers(0, max_node),
-            }
-        ),
+        pair.map(lambda p: {"op": "delete", "u": p[0], "v": p[1]}),
         st.fixed_dictionaries(
             {"op": st.just("grow"), "nodes": st.integers(1, 3)}
         ),
     )
-    batches = draw(st.lists(st.lists(op, max_size=12), min_size=1, max_size=4))
-    return n, weighted, sorted(base_pairs), base_weights, batches
+    batches = draw(
+        st.lists(
+            st.tuples(st.sampled_from(MODES), st.lists(op, max_size=12)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return n, weighted, base_pairs, base_weights, batches
 
 
-def _model_apply(model, num_nodes, weighted, ops):
-    """The lenient-mode contract, restated as a plain edge dict."""
-    for doc in ops:
+def _model_apply(model, num_nodes, weighted, ops, mode, where):
+    """apply's contract, restated op by op on a plain edge dict.
+
+    *model* maps each present pair to the weights of its live copies (a
+    duplicated base edge has several).  Returns the model after the
+    batch, its node count, the applied inserts and deletes as
+    ``(u, v, weight)`` in op order (a delete carries the minimum weight
+    over the copies it removes), and the report's tallies and notes.  A
+    rejected batch raises apply's message and leaves *model* as it was.
+    """
+    model = {edge: list(weights) for edge, weights in model.items()}
+    tally = dict.fromkeys(
+        (
+            "parsed_ops", "nodes_added", "self_loops_dropped",
+            "duplicates_collapsed", "dangling_dropped",
+            "missing_deletes_dropped",
+        ),
+        0,
+    )
+    inserts, deletes, notes = [], [], []
+    for line, doc in enumerate(ops, start=1):
+        tally["parsed_ops"] += 1
+        reject = f"{where}:{line}: "
         if doc["op"] == "grow":
             num_nodes += doc["nodes"]
+            tally["nodes_added"] += doc["nodes"]
             continue
         u, v = doc["u"], doc["v"]
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            continue  # dangling_dropped
-        if doc["op"] == "insert":
-            if u == v or (u, v) in model:
-                continue  # self_loops_dropped / duplicates_collapsed
-            weight = doc.get("weight", 1.0)
-            model[(u, v)] = np.float32(weight) if weighted else None
-        else:
-            model.pop((u, v), None)  # missing_deletes_dropped when absent
-    return num_nodes
+            if mode == "lenient":
+                tally["dangling_dropped"] += 1
+                continue
+            raise GraphFormatError(
+                reject + f"node id out of range in {doc['op']} {u} -> {v} "
+                f"(graph has {num_nodes} nodes)"
+            )
+        if doc["op"] == "delete":
+            if (u, v) not in model:
+                if mode == "lenient":
+                    tally["missing_deletes_dropped"] += 1
+                    continue
+                raise GraphFormatError(
+                    reject + f"cannot delete missing edge {u} -> {v}"
+                )
+            deletes.append((u, v, min(model.pop((u, v)))))
+            continue
+        if u == v and mode == "strict":
+            raise GraphFormatError(reject + f"self-loop at node {u} (strict mode)")
+        if u == v and mode == "lenient":
+            tally["self_loops_dropped"] += 1
+            continue
+        if (u, v) in model:
+            if mode == "strict":
+                raise GraphFormatError(
+                    reject + f"duplicate edge {u} -> {v} (strict mode)"
+                )
+            tally["duplicates_collapsed"] += 1
+            continue
+        if "weight" in doc and not weighted:
+            if mode == "strict":
+                raise GraphFormatError(
+                    reject + "weight on insert into unweighted graph 'hyp' "
+                    "(strict mode)"
+                )
+            notes.append(f"line {line}: weight ignored (graph is unweighted)")
+        weight = doc.get("weight", 1.0)
+        model[(u, v)] = [weight]
+        inserts.append((u, v, weight))
+    return model, num_nodes, inserts, deletes, tally, notes
+
+
+def _present_pairs(overlay):
+    n = overlay.num_nodes
+    return [(u, v) for u in range(n) for v in range(n) if overlay.has_edge(u, v)]
+
+
+def _overlay_state(overlay):
+    """Everything a rejected batch must leave unchanged."""
+    return (
+        overlay.num_nodes,
+        overlay.num_edges,
+        overlay.epoch,
+        overlay.out_degrees.tolist(),
+        _present_pairs(overlay),
+        graph_fingerprint(overlay.materialize())["digest"],
+    )
 
 
 class TestOverlayRoundTripProperty:
     @given(mutation_scenarios())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_compact_equals_from_scratch_build(self, scenario):
         n, weighted, base_pairs, base_weights, batches = scenario
         src = [u for u, _ in base_pairs]
@@ -392,32 +511,79 @@ class TestOverlayRoundTripProperty:
         )
         overlay = DeltaOverlayGraph(base)
         model = {}
-        for i, (u, v) in enumerate(base_pairs):
-            model[(u, v)] = base_weights[i] if weighted else None
-        model_n = n
-
-        for k, ops in enumerate(batches):
-            batch = EdgeBatch.from_docs(
-                enumerate(ops, start=1), path=f"<hyp-{k}>"
+        for i, edge in enumerate(base_pairs):
+            model.setdefault(edge, []).append(
+                base_weights[i] if weighted else 1.0
             )
-            overlay.apply(batch, mode="lenient")
-            model_n = _model_apply(model, model_n, weighted, ops)
+        model_n = n
+        epoch = 0
+
+        for k, (mode, ops) in enumerate(batches):
+            where = f"<hyp-{k}>"
+            batch = EdgeBatch.from_docs(enumerate(ops, start=1), path=where)
+            report = MutationReport()
+            try:
+                expected = _model_apply(model, model_n, weighted, ops, mode, where)
+            except GraphFormatError as exc:
+                # A rejected batch names its first bad line and changes
+                # nothing: not the overlay, not the caller's report.
+                before = _overlay_state(overlay)
+                with pytest.raises(GraphFormatError) as raised:
+                    overlay.apply(batch, mode=mode, report=report)
+                assert str(raised.value) == str(exc)
+                assert _overlay_state(overlay) == before
+                assert report.to_dict() == MutationReport().to_dict()
+                continue
+            delta = overlay.apply(batch, mode=mode, report=report)
+            model, model_n, inserts, deletes, tally, notes = expected
+
+            assert delta.ins_src.tolist() == [u for u, _, _ in inserts]
+            assert delta.ins_dst.tolist() == [v for _, v, _ in inserts]
+            assert delta.del_src.tolist() == [u for u, _, _ in deletes]
+            assert delta.del_dst.tolist() == [v for _, v, _ in deletes]
+            if weighted:
+                assert delta.ins_weight.tolist() == [w for _, _, w in inserts]
+                assert delta.del_weight.tolist() == [w for _, _, w in deletes]
+            else:
+                assert delta.ins_weight is None and delta.del_weight is None
+            assert delta.nodes_added == tally["nodes_added"]
+            epoch += 1
+            assert delta.epoch == overlay.epoch == epoch
+            assert delta.report is report
+            assert report.to_dict() == {
+                "path": where,
+                "mode": mode,
+                "edges_inserted": len(inserts),
+                "edges_deleted": len(deletes),
+                **tally,
+                "quarantined": sum(
+                    tally[key]
+                    for key in (
+                        "self_loops_dropped", "duplicates_collapsed",
+                        "dangling_dropped", "missing_deletes_dropped",
+                    )
+                ),
+                "notes": notes,
+            }
 
         # The overlay's incremental statistics match the model...
         assert overlay.num_nodes == model_n
-        assert overlay.num_edges == len(model)
+        edges = [(u, v, w) for (u, v), ws in model.items() for w in ws]
+        assert overlay.num_edges == len(edges)
         deg = np.zeros(model_n, dtype=np.int64)
-        for u, _ in model:
+        for u, _, _ in edges:
             deg[u] += 1
         np.testing.assert_array_equal(overlay.out_degrees, deg)
+        assert _present_pairs(overlay) == sorted(model)
 
         # ...and realization is identical to a from-scratch build of the
         # model's edge list: CSR arrays and content digest both.
-        m_src = [u for u, _ in model]
-        m_dst = [v for _, v in model]
-        m_w = [model[p] for p in model] if weighted else None
         expected = from_edge_list(
-            m_src, m_dst, m_w, num_nodes=model_n, name="hyp"
+            [u for u, _, _ in edges],
+            [v for _, v, _ in edges],
+            [w for _, _, w in edges] if weighted else None,
+            num_nodes=model_n,
+            name="hyp",
         )
         for built in (overlay.materialize(), overlay.compact().graph):
             np.testing.assert_array_equal(built.row_offsets, expected.row_offsets)

@@ -182,6 +182,38 @@ class TestServeLoopMutations:
         (event,) = loop.report.mutation_events
         assert not event["ok"] and "missing edge" in event["error"]
 
+    def test_rejected_batch_leaks_nothing_into_shared_barrier(self, random_graph):
+        """Regression: a batch rejected at line 2 must not leave its
+        line-1 insert in the graph a valid batch compacts at the same
+        barrier."""
+        session = GraphSession(random_graph)
+        loop = ServeLoop(session, mutation_mode="strict")
+        bad = EdgeBatch.from_docs(
+            enumerate(
+                [
+                    {"op": "insert", "u": 0, "v": 150},
+                    {"op": "delete", "u": 0, "v": 199},  # missing edge
+                ],
+                start=1,
+            ),
+            path="<bad>",
+        )
+        good = EdgeBatch.inserts([(9, 0)])
+        loop.submit_mutation(bad)
+        loop.submit_mutation(good)
+        loop.pump()
+        assert loop.graph_epoch == 1
+        assert loop.report.mutations_rejected == 1
+        assert loop.report.mutations_applied == 1
+        rejected, applied = loop.report.mutation_events
+        assert rejected["error"].startswith("<bad>:2: cannot delete missing edge")
+        assert applied["ok"] and applied["edges_inserted"] == 1
+        expected, _ = _mutated(random_graph, good, mode="strict")
+        served = loop.session.graph
+        np.testing.assert_array_equal(served.row_offsets, expected.row_offsets)
+        np.testing.assert_array_equal(served.col_indices, expected.col_indices)
+        assert session.digest == graph_fingerprint(expected)["digest"]
+
     def test_coalesced_batches_advance_epoch_per_batch(self, random_graph):
         session = GraphSession(random_graph)
         loop = ServeLoop(session, mutation_mode="lenient")
