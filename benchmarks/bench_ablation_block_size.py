@@ -12,8 +12,8 @@ simulator too.
 
 import repro.kernels.variants as variants_mod
 from common import bench_workload, write_report
+from repro.core import run_static
 from repro.gpusim.device import TESLA_C2070
-from repro.kernels import run_sssp
 from repro.kernels.variants import block_mapping_tpb
 from repro.utils.tables import Table
 
@@ -26,7 +26,7 @@ def _run_with_thread_tpb(graph, source, tpb):
     original = variants_mod.THREAD_MAPPING_TPB
     variants_mod.THREAD_MAPPING_TPB = tpb
     try:
-        return run_sssp(graph, source, "U_T_QU")
+        return run_static(graph, source, "sssp", "U_T_QU")
     finally:
         variants_mod.THREAD_MAPPING_TPB = original
 
@@ -49,9 +49,7 @@ class _FixedTpbVariant:
 
 
 def _run_with_block_tpb(graph, source, tpb):
-    from repro.kernels.frame import StaticPolicy, traverse_sssp
-
-    return traverse_sssp(graph, source, StaticPolicy(_FixedTpbVariant(tpb)))
+    return run_static(graph, source, "sssp", _FixedTpbVariant(tpb))
 
 
 def build_report():

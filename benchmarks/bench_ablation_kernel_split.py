@@ -18,7 +18,7 @@ frontier-management step.
 """
 
 from common import bench_workload, dataset_keys, write_report
-from repro.kernels import run_sssp
+from repro.core import run_static
 from repro.utils.tables import Table
 
 
@@ -38,7 +38,7 @@ def build_report():
     rows = {}
     for key in dataset_keys():
         graph, source = bench_workload(key, weighted=True)
-        result = run_sssp(graph, source, "U_B_QU")
+        result = run_static(graph, source, "sssp", "U_B_QU")
         rows[key] = (result, fused_estimate(result))
 
     table = Table(

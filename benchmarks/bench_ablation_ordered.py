@@ -11,7 +11,7 @@ edge relaxations performed (work) and iteration counts / time
 """
 
 from common import bench_workload, write_report
-from repro.kernels import run_sssp
+from repro.core import run_static
 from repro.utils.tables import Table
 
 KEYS = ("citeseer", "p2p", "amazon", "google")
@@ -21,8 +21,8 @@ def build_report():
     results = {}
     for key in KEYS:
         graph, source = bench_workload(key, weighted=True)
-        ordered = run_sssp(graph, source, "O_T_BM")
-        unordered = run_sssp(graph, source, "U_T_BM")
+        ordered = run_static(graph, source, "sssp", "O_T_BM")
+        unordered = run_static(graph, source, "sssp", "U_T_BM")
         results[key] = (graph, ordered, unordered)
 
     table = Table(

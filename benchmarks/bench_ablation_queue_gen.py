@@ -17,7 +17,7 @@ Reproduced shapes:
 """
 
 from common import bench_workload, dataset_keys, write_report
-from repro.kernels import run_sssp
+from repro.core import run_static
 from repro.utils.tables import Table
 
 SCHEMES = ("atomic", "scan", "hierarchical")
@@ -28,7 +28,7 @@ def build_report():
     for key in dataset_keys():
         graph, source = bench_workload(key, weighted=True)
         runs = {
-            scheme: run_sssp(graph, source, "U_T_QU", queue_gen=scheme)
+            scheme: run_static(graph, source, "sssp", "U_T_QU", queue_gen=scheme)
             for scheme in SCHEMES
         }
         results[key] = (runs, graph)

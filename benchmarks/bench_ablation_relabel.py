@@ -21,8 +21,8 @@ graph kernels, divergence is the cheaper of the two sins.
 import numpy as np
 
 from common import bench_workload, write_report
+from repro.core import run_static
 from repro.graph.transforms import degree_sort_relabel
-from repro.kernels import run_sssp
 from repro.utils.tables import Table
 
 KEYS = ("co-road", "citeseer", "p2p", "amazon", "google", "sns")
@@ -41,8 +41,8 @@ def build_report():
     for key in KEYS:
         graph, source = bench_workload(key, weighted=True)
         sorted_graph, mapping = degree_sort_relabel(graph)
-        base = run_sssp(graph, source, "U_T_BM")
-        relabeled = run_sssp(sorted_graph, int(mapping[source]), "U_T_BM")
+        base = run_static(graph, source, "sssp", "U_T_BM")
+        relabeled = run_static(sorted_graph, int(mapping[source]), "sssp", "U_T_BM")
         assert np.allclose(relabeled.values[mapping], base.values), key
         rows[key] = (base, relabeled)
 

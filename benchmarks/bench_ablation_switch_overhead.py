@@ -14,7 +14,7 @@ that lets the runtime re-decide every iteration at all.
 """
 
 from common import bench_workload, write_report
-from repro.core import RuntimeConfig, adaptive_sssp
+from repro.core import RuntimeConfig, adaptive_run
 from repro.utils.tables import Table
 
 KEYS = ("citeseer", "amazon", "google", "sns")
@@ -24,11 +24,11 @@ def build_report():
     results = {}
     for key in KEYS:
         graph, source = bench_workload(key, weighted=True)
-        shared = adaptive_sssp(
-            graph, source, config=RuntimeConfig(switch_mode="shared")
+        shared = adaptive_run(
+            graph, "sssp", source, config=RuntimeConfig(switch_mode="shared"),
         )
-        rebuild = adaptive_sssp(
-            graph, source, config=RuntimeConfig(switch_mode="rebuild")
+        rebuild = adaptive_run(
+            graph, "sssp", source, config=RuntimeConfig(switch_mode="rebuild"),
         )
         results[key] = (shared, rebuild)
 

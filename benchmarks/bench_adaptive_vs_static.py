@@ -16,7 +16,7 @@ adaptive time vs the best and the worst static.  Reproduced shapes:
 import numpy as np
 
 from common import bench_workload, dataset_keys, write_report
-from repro.core import adaptive_bfs, adaptive_sssp, run_static
+from repro.core import adaptive_run, run_static
 from repro.kernels import unordered_variants
 from repro.obs import Observer, build_manifest
 from repro.utils.tables import Table
@@ -32,9 +32,8 @@ def run_comparison(algorithm: str):
         for variant in unordered_variants():
             result = run_static(graph, source, algorithm, variant)
             statics[variant.code] = result.total_seconds
-        runner = adaptive_sssp if weighted else adaptive_bfs
         observer = Observer()
-        ad = runner(graph, source, observe=observer)
+        ad = adaptive_run(graph, algorithm, source, observe=observer)
         manifests.append(
             build_manifest(
                 ad, graph=graph, algorithm=algorithm, mode="adaptive",

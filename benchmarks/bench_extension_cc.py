@@ -16,9 +16,9 @@ checks that the adaptive machinery transfers:
 import numpy as np
 
 from common import bench_workload, dataset_keys, write_report
-from repro.core import adaptive_cc
+from repro.core import adaptive_run, run_static
 from repro.cpu import cpu_connected_components
-from repro.kernels import run_cc, unordered_variants
+from repro.kernels import unordered_variants
 from repro.obs import build_manifest
 from repro.utils.tables import Table
 
@@ -31,10 +31,10 @@ def build_report():
         cpu = cpu_connected_components(graph)
         statics = {}
         for variant in unordered_variants():
-            result = run_cc(graph, variant)
+            result = run_static(graph, -1, "cc", variant)
             assert np.array_equal(result.values, cpu.labels), (key, variant.code)
             statics[variant.code] = result.total_seconds
-        ad = adaptive_cc(graph)
+        ad = adaptive_run(graph, "cc")
         assert np.array_equal(ad.values, cpu.labels), key
         rows[key] = (cpu, statics, ad)
         manifests.append(build_manifest(ad, graph=graph, mode="adaptive"))

@@ -21,7 +21,7 @@ Reproduced shapes:
 import numpy as np
 
 from common import bench_workload, cpu_baseline_bfs, dataset_keys, write_report
-from repro.kernels import run_bfs
+from repro.core import run_static
 from repro.kernels.dobfs import direction_optimizing_bfs
 from repro.obs import build_manifest
 from repro.utils.tables import Table
@@ -33,7 +33,7 @@ def build_report():
     for key in dataset_keys():
         graph, source = bench_workload(key)
         cpu = cpu_baseline_bfs(key)
-        push = run_bfs(graph, source, "U_T_BM")
+        push = run_static(graph, source, "bfs", "U_T_BM")
         do = direction_optimizing_bfs(graph, source)
         assert np.array_equal(do.values, cpu.levels), key
         rows[key] = (push, do)

@@ -15,8 +15,7 @@ compares them — and shows they are complementary:
 """
 
 from common import bench_workload, cpu_baseline_sssp, dataset_keys, write_report
-from repro.core import adaptive_sssp
-from repro.core.hybrid import hybrid_sssp
+from repro.core import adaptive_run, hybrid_run
 from repro.obs import build_manifest
 from repro.utils.tables import Table
 
@@ -27,8 +26,8 @@ def build_report():
     for key in dataset_keys():
         graph, source = bench_workload(key, weighted=True)
         cpu = cpu_baseline_sssp(key)
-        gpu = adaptive_sssp(graph, source)
-        hybrid = hybrid_sssp(graph, source)
+        gpu = adaptive_run(graph, "sssp", source)
+        hybrid = hybrid_run(graph, "sssp", source)
         rows[key] = (cpu, gpu, hybrid)
         manifests.append(
             build_manifest(

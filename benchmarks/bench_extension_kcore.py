@@ -11,9 +11,9 @@ switching design.
 import numpy as np
 
 from common import bench_workload, write_report
-from repro.core import adaptive_kcore
+from repro.core import adaptive_run, run_static
 from repro.cpu import cpu_kcore
-from repro.kernels import run_kcore, unordered_variants
+from repro.kernels import unordered_variants
 from repro.obs import build_manifest
 from repro.utils.tables import Table
 
@@ -28,10 +28,10 @@ def build_report():
         cpu = cpu_kcore(graph)
         statics = {}
         for variant in unordered_variants():
-            result = run_kcore(graph, variant)
+            result = run_static(graph, -1, "kcore", variant)
             assert np.array_equal(result.values, cpu.coreness), (key, variant.code)
             statics[variant.code] = result.total_seconds
-        ad = adaptive_kcore(graph)
+        ad = adaptive_run(graph, "kcore")
         assert np.array_equal(ad.values, cpu.coreness), key
         rows[key] = (cpu, statics, ad)
         manifests.append(build_manifest(ad, graph=graph, mode="adaptive"))

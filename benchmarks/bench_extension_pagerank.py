@@ -16,9 +16,9 @@ small-working-set region on every dataset.
 import numpy as np
 
 from common import bench_workload, dataset_keys, write_report
-from repro.core import adaptive_pagerank
+from repro.core import adaptive_run, run_static
 from repro.cpu import cpu_pagerank
-from repro.kernels import run_pagerank, unordered_variants
+from repro.kernels import unordered_variants
 from repro.obs import build_manifest
 from repro.utils.tables import Table
 
@@ -33,12 +33,12 @@ def build_report():
         cpu = cpu_pagerank(graph, tolerance=TOLERANCE, method="fast")
         statics = {}
         for variant in unordered_variants():
-            result = run_pagerank(graph, variant, tolerance=TOLERANCE)
+            result = run_static(graph, -1, "pagerank", variant, tolerance=TOLERANCE)
             assert np.abs(result.values - cpu.ranks).max() < 1e-12, (
                 key, variant.code,
             )
             statics[variant.code] = result.total_seconds
-        ad = adaptive_pagerank(graph, tolerance=TOLERANCE)
+        ad = adaptive_run(graph, "pagerank", tolerance=TOLERANCE)
         rows[key] = (cpu, statics, ad)
         manifests.append(build_manifest(ad, graph=graph, mode="adaptive"))
 

@@ -20,8 +20,7 @@ Expected shapes:
 import numpy as np
 
 from common import bench_workload, cpu_baseline_sssp, dataset_keys, write_report
-from repro.core import RuntimeConfig, adaptive_sssp
-from repro.kernels import run_sssp
+from repro.core import RuntimeConfig, adaptive_run, run_static
 from repro.kernels.variants import extended_variants
 from repro.obs import build_manifest
 from repro.utils.tables import Table
@@ -37,11 +36,13 @@ def build_report():
         cpu = cpu_baseline_sssp(key)
         statics = {}
         for variant in extended_variants():
-            result = run_sssp(graph, source, variant)
+            result = run_static(graph, source, "sssp", variant)
             assert np.allclose(result.values, cpu.distances), (key, variant.code)
             statics[variant.code] = cpu.seconds / result.total_seconds
-        base = adaptive_sssp(graph, source)
-        ext = adaptive_sssp(graph, source, config=RuntimeConfig(use_warp_mapping=True))
+        base = adaptive_run(graph, "sssp", source)
+        ext = adaptive_run(
+            graph, "sssp", source, config=RuntimeConfig(use_warp_mapping=True),
+        )
         rows[key] = (statics, cpu.seconds / base.total_seconds,
                      cpu.seconds / ext.total_seconds, ext)
         manifests.append(

@@ -8,17 +8,17 @@ magnitude.
 """
 
 from common import bench_workload, dataset_keys, write_report
-from repro.kernels import run_bfs, run_sssp, unordered_variants
+from repro.core import run_static
+from repro.kernels import unordered_variants
 from repro.utils.tables import Table
 
 
 def best_speed(key: str, algorithm: str):
     weighted = algorithm == "sssp"
     graph, source = bench_workload(key, weighted=weighted)
-    runner = run_sssp if weighted else run_bfs
     best_code, best_speed_val = None, -1.0
     for variant in unordered_variants():
-        result = runner(graph, source, variant)
+        result = run_static(graph, source, algorithm, variant)
         speed = result.nodes_per_second()
         if speed > best_speed_val:
             best_code, best_speed_val = variant.code, speed

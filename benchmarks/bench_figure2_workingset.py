@@ -10,13 +10,13 @@ and low; the social network's is short and explosive.
 import numpy as np
 
 from common import bench_workload, write_report
-from repro.kernels import run_sssp
+from repro.core import run_static
 from repro.utils.tables import Table
 
 
 def workset_series(key: str):
     graph, source = bench_workload(key, weighted=True)
-    result = run_sssp(graph, source, "U_T_BM")
+    result = run_static(graph, source, "sssp", "U_T_BM")
     return graph, result.workset_curve()
 
 

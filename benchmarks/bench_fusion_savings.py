@@ -30,7 +30,6 @@ import numpy as np
 
 from common import bench_graph, bench_source, write_report
 from repro.core import run_static
-from repro.kernels.triangles import run_triangles
 from repro.utils.tables import Table
 
 #: (row label, dataset, algorithm, variant)
@@ -48,7 +47,7 @@ def _sha(values) -> str:
 def _run(dataset, algorithm, variant, fuse):
     if algorithm == "triangles":
         graph = bench_graph(dataset, scale=0.25)
-        return run_triangles(graph, variant, fusion=fuse or None)
+        return run_static(graph, -1, "triangles", variant, fuse=fuse or None)
     graph = bench_graph(dataset)
     source = bench_source(graph, dataset)
     return run_static(graph, source, algorithm, variant, fuse=fuse)

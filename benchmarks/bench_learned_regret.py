@@ -22,7 +22,7 @@ import numpy as np
 from common import bench_workload, dataset_keys, write_report
 from repro.core import (
     RuntimeConfig,
-    adaptive_sssp,
+    adaptive_run,
     decision_quality,
     fit_policy,
     per_iteration_oracle,
@@ -44,7 +44,7 @@ def build_report():
     for key in dataset_keys():
         graph, source = bench_workload(key, weighted=True)
         report = per_iteration_oracle(graph, source, "sssp")
-        ad = adaptive_sssp(graph, source, config=config)
+        ad = adaptive_run(graph, "sssp", source, config=config)
         corpus.append((
             f"{key}.json",
             build_manifest(ad, graph=graph, algorithm="sssp",
@@ -57,7 +57,7 @@ def build_report():
     # Pass 2 — the fitted tree on the same workloads, same oracle.
     rows = {}
     for key, (graph, source, report, ad) in threshold.items():
-        learned = adaptive_sssp(graph, source, config=config, policy=artifact)
+        learned = adaptive_run(graph, "sssp", source, config=config, policy=artifact)
         rows[key] = (
             decision_quality(ad, report),
             decision_quality(learned, report),

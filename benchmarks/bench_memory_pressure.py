@@ -21,10 +21,10 @@ trusts ``--mem-budget``:
 import numpy as np
 
 from common import bench_workload, write_report
-from repro.core import adaptive_bfs, adaptive_sssp
+from repro.core import adaptive_run
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.memory import traversal_state_bytes
-from repro.reliability import GuardConfig, resilient_bfs, resilient_sssp
+from repro.reliability import GuardConfig, resilient_run
 from repro.utils.tables import Table
 
 KEYS = ("citeseer", "p2p", "amazon", "google")
@@ -39,27 +39,27 @@ def _resident_bytes(graph) -> int:
 def run_one(key: str, algorithm: str):
     weighted = algorithm == "sssp"
     graph, source = bench_workload(key, weighted=weighted)
-    adaptive = adaptive_bfs if algorithm == "bfs" else adaptive_sssp
-    resilient = resilient_bfs if algorithm == "bfs" else resilient_sssp
     resident = _resident_bytes(graph)
     bitmap = (graph.num_nodes + 7) // 8
 
-    base = adaptive(graph, source)
+    base = adaptive_run(graph, algorithm, source)
 
     # 1. plentiful memory: accounting only, no intervention
-    ample = adaptive(graph, source, memory=MemoryBudget("1G"))
+    ample = adaptive_run(graph, algorithm, source, memory=MemoryBudget("1G"))
     overhead = ample.traversal.total_seconds / base.traversal.total_seconds - 1.0
 
     # 2. tight budget: pressure-aware policy forces compact worksets
     tight_budget = resident + bitmap + 64
-    tight = adaptive(graph, source, memory=MemoryBudget(tight_budget, spill=True))
+    tight = adaptive_run(
+        graph, algorithm, source, memory=MemoryBudget(tight_budget, spill=True)
+    )
     tight_identical = bool(
         np.array_equal(tight.traversal.values, base.traversal.values)
     )
 
     # 3. genuine OOM: guarded runner climbs to the spill rung
     oom_guard = GuardConfig(mem_budget=resident + 16, sleeper=lambda s: None)
-    recovered = resilient(graph, source, guard=oom_guard)
+    recovered = resilient_run(graph, algorithm, source, guard=oom_guard)
     oom_identical = bool(np.array_equal(recovered.values, base.traversal.values))
     recovery = (
         (recovered.final_seconds + recovered.replayed_seconds)

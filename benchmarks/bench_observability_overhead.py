@@ -24,7 +24,7 @@ import timeit
 import numpy as np
 
 from common import bench_workload, write_report
-from repro.core import adaptive_bfs
+from repro.core import adaptive_run
 from repro.obs import Observer, build_manifest
 from repro.obs.context import current_observer
 from repro.utils.tables import Table
@@ -38,9 +38,9 @@ def measure():
     graph, source = bench_workload("google")
 
     # --- bit-identical simulation with and without an observer ---
-    base = adaptive_bfs(graph, source)
+    base = adaptive_run(graph, "bfs", source)
     observer = Observer()
-    observed = adaptive_bfs(graph, source, observe=observer)
+    observed = adaptive_run(graph, "bfs", source, observe=observer)
     assert np.array_equal(base.values, observed.values)
     assert base.total_seconds == observed.total_seconds  # bit-identical
     assert base.num_iterations == observed.num_iterations
@@ -58,7 +58,7 @@ def measure():
     t0 = time.perf_counter()
     repeat = 3
     for _ in range(repeat):
-        adaptive_bfs(graph, source)
+        adaptive_run(graph, "bfs", source)
     wall_per_iter_s = (time.perf_counter() - t0) / (
         repeat * base.num_iterations
     )

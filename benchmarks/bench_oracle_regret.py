@@ -15,7 +15,7 @@ low agreement (ties make "the" best variant noise) with bounded regret.
 """
 
 from common import bench_workload, dataset_keys, write_report
-from repro.core import adaptive_sssp, decision_quality, per_iteration_oracle
+from repro.core import adaptive_run, decision_quality, per_iteration_oracle
 from repro.utils.tables import Table
 
 
@@ -24,7 +24,7 @@ def build_report():
     for key in dataset_keys():
         graph, source = bench_workload(key, weighted=True)
         report = per_iteration_oracle(graph, source, "sssp")
-        ad = adaptive_sssp(graph, source)
+        ad = adaptive_run(graph, "sssp", source)
         quality = decision_quality(ad, report)
         best_code, best_secs = report.best_static()
         rows[key] = (report, quality, best_code, best_secs)

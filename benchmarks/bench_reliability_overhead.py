@@ -2,10 +2,10 @@
 
 Two questions a production deployment asks before turning guards on:
 
-1. **What does safety cost when nothing goes wrong?**  ``resilient_*``
+1. **What does safety cost when nothing goes wrong?**  ``resilient_run``
    with an empty fault plan runs the same adaptive traversal plus
    watchdog checks and cost-aware checkpoints; the simulated-time
-   overhead versus plain ``adaptive_*`` must stay under 5 %.
+   overhead versus plain ``adaptive_run`` must stay under 5 %.
 2. **What does recovery cost when things do go wrong?**  Under a seeded
    plan injecting transient launch failures and memory faults, the
    guard retries/restores until the query completes; answers must be
@@ -16,8 +16,8 @@ Two questions a production deployment asks before turning guards on:
 import numpy as np
 
 from common import bench_workload, write_report
-from repro.core import adaptive_bfs, adaptive_sssp
-from repro.reliability import FaultPlan, GuardConfig, resilient_bfs, resilient_sssp
+from repro.core import adaptive_run
+from repro.reliability import FaultPlan, GuardConfig, resilient_run
 from repro.utils.tables import Table
 
 KEYS = ("citeseer", "p2p", "amazon", "google")
@@ -39,14 +39,13 @@ _NO_SLEEP_TIGHT = GuardConfig(sleeper=lambda s: None, checkpoint_every=4)
 def run_one(key: str, algorithm: str):
     weighted = algorithm == "sssp"
     graph, source = bench_workload(key, weighted=weighted)
-    adaptive = adaptive_bfs if algorithm == "bfs" else adaptive_sssp
-    resilient = resilient_bfs if algorithm == "bfs" else resilient_sssp
-
-    base = adaptive(graph, source)
-    guarded = resilient(graph, source, guard=_NO_SLEEP)
+    base = adaptive_run(graph, algorithm, source)
+    guarded = resilient_run(graph, algorithm, source, guard=_NO_SLEEP)
     overhead = guarded.final_seconds / base.total_seconds - 1.0
 
-    faulty = resilient(graph, source, guard=_NO_SLEEP_TIGHT, plan=FAULT_PLAN)
+    faulty = resilient_run(
+        graph, algorithm, source, guard=_NO_SLEEP_TIGHT, plan=FAULT_PLAN
+    )
     identical = bool(np.array_equal(faulty.values, base.values))
     recovery = (
         (faulty.final_seconds + faulty.replayed_seconds) / base.total_seconds - 1.0

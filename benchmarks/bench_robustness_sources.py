@@ -17,7 +17,7 @@ query's own trajectory, which is the operational meaning of robustness.
 import numpy as np
 
 from common import bench_workload, write_report
-from repro.core import adaptive_sssp, run_static
+from repro.core import adaptive_run, run_static
 from repro.graph.properties import reachable_count
 from repro.kernels import unordered_variants
 from repro.utils.tables import Table
@@ -54,7 +54,7 @@ def build_report():
                 for v in unordered_variants()
             }
             best = min(statics.values())
-            ad = adaptive_sssp(graph, source).total_seconds
+            ad = adaptive_run(graph, "sssp", source).total_seconds
             for code, seconds in statics.items():
                 worst_ratio[code] = max(worst_ratio[code], seconds / best)
             worst_ratio["adaptive"] = max(worst_ratio["adaptive"], ad / best)

@@ -18,7 +18,7 @@ sweeps the sampling interval in both modes and reproduces the trade-off:
 """
 
 from common import bench_workload, write_report
-from repro.core import RuntimeConfig, adaptive_sssp
+from repro.core import RuntimeConfig, adaptive_run
 from repro.utils.tables import Table
 
 INTERVALS = (1, 2, 4, 8, 16)
@@ -36,7 +36,7 @@ def build_report():
                 config = RuntimeConfig(
                     sampling_interval=interval, monitor_workset_degree=precise
                 )
-                ad = adaptive_sssp(graph, source, config=config)
+                ad = adaptive_run(graph, "sssp", source, config=config)
                 times[interval] = ad.total_seconds
             per_mode[precise] = times
         results[key] = per_mode

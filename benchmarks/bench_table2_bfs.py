@@ -12,7 +12,8 @@ Reproduced shapes (Section VII.A):
 import numpy as np
 
 from common import bench_workload, cpu_baseline_bfs, dataset_keys, write_report
-from repro.kernels import all_variants, run_bfs
+from repro.core import run_static
+from repro.kernels import all_variants
 from repro.utils.tables import Table
 
 CODES = [v.code for v in all_variants()]
@@ -25,7 +26,7 @@ def build_table2():
         cpu = cpu_baseline_bfs(key)
         row = {}
         for variant in all_variants():
-            result = run_bfs(graph, source, variant)
+            result = run_static(graph, source, "bfs", variant)
             assert np.array_equal(result.values, cpu.levels), (key, variant.code)
             row[variant.code] = cpu.seconds / result.total_seconds
         speedups[key] = row

@@ -12,7 +12,8 @@ Reproduced shapes (Section VII.A):
 import numpy as np
 
 from common import bench_workload, cpu_baseline_sssp, dataset_keys, write_report
-from repro.kernels import all_variants, run_sssp
+from repro.core import run_static
+from repro.kernels import all_variants
 from repro.utils.tables import Table
 
 CODES = [v.code for v in all_variants()]
@@ -31,7 +32,7 @@ def build_table3():
         cpu = cpu_baseline_sssp(key, scale=scale)
         row = {}
         for variant in all_variants():
-            result = run_sssp(graph, source, variant)
+            result = run_static(graph, source, "sssp", variant)
             assert np.allclose(result.values, cpu.distances), (key, variant.code)
             row[variant.code] = cpu.seconds / result.total_seconds
         speedups[key] = row

@@ -21,14 +21,7 @@ import sys
 
 import numpy as np
 
-from repro import (
-    RuntimeConfig,
-    adaptive_bfs,
-    adaptive_cc,
-    adaptive_kcore,
-    adaptive_pagerank,
-    adaptive_sssp,
-)
+from repro import adaptive_run
 from repro.graph.datasets import make_dataset
 from repro.graph.generators import attach_uniform_weights
 from repro.graph.properties import largest_out_component_node
@@ -59,11 +52,11 @@ def main(scale: float = 0.02) -> None:
     )
 
     runs = {
-        "BFS": adaptive_bfs(graph, source),
-        "SSSP": adaptive_sssp(weighted, source),
-        "connected components": adaptive_cc(graph),
-        "PageRank": adaptive_pagerank(graph, tolerance=1e-6),
-        "k-core": adaptive_kcore(graph),
+        "BFS": adaptive_run(graph, "bfs", source),
+        "SSSP": adaptive_run(weighted, "sssp", source),
+        "connected components": adaptive_run(graph, "cc"),
+        "PageRank": adaptive_run(graph, "pagerank", tolerance=1e-6),
+        "k-core": adaptive_run(graph, "kcore"),
     }
 
     table = Table(

@@ -16,8 +16,7 @@ Run with::
 
 import numpy as np
 
-from repro import adaptive_cc, adaptive_sssp
-from repro.core.hybrid import hybrid_sssp
+from repro import adaptive_run, hybrid_run
 from repro.cpu import cpu_connected_components, cpu_dijkstra
 from repro.graph.datasets import make_dataset
 from repro.graph.properties import largest_out_component_node
@@ -32,7 +31,7 @@ def analyze_components() -> None:
     )
 
     cpu = cpu_connected_components(graph)
-    ad = adaptive_cc(graph)
+    ad = adaptive_run(graph, "cc")
     assert np.array_equal(ad.values, cpu.labels)
 
     labels, counts = np.unique(ad.values, return_counts=True)
@@ -65,8 +64,8 @@ def analyze_road_routing() -> None:
     )
 
     cpu = cpu_dijkstra(graph, source)
-    gpu = adaptive_sssp(graph, source)
-    hybrid = hybrid_sssp(graph, source)
+    gpu = adaptive_run(graph, "sssp", source)
+    hybrid = hybrid_run(graph, "sssp", source)
     assert np.allclose(hybrid.values, cpu.distances)
 
     table = Table(["executor", "time", "notes"], title="SSSP on the road map")

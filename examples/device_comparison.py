@@ -13,7 +13,7 @@ Run with::
 
 import numpy as np
 
-from repro import RuntimeConfig, adaptive_sssp
+from repro import adaptive_run
 from repro.core.tuning import derive_t2
 from repro.cpu import cpu_dijkstra
 from repro.graph.datasets import make_dataset
@@ -37,7 +37,7 @@ def main() -> None:
         title="adaptive SSSP across devices",
     )
     for name, device in device_registry().items():
-        result = adaptive_sssp(graph, source, device=device)
+        result = adaptive_run(graph, "sssp", source, device=device)
         assert np.allclose(result.values, cpu.distances)
         table.add_row(
             [

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from repro import adaptive_sssp, run_static, unordered_variants
+from repro import adaptive_run, run_static, unordered_variants
 from repro.cpu import cpu_dijkstra
 from repro.graph.datasets import make_dataset
 from repro.graph.properties import largest_out_component_node, pseudo_diameter
@@ -54,7 +54,7 @@ def main(scale: float = 0.05) -> None:
                 r.num_iterations,
             ]
         )
-    ad = adaptive_sssp(graph, source)
+    ad = adaptive_run(graph, "sssp", source)
     assert np.allclose(ad.values, cpu.distances)
     table.add_row(
         [

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from repro import adaptive_bfs, run_static, unordered_variants
+from repro import adaptive_run, run_static, unordered_variants
 from repro.cpu import cpu_bfs
 from repro.graph.datasets import make_dataset
 from repro.graph.properties import largest_out_component_node
@@ -34,7 +34,7 @@ def main(scale: float = 0.02) -> None:
     )
 
     cpu = cpu_bfs(graph, source)
-    ad = adaptive_bfs(graph, source)
+    ad = adaptive_run(graph, "bfs", source)
     assert np.array_equal(ad.values, cpu.levels)
 
     # --- degrees of separation ------------------------------------------

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from repro import adaptive_bfs, run_bfs
+from repro import adaptive_run, run_static
 from repro.cpu import cpu_bfs
 from repro.graph.datasets import make_dataset
 from repro.graph.properties import largest_out_component_node, out_degree_histogram
@@ -53,7 +53,7 @@ def main(scale: float = 0.05) -> None:
         title="inside the simulated GPU",
     )
     for code in ("U_T_QU", "U_B_QU"):
-        r = run_bfs(graph, source, code)
+        r = run_static(graph, source, "bfs", code)
         assert np.array_equal(r.values, cpu.levels)
         comp = [k for k in r.timeline.kernels if k.tally.name.startswith("bfs")]
         eff = np.mean([k.tally.simt_efficiency for k in comp])
@@ -78,7 +78,7 @@ def main(scale: float = 0.05) -> None:
     )
 
     # --- the adaptive run ------------------------------------------------
-    ad = adaptive_bfs(graph, source)
+    ad = adaptive_run(graph, "bfs", source)
     assert np.array_equal(ad.values, cpu.levels)
     print(
         f"\nadaptive BFS: {format_seconds(ad.total_seconds)} "

@@ -29,12 +29,8 @@ from repro.core import (
     AdaptiveResult,
     Graph,
     RuntimeConfig,
-    adaptive_bfs,
-    adaptive_cc,
-    adaptive_kcore,
-    adaptive_pagerank,
     adaptive_run,
-    adaptive_sssp,
+    hybrid_run,
     run_static,
 )
 from repro.engine import (
@@ -51,11 +47,6 @@ from repro.kernels import (
     Variant,
     all_variants,
     extended_variants,
-    run_bfs,
-    run_cc,
-    run_kcore,
-    run_pagerank,
-    run_sssp,
     unordered_variants,
 )
 from repro.obs import Observer, RunManifest, build_manifest
@@ -63,9 +54,7 @@ from repro.reliability import (
     FaultPlan,
     GuardConfig,
     ResilientResult,
-    resilient_bfs,
     resilient_run,
-    resilient_sssp,
 )
 
 __all__ = [
@@ -78,20 +67,11 @@ __all__ = [
     "AlgorithmInfo",
     "AlgorithmSpec",
     "adaptive_run",
-    "adaptive_bfs",
-    "adaptive_sssp",
-    "adaptive_cc",
-    "adaptive_pagerank",
-    "adaptive_kcore",
+    "hybrid_run",
     "get_algorithm",
     "register_algorithm",
     "registered_algorithms",
     "run_static",
-    "run_bfs",
-    "run_sssp",
-    "run_cc",
-    "run_pagerank",
-    "run_kcore",
     "Variant",
     "all_variants",
     "unordered_variants",
@@ -106,6 +86,4 @@ __all__ = [
     "GuardConfig",
     "ResilientResult",
     "resilient_run",
-    "resilient_bfs",
-    "resilient_sssp",
 ]

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from repro._version import __version__
-from repro.core import RuntimeConfig, adaptive_bfs, adaptive_sssp, run_static
+from repro.core import RuntimeConfig, adaptive_run, run_static
 from repro.errors import ReproError
 from repro.core.tuning import sweep_t3, tune_t3
 from repro.cpu import cpu_bfs, cpu_dijkstra
@@ -50,7 +50,7 @@ from repro.graph.properties import (
 )
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import device_registry
-from repro.kernels import run_bfs, run_sssp, unordered_variants
+from repro.kernels import unordered_variants
 from repro.kernels.variants import extended_variants
 from repro.utils.tables import Table, format_seconds, format_si
 
@@ -357,7 +357,6 @@ def _run_sharded_cmd(args, info) -> int:
 
 def cmd_run(args) -> int:
     """Registry-driven runner: any registered algorithm through one door."""
-    from repro.core import adaptive_run
     from repro.engine import get_algorithm
 
     info = get_algorithm(args.algorithm)
@@ -390,8 +389,7 @@ def cmd_run(args) -> int:
             return 2
         return _run_resilient(args, args.algorithm)
     graph, source, device = _resolve_workload(args, weighted=info.weighted)
-    if not info.source_based:
-        source = -1
+    source = info.resolve_source(graph, source)
     memory = _make_memory(args, device)
     params = _spec_params(args, info)
     observer = None
@@ -536,8 +534,9 @@ def _run_traversal(args, algorithm: str) -> int:
     )
     mem_report = None
     if args.mode == "adaptive":
-        runner = adaptive_sssp if weighted else adaptive_bfs
-        result = runner(graph, source, config=config, device=device, memory=memory)
+        result = adaptive_run(
+            graph, algorithm, source, config=config, device=device, memory=memory
+        )
         traversal = result.traversal
         mem_report = result.memory
         extra = (
@@ -601,8 +600,7 @@ def _run_resilient(args, algorithm: str) -> int:
 
     info = get_algorithm(algorithm)
     graph, source, device = _resolve_workload(args, weighted=info.weighted)
-    if not info.source_based:
-        source = -1
+    source = info.resolve_source(graph, source)
     params = _spec_params(args, info)
     plan = load_fault_plan(args.fault_plan) if args.fault_plan else None
     guard = GuardConfig(
@@ -611,9 +609,15 @@ def _run_resilient(args, algorithm: str) -> int:
         checkpoint_every=args.checkpoint_every,
         mem_budget=getattr(args, "mem_budget", None),
     )
+    manifest_path = getattr(args, "manifest", None)
+    observer = None
+    if manifest_path:
+        from repro.obs import Observer
+
+        observer = Observer()
     result = resilient_run(
         graph, algorithm, source, device=device, guard=guard, plan=plan,
-        **params,
+        observe=observer, **params,
     )
 
     oracle, _ = info.cpu_run(graph, source, **params)
@@ -639,6 +643,20 @@ def _run_resilient(args, algorithm: str) -> int:
     table.add_row(["backoff wall-clock", format_seconds(result.backoff_seconds)])
     table.add_row(["verified vs CPU oracle", "yes" if ok else "MISMATCH"])
     print(table.render())
+    if manifest_path:
+        from repro.obs import build_manifest
+
+        manifest = build_manifest(
+            result,
+            graph=graph,
+            algorithm=algorithm,
+            mode="resilient",
+            source=source,
+            device=device,
+            observer=observer,
+        )
+        manifest.write(manifest_path)
+        print(f"[manifest written to {manifest_path}]")
     return 0 if ok else 1
 
 
@@ -646,19 +664,20 @@ def cmd_reliability(args) -> int:
     return _run_resilient(args, args.algorithm)
 
 
+def _run_whole_graph(args, algorithm: str, graph, device, **params):
+    """``--mode adaptive`` or a variant code for the whole-graph
+    subcommands: returns the traversal and the decisions line."""
+    if args.mode == "adaptive":
+        result = adaptive_run(graph, algorithm, device=device, **params)
+        return result.traversal, f"decisions: {result.trace.variants_chosen()}"
+    return run_static(graph, -1, algorithm, args.mode, device=device, **params), ""
+
+
 def cmd_cc(args) -> int:
-    from repro.core import adaptive_cc
     from repro.cpu import cpu_connected_components
-    from repro.kernels import run_cc
 
     graph, _, device = _resolve_workload(args, weighted=False)
-    if args.mode == "adaptive":
-        result = adaptive_cc(graph, device=device)
-        traversal = result.traversal
-        extra = f"decisions: {result.trace.variants_chosen()}"
-    else:
-        traversal = run_cc(graph, args.mode, device=device)
-        extra = ""
+    traversal, extra = _run_whole_graph(args, "cc", graph, device)
     cpu = cpu_connected_components(graph)
     ok = np.array_equal(traversal.values, cpu.labels)
 
@@ -676,18 +695,10 @@ def cmd_cc(args) -> int:
 
 
 def cmd_kcore(args) -> int:
-    from repro.core import adaptive_kcore
     from repro.cpu import cpu_kcore
-    from repro.kernels import run_kcore
 
     graph, _, device = _resolve_workload(args, weighted=False)
-    if args.mode == "adaptive":
-        result = adaptive_kcore(graph, device=device)
-        traversal = result.traversal
-        extra = f"decisions: {result.trace.variants_chosen()}"
-    else:
-        traversal = run_kcore(graph, args.mode, device=device)
-        extra = ""
+    traversal, extra = _run_whole_graph(args, "kcore", graph, device)
     cpu = cpu_kcore(graph)
     ok = bool(np.array_equal(traversal.values, cpu.coreness))
 
@@ -704,22 +715,12 @@ def cmd_kcore(args) -> int:
 
 
 def cmd_pagerank(args) -> int:
-    from repro.core import adaptive_pagerank
     from repro.cpu import cpu_pagerank
-    from repro.kernels import run_pagerank
 
     graph, _, device = _resolve_workload(args, weighted=False)
-    if args.mode == "adaptive":
-        result = adaptive_pagerank(
-            graph, tolerance=args.tolerance, device=device
-        )
-        traversal = result.traversal
-        extra = f"decisions: {result.trace.variants_chosen()}"
-    else:
-        traversal = run_pagerank(
-            graph, args.mode, tolerance=args.tolerance, device=device
-        )
-        extra = ""
+    traversal, extra = _run_whole_graph(
+        args, "pagerank", graph, device, tolerance=args.tolerance
+    )
     cpu = cpu_pagerank(graph, tolerance=args.tolerance, method="fast")
     ok = bool(np.abs(traversal.values - cpu.ranks).max() < 1e-9)
     top = np.argsort(traversal.values)[::-1][:5]
@@ -738,12 +739,11 @@ def cmd_pagerank(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
-    from repro.core.hybrid import hybrid_bfs, hybrid_sssp
+    from repro.core.hybrid import hybrid_run
 
     weighted = args.algorithm == "sssp"
     graph, source, device = _resolve_workload(args, weighted=weighted)
-    runner = hybrid_sssp if weighted else hybrid_bfs
-    result = runner(graph, source, device=device)
+    result = hybrid_run(graph, args.algorithm, source, device=device)
     cpu = cpu_dijkstra(graph, source) if weighted else cpu_bfs(graph, source)
     oracle = cpu.distances if weighted else cpu.levels
     ok = (
@@ -770,7 +770,6 @@ def cmd_compare(args) -> int:
     weighted = args.algorithm == "sssp"
     graph, source, device = _resolve_workload(args, weighted=weighted)
     cpu = cpu_dijkstra(graph, source) if weighted else cpu_bfs(graph, source)
-    runner = run_sssp if weighted else run_bfs
     variants = extended_variants() if args.extended else unordered_variants()
 
     table = Table(
@@ -778,7 +777,7 @@ def cmd_compare(args) -> int:
         title=f"{args.algorithm.upper()} variant comparison on {graph.name}",
     )
     for variant in variants:
-        result = runner(graph, source, variant, device=device)
+        result = run_static(graph, source, args.algorithm, variant, device=device)
         table.add_row(
             [
                 variant.code,
@@ -787,9 +786,8 @@ def cmd_compare(args) -> int:
                 result.num_iterations,
             ]
         )
-    adaptive_runner = adaptive_sssp if weighted else adaptive_bfs
     config = RuntimeConfig(use_warp_mapping=args.extended)
-    ad = adaptive_runner(graph, source, config=config, device=device)
+    ad = adaptive_run(graph, args.algorithm, source, config=config, device=device)
     table.add_row(
         [
             "adaptive" + ("+W" if args.extended else ""),
@@ -803,14 +801,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from repro.core import adaptive_bfs as _abfs, adaptive_sssp as _asssp
     from repro.core.oracle import decision_quality, per_iteration_oracle
 
     weighted = args.algorithm == "sssp"
     graph, source, device = _resolve_workload(args, weighted=weighted)
     report = per_iteration_oracle(graph, source, args.algorithm, device=device)
-    runner = _asssp if weighted else _abfs
-    ad = runner(graph, source, device=device)
+    ad = adaptive_run(graph, args.algorithm, source, device=device)
     quality = decision_quality(ad, report)
     best_code, best_secs = report.best_static()
 
@@ -842,8 +838,7 @@ def cmd_profile(args) -> int:
 
     info = get_algorithm(args.algorithm)
     graph, source, device = _resolve_workload(args, weighted=info.weighted)
-    if not info.source_based:
-        source = -1
+    source = info.resolve_source(graph, source)
     observer = Observer()
     mode = args.mode
     if mode == "adaptive" and not info.adaptive_eligible:

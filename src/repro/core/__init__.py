@@ -2,7 +2,9 @@
 
 Architecture (Figure 10): a graph API on top, a runtime layer made of a
 *graph inspector* and a *decision maker* in the middle, and the BFS/SSSP
-variant libraries below.
+variant libraries below.  Every algorithm runs through one entry point
+per run mode: :func:`run_static`, :func:`adaptive_run`,
+:func:`hybrid_run` and (in :mod:`repro.reliability`) ``resilient_run``.
 
 - :mod:`repro.core.api` — the user-facing :class:`Graph` type;
 - :mod:`repro.core.inspector` — static + monitored runtime attributes;
@@ -10,7 +12,9 @@ variant libraries below.
 - :mod:`repro.core.learned` — the fitted decision-tree alternative
   (offline ``fit_policy`` from manifests, online ``LearnedPolicy``);
 - :mod:`repro.core.policies` — the adaptive policy driving the frame;
-- :mod:`repro.core.runtime` — ``adaptive_bfs`` / ``adaptive_sssp``;
+- :mod:`repro.core.runtime` — ``run_static`` / ``adaptive_run``;
+- :mod:`repro.core.hybrid` — ``hybrid_run``, per-iteration CPU/GPU
+  placement;
 - :mod:`repro.core.tuning` — threshold derivation and the T2/T3 sweeps;
 - :mod:`repro.core.config` / :mod:`repro.core.telemetry` — knobs, traces.
 """
@@ -18,7 +22,7 @@ variant libraries below.
 from repro.core.api import Graph
 from repro.core.config import RuntimeConfig
 from repro.core.decision import DecisionMaker, Thresholds
-from repro.core.hybrid import HybridConfig, HybridResult, hybrid_bfs, hybrid_sssp
+from repro.core.hybrid import HybridConfig, HybridResult, hybrid_run
 from repro.core.inspector import GraphInspector, StaticAttributes
 from repro.core.learned import (
     FEATURE_NAMES,
@@ -40,16 +44,7 @@ from repro.core.oracle import (
     per_iteration_oracle,
 )
 from repro.core.policies import AdaptivePolicy, FixedPolicy
-from repro.core.runtime import (
-    AdaptiveResult,
-    adaptive_bfs,
-    adaptive_cc,
-    adaptive_kcore,
-    adaptive_pagerank,
-    adaptive_run,
-    adaptive_sssp,
-    run_static,
-)
+from repro.core.runtime import AdaptiveResult, adaptive_run, run_static
 from repro.core.telemetry import RECOVERY_ACTIONS, Decision, DecisionTrace, FaultEvent
 from repro.core.tuning import (
     derive_t1,
@@ -80,14 +75,8 @@ __all__ = [
     "variant_costs",
     "AdaptiveResult",
     "adaptive_run",
-    "adaptive_bfs",
-    "adaptive_sssp",
-    "adaptive_cc",
-    "adaptive_pagerank",
-    "adaptive_kcore",
     "run_static",
-    "hybrid_bfs",
-    "hybrid_sssp",
+    "hybrid_run",
     "HybridConfig",
     "HybridResult",
     "per_iteration_oracle",

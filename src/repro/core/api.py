@@ -14,14 +14,14 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import AdaptiveResult, adaptive_bfs, adaptive_sssp, run_static
+from repro.core.runtime import AdaptiveResult, adaptive_run, run_static
+from repro.engine.types import TraversalResult
 from repro.errors import GraphError
 from repro.graph.builder import from_edge_list
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import attach_uniform_weights
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.kernel import CostParams
-from repro.kernels.frame import TraversalResult
 
 __all__ = ["Graph"]
 
@@ -115,22 +115,7 @@ class Graph:
         ``"U_B_QU"``.  Returns levels in ``result.values`` (-1 means
         unreachable).
         """
-        if mode == "adaptive":
-            return adaptive_bfs(
-                self.csr,
-                source,
-                config=self.config,
-                device=self.device,
-                cost_params=self.cost_params,
-            )
-        return run_static(
-            self.csr,
-            source,
-            "bfs",
-            mode,
-            device=self.device,
-            cost_params=self.cost_params,
-        )
+        return self._run("bfs", source, mode)
 
     def sssp(self, source: int, *, mode: str = "adaptive") -> ResultLike:
         """Single-source shortest paths from *source*.
@@ -143,22 +128,7 @@ class Graph:
                 "sssp requires edge weights; call with_random_weights() or "
                 "construct the graph with a weights array"
             )
-        if mode == "adaptive":
-            return adaptive_sssp(
-                self.csr,
-                source,
-                config=self.config,
-                device=self.device,
-                cost_params=self.cost_params,
-            )
-        return run_static(
-            self.csr,
-            source,
-            "sssp",
-            mode,
-            device=self.device,
-            cost_params=self.cost_params,
-        )
+        return self._run("sssp", source, mode)
 
     def connected_components(self, *, mode: str = "adaptive") -> ResultLike:
         """Weakly connected components (extension algorithm).
@@ -166,19 +136,7 @@ class Graph:
         ``result.values[i]`` is the minimum node id in node *i*'s
         component.  Directed graphs are symmetrized internally.
         """
-        from repro.core.runtime import adaptive_cc
-        from repro.kernels.cc import run_cc
-
-        if mode == "adaptive":
-            return adaptive_cc(
-                self.csr,
-                config=self.config,
-                device=self.device,
-                cost_params=self.cost_params,
-            )
-        return run_cc(
-            self.csr, mode, device=self.device, cost_params=self.cost_params
-        )
+        return self._run("cc", None, mode)
 
     def pagerank(
         self,
@@ -192,25 +150,31 @@ class Graph:
         ``result.values`` are unnormalized ranks (they sum to just under
         1; divide by the sum for a probability vector).
         """
-        from repro.core.runtime import adaptive_pagerank
-        from repro.kernels.pagerank import run_pagerank
+        return self._run(
+            "pagerank", None, mode, damping=damping, tolerance=tolerance
+        )
 
+    def _run(self, algorithm: str, source, mode: str, **params) -> ResultLike:
+        """*algorithm* through the adaptive runtime, or through one
+        static variant when *mode* is a variant code."""
         if mode == "adaptive":
-            return adaptive_pagerank(
+            return adaptive_run(
                 self.csr,
-                damping=damping,
-                tolerance=tolerance,
+                algorithm,
+                source,
                 config=self.config,
                 device=self.device,
                 cost_params=self.cost_params,
+                **params,
             )
-        return run_pagerank(
+        return run_static(
             self.csr,
+            source,
+            algorithm,
             mode,
-            damping=damping,
-            tolerance=tolerance,
             device=self.device,
             cost_params=self.cost_params,
+            **params,
         )
 
     def __repr__(self) -> str:

@@ -31,25 +31,31 @@ import numpy as np
 from repro.core.config import RuntimeConfig
 from repro.core.policies import AdaptivePolicy
 from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
+from repro.engine.driver import (
+    _final_transfers,
+    _initial_transfers,
+    _readback,
+    _tpb_for,
+)
+from repro.engine.registry import get_algorithm
+from repro.engine.types import IterationRecord, TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.kernel import CostModel, CostParams
 from repro.gpusim.timeline import Timeline
 from repro.gpusim.transfer import record_transfer
-from repro.kernels.computation import INF, UNSET_LEVEL, bfs_relax, sssp_relax
-from repro.kernels.frame import (
-    IterationRecord,
-    TraversalResult,
-    _final_transfers,
-    _initial_transfers,
-    _readback,
-    _tpb_for,
+from repro.kernels.computation import (
+    INF,
+    UNSET_LEVEL,
+    bfs_relax,
+    bfs_step,
+    sssp_relax,
+    sssp_step,
 )
-from repro.kernels.computation import bfs_step, sssp_step
 from repro.kernels.workset import Workset, workset_gen_tallies
 
-__all__ = ["HybridConfig", "HybridResult", "hybrid_bfs", "hybrid_sssp"]
+__all__ = ["HybridConfig", "HybridResult", "hybrid_run"]
 
 
 @dataclass(frozen=True)
@@ -102,24 +108,32 @@ def _state_sync_bytes(num_nodes: int, frontier_size: int) -> int:
     return 4 * num_nodes + 4 * frontier_size
 
 
-def _run_hybrid(
+def hybrid_run(
     graph: CSRGraph,
-    source: int,
     algorithm: str,
+    source: int,
     *,
-    hybrid_config: HybridConfig,
-    runtime_config: Optional[RuntimeConfig],
-    device: DeviceSpec,
-    cost_params: Optional[CostParams],
-    max_iterations: Optional[int],
+    hybrid_config: Optional[HybridConfig] = None,
+    config: Optional[RuntimeConfig] = None,
+    device: DeviceSpec = TESLA_C2070,
+    cost_params: Optional[CostParams] = None,
+    max_iterations: Optional[int] = None,
 ) -> HybridResult:
-    graph._check_node(source)
+    """BFS or SSSP (*algorithm*) from *source* with per-iteration
+    CPU/GPU placement: host sweeps for tiny frontiers, the adaptive GPU
+    variants (under *config*) for large ones."""
+    if algorithm not in ("bfs", "sssp"):
+        raise KernelError(
+            f"hybrid execution runs 'bfs' or 'sssp', not {algorithm!r}"
+        )
+    source = get_algorithm(algorithm).resolve_source(graph, source)
+    hybrid_config = hybrid_config or HybridConfig()
     weighted = algorithm == "sssp"
     if weighted and graph.weights is None:
         raise KernelError("hybrid SSSP requires a weighted graph")
 
     model = CostModel(device, cost_params)
-    policy = AdaptivePolicy(graph, runtime_config, device=device)
+    policy = AdaptivePolicy(graph, config, device=device)
     cpu = hybrid_config.cpu
     timeline = Timeline()
     _initial_transfers(graph, timeline, device)
@@ -236,49 +250,3 @@ def _run_hybrid(
         policy_name="hybrid",
     )
     return HybridResult(traversal=traversal, devices=devices, transitions=transitions)
-
-
-def hybrid_bfs(
-    graph: CSRGraph,
-    source: int,
-    *,
-    hybrid_config: Optional[HybridConfig] = None,
-    config: Optional[RuntimeConfig] = None,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-) -> HybridResult:
-    """BFS with per-iteration CPU/GPU placement."""
-    return _run_hybrid(
-        graph,
-        source,
-        "bfs",
-        hybrid_config=hybrid_config or HybridConfig(),
-        runtime_config=config,
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-    )
-
-
-def hybrid_sssp(
-    graph: CSRGraph,
-    source: int,
-    *,
-    hybrid_config: Optional[HybridConfig] = None,
-    config: Optional[RuntimeConfig] = None,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-) -> HybridResult:
-    """SSSP with per-iteration CPU/GPU placement."""
-    return _run_hybrid(
-        graph,
-        source,
-        "sssp",
-        hybrid_config=hybrid_config or HybridConfig(),
-        runtime_config=config,
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-    )

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.inspector import StaticAttributes
 from repro.core.runtime import AdaptiveResult
+from repro.engine.types import TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
@@ -28,7 +29,6 @@ from repro.gpusim.kernel import CostModel, CostParams
 from repro.gpusim.transfer import transfer_seconds
 from repro.kernels import costs as kcosts
 from repro.kernels.computation import INF, UNSET_LEVEL, bfs_relax, sssp_relax
-from repro.kernels.frame import TraversalResult
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Variant, unordered_variants
 from repro.kernels.workset import workset_gen_tallies

@@ -14,13 +14,13 @@ from repro.core.config import RuntimeConfig
 from repro.core.decision import DecisionMaker
 from repro.core.inspector import GraphInspector
 from repro.core.telemetry import Decision, DecisionTrace
+from repro.engine.types import IterationRecord, StaticPolicy, VariantPolicy
 from repro.graph.csr import CSRGraph
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
 from repro.gpusim.memory import workset_device_bytes
 from repro.gpusim.reduction import reduction_tallies
-from repro.kernels.frame import IterationRecord, StaticPolicy, VariantPolicy
 from repro.kernels.variants import Variant, WorksetRepr
 from repro.kernels.workset import workset_gen_tallies
 
@@ -28,7 +28,7 @@ __all__ = ["AdaptivePolicy", "FixedPolicy"]
 
 
 class FixedPolicy(StaticPolicy):
-    """Alias of :class:`~repro.kernels.frame.StaticPolicy` under the
+    """Alias of :class:`~repro.engine.types.StaticPolicy` under the
     adaptive-runtime vocabulary."""
 
 

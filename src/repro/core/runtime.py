@@ -1,13 +1,19 @@
-"""The adaptive runtime's entry points (Section VI).
+"""The run modes' entry points (Section VI).
 
-:func:`adaptive_run` runs any registered algorithm under the
-inspector + decision-maker policy and returns an
-:class:`AdaptiveResult` bundling the traversal outcome with the decision
-trace; ``adaptive_bfs`` .. ``adaptive_kcore`` are its named wrappers.
-:func:`run_static` is the matching one-variant runner so comparisons
-share an identical code path — both dispatch through the
-:mod:`algorithm registry <repro.engine.registry>`, so a newly
-registered algorithm gets both entry points for free.
+One door per run mode, each working for every registered algorithm
+through the :mod:`algorithm registry <repro.engine.registry>`:
+
+- :func:`run_static` runs one static variant;
+- :func:`adaptive_run` runs under the inspector + decision-maker policy
+  and returns an :class:`AdaptiveResult` bundling the traversal outcome
+  with the decision trace.
+
+Both build the algorithm's spec (``info.make_spec(**params)``) and
+drive it on the one Figure-8 loop (:func:`repro.engine.driver.run_frame`),
+so comparisons share an identical code path and a newly registered
+algorithm gets both modes for free.  The guarded mode is
+:func:`repro.reliability.resilient_run`; hybrid CPU/GPU execution is
+:func:`repro.core.hybrid.hybrid_run`.
 """
 
 from __future__ import annotations
@@ -19,24 +25,21 @@ from repro.core.config import RuntimeConfig
 from repro.core.decision import Thresholds
 from repro.core.policies import AdaptivePolicy
 from repro.core.telemetry import DecisionTrace
-from repro.engine.registry import get_algorithm
-from repro.engine.types import StaticPolicy, TraversalResult
+from repro.engine.driver import run_frame
+from repro.engine.registry import AlgorithmInfo, get_algorithm
+from repro.engine.types import StaticPolicy, TraversalResult, VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.allocator import MemoryBudget, MemoryReport
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.kernel import CostParams
+from repro.kernels.frame import OrderedSsspSpec, SsspSpec
 from repro.kernels.variants import Variant
 from repro.obs.context import current_observer, observing
 
 __all__ = [
     "AdaptiveResult",
     "adaptive_run",
-    "adaptive_bfs",
-    "adaptive_sssp",
-    "adaptive_cc",
-    "adaptive_pagerank",
-    "adaptive_kcore",
     "run_static",
 ]
 
@@ -99,6 +102,25 @@ def _observed_traverse(span_name: str, run, trace: DecisionTrace, policy=None):
     return result
 
 
+def _run_spec(
+    info: AlgorithmInfo,
+    graph: CSRGraph,
+    source: int,
+    policy: VariantPolicy,
+    params: dict,
+    **frame_kwargs,
+) -> TraversalResult:
+    """Build *info*'s spec from *params* and run it under *policy* on
+    the frame.  SSSP under an ordered policy runs the GPU-Dijkstra spec
+    (:class:`~repro.kernels.frame.OrderedSsspSpec`); ordered and
+    unordered BFS share one spec."""
+    if info.make_spec is SsspSpec and policy.is_ordered():
+        spec = OrderedSsspSpec(**params)
+    else:
+        spec = info.make_spec(**params)
+    return run_frame(graph, source, policy, spec, **frame_kwargs)
+
+
 def adaptive_run(
     graph: CSRGraph,
     algorithm: str = "bfs",
@@ -120,10 +142,12 @@ def adaptive_run(
 ) -> AdaptiveResult:
     """Run any registered *algorithm* under the adaptive runtime.
 
-    The registry supplies the traversal entry point; the same
-    inspector + decision-maker policy drives every adaptive-eligible
-    algorithm (Section I's generalization claim).  Whole-graph
-    algorithms (``source_based`` False) ignore *source*.
+    The registry supplies the algorithm's spec; the same inspector +
+    decision-maker policy drives every adaptive-eligible algorithm
+    (Section I's generalization claim).  Source-based algorithms need a
+    valid *source* (a missing one raises
+    :class:`~repro.errors.KernelError`); whole-graph algorithms
+    (``source_based`` False) ignore it.
 
     *policy* swaps the threshold decision maker for a fitted one: pass
     a ``"learned:<policy.json>"`` spec or a loaded
@@ -135,31 +159,24 @@ def adaptive_run(
 
     The reliability keywords (*watchdog*, *checkpoint_keeper*,
     *resume_from*, *fault_hook*) are pass-throughs to the traversal
-    frame, used by :mod:`repro.reliability`'s guarded runners.
+    frame, used by :mod:`repro.reliability`'s guarded runner.
     *memory* attaches a device-memory budget: the policy folds its
     pressure into variant decisions and the frame charges every
     allocation against it.  *observe* installs a
     :class:`~repro.obs.Observer` for the duration of the run, so every
     instrumented layer reports metrics and spans into it.  Extra
-    keyword arguments (*params*) are forwarded to the algorithm
-    (PageRank's ``damping``/``tolerance``).  *fuse* lowers the spec
-    through :mod:`repro.engine.fusion` and runs under the fused launch
-    plan — values and decisions are identical; only launch pricing
-    changes."""
+    keyword arguments (*params*) build the algorithm's spec
+    (PageRank's ``damping``/``tolerance``, CC's ``assume_symmetric``).
+    *fuse* lowers the spec through :mod:`repro.engine.fusion` and runs
+    under the fused launch plan — values and decisions are identical;
+    only launch pricing changes."""
     info = get_algorithm(algorithm)
     if not info.adaptive_eligible:
         raise KernelError(
             f"{algorithm!r} is not adaptive-eligible (it does not use the "
             "unordered working-set variants the decision maker switches)"
         )
-    if info.source_based:
-        if source is None:
-            raise KernelError(f"{algorithm!r} requires a source node")
-        # Validate up front: a bad source must fail with one clear
-        # GraphError, not a raw IndexError deep in the kernels.
-        graph._check_node(source)
-    else:
-        source = -1
+    source = info.resolve_source(graph, source)
     if policy is not None:
         from repro.core.learned import LearnedPolicy, resolve_policy
 
@@ -172,10 +189,12 @@ def adaptive_run(
     with observing(observe):
         result = _observed_traverse(
             f"{driver.name}_{algorithm}",
-            lambda: info.traverse(
+            lambda: _run_spec(
+                info,
                 graph,
                 source,
                 driver,
+                params,
                 device=device,
                 cost_params=cost_params,
                 queue_gen=driver.config.queue_gen,
@@ -186,7 +205,6 @@ def adaptive_run(
                 fault_hook=fault_hook,
                 memory=memory,
                 fusion=fuse or None,
-                **params,
             ),
             driver.trace,
             policy=driver,
@@ -200,48 +218,16 @@ def adaptive_run(
     )
 
 
-def adaptive_bfs(graph: CSRGraph, source: int, **kwargs) -> AdaptiveResult:
-    """BFS under the adaptive runtime (see :func:`adaptive_run`)."""
-    return adaptive_run(graph, "bfs", source, **kwargs)
-
-
-def adaptive_sssp(graph: CSRGraph, source: int, **kwargs) -> AdaptiveResult:
-    """SSSP under the adaptive runtime (unordered variants only,
-    Section VI.A; see :func:`adaptive_run`)."""
-    return adaptive_run(graph, "sssp", source, **kwargs)
-
-
-def adaptive_cc(graph: CSRGraph, **kwargs) -> AdaptiveResult:
-    """Connected components under the adaptive runtime (see
-    :func:`adaptive_run`)."""
-    return adaptive_run(graph, "cc", **kwargs)
-
-
-def adaptive_pagerank(
-    graph: CSRGraph, *, damping: float = 0.85, tolerance: float = 1e-6, **kwargs
-) -> AdaptiveResult:
-    """Push-based PageRank under the adaptive runtime (see
-    :func:`adaptive_run`)."""
-    return adaptive_run(
-        graph, "pagerank", damping=damping, tolerance=tolerance, **kwargs
-    )
-
-
-def adaptive_kcore(graph: CSRGraph, **kwargs) -> AdaptiveResult:
-    """k-core decomposition under the adaptive runtime (see
-    :func:`adaptive_run`)."""
-    return adaptive_run(graph, "kcore", **kwargs)
-
-
 def run_static(
     graph: CSRGraph,
-    source: int,
+    source: Optional[int],
     algorithm: str,
     variant: Union[Variant, str],
     *,
     device: DeviceSpec = TESLA_C2070,
     cost_params: Optional[CostParams] = None,
     max_iterations: Optional[int] = None,
+    queue_gen: str = "atomic",
     watchdog=None,
     checkpoint_keeper=None,
     resume_from=None,
@@ -253,9 +239,20 @@ def run_static(
 ) -> TraversalResult:
     """Run one static variant of any registered *algorithm*.
 
-    *observe* installs an :class:`~repro.obs.Observer` for the run, as
-    in :func:`adaptive_run`; *fuse* runs under a fused launch plan
-    (pinned variants fuse every iteration)."""
+    *variant* is a :class:`~repro.kernels.variants.Variant` or a
+    paper-style code like ``"U_B_QU"``; ordered SSSP variants run the
+    GPU-Dijkstra frame (findmin by parallel reduction), unordered ones
+    the Bellman-Ford frame (Figure 5).  Whole-graph algorithms ignore
+    *source* (pass -1 or None).  *queue_gen* selects the
+    queue-generation scheme: ``"atomic"`` (the paper's baseline),
+    ``"scan"`` (Merrill-style prefix scan) or ``"hierarchical"``
+    (Luo-style shared-memory queues) — Section V.C's orthogonal
+    optimizations.  *observe* installs an :class:`~repro.obs.Observer`
+    for the run, as in :func:`adaptive_run`; *fuse* runs under a fused
+    launch plan (pinned variants fuse every iteration).  The
+    reliability keywords and *memory* pass through to the frame, and
+    extra keyword arguments (*params*) build the algorithm's spec, as
+    in :func:`adaptive_run`."""
     info = get_algorithm(algorithm)
     if not info.supports_variants:
         raise KernelError(
@@ -264,25 +261,31 @@ def run_static(
         )
     if isinstance(variant, str):
         variant = Variant.parse(variant)
+    source = info.resolve_source(graph, source)
     policy = StaticPolicy(variant)
-    if info.source_based:
-        graph._check_node(source)
-    src = source if info.source_based else -1
-    kwargs = dict(
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-        watchdog=watchdog,
-        checkpoint_keeper=checkpoint_keeper,
-        resume_from=resume_from,
-        fault_hook=fault_hook,
-        memory=memory,
-        fusion=fuse or None,
-        **params,
-    )
+
+    def run() -> TraversalResult:
+        return _run_spec(
+            info,
+            graph,
+            source,
+            policy,
+            params,
+            device=device,
+            cost_params=cost_params,
+            max_iterations=max_iterations,
+            queue_gen=queue_gen,
+            watchdog=watchdog,
+            checkpoint_keeper=checkpoint_keeper,
+            resume_from=resume_from,
+            fault_hook=fault_hook,
+            memory=memory,
+            fusion=fuse or None,
+        )
+
     with observing(observe):
         observer = current_observer()
         if observer is None:
-            return info.traverse(graph, src, policy, **kwargs)
+            return run()
         with observer.span(f"static_{algorithm}", variant=variant.code):
-            return info.traverse(graph, src, policy, **kwargs)
+            return run()

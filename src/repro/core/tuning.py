@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import adaptive_bfs, adaptive_sssp
+from repro.core.runtime import adaptive_run
 from repro.errors import TuningError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
@@ -142,12 +142,12 @@ def sweep_t3(
     """Adaptive-runtime execution time as T3 sweeps 1 %..13 % of |V|
     (the x-axis of Figure 13)."""
     base = base_config or RuntimeConfig()
-    runner = adaptive_sssp if algorithm == "sssp" else adaptive_bfs
     points: List[T3SweepPoint] = []
     for fraction in fractions:
         config = base.with_overrides(t3_fraction=float(fraction))
-        result = runner(
-            graph, source, config=config, device=device, cost_params=cost_params
+        result = adaptive_run(
+            graph, algorithm, source, config=config, device=device,
+            cost_params=cost_params,
         )
         points.append(
             T3SweepPoint(

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.engine.driver import run_frame
 from repro.engine.spec import FrameState
+from repro.engine.types import TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DeltaOverlayGraph, MutationDelta
@@ -54,7 +55,7 @@ from repro.graph.properties import _ragged_gather_indices
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.kernels.cc import CcSpec
 from repro.kernels.computation import INF, UNSET_LEVEL
-from repro.kernels.frame import BfsSpec, SsspSpec, TraversalResult
+from repro.kernels.frame import BfsSpec, SsspSpec
 from repro.obs.context import current_observer, observing
 
 __all__ = [

@@ -1,13 +1,14 @@
 """The algorithm registry: one name -> everything runnable about it.
 
-Each registered :class:`AlgorithmInfo` bundles an algorithm's
-capability flags (what the CLI's ``repro algorithms`` lists and the
-generic runners check), its spec factory for the engine, its
-policy-driven traversal entry point, and its serial CPU reference.
-The adaptive runtime (:func:`repro.core.runtime.adaptive_run`), the
-guarded runner (:func:`repro.reliability.guard.resilient_run`), the
-manifest builder and the CLI all dispatch through here, so adding an
-algorithm to the registry lights it up across every layer at once.
+Each registered :class:`AlgorithmInfo` bundles an algorithm's spec class
+(:class:`~repro.engine.spec.AlgorithmSpec`, whose class attributes are
+the capability flags ``repro algorithms`` lists and the run modes
+check), its default entry point when it has no variant policies, and
+its serial CPU reference.  The run modes dispatch through here — the
+static and adaptive runners (:mod:`repro.core.runtime`), the guarded
+runner (:func:`repro.reliability.guard.resilient_run`), the batched and
+sharded engines and the CLI — so adding an algorithm to the registry
+lights it up across every layer at once.
 
 Built-in algorithms register themselves when their module is imported;
 :func:`get_algorithm` imports lazily so ``import repro`` stays cheap
@@ -17,10 +18,12 @@ and the registry never creates import cycles.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
+from repro.engine.spec import AlgorithmSpec
 from repro.errors import KernelError
+from repro.graph.csr import CSRGraph
 
 __all__ = [
     "AlgorithmInfo",
@@ -29,54 +32,66 @@ __all__ = [
     "registered_algorithms",
 ]
 
+#: the capability flags ``repro algorithms`` lists, in column order
+CAPABILITY_FLAGS = (
+    "source_based",
+    "weighted",
+    "ordered_support",
+    "checkpointable",
+    "adaptive_eligible",
+    "supports_variants",
+    "cpu_exact",
+    "batchable",
+)
+
 
 @dataclass(frozen=True)
 class AlgorithmInfo:
-    """Registry entry: capability flags + the algorithm's entry points."""
+    """Registry entry: the algorithm's spec class + its entry points.
+
+    The capability flags (:data:`CAPABILITY_FLAGS` plus
+    ``default_variant``) are declared once, on the spec class, and read
+    through: ``info.weighted`` is ``info.make_spec.weighted``."""
 
     name: str
     #: one-line description (CLI listing)
     summary: str
-    #: spec factory; keyword args are the algorithm's parameters
+    #: the spec class; keyword args are the algorithm's parameters
     #: (PageRank's damping/tolerance, CC's assume_symmetric, ...)
-    make_spec: Callable[..., object]
-    #: policy-driven traversal: ``traverse(graph, source, policy, **kw)``
-    #: (None for algorithms that own their policy, e.g. DOBFS)
-    traverse: Optional[Callable] = None
+    make_spec: Type[AlgorithmSpec]
     #: default entry point for algorithms without variant policies:
     #: ``run_default(graph, source, **kw)``
     run_default: Optional[Callable] = None
     #: serial reference: ``cpu_run(graph, source, **params)`` returning
     #: ``(values, cpu_result)`` — the guard's degradation rung
     cpu_run: Optional[Callable] = None
-    source_based: bool = True
-    weighted: bool = False
-    ordered_support: bool = False
-    checkpointable: bool = True
-    adaptive_eligible: bool = True
-    supports_variants: bool = True
-    default_variant: str = "U_T_BM"
-    #: CPU reference reproduces GPU values bit-identically
-    cpu_exact: bool = True
-    #: the spec supports the batched multi-source frame
-    #: (:mod:`repro.serve` stacks per-query frontiers into one loop);
-    #: algorithms without it fall back to per-query single-source runs
-    batchable: bool = False
     #: names of the spec-level parameters ``**params`` may carry
-    param_names: Tuple[str, ...] = field(default_factory=tuple)
+    param_names: Tuple[str, ...] = ()
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: the spec's flags.
+        if name in CAPABILITY_FLAGS or name == "default_variant":
+            return getattr(self.make_spec, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     def capability_flags(self) -> Dict[str, bool]:
         """The flags ``repro algorithms`` lists."""
-        return {
-            "source_based": self.source_based,
-            "weighted": self.weighted,
-            "ordered_support": self.ordered_support,
-            "checkpointable": self.checkpointable,
-            "adaptive_eligible": self.adaptive_eligible,
-            "supports_variants": self.supports_variants,
-            "cpu_exact": self.cpu_exact,
-            "batchable": self.batchable,
-        }
+        return {flag: getattr(self.make_spec, flag) for flag in CAPABILITY_FLAGS}
+
+    def resolve_source(self, graph: CSRGraph, source: Optional[int]) -> int:
+        """The frame's source node for a run on *graph*: -1 for
+        whole-graph algorithms (*source* is ignored), else *source*
+        itself.  A missing or out-of-range source is a bad request and
+        fails here with one clear error, before any simulated cost
+        accrues or a retry ladder spins up."""
+        if not self.source_based:
+            return -1
+        if source is None:
+            raise KernelError(f"{self.name!r} requires a source node")
+        graph._check_node(source)
+        return source
 
 
 _REGISTRY: Dict[str, AlgorithmInfo] = {}
@@ -95,7 +110,15 @@ _BUILTIN_MODULES: Dict[str, str] = {
 
 def register_algorithm(info: AlgorithmInfo) -> AlgorithmInfo:
     """Add *info* to the registry (last registration wins, so tests can
-    shadow built-ins with instrumented doubles)."""
+    shadow built-ins with instrumented doubles).  Its ``make_spec`` must
+    be an :class:`~repro.engine.spec.AlgorithmSpec` subclass: the
+    capability flags are read from it."""
+    spec = info.make_spec
+    if not (isinstance(spec, type) and issubclass(spec, AlgorithmSpec)):
+        raise KernelError(
+            f"algorithm {info.name!r}: make_spec must be an AlgorithmSpec "
+            f"subclass, got {spec!r}"
+        )
     _REGISTRY[info.name] = info
     return info
 

@@ -1,9 +1,7 @@
 """Shared datatypes of the iteration engine.
 
-These used to live in :mod:`repro.kernels.frame`; they moved here so
-the generic driver (:mod:`repro.engine.driver`) and the per-algorithm
-specs can both import them without a cycle.  ``repro.kernels.frame``
-re-exports every name, so existing imports keep working.
+The generic driver (:mod:`repro.engine.driver`), the per-algorithm
+specs and the run modes all import them from here, without a cycle.
 """
 
 from __future__ import annotations

@@ -10,24 +10,24 @@ working set), built from:
 - :mod:`repro.kernels.workset` — working-set representations and the
   ``CUDA_workset_gen`` kernel (atomic and scan-based queue generation);
 - :mod:`repro.kernels.findmin` — the ordered-SSSP reduction;
-- :mod:`repro.kernels.frame` — the host loop of Figure 8 with pluggable
-  variant policies;
-- :mod:`repro.kernels.bfs` / :mod:`repro.kernels.sssp` — static runners.
+- :mod:`repro.kernels.frame` — BFS and SSSP as specs on the Figure-8
+  host loop (:mod:`repro.engine.driver`), and the extension algorithms
+  beside it (:mod:`~repro.kernels.cc`, :mod:`~repro.kernels.pagerank`,
+  :mod:`~repro.kernels.kcore`, :mod:`~repro.kernels.triangles`,
+  :mod:`~repro.kernels.dobfs`).
+
+Every registered algorithm runs through the run modes of
+:mod:`repro.core.runtime`: ``run_static(graph, source, "bfs", "U_B_QU")``
+for one static variant, ``adaptive_run(graph, "sssp", source)`` for the
+adaptive runtime.
 """
 
-from repro.kernels.bfs import run_bfs, run_bfs_all_variants
-from repro.kernels.cc import run_cc, traverse_cc
-from repro.kernels.kcore import run_kcore, traverse_kcore
-from repro.kernels.pagerank import run_pagerank, traverse_pagerank
-from repro.kernels.frame import (
+from repro.engine.types import (
     IterationRecord,
     StaticPolicy,
     TraversalResult,
     VariantPolicy,
-    traverse_bfs,
-    traverse_sssp,
 )
-from repro.kernels.sssp import run_sssp, run_sssp_all_variants
 from repro.kernels.variants import (
     Mapping,
     Ordering,
@@ -39,18 +39,6 @@ from repro.kernels.variants import (
 )
 
 __all__ = [
-    "run_bfs",
-    "run_bfs_all_variants",
-    "run_sssp",
-    "run_sssp_all_variants",
-    "run_cc",
-    "traverse_cc",
-    "run_pagerank",
-    "traverse_pagerank",
-    "run_kcore",
-    "traverse_kcore",
-    "traverse_bfs",
-    "traverse_sssp",
     "TraversalResult",
     "IterationRecord",
     "VariantPolicy",

@@ -25,28 +25,23 @@ metrics for free.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-from repro.engine.driver import FrameContext, run_frame
+from repro.engine.driver import FrameContext
 from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
-from repro.engine.types import StaticPolicy, TraversalResult, VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import is_symmetric
 from repro.graph.transforms import symmetrize
-from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams
+from repro.gpusim.device import DeviceSpec
 from repro.kernels import costs
 from repro.kernels.computation import _gather_edges
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Variant
 from repro.kernels.workset import Workset
-from repro.obs.context import observing
 
-__all__ = ["cc_step", "CcSpec", "traverse_cc", "run_cc"]
+__all__ = ["cc_step", "CcSpec"]
 
 
 def cc_step(
@@ -146,76 +141,6 @@ class CcSpec(AlgorithmSpec):
         )
 
 
-def traverse_cc(
-    graph: CSRGraph,
-    policy: VariantPolicy,
-    *,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    assume_symmetric: bool = False,
-    watchdog=None,
-    checkpoint_keeper=None,
-    resume_from=None,
-    fault_hook=None,
-    memory=None,
-    fusion=None,
-) -> TraversalResult:
-    """Label-propagation connected components under *policy*.
-
-    ``result.values[i]`` is the minimum node id in node *i*'s weakly
-    connected component.  The reliability keywords and *memory* are
-    engine pass-throughs, as in
-    :func:`~repro.kernels.frame.traverse_bfs`.
-    """
-    return run_frame(
-        graph,
-        -1,
-        policy,
-        CcSpec(assume_symmetric=assume_symmetric),
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-        queue_gen=queue_gen,
-        watchdog=watchdog,
-        checkpoint_keeper=checkpoint_keeper,
-        resume_from=resume_from,
-        fault_hook=fault_hook,
-        memory=memory,
-        fusion=fusion,
-    )
-
-
-def run_cc(
-    graph: CSRGraph,
-    variant: Union[Variant, str] = "U_T_BM",
-    *,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    observe=None,
-    fusion=None,
-) -> TraversalResult:
-    """Run one static connected-components variant.
-
-    *observe* installs an :class:`~repro.obs.Observer` for the run, as
-    in :func:`~repro.kernels.bfs.run_bfs`."""
-    if isinstance(variant, str):
-        variant = Variant.parse(variant)
-    with observing(observe):
-        return traverse_cc(
-            graph,
-            StaticPolicy(variant),
-            device=device,
-            cost_params=cost_params,
-            max_iterations=max_iterations,
-            queue_gen=queue_gen,
-            fusion=fusion,
-        )
-
-
 def _cpu_cc_reference(graph, source, **params):
     from repro.cpu import cpu_connected_components
 
@@ -228,9 +153,7 @@ register_algorithm(
         name="cc",
         summary="min-label propagation weakly connected components",
         make_spec=CcSpec,
-        traverse=lambda graph, source, policy, **kw: traverse_cc(graph, policy, **kw),
         cpu_run=_cpu_cc_reference,
-        source_based=False,
         param_names=("assume_symmetric",),
     )
 )

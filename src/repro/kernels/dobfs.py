@@ -265,9 +265,8 @@ def direction_optimizing_bfs(
     Push iterations run the paper's ``U_T_BM`` kernel; pull iterations
     run the bottom-up kernel.  ``result.variants_used()`` reports
     ``"push"``/``"pull"`` per iteration.  The reliability keywords and
-    *memory* are engine pass-throughs, as in
-    :func:`~repro.kernels.frame.traverse_bfs`; *observe* installs an
-    :class:`~repro.obs.Observer` for the run.
+    *memory* pass through to :func:`~repro.engine.driver.run_frame`;
+    *observe* installs an :class:`~repro.obs.Observer` for the run.
     """
     with observing(observe):
         return run_frame(
@@ -303,8 +302,6 @@ register_algorithm(
             graph, source, **kw
         ),
         cpu_run=_cpu_dobfs_reference,
-        adaptive_eligible=False,
-        supports_variants=False,
         param_names=("config",),
     )
 )

@@ -4,60 +4,34 @@ The host loop itself lives in :mod:`repro.engine.driver` — one driver
 for every algorithm, generic over a *variant policy* (the paper's
 static implementations and the adaptive runtime) and an
 :class:`~repro.engine.spec.AlgorithmSpec`.  This module expresses the
-paper's two core algorithms as specs:
+paper's two core algorithms as specs and registers them:
 
 - :class:`BfsSpec` — level-synchronous BFS; ordered and unordered
   policies share the frame (their step rule differs inside the kernel);
 - :class:`SsspSpec` — unordered (Bellman-Ford-style) SSSP;
 - :class:`OrderedSsspSpec` — ordered SSSP (GPU Dijkstra with a findmin
-  reduction each iteration, choosing its variant at the loop top).
+  reduction each iteration, choosing its variant at the loop top);
+  :func:`repro.core.runtime.run_static` swaps it in for ``"sssp"``
+  under an ordered variant.
 
-``traverse_bfs`` / ``traverse_sssp`` keep their original signatures,
-and the engine's datatypes and frame helpers are re-exported so
-existing imports (``from repro.kernels.frame import TraversalResult``)
-keep working.
-
-Reliability seams (used by :mod:`repro.reliability`): the unordered
-frames accept a *watchdog* (iteration/deadline budgets, raising
-:class:`~repro.errors.NonConvergenceError`), a *checkpoint keeper*
-(iteration-granular state snapshots, priced as device-to-host copies),
-a *resume_from* checkpoint (continue a retried query from its last good
-iteration instead of restarting), and a *fault_hook* (per-iteration
-fault-injection callback).  All default to ``None`` and cost nothing
-when absent.
+Run them through the run modes: ``run_static(graph, source, "bfs",
+"U_B_QU")``, ``adaptive_run(graph, "sssp", source)`` and
+``resilient_run(graph, "bfs", source)``.  The unordered specs inherit
+the engine's reliability seams (watchdog, checkpoint keeper, resume,
+fault hooks) and memory-budget charging; ordered SSSP is not
+checkpointable.
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
-
 import numpy as np
 
-from repro.engine.driver import (  # noqa: F401  (re-exported frame helpers)
-    FrameContext,
-    _charge_workset,
-    _final_transfers,
-    _initial_transfers,
-    _observe_iteration,
-    _offer_checkpoint,
-    _readback,
-    _restore_state,
-    _tpb_for,
-    run_frame,
-)
+from repro.engine.driver import FrameContext
 from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
-from repro.engine.types import (  # noqa: F401  (re-exported datatypes)
-    HOST_INIT_PER_NODE_S,
-    IterationRecord,
-    StaticPolicy,
-    TraversalResult,
-    VariantPolicy,
-)
+from repro.engine.types import VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams
 from repro.kernels.computation import (
     INF,
     OrderedSsspState,
@@ -67,25 +41,10 @@ from repro.kernels.computation import (
     sssp_step,
 )
 from repro.kernels.findmin import findmin, findmin_tallies
-from repro.kernels.variants import Variant, WorksetRepr
+from repro.kernels.variants import WorksetRepr
 from repro.kernels.workset import Workset
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.gpusim.allocator import MemoryBudget
-    from repro.reliability.checkpoint import CheckpointKeeper, TraversalCheckpoint
-    from repro.reliability.watchdog import Watchdog
-
-__all__ = [
-    "IterationRecord",
-    "TraversalResult",
-    "VariantPolicy",
-    "StaticPolicy",
-    "BfsSpec",
-    "SsspSpec",
-    "OrderedSsspSpec",
-    "traverse_bfs",
-    "traverse_sssp",
-]
+__all__ = ["BfsSpec", "SsspSpec", "OrderedSsspSpec"]
 
 
 class BfsSpec(AlgorithmSpec):
@@ -266,117 +225,6 @@ class OrderedSsspSpec(SsspSpec):
 
 
 # ----------------------------------------------------------------------
-# Entry points
-# ----------------------------------------------------------------------
-
-def traverse_bfs(
-    graph: CSRGraph,
-    source: int,
-    policy: VariantPolicy,
-    *,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    watchdog: Optional["Watchdog"] = None,
-    checkpoint_keeper: Optional["CheckpointKeeper"] = None,
-    resume_from: Optional["TraversalCheckpoint"] = None,
-    fault_hook=None,
-    memory: Optional["MemoryBudget"] = None,
-    fusion=None,
-) -> TraversalResult:
-    """Run BFS from *source* under *policy*; ordered and unordered BFS
-    share this level-synchronous frame (their step rule differs).
-
-    *queue_gen* selects the queue-generation scheme: ``"atomic"``
-    (the paper's baseline), ``"scan"`` (Merrill-style prefix scan) or
-    ``"hierarchical"`` (Luo-style shared-memory queues) — Section
-    V.C's orthogonal optimizations.
-
-    *memory* attaches a :class:`~repro.gpusim.MemoryBudget`: the CSR
-    arrays, traversal state, per-iteration working sets and checkpoint
-    staging copies are charged against it, raising
-    :class:`~repro.errors.DeviceOOMError` on overflow (or pricing the
-    spilled bytes as PCIe traffic in spill mode)."""
-    return run_frame(
-        graph,
-        source,
-        policy,
-        BfsSpec(),
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-        queue_gen=queue_gen,
-        watchdog=watchdog,
-        checkpoint_keeper=checkpoint_keeper,
-        resume_from=resume_from,
-        fault_hook=fault_hook,
-        memory=memory,
-        fusion=fusion,
-    )
-
-
-def traverse_sssp(
-    graph: CSRGraph,
-    source: int,
-    policy: VariantPolicy,
-    *,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    watchdog: Optional["Watchdog"] = None,
-    checkpoint_keeper: Optional["CheckpointKeeper"] = None,
-    resume_from: Optional["TraversalCheckpoint"] = None,
-    fault_hook=None,
-    memory: Optional["MemoryBudget"] = None,
-    fusion=None,
-) -> TraversalResult:
-    """Run SSSP from *source* under *policy*.
-
-    Dispatches to the unordered (Bellman-Ford) or ordered (GPU Dijkstra
-    with findmin) frame based on the policy's variants.  Checkpointing,
-    resume and fault hooks are supported by the unordered frame only
-    (the adaptive and guarded runtimes are unordered, Section VI.A).
-    *memory* attaches a device-memory budget as in :func:`traverse_bfs`.
-    """
-    graph._check_node(source)
-    if graph.weights is None:
-        raise KernelError(
-            f"SSSP requires edge weights; graph {graph.name!r} has none"
-        )
-    if policy.is_ordered():
-        if checkpoint_keeper is not None or resume_from is not None or fault_hook is not None:
-            raise KernelError(
-                "checkpoint/resume and fault hooks are only supported by the "
-                "unordered SSSP frame"
-            )
-        spec = OrderedSsspSpec()
-    else:
-        spec = SsspSpec()
-    return run_frame(
-        graph,
-        source,
-        policy,
-        spec,
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-        queue_gen=queue_gen,
-        watchdog=watchdog,
-        checkpoint_keeper=checkpoint_keeper,
-        resume_from=resume_from,
-        fault_hook=fault_hook,
-        memory=memory,
-        fusion=fusion,
-    )
-
-
-def _is_ordered(policy: VariantPolicy) -> bool:
-    return policy.is_ordered()
-
-
-# ----------------------------------------------------------------------
 # Registry entries
 # ----------------------------------------------------------------------
 
@@ -399,10 +247,7 @@ register_algorithm(
         name="bfs",
         summary="breadth-first search: levels from a source node",
         make_spec=BfsSpec,
-        traverse=traverse_bfs,
         cpu_run=_cpu_bfs_reference,
-        ordered_support=True,
-        batchable=True,
     )
 )
 
@@ -411,10 +256,6 @@ register_algorithm(
         name="sssp",
         summary="single-source shortest paths over weighted edges",
         make_spec=SsspSpec,
-        traverse=traverse_sssp,
         cpu_run=_cpu_sssp_reference,
-        weighted=True,
-        ordered_support=True,
-        batchable=True,
     )
 )

@@ -22,29 +22,25 @@ and the current k, so a faulted decomposition resumes mid-sawtooth.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-from repro.engine.driver import FrameContext, run_frame
+from repro.engine.driver import FrameContext
 from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
-from repro.engine.types import StaticPolicy, TraversalResult, VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices, is_symmetric
 from repro.graph.transforms import symmetrize
-from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams, KernelTally
+from repro.gpusim.device import DeviceSpec
+from repro.gpusim.kernel import KernelTally
 from repro.gpusim.launch import LaunchConfig
 from repro.kernels import costs
 from repro.kernels.computation import StepResult
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Variant
 from repro.kernels.workset import GEN_TPB, Workset
-from repro.obs.context import observing
 
-__all__ = ["kcore_peel_step", "KcoreSpec", "traverse_kcore", "run_kcore"]
+__all__ = ["kcore_peel_step", "KcoreSpec"]
 
 
 def kcore_peel_step(
@@ -198,73 +194,6 @@ class KcoreSpec(AlgorithmSpec):
         )
 
 
-def traverse_kcore(
-    graph: CSRGraph,
-    policy: VariantPolicy,
-    *,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    watchdog=None,
-    checkpoint_keeper=None,
-    resume_from=None,
-    fault_hook=None,
-    memory=None,
-    fusion=None,
-) -> TraversalResult:
-    """k-core decomposition under *policy*; ``result.values`` are the
-    per-node core numbers (direction ignored; directed inputs are
-    symmetrized on the host first).  The reliability keywords and
-    *memory* are engine pass-throughs, as in
-    :func:`~repro.kernels.frame.traverse_bfs`."""
-    return run_frame(
-        graph,
-        -1,
-        policy,
-        KcoreSpec(),
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-        queue_gen=queue_gen,
-        watchdog=watchdog,
-        checkpoint_keeper=checkpoint_keeper,
-        resume_from=resume_from,
-        fault_hook=fault_hook,
-        memory=memory,
-        fusion=fusion,
-    )
-
-
-def run_kcore(
-    graph: CSRGraph,
-    variant: Union[Variant, str] = "U_B_QU",
-    *,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    observe=None,
-    fusion=None,
-) -> TraversalResult:
-    """Run one static k-core variant.
-
-    *observe* installs an :class:`~repro.obs.Observer` for the run, as
-    in :func:`~repro.kernels.bfs.run_bfs`."""
-    if isinstance(variant, str):
-        variant = Variant.parse(variant)
-    with observing(observe):
-        return traverse_kcore(
-            graph,
-            StaticPolicy(variant),
-            device=device,
-            cost_params=cost_params,
-            max_iterations=max_iterations,
-            queue_gen=queue_gen,
-            fusion=fusion,
-        )
-
-
 def _cpu_kcore_reference(graph, source, **params):
     from repro.cpu import cpu_kcore
 
@@ -277,11 +206,6 @@ register_algorithm(
         name="kcore",
         summary="iterative-peeling k-core decomposition (core numbers)",
         make_spec=KcoreSpec,
-        traverse=lambda graph, source, policy, **kw: traverse_kcore(
-            graph, policy, **kw
-        ),
         cpu_run=_cpu_kcore_reference,
-        source_based=False,
-        default_variant="U_B_QU",
     )
 )

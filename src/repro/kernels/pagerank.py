@@ -23,27 +23,22 @@ metrics that used to be BFS/SSSP-only.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-from repro.engine.driver import FrameContext, run_frame
+from repro.engine.driver import FrameContext
 from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
-from repro.engine.types import StaticPolicy, TraversalResult, VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices
-from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams
+from repro.gpusim.device import DeviceSpec
 from repro.kernels import costs
 from repro.kernels.computation import StepResult
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Variant
 from repro.kernels.workset import Workset
-from repro.obs.context import observing
 
-__all__ = ["pagerank_step", "PagerankSpec", "traverse_pagerank", "run_pagerank"]
+__all__ = ["pagerank_step", "PagerankSpec"]
 
 
 def pagerank_step(
@@ -181,79 +176,6 @@ class PagerankSpec(AlgorithmSpec):
         )
 
 
-def traverse_pagerank(
-    graph: CSRGraph,
-    policy: VariantPolicy,
-    *,
-    damping: float = 0.85,
-    tolerance: float = 1e-6,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    watchdog=None,
-    checkpoint_keeper=None,
-    resume_from=None,
-    fault_hook=None,
-    memory=None,
-    fusion=None,
-) -> TraversalResult:
-    """Push PageRank under *policy*; ``result.values`` are the ranks.
-
-    The reliability keywords (*watchdog*, *checkpoint_keeper*,
-    *resume_from*, *fault_hook*) and *memory* are engine pass-throughs,
-    as in :func:`~repro.kernels.frame.traverse_bfs`."""
-    return run_frame(
-        graph,
-        -1,
-        policy,
-        PagerankSpec(damping=damping, tolerance=tolerance),
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-        queue_gen=queue_gen,
-        watchdog=watchdog,
-        checkpoint_keeper=checkpoint_keeper,
-        resume_from=resume_from,
-        fault_hook=fault_hook,
-        memory=memory,
-        fusion=fusion,
-    )
-
-
-def run_pagerank(
-    graph: CSRGraph,
-    variant: Union[Variant, str] = "U_T_BM",
-    *,
-    damping: float = 0.85,
-    tolerance: float = 1e-6,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    observe=None,
-    fusion=None,
-) -> TraversalResult:
-    """Run one static PageRank variant.
-
-    *observe* installs an :class:`~repro.obs.Observer` for the run, as
-    in :func:`~repro.kernels.bfs.run_bfs`."""
-    if isinstance(variant, str):
-        variant = Variant.parse(variant)
-    with observing(observe):
-        return traverse_pagerank(
-            graph,
-            StaticPolicy(variant),
-            damping=damping,
-            tolerance=tolerance,
-            device=device,
-            cost_params=cost_params,
-            max_iterations=max_iterations,
-            queue_gen=queue_gen,
-            fusion=fusion,
-        )
-
-
 def _cpu_pagerank_reference(graph, source, *, damping=0.85, tolerance=1e-6, **params):
     from repro.cpu import cpu_pagerank
 
@@ -269,12 +191,7 @@ register_algorithm(
         name="pagerank",
         summary="residual-push PageRank: ranks to a tolerance",
         make_spec=PagerankSpec,
-        traverse=lambda graph, source, policy, **kw: traverse_pagerank(
-            graph, policy, **kw
-        ),
         cpu_run=_cpu_pagerank_reference,
-        source_based=False,
-        cpu_exact=False,
         param_names=("damping", "tolerance"),
     )
 )

@@ -25,26 +25,20 @@ an extra H2D payload, like DOBFS's reverse CSR.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-from repro.engine.driver import FrameContext, run_frame
+from repro.engine.driver import FrameContext
 from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
-from repro.engine.types import StaticPolicy, TraversalResult, VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import is_symmetric
 from repro.graph.transforms import rank_oriented_adjacency, symmetrize
-from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams
 from repro.gpusim.transfer import record_transfer
 from repro.kernels import costs
 from repro.kernels.mapping import ComputationShape, computation_tally
-from repro.kernels.variants import Variant
 
-__all__ = ["TrianglesSpec", "traverse_triangles", "run_triangles"]
+__all__ = ["TrianglesSpec"]
 
 #: default nodes per scheduled chunk (one frame iteration)
 DEFAULT_CHUNK = 256
@@ -149,75 +143,6 @@ class TrianglesSpec(AlgorithmSpec):
         )
 
 
-def traverse_triangles(
-    graph: CSRGraph,
-    policy: VariantPolicy,
-    *,
-    chunk: int = DEFAULT_CHUNK,
-    assume_symmetric: bool = False,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    watchdog=None,
-    checkpoint_keeper=None,
-    resume_from=None,
-    fault_hook=None,
-    memory=None,
-    fusion=None,
-) -> TraversalResult:
-    """Count triangles under *policy*; ``result.values`` are the per-node
-    pivot counts (``values.sum()`` is the triangle total).  *chunk* sets
-    the scheduled nodes per iteration; the reliability keywords raise
-    (the spec is not checkpointable), *memory* and *fusion* are engine
-    pass-throughs as in :func:`~repro.kernels.frame.traverse_bfs`."""
-    return run_frame(
-        graph,
-        -1,
-        policy,
-        TrianglesSpec(chunk=chunk, assume_symmetric=assume_symmetric),
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-        queue_gen=queue_gen,
-        watchdog=watchdog,
-        checkpoint_keeper=checkpoint_keeper,
-        resume_from=resume_from,
-        fault_hook=fault_hook,
-        memory=memory,
-        fusion=fusion,
-    )
-
-
-def run_triangles(
-    graph: CSRGraph,
-    variant: Union[Variant, str] = "U_T_QU",
-    *,
-    chunk: int = DEFAULT_CHUNK,
-    assume_symmetric: bool = False,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    max_iterations: Optional[int] = None,
-    queue_gen: str = "atomic",
-    fusion=None,
-) -> TraversalResult:
-    """One static variant of triangle counting (see
-    :func:`traverse_triangles`)."""
-    if isinstance(variant, str):
-        variant = Variant.parse(variant)
-    return traverse_triangles(
-        graph,
-        StaticPolicy(variant),
-        chunk=chunk,
-        assume_symmetric=assume_symmetric,
-        device=device,
-        cost_params=cost_params,
-        max_iterations=max_iterations,
-        queue_gen=queue_gen,
-        fusion=fusion,
-    )
-
-
 def _cpu_triangles_reference(graph, source, **params):
     from repro.cpu import cpu_triangles
 
@@ -230,12 +155,7 @@ register_algorithm(
         name="triangles",
         summary="exact rank-oriented triangle counting (chunked schedule)",
         make_spec=TrianglesSpec,
-        traverse=lambda graph, source, policy, **kw: traverse_triangles(
-            graph, policy, **kw
-        ),
         cpu_run=_cpu_triangles_reference,
-        source_based=False,
-        checkpointable=False,
         param_names=("chunk", "assume_symmetric"),
     )
 )

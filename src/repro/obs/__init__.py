@@ -24,13 +24,13 @@ instrument point when off.  Turn it on by installing an
 
     obs = Observer()
     with observing(obs):
-        result = adaptive_bfs(graph, 0)
+        result = adaptive_run(graph, "bfs", 0)
     print(obs.metrics.snapshot()["frame.iterations"])
 
 or through the runners' ``observe=`` hook, which scopes the install for
 you::
 
-    result = adaptive_bfs(graph, 0, observe=obs)
+    result = adaptive_run(graph, "bfs", 0, observe=obs)
 
 See ``docs/observability.md`` for the metrics catalog, the manifest
 schema and a Perfetto walkthrough.

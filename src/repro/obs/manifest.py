@@ -15,10 +15,10 @@ test suite checks), so manifests can be diffed, archived and joined
 across runs without this library.
 
 >>> from repro.obs import RunManifest, build_manifest
->>> from repro.core import adaptive_bfs
+>>> from repro.core import adaptive_run
 >>> from repro.graph.generators import balanced_tree
 >>> graph = balanced_tree(2, 6)
->>> result = adaptive_bfs(graph, 0)
+>>> result = adaptive_run(graph, "bfs", 0)
 >>> manifest = build_manifest(result, graph=graph, algorithm="bfs",
 ...                           mode="adaptive", source=0)
 >>> manifest.result["iterations"] == result.num_iterations
@@ -234,7 +234,7 @@ def build_manifest(
     """Assemble a :class:`RunManifest` from any runner's result.
 
     *result* may be an :class:`~repro.core.runtime.AdaptiveResult`, a
-    plain :class:`~repro.kernels.frame.TraversalResult`, or a
+    plain :class:`~repro.engine.types.TraversalResult`, or a
     :class:`~repro.reliability.ResilientResult`; decisions, faults,
     memory and the recovery story are pulled from whichever parts the
     result carries.  *algorithm* and *source* default to what the

@@ -297,7 +297,7 @@ class Histogram:
     """A cheap streaming distribution: count, sum, min, max, mean.
 
     No buckets are kept — the per-iteration series already lives in the
-    traversal's :class:`~repro.kernels.frame.IterationRecord` list, so
+    traversal's :class:`~repro.engine.types.IterationRecord` list, so
     the histogram only answers "how big, typically" questions without
     growing with the run.
     """

@@ -1,7 +1,7 @@
 """The observer: one object bundling a run's metrics and spans.
 
 An :class:`Observer` is what you install with
-:func:`~repro.obs.observing` (or pass to ``adaptive_bfs(...,
+:func:`~repro.obs.observing` (or pass to ``adaptive_run(...,
 observe=)``); instrumented code throughout the stack reports into its
 :class:`~repro.obs.MetricsRegistry` and :class:`~repro.obs.SpanProfiler`
 while it is current.  After the run it is the raw material for a

@@ -10,10 +10,10 @@ https://ui.perfetto.dev and the whole story — which kernel ran, which
 decision picked it, which fault interrupted it, which OOM rung answered
 — scrubs on one simulated-time axis.
 
->>> from repro.core import adaptive_bfs
+>>> from repro.core import adaptive_run
 >>> from repro.graph.generators import balanced_tree
 >>> from repro.obs.trace import combined_trace_events
->>> result = adaptive_bfs(balanced_tree(2, 6), 0)
+>>> result = adaptive_run(balanced_tree(2, 6), "bfs", 0)
 >>> events = combined_trace_events(result.traversal.timeline,
 ...                                trace=result.trace)
 >>> any(e.get("tid") == TID_DECISIONS for e in events)

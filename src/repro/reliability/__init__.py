@@ -12,10 +12,10 @@ production traversal service actually sees.
   traversal state with a cost-aware (Young/Daly-style) save policy;
 - :mod:`repro.reliability.watchdog` — iteration and deadline budgets
   with :class:`~repro.errors.NonConvergenceError`;
-- :mod:`repro.reliability.guard` — ``resilient_bfs`` /
-  ``resilient_sssp``: retry with backoff, variant fallback, checkpoint
-  restore and CPU degradation, every step recorded in the decision
-  trace;
+- :mod:`repro.reliability.guard` — ``resilient_run``, the guarded run
+  mode for every registered algorithm: retry with backoff, variant
+  fallback, checkpoint restore and CPU degradation, every step recorded
+  in the decision trace;
 - :mod:`repro.reliability.breaker` — a per-(algorithm, path) circuit
   breaker the serving layer uses to route around paths that keep
   failing instead of re-walking the guard ladder per query.
@@ -36,9 +36,7 @@ from repro.reliability.guard import (
     GuardConfig,
     ResilientResult,
     guarded_query,
-    resilient_bfs,
     resilient_run,
-    resilient_sssp,
 )
 from repro.reliability.watchdog import Watchdog
 
@@ -54,8 +52,6 @@ __all__ = [
     "GuardConfig",
     "ResilientResult",
     "resilient_run",
-    "resilient_bfs",
-    "resilient_sssp",
     "guarded_query",
     "BreakerOpenError",
     "CircuitBreaker",

@@ -1,8 +1,7 @@
 """Guarded traversal execution: retry, fall back, degrade — but answer.
 
-``resilient_run`` wraps any registered algorithm (``resilient_bfs`` /
-``resilient_sssp`` are its named wrappers) under the adaptive runtime
-(:mod:`repro.core.runtime`) in a recovery ladder:
+``resilient_run`` wraps any registered algorithm under the adaptive
+runtime (:mod:`repro.core.runtime`) in a recovery ladder:
 
 1. **retry** — a transient failure (injected or genuine launch error)
    re-runs the query, resuming from the last checkpoint, after an
@@ -52,7 +51,6 @@ from repro.core.runtime import adaptive_run, run_static
 from repro.core.telemetry import DecisionTrace, FaultEvent
 from repro.engine.registry import get_algorithm
 from repro.errors import (
-    KernelError,
     DeviceOOMError,
     MemoryFaultError,
     NonConvergenceError,
@@ -73,8 +71,6 @@ __all__ = [
     "GuardConfig",
     "ResilientResult",
     "resilient_run",
-    "resilient_bfs",
-    "resilient_sssp",
     "guarded_query",
 ]
 
@@ -205,65 +201,23 @@ def resilient_run(
     adaptive-eligible algorithm starts on the adaptive policy and falls
     back through the unordered static variants; an algorithm without
     variants (DOBFS) runs its default entry point, then degrades
-    straight to the CPU.  Whole-graph algorithms ignore *source*.
+    straight to the CPU.  Source-based algorithms need a valid
+    *source*; whole-graph algorithms ignore it.
 
     *observe* installs an :class:`~repro.obs.Observer` for the run, so
     guard metrics (attempts, faults, OOM rung, degradations) land in it
     alongside the traversal's own metrics and spans.  Extra keyword
     arguments (*params*) are forwarded to the algorithm (PageRank's
     ``damping``/``tolerance``)."""
-    info = get_algorithm(algorithm)
-    if info.source_based:
-        if source is None:
-            raise KernelError(f"{algorithm!r} requires a source node")
-        # An invalid source is a bad request, not a transient fault:
-        # reject it here instead of burning the whole retry/fallback
-        # ladder (and its backoff sleeps) on a query that can never
-        # succeed.
-        graph._check_node(source)
-    else:
-        source = -1
+    # An invalid source is a bad request, not a transient fault: reject
+    # it here instead of burning the whole retry/fallback ladder (and
+    # its backoff sleeps) on a query that can never succeed.
+    source = get_algorithm(algorithm).resolve_source(graph, source)
     with observing(observe):
         return _resilient(
             algorithm, graph, source, config, device, cost_params, guard, plan,
             params,
         )
-
-
-def resilient_bfs(
-    graph: CSRGraph,
-    source: int,
-    *,
-    config: Optional[RuntimeConfig] = None,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    guard: Optional[GuardConfig] = None,
-    plan: Optional[FaultPlan] = None,
-    observe=None,
-) -> ResilientResult:
-    """BFS with the full recovery ladder (see :func:`resilient_run`)."""
-    return resilient_run(
-        graph, "bfs", source, config=config, device=device,
-        cost_params=cost_params, guard=guard, plan=plan, observe=observe,
-    )
-
-
-def resilient_sssp(
-    graph: CSRGraph,
-    source: int,
-    *,
-    config: Optional[RuntimeConfig] = None,
-    device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
-    guard: Optional[GuardConfig] = None,
-    plan: Optional[FaultPlan] = None,
-    observe=None,
-) -> ResilientResult:
-    """SSSP with the full recovery ladder (see :func:`resilient_run`)."""
-    return resilient_run(
-        graph, "sssp", source, config=config, device=device,
-        cost_params=cost_params, guard=guard, plan=plan, observe=observe,
-    )
 
 
 def guarded_query(run, *, label: str = "query"):

@@ -54,6 +54,16 @@ class TestListingCommands:
         assert "no" in dobfs_row
         assert "U_T_BM" not in dobfs_row
 
+    def test_algorithms_lists_each_spec_default_variant(self, capsys):
+        assert main(["algorithms"]) == 0
+        rows = {
+            line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+            if line.strip()
+        }
+        assert "U_T_QU" in rows["triangles"]
+        assert "U_B_QU" in rows["kcore"]
+        assert "U_T_BM" in rows["bfs"]
+
 
 class TestRunSubcommand:
     def test_run_pagerank_adaptive(self, capsys):
@@ -90,6 +100,21 @@ class TestRunSubcommand:
         )
         assert rc == 0
         assert "guarded KCORE" in capsys.readouterr().out
+
+    def test_run_resilient_mode_writes_manifest(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "resilient.json"
+        rc = main(
+            ["run", "--algorithm", "bfs", "--dataset", "p2p", "--scale", "0.05",
+             "--mode", "resilient", "--manifest", str(path)]
+        )
+        assert rc == 0
+        assert f"[manifest written to {path}]" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        assert doc["mode"] == "resilient"
+        assert doc["reliability"]["stage"] == "adaptive"
+        assert doc["result"]["values_sha256"]
 
 
 class TestCharacterize:

@@ -8,9 +8,9 @@ from repro.core.config import RuntimeConfig
 from repro.core.inspector import GraphInspector, StaticAttributes
 from repro.core.policies import AdaptivePolicy
 from repro.core.telemetry import Decision, DecisionTrace
+from repro.engine.types import IterationRecord
 from repro.graph.generators import erdos_renyi_graph, power_law_graph, star_graph
 from repro.gpusim.device import TESLA_C2070
-from repro.kernels.frame import IterationRecord
 
 
 class TestStaticAttributes:

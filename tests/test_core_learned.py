@@ -13,8 +13,7 @@ from repro.core import (
     LearnedDecisionMaker,
     LearnedPolicy,
     PolicyArtifact,
-    adaptive_bfs,
-    adaptive_sssp,
+    adaptive_run,
     extract_samples,
     fit_policy,
     load_manifest_corpus,
@@ -50,12 +49,12 @@ def corpus(workload):
         graph = attach_uniform_weights(
             erdos_renyi_graph(3_000, 18_000, seed=seed), seed=seed + 50
         )
-        result = adaptive_sssp(graph, 0)
+        result = adaptive_run(graph, "sssp", 0)
         manifests.append(
             build_manifest(result, graph=graph, algorithm="sssp",
                            mode="adaptive", source=0)
         )
-    result = adaptive_sssp(g, src)
+    result = adaptive_run(g, "sssp", src)
     manifests.append(
         build_manifest(result, graph=g, algorithm="sssp",
                        mode="adaptive", source=src)
@@ -115,8 +114,8 @@ class TestFitPolicy:
 
     def test_mixed_algorithm_corpus(self, workload):
         g, src = workload
-        bfs = adaptive_bfs(g, src)
-        sssp = adaptive_sssp(g, src)
+        bfs = adaptive_run(g, "bfs", src)
+        sssp = adaptive_run(g, "sssp", src)
         art = fit_policy([
             build_manifest(bfs, graph=g, algorithm="bfs",
                            mode="adaptive", source=src),
@@ -279,8 +278,8 @@ class TestLearnedDecisionMaker:
 class TestDeployment:
     def test_values_match_threshold_policy(self, workload, artifact):
         g, src = workload
-        threshold = adaptive_sssp(g, src)
-        learned = adaptive_sssp(g, src, policy=artifact)
+        threshold = adaptive_run(g, "sssp", src)
+        learned = adaptive_run(g, "sssp", src, policy=artifact)
         assert np.array_equal(threshold.values, learned.values)
         assert learned.policy is not None
         assert learned.policy["digest"] == artifact.digest
@@ -290,7 +289,7 @@ class TestDeployment:
         g, src = workload
         path = tmp_path / "p.json"
         artifact.save(path)
-        learned = adaptive_sssp(g, src, policy=f"learned:{path}")
+        learned = adaptive_run(g, "sssp", src, policy=f"learned:{path}")
         assert learned.policy["digest"] == artifact.digest
 
     def test_learned_policy_name_and_info(self, workload, artifact, device):
@@ -303,7 +302,7 @@ class TestDeployment:
 
     def test_manifest_records_policy(self, workload, artifact):
         g, src = workload
-        learned = adaptive_sssp(g, src, policy=artifact)
+        learned = adaptive_run(g, "sssp", src, policy=artifact)
         manifest = build_manifest(learned, graph=g, algorithm="sssp",
                                   mode="learned", source=src)
         assert manifest.policy["digest"] == artifact.digest
@@ -315,7 +314,7 @@ class TestDeployment:
 
         g, src = workload
         observer = Observer()
-        adaptive_sssp(g, src, policy=artifact, observe=observer)
+        adaptive_run(g, "sssp", src, policy=artifact, observe=observer)
         snapshot = observer.metrics.snapshot()
         assert snapshot["policy.evaluations"]["value"] > 0
         assert "policy.leaf_depth" in snapshot

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    adaptive_bfs,
-    adaptive_sssp,
-    per_iteration_oracle,
-    decision_quality,
-    run_static,
-)
+from repro.core import adaptive_run, decision_quality, per_iteration_oracle, run_static
 from repro.core.oracle import IterationCosts, OracleReport
 from repro.errors import KernelError
 from repro.graph.generators import (
@@ -33,7 +27,7 @@ class TestOracleReport:
     def test_covers_all_iterations(self, workload):
         g, src = workload
         report = per_iteration_oracle(g, src, "sssp")
-        ad = adaptive_sssp(g, src)
+        ad = adaptive_run(g, "sssp", src)
         assert len(report.iterations) == ad.num_iterations
 
     def test_candidate_set(self, workload):
@@ -113,7 +107,7 @@ class TestDecisionQuality:
     def test_adaptive_low_regret(self, workload):
         g, src = workload
         report = per_iteration_oracle(g, src, "sssp")
-        q = decision_quality(adaptive_sssp(g, src), report)
+        q = decision_quality(adaptive_run(g, "sssp", src), report)
         assert 0.0 <= q.agreement <= 1.0
         assert q.regret < 0.25
 
@@ -122,7 +116,7 @@ class TestDecisionQuality:
         envelope the oracle computes."""
         g, src = workload
         report = per_iteration_oracle(g, src, "sssp")
-        q = decision_quality(adaptive_sssp(g, src), report)
+        q = decision_quality(adaptive_run(g, "sssp", src), report)
         _, best_static_secs = report.best_static()
         assert q.realized_seconds <= best_static_secs * 1.05
 
@@ -135,7 +129,7 @@ class TestDecisionQuality:
     def test_mismatched_iteration_counts(self, workload):
         g, src = workload
         report = per_iteration_oracle(g, src, "bfs")
-        other = adaptive_bfs(erdos_renyi_graph(500, 2_000, seed=1), 0)
+        other = adaptive_run(erdos_renyi_graph(500, 2_000, seed=1), "bfs", 0)
         with pytest.raises(KernelError, match="mismatch"):
             decision_quality(other, report)
 

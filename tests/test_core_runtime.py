@@ -4,7 +4,7 @@ behaviour on small graphs)."""
 import numpy as np
 import pytest
 
-from repro.core import Graph, RuntimeConfig, adaptive_bfs, adaptive_sssp, run_static
+from repro.core import Graph, RuntimeConfig, adaptive_run, run_static
 from repro.cpu import cpu_bfs, cpu_dijkstra
 from repro.errors import GraphError, KernelError
 from repro.graph.generators import (
@@ -28,37 +28,37 @@ def medium_weighted(medium_graph):
 
 class TestAdaptiveBfs:
     def test_correct_levels(self, medium_graph):
-        result = adaptive_bfs(medium_graph, 0)
+        result = adaptive_run(medium_graph, "bfs", 0)
         oracle = cpu_bfs(medium_graph, 0)
         assert np.array_equal(result.values, oracle.levels)
 
     def test_trace_populated(self, medium_graph):
-        result = adaptive_bfs(medium_graph, 0)
+        result = adaptive_run(medium_graph, "bfs", 0)
         assert result.trace.num_decisions >= 1
         assert result.num_iterations >= 1
         assert result.total_seconds > 0
 
     def test_thresholds_resolved(self, medium_graph):
-        result = adaptive_bfs(medium_graph, 0)
+        result = adaptive_run(medium_graph, "bfs", 0)
         assert result.thresholds.t1 == 32.0
         assert result.thresholds.t2 == 2688
 
     def test_starts_with_b_qu(self, medium_graph):
         # The working set starts at one node: the small-ws region.
-        result = adaptive_bfs(medium_graph, 0)
+        result = adaptive_run(medium_graph, "bfs", 0)
         first = result.traversal.iterations[0]
         assert first.variant == "U_B_QU"
 
     def test_config_respected(self, medium_graph):
         cfg = RuntimeConfig(t2=0, t3_fraction=1.0)  # forces the queue band
-        result = adaptive_bfs(medium_graph, 0, config=cfg)
+        result = adaptive_run(medium_graph, "bfs", 0, config=cfg)
         used = set(result.variants_used())
         assert used <= {"U_T_QU", "U_B_QU"}
 
 
 class TestAdaptiveSssp:
     def test_correct_distances(self, medium_weighted):
-        result = adaptive_sssp(medium_weighted, 0)
+        result = adaptive_run(medium_weighted, "sssp", 0)
         oracle = cpu_dijkstra(medium_weighted, 0)
         assert np.allclose(result.values, oracle.distances)
 
@@ -67,12 +67,12 @@ class TestAdaptiveSssp:
         g = attach_uniform_weights(
             power_law_graph(60_000, alpha=1.9, max_degree=300, seed=7), seed=8
         )
-        result = adaptive_sssp(g, int(np.argmax(g.out_degrees)))
+        result = adaptive_run(g, "sssp", int(np.argmax(g.out_degrees)))
         assert result.num_switches >= 1
         assert len(result.variants_used()) >= 2
 
     def test_unordered_only(self, medium_weighted):
-        result = adaptive_sssp(medium_weighted, 0)
+        result = adaptive_run(medium_weighted, "sssp", 0)
         assert all(code.startswith("U_") for code in result.variants_used())
 
 
@@ -143,7 +143,7 @@ class TestAdaptiveVsStaticSanity:
         paper's robustness claim, loosely checked at tiny scale)."""
         from repro.kernels import unordered_variants
 
-        ad = adaptive_sssp(medium_weighted, 0)
+        ad = adaptive_run(medium_weighted, "sssp", 0)
         best = min(
             run_static(medium_weighted, 0, "sssp", v).total_seconds
             for v in unordered_variants()
@@ -158,11 +158,11 @@ class TestSourceValidation:
 
     def test_adaptive_rejects_out_of_range(self, medium_graph):
         with pytest.raises(GraphError, match="out of range"):
-            adaptive_bfs(medium_graph, medium_graph.num_nodes)
+            adaptive_run(medium_graph, "bfs", medium_graph.num_nodes)
 
     def test_adaptive_rejects_negative(self, medium_graph):
         with pytest.raises(GraphError, match="out of range"):
-            adaptive_bfs(medium_graph, -1)
+            adaptive_run(medium_graph, "bfs", -1)
 
     def test_run_static_rejects_out_of_range(self, medium_graph):
         with pytest.raises(GraphError, match="out of range"):

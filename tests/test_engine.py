@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core import adaptive_run, run_static
-from repro.engine import AlgorithmInfo, get_algorithm, registered_algorithms
+from repro.engine import (
+    AlgorithmInfo,
+    AlgorithmSpec,
+    get_algorithm,
+    register_algorithm,
+    registered_algorithms,
+)
 from repro.errors import KernelError, NonConvergenceError
 from repro.graph.datasets import make_dataset
 from repro.gpusim.allocator import MemoryBudget
@@ -78,18 +84,39 @@ class TestRegistry:
             assert cpu.seconds > 0
 
     def test_registration_shadowing_last_wins(self):
-        info = AlgorithmInfo(
-            name="engine-test-stub",
-            summary="stub",
-            make_spec=lambda **kw: None,
-        )
-        from repro.engine import register_algorithm
+        class StubSpec(AlgorithmSpec):
+            name = "engine-test-stub"
 
+        info = AlgorithmInfo(
+            name="engine-test-stub", summary="stub", make_spec=StubSpec
+        )
         register_algorithm(info)
         assert get_algorithm("engine-test-stub") is info
         assert any(
             i.name == "engine-test-stub" for i in registered_algorithms()
         )
+
+    def test_register_rejects_non_spec_factory(self):
+        info = AlgorithmInfo(
+            name="engine-test-lambda", summary="stub", make_spec=lambda **kw: None
+        )
+        with pytest.raises(KernelError, match="AlgorithmSpec subclass"):
+            register_algorithm(info)
+        with pytest.raises(KernelError, match="unknown algorithm"):
+            get_algorithm("engine-test-lambda")
+
+    def test_flags_come_from_the_spec_class(self):
+        for info in registered_algorithms():
+            spec = info.make_spec
+            for flag, value in info.capability_flags().items():
+                assert value == getattr(spec, flag), (info.name, flag)
+            assert info.default_variant == spec.default_variant
+
+    def test_triangles_default_variant(self):
+        # The spec and the golden fixture's static run use U_T_QU; the
+        # registry (and so `repro algorithms`) must report the same.
+        assert get_algorithm("triangles").default_variant == "U_T_QU"
+        assert get_algorithm("kcore").default_variant == "U_B_QU"
 
 
 # ----------------------------------------------------------------------
@@ -109,17 +136,19 @@ class TestAdaptiveRun:
         with pytest.raises(KernelError, match="requires a source"):
             adaptive_run(graph, "bfs")
 
+    @pytest.mark.parametrize("door", ["static", "adaptive", "resilient"])
+    def test_missing_source_is_one_clear_error_at_every_door(self, graph, door):
+        run = {
+            "static": lambda: run_static(graph, None, "bfs", "U_T_BM"),
+            "adaptive": lambda: adaptive_run(graph, "bfs", None),
+            "resilient": lambda: resilient_run(graph, "bfs", None),
+        }[door]
+        with pytest.raises(KernelError, match="'bfs' requires a source node"):
+            run()
+
     def test_rejects_non_adaptive_algorithm(self, graph):
         with pytest.raises(KernelError, match="adaptive-eligible"):
             adaptive_run(graph, "dobfs", 0)
-
-    def test_named_wrappers_delegate(self, graph):
-        from repro.core import adaptive_pagerank
-
-        a = adaptive_run(graph, "pagerank", tolerance=1e-5)
-        b = adaptive_pagerank(graph, tolerance=1e-5)
-        assert np.array_equal(a.values, b.values)
-        assert a.total_seconds == b.total_seconds
 
 
 class TestResilientRun:

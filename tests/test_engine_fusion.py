@@ -24,7 +24,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core import run_static
 from repro.engine.batch import BatchFrame, QueryPlan, run_batch_frame
+from repro.engine.driver import run_frame
 from repro.engine.fusion import FusionStats, LaunchPlan, fuse_tallies, lower
 from repro.engine.registry import get_algorithm, registered_algorithms
 from repro.engine.types import StaticPolicy, VariantPolicy
@@ -32,15 +34,11 @@ from repro.graph.csr import CSRGraph
 from repro.graph.datasets import make_dataset
 from repro.gpusim.device import TESLA_C2070
 from repro.gpusim.kernel import CostModel, CostParams
-from repro.kernels.bfs import run_bfs
 from repro.kernels.dobfs import direction_optimizing_bfs
 from repro.kernels.findmin import findmin_tallies
 from repro.kernels.frame import BfsSpec, OrderedSsspSpec
-from repro.kernels.kcore import run_kcore
 from repro.kernels.multisource import fused_workset_gen_tallies
-from repro.kernels.pagerank import traverse_pagerank
-from repro.kernels.sssp import run_sssp
-from repro.kernels.triangles import run_triangles
+from repro.kernels.pagerank import PagerankSpec
 from repro.kernels.variants import Variant, WorksetRepr
 from repro.kernels.workset import workset_gen_tallies
 
@@ -127,7 +125,7 @@ def test_lower_refuses_ordered_and_scan():
 
 
 def test_fuse_tallies_never_costs_more_than_parts(graph):
-    base = run_bfs(graph, 0, "U_T_BM")
+    base = run_static(graph, 0, "bfs", "U_T_BM")
     model = CostModel(TESLA_C2070, CostParams())
     kernels = base.timeline.kernels
     comp, gen = kernels[0].tally, kernels[1].tally
@@ -149,8 +147,8 @@ def test_fuse_tallies_rejects_empty():
 
 @pytest.mark.parametrize("variant", ["U_T_BM", "U_B_QU"])
 def test_fused_static_run_is_bit_identical(graph, variant):
-    base = run_bfs(graph, 0, variant)
-    fused = run_bfs(graph, 0, variant, fusion=True)
+    base = run_static(graph, 0, "bfs", variant)
+    fused = run_static(graph, 0, "bfs", variant, fuse=True)
     assert _sha(base.values) == _sha(fused.values)
     assert [r.variant for r in base.iterations] == [
         r.variant for r in fused.iterations
@@ -172,8 +170,8 @@ def test_fused_static_run_is_bit_identical(graph, variant):
 
 
 def test_fused_ordered_run_refuses_but_matches(graph):
-    base = run_sssp(graph, 0, "O_T_QU")
-    fused = run_sssp(graph, 0, "O_T_QU", fusion=True)
+    base = run_static(graph, 0, "sssp", "O_T_QU")
+    fused = run_static(graph, 0, "sssp", "O_T_QU", fuse=True)
     assert _sha(base.values) == _sha(fused.values)
     assert fused.fusion.plan.fusible is False
     assert fused.fusion.fused_iterations == 0
@@ -181,8 +179,8 @@ def test_fused_ordered_run_refuses_but_matches(graph):
 
 
 def test_fused_triangles_hoists_h2d(graph):
-    base = run_triangles(graph)
-    fused = run_triangles(graph, fusion=True)
+    base = run_static(graph, -1, "triangles", "U_T_QU")
+    fused = run_static(graph, -1, "triangles", "U_T_QU", fuse=True)
     assert np.array_equal(base.values, fused.values)
     stats = fused.fusion
     assert stats.fused_iterations == len(fused.iterations)
@@ -201,7 +199,7 @@ def test_fusion_metrics_reported(graph):
     from repro.obs import Observer
 
     observer = Observer()
-    run_bfs(graph, 0, "U_T_BM", fusion=True, observe=observer)
+    run_static(graph, 0, "bfs", "U_T_BM", fuse=True, observe=observer)
     snap = observer.metrics.snapshot()
     assert snap["fusion.fused_launches"]["value"] > 0
     assert snap["fusion.launches_eliminated"]["value"] > 0
@@ -265,7 +263,7 @@ def test_batch_fusion_refuses_mixed_variants(graph):
 
 @pytest.mark.parametrize("variant", ["U_T_BM", "U_B_QU"])
 def test_bfs_prices_one_pair_and_one_readback_per_iteration(graph, variant):
-    result = run_bfs(graph, 0, variant)
+    result = run_static(graph, 0, "bfs", variant)
     counts = _kernel_counts(result)
     iters = result.num_iterations
     assert counts == {"bfs_comp": iters, "workset_gen": iters}
@@ -273,7 +271,7 @@ def test_bfs_prices_one_pair_and_one_readback_per_iteration(graph, variant):
 
 
 def test_ordered_sssp_prices_findmin_once_per_iteration(graph):
-    result = run_sssp(graph, 0, "O_T_QU")
+    result = run_static(graph, 0, "sssp", "O_T_QU")
     counts = _kernel_counts(result)
     iters = result.num_iterations
     assert counts == {
@@ -297,7 +295,7 @@ def test_dobfs_label_override_charges_no_extra_launches(graph):
 
 
 def test_kcore_refill_charges_filter_only(graph):
-    result = run_kcore(graph)
+    result = run_static(graph, -1, "kcore", "U_B_QU")
     counts = _kernel_counts(result)
     iters = result.num_iterations
     assert counts["kcore_comp"] == iters
@@ -361,12 +359,10 @@ def test_ordered_spec_declares_wide_entries(graph):
     # Integration: the ordered run's generation traffic reflects the
     # 8-byte pairs — pricing the same run with 4-byte entries (the old
     # hard-code) must come out cheaper.
-    wide = run_sssp(graph, 0, "O_T_QU")
+    wide = run_static(graph, 0, "sssp", "O_T_QU")
 
     class _NarrowOrdered(OrderedSsspSpec):
         workset_entry_bytes = 4
-
-    from repro.engine.driver import run_frame
 
     narrow = run_frame(
         graph, 0, StaticPolicy(Variant.parse("O_T_QU")), _NarrowOrdered()
@@ -382,9 +378,9 @@ def test_ordered_spec_declares_wide_entries(graph):
 
 def test_zero_work_graph_never_consults_policy(empty_graph):
     for info in registered_algorithms():
-        if info.source_based or info.traverse is None:
+        if info.source_based or not info.supports_variants:
             continue  # a source on a 0-node graph is a validation error
-        result = info.traverse(empty_graph, -1, _BoomPolicy())
+        result = run_frame(empty_graph, -1, _BoomPolicy(), info.make_spec())
         assert result.num_iterations == 0, info.name
         assert len(result.timeline.kernels) == 0, info.name
 
@@ -392,7 +388,7 @@ def test_zero_work_graph_never_consults_policy(empty_graph):
 def test_pagerank_converged_at_init_skips_policy(graph):
     # tolerance=1.0 swallows the initial residuals: the hint is 0 and
     # the loop exits before any kernel or policy-overhead launch.
-    result = traverse_pagerank(graph, _BoomPolicy(), tolerance=1.0)
+    result = run_frame(graph, -1, _BoomPolicy(), PagerankSpec(tolerance=1.0))
     assert result.num_iterations == 0
     assert len(result.timeline.kernels) == 0
 

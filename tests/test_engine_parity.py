@@ -1,13 +1,16 @@
-"""Golden-fixture parity: the iteration engine reproduces the
-pre-refactor traversals bit-identically.
+"""Golden-fixture parity: every run mode reproduces the committed
+traversals bit-identically.
 
-``tests/fixtures/engine_parity.json`` was generated by running
-``tools/make_parity_fixtures.py`` against the pre-engine code.  This
-test rebuilds the same 32 runs (2 workloads x 16 entry points) through
-the current implementation and diffs every field: value-array SHA-256,
-per-iteration records, and simulated times serialized as float hex —
-any drift in kernel ordering, pricing or float addition fails here
-before it can silently change a paper figure.
+``tests/fixtures/engine_parity.json`` was first generated before the
+iteration engine existed and has stayed byte-identical since.  This
+test rebuilds the same 32 runs (2 workloads x 16 run labels) through
+``tools/make_parity_fixtures.py`` — ``run_static``, ``adaptive_run``,
+``resilient_run`` and DOBFS's ``direction_optimizing_bfs`` — and diffs
+every field: value-array SHA-256, per-iteration records, and simulated
+times serialized as float hex — any drift in kernel ordering, pricing
+or float addition fails here before it can silently change a paper
+figure.  The labels (``run_bfs_U_T_BM``, ``adaptive_cc``, ...) are
+fixture keys only.
 
 The fixture's ``fused_parity`` section additionally pins the
 spec-fusion pass (:mod:`repro.engine.fusion`): for every registry

@@ -11,6 +11,7 @@ cap so logs are actionable.
 import pytest
 
 import repro.errors as errors_mod
+from repro.core import run_static
 from repro.errors import (
     DeviceError,
     FaultPlanError,
@@ -21,13 +22,6 @@ from repro.errors import (
     RuntimeConfigError,
 )
 from repro.graph.generators import attach_uniform_weights, erdos_renyi_graph
-from repro.kernels import StaticPolicy
-from repro.kernels.frame import traverse_bfs, traverse_sssp
-from repro.kernels.variants import Variant
-
-
-def _policy():
-    return StaticPolicy(Variant.parse("U_T_QU"))
 
 
 class TestHierarchy:
@@ -70,22 +64,22 @@ class TestNonConvergence:
     def test_bfs_tiny_iteration_budget(self):
         graph = erdos_renyi_graph(200, 1200, seed=5)
         with pytest.raises(NonConvergenceError) as exc:
-            traverse_bfs(graph, 0, _policy(), max_iterations=1)
+            run_static(graph, 0, "bfs", "U_T_QU", max_iterations=1)
         assert "1" in str(exc.value)
         assert "iteration" in str(exc.value)
 
     def test_sssp_tiny_iteration_budget(self):
         graph = attach_uniform_weights(erdos_renyi_graph(200, 1200, seed=6), seed=7)
         with pytest.raises(NonConvergenceError) as exc:
-            traverse_sssp(graph, 0, _policy(), max_iterations=2)
+            run_static(graph, 0, "sssp", "U_T_QU", max_iterations=2)
         assert "2" in str(exc.value)
 
     def test_generous_budget_converges(self):
         graph = erdos_renyi_graph(200, 1200, seed=5)
-        result = traverse_bfs(graph, 0, _policy(), max_iterations=10_000)
+        result = run_static(graph, 0, "bfs", "U_T_QU", max_iterations=10_000)
         assert result.values[0] == 0
 
     def test_catchable_as_kernel_error(self):
         graph = erdos_renyi_graph(120, 700, seed=8)
         with pytest.raises(KernelError):
-            traverse_bfs(graph, 0, _policy(), max_iterations=1)
+            run_static(graph, 0, "bfs", "U_T_QU", max_iterations=1)

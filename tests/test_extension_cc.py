@@ -4,7 +4,7 @@ label propagation + adaptive runtime)."""
 import numpy as np
 import pytest
 
-from repro import Graph, adaptive_cc, run_cc
+from repro import Graph, adaptive_run, run_static
 from repro.cpu import cpu_connected_components
 from repro.errors import KernelError
 from repro.graph.builder import from_edge_list
@@ -70,53 +70,53 @@ class TestCpuCc:
 class TestGpuCc:
     @pytest.mark.parametrize("code", [v.code for v in unordered_variants()])
     def test_all_variants_correct(self, code, multi_component):
-        r = run_cc(multi_component, code)
+        r = run_static(multi_component, -1, "cc", code)
         assert r.values.tolist() == [0, 0, 0, 0, 4, 4, 6]
 
     def test_directed_input_symmetrized(self):
         g = from_edge_list([0, 2], [1, 1], num_nodes=3)
-        r = run_cc(g, "U_T_BM")
+        r = run_static(g, -1, "cc", "U_T_BM")
         assert r.values.tolist() == [0, 0, 0]
 
     def test_random_graph_matches_cpu(self):
         g = erdos_renyi_graph(400, 350, seed=9)
         oracle = cpu_connected_components(g).labels
         for code in ("U_T_BM", "U_B_QU", "U_W_QU"):
-            assert np.array_equal(run_cc(g, code).values, oracle), code
+            assert np.array_equal(run_static(g, -1, "cc", code).values, oracle), code
 
     def test_initial_workset_is_all_nodes(self):
         g = chain_graph(64)
-        r = run_cc(g, "U_T_BM")
+        r = run_static(g, -1, "cc", "U_T_BM")
         assert r.iterations[0].workset_size == 64
 
     def test_iterations_bounded_by_pointer_halving(self):
         # Min-label propagation converges in O(diameter) sweeps.
         g = chain_graph(100)
-        r = run_cc(g, "U_B_QU")
+        r = run_static(g, -1, "cc", "U_B_QU")
         assert r.num_iterations <= 101
 
     def test_star_converges_fast(self):
-        r = run_cc(star_graph(500), "U_T_BM")
+        r = run_static(star_graph(500), -1, "cc", "U_T_BM")
         assert r.num_iterations <= 3
 
     def test_max_iterations(self):
         with pytest.raises(KernelError, match="exceeded"):
-            run_cc(chain_graph(100), "U_T_BM", max_iterations=2)
+            run_static(chain_graph(100), -1, "cc", "U_T_BM", max_iterations=2)
 
     def test_algorithm_tag(self):
-        r = run_cc(balanced_tree(2, 4), "U_T_QU")
+        r = run_static(balanced_tree(2, 4), -1, "cc", "U_T_QU")
         assert r.algorithm == "cc"
         assert r.source == -1
 
 
 class TestAdaptiveCc:
     def test_correct(self, multi_component):
-        r = adaptive_cc(multi_component)
+        r = adaptive_run(multi_component, "cc")
         assert r.values.tolist() == [0, 0, 0, 0, 4, 4, 6]
 
     def test_large_graph_switches_representation(self):
         g = erdos_renyi_graph(60_000, 200_000, seed=10)
-        r = adaptive_cc(g)
+        r = adaptive_run(g, "cc")
         oracle = weakly_connected_components(g)
         assert np.array_equal(r.values, oracle)
         # CC starts with all nodes active -> bitmap region first, then
@@ -142,7 +142,7 @@ class TestObservedCc:
 
         g = erdos_renyi_graph(800, 4000, seed=4)
         observer = Observer()
-        result = run_cc(g, "U_T_BM", observe=observer)
+        result = run_static(g, -1, "cc", "U_T_BM", observe=observer)
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["gpusim.kernel_launches"]["value"] > 0
@@ -151,7 +151,7 @@ class TestObservedCc:
         from repro.obs import Observer
 
         g = erdos_renyi_graph(800, 4000, seed=4)
-        plain = run_cc(g, "U_B_QU")
-        observed = run_cc(g, "U_B_QU", observe=Observer())
+        plain = run_static(g, -1, "cc", "U_B_QU")
+        observed = run_static(g, -1, "cc", "U_B_QU", observe=Observer())
         assert np.array_equal(plain.values, observed.values)
         assert plain.total_seconds == observed.total_seconds

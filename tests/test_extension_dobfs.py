@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import run_static
 from repro.cpu import cpu_bfs
 from repro.errors import KernelError
 from repro.graph.generators import (
@@ -84,12 +85,10 @@ class TestDirectionOptimizingBfs:
         assert set(result.variants_used()) == {"push"}
 
     def test_pull_scans_fewer_edges(self):
-        from repro.kernels import run_bfs
-
         g = power_law_graph(20_000, alpha=1.6, max_degree=800, seed=23,
                             symmetric=True)
         src = int(np.argmax(g.out_degrees))
-        push = run_bfs(g, src, "U_T_BM")
+        push = run_static(g, src, "bfs", "U_T_BM")
         do = direction_optimizing_bfs(g, src)
         assert do.total_edges_scanned < 0.5 * push.total_edges_scanned
 

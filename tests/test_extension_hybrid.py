@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import HybridConfig, hybrid_bfs, hybrid_sssp
+from repro.core import HybridConfig, adaptive_run, hybrid_run
 from repro.cpu import cpu_bfs, cpu_dijkstra
 from repro.errors import KernelError
 from repro.graph.generators import (
@@ -18,30 +18,34 @@ from repro.gpusim.device import TESLA_C2070
 
 class TestCorrectness:
     def test_bfs_matches_cpu(self, random_graph):
-        r = hybrid_bfs(random_graph, 0)
+        r = hybrid_run(random_graph, "bfs", 0)
         assert np.array_equal(r.values, cpu_bfs(random_graph, 0).levels)
 
     def test_sssp_matches_dijkstra(self, random_weighted):
-        r = hybrid_sssp(random_weighted, 0)
+        r = hybrid_run(random_weighted, "sssp", 0)
         assert np.allclose(r.values, cpu_dijkstra(random_weighted, 0).distances)
 
     def test_sssp_requires_weights(self, random_graph):
         with pytest.raises(KernelError, match="weighted"):
-            hybrid_sssp(random_graph, 0)
+            hybrid_run(random_graph, "sssp", 0)
 
     def test_bad_source(self, random_graph):
         with pytest.raises(Exception):
-            hybrid_bfs(random_graph, 10**9)
+            hybrid_run(random_graph, "bfs", 10**9)
+
+    def test_rejects_algorithms_without_a_host_sweep(self, random_graph):
+        with pytest.raises(KernelError, match="'bfs' or 'sssp'"):
+            hybrid_run(random_graph, "cc", 0)
 
     def test_max_iterations(self):
         g = chain_graph(100)
         with pytest.raises(KernelError, match="exceeded"):
-            hybrid_bfs(g, 0, max_iterations=2)
+            hybrid_run(g, "bfs", 0, max_iterations=2)
 
 
 class TestDeviceSchedule:
     def test_devices_per_iteration(self, random_graph):
-        r = hybrid_bfs(random_graph, 0)
+        r = hybrid_run(random_graph, "bfs", 0)
         assert len(r.devices) == r.traversal.num_iterations
         assert set(r.devices) <= {"cpu", "gpu"}
         assert r.cpu_iterations + r.gpu_iterations == len(r.devices)
@@ -49,13 +53,13 @@ class TestDeviceSchedule:
     def test_tiny_frontiers_go_to_cpu(self):
         # A chain's frontier is always one node: pure CPU territory.
         g = chain_graph(200)
-        r = hybrid_bfs(g, 0)
+        r = hybrid_run(g, "bfs", 0)
         assert r.cpu_iterations > 0.9 * len(r.devices)
 
     def test_huge_frontiers_go_to_gpu(self):
         g = power_law_graph(50_000, alpha=1.8, max_degree=400, seed=3)
         src = int(np.argmax(g.out_degrees))
-        r = hybrid_bfs(g, src)
+        r = hybrid_run(g, "bfs", src)
         assert r.gpu_iterations >= 1
         # The peak-frontier iteration must be on the GPU.
         peak = max(range(len(r.devices)),
@@ -65,7 +69,7 @@ class TestDeviceSchedule:
     def test_transitions_counted_and_paid(self):
         g = power_law_graph(50_000, alpha=1.8, max_degree=400, seed=3)
         src = int(np.argmax(g.out_degrees))
-        r = hybrid_bfs(g, src)
+        r = hybrid_run(g, "bfs", src)
         # Device changes along the schedule match the transition count,
         # remembering execution starts on the GPU (post-transfer).
         changes = sum(
@@ -82,12 +86,8 @@ class TestDeviceSchedule:
 
     def test_hysteresis_limits_ping_pong(self):
         g = erdos_renyi_graph(30_000, 120_000, seed=4)
-        strict = hybrid_bfs(
-            g, 0, hybrid_config=HybridConfig(min_run_length=10)
-        )
-        loose = hybrid_bfs(
-            g, 0, hybrid_config=HybridConfig(min_run_length=1)
-        )
+        strict = hybrid_run(g, "bfs", 0, hybrid_config=HybridConfig(min_run_length=10))
+        loose = hybrid_run(g, "bfs", 0, hybrid_config=HybridConfig(min_run_length=1))
         assert strict.transitions <= loose.transitions
 
 
@@ -95,28 +95,25 @@ class TestHybridAdvantage:
     def test_beats_pure_gpu_on_road(self):
         """The Hong et al. result: alternating execution rescues the
         GPU-hostile road topology."""
-        from repro.core import adaptive_bfs
 
         g = road_network(20_000, seed=5)
-        r_hybrid = hybrid_bfs(g, 0)
-        r_gpu = adaptive_bfs(g, 0)
+        r_hybrid = hybrid_run(g, "bfs", 0)
+        r_gpu = adaptive_run(g, "bfs", 0)
         assert np.array_equal(r_hybrid.values, r_gpu.values)
         assert r_hybrid.total_seconds < 0.6 * r_gpu.total_seconds
 
     def test_close_to_gpu_on_dense(self):
-        from repro.core import adaptive_sssp
-
         g = attach_uniform_weights(
             power_law_graph(30_000, alpha=1.7, max_degree=500, seed=6), seed=7
         )
         src = int(np.argmax(g.out_degrees))
-        r_hybrid = hybrid_sssp(g, src)
-        r_gpu = adaptive_sssp(g, src)
+        r_hybrid = hybrid_run(g, "sssp", src)
+        r_gpu = adaptive_run(g, "sssp", src)
         assert r_hybrid.total_seconds < 1.3 * r_gpu.total_seconds
 
     def test_cpu_advantage_knob(self):
         g = erdos_renyi_graph(20_000, 80_000, seed=8)
-        never_cpu = hybrid_bfs(
-            g, 0, hybrid_config=HybridConfig(cpu_advantage=0.0)
+        never_cpu = hybrid_run(
+            g, "bfs", 0, hybrid_config=HybridConfig(cpu_advantage=0.0),
         )
         assert never_cpu.cpu_iterations == 0

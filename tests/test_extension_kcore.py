@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import adaptive_kcore, run_kcore
+from repro import adaptive_run, run_static
 from repro.cpu import cpu_kcore
 from repro.errors import KernelError
 from repro.graph.builder import to_networkx
@@ -66,16 +66,16 @@ class TestCpuKCore:
 class TestGpuKCore:
     @pytest.mark.parametrize("code", [v.code for v in unordered_variants()])
     def test_all_variants_match_networkx(self, code, social):
-        r = run_kcore(social, code)
+        r = run_static(social, -1, "kcore", code)
         assert np.array_equal(r.values, nx_coreness(social))
 
     def test_directed_input(self, tiny_graph):
-        r = run_kcore(tiny_graph, "U_T_BM")
+        r = run_static(tiny_graph, -1, "kcore", "U_T_BM")
         assert np.array_equal(r.values, nx_coreness(symmetrize(tiny_graph)))
 
     def test_sawtooth_workset(self, social):
         """Each k-stage opens with a burst then drains."""
-        r = run_kcore(social, "U_B_QU")
+        r = run_static(social, -1, "kcore", "U_B_QU")
         curve = r.workset_curve()
         assert curve.size >= cpu_kcore(social).max_core
         # At least one stage cascades (a peel triggers further peels).
@@ -83,28 +83,29 @@ class TestGpuKCore:
 
     def test_max_iterations(self, social):
         with pytest.raises(KernelError, match="exceeded"):
-            run_kcore(social, "U_T_BM", max_iterations=1)
+            run_static(social, -1, "kcore", "U_T_BM", max_iterations=1)
 
     def test_algorithm_tag(self):
-        r = run_kcore(chain_graph(5), "U_T_QU")
+        r = run_static(chain_graph(5), -1, "kcore", "U_T_QU")
         assert r.algorithm == "kcore"
 
 
 class TestAdaptiveKCore:
     def test_correct(self, social):
-        r = adaptive_kcore(social)
+        r = adaptive_run(social, "kcore")
         assert np.array_equal(r.values, nx_coreness(social))
 
     def test_matches_static_time_envelope(self, social):
-        ad = adaptive_kcore(social)
+        ad = adaptive_run(social, "kcore")
         statics = [
-            run_kcore(social, v).total_seconds for v in unordered_variants()
+            run_static(social, -1, "kcore", v).total_seconds
+            for v in unordered_variants()
         ]
         assert ad.total_seconds <= 1.25 * min(statics)
 
     def test_switch_intensive_on_large_graph(self):
         g = symmetrize(erdos_renyi_graph(40_000, 200_000, seed=16))
-        r = adaptive_kcore(g)
+        r = adaptive_run(g, "kcore")
         assert np.array_equal(r.values, nx_coreness(g))
         # The sawtooth trajectory repeatedly crosses decision regions.
         assert r.num_switches >= 2
@@ -116,7 +117,7 @@ class TestObservedKcore:
 
         g = erdos_renyi_graph(800, 4000, seed=5)
         observer = Observer()
-        result = run_kcore(g, observe=observer)
+        result = run_static(g, -1, "kcore", "U_B_QU", observe=observer)
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["gpusim.kernel_launches"]["value"] > 0
@@ -125,7 +126,7 @@ class TestObservedKcore:
         from repro.obs import Observer
 
         g = erdos_renyi_graph(800, 4000, seed=5)
-        plain = run_kcore(g)
-        observed = run_kcore(g, observe=Observer())
+        plain = run_static(g, -1, "kcore", "U_B_QU")
+        observed = run_static(g, -1, "kcore", "U_B_QU", observe=Observer())
         assert np.array_equal(plain.values, observed.values)
         assert plain.total_seconds == observed.total_seconds

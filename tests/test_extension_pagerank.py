@@ -4,7 +4,7 @@ adaptive runtime)."""
 import numpy as np
 import pytest
 
-from repro import Graph, adaptive_pagerank, run_pagerank
+from repro import Graph, adaptive_run, run_static
 from repro.cpu import cpu_pagerank
 from repro.errors import GraphError, KernelError
 from repro.graph.generators import (
@@ -69,48 +69,51 @@ class TestCpuPagerank:
 class TestGpuPagerank:
     @pytest.mark.parametrize("code", [v.code for v in unordered_variants()])
     def test_all_variants_match_cpu(self, code, random_graph):
-        gpu = run_pagerank(random_graph, code)
+        gpu = run_static(random_graph, -1, "pagerank", code)
         cpu = cpu_pagerank(random_graph, method="fast")
         assert np.abs(gpu.values - cpu.ranks).max() < 1e-12
 
     def test_workset_starts_full_and_drains(self):
         g = power_law_graph(5000, alpha=2.0, max_degree=100, seed=7)
-        r = run_pagerank(g, "U_T_BM")
+        r = run_static(g, -1, "pagerank", "U_T_BM")
         curve = r.workset_curve()
         assert curve[0] == g.num_nodes
         assert curve[-1] < curve[0]
 
     def test_tolerance_controls_iterations(self, random_graph):
-        loose = run_pagerank(random_graph, "U_B_QU", tolerance=1e-4)
-        tight = run_pagerank(random_graph, "U_B_QU", tolerance=1e-8)
+        loose = run_static(random_graph, -1, "pagerank", "U_B_QU", tolerance=1e-4)
+        tight = run_static(random_graph, -1, "pagerank", "U_B_QU", tolerance=1e-8)
         assert tight.num_iterations >= loose.num_iterations
         assert tight.values.sum() >= loose.values.sum()
 
     def test_rejects_bad_params(self, random_graph):
         with pytest.raises(KernelError):
-            run_pagerank(random_graph, "U_T_BM", damping=0.0)
+            run_static(random_graph, -1, "pagerank", "U_T_BM", damping=0.0)
         with pytest.raises(KernelError):
-            run_pagerank(random_graph, "U_T_BM", tolerance=-1)
+            run_static(random_graph, -1, "pagerank", "U_T_BM", tolerance=-1)
 
     def test_max_iterations(self, random_graph):
         with pytest.raises(KernelError, match="exceeded"):
-            run_pagerank(random_graph, "U_T_BM", tolerance=1e-12, max_iterations=2)
+            run_static(
+                random_graph, -1, "pagerank", "U_T_BM", tolerance=1e-12,
+                max_iterations=2,
+            )
 
     def test_algorithm_tag(self, random_graph):
-        r = run_pagerank(random_graph, "U_T_QU")
+        r = run_static(random_graph, -1, "pagerank", "U_T_QU")
         assert r.algorithm == "pagerank"
 
 
 class TestAdaptivePagerank:
     def test_matches_static(self):
         g = power_law_graph(20_000, alpha=2.0, max_degree=300, seed=8)
-        ad = adaptive_pagerank(g)
-        st = run_pagerank(g, "U_T_BM")
+        ad = adaptive_run(g, "pagerank")
+        st = run_static(g, -1, "pagerank", "U_T_BM")
         assert np.abs(ad.values - st.values).max() < 1e-12
 
     def test_starts_in_bitmap_region(self):
         g = power_law_graph(50_000, alpha=2.0, max_degree=300, seed=9)
-        ad = adaptive_pagerank(g)
+        ad = adaptive_run(g, "pagerank")
         assert ad.traversal.iterations[0].variant.endswith("BM")
         assert ad.num_switches >= 1  # drains into the queue region
 
@@ -132,7 +135,7 @@ class TestObservedPagerank:
 
         g = erdos_renyi_graph(800, 4000, seed=3)
         observer = Observer()
-        result = run_pagerank(g, "U_B_QU", observe=observer)
+        result = run_static(g, -1, "pagerank", "U_B_QU", observe=observer)
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["gpusim.kernel_launches"]["value"] > 0
@@ -143,7 +146,7 @@ class TestObservedPagerank:
         from repro.obs import Observer
 
         g = erdos_renyi_graph(800, 4000, seed=3)
-        plain = run_pagerank(g, "U_T_BM")
-        observed = run_pagerank(g, "U_T_BM", observe=Observer())
+        plain = run_static(g, -1, "pagerank", "U_T_BM")
+        observed = run_static(g, -1, "pagerank", "U_T_BM", observe=Observer())
         assert np.array_equal(plain.values, observed.values)
         assert plain.total_seconds == observed.total_seconds

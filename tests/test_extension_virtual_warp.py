@@ -4,7 +4,7 @@ T/B space; Section IV.B's "intermediate solutions can be devised")."""
 import numpy as np
 import pytest
 
-from repro.core import RuntimeConfig, adaptive_sssp
+from repro.core import RuntimeConfig, adaptive_run, run_static
 from repro.core.decision import DecisionMaker, Thresholds
 from repro.cpu import cpu_bfs, cpu_dijkstra
 from repro.errors import RuntimeConfigError
@@ -15,7 +15,6 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.gpusim.device import TESLA_C2070
-from repro.kernels import run_bfs, run_sssp
 from repro.kernels.costs import C_EDGE
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Mapping, Variant, WorksetRepr, extended_variants
@@ -37,10 +36,11 @@ class TestExtendedVariants:
     @pytest.mark.parametrize("code", ["U_W_BM", "U_W_QU", "O_W_QU"])
     def test_correctness(self, code, random_graph, random_weighted):
         assert np.array_equal(
-            run_bfs(random_graph, 0, code).values, cpu_bfs(random_graph, 0).levels
+            run_static(random_graph, 0, "bfs", code).values,
+            cpu_bfs(random_graph, 0).levels,
         )
         assert np.allclose(
-            run_sssp(random_weighted, 0, code).values,
+            run_static(random_weighted, 0, "sssp", code).values,
             cpu_dijkstra(random_weighted, 0).distances,
         )
 
@@ -135,8 +135,8 @@ class TestExtendedRuntime:
             seed=4,
         )
         src = int(np.argmax(g.out_degrees))
-        result = adaptive_sssp(
-            g, src, config=RuntimeConfig(use_warp_mapping=True)
+        result = adaptive_run(
+            g, "sssp", src, config=RuntimeConfig(use_warp_mapping=True),
         )
         oracle = cpu_dijkstra(g, src)
         assert np.allclose(result.values, oracle.distances)
@@ -144,6 +144,6 @@ class TestExtendedRuntime:
 
     def test_extension_never_hurts_much(self):
         g = attach_uniform_weights(erdos_renyi_graph(20_000, 120_000, seed=5), seed=6)
-        base = adaptive_sssp(g, 0)
-        ext = adaptive_sssp(g, 0, config=RuntimeConfig(use_warp_mapping=True))
+        base = adaptive_run(g, "sssp", 0)
+        ext = adaptive_run(g, "sssp", 0, config=RuntimeConfig(use_warp_mapping=True))
         assert ext.total_seconds <= 1.1 * base.total_seconds

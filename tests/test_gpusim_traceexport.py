@@ -4,18 +4,18 @@ import json
 
 import pytest
 
+from repro.core import run_static
 from repro.gpusim.traceexport import (
     export_chrome_trace,
     iteration_start_times,
     timeline_to_trace_events,
 )
-from repro.kernels import run_bfs
 from repro.graph.generators import balanced_tree
 
 
 @pytest.fixture(scope="module")
 def traversal():
-    return run_bfs(balanced_tree(3, 4), 0, "U_B_QU")
+    return run_static(balanced_tree(3, 4), 0, "bfs", "U_B_QU")
 
 
 class TestTraceEvents:

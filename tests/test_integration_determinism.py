@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import adaptive_bfs, adaptive_sssp
+from repro.core import adaptive_run, run_static
 from repro.cpu import cpu_bfs, cpu_dijkstra
 from repro.graph.datasets import dataset_keys, make_dataset
 from repro.graph.properties import largest_out_component_node
-from repro.kernels import run_bfs, run_sssp
 
 
 class TestDeterminism:
@@ -19,8 +18,8 @@ class TestDeterminism:
 
     def test_traversal_times_repeatable(self):
         g = make_dataset("p2p", scale=0.2, weighted=True, seed=3)
-        a = run_sssp(g, 0, "U_B_QU")
-        b = run_sssp(g, 0, "U_B_QU")
+        a = run_static(g, 0, "sssp", "U_B_QU")
+        b = run_static(g, 0, "sssp", "U_B_QU")
         assert a.total_seconds == b.total_seconds
         assert a.num_iterations == b.num_iterations
         assert np.array_equal(a.values, b.values)
@@ -28,8 +27,8 @@ class TestDeterminism:
     def test_adaptive_trace_repeatable(self):
         g = make_dataset("google", scale=0.01, seed=4)
         src = largest_out_component_node(g, seed=0)
-        a = adaptive_bfs(g, src)
-        b = adaptive_bfs(g, src)
+        a = adaptive_run(g, "bfs", src)
+        b = adaptive_run(g, "bfs", src)
         assert a.total_seconds == b.total_seconds
         assert [d.variant for d in a.trace.decisions] == [
             d.variant for d in b.trace.decisions
@@ -43,7 +42,7 @@ class TestDatasetsEndToEnd:
     def test_adaptive_bfs_correct(self, key):
         g = make_dataset(key, scale=0.005, seed=2, min_nodes=400)
         src = largest_out_component_node(g, seed=0)
-        result = adaptive_bfs(g, src)
+        result = adaptive_run(g, "bfs", src)
         oracle = cpu_bfs(g, src)
         assert np.array_equal(result.values, oracle.levels)
         assert result.traversal.reached == oracle.reached
@@ -51,7 +50,7 @@ class TestDatasetsEndToEnd:
     def test_adaptive_sssp_correct(self, key):
         g = make_dataset(key, scale=0.005, weighted=True, seed=2, min_nodes=400)
         src = largest_out_component_node(g, seed=0)
-        result = adaptive_sssp(g, src)
+        result = adaptive_run(g, "sssp", src)
         oracle = cpu_dijkstra(g, src)
         assert np.allclose(result.values, oracle.distances)
 
@@ -60,4 +59,4 @@ class TestDatasetsEndToEnd:
         src = largest_out_component_node(g, seed=0)
         oracle = cpu_bfs(g, src)
         for code in ("U_T_BM", "U_B_QU"):
-            assert np.array_equal(run_bfs(g, src, code).values, oracle.levels)
+            assert np.array_equal(run_static(g, src, "bfs", code).values, oracle.levels)

@@ -4,12 +4,11 @@ simulated device preset (thresholds and times shift, answers do not)."""
 import numpy as np
 import pytest
 
-from repro.core import adaptive_bfs, adaptive_sssp
+from repro.core import adaptive_run, run_static
 from repro.cpu import cpu_bfs, cpu_dijkstra
 from repro.core.tuning import derive_t2
 from repro.graph.generators import attach_uniform_weights, power_law_graph
 from repro.gpusim.device import device_registry
-from repro.kernels import run_bfs
 
 DEVICES = sorted(device_registry())
 
@@ -28,26 +27,26 @@ class TestEveryDevice:
     def test_adaptive_bfs_correct(self, device_key, workload):
         g, src = workload
         device = device_registry()[device_key]
-        result = adaptive_bfs(g, src, device=device)
+        result = adaptive_run(g, "bfs", src, device=device)
         assert np.array_equal(result.values, cpu_bfs(g, src).levels)
 
     def test_adaptive_sssp_correct(self, device_key, workload):
         g, src = workload
         device = device_registry()[device_key]
-        result = adaptive_sssp(g, src, device=device)
+        result = adaptive_run(g, "sssp", src, device=device)
         assert np.allclose(result.values, cpu_dijkstra(g, src).distances)
 
     def test_thresholds_follow_device(self, device_key, workload):
         g, src = workload
         device = device_registry()[device_key]
-        result = adaptive_bfs(g, src, device=device)
+        result = adaptive_run(g, "bfs", src, device=device)
         assert result.thresholds.t1 == float(device.warp_size)
         assert result.thresholds.t2 == derive_t2(device)
 
     def test_static_variant_correct(self, device_key, workload):
         g, src = workload
         device = device_registry()[device_key]
-        result = run_bfs(g, src, "U_B_QU", device=device)
+        result = run_static(g, src, "bfs", "U_B_QU", device=device)
         assert np.array_equal(result.values, cpu_bfs(g, src).levels)
 
 
@@ -57,6 +56,6 @@ class TestDeviceOrdering:
         traversal down."""
         g, src = workload
         reg = device_registry()
-        big = adaptive_sssp(g, src, device=reg["gtx580"]).total_seconds
-        small = adaptive_sssp(g, src, device=reg["quadro2000"]).total_seconds
+        big = adaptive_run(g, "sssp", src, device=reg["gtx580"]).total_seconds
+        small = adaptive_run(g, "sssp", src, device=reg["quadro2000"]).total_seconds
         assert big < small

@@ -16,11 +16,11 @@ Each test is one claim from the evaluation section:
 import numpy as np
 import pytest
 
-from repro.core import adaptive_sssp, run_static
+from repro.core import adaptive_run, run_static
 from repro.cpu import cpu_bfs, cpu_dijkstra
 from repro.graph.datasets import make_dataset
 from repro.graph.properties import largest_out_component_node
-from repro.kernels import run_bfs, run_sssp, unordered_variants
+from repro.kernels import unordered_variants
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +42,14 @@ def workloads():
 class TestOrderingClaims:
     def test_bfs_ordered_unordered_similar(self, workloads):
         g, src = workloads["amazon"]
-        o = run_bfs(g, src, "O_T_BM").total_seconds
-        u = run_bfs(g, src, "U_T_BM").total_seconds
+        o = run_static(g, src, "bfs", "O_T_BM").total_seconds
+        u = run_static(g, src, "bfs", "U_T_BM").total_seconds
         assert 0.7 < o / u < 1.4
 
     def test_sssp_unordered_much_faster(self, workloads):
         g, src = workloads["google"]
-        o = run_sssp(g, src, "O_T_QU").total_seconds
-        u = run_sssp(g, src, "U_T_QU").total_seconds
+        o = run_static(g, src, "sssp", "O_T_QU").total_seconds
+        u = run_static(g, src, "sssp", "U_T_QU").total_seconds
         assert u < o / 3
 
 
@@ -59,7 +59,7 @@ class TestStaticVariantClaims:
         for key in ("co-road", "citeseer", "amazon"):
             g, src = workloads[key]
             times = {
-                v.code: run_sssp(g, src, v).total_seconds
+                v.code: run_static(g, src, "sssp", v).total_seconds
                 for v in unordered_variants()
             }
             winners.add(min(times, key=times.get))
@@ -69,7 +69,7 @@ class TestStaticVariantClaims:
         g, src = workloads["co-road"]
         cpu = cpu_bfs(g, src).seconds
         best_gpu = min(
-            run_bfs(g, src, v).total_seconds for v in unordered_variants()
+            run_static(g, src, "bfs", v).total_seconds for v in unordered_variants()
         )
         assert best_gpu > cpu  # speedup < 1
 
@@ -77,7 +77,7 @@ class TestStaticVariantClaims:
         g, src = workloads["citeseer"]
         cpu = cpu_bfs(g, src).seconds
         best_gpu = min(
-            run_bfs(g, src, v).total_seconds for v in unordered_variants()
+            run_static(g, src, "bfs", v).total_seconds for v in unordered_variants()
         )
         assert best_gpu < cpu
 
@@ -87,23 +87,23 @@ class TestStaticVariantClaims:
         for key in ("co-road", "google"):
             g, src = workloads[key]
             times = {
-                v.code: run_sssp(g, src, v).total_seconds
+                v.code: run_static(g, src, "sssp", v).total_seconds
                 for v in unordered_variants()
             }
             assert max(times, key=times.get) == "U_B_BM", key
 
     def test_citeseer_prefers_block_mapping(self, workloads):
         g, src = workloads["citeseer"]
-        t = run_sssp(g, src, "U_T_BM").total_seconds
-        b = run_sssp(g, src, "U_B_BM").total_seconds
+        t = run_static(g, src, "sssp", "U_T_BM").total_seconds
+        b = run_static(g, src, "sssp", "U_B_BM").total_seconds
         assert b < t
 
 
 class TestThroughputClaims:
     def test_bfs_faster_than_sssp(self, workloads):
         g, src = workloads["citeseer"]
-        bfs_speed = run_bfs(g, src, "U_B_QU").nodes_per_second()
-        sssp_speed = run_sssp(g, src, "U_B_QU").nodes_per_second()
+        bfs_speed = run_static(g, src, "bfs", "U_B_QU").nodes_per_second()
+        sssp_speed = run_static(g, src, "sssp", "U_B_QU").nodes_per_second()
         assert bfs_speed > sssp_speed
 
 
@@ -111,7 +111,7 @@ class TestWorksetShape:
     def test_ramp_and_drain(self, workloads):
         """Figure 2: the working set grows from 1, peaks, then shrinks."""
         g, src = workloads["amazon"]
-        curve = run_sssp(g, src, "U_T_BM").workset_curve()
+        curve = run_static(g, src, "sssp", "U_T_BM").workset_curve()
         peak = int(np.argmax(curve))
         assert curve[0] == 1
         assert curve[peak] > 100
@@ -121,8 +121,8 @@ class TestWorksetShape:
     def test_sssp_worksets_larger_than_bfs(self, workloads):
         """Section III.B: SSSP working sets exceed BFS's (re-relaxation)."""
         g, src = workloads["google"]
-        bfs_total = run_bfs(g, src, "U_T_BM").workset_curve().sum()
-        sssp_total = run_sssp(g, src, "U_T_BM").workset_curve().sum()
+        bfs_total = run_static(g, src, "bfs", "U_T_BM").workset_curve().sum()
+        sssp_total = run_static(g, src, "sssp", "U_T_BM").workset_curve().sum()
         assert sssp_total > bfs_total
 
 
@@ -135,7 +135,7 @@ class TestAdaptiveClaims:
                 run_static(g, src, "sssp", v).total_seconds
                 for v in unordered_variants()
             )
-            ad = adaptive_sssp(g, src).total_seconds
+            ad = adaptive_run(g, "sssp", src).total_seconds
             assert ad <= 1.3 * best, key
 
     def test_adaptive_beats_worst_static_by_far(self, workloads):
@@ -144,7 +144,7 @@ class TestAdaptiveClaims:
                 run_static(g, src, "sssp", v).total_seconds
                 for v in unordered_variants()
             )
-            ad = adaptive_sssp(g, src).total_seconds
+            ad = adaptive_run(g, "sssp", src).total_seconds
             assert ad < worst, key
 
     def test_adaptive_beats_best_static_somewhere(self, workloads):
@@ -154,6 +154,6 @@ class TestAdaptiveClaims:
                 run_static(g, src, "sssp", v).total_seconds
                 for v in unordered_variants()
             )
-            if adaptive_sssp(g, src).total_seconds < best:
+            if adaptive_run(g, "sssp", src).total_seconds < best:
                 wins += 1
         assert wins >= 1

@@ -5,9 +5,8 @@ only the cost structure."""
 import numpy as np
 import pytest
 
-from repro import RuntimeConfig, adaptive_bfs, adaptive_sssp
+from repro import RuntimeConfig, adaptive_run, run_static
 from repro.graph.generators import attach_uniform_weights, power_law_graph
-from repro.kernels import run_bfs, run_cc, run_pagerank, run_sssp
 from repro.kernels.workset import QUEUE_GEN_SCHEMES
 
 
@@ -23,39 +22,41 @@ def workload():
 class TestSchemesPreserveResults:
     def test_bfs(self, scheme, workload):
         g, _, src = workload
-        base = run_bfs(g, src, "U_T_QU")
-        other = run_bfs(g, src, "U_T_QU", queue_gen=scheme)
+        base = run_static(g, src, "bfs", "U_T_QU")
+        other = run_static(g, src, "bfs", "U_T_QU", queue_gen=scheme)
         assert np.array_equal(base.values, other.values)
         assert base.num_iterations == other.num_iterations
 
     def test_sssp(self, scheme, workload):
         _, w, src = workload
-        base = run_sssp(w, src, "U_B_QU")
-        other = run_sssp(w, src, "U_B_QU", queue_gen=scheme)
+        base = run_static(w, src, "sssp", "U_B_QU")
+        other = run_static(w, src, "sssp", "U_B_QU", queue_gen=scheme)
         assert np.allclose(base.values, other.values)
 
     def test_cc(self, scheme, workload):
         g, _, _ = workload
-        base = run_cc(g, "U_B_QU")
-        other = run_cc(g, "U_B_QU", queue_gen=scheme)
+        base = run_static(g, -1, "cc", "U_B_QU")
+        other = run_static(g, -1, "cc", "U_B_QU", queue_gen=scheme)
         assert np.array_equal(base.values, other.values)
 
     def test_pagerank(self, scheme, workload):
         g, _, _ = workload
-        base = run_pagerank(g, "U_T_QU", tolerance=1e-6)
-        other = run_pagerank(g, "U_T_QU", tolerance=1e-6, queue_gen=scheme)
+        base = run_static(g, -1, "pagerank", "U_T_QU", tolerance=1e-6)
+        other = run_static(
+            g, -1, "pagerank", "U_T_QU", tolerance=1e-6, queue_gen=scheme,
+        )
         assert np.array_equal(base.values, other.values)
 
     def test_adaptive(self, scheme, workload):
         g, w, src = workload
         cfg = RuntimeConfig(queue_gen=scheme)
         assert np.array_equal(
-            adaptive_bfs(g, src, config=cfg).values,
-            adaptive_bfs(g, src).values,
+            adaptive_run(g, "bfs", src, config=cfg).values,
+            adaptive_run(g, "bfs", src).values,
         )
         assert np.allclose(
-            adaptive_sssp(w, src, config=cfg).values,
-            adaptive_sssp(w, src).values,
+            adaptive_run(w, "sssp", src, config=cfg).values,
+            adaptive_run(w, "sssp", src).values,
         )
 
 
@@ -65,7 +66,7 @@ class TestSchemeCostOrdering:
         down to the simulated time."""
         g, _, src = workload
         times = {
-            scheme: run_bfs(g, src, "U_T_BM", queue_gen=scheme).total_seconds
+            scheme: run_static(g, src, "bfs", "U_T_BM", queue_gen=scheme).total_seconds
             for scheme in QUEUE_GEN_SCHEMES
         }
         assert len(set(times.values())) == 1
@@ -73,7 +74,7 @@ class TestSchemeCostOrdering:
     def test_queue_costs_differ(self, workload):
         g, _, src = workload
         times = {
-            scheme: run_bfs(g, src, "U_T_QU", queue_gen=scheme).total_seconds
+            scheme: run_static(g, src, "bfs", "U_T_QU", queue_gen=scheme).total_seconds
             for scheme in QUEUE_GEN_SCHEMES
         }
         assert len(set(times.values())) == 3

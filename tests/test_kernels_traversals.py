@@ -1,11 +1,13 @@
-"""Tests for repro.kernels.frame / bfs / sssp: every variant must compute
-correct answers on every graph shape, and the traversal records must be
-internally consistent."""
+"""Tests for the BFS/SSSP specs of repro.kernels.frame through
+``run_static``: every variant must compute correct answers on every
+graph shape, and the traversal records must be internally consistent."""
 
 import numpy as np
 import pytest
 
+from repro.core import run_static
 from repro.cpu import cpu_bfs, cpu_dijkstra
+from repro.engine.driver import run_frame
 from repro.errors import KernelError
 from repro.graph.generators import (
     attach_uniform_weights,
@@ -15,15 +17,8 @@ from repro.graph.generators import (
     power_law_graph,
     star_graph,
 )
-from repro.kernels import (
-    StaticPolicy,
-    all_variants,
-    run_bfs,
-    run_bfs_all_variants,
-    run_sssp,
-    run_sssp_all_variants,
-    traverse_bfs,
-)
+from repro.kernels import StaticPolicy, all_variants
+from repro.kernels.frame import BfsSpec
 from repro.kernels.variants import Variant
 
 GRAPHS = {
@@ -40,13 +35,13 @@ GRAPHS = {
 class TestAllVariantsCorrect:
     def test_bfs_levels_match_cpu(self, graph_name, variant):
         g = GRAPHS[graph_name]()
-        r = run_bfs(g, 0, variant)
+        r = run_static(g, 0, "bfs", variant)
         oracle = cpu_bfs(g, 0)
         assert np.array_equal(r.values, oracle.levels)
 
     def test_sssp_distances_match_dijkstra(self, graph_name, variant):
         g = attach_uniform_weights(GRAPHS[graph_name](), seed=3)
-        r = run_sssp(g, 0, variant)
+        r = run_static(g, 0, "sssp", variant)
         oracle = cpu_dijkstra(g, 0, method="heap")
         assert np.allclose(r.values, oracle.distances)
 
@@ -54,7 +49,7 @@ class TestAllVariantsCorrect:
 class TestTraversalResult:
     def test_iteration_records_consistent(self):
         g = chain_graph(20)
-        r = run_bfs(g, 0, "U_T_QU")
+        r = run_static(g, 0, "bfs", "U_T_QU")
         # One level per iteration, plus the final sweep that discovers no
         # updates and empties the working set.
         assert r.num_iterations == 20
@@ -65,7 +60,7 @@ class TestTraversalResult:
 
     def test_workset_curve_matches_records(self):
         g = balanced_tree(2, 5)
-        r = run_bfs(g, 0, "U_B_QU")
+        r = run_static(g, 0, "bfs", "U_B_QU")
         curve = r.workset_curve()
         assert curve.tolist() == [rec.workset_size for rec in r.iterations]
         # A tree frontier doubles every level from the root.
@@ -73,58 +68,48 @@ class TestTraversalResult:
 
     def test_variants_used_static(self):
         g = chain_graph(10)
-        r = run_bfs(g, 0, "U_B_QU")
+        r = run_static(g, 0, "bfs", "U_B_QU")
         assert r.variants_used() == {"U_B_QU": r.num_iterations}
 
     def test_gpu_time_positive_and_total_larger(self):
         g = star_graph(50)
-        r = run_bfs(g, 0, "U_T_BM")
+        r = run_static(g, 0, "bfs", "U_T_BM")
         assert 0 < r.gpu_seconds < r.total_seconds  # transfers add time
 
     def test_nodes_per_second(self):
         g = chain_graph(30)
-        r = run_bfs(g, 0, "U_T_BM")
+        r = run_static(g, 0, "bfs", "U_T_BM")
         assert r.nodes_per_second() == pytest.approx(r.reached / r.total_seconds)
 
     def test_timeline_has_two_kernels_per_iteration(self):
         g = chain_graph(8)
-        r = run_bfs(g, 0, "U_T_BM")
+        r = run_static(g, 0, "bfs", "U_T_BM")
         # computation + workset_gen each iteration (no findmin for BFS)
         assert r.timeline.num_launches == 2 * r.num_iterations
 
     def test_ordered_sssp_has_findmin_kernels(self):
         g = attach_uniform_weights(chain_graph(6), seed=0)
-        r = run_sssp(g, 0, "O_T_QU")
+        r = run_static(g, 0, "sssp", "O_T_QU")
         assert "findmin" in r.timeline.seconds_by_kernel()
 
     def test_source_out_of_range(self):
         with pytest.raises(Exception):
-            run_bfs(chain_graph(5), 17)
+            run_static(chain_graph(5), 17, "bfs", "U_T_BM")
 
     def test_sssp_requires_weights(self):
         with pytest.raises(KernelError, match="weights"):
-            run_sssp(chain_graph(5), 0, "U_T_BM")
+            run_static(chain_graph(5), 0, "sssp", "U_T_BM")
 
     def test_max_iterations_enforced(self):
         g = chain_graph(50)
         with pytest.raises(KernelError, match="exceeded"):
-            run_bfs(g, 0, "U_T_BM", max_iterations=3)
+            run_static(g, 0, "bfs", "U_T_BM", max_iterations=3)
 
 
 class TestRunners:
-    def test_all_variants_runner_keys(self):
-        g = chain_graph(10)
-        results = run_bfs_all_variants(g, 0)
-        assert list(results) == [v.code for v in all_variants()]
-
-    def test_subset_of_variants(self):
-        g = attach_uniform_weights(chain_graph(10), seed=0)
-        results = run_sssp_all_variants(g, 0, variants=["U_T_BM", "U_B_QU"])
-        assert list(results) == ["U_T_BM", "U_B_QU"]
-
     def test_variant_object_accepted(self):
         g = chain_graph(10)
-        r = run_bfs(g, 0, Variant.parse("U_B_BM"))
+        r = run_static(g, 0, "bfs", Variant.parse("U_B_BM"))
         assert r.policy_name == "U_B_BM"
 
 
@@ -132,12 +117,12 @@ class TestIsolatedSource:
     def test_bfs_from_sink(self, tiny_graph):
         # Node 4 has no outgoing edges: single-iteration traversal? No --
         # the working set starts at {4}, one step, no updates.
-        r = run_bfs(tiny_graph, 4, "U_T_BM")
+        r = run_static(tiny_graph, 4, "bfs", "U_T_BM")
         assert r.reached == 1
         assert r.num_iterations == 1
 
     def test_sssp_from_sink(self, tiny_weighted):
-        r = run_sssp(tiny_weighted, 4, "U_B_QU")
+        r = run_static(tiny_weighted, 4, "sssp", "U_B_QU")
         assert r.reached == 1
 
 
@@ -156,7 +141,7 @@ class TestPolicyProtocol:
                 return Variant.parse(self.codes[iteration % 4])
 
         g = erdos_renyi_graph(120, 600, seed=4)
-        r = traverse_bfs(g, 0, Alternating())
+        r = run_frame(g, 0, Alternating(), BfsSpec())
         oracle = cpu_bfs(g, 0)
         assert np.array_equal(r.values, oracle.levels)
         assert len(r.variants_used()) > 1

@@ -10,13 +10,13 @@ overflows.
 import numpy as np
 import pytest
 
-from repro.core import adaptive_bfs, adaptive_sssp
+from repro.core import adaptive_run
 from repro.cpu import cpu_bfs
 from repro.errors import DeviceOOMError
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.memory import traversal_state_bytes
 from repro.graph.generators import attach_uniform_weights, rmat_graph
-from repro.reliability import GuardConfig, resilient_bfs
+from repro.reliability import GuardConfig, resilient_run
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +39,9 @@ def _bitmap_bytes(graph):
 
 class TestBudgetedAdaptive:
     def test_ample_budget_is_bit_identical(self, graph):
-        baseline = adaptive_bfs(graph, 0)
+        baseline = adaptive_run(graph, "bfs", 0)
         memory = MemoryBudget("64M")
-        result = adaptive_bfs(graph, 0, memory=memory)
+        result = adaptive_run(graph, "bfs", 0, memory=memory)
         assert np.array_equal(result.traversal.values, baseline.traversal.values)
         report = result.memory
         assert report is not None
@@ -52,13 +52,13 @@ class TestBudgetedAdaptive:
 
     def test_workset_released_at_end(self, graph):
         memory = MemoryBudget("64M")
-        adaptive_bfs(graph, 0, memory=memory)
+        adaptive_run(graph, "bfs", 0, memory=memory)
         assert memory.by_category["workset"] == 0
 
     def test_tight_budget_forces_decisions_without_oom(self, graph):
-        baseline = adaptive_bfs(graph, 0)
+        baseline = adaptive_run(graph, "bfs", 0)
         budget = _resident_bytes(graph) + _bitmap_bytes(graph) + 64
-        result = adaptive_bfs(graph, 0, memory=MemoryBudget(budget))
+        result = adaptive_run(graph, "bfs", 0, memory=MemoryBudget(budget))
         assert np.array_equal(result.traversal.values, baseline.traversal.values)
         assert result.trace.num_memory_forced > 0
         assert result.trace.peak_memory_pressure > 0.9
@@ -68,34 +68,34 @@ class TestBudgetedAdaptive:
 
     def test_impossible_budget_raises_oom(self, graph):
         with pytest.raises(DeviceOOMError, match="CSR arrays"):
-            adaptive_bfs(graph, 0, memory=MemoryBudget(1024))
+            adaptive_run(graph, "bfs", 0, memory=MemoryBudget(1024))
 
     def test_spill_mode_prices_pcie_and_stays_correct(self, graph):
-        baseline = adaptive_bfs(graph, 0)
+        baseline = adaptive_run(graph, "bfs", 0)
         budget = _resident_bytes(graph) + 16  # no room for any workset
         memory = MemoryBudget(budget, spill=True)
-        result = adaptive_bfs(graph, 0, memory=memory)
+        result = adaptive_run(graph, "bfs", 0, memory=memory)
         assert np.array_equal(result.traversal.values, baseline.traversal.values)
         assert result.memory.spilled_bytes > 0
         assert result.memory.spill_events > 0
 
     def test_sssp_under_budget_matches_unbudgeted(self, weighted_graph):
-        baseline = adaptive_sssp(weighted_graph, 0)
+        baseline = adaptive_run(weighted_graph, "sssp", 0)
         budget = _resident_bytes(weighted_graph) + _bitmap_bytes(weighted_graph) + 64
-        result = adaptive_sssp(
-            weighted_graph, 0, memory=MemoryBudget(budget, spill=True)
+        result = adaptive_run(
+            weighted_graph, "sssp", 0, memory=MemoryBudget(budget, spill=True),
         )
         assert np.allclose(result.traversal.values, baseline.traversal.values)
 
 
 class TestPressureTelemetry:
     def test_decision_records_pressure(self, graph):
-        result = adaptive_bfs(graph, 0, memory=MemoryBudget("64M"))
+        result = adaptive_run(graph, "bfs", 0, memory=MemoryBudget("64M"))
         assert all(d.memory_pressure >= 0.0 for d in result.trace.decisions)
         assert result.trace.peak_memory_pressure >= 0.0
 
     def test_unbudgeted_run_reports_no_memory(self, graph):
-        result = adaptive_bfs(graph, 0)
+        result = adaptive_run(graph, "bfs", 0)
         assert result.memory is None
         assert result.trace.num_memory_forced == 0
 
@@ -105,7 +105,7 @@ class TestOOMLadder:
         oracle = cpu_bfs(graph, 0).levels
         budget = _resident_bytes(graph) + 16  # resident fits, no workset does
         guard = GuardConfig(mem_budget=budget)
-        result = resilient_bfs(graph, 0, guard=guard)
+        result = resilient_run(graph, "bfs", 0, guard=guard)
         assert np.array_equal(result.values, oracle)
         assert result.oom_rung == 1
         assert not result.degraded
@@ -117,7 +117,7 @@ class TestOOMLadder:
     def test_ladder_exhaustion_degrades_to_cpu(self, graph):
         oracle = cpu_bfs(graph, 0).levels
         guard = GuardConfig(mem_budget=_resident_bytes(graph) // 2)
-        result = resilient_bfs(graph, 0, guard=guard)
+        result = resilient_run(graph, "bfs", 0, guard=guard)
         assert np.array_equal(result.values, oracle)
         assert result.degraded
         assert result.stage == "cpu"
@@ -133,16 +133,16 @@ class TestOOMLadder:
             mem_budget=_resident_bytes(graph) // 2, degrade_to_cpu=False
         )
         with pytest.raises(DeviceOOMError):
-            resilient_bfs(graph, 0, guard=guard)
+            resilient_run(graph, "bfs", 0, guard=guard)
 
     def test_no_budget_means_no_rung(self, graph):
-        result = resilient_bfs(graph, 0)
+        result = resilient_run(graph, "bfs", 0)
         assert result.oom_rung == 0
         assert result.memory is None
 
     def test_oom_events_recorded_as_faults(self, graph):
         guard = GuardConfig(mem_budget=_resident_bytes(graph) + 16)
-        result = resilient_bfs(graph, 0, guard=guard)
+        result = resilient_run(graph, "bfs", 0, guard=guard)
         oom_faults = [e for e in result.faults if e.kind == "device_oom"]
         assert len(oom_faults) == 1
         assert oom_faults[0].site == "allocator"

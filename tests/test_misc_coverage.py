@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import repro.errors as errors
+from repro.core import adaptive_run, run_static
+from repro.engine.types import StaticPolicy, VariantPolicy
 from repro.errors import ReproError, WorksetError
 from repro.gpusim.device import TESLA_C2070
 from repro.gpusim.kernel import CostModel
 from repro.kernels.findmin import findmin, findmin_tallies
-from repro.kernels.frame import StaticPolicy, VariantPolicy
 from repro.kernels.variants import Variant, WorksetRepr
 from repro.kernels.workset import QUEUE_GEN_SCHEMES, workset_gen_tallies
 
@@ -133,28 +134,28 @@ class TestDeviceMemoryCapacity:
     def test_oversized_graph_rejected(self):
         from repro.errors import KernelError
         from repro.graph.generators import chain_graph
-        from repro.kernels import run_bfs
 
         tiny_device = TESLA_C2070.with_overrides(global_mem_bytes=1024)
         with pytest.raises(KernelError, match="device memory"):
-            run_bfs(chain_graph(10_000), 0, "U_T_BM", device=tiny_device)
+            run_static(chain_graph(10_000), 0, "bfs", "U_T_BM", device=tiny_device)
 
     def test_fitting_graph_accepted(self):
         from repro.graph.generators import chain_graph
-        from repro.kernels import run_bfs
 
-        run_bfs(chain_graph(100), 0, "U_T_BM")  # 6 GB is plenty
+        run_static(chain_graph(100), 0, "bfs", "U_T_BM")  # 6 GB is plenty
 
 
 class TestRuntimeQueueGenConfig:
     def test_adaptive_honors_queue_gen(self):
-        from repro.core import RuntimeConfig, adaptive_sssp
+        from repro.core import RuntimeConfig
         from repro.errors import RuntimeConfigError
         from repro.graph.generators import attach_uniform_weights, erdos_renyi_graph
 
         g = attach_uniform_weights(erdos_renyi_graph(5000, 30_000, seed=20), seed=21)
-        base = adaptive_sssp(g, 0, config=RuntimeConfig(queue_gen="atomic"))
-        hier = adaptive_sssp(g, 0, config=RuntimeConfig(queue_gen="hierarchical"))
+        base = adaptive_run(g, "sssp", 0, config=RuntimeConfig(queue_gen="atomic"))
+        hier = adaptive_run(
+            g, "sssp", 0, config=RuntimeConfig(queue_gen="hierarchical"),
+        )
         assert np.allclose(base.values, hier.values)
         assert hier.total_seconds <= base.total_seconds
 

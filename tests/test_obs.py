@@ -5,9 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.core import adaptive_bfs, adaptive_sssp, run_static
+from repro.core import adaptive_run, run_static
 from repro.graph.generators import balanced_tree, rmat_graph
-from repro.kernels import run_bfs, run_sssp
 from repro.obs import (
     METRICS_CATALOG,
     Counter,
@@ -19,6 +18,7 @@ from repro.obs import (
     current_observer,
     observing,
 )
+from repro.reliability import resilient_run
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +260,7 @@ def graph():
 class TestObservedRuns:
     def test_adaptive_bfs_reports_metrics(self, graph):
         observer = Observer()
-        result = adaptive_bfs(graph, 0, observe=observer)
+        result = adaptive_run(graph, "bfs", 0, observe=observer)
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["runtime.decisions"]["value"] == result.trace.num_decisions
@@ -278,13 +278,13 @@ class TestObservedRuns:
 
         weighted = attach_uniform_weights(graph, seed=1)
         observer = Observer()
-        result = adaptive_sssp(weighted, 0, observe=observer)
+        result = adaptive_run(weighted, "sssp", 0, observe=observer)
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
 
     def test_spans_cover_the_whole_traversal(self, graph):
         observer = Observer()
-        result = adaptive_bfs(graph, 0, observe=observer)
+        result = adaptive_run(graph, "bfs", 0, observe=observer)
         spans = observer.spans.spans
         names = [s.name for s in spans]
         assert names.count("iteration") == result.num_iterations
@@ -304,9 +304,9 @@ class TestObservedRuns:
         from repro.graph.generators import attach_uniform_weights
 
         weighted = attach_uniform_weights(graph, seed=1)
-        for runner, g in ((run_bfs, graph), (run_sssp, weighted)):
+        for algorithm, g in (("bfs", graph), ("sssp", weighted)):
             observer = Observer()
-            result = runner(g, 0, "U_T_BM", observe=observer)
+            result = run_static(g, 0, algorithm, "U_T_BM", observe=observer)
             snap = observer.metrics.snapshot()
             assert snap["frame.iterations"]["value"] == result.num_iterations
             assert "runtime.decisions" not in snap  # no decision maker ran
@@ -318,13 +318,13 @@ class TestObservedRuns:
         assert observer.spans.spans[-1].attrs == {"variant": "U_B_QU"}
 
     def test_observation_does_not_change_simulation(self, graph):
-        base = adaptive_bfs(graph, 0)
-        observed = adaptive_bfs(graph, 0, observe=Observer())
+        base = adaptive_run(graph, "bfs", 0)
+        observed = adaptive_run(graph, "bfs", 0, observe=Observer())
         assert np.array_equal(base.values, observed.values)
         assert base.total_seconds == observed.total_seconds
 
     def test_no_observer_leaks_after_run(self, graph):
-        adaptive_bfs(graph, 0, observe=Observer())
+        adaptive_run(graph, "bfs", 0, observe=Observer())
         assert current_observer() is None
 
     def test_memory_metrics_with_budget(self, graph):
@@ -333,7 +333,7 @@ class TestObservedRuns:
 
         observer = Observer()
         memory = MemoryBudget("128M", device=TESLA_C2070)
-        adaptive_bfs(graph, 0, memory=memory, observe=observer)
+        adaptive_run(graph, "bfs", 0, memory=memory, observe=observer)
         snap = observer.metrics.snapshot()
         assert snap["memory.peak_bytes"]["max"] == memory.peak_bytes
         assert snap["memory.current_bytes"]["max"] > 0
@@ -345,7 +345,7 @@ class TestObservedRuns:
         graph = balanced_tree(2, 10)
         observer = Observer()
         keeper = CheckpointKeeper(every=2, device=TESLA_C2070)
-        adaptive_bfs(graph, 0, checkpoint_keeper=keeper, observe=observer)
+        adaptive_run(graph, "bfs", 0, checkpoint_keeper=keeper, observe=observer)
         snap = observer.metrics.snapshot()
         if keeper.saves:
             assert snap["frame.checkpoint_bytes"]["value"] > 0
@@ -353,10 +353,8 @@ class TestObservedRuns:
 
 class TestGuardMetrics:
     def test_clean_run(self, graph):
-        from repro.reliability import resilient_bfs
-
         observer = Observer()
-        result = resilient_bfs(graph, 0, observe=observer)
+        result = resilient_run(graph, "bfs", 0, observe=observer)
         snap = observer.metrics.snapshot()
         assert snap["guard.attempts"]["value"] == result.attempts == 1
         assert snap["guard.faults"]["value"] == 0
@@ -364,22 +362,22 @@ class TestGuardMetrics:
         assert "guard.cpu_degradations" not in snap
 
     def test_faulty_run_counts_faults(self, graph):
-        from repro.reliability import FaultPlan, resilient_bfs
+        from repro.reliability import FaultPlan
 
         observer = Observer()
         plan = FaultPlan(seed=7, launch_failure_rate=0.4, max_faults=3)
-        result = resilient_bfs(graph, 0, plan=plan, observe=observer)
+        result = resilient_run(graph, "bfs", 0, plan=plan, observe=observer)
         snap = observer.metrics.snapshot()
         assert snap["guard.attempts"]["value"] == result.attempts
         assert snap["guard.faults"]["value"] == result.num_faults
         assert result.num_faults > 0
 
     def test_degraded_run_counts_degradation(self, graph):
-        from repro.reliability import GuardConfig, resilient_bfs
+        from repro.reliability import GuardConfig
 
         observer = Observer()
         guard = GuardConfig(mem_budget=1024, degrade_to_cpu=True)
-        result = resilient_bfs(graph, 0, guard=guard, observe=observer)
+        result = resilient_run(graph, "bfs", 0, guard=guard, observe=observer)
         assert result.degraded
         snap = observer.metrics.snapshot()
         assert snap["guard.cpu_degradations"]["value"] == 1

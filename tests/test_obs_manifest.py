@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AdaptiveResult, RuntimeConfig, adaptive_bfs
+from repro.core import RuntimeConfig, adaptive_run, run_static
 from repro.graph.generators import balanced_tree, rmat_graph, road_network
 from repro.gpusim.device import TESLA_C2070
-from repro.kernels import run_bfs
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
     Observer,
@@ -21,6 +20,7 @@ from repro.obs import (
     graph_fingerprint,
 )
 from repro.obs.trace import TID_DECISIONS, TID_FAULTS, TID_SPANS
+from repro.reliability import resilient_run
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +69,7 @@ class TestRoundTrip:
 
     def test_write_read_round_trip(self, tmp_path):
         graph = balanced_tree(2, 8)
-        result = adaptive_bfs(graph, 0)
+        result = adaptive_run(graph, "bfs", 0)
         manifest = build_manifest(
             result, graph=graph, algorithm="bfs", mode="adaptive", source=0
         )
@@ -147,8 +147,8 @@ def graph():
 class TestBuildManifest:
     def test_from_adaptive_result(self, graph):
         observer = Observer()
-        result = adaptive_bfs(
-            graph, 0, config=RuntimeConfig(), device=TESLA_C2070,
+        result = adaptive_run(
+            graph, "bfs", 0, config=RuntimeConfig(), device=TESLA_C2070,
             observe=observer,
         )
         manifest = build_manifest(
@@ -164,7 +164,7 @@ class TestBuildManifest:
         assert manifest.reliability is None
 
     def test_from_plain_traversal(self, graph):
-        result = run_bfs(graph, 0, "U_B_QU")
+        result = run_static(graph, 0, "bfs", "U_B_QU")
         manifest = build_manifest(
             result, graph=graph, algorithm="bfs", mode="U_B_QU", source=0
         )
@@ -173,11 +173,11 @@ class TestBuildManifest:
         assert manifest.metrics == {}
 
     def test_from_resilient_result(self, graph):
-        from repro.reliability import FaultPlan, resilient_bfs
+        from repro.reliability import FaultPlan
 
         observer = Observer()
         plan = FaultPlan(seed=3, launch_failure_rate=0.3, max_faults=2)
-        result = resilient_bfs(graph, 0, plan=plan, observe=observer)
+        result = resilient_run(graph, "bfs", 0, plan=plan, observe=observer)
         manifest = build_manifest(
             result, graph=graph, algorithm="bfs", mode="resilient", source=0,
             observer=observer,
@@ -189,7 +189,7 @@ class TestBuildManifest:
 
     def test_manifest_is_json_clean(self, graph):
         observer = Observer()
-        result = adaptive_bfs(graph, 0, observe=observer)
+        result = adaptive_run(graph, "bfs", 0, observe=observer)
         manifest = build_manifest(
             result, graph=graph, algorithm="bfs", mode="adaptive", source=0,
             observer=observer,
@@ -224,7 +224,7 @@ def _assert_valid_trace_events(events):
 class TestCombinedTrace:
     def test_all_tracks_present_and_valid(self, graph):
         observer = Observer()
-        result = adaptive_bfs(graph, 0, observe=observer)
+        result = adaptive_run(graph, "bfs", 0, observe=observer)
         events = combined_trace_events(
             result.traversal.timeline, trace=result.trace, observer=observer
         )
@@ -239,11 +239,11 @@ class TestCombinedTrace:
         assert len(decisions) == result.trace.num_decisions
 
     def test_fault_track_on_faulty_run(self, graph):
-        from repro.reliability import FaultPlan, resilient_bfs
+        from repro.reliability import FaultPlan
 
         observer = Observer()
         plan = FaultPlan(seed=3, launch_failure_rate=0.3, max_faults=2)
-        result = resilient_bfs(graph, 0, plan=plan, observe=observer)
+        result = resilient_run(graph, "bfs", 0, plan=plan, observe=observer)
         events = combined_trace_events(
             result.result.traversal.timeline,
             trace=result.trace,
@@ -257,7 +257,7 @@ class TestCombinedTrace:
         assert all(e["ph"] == "i" and e["s"] == "g" for e in faults)
 
     def test_degrades_without_trace_or_observer(self, graph):
-        result = run_bfs(graph, 0, "U_B_QU")
+        result = run_static(graph, 0, "bfs", "U_B_QU")
         events = combined_trace_events(result.timeline)
         _assert_valid_trace_events(events)
         tids = {e.get("tid") for e in events}
@@ -266,7 +266,7 @@ class TestCombinedTrace:
 
     def test_span_track_positions_on_sim_axis(self, graph):
         observer = Observer()
-        result = adaptive_bfs(graph, 0, observe=observer)
+        result = adaptive_run(graph, "bfs", 0, observe=observer)
         events = combined_trace_events(
             result.traversal.timeline, trace=result.trace, observer=observer
         )
@@ -282,7 +282,7 @@ class TestCombinedTrace:
 
     def test_export_writes_valid_doc(self, graph, tmp_path):
         observer = Observer()
-        result = adaptive_bfs(graph, 0, observe=observer)
+        result = adaptive_run(graph, "bfs", 0, observe=observer)
         path = tmp_path / "combined.json"
         out = export_combined_trace(
             result.traversal.timeline, path,

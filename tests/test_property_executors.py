@@ -5,8 +5,7 @@ runtime must all compute identical answers — they differ only in cost."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import adaptive_bfs, adaptive_sssp
-from repro.core.hybrid import hybrid_bfs, hybrid_sssp
+from repro.core import adaptive_run, hybrid_run
 from repro.graph.builder import from_edge_list
 from repro.kernels.dobfs import direction_optimizing_bfs
 
@@ -30,7 +29,7 @@ class TestExecutorAgreement:
     def test_hybrid_bfs_agrees(self, gs):
         g, source = gs
         assert np.array_equal(
-            hybrid_bfs(g, source).values, adaptive_bfs(g, source).values
+            hybrid_run(g, "bfs", source).values, adaptive_run(g, "bfs", source).values
         )
 
     @given(graphs_with_source())
@@ -38,7 +37,7 @@ class TestExecutorAgreement:
     def test_hybrid_sssp_agrees(self, gs):
         g, source = gs
         assert np.allclose(
-            hybrid_sssp(g, source).values, adaptive_sssp(g, source).values
+            hybrid_run(g, "sssp", source).values, adaptive_run(g, "sssp", source).values
         )
 
     @given(graphs_with_source())
@@ -47,14 +46,14 @@ class TestExecutorAgreement:
         g, source = gs
         assert np.array_equal(
             direction_optimizing_bfs(g, source).values,
-            adaptive_bfs(g, source).values,
+            adaptive_run(g, "bfs", source).values,
         )
 
     @given(graphs_with_source())
     @settings(max_examples=15, deadline=None)
     def test_hybrid_schedule_well_formed(self, gs):
         g, source = gs
-        r = hybrid_bfs(g, source)
+        r = hybrid_run(g, "bfs", source)
         assert len(r.devices) == r.traversal.num_iterations
         assert r.transitions <= len(r.devices) + 1
         assert r.total_seconds > 0

@@ -5,10 +5,10 @@ cost model must produce sane numbers."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import adaptive_bfs, adaptive_sssp
+from repro.core import adaptive_run, run_static
 from repro.cpu import cpu_bfs, cpu_dijkstra
 from repro.graph.builder import from_edge_list
-from repro.kernels import all_variants, run_bfs, run_sssp
+from repro.kernels import all_variants
 
 
 @st.composite
@@ -36,7 +36,7 @@ class TestVariantAgreement:
         g, source = gs
         oracle = cpu_bfs(g, source).levels
         for variant in all_variants():
-            result = run_bfs(g, source, variant)
+            result = run_static(g, source, "bfs", variant)
             assert np.array_equal(result.values, oracle), variant.code
 
     @given(graphs_with_source())
@@ -45,16 +45,18 @@ class TestVariantAgreement:
         g, source = gs
         oracle = cpu_dijkstra(g, source, method="heap").distances
         for variant in all_variants():
-            result = run_sssp(g, source, variant)
+            result = run_static(g, source, "sssp", variant)
             assert np.allclose(result.values, oracle), variant.code
 
     @given(graphs_with_source())
     @settings(max_examples=20, deadline=None)
     def test_adaptive_agrees_with_cpu(self, gs):
         g, source = gs
-        assert np.array_equal(adaptive_bfs(g, source).values, cpu_bfs(g, source).levels)
+        assert np.array_equal(
+            adaptive_run(g, "bfs", source).values, cpu_bfs(g, source).levels
+        )
         assert np.allclose(
-            adaptive_sssp(g, source).values,
+            adaptive_run(g, "sssp", source).values,
             cpu_dijkstra(g, source, method="heap").distances,
         )
 
@@ -64,7 +66,7 @@ class TestTraversalInvariants:
     @settings(max_examples=25, deadline=None)
     def test_costs_positive_and_finite(self, gs):
         g, source = gs
-        result = run_bfs(g, source, "U_B_QU")
+        result = run_static(g, source, "bfs", "U_B_QU")
         assert np.isfinite(result.total_seconds)
         assert result.total_seconds > 0
         assert result.gpu_seconds > 0
@@ -75,7 +77,7 @@ class TestTraversalInvariants:
     @settings(max_examples=25, deadline=None)
     def test_workset_sizes_bounded_by_nodes(self, gs):
         g, source = gs
-        result = run_bfs(g, source, "U_T_BM")
+        result = run_static(g, source, "bfs", "U_T_BM")
         for record in result.iterations:
             assert 1 <= record.workset_size <= g.num_nodes
 
@@ -83,7 +85,7 @@ class TestTraversalInvariants:
     @settings(max_examples=25, deadline=None)
     def test_bfs_reached_consistent(self, gs):
         g, source = gs
-        result = run_bfs(g, source, "U_T_QU")
+        result = run_static(g, source, "bfs", "U_T_QU")
         assert result.reached == int((result.values >= 0).sum())
         assert result.reached >= 1  # the source itself
 
@@ -92,7 +94,7 @@ class TestTraversalInvariants:
     def test_sssp_distances_respect_triangle(self, gs):
         """For every edge u->v: dist[v] <= dist[u] + w(u,v)."""
         g, source = gs
-        result = run_sssp(g, source, "U_T_BM")
+        result = run_static(g, source, "sssp", "U_T_BM")
         dist = result.values
         src = np.repeat(np.arange(g.num_nodes), g.out_degrees)
         for u, v, w in zip(src, g.col_indices, g.weights):

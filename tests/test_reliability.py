@@ -3,7 +3,7 @@ checkpoint/restore, the watchdog, and the guarded runners.
 
 The load-bearing guarantee is the acceptance criterion from the issue:
 under a seeded fault plan (transient launch failures plus state
-corruption), ``resilient_bfs``/``resilient_sssp`` return values
+corruption), ``resilient_run`` returns BFS and SSSP values
 bit-identical to a fault-free run, and the trace lists every injected
 fault together with the recovery action that answered it.
 """
@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import adaptive_bfs, adaptive_sssp
+from repro.core import adaptive_run, run_static
 from repro.core.telemetry import RECOVERY_ACTIONS, FaultEvent
 from repro.cpu import cpu_bfs
 from repro.errors import (
@@ -27,9 +27,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.graph.generators import attach_uniform_weights, erdos_renyi_graph
-from repro.kernels import StaticPolicy
-from repro.kernels.frame import traverse_bfs
-from repro.kernels.variants import Variant
 from repro.reliability import (
     CheckpointKeeper,
     FaultInjector,
@@ -37,8 +34,7 @@ from repro.reliability import (
     GuardConfig,
     Watchdog,
     load_fault_plan,
-    resilient_bfs,
-    resilient_sssp,
+    resilient_run,
 )
 
 
@@ -199,7 +195,7 @@ class TestFaultInjector:
         injector = FaultInjector(plan)
         with injector.installed():
             with pytest.raises(LaunchError) as exc:
-                adaptive_bfs(graph, 0)
+                adaptive_run(graph, "bfs", 0)
         assert "injected transient launch failure" in str(exc.value)
 
     def test_device_loss_injected_and_attributed(self):
@@ -228,7 +224,7 @@ class TestFaultInjector:
 
 class TestCheckpoint:
     def _bfs(self, graph, **kwargs):
-        return traverse_bfs(graph, 0, StaticPolicy(Variant.parse("U_T_QU")), **kwargs)
+        return run_static(graph, 0, "bfs", "U_T_QU", **kwargs)
 
     def test_snapshot_is_deep_copy(self):
         keeper = CheckpointKeeper(every=1)
@@ -368,7 +364,7 @@ class TestWatchdog:
     def test_traversal_frame_enforces_budget(self):
         graph = small_graph()
         with pytest.raises(NonConvergenceError):
-            adaptive_bfs(graph, 0, watchdog=Watchdog(max_iterations=1))
+            adaptive_run(graph, "bfs", 0, watchdog=Watchdog(max_iterations=1))
 
     def test_arm_starts_the_clock_explicitly(self):
         now = [0.0]
@@ -426,8 +422,8 @@ class TestWatchdog:
 class TestResilientFaultFree:
     def test_bfs_no_plan_single_attempt(self):
         graph = small_graph()
-        base = adaptive_bfs(graph, 0)
-        res = resilient_bfs(graph, 0, guard=NO_SLEEP)
+        base = adaptive_run(graph, "bfs", 0)
+        res = resilient_run(graph, "bfs", 0, guard=NO_SLEEP)
         assert res.attempts == 1
         assert not res.degraded and res.stage == "adaptive"
         assert res.num_faults == 0
@@ -435,14 +431,14 @@ class TestResilientFaultFree:
 
     def test_sssp_no_plan_matches_adaptive(self):
         graph = small_graph(weighted=True)
-        base = adaptive_sssp(graph, 0)
-        res = resilient_sssp(graph, 0, guard=NO_SLEEP)
+        base = adaptive_run(graph, "sssp", 0)
+        res = resilient_run(graph, "sssp", 0, guard=NO_SLEEP)
         assert np.array_equal(res.values, base.traversal.values)
         assert res.replayed_seconds == 0.0
 
     def test_empty_plan_is_not_installed(self):
         graph = small_graph()
-        res = resilient_bfs(graph, 0, guard=NO_SLEEP, plan=FaultPlan())
+        res = resilient_run(graph, "bfs", 0, guard=NO_SLEEP, plan=FaultPlan())
         assert res.attempts == 1 and res.num_faults == 0
 
     def test_guard_config_validation(self):
@@ -469,12 +465,9 @@ class TestResilientUnderFaults:
     @pytest.mark.parametrize("algorithm", ["bfs", "sssp"])
     def test_bit_identical_to_fault_free(self, algorithm):
         graph = small_graph(weighted=algorithm == "sssp")
-        runner = resilient_bfs if algorithm == "bfs" else resilient_sssp
-        adaptive = adaptive_bfs if algorithm == "bfs" else adaptive_sssp
-
-        base = adaptive(graph, 0)
+        base = adaptive_run(graph, algorithm, 0)
         guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=2)
-        res = runner(graph, 0, guard=guard, plan=SEEDED_PLAN)
+        res = resilient_run(graph, algorithm, 0, guard=guard, plan=SEEDED_PLAN)
 
         assert np.array_equal(res.values, base.traversal.values)
         assert res.num_faults > 0  # the plan really fired
@@ -489,8 +482,8 @@ class TestResilientUnderFaults:
     def test_runs_are_reproducible(self):
         graph = small_graph()
         guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=2)
-        a = resilient_bfs(graph, 0, guard=guard, plan=SEEDED_PLAN)
-        b = resilient_bfs(graph, 0, guard=guard, plan=SEEDED_PLAN)
+        a = resilient_run(graph, "bfs", 0, guard=guard, plan=SEEDED_PLAN)
+        b = resilient_run(graph, "bfs", 0, guard=guard, plan=SEEDED_PLAN)
         assert np.array_equal(a.values, b.values)
         assert [(e.kind, e.attempt, e.action) for e in a.trace.faults] == [
             (e.kind, e.attempt, e.action) for e in b.trace.faults
@@ -501,7 +494,7 @@ class TestResilientUnderFaults:
         graph = small_graph()
         plan = FaultPlan(seed=2, memory_fault_rate=0.25, max_faults=2)
         guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=1)
-        res = resilient_bfs(graph, 0, guard=guard, plan=plan)
+        res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
         assert np.array_equal(res.values, cpu_bfs(graph, 0).levels)
         actions = res.recovery_actions()
         assert actions.get("checkpoint_restore", 0) >= 1
@@ -514,7 +507,7 @@ class TestResilientUnderFaults:
         # variant finishes on the GPU.
         plan = FaultPlan(seed=5, launch_failure_rate=1.0, max_faults=4)
         guard = GuardConfig(sleeper=lambda s: None, retries_per_stage=2)
-        res = resilient_bfs(graph, 0, guard=guard, plan=plan)
+        res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
         assert not res.degraded
         assert res.stage != "adaptive"
         assert res.recovery_actions().get("variant_fallback", 0) >= 1
@@ -524,7 +517,7 @@ class TestResilientUnderFaults:
         graph = small_graph()
         plan = FaultPlan(seed=6, launch_failure_rate=1.0)
         guard = GuardConfig(sleeper=lambda s: None, retries_per_stage=1)
-        res = resilient_bfs(graph, 0, guard=guard, plan=plan)
+        res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
         assert res.degraded and res.stage == "cpu"
         assert res.recovery_actions().get("cpu_degradation", 0) == 1
         assert np.array_equal(res.values, cpu_bfs(graph, 0).levels)
@@ -535,7 +528,7 @@ class TestResilientUnderFaults:
         guard = GuardConfig(
             sleeper=lambda s: None, max_retries=2, retries_per_stage=10
         )
-        res = resilient_bfs(graph, 0, guard=guard, plan=plan)
+        res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
         assert res.degraded
         assert res.attempts == 3  # 2 tolerated no-progress failures + 1
 
@@ -546,12 +539,12 @@ class TestResilientUnderFaults:
             sleeper=lambda s: None, max_retries=1, degrade_to_cpu=False
         )
         with pytest.raises(LaunchError):
-            resilient_bfs(graph, 0, guard=guard, plan=plan)
+            resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
 
     def test_non_convergence_degrades(self):
         graph = small_graph()
         guard = GuardConfig(sleeper=lambda s: None, max_iterations=1)
-        res = resilient_bfs(graph, 0, guard=guard)
+        res = resilient_run(graph, "bfs", 0, guard=guard)
         assert res.degraded
         kinds = [e.kind for e in res.trace.faults]
         assert "non_convergence" in kinds
@@ -563,7 +556,7 @@ class TestResilientUnderFaults:
         guard = GuardConfig(
             sleeper=slept.append, backoff_base_s=0.01, backoff_max_s=0.04
         )
-        res = resilient_bfs(graph, 0, guard=guard, plan=plan)
+        res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
         assert len(slept) >= 1
         assert res.backoff_seconds == pytest.approx(sum(slept))
         # exponential-with-jitter stays within the configured envelope
@@ -583,33 +576,25 @@ class TestPagerankRecovery:
         return erdos_renyi_graph(600, 3600, seed=21)
 
     def test_checkpoint_resume_bit_identical(self):
-        from repro.kernels import StaticPolicy
-        from repro.kernels.pagerank import traverse_pagerank
-        from repro.kernels.variants import Variant
-
         graph = self._graph()
-        policy = lambda: StaticPolicy(Variant.parse("U_B_QU"))  # noqa: E731
-        baseline = traverse_pagerank(graph, policy())
+        baseline = run_static(graph, -1, "pagerank", "U_B_QU")
 
         keeper = CheckpointKeeper(every=2)
-        traverse_pagerank(graph, policy(), checkpoint_keeper=keeper)
+        run_static(graph, -1, "pagerank", "U_B_QU", checkpoint_keeper=keeper)
         cp = keeper.restore("pagerank", -1)
         assert cp is not None and cp.next_iteration >= 2
         # The checkpoint carries PageRank's private residual array.
         assert cp.extra is not None and "residual" in cp.extra
 
-        resumed = traverse_pagerank(graph, policy(), resume_from=cp)
+        resumed = run_static(graph, -1, "pagerank", "U_B_QU", resume_from=cp)
         assert np.array_equal(resumed.values, baseline.values)
         assert [r.iteration for r in resumed.iterations] == [
             r.iteration for r in baseline.iterations
         ]
 
     def test_faulted_run_recovers_bit_identical(self):
-        from repro.core import adaptive_pagerank
-        from repro.reliability import resilient_run
-
         graph = self._graph()
-        clean = adaptive_pagerank(graph)
+        clean = adaptive_run(graph, "pagerank")
         plan = FaultPlan(seed=13, memory_fault_rate=0.3, max_faults=2)
         guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=2, seed=5)
         res = resilient_run(graph, "pagerank", guard=guard, plan=plan)
@@ -621,8 +606,6 @@ class TestPagerankRecovery:
             assert event.action in RECOVERY_ACTIONS
 
     def test_faulted_runs_reproducible(self):
-        from repro.reliability import resilient_run
-
         graph = self._graph()
         plan = FaultPlan(seed=13, memory_fault_rate=0.3, max_faults=2)
         guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=2, seed=5)
@@ -641,8 +624,6 @@ class TestResilientSourceValidation:
 
     def test_bad_source_rejected_without_retries(self):
         from repro.errors import GraphError
-        from repro.reliability import resilient_run
-
         graph = erdos_renyi_graph(120, 500, seed=3)
         slept = []
         guard = GuardConfig(sleeper=slept.append, backoff_base_s=0.01)

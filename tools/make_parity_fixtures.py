@@ -1,14 +1,17 @@
 #!/usr/bin/env python
 """Generate the golden engine-parity fixtures.
 
-The fixtures pin the *observable* behaviour of every traversal entry
-point — values, per-iteration records and simulated times — so the
-iteration-engine refactor (and any future one) can prove bit-identical
-results against the pre-refactor implementation.  The committed
-``tests/fixtures/engine_parity.json`` was produced by running this
-script against the pre-engine code; ``tests/test_engine_parity.py``
-re-runs the same workloads and diffs against it, and CI's
-``engine-parity`` job keeps the diff honest.
+The fixtures pin the *observable* behaviour of every run mode — values,
+per-iteration records and simulated times — so any refactor can prove
+bit-identical results against the committed file.  Every run goes
+through a run mode's entry point (``run_static``, ``adaptive_run``,
+``resilient_run``, plus DOBFS's ``direction_optimizing_bfs``); the run
+labels (``run_bfs_U_T_BM``, ``adaptive_cc``, ``resilient_bfs_faulted``,
+...) are plain fixture keys, kept stable so the file never churns.  The
+whole-graph static runs use each algorithm's registered default
+variant, so the fixture pins those defaults too.
+``tests/test_engine_parity.py`` re-runs the same workloads and diffs
+against the committed file.
 
 Regenerate (only when behaviour is *meant* to change) with::
 
@@ -27,22 +30,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np  # noqa: E402
 
 from repro import (  # noqa: E402
-    adaptive_bfs,
-    adaptive_cc,
-    adaptive_kcore,
-    adaptive_pagerank,
-    adaptive_sssp,
-    resilient_bfs,
-    run_bfs,
-    run_cc,
-    run_kcore,
-    run_pagerank,
-    run_sssp,
+    adaptive_run,
+    get_algorithm,
+    resilient_run,
+    run_static,
 )
-from repro.core import adaptive_run  # noqa: E402
 from repro.graph.datasets import make_dataset  # noqa: E402
 from repro.kernels.dobfs import direction_optimizing_bfs  # noqa: E402
-from repro.kernels.triangles import run_triangles, traverse_triangles  # noqa: E402
 from repro.reliability import FaultPlan, GuardConfig  # noqa: E402
 
 FIXTURE_PATH = os.path.join(
@@ -131,20 +125,21 @@ def build() -> dict:
             "runs": {},
         }
         runs = entry["runs"]
-        runs["run_bfs_U_T_BM"] = _traversal(run_bfs(graph, source, "U_T_BM"))
-        runs["run_bfs_U_B_QU"] = _traversal(run_bfs(graph, source, "U_B_QU"))
-        runs["run_sssp_U_T_QU"] = _traversal(run_sssp(graph, source, "U_T_QU"))
-        runs["run_sssp_O_T_QU"] = _traversal(run_sssp(graph, source, "O_T_QU"))
-        runs["adaptive_bfs"] = _traversal(adaptive_bfs(graph, source).traversal)
-        runs["adaptive_sssp"] = _traversal(adaptive_sssp(graph, source).traversal)
-        runs["adaptive_cc"] = _traversal(adaptive_cc(graph).traversal)
-        runs["adaptive_pagerank"] = _traversal(adaptive_pagerank(graph).traversal)
-        runs["adaptive_kcore"] = _traversal(adaptive_kcore(graph).traversal)
-        runs["run_pagerank"] = _traversal(run_pagerank(graph))
-        runs["run_cc"] = _traversal(run_cc(graph))
-        runs["run_kcore"] = _traversal(run_kcore(graph))
+        for algo, code in (
+            ("bfs", "U_T_BM"), ("bfs", "U_B_QU"), ("sssp", "U_T_QU"), ("sssp", "O_T_QU")
+        ):
+            runs[f"run_{algo}_{code}"] = _traversal(
+                run_static(graph, source, algo, code)
+            )
+        for algo in ("bfs", "sssp", "cc", "pagerank", "kcore"):
+            runs[f"adaptive_{algo}"] = _traversal(
+                adaptive_run(graph, algo, source).traversal
+            )
+        for algo in ("pagerank", "cc", "kcore", "triangles"):
+            runs[f"run_{algo}"] = _traversal(
+                run_static(graph, -1, algo, get_algorithm(algo).default_variant)
+            )
         runs["dobfs"] = _traversal(direction_optimizing_bfs(graph, source))
-        runs["run_triangles"] = _traversal(run_triangles(graph))
         runs["adaptive_triangles"] = _traversal(
             adaptive_run(graph, "triangles", -1).traversal
         )
@@ -153,38 +148,28 @@ def build() -> dict:
         # spec-fusion pass, static (fuse-always) and adaptive
         # (bitmap-only) plans alike, pinned against its unfused twin.
         fused = {}
-        fused["static_bfs_U_T_BM"] = _fused_parity(
-            run_bfs(graph, source, "U_T_BM"),
-            run_bfs(graph, source, "U_T_BM", fusion=True),
-        )
-        fused["static_bfs_U_B_QU"] = _fused_parity(
-            run_bfs(graph, source, "U_B_QU"),
-            run_bfs(graph, source, "U_B_QU", fusion=True),
-        )
-        fused["static_sssp_O_T_QU"] = _fused_parity(
-            run_sssp(graph, source, "O_T_QU"),
-            run_sssp(graph, source, "O_T_QU", fusion=True),
-        )
+        for algo, code in (
+            ("bfs", "U_T_BM"), ("bfs", "U_B_QU"), ("sssp", "O_T_QU"),
+            ("triangles", "U_T_QU"),
+        ):
+            fused[f"static_{algo}_{code}"] = _fused_parity(
+                run_static(graph, source, algo, code),
+                run_static(graph, source, algo, code, fuse=True),
+            )
         for algo in ("bfs", "sssp", "cc", "pagerank", "kcore", "triangles"):
-            src = source if algo in ("bfs", "sssp") else -1
             fused[f"adaptive_{algo}"] = _fused_parity(
-                adaptive_run(graph, algo, src).traversal,
-                adaptive_run(graph, algo, src, fuse=True).traversal,
+                adaptive_run(graph, algo, source).traversal,
+                adaptive_run(graph, algo, source, fuse=True).traversal,
             )
         fused["dobfs"] = _fused_parity(
             direction_optimizing_bfs(graph, source),
             direction_optimizing_bfs(graph, source, fusion=True),
         )
-        fused["static_triangles_U_T_QU"] = _fused_parity(
-            run_triangles(graph), run_triangles(graph, fusion=True)
-        )
         entry["fused_parity"] = fused
 
         plan = FaultPlan(seed=13, memory_fault_rate=0.25, max_faults=2)
-        res = resilient_bfs(
-            graph,
-            source,
-            guard=GuardConfig(checkpoint_every=2, seed=5),
+        res = resilient_run(
+            graph, "bfs", source, guard=GuardConfig(checkpoint_every=2, seed=5),
             plan=plan,
         )
         runs["resilient_bfs_faulted"] = {
