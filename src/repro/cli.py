@@ -5,25 +5,28 @@
     python -m repro datasets                 # the six Table-1 analogues
     python -m repro devices                  # simulated device presets
     python -m repro algorithms               # registered algorithms + flags
-    python -m repro run --algorithm pagerank --dataset wikipedia --scale 0.02
-    python -m repro characterize amazon --scale 0.05
-    python -m repro bfs  --dataset google --scale 0.05 --mode adaptive
-    python -m repro sssp --dataset amazon --scale 0.05 --mode U_T_BM
+    python -m repro run --algorithm pagerank --dataset citeseer --scale 0.02
+    python -m repro run --dataset google --scale 0.05          # adaptive BFS
+    python -m repro run --algorithm sssp --dataset amazon --mode U_T_BM
+    python -m repro run --dataset google --scale 0.05 --mode resilient \
+        --fault-plan '{"seed": 7, "launch_failure_rate": 0.1}'
+    python -m repro run --file examples/roadnet.snap.txt \
+        --manifest manifest.json --trace trace.json
+    python -m repro characterize --dataset amazon --scale 0.05
     python -m repro compare --dataset citeseer --algorithm sssp
     python -m repro sweep-t3 --dataset google --scale 0.25
-    python -m repro reliability --dataset google --scale 0.05 \
-        --fault-plan '{"seed": 7, "launch_failure_rate": 0.1}'
-    python -m repro profile examples/roadnet.snap.txt \
-        --out manifest.json --trace trace.json
     python -m repro batch --file examples/roadnet.snap.txt \
         --queries examples/batch_queries.jsonl --manifest batch.json
-    python -m repro serve --dataset co_road < queries.jsonl
+    python -m repro serve --dataset co-road < queries.jsonl
 
-``--file`` loads a real DIMACS / SNAP / MatrixMarket graph instead of a
-synthetic analogue.
+``repro run`` is the one command that starts a single run: ``--mode``
+and ``--devices`` pick the entry function, and a flag the chosen mode
+never reads is refused (exit 2).  ``--file`` loads a real DIMACS / SNAP
+/ MatrixMarket graph instead of a synthetic analogue.
 
 Exit codes: 0 success, 1 verification mismatch, 2 a :class:`ReproError`
-(printed as one line on stderr), 130 keyboard interrupt.
+or a flag the run mode does not read (one line on stderr), 130 keyboard
+interrupt.
 """
 
 from __future__ import annotations
@@ -61,22 +64,6 @@ __all__ = ["main", "build_parser"]
 # Argument plumbing
 # ----------------------------------------------------------------------
 
-def _add_reliability_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--fault-plan", default=None, metavar="JSON",
-                        help="fault-injection plan: inline JSON or a file path "
-                        "(keys: seed, launch_failure_rate, memory_fault_rate, "
-                        "latency_spike_rate, latency_spike_factor, "
-                        "device_loss_rate, device, kinds, max_faults)")
-    parser.add_argument("--max-retries", type=int, default=None,
-                        help="consecutive no-progress failures before degrading "
-                        "to the CPU baseline (default: exhaust the ladder)")
-    parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                        help="wall-clock deadline for the whole guarded query")
-    parser.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
-                        help="checkpoint every N iterations (default: cost-aware "
-                        "policy bounded by a 2%% overhead budget)")
-
-
 def _add_workload_args(parser: argparse.ArgumentParser, *, weighted_default=False):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--dataset", choices=dataset_keys(), help="synthetic analogue")
@@ -106,9 +93,9 @@ def _add_workload_args(parser: argparse.ArgumentParser, *, weighted_default=Fals
 
 
 def _io_mode(args) -> Optional[str]:
-    if getattr(args, "strict_io", False):
+    if args.strict_io:
         return "strict"
-    if getattr(args, "lenient_io", False):
+    if args.lenient_io:
         return "lenient"
     return None
 
@@ -122,7 +109,7 @@ def _resolve_workload(args, *, weighted: bool, resolve_source: bool = True):
         report = IngestReport()
         limits = (
             IngestLimits(max_edges=args.max_edges)
-            if getattr(args, "max_edges", None) is not None
+            if args.max_edges is not None
             else None
         )
         graph = load_graph(
@@ -164,20 +151,22 @@ def _spec_params(args, info) -> dict:
     }
 
 
-def _values_match(values, oracle) -> bool:
-    """Exact for integer-valued results, tolerance-based for floats."""
-    values = np.asarray(values)
-    if np.issubdtype(values.dtype, np.floating):
-        return bool(np.allclose(values, oracle))
-    return bool(np.array_equal(values, oracle))
+def _values_match(values, oracle, *, exact: bool) -> bool:
+    """Verify a run against its CPU reference: bit-identical when the
+    spec declares ``cpu_exact``, else within 1e-9 absolute (PageRank's
+    push order differs from the reference's, so ranks agree only to
+    rounding)."""
+    values, oracle = np.asarray(values), np.asarray(oracle)
+    if exact or values.shape != oracle.shape:
+        return bool(np.array_equal(values, oracle))
+    return bool(np.max(np.abs(values - oracle), initial=0.0) < 1e-9)
 
 
 def _make_memory(args, device):
     """Build the device-memory budget requested by ``--mem-budget``."""
-    spec = getattr(args, "mem_budget", None)
-    if spec is None:
+    if args.mem_budget is None:
         return None
-    return MemoryBudget(spec, device=device)
+    return MemoryBudget(args.mem_budget, device=device)
 
 
 def _fmt_bytes(nbytes: int) -> str:
@@ -277,53 +266,197 @@ def cmd_algorithms(args) -> int:
     return 0
 
 
-def _run_sharded_cmd(args, info) -> int:
-    """`repro run --devices N`: the sharded multi-device driver."""
+# ----------------------------------------------------------------------
+# repro run: one run through one door
+# ----------------------------------------------------------------------
+
+#: ``--mode`` values that name a single-device door; any other value is
+#: a variant code for ``run_static`` (door "static").  ``--devices N``
+#: picks door "sharded" (``run_sharded``).
+_SINGLE_DEVICE = ("adaptive", "resilient", "default", "hybrid", "static")
+
+#: doors whose entry function takes a RuntimeConfig
+_CONFIGURED = ("adaptive", "resilient", "hybrid", "sharded")
+
+#: Which doors read each mode-restricted ``repro run`` flag (by argparse
+#: dest).  A flag the user set that the chosen door does not read exits
+#: 2 before anything runs.  ``--damping``/``--tolerance`` and
+#: ``--source`` follow the algorithm instead: its ``param_names`` and
+#: ``source_based`` flag.
+_FLAG_DOORS = {
+    "mode": _SINGLE_DEVICE,
+    "policy": ("adaptive",),
+    "fuse": ("adaptive", "default", "static"),
+    "warp_mapping": _CONFIGURED,
+    "mem_budget": ("adaptive", "resilient", "default", "static", "sharded"),
+    "trace": _SINGLE_DEVICE,
+    "fault_plan": ("resilient", "sharded"),
+    "max_retries": ("resilient", "sharded"),
+    "checkpoint_every": ("resilient", "sharded"),
+    "deadline": ("resilient",),
+    "partition": ("sharded",),
+    "interconnect": ("sharded",),
+}
+
+#: The row a whole-graph algorithm adds to the run table, computed from
+#: the result values.
+_SUMMARY_ROWS = {
+    "cc": ("components", lambda v: len(np.unique(v))),
+    "kcore": ("max core", lambda v: int(np.max(v, initial=0))),
+    "pagerank": (
+        "top nodes",
+        lambda v: " ".join(str(int(i)) for i in np.argsort(v)[::-1][:5]),
+    ),
+}
+
+
+def _door_flag(door: str, mode: Optional[str] = None) -> str:
+    """How the command line picks *door*."""
+    if door == "sharded":
+        return "--devices"
+    return f"--mode {mode or ('VARIANT' if door == 'static' else door)}"
+
+
+def _unread_flag(args, info, door: str) -> Optional[str]:
+    """One error line naming the first flag the user set that *door*
+    (or the algorithm) never reads; None when every set flag is read."""
+    for dest, doors in _FLAG_DOORS.items():
+        value = getattr(args, dest)
+        # Unset flags are None (store_true ones False); 0 is a set value.
+        if value is not None and value is not False and door not in doors:
+            readers = ", ".join(_door_flag(d) for d in doors)
+            return (
+                f"--{dest.replace('_', '-')} is not read by "
+                f"{_door_flag(door, args.mode)} (only by {readers})"
+            )
+    unread = [
+        f"--{name}" for name in ("damping", "tolerance")
+        if getattr(args, name) is not None and name not in info.param_names
+    ]
+    if args.source is not None and not info.source_based:
+        unread.append("--source")
+    if unread:
+        return f"{unread[0]} is not read by --algorithm {info.name}"
+    return None
+
+
+def _call_door(door, args, info, graph, source, device, config, memory,
+               params):
+    """Run ``args.algorithm`` through the public entry function *door*
+    names and return that function's result."""
+    if door == "adaptive":
+        return adaptive_run(
+            graph, info.name, source, config=config, device=device,
+            memory=memory, policy=args.policy, fuse=args.fuse, **params,
+        )
+    if door == "static":
+        return run_static(
+            graph, source, info.name, args.mode, device=device,
+            memory=memory, fuse=args.fuse, **params,
+        )
+    if door == "default":
+        if args.fuse:
+            params = dict(params, fusion=True)
+        return info.run_default(
+            graph, source, device=device, memory=memory, **params
+        )
+    if door == "hybrid":
+        from repro.core.hybrid import hybrid_run
+
+        return hybrid_run(graph, info.name, source, config=config, device=device)
+    from repro.reliability import load_fault_plan
+
+    plan = load_fault_plan(args.fault_plan) if args.fault_plan else None
+    if door == "resilient":
+        from repro.reliability import GuardConfig, resilient_run
+
+        guard = GuardConfig(
+            max_retries=args.max_retries,
+            deadline_s=args.deadline,
+            checkpoint_every=args.checkpoint_every,
+            mem_budget=args.mem_budget,
+        )
+        return resilient_run(
+            graph, info.name, source, config=config, device=device,
+            guard=guard, plan=plan, **params,
+        )
     from repro.engine.shard import run_sharded
     from repro.gpusim.interconnect import interconnect_registry
-    from repro.obs import Observer, build_shard_manifest, observing
 
-    graph, source, device = _resolve_workload(args, weighted=info.weighted)
-    params = _spec_params(args, info)
-    plan = None
-    if getattr(args, "fault_plan", None):
-        from repro.reliability import load_fault_plan
-
-        plan = load_fault_plan(args.fault_plan)
-    kwargs = {}
-    if getattr(args, "checkpoint_every", None) is not None:
-        kwargs["checkpoint_every"] = args.checkpoint_every
-    if getattr(args, "max_retries", None) is not None:
-        kwargs["max_retries"] = args.max_retries
-    if args.mem_budget is not None:
-        from repro.gpusim.allocator import parse_mem_size
-
-        kwargs["mem_budget"] = parse_mem_size(args.mem_budget)
-
-    observer = Observer()
-    with observing(observer):
-        result = run_sharded(
-            graph,
-            source,
-            algorithm=args.algorithm,
-            num_devices=args.devices,
-            partition=args.partition,
-            device=device,
-            interconnect=interconnect_registry()[args.interconnect],
-            fault_plan=plan,
-            **kwargs,
-            **params,
-        )
-
-    oracle, cpu = info.cpu_run(graph, source, **params)
-    ok = _values_match(result.values, oracle)
-
-    table = Table(
-        ["metric", "value"],
-        title=f"{args.algorithm} on {graph.name} "
-        f"(sharded x{args.devices}, {args.partition})",
+    optional = {
+        "partition": args.partition,
+        "checkpoint_every": args.checkpoint_every,
+        "max_retries": args.max_retries,
+        "mem_budget": args.mem_budget,
+    }
+    if args.interconnect is not None:
+        optional["interconnect"] = interconnect_registry()[args.interconnect]
+    return run_sharded(
+        graph, source, algorithm=info.name, num_devices=args.devices,
+        device=device, config=config, fault_plan=plan,
+        **{k: v for k, v in optional.items() if v is not None}, **params,
     )
-    table.add_row(["source", source])
+
+
+def _traversal_rows(table, door, result, traversal, info, graph, cpu,
+                    mem_report) -> None:
+    """Rows of a single-device run that is not guarded."""
+    if info.source_based:
+        table.add_row(
+            ["reached nodes", f"{traversal.reached} / {graph.num_nodes}"]
+        )
+    table.add_row(["iterations", traversal.num_iterations])
+    if door == "hybrid":
+        table.add_row(["CPU iterations", result.cpu_iterations])
+        table.add_row(["GPU iterations", result.gpu_iterations])
+        table.add_row(["device transitions", result.transitions])
+    table.add_row(["simulated GPU time", format_seconds(traversal.total_seconds)])
+    table.add_row(["serial CPU baseline", format_seconds(cpu.seconds)])
+    table.add_row(["speedup", f"{cpu.seconds / traversal.total_seconds:.2f}x"])
+    _add_memory_rows(table, mem_report)
+    stats = traversal.fusion
+    if stats is None:
+        return
+    plan = stats.plan
+    if not plan.fusible:
+        table.add_row(["fusion refused", "; ".join(plan.refusals) or "n/a"])
+        return
+    table.add_row(
+        ["fused launches",
+         f"{stats.fused_iterations} of "
+         f"{stats.fused_iterations + stats.refused_iterations} iterations"]
+    )
+    table.add_row(["launch overhead saved", format_seconds(stats.overhead_saved_s)])
+    if stats.hoisted_h2d_bytes:
+        table.add_row(["hoisted H2D payload", f"{stats.hoisted_h2d_bytes} B"])
+
+
+def _resilient_rows(table, result, traversal) -> None:
+    """Rows of a guarded run: the recovery ladder's story."""
+    table.add_row(["served by", result.stage])
+    table.add_row(["attempts", result.attempts])
+    table.add_row(["faults seen", result.num_faults])
+    for action, count in sorted(result.recovery_actions().items()):
+        table.add_row([f"  recovery: {action}", count])
+    table.add_row(["checkpoints saved", result.checkpoints_saved])
+    table.add_row(["checkpoint restores", result.restores])
+    table.add_row(["degraded to CPU", "yes" if result.degraded else "no"])
+    if result.oom_rung:
+        table.add_row(["OOM ladder rung", result.oom_rung])
+    _add_memory_rows(table, result.memory)
+    if traversal is not None:
+        table.add_row(["iterations (final attempt)", traversal.num_iterations])
+    table.add_row(
+        ["simulated time (final attempt)", format_seconds(result.final_seconds)]
+    )
+    table.add_row(
+        ["replayed simulated time", format_seconds(result.replayed_seconds)]
+    )
+    table.add_row(["backoff wall-clock", format_seconds(result.backoff_seconds)])
+
+
+def _sharded_rows(table, result, cpu) -> None:
+    """Rows of a sharded multi-device run."""
     table.add_row(["super-iterations", result.super_iterations])
     table.add_row(["simulated time", format_seconds(result.sim_seconds)])
     table.add_row(["serial CPU baseline", format_seconds(cpu.seconds)])
@@ -334,167 +467,137 @@ def _run_sharded_cmd(args, info) -> int:
     if result.device_losses:
         table.add_row(["device losses", result.device_losses])
         table.add_row(["shards migrated", result.migrations])
-        table.add_row(["super-iterations replayed",
-                       result.replayed_super_iterations])
+        table.add_row(
+            ["super-iterations replayed", result.replayed_super_iterations]
+        )
     table.add_row(["values sha256", result.values_sha256[:16] + "…"])
-    table.add_row(["verified vs CPU reference", "yes" if ok else "MISMATCH"])
-    print(table.render())
-    for event in result.recovery_events:
-        print(
-            f"[recovery: super-iteration {event.super_iteration} "
-            f"shard {event.shard_index} device {event.device_index} "
-            f"{event.fault_kind} -> {event.rung}]",
-            file=sys.stderr,
-        )
-    if getattr(args, "manifest", None):
-        manifest = build_shard_manifest(
-            result, graph=graph, device=device, observer=observer
-        )
-        manifest.write(args.manifest)
-        print(f"[manifest written to {args.manifest}]")
-    return 0 if ok else 1
 
 
 def cmd_run(args) -> int:
-    """Registry-driven runner: any registered algorithm through one door."""
+    """``repro run``: one run of a registered algorithm through the door
+    (public entry function) that ``--mode`` / ``--devices`` pick,
+    verified against the algorithm's CPU reference."""
     from repro.engine import get_algorithm
+    from repro.obs import (
+        Observer, build_manifest, build_shard_manifest, export_combined_trace,
+        observing,
+    )
 
     info = get_algorithm(args.algorithm)
-    if getattr(args, "devices", None) is not None:
-        if getattr(args, "fuse", False):
-            print(
-                "repro run: --fuse applies to single-device runs (the "
-                "sharded driver fuses its own exchange phases)",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_sharded_cmd(args, info)
     mode = args.mode or ("adaptive" if info.adaptive_eligible else "default")
-    policy_spec = getattr(args, "policy", None)
-    if policy_spec is not None and mode != "adaptive":
-        print(
-            "repro run: --policy needs the adaptive runtime "
-            f"(got --mode {mode})",
-            file=sys.stderr,
-        )
-        return 2
-    fuse = bool(getattr(args, "fuse", False))
-    if mode == "resilient":
-        if fuse:
-            print(
-                "repro run: --fuse is a plain-run lowering; the resilient "
-                "ladder re-plans per rung (drop --fuse or --mode resilient)",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_resilient(args, args.algorithm)
-    graph, source, device = _resolve_workload(args, weighted=info.weighted)
-    source = info.resolve_source(graph, source)
-    memory = _make_memory(args, device)
-    params = _spec_params(args, info)
-    observer = None
-    if getattr(args, "manifest", None):
-        from repro.obs import Observer
-
-        observer = Observer()
-        params["observe"] = observer
-    mem_report = None
-    extra = ""
-    if mode == "adaptive":
-        result = adaptive_run(
-            graph, args.algorithm, source, device=device, memory=memory,
-            policy=policy_spec, fuse=fuse, **params,
-        )
-        traversal = result.traversal
-        mem_report = result.memory
-        extra = (
-            f"decisions: {result.trace.variants_chosen()}  "
-            f"switches: {result.num_switches}"
-        )
-        if result.policy is not None:
-            mode = "learned"
-            extra += f"\npolicy digest: {result.policy['digest'][:16]}…"
-    elif mode == "default":
-        if info.run_default is None:
-            print(
-                f"repro run: '{args.algorithm}' has no default driver; "
-                "use --mode adaptive or a variant code",
-                file=sys.stderr,
-            )
-            return 2
-        if fuse:
-            params["fusion"] = True
-        traversal = info.run_default(
-            graph, source, device=device, memory=memory, **params
-        )
-        mem_report = memory.report() if memory is not None else None
+    if args.devices is not None:
+        door = "sharded"
     else:
-        traversal = run_static(
-            graph, source, args.algorithm, mode, device=device,
-            memory=memory, fuse=fuse, **params,
+        door = mode if mode in _SINGLE_DEVICE else "static"
+    problem = _unread_flag(args, info, door)
+    if problem is None and door == "default" and info.run_default is None:
+        problem = (
+            f"'{args.algorithm}' has no default driver; use --mode "
+            "adaptive or a variant code"
         )
-        mem_report = memory.report() if memory is not None else None
+    if problem is not None:
+        print(f"repro run: {problem}", file=sys.stderr)
+        return 2
 
-    params.pop("observe", None)
-    params.pop("fusion", None)
-    oracle, cpu = info.cpu_run(graph, source, **params)
-    ok = _values_match(traversal.values, oracle)
-
-    table = Table(
-        ["metric", "value"],
-        title=f"{args.algorithm} on {graph.name} ({mode})",
+    graph, source, device = _resolve_workload(
+        args, weighted=info.weighted, resolve_source=info.source_based
     )
+    source = info.resolve_source(graph, source)
+    params = _spec_params(args, info)
+    config = (
+        RuntimeConfig(use_warp_mapping=args.warp_mapping)
+        if door in _CONFIGURED else None
+    )
+    memory = (
+        _make_memory(args, device)
+        if door in ("adaptive", "default", "static") else None
+    )
+    observer = Observer() if args.manifest or args.trace else None
+    with observing(observer):
+        result = _call_door(
+            door, args, info, graph, source, device, config, memory, params
+        )
+    if door == "adaptive" and result.policy is not None:
+        mode = "learned"
+    # The single-device run's TraversalResult: a guarded result wraps the
+    # stage that served it; sharded and CPU-degraded runs have none.
+    inner = getattr(result, "result", result)
+    traversal = getattr(inner, "traversal", inner)
+    if getattr(traversal, "timeline", None) is None:
+        traversal = None
+    oracle, cpu = info.cpu_run(graph, source, **params)
+    ok = _values_match(result.values, oracle, exact=info.cpu_exact)
+
+    manifest = None
+    if args.manifest:
+        if door == "sharded":
+            manifest = build_shard_manifest(
+                result, graph=graph, device=device, config=config,
+                observer=observer,
+            )
+        else:
+            manifest = build_manifest(
+                result, graph=graph, algorithm=args.algorithm,
+                mode=mode + ("+fused" if args.fuse else ""), source=source,
+                device=device, config=config, observer=observer,
+            )
+        manifest.write(args.manifest)
+
+    if door == "sharded":
+        title = (f"{args.algorithm} on {graph.name} "
+                 f"(sharded x{args.devices}, {result.partition})")
+    elif door == "resilient":
+        title = f"guarded {args.algorithm.upper()} on {graph.name}"
+    else:
+        title = f"{args.algorithm} on {graph.name} ({mode})"
+    table = Table(["metric", "value"], title=title)
+    if manifest is not None:
+        table.add_row(["graph digest", manifest.graph["digest"][:16]])
     if info.source_based:
         table.add_row(["source", source])
-        table.add_row(
-            ["reached nodes", f"{traversal.reached} / {graph.num_nodes}"]
-        )
-    table.add_row(["iterations", traversal.num_iterations])
-    table.add_row(["simulated GPU time", format_seconds(traversal.total_seconds)])
-    table.add_row(["serial CPU baseline", format_seconds(cpu.seconds)])
-    table.add_row(["speedup", f"{cpu.seconds / traversal.total_seconds:.2f}x"])
-    _add_memory_rows(table, mem_report)
-    stats = getattr(traversal, "fusion", None)
-    if stats is not None:
-        plan = stats.plan
-        if plan.fusible:
-            table.add_row(
-                ["fused launches",
-                 f"{stats.fused_iterations} of "
-                 f"{stats.fused_iterations + stats.refused_iterations} "
-                 "iterations"]
-            )
-            table.add_row(
-                ["launch overhead saved",
-                 format_seconds(stats.overhead_saved_s)]
-            )
-            if stats.hoisted_h2d_bytes:
-                table.add_row(
-                    ["hoisted H2D payload", f"{stats.hoisted_h2d_bytes} B"]
-                )
-        else:
-            table.add_row(
-                ["fusion refused", "; ".join(plan.refusals) or "n/a"]
-            )
+    if door == "sharded":
+        _sharded_rows(table, result, cpu)
+    elif door == "resilient":
+        _resilient_rows(table, result, traversal)
+    else:
+        mem_report = memory.report() if memory is not None else None
+        _traversal_rows(table, door, result, traversal, info, graph, cpu,
+                        mem_report)
+    if args.algorithm in _SUMMARY_ROWS:
+        name, summarize = _SUMMARY_ROWS[args.algorithm]
+        table.add_row([name, summarize(result.values)])
     table.add_row(["verified vs CPU reference", "yes" if ok else "MISMATCH"])
     print(table.render())
-    if extra:
-        print(extra)
-    if getattr(args, "manifest", None):
-        from repro.obs import build_manifest
 
-        result_obj = result if mode in ("adaptive", "learned") else traversal
-        manifest = build_manifest(
-            result_obj,
-            graph=graph,
-            algorithm=args.algorithm,
-            mode=mode + ("+fused" if fuse else ""),
-            source=source,
-            device=device,
-            observer=observer,
-        )
-        manifest.write(args.manifest)
+    if door == "adaptive":
+        trace = result.trace
+        line = (f"decisions: {trace.variants_chosen()}  "
+                f"switches: {result.num_switches}")
+        if trace.num_memory_forced:
+            line += f"  memory-forced: {trace.num_memory_forced}"
+        print(line)
+        if result.policy is not None:
+            print(f"policy digest: {result.policy['digest'][:16]}…")
+    elif door == "sharded":
+        for event in result.recovery_events:
+            print(
+                f"[recovery: super-iteration {event.super_iteration} "
+                f"shard {event.shard_index} device {event.device_index} "
+                f"{event.fault_kind} -> {event.rung}]",
+                file=sys.stderr,
+            )
+    if manifest is not None:
         print(f"[manifest written to {args.manifest}]")
+    if args.trace:
+        if traversal is None:
+            print("[no simulated timeline to trace: CPU-degraded run]")
+        else:
+            export_combined_trace(
+                traversal.timeline, args.trace,
+                trace=getattr(result, "trace", None), observer=observer,
+            )
+            print(f"[combined trace written to {args.trace} "
+                  "(open in ui.perfetto.dev or chrome://tracing)]")
     return 0 if ok else 1
 
 
@@ -519,251 +622,6 @@ def cmd_characterize(args) -> int:
     print()
     print(dist.render())
     return 0
-
-
-def _run_traversal(args, algorithm: str) -> int:
-    weighted = algorithm == "sssp"
-    if args.mode == "resilient":
-        return _run_resilient(args, algorithm)
-    graph, source, device = _resolve_workload(args, weighted=weighted)
-    memory = _make_memory(args, device)
-    config = RuntimeConfig(
-        t3_fraction=args.t3,
-        sampling_interval=args.sampling_interval,
-        use_warp_mapping=args.warp_mapping,
-    )
-    mem_report = None
-    if args.mode == "adaptive":
-        result = adaptive_run(
-            graph, algorithm, source, config=config, device=device, memory=memory
-        )
-        traversal = result.traversal
-        mem_report = result.memory
-        extra = (
-            f"decisions: {result.trace.variants_chosen()}  "
-            f"switches: {result.num_switches}"
-        )
-        if result.trace.num_memory_forced:
-            extra += f"  memory-forced: {result.trace.num_memory_forced}"
-    else:
-        traversal = run_static(
-            graph, source, algorithm, args.mode, device=device, memory=memory
-        )
-        mem_report = memory.report() if memory is not None else None
-        extra = ""
-
-    if args.trace:
-        from repro.gpusim.traceexport import export_chrome_trace
-
-        export_chrome_trace(traversal.timeline, args.trace)
-        print(f"[chrome trace written to {args.trace}]")
-
-    values = traversal.values
-    reached = traversal.reached
-    cpu = (
-        cpu_dijkstra(graph, source) if weighted else cpu_bfs(graph, source)
-    )
-    oracle = cpu.distances if weighted else cpu.levels
-    ok = (
-        np.allclose(values, oracle)
-        if weighted
-        else np.array_equal(values, oracle)
-    )
-
-    table = Table(["metric", "value"], title=f"{algorithm.upper()} on {graph.name}")
-    table.add_row(["source", source])
-    table.add_row(["reached nodes", f"{reached} / {graph.num_nodes}"])
-    table.add_row(["iterations", traversal.num_iterations])
-    table.add_row(["simulated GPU time", format_seconds(traversal.total_seconds)])
-    table.add_row(["serial CPU baseline", format_seconds(cpu.seconds)])
-    table.add_row(["speedup", f"{cpu.seconds / traversal.total_seconds:.2f}x"])
-    _add_memory_rows(table, mem_report)
-    table.add_row(["verified vs CPU oracle", "yes" if ok else "MISMATCH"])
-    print(table.render())
-    if extra:
-        print(extra)
-    return 0 if ok else 1
-
-
-def cmd_bfs(args) -> int:
-    return _run_traversal(args, "bfs")
-
-
-def cmd_sssp(args) -> int:
-    return _run_traversal(args, "sssp")
-
-
-def _run_resilient(args, algorithm: str) -> int:
-    """Guarded execution: the reliability layer's CLI entry."""
-    from repro.engine import get_algorithm
-    from repro.reliability import GuardConfig, load_fault_plan, resilient_run
-
-    info = get_algorithm(algorithm)
-    graph, source, device = _resolve_workload(args, weighted=info.weighted)
-    source = info.resolve_source(graph, source)
-    params = _spec_params(args, info)
-    plan = load_fault_plan(args.fault_plan) if args.fault_plan else None
-    guard = GuardConfig(
-        max_retries=args.max_retries,
-        deadline_s=args.deadline,
-        checkpoint_every=args.checkpoint_every,
-        mem_budget=getattr(args, "mem_budget", None),
-    )
-    manifest_path = getattr(args, "manifest", None)
-    observer = None
-    if manifest_path:
-        from repro.obs import Observer
-
-        observer = Observer()
-    result = resilient_run(
-        graph, algorithm, source, device=device, guard=guard, plan=plan,
-        observe=observer, **params,
-    )
-
-    oracle, _ = info.cpu_run(graph, source, **params)
-    ok = _values_match(result.values, oracle)
-
-    table = Table(
-        ["metric", "value"],
-        title=f"guarded {algorithm.upper()} on {graph.name}",
-    )
-    table.add_row(["served by", result.stage])
-    table.add_row(["attempts", result.attempts])
-    table.add_row(["faults seen", result.num_faults])
-    for action, count in sorted(result.recovery_actions().items()):
-        table.add_row([f"  recovery: {action}", count])
-    table.add_row(["checkpoints saved", result.checkpoints_saved])
-    table.add_row(["checkpoint restores", result.restores])
-    table.add_row(["degraded to CPU", "yes" if result.degraded else "no"])
-    if result.oom_rung:
-        table.add_row(["OOM ladder rung", result.oom_rung])
-    _add_memory_rows(table, result.memory)
-    table.add_row(["simulated time (final attempt)", format_seconds(result.final_seconds)])
-    table.add_row(["replayed simulated time", format_seconds(result.replayed_seconds)])
-    table.add_row(["backoff wall-clock", format_seconds(result.backoff_seconds)])
-    table.add_row(["verified vs CPU oracle", "yes" if ok else "MISMATCH"])
-    print(table.render())
-    if manifest_path:
-        from repro.obs import build_manifest
-
-        manifest = build_manifest(
-            result,
-            graph=graph,
-            algorithm=algorithm,
-            mode="resilient",
-            source=source,
-            device=device,
-            observer=observer,
-        )
-        manifest.write(manifest_path)
-        print(f"[manifest written to {manifest_path}]")
-    return 0 if ok else 1
-
-
-def cmd_reliability(args) -> int:
-    return _run_resilient(args, args.algorithm)
-
-
-def _run_whole_graph(args, algorithm: str, graph, device, **params):
-    """``--mode adaptive`` or a variant code for the whole-graph
-    subcommands: returns the traversal and the decisions line."""
-    if args.mode == "adaptive":
-        result = adaptive_run(graph, algorithm, device=device, **params)
-        return result.traversal, f"decisions: {result.trace.variants_chosen()}"
-    return run_static(graph, -1, algorithm, args.mode, device=device, **params), ""
-
-
-def cmd_cc(args) -> int:
-    from repro.cpu import cpu_connected_components
-
-    graph, _, device = _resolve_workload(args, weighted=False)
-    traversal, extra = _run_whole_graph(args, "cc", graph, device)
-    cpu = cpu_connected_components(graph)
-    ok = np.array_equal(traversal.values, cpu.labels)
-
-    table = Table(["metric", "value"], title=f"connected components on {graph.name}")
-    table.add_row(["components", cpu.num_components])
-    table.add_row(["iterations", traversal.num_iterations])
-    table.add_row(["simulated GPU time", format_seconds(traversal.total_seconds)])
-    table.add_row(["serial CPU union-find", format_seconds(cpu.seconds)])
-    table.add_row(["speedup", f"{cpu.seconds / traversal.total_seconds:.2f}x"])
-    table.add_row(["verified vs union-find", "yes" if ok else "MISMATCH"])
-    print(table.render())
-    if extra:
-        print(extra)
-    return 0 if ok else 1
-
-
-def cmd_kcore(args) -> int:
-    from repro.cpu import cpu_kcore
-
-    graph, _, device = _resolve_workload(args, weighted=False)
-    traversal, extra = _run_whole_graph(args, "kcore", graph, device)
-    cpu = cpu_kcore(graph)
-    ok = bool(np.array_equal(traversal.values, cpu.coreness))
-
-    table = Table(["metric", "value"], title=f"k-core decomposition on {graph.name}")
-    table.add_row(["max core", cpu.max_core])
-    table.add_row(["peel iterations", traversal.num_iterations])
-    table.add_row(["simulated GPU time", format_seconds(traversal.total_seconds)])
-    table.add_row(["serial CPU peeling", format_seconds(cpu.seconds)])
-    table.add_row(["verified vs CPU", "yes" if ok else "MISMATCH"])
-    print(table.render())
-    if extra:
-        print(extra)
-    return 0 if ok else 1
-
-
-def cmd_pagerank(args) -> int:
-    from repro.cpu import cpu_pagerank
-
-    graph, _, device = _resolve_workload(args, weighted=False)
-    traversal, extra = _run_whole_graph(
-        args, "pagerank", graph, device, tolerance=args.tolerance
-    )
-    cpu = cpu_pagerank(graph, tolerance=args.tolerance, method="fast")
-    ok = bool(np.abs(traversal.values - cpu.ranks).max() < 1e-9)
-    top = np.argsort(traversal.values)[::-1][:5]
-
-    table = Table(["metric", "value"], title=f"PageRank on {graph.name}")
-    table.add_row(["iterations", traversal.num_iterations])
-    table.add_row(["simulated GPU time", format_seconds(traversal.total_seconds)])
-    table.add_row(["serial CPU push", format_seconds(cpu.seconds)])
-    table.add_row(["speedup", f"{cpu.seconds / traversal.total_seconds:.2f}x"])
-    table.add_row(["verified vs CPU push", "yes" if ok else "MISMATCH"])
-    table.add_row(["top nodes", " ".join(str(int(i)) for i in top)])
-    print(table.render())
-    if extra:
-        print(extra)
-    return 0 if ok else 1
-
-
-def cmd_hybrid(args) -> int:
-    from repro.core.hybrid import hybrid_run
-
-    weighted = args.algorithm == "sssp"
-    graph, source, device = _resolve_workload(args, weighted=weighted)
-    result = hybrid_run(graph, args.algorithm, source, device=device)
-    cpu = cpu_dijkstra(graph, source) if weighted else cpu_bfs(graph, source)
-    oracle = cpu.distances if weighted else cpu.levels
-    ok = (
-        np.allclose(result.values, oracle)
-        if weighted
-        else np.array_equal(result.values, oracle)
-    )
-
-    table = Table(
-        ["metric", "value"], title=f"hybrid {args.algorithm.upper()} on {graph.name}"
-    )
-    table.add_row(["iterations", len(result.devices)])
-    table.add_row(["CPU iterations", result.cpu_iterations])
-    table.add_row(["GPU iterations", result.gpu_iterations])
-    table.add_row(["device transitions", result.transitions])
-    table.add_row(["simulated time", format_seconds(result.total_seconds)])
-    table.add_row(["pure serial CPU", format_seconds(cpu.seconds)])
-    table.add_row(["verified vs CPU oracle", "yes" if ok else "MISMATCH"])
-    print(table.render())
-    return 0 if ok else 1
 
 
 def cmd_compare(args) -> int:
@@ -823,156 +681,8 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    """One traversal under full observability: metrics, spans, manifest."""
-    from repro.obs import Observer, build_manifest, export_combined_trace
-
-    if (args.graph_file is None) == (args.dataset is None):
-        print(
-            "repro profile: give a graph file or --dataset (exactly one)",
-            file=sys.stderr,
-        )
-        return 2
-    args.file = args.graph_file
-    from repro.engine import get_algorithm
-
-    info = get_algorithm(args.algorithm)
-    graph, source, device = _resolve_workload(args, weighted=info.weighted)
-    source = info.resolve_source(graph, source)
-    observer = Observer()
-    mode = args.mode
-    if mode == "adaptive" and not info.adaptive_eligible:
-        mode = "default"
-    if getattr(args, "policy", None) is not None and mode != "adaptive":
-        print(
-            "repro profile: --policy needs the adaptive runtime "
-            f"(got mode {mode})",
-            file=sys.stderr,
-        )
-        return 2
-    config = None
-    trace_obj = None
-
-    if mode == "resilient":
-        from repro.reliability import GuardConfig, load_fault_plan, resilient_run
-
-        plan = load_fault_plan(args.fault_plan) if args.fault_plan else None
-        guard = GuardConfig(mem_budget=getattr(args, "mem_budget", None))
-        result = resilient_run(
-            graph, args.algorithm, source, device=device, guard=guard,
-            plan=plan, observe=observer,
-        )
-        values = result.values
-        mem_report = result.memory
-        trace_obj = result.trace
-        inner = getattr(result.result, "traversal", result.result)
-        traversal = inner if getattr(inner, "timeline", None) is not None else None
-    elif mode == "adaptive":
-        from repro.core import adaptive_run
-
-        config = RuntimeConfig()
-        memory = _make_memory(args, device)
-        result = adaptive_run(
-            graph, args.algorithm, source, config=config, device=device,
-            memory=memory, observe=observer,
-            policy=getattr(args, "policy", None),
-        )
-        values = result.values
-        mem_report = result.memory
-        trace_obj = result.trace
-        traversal = result.traversal
-        if result.policy is not None:
-            mode = "learned"
-    elif mode == "default":
-        if info.run_default is None:
-            print(
-                f"repro profile: '{args.algorithm}' has no default driver; "
-                "use --mode adaptive or a variant code",
-                file=sys.stderr,
-            )
-            return 2
-        memory = _make_memory(args, device)
-        result = info.run_default(
-            graph, source, device=device, memory=memory, observe=observer
-        )
-        values = result.values
-        mem_report = memory.report() if memory is not None else None
-        traversal = result
-    else:
-        memory = _make_memory(args, device)
-        result = run_static(
-            graph, source, args.algorithm, mode, device=device,
-            memory=memory, observe=observer,
-        )
-        values = result.values
-        mem_report = memory.report() if memory is not None else None
-        traversal = result
-
-    manifest = build_manifest(
-        result,
-        graph=graph,
-        algorithm=args.algorithm,
-        mode=mode,
-        source=source,
-        device=device,
-        config=config,
-        observer=observer,
-    )
-    manifest.write(args.out)
-
-    if args.trace:
-        if traversal is not None:
-            export_combined_trace(
-                traversal.timeline, args.trace, trace=trace_obj,
-                observer=observer,
-            )
-        else:
-            print("[no simulated timeline to trace: CPU-degraded run]")
-
-    oracle, _ = info.cpu_run(graph, source)
-    ok = _values_match(values, oracle)
-
-    # Every number below is read back from the manifest, so the printed
-    # table and the JSON document cannot disagree.
-    summary = manifest.result
-    metrics = manifest.metrics
-
-    def metric_value(name: str, key: str = "value"):
-        return metrics.get(name, {}).get(key, 0)
-
-    table = Table(
-        ["metric", "value"],
-        title=f"profile: {args.algorithm.upper()} on {graph.name} ({mode})",
-    )
-    table.add_row(["graph digest", manifest.graph["digest"][:16]])
-    table.add_row(["source", manifest.source])
-    if "reached" in summary:
-        table.add_row(["reached nodes", f"{summary['reached']} / {graph.num_nodes}"])
-    if "iterations" in summary:
-        table.add_row(["iterations", summary["iterations"]])
-    if "total_seconds" in summary:
-        table.add_row(["simulated time", format_seconds(summary["total_seconds"])])
-    table.add_row(["kernel launches", metric_value("gpusim.kernel_launches")])
-    table.add_row(["simulated cycles", metric_value("gpusim.simulated_cycles")])
-    table.add_row(["edges scanned", metric_value("frame.edges_scanned")])
-    table.add_row(["decisions recorded", len(manifest.decisions)])
-    table.add_row(["fault events", len(manifest.faults)])
-    table.add_row(["profiler spans", len(manifest.spans)])
-    if manifest.reliability is not None:
-        table.add_row(["served by", manifest.reliability["stage"]])
-        table.add_row(["attempts", manifest.reliability["attempts"]])
-    _add_memory_rows(table, mem_report)
-    table.add_row(["verified vs CPU oracle", "yes" if ok else "MISMATCH"])
-    print(table.render())
-    print(f"[manifest written to {args.out}]")
-    if args.trace and traversal is not None:
-        print(f"[combined trace written to {args.trace} "
-              "(open in ui.perfetto.dev or chrome://tracing)]")
-    return 0 if ok else 1
-
-
 def cmd_fit_policy(args) -> int:
-    """Fit a learned decision-tree policy from profile manifests."""
+    """Fit a learned decision-tree policy from run manifests."""
     from repro.core import fit_policy, load_manifest_corpus
 
     corpus = load_manifest_corpus(args.manifests)
@@ -1545,17 +1255,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run",
-        help="run any registered algorithm by name (registry-driven)",
-        description="One registry-driven door to every algorithm: the "
-        "entry points, capability checks and CPU reference all come "
-        "from the algorithm registry (see `repro algorithms`).",
+        help="one run of any registered algorithm: --mode / --devices "
+        "pick the entry function",
+        description="One run of any registered algorithm (see `repro "
+        "algorithms`), verified against its CPU reference (exit 1 on a "
+        "mismatch).  --mode and --devices pick the entry function: "
+        "adaptive (adaptive_run), resilient (resilient_run: retry, "
+        "fallback, checkpoint restore, CPU degradation), default (the "
+        "algorithm's own driver, e.g. DO-BFS), hybrid (hybrid_run: "
+        "per-iteration CPU/GPU placement, bfs and sssp), a variant code "
+        "like U_B_QU (run_static), or --devices N (run_sharded).  A flag "
+        "the chosen mode does not read exits 2.",
     )
     _add_workload_args(p)
     p.add_argument("--algorithm", choices=algo_names, default="bfs")
     p.add_argument("--mode", default=None,
-                   help="'adaptive', 'resilient', 'default' (the algorithm's "
-                   "own driver, e.g. DO-BFS) or a variant code like U_B_QU "
-                   "(default: adaptive when eligible, else 'default')")
+                   help="'adaptive', 'resilient', 'default', 'hybrid' or a "
+                   "variant code like U_B_QU (default: adaptive when the "
+                   "algorithm is eligible, else 'default')")
     p.add_argument("--damping", type=float, default=None,
                    help="PageRank damping factor (pagerank only)")
     p.add_argument("--tolerance", type=float, default=None,
@@ -1566,69 +1283,57 @@ def build_parser() -> argparse.ArgumentParser:
                    "sharded driver on a single device, e.g. as the "
                    "bit-identity reference)")
     p.add_argument("--partition", choices=("contiguous", "balanced"),
-                   default="contiguous",
-                   help="1D vertex partitioning strategy for --devices")
+                   default=None,
+                   help="1D vertex partitioning strategy for --devices "
+                   "(default: contiguous)")
     p.add_argument("--interconnect", choices=("pcie", "nvlink"),
-                   default="pcie",
+                   default=None,
                    help="peer link pricing for frontier exchange "
-                   "(--devices)")
+                   "(--devices; default: pcie)")
     p.add_argument("--manifest", default=None, metavar="FILE",
-                   help="write the run's RunManifest JSON here (works for "
-                   "single-device and --devices runs)")
+                   help="write the run's RunManifest JSON here: config, "
+                   "graph fingerprint, decisions, metrics, spans, memory "
+                   "peaks and fault events")
+    p.add_argument("--trace", default=None, metavar="FILE",
+                   help="write the combined Perfetto/chrome-trace JSON: "
+                   "kernels, transfers, decisions, faults and profiler "
+                   "spans on one timeline (single-device modes)")
     p.add_argument("--fuse", action="store_true",
                    help="lower the run through the spec-fusion pass "
                    "(repro.engine.fusion): merge computation+generation "
                    "launches and hoist loop-invariant H2D payloads where "
-                   "the plan permits; values stay bit-identical")
+                   "the plan permits; values stay bit-identical (adaptive, "
+                   "default and variant modes)")
     p.add_argument("--policy", default=None, metavar="SPEC",
                    help="drive adaptive decisions with a fitted policy "
-                   "artifact: 'learned:<policy.json>' (see fit-policy)")
-    _add_reliability_args(p)
+                   "artifact: 'learned:<policy.json>' (see fit-policy); "
+                   "the manifest records mode 'learned' plus the digest")
+    p.add_argument("--warp-mapping", action="store_true",
+                   help="let the decision maker pick the virtual-warp "
+                   "mapping (adaptive, resilient, hybrid, --devices)")
+    p.add_argument("--fault-plan", default=None, metavar="JSON",
+                   help="fault-injection plan for --mode resilient or "
+                   "--devices: inline JSON or a file path (keys: seed, "
+                   "launch_failure_rate, memory_fault_rate, "
+                   "latency_spike_rate, latency_spike_factor, "
+                   "device_loss_rate, device, kinds, max_faults)")
+    p.add_argument("--max-retries", type=int, default=None,
+                   help="consecutive no-progress failures before degrading "
+                   "to the CPU baseline (--mode resilient, --devices; "
+                   "default: exhaust the ladder)")
+    p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+                   help="wall-clock deadline for the whole guarded query "
+                   "(--mode resilient)")
+    p.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
+                   help="checkpoint every N iterations (--mode resilient, "
+                   "--devices; default: cost-aware policy bounded by a 2%% "
+                   "overhead budget)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("characterize", help="Table-1-style graph characterization")
     _add_workload_args(p)
     p.add_argument("--diameter", action="store_true", help="estimate pseudo-diameter")
     p.set_defaults(func=cmd_characterize)
-
-    for algo, fn in (("bfs", cmd_bfs), ("sssp", cmd_sssp)):
-        p = sub.add_parser(algo, help=f"run {algo.upper()} on the simulated GPU")
-        _add_workload_args(p)
-        p.add_argument("--mode", default="adaptive",
-                       help="'adaptive', 'resilient' (guarded execution) or a "
-                       "variant code like U_B_QU")
-        p.add_argument("--t3", type=float, default=0.03, help="T3 fraction of |V|")
-        p.add_argument("--sampling-interval", type=int, default=1)
-        p.add_argument("--warp-mapping", action="store_true",
-                       help="enable the virtual-warp extension")
-        p.add_argument("--trace", default=None, metavar="FILE",
-                       help="write a chrome://tracing JSON of the traversal")
-        _add_reliability_args(p)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("cc", help="connected components (extension algorithm)")
-    _add_workload_args(p)
-    p.add_argument("--mode", default="adaptive",
-                   help="'adaptive' or an unordered variant code like U_B_QU")
-    p.set_defaults(func=cmd_cc)
-
-    p = sub.add_parser("kcore", help="k-core decomposition (extension algorithm)")
-    _add_workload_args(p)
-    p.add_argument("--mode", default="adaptive",
-                   help="'adaptive' or an unordered variant code like U_B_QU")
-    p.set_defaults(func=cmd_kcore)
-
-    p = sub.add_parser("pagerank", help="push-based PageRank (extension algorithm)")
-    _add_workload_args(p)
-    p.add_argument("--mode", default="adaptive",
-                   help="'adaptive' or an unordered variant code like U_B_QU")
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.set_defaults(func=cmd_pagerank)
-
-    p = sub.add_parser("hybrid", help="hybrid CPU-GPU execution (extension)")
-    _add_workload_args(p)
-    p.add_argument("--algorithm", choices=("bfs", "sssp"), default="sssp")
-    p.set_defaults(func=cmd_hybrid)
 
     p = sub.add_parser("compare", help="run every variant plus the adaptive runtime")
     _add_workload_args(p)
@@ -1638,54 +1343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
-        "profile",
-        help="run one traversal under full observability and write a "
-        "RunManifest (plus an optional combined Perfetto trace)",
-        description="Run one traversal with an Observer installed and "
-        "write a RunManifest: a JSON document with the run's config, "
-        "graph fingerprint, decisions, metrics snapshot, memory peaks "
-        "and fault events.  The printed table is read back from the "
-        "manifest, so the two cannot disagree.",
-    )
-    p.add_argument("graph_file", nargs="?", default=None,
-                   help="graph file (DIMACS .gr / SNAP edge list / .mtx); "
-                   "alternative to --dataset")
-    p.add_argument("--dataset", choices=dataset_keys(),
-                   default=None, help="synthetic analogue")
-    p.add_argument("--algorithm", choices=algo_names, default="bfs")
-    p.add_argument("--mode", default="adaptive",
-                   help="'adaptive', 'resilient', 'default' or a variant "
-                   "code like U_B_QU")
-    p.add_argument("--out", default="manifest.json", metavar="FILE",
-                   help="manifest output path (default: manifest.json)")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="write the combined Perfetto/chrome-trace JSON: "
-                   "kernels, transfers, decisions, faults and profiler "
-                   "spans on one timeline")
-    p.add_argument("--scale", type=float, default=0.05,
-                   help="dataset scale (fraction of paper size)")
-    p.add_argument("--seed", type=int, default=1, help="generator seed")
-    p.add_argument("--source", type=int, default=None,
-                   help="source node (default: a well-connected node)")
-    p.add_argument("--device", choices=sorted(device_registry()),
-                   default="c2070", help="simulated GPU")
-    p.add_argument("--mem-budget", default=None, metavar="SIZE",
-                   help="device-memory budget (e.g. '256M', '1G')")
-    p.add_argument("--fault-plan", default=None, metavar="JSON",
-                   help="fault-injection plan for --mode resilient "
-                   "(inline JSON or a file path)")
-    p.add_argument("--policy", default=None, metavar="SPEC",
-                   help="drive adaptive decisions with a fitted policy "
-                   "artifact: 'learned:<policy.json>' (see fit-policy); "
-                   "the manifest records mode 'learned' plus the digest")
-    p.set_defaults(func=cmd_profile, strict_io=False, lenient_io=False,
-                   max_edges=None)
-
-    p = sub.add_parser(
         "fit-policy",
-        help="fit a learned decision-tree policy from profile manifests",
+        help="fit a learned decision-tree policy from run manifests",
         description="Extract per-iteration decision features from one or "
-        "more RunManifest JSON files (repro profile --out …), label each "
+        "more RunManifest JSON files (repro run --manifest …), label each "
         "decision with the cheapest kernel variant under the cost model, "
         "and fit a small cost-sensitive decision tree.  The resulting "
         "policy.json is a versioned, digest-pinned artifact accepted by "
@@ -1846,20 +1507,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p)
     p.add_argument("--algorithm", choices=("bfs", "sssp"), default="sssp")
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser(
-        "reliability",
-        help="guarded execution under a fault plan (retry / fallback / "
-        "checkpoint restore / CPU degradation)",
-    )
-    _add_workload_args(p)
-    p.add_argument("--algorithm", choices=algo_names, default="bfs")
-    p.add_argument("--damping", type=float, default=None,
-                   help="PageRank damping factor (pagerank only)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="PageRank convergence tolerance (pagerank only)")
-    _add_reliability_args(p)
-    p.set_defaults(func=cmd_reliability)
 
     return parser
 

@@ -561,7 +561,7 @@ def fit_policy(
     if not pairs:
         raise ReproError(
             "fit-policy: empty manifest corpus (pass at least one "
-            "RunManifest JSON written by `repro profile`)"
+            "RunManifest JSON written by `repro run --manifest`)"
         )
     samples: List[TrainingSample] = []
     sources: List[dict] = []

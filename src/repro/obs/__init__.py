@@ -11,8 +11,8 @@ stack:
   wall-clock + simulated-time axis;
 - :class:`RunManifest` — one JSON document per traversal: config, graph
   fingerprint, decisions, metrics snapshot, memory peaks, fault events
-  (``repro profile`` on the CLI writes one, and benches attach them to
-  their reports);
+  (``repro run --manifest`` on the CLI writes one, and benches attach
+  them to their reports);
 - :func:`export_combined_trace` — kernels, decisions, faults and spans
   merged onto one Perfetto timeline.
 

@@ -4,8 +4,8 @@ The paper's claim — the adaptive runtime picks the right variant per
 iteration — is only checkable if every run carries its own evidence.
 A :class:`RunManifest` is that evidence in one place: the configuration
 that ran, a fingerprint of the graph it ran on, every decision the
-runtime took, a metrics snapshot, memory peaks and fault events.  The
-``repro profile`` CLI subcommand writes one per run, and
+runtime took, a metrics snapshot, memory peaks and fault events.
+``repro run --manifest FILE`` writes one per run, and
 ``benchmarks/common.write_report`` attaches them to bench results so
 every ``results/*.txt`` has a machine-readable sibling.
 

@@ -1,7 +1,7 @@
 """The chaos harness: soak the serve loop under seeded faults and
 assert the invariants a resilient service must keep.
 
-``repro chaos`` (and ``tools/chaos_serve.py``) runs two passes over the
+``repro chaos`` (``python -m repro chaos``) runs two passes over the
 same seeded query stream against the same graph:
 
 1. a **fault-free reference** — every distinct ``(algorithm, source,

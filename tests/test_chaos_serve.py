@@ -226,16 +226,6 @@ class TestServeSubprocessSoak:
         assert not by_line[3]["ok"] and "out of range" in by_line[3]["error"]
         assert by_line[4]["ok"]
 
-    def test_chaos_tool_wrapper(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "chaos_serve.py"),
-             "--queries", "12", "--nodes", "150", "--seed", "6"],
-            capture_output=True, text=True, timeout=300,
-            env={"PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "PASS" in proc.stdout
-
 
 class TestDynamicServeCli:
     """Mutation streams through the CLI: ``repro mutate``, interleaved

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -25,7 +26,7 @@ class TestParser:
     def test_dataset_and_file_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["bfs", "--dataset", "amazon", "--file", "x.gr"]
+                ["run", "--dataset", "amazon", "--file", "x.gr"]
             )
 
 
@@ -116,6 +117,86 @@ class TestRunSubcommand:
         assert doc["reliability"]["stage"] == "adaptive"
         assert doc["result"]["values_sha256"]
 
+    @pytest.mark.parametrize(
+        "flags, named, where",
+        [
+            (["--fault-plan", '{"seed": 3, "launch_failure_rate": 0.5}'],
+             "--fault-plan", "--mode adaptive"),
+            (["--deadline", "0.000001"], "--deadline", "--mode adaptive"),
+            (["--checkpoint-every", "1"], "--checkpoint-every",
+             "--mode adaptive"),
+            (["--max-retries", "0"], "--max-retries", "--mode adaptive"),
+            (["--damping", "0.5"], "--damping", "--algorithm bfs"),
+            (["--devices", "2", "--mode", "U_T_BM"], "--mode", "--devices"),
+            (["--devices", "2", "--deadline", "0.0000001",
+              "--policy", "learned:nonexistent.json"], "--policy", "--devices"),
+            (["--algorithm", "cc", "--source", "5"], "--source",
+             "--algorithm cc"),
+            (["--partition", "balanced"], "--partition", "--mode adaptive"),
+            (["--interconnect", "nvlink"], "--interconnect", "--mode adaptive"),
+            (["--devices", "2", "--trace", "t.json"], "--trace", "--devices"),
+            (["--devices", "2", "--fuse"], "--fuse", "--devices"),
+            (["--mode", "resilient", "--fuse"], "--fuse", "--mode resilient"),
+            (["--mode", "U_B_QU", "--warp-mapping"], "--warp-mapping",
+             "--mode U_B_QU"),
+            (["--algorithm", "dobfs", "--warp-mapping"], "--warp-mapping",
+             "--mode default"),
+            (["--mode", "hybrid", "--mem-budget", "64M"], "--mem-budget",
+             "--mode hybrid"),
+        ],
+    )
+    def test_unread_flag_exits_2(self, flags, named, where, capsys):
+        """A flag the chosen run mode never reads is refused up front,
+        with one stderr line naming the flag and the mode."""
+        rc = main(["run", "--dataset", "p2p", "--scale", "0.05", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"repro run: {named} is not read by {where}")
+
+    @pytest.mark.parametrize(
+        "algorithm, nudge",
+        [("sssp", lambda x: np.nextafter(x, np.inf)),
+         ("pagerank", lambda x: x + 5e-9)],
+    )
+    def test_verification_honours_cpu_exact(self, algorithm, nudge,
+                                            monkeypatch, capsys):
+        """SSSP must match Dijkstra bit for bit (one ulp off fails);
+        PageRank must match within 1e-9 (5e-9 off fails)."""
+        import repro.cli as cli_mod
+
+        real_adaptive_run = cli_mod.adaptive_run
+
+        def perturbed(*args, **kwargs):
+            result = real_adaptive_run(*args, **kwargs)
+            values = result.traversal.values
+            node = np.flatnonzero(np.isfinite(values) & (values > 0))[0]
+            values[node] = nudge(values[node])
+            return result
+
+        monkeypatch.setattr(cli_mod, "adaptive_run", perturbed)
+        rc = main(["run", "--algorithm", algorithm, "--dataset", "p2p",
+                   "--scale", "0.05"])
+        assert rc == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("warp", [False, True])
+    @pytest.mark.parametrize("devices", [[], ["--devices", "2"]])
+    def test_manifest_records_runtime_config(self, devices, warp, tmp_path):
+        import json
+
+        path = tmp_path / "manifest.json"
+        rc = main(
+            ["run", "--algorithm", "sssp", "--dataset", "citeseer",
+             "--scale", "0.05", "--seed", "1", *devices,
+             "--manifest", str(path)]
+            + (["--warp-mapping"] if warp else [])
+        )
+        assert rc == 0
+        config = json.loads(path.read_text())["config"]
+        assert config["t3_fraction"] == 0.03
+        assert config["use_warp_mapping"] is warp
+
 
 class TestCharacterize:
     def test_dataset(self, capsys):
@@ -134,28 +215,30 @@ class TestCharacterize:
 
 class TestTraversals:
     def test_bfs_adaptive(self, capsys):
-        rc = main(["bfs", "--dataset", "amazon", "--scale", "0.01"])
+        rc = main(["run", "--dataset", "amazon", "--scale", "0.01"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "verified vs CPU oracle" in out
+        assert "verified vs CPU reference" in out
         assert "MISMATCH" not in out
         assert "decisions" in out
 
     def test_sssp_static_variant(self, capsys):
-        rc = main(["sssp", "--dataset", "p2p", "--scale", "0.1", "--mode", "U_B_QU"])
+        rc = main(["run", "--algorithm", "sssp", "--dataset", "p2p",
+                   "--scale", "0.1", "--mode", "U_B_QU"])
         assert rc == 0
         assert "speedup" in capsys.readouterr().out
 
     def test_sssp_warp_mapping(self, capsys):
         rc = main(
-            ["sssp", "--dataset", "amazon", "--scale", "0.01", "--warp-mapping"]
+            ["run", "--algorithm", "sssp", "--dataset", "amazon", "--scale",
+             "0.01", "--warp-mapping"]
         )
         assert rc == 0
 
     def test_explicit_source(self, capsys):
         import re
 
-        rc = main(["bfs", "--dataset", "p2p", "--scale", "0.1", "--source", "5"])
+        rc = main(["run", "--dataset", "p2p", "--scale", "0.1", "--source", "5"])
         assert rc == 0
         assert re.search(r"source\s*\|\s*5\b", capsys.readouterr().out)
 
@@ -163,7 +246,7 @@ class TestTraversals:
         g = attach_uniform_weights(erdos_renyi_graph(60, 300, seed=1), seed=2)
         path = tmp_path / "little.gr"
         write_dimacs(g, path)
-        rc = main(["sssp", "--file", str(path)])
+        rc = main(["run", "--algorithm", "sssp", "--file", str(path)])
         assert rc == 0
         assert "little" in capsys.readouterr().out
 
@@ -197,26 +280,23 @@ class TestSweep:
 
 class TestExtensionCommands:
     def test_cc(self, capsys):
-        rc = main(["cc", "--dataset", "p2p", "--scale", "0.05"])
+        rc = main(["run", "--algorithm", "cc", "--dataset", "p2p", "--scale", "0.05"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "components" in out
         assert "MISMATCH" not in out
 
-    def test_cc_static_mode(self, capsys):
-        rc = main(["cc", "--dataset", "p2p", "--scale", "0.05", "--mode", "U_B_QU"])
-        assert rc == 0
-
     def test_kcore(self, capsys):
-        rc = main(["kcore", "--dataset", "p2p", "--scale", "0.05"])
+        rc = main(["run", "--algorithm", "kcore", "--dataset", "p2p", "--scale",
+                   "0.05"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "max core" in out
         assert "MISMATCH" not in out
 
     def test_pagerank(self, capsys):
-        rc = main(["pagerank", "--dataset", "p2p", "--scale", "0.05",
-                   "--tolerance", "1e-5"])
+        rc = main(["run", "--algorithm", "pagerank", "--dataset", "p2p",
+                   "--scale", "0.05", "--tolerance", "1e-5"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "top nodes" in out
@@ -224,8 +304,8 @@ class TestExtensionCommands:
 
     def test_hybrid(self, capsys):
         rc = main(
-            ["hybrid", "--dataset", "co-road", "--scale", "0.01",
-             "--algorithm", "bfs"]
+            ["run", "--mode", "hybrid", "--dataset", "co-road", "--scale",
+             "0.01", "--algorithm", "bfs"]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -245,7 +325,7 @@ class TestExtensionCommands:
 
         path = tmp_path / "t.json"
         rc = main(
-            ["bfs", "--dataset", "p2p", "--scale", "0.05", "--trace", str(path)]
+            ["run", "--dataset", "p2p", "--scale", "0.05", "--trace", str(path)]
         )
         assert rc == 0
         doc = json.loads(path.read_text())
@@ -258,7 +338,8 @@ class TestReliability:
     )
 
     def test_reliability_subcommand_fault_free(self, capsys):
-        rc = main(["reliability", "--dataset", "p2p", "--scale", "0.1"])
+        rc = main(["run", "--mode", "resilient", "--dataset", "p2p", "--scale",
+                   "0.1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "served by" in out
@@ -266,7 +347,7 @@ class TestReliability:
 
     def test_reliability_with_fault_plan(self, capsys):
         rc = main(
-            ["reliability", "--dataset", "p2p", "--scale", "0.1",
+            ["run", "--mode", "resilient", "--dataset", "p2p", "--scale", "0.1",
              "--algorithm", "sssp", "--fault-plan", self.PLAN,
              "--checkpoint-every", "2"]
         )
@@ -277,7 +358,7 @@ class TestReliability:
 
     def test_resilient_mode_on_bfs(self, capsys):
         rc = main(
-            ["bfs", "--dataset", "p2p", "--scale", "0.1",
+            ["run", "--dataset", "p2p", "--scale", "0.1",
              "--mode", "resilient", "--fault-plan", self.PLAN]
         )
         assert rc == 0
@@ -335,7 +416,7 @@ class TestExitCodes:
         # source beyond the graph is a ReproError: one line on stderr,
         # exit code 2
         rc = main(
-            ["bfs", "--dataset", "p2p", "--scale", "0.05",
+            ["run", "--dataset", "p2p", "--scale", "0.05",
              "--source", "99999999"]
         )
         assert rc == 2
@@ -345,15 +426,16 @@ class TestExitCodes:
 
     def test_bad_fault_plan_exits_2(self, capsys):
         rc = main(
-            ["reliability", "--dataset", "p2p", "--scale", "0.05",
-             "--fault-plan", "{bad json"]
+            ["run", "--mode", "resilient", "--dataset", "p2p",
+             "--scale", "0.05", "--fault-plan", "{bad json"]
         )
         assert rc == 2
         assert "repro: error:" in capsys.readouterr().err
 
     def test_fault_plan_unknown_key_named(self, capsys):
         rc = main(
-            ["reliability", "--dataset", "p2p", "--scale", "0.05",
+            ["run", "--mode", "resilient", "--dataset", "p2p",
+             "--scale", "0.05",
              "--fault-plan", '{"seed": 1, "lunch_failure_rate": 0.1}']
         )
         assert rc == 2
@@ -364,8 +446,8 @@ class TestExitCodes:
 
     def test_fault_plan_unknown_kind_named(self, capsys):
         rc = main(
-            ["reliability", "--dataset", "p2p", "--scale", "0.05",
-             "--fault-plan", '{"kinds": ["cosmic_ray"]}']
+            ["run", "--mode", "resilient", "--dataset", "p2p",
+             "--scale", "0.05", "--fault-plan", '{"kinds": ["cosmic_ray"]}']
         )
         assert rc == 2
         err = capsys.readouterr().err
@@ -393,7 +475,7 @@ class TestExitCodes:
 class TestMemoryBudgetFlags:
     def test_ample_budget_reports_memory(self, capsys):
         rc = main(
-            ["bfs", "--dataset", "p2p", "--scale", "0.05",
+            ["run", "--dataset", "p2p", "--scale", "0.05",
              "--mem-budget", "64M"]
         )
         assert rc == 0
@@ -404,7 +486,7 @@ class TestMemoryBudgetFlags:
 
     def test_oom_exits_2_with_one_line_stderr(self, capsys):
         rc = main(
-            ["bfs", "--dataset", "p2p", "--scale", "0.05",
+            ["run", "--dataset", "p2p", "--scale", "0.05",
              "--mem-budget", "1k"]
         )
         assert rc == 2
@@ -420,7 +502,7 @@ class TestMemoryBudgetFlags:
         graph = make_dataset("p2p", scale=0.05, weighted=False, seed=1)
         budget = graph.device_bytes() + traversal_state_bytes(graph.num_nodes) + 16
         rc = main(
-            ["bfs", "--dataset", "p2p", "--scale", "0.05",
+            ["run", "--dataset", "p2p", "--scale", "0.05",
              "--mode", "resilient", "--mem-budget", str(budget)]
         )
         assert rc == 0
@@ -431,7 +513,7 @@ class TestMemoryBudgetFlags:
 
     def test_bad_budget_spec_exits_2(self, capsys):
         rc = main(
-            ["bfs", "--dataset", "p2p", "--scale", "0.05",
+            ["run", "--dataset", "p2p", "--scale", "0.05",
              "--mem-budget", "lots"]
         )
         assert rc == 2
@@ -447,7 +529,7 @@ class TestIngestionFlags:
         return str(path)
 
     def test_strict_io_exits_2_naming_file_and_line(self, tmp_path, capsys):
-        rc = main(["bfs", "--file", self._messy_file(tmp_path),
+        rc = main(["run", "--file", self._messy_file(tmp_path),
                    "--source", "0", "--strict-io"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -456,7 +538,7 @@ class TestIngestionFlags:
         assert len(err.strip().splitlines()) == 1
 
     def test_lenient_io_repairs_and_reports(self, tmp_path, capsys):
-        rc = main(["bfs", "--file", self._messy_file(tmp_path),
+        rc = main(["run", "--file", self._messy_file(tmp_path),
                    "--source", "0", "--lenient-io"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -464,7 +546,7 @@ class TestIngestionFlags:
         assert "self-loops 1" in out
 
     def test_max_edges_exits_2(self, tmp_path, capsys):
-        rc = main(["bfs", "--file", self._messy_file(tmp_path),
+        rc = main(["run", "--file", self._messy_file(tmp_path),
                    "--source", "0", "--max-edges", "1"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -474,7 +556,7 @@ class TestIngestionFlags:
     def test_strict_and_lenient_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["bfs", "--dataset", "p2p", "--strict-io", "--lenient-io"]
+                ["run", "--dataset", "p2p", "--strict-io", "--lenient-io"]
             )
 
 
@@ -483,7 +565,7 @@ class TestProfile:
 
     def test_adaptive_profile_writes_manifest(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"
-        rc = main(["profile", self.EXAMPLE, "--out", str(out)])
+        rc = main(["run", "--file", self.EXAMPLE, "--manifest", str(out)])
         assert rc == 0
         assert out.exists()
         from repro.obs import RunManifest
@@ -506,7 +588,7 @@ class TestProfile:
 
         out = tmp_path / "manifest.json"
         trace = tmp_path / "trace.json"
-        rc = main(["profile", self.EXAMPLE, "--out", str(out),
+        rc = main(["run", "--file", self.EXAMPLE, "--manifest", str(out),
                    "--trace", str(trace)])
         assert rc == 0
         with open(trace) as fh:
@@ -518,22 +600,26 @@ class TestProfile:
         assert TID_SPANS in tids
 
     def test_requires_exactly_one_input(self, tmp_path, capsys):
-        assert main(["profile"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "graph file or --dataset" in err
-        assert main(["profile", self.EXAMPLE, "--dataset", "p2p"]) == 2
+        assert "--dataset --file" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--file", self.EXAMPLE, "--dataset", "p2p"])
+        assert exc.value.code == 2
 
     def test_dataset_input(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"
-        rc = main(["profile", "--dataset", "p2p", "--scale", "0.05",
-                   "--out", str(out)])
+        rc = main(["run", "--dataset", "p2p", "--scale", "0.05",
+                   "--manifest", str(out)])
         assert rc == 0
         assert out.exists()
 
     def test_resilient_mode(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"
-        rc = main(["profile", self.EXAMPLE, "--mode", "resilient",
-                   "--out", str(out)])
+        rc = main(["run", "--file", self.EXAMPLE, "--mode", "resilient",
+                   "--manifest", str(out)])
         assert rc == 0
         from repro.obs import RunManifest
 
@@ -545,8 +631,8 @@ class TestProfile:
 
     def test_static_mode(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"
-        rc = main(["profile", self.EXAMPLE, "--mode", "U_B_QU",
-                   "--out", str(out)])
+        rc = main(["run", "--file", self.EXAMPLE, "--mode", "U_B_QU",
+                   "--manifest", str(out)])
         assert rc == 0
         from repro.obs import RunManifest
 
@@ -554,8 +640,8 @@ class TestProfile:
 
     def test_sssp_profile(self, tmp_path):
         out = tmp_path / "manifest.json"
-        rc = main(["profile", "--dataset", "p2p", "--scale", "0.05",
-                   "--algorithm", "sssp", "--out", str(out)])
+        rc = main(["run", "--dataset", "p2p", "--scale", "0.05",
+                   "--algorithm", "sssp", "--manifest", str(out)])
         assert rc == 0
         from repro.obs import RunManifest
 
@@ -568,7 +654,7 @@ class TestProfile:
 
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exc:
-            main(["profile", "--help"])
+            main(["run", "--help"])
         assert exc.value.code == 0
         help_text = capsys.readouterr().out.strip()
 
@@ -578,7 +664,7 @@ class TestProfile:
         )
         with open(doc_path, encoding="utf-8") as fh:
             doc = fh.read()
-        match = re.search(r"```text\n(usage: repro profile.*?)```", doc, re.S)
+        match = re.search(r"```text\n(usage: repro run.*?)```", doc, re.S)
         assert match, "docs/observability.md lost its pasted --help block"
         assert match.group(1).strip() == help_text
 
@@ -590,9 +676,9 @@ class TestFitPolicy:
         paths = []
         for key, seed in (("citeseer", 1), ("p2p", 2)):
             path = root / f"{key}.json"
-            rc = main(["profile", "--dataset", key, "--scale", "0.05",
+            rc = main(["run", "--dataset", key, "--scale", "0.05",
                        "--seed", str(seed), "--algorithm", "sssp",
-                       "--out", str(path)])
+                       "--manifest", str(path)])
             assert rc == 0
             paths.append(str(path))
         return paths
@@ -632,9 +718,9 @@ class TestFitPolicy:
         policy = tmp_path / "policy.json"
         assert main(["fit-policy", *manifests, "--out", str(policy)]) == 0
         out = tmp_path / "manifest.json"
-        rc = main(["profile", "--dataset", "citeseer", "--scale", "0.05",
+        rc = main(["run", "--dataset", "citeseer", "--scale", "0.05",
                    "--algorithm", "sssp", "--policy", f"learned:{policy}",
-                   "--out", str(out)])
+                   "--manifest", str(out)])
         assert rc == 0
         from repro.core import load_policy
         from repro.obs import RunManifest
@@ -712,7 +798,7 @@ class TestBatchCommand:
         assert ":1:" in capsys.readouterr().err
 
     def test_source_out_of_range_exits_2(self, tmp_path, capsys):
-        rc = main(["bfs", "--file", self._graph_file(tmp_path),
+        rc = main(["run", "--file", self._graph_file(tmp_path),
                    "--source", "99"])
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
