@@ -50,6 +50,7 @@ from repro.graph.properties import (
     characterize,
     largest_out_component_node,
     out_degree_histogram,
+    sorted_unique,
 )
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import device_registry
@@ -301,7 +302,7 @@ _FLAG_DOORS = {
 #: The row a whole-graph algorithm adds to the run table, computed from
 #: the result values.
 _SUMMARY_ROWS = {
-    "cc": ("components", lambda v: len(np.unique(v))),
+    "cc": ("components", lambda v: len(sorted_unique(v))),
     "kcore": ("max core", lambda v: int(np.max(v, initial=0))),
     "pagerank": (
         "top nodes",

@@ -48,6 +48,7 @@ from repro.core.policies import AdaptivePolicy
 from repro.errors import ReproError, RuntimeConfigError
 from repro.gpusim.device import DeviceSpec, TESLA_C2070, device_registry
 from repro.gpusim.kernel import CostModel, CostParams
+from repro.graph.properties import sorted_unique
 from repro.kernels import costs as kcosts
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Mapping, Variant, unordered_variants
@@ -106,7 +107,7 @@ def _surrogate_frontier(
     allow while summing to ``round(workset_size * avg_out_degree)``.
     """
     size = max(1, min(int(workset_size), int(num_nodes)))
-    ids = np.unique(
+    ids = sorted_unique(
         np.linspace(0, max(0, num_nodes - 1), size).round().astype(np.int64)
     )
     edges = int(round(size * max(0.0, avg_out_degree)))
@@ -324,7 +325,7 @@ def _impurity_split(
     such plateaus and lets regret-improving splits reappear deeper."""
     labels = np.argmin(regret_matrix, axis=1)
     weights = regret_matrix.max(axis=1)
-    if np.unique(labels).size < 2 or weights.sum() <= 0:
+    if sorted_unique(labels).size < 2 or weights.sum() <= 0:
         return None
     n = X.shape[0]
     num_classes = regret_matrix.shape[1]

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
 from repro.graph.csr import CSRGraph
-from repro.graph.properties import _ragged_gather_indices
+from repro.graph.properties import _ragged_gather_indices, sorted_unique
 
 __all__ = ["CpuBfsResult", "cpu_bfs"]
 
@@ -60,7 +60,7 @@ def cpu_bfs(
         if idx.size == 0:
             break
         neigh = cols[idx]
-        fresh = np.unique(neigh[levels[neigh] == UNREACHED])
+        fresh = sorted_unique(neigh[levels[neigh] == UNREACHED])
         if fresh.size == 0:
             break
         levels[fresh] = level

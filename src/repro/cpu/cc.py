@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
 from repro.graph.csr import CSRGraph
+from repro.graph.properties import sorted_unique
 from repro.graph.transforms import edge_arrays
 
 __all__ = ["CpuCcResult", "cpu_connected_components"]
@@ -75,7 +76,7 @@ def cpu_connected_components(
         labels = comp_min[roots]
     else:
         labels = np.empty(0, dtype=np.int64)
-    num_components = int(np.unique(labels).size) if n else 0
+    num_components = int(sorted_unique(labels).size) if n else 0
 
     # Pricing: a find chain step costs about an edge scan (pointer chase);
     # unions are node updates.

@@ -28,7 +28,7 @@ import numpy as np
 from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
-from repro.graph.properties import _ragged_gather_indices
+from repro.graph.properties import _ragged_gather_indices, sorted_unique
 
 __all__ = ["CpuSsspResult", "cpu_dijkstra", "cpu_bellman_ford"]
 
@@ -198,7 +198,7 @@ def _bellman_distances(
         before = dist[dsts].copy()
         np.minimum.at(dist, dsts, cand)
         improved = dist[dsts] < before
-        frontier = np.unique(dsts[improved])
+        frontier = sorted_unique(dsts[improved])
     return dist
 
 
@@ -227,7 +227,7 @@ def cpu_bellman_ford(
         before = dist[dsts].copy()
         np.minimum.at(dist, dsts, cand)
         improved = dist[dsts] < before
-        frontier = np.unique(dsts[improved])
+        frontier = sorted_unique(dsts[improved])
     seconds = cpu.bellman_ford_seconds(relaxations, node_visits, n)
     return CpuSsspResult(
         distances=dist,

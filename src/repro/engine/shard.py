@@ -64,6 +64,7 @@ from repro.errors import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphShard, partition_graph
+from repro.graph.properties import sorted_unique
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.interconnect import (
@@ -734,7 +735,7 @@ def _execute_round(
     for run, updated, _ in proposals:
         owners = np.searchsorted(bounds, updated, side="right") - 1
         src_dev = run.device_index
-        for owner_index in np.unique(owners):
+        for owner_index in sorted_unique(owners):
             owner_run = runs[int(owner_index)]
             if owner_run.shard.shard_index == run.shard.shard_index:
                 continue

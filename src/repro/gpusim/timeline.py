@@ -33,11 +33,28 @@ class KernelRecord:
 
 @dataclass
 class Timeline:
-    """Accumulates kernels, transfers and host-side costs in order."""
+    """Accumulates kernels, transfers and host-side costs in order.
+
+    :meth:`add_kernel` and :meth:`add_transfer` keep running totals: a
+    long run reads its totals every iteration, and re-summing every
+    record on each read made a run quadratic in its length.  The totals
+    add the records' seconds left to right from zero, which is what the
+    golden fixtures hold (and what ``sum()`` computed before Python
+    3.12 switched to compensated float summation).
+    """
 
     kernels: List[KernelRecord] = field(default_factory=list)
     transfers: List[TransferRecord] = field(default_factory=list)
     host_seconds: float = 0.0
+    _gpu_seconds: float = field(init=False, repr=False)
+    _transfer_seconds: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._gpu_seconds = self._transfer_seconds = 0
+        for record in self.kernels:
+            self._gpu_seconds += record.seconds
+        for record in self.transfers:
+            self._transfer_seconds += record.seconds
 
     def add_kernel(
         self,
@@ -48,10 +65,12 @@ class Timeline:
     ) -> KernelRecord:
         record = KernelRecord(iteration=iteration, tally=tally, cost=cost, variant=variant)
         self.kernels.append(record)
+        self._gpu_seconds += record.seconds
         return record
 
     def add_transfer(self, record: TransferRecord) -> None:
         self.transfers.append(record)
+        self._transfer_seconds += record.seconds
 
     def add_host_seconds(self, seconds: float) -> None:
         if seconds < 0:
@@ -64,11 +83,11 @@ class Timeline:
 
     @property
     def gpu_seconds(self) -> float:
-        return sum(k.seconds for k in self.kernels)
+        return self._gpu_seconds
 
     @property
     def transfer_seconds(self) -> float:
-        return sum(t.seconds for t in self.transfers)
+        return self._transfer_seconds
 
     @property
     def total_seconds(self) -> float:

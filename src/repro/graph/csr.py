@@ -14,6 +14,7 @@ system.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional
 
 import numpy as np
@@ -50,7 +51,9 @@ class CSRGraph:
         consistency; disable only for trusted, hot construction paths.
     """
 
-    __slots__ = ("_row_offsets", "_col_indices", "_weights", "name", "_out_degrees")
+    __slots__ = (
+        "_row_offsets", "_col_indices", "_weights", "name", "_out_degrees", "_digest"
+    )
 
     def __init__(
         self,
@@ -78,6 +81,7 @@ class CSRGraph:
         self._weights = weights
         self.name = name
         self._out_degrees: Optional[np.ndarray] = None
+        self._digest: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -193,6 +197,22 @@ class CSRGraph:
     def out_degree(self, node: int) -> int:
         self._check_node(node)
         return int(self._row_offsets[node + 1] - self._row_offsets[node])
+
+    def _content_digest(self) -> str:
+        """blake2b digest of the CSR arrays (row offsets, column indices,
+        weights), hashed on first use and kept: the arrays are read-only.
+
+        Run manifests fingerprint graphs by it and session caches key
+        them by it.
+        """
+        if self._digest is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(self._row_offsets)
+            h.update(self._col_indices)
+            if self._weights is not None:
+                h.update(self._weights)
+            self._digest = h.hexdigest()
+        return self._digest
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:

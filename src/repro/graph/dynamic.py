@@ -53,6 +53,7 @@ from repro.errors import GraphError, GraphFormatError
 from repro.graph.builder import from_edge_list
 from repro.graph.csr import CSRGraph, INDEX_DTYPE, WEIGHT_DTYPE
 from repro.graph.io import IngestLimits, _MODES
+from repro.graph.properties import sorted_unique
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.transfer import TransferRecord, record_transfer
 from repro.obs.context import current_observer
@@ -529,7 +530,7 @@ class DeltaOverlayGraph:
                 ]
         base = self.base
         pu = pairs // n
-        rows = np.unique(pu[pu < base.num_nodes])
+        rows = sorted_unique(pu[pu < base.num_nodes])
         slots = _ranges(base.row_offsets[rows], base.row_offsets[rows + 1])
         key = np.repeat(rows * n, base.out_degrees[rows]) + base.col_indices[slots]
         order = np.argsort(key, kind="stable")

@@ -109,7 +109,7 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
             break
         idx = _ragged_gather_indices(starts, ends)
         neigh = cols[idx]
-        fresh = np.unique(neigh[levels[neigh] == -1])
+        fresh = sorted_unique(neigh[levels[neigh] == -1])
         if fresh.size == 0:
             break
         levels[fresh] = level
@@ -121,26 +121,38 @@ def _ragged_gather_indices(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Indices covering ``[starts[i], ends[i])`` for all i, concatenated.
 
     Vectorized replacement for ``np.concatenate([np.arange(s, e) ...])``.
-    Zero-length segments are skipped (they would otherwise corrupt the
-    difference-encoding trick below).
+    Slot ``j`` of segment ``i`` holds ``starts[i] + j``: each segment's
+    start, less the output position where the segment begins, repeated
+    over the segment and added to the output position.  Empty (and
+    inverted) segments repeat zero times.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    lengths = ends - starts
-    nonzero = lengths > 0
-    if not nonzero.all():
-        starts, ends, lengths = starts[nonzero], ends[nonzero], lengths[nonzero]
+    lengths = np.maximum(np.asarray(ends, dtype=np.int64) - starts, 0)
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    # Difference encoding: ones everywhere, with each segment's first slot
-    # holding the jump from the previous segment's last index.
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    boundaries = np.cumsum(lengths)[:-1]
-    if boundaries.size:
-        out[boundaries] = starts[1:] - (ends[:-1] - 1)
-    return np.cumsum(out)
+    first_slot = np.cumsum(lengths) - lengths
+    out = np.repeat(starts - first_slot, lengths)
+    out += np.arange(total, dtype=np.int64)
+    return out
+
+
+def sorted_unique(values) -> np.ndarray:
+    """``np.unique(values)`` for integer arrays, by sort and compare.
+
+    Recent NumPy releases hash integer input in ``np.unique``.  On the
+    id arrays this package dedupes (frontiers, ghost sets, touched
+    destinations, most of them already sorted or nearly so) that is an
+    order of magnitude slower than one sort plus a neighbour compare.
+    The result is sorted, flat and keeps the input dtype.
+    """
+    arr = np.sort(np.asarray(values).ravel())
+    if arr.size > 1:
+        keep = np.empty(arr.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+        arr = arr[keep]
+    return arr
 
 
 def reachable_count(graph: CSRGraph, source: int) -> int:
@@ -180,8 +192,8 @@ def is_symmetric(graph: CSRGraph) -> bool:
     n = graph.num_nodes
     src = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees)
     dst = graph.col_indices.astype(np.int64)
-    fwd = np.unique(src * n + dst)
-    bwd = np.unique(dst * n + src)
+    fwd = sorted_unique(src * n + dst)
+    bwd = sorted_unique(dst * n + src)
     return fwd.size == bwd.size and bool(np.array_equal(fwd, bwd))
 
 
@@ -200,7 +212,7 @@ def largest_out_component_node(graph: CSRGraph, *, samples: int = 8, seed: SeedL
     # almost surely inside the giant component.
     candidates = np.append(candidates, int(np.argmax(graph.out_degrees)))
     best_node, best_count = int(candidates[0]), -1
-    for cand in np.unique(candidates):
+    for cand in sorted_unique(candidates):
         count = reachable_count(graph, int(cand))
         if count > best_count:
             best_node, best_count = int(cand), count

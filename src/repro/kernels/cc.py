@@ -36,7 +36,7 @@ from repro.graph.properties import is_symmetric
 from repro.graph.transforms import symmetrize
 from repro.gpusim.device import DeviceSpec
 from repro.kernels import costs
-from repro.kernels.computation import _gather_edges
+from repro.kernels.computation import _gather_edges, _scatter_min
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Variant
 from repro.kernels.workset import Workset
@@ -63,14 +63,7 @@ def cc_step(
     idx, dst, degrees = _gather_edges(graph, frontier)
     cand = np.repeat(labels[frontier], degrees)
 
-    improving = cand < labels[dst]
-    improved_count = int(improving.sum())
-    if improved_count:
-        before = labels.copy()
-        np.minimum.at(labels, dst[improving], cand[improving])
-        updated = np.flatnonzero(labels < before).astype(np.int64)
-    else:
-        updated = np.empty(0, dtype=np.int64)
+    updated, improved_count = _scatter_min(labels, dst, cand < labels[dst], cand)
 
     shape = ComputationShape(
         name=name,

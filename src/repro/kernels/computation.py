@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
-from repro.graph.properties import _ragged_gather_indices
+from repro.graph.properties import _ragged_gather_indices, sorted_unique
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
 from repro.kernels import costs
@@ -42,6 +42,8 @@ __all__ = [
 
 UNSET_LEVEL = np.int64(-1)
 INF = np.float64(np.inf)
+#: UNSET_LEVEL seen through a uint64 view of the levels: the largest value
+_UNSET_UNSIGNED = np.iinfo(np.uint64).max
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,40 @@ class StepResult:
 
 
 def _gather_edges(graph: CSRGraph, nodes: np.ndarray):
-    """Edge indices, destinations and per-node degrees for *nodes*."""
+    """Edge indices, destinations and per-node degrees for *nodes*.
+
+    Destinations are widened to int64 once: NumPy indexes with int32
+    ids through a casting path that costs more than the copy, and every
+    relaxation indexes the value array with them.
+    """
     starts = graph.row_offsets[nodes]
     ends = graph.row_offsets[nodes + 1]
-    degrees = (ends - starts).astype(np.int64)
+    degrees = ends - starts
     idx = _ragged_gather_indices(starts, ends)
     return idx, graph.col_indices[idx].astype(np.int64), degrees
+
+
+def _scatter_min(values: np.ndarray, dst: np.ndarray, improving: np.ndarray, cand):
+    """Lower ``values`` at the improving edges' destinations to their
+    candidates (the minimum per destination).
+
+    Returns ``(updated, improved_count)``.  Every improving candidate
+    lies strictly below its destination's value, so the distinct touched
+    destinations are exactly the nodes that changed: the update vector,
+    found without a |V|-wide copy and compare.  A scalar *cand* (one
+    candidate for every edge) is a plain store.
+    """
+    # Positions, then takes: boolean-mask indexing is several times
+    # slower on the mixed masks a relaxation produces.
+    hit = np.flatnonzero(improving)
+    if hit.size == 0:
+        return np.empty(0, dtype=np.int64), 0
+    touched = dst[hit]
+    if np.ndim(cand):
+        np.minimum.at(values, touched, cand[hit])
+    else:
+        values[touched] = cand
+    return sorted_unique(touched), int(hit.size)
 
 
 # ----------------------------------------------------------------------
@@ -81,33 +111,29 @@ def bfs_relax(
 ):
     """The BFS relaxation itself, independent of the execution substrate.
 
-    Mutates *levels* in place and returns
+    Mutates *levels* (int64, ``-1`` unset) in place and returns
     ``(updated_ids, degrees, improved_count, edges_scanned)``.  Shared by
     the simulated GPU kernels and the hybrid runtime's CPU iterations.
-    """
-    idx, dst, degrees = _gather_edges(graph, frontier)
-    cand = np.repeat(levels[frontier] + 1, degrees)
 
-    old = levels[dst]
-    if ordered:
-        improving = old == UNSET_LEVEL
+    Levels are compared as uint64, where unset (-1) is the largest
+    value, so "unset or worse" is one compare.  A level-synchronous
+    frontier (every node on one level, the only kind a from-scratch BFS
+    produces) offers a single candidate level; a mixed one (incremental
+    seeding) offers one per edge and keeps the minimum per destination.
+    """
+    if levels.dtype != np.int64:
+        raise KernelError(f"BFS levels must be int64, got {levels.dtype}")
+    idx, dst, degrees = _gather_edges(graph, frontier)
+    base = levels[frontier]
+    if base.size and (base != base[0]).any():
+        cand = np.repeat(base + 1, degrees).view(np.uint64)
     else:
-        improving = (old == UNSET_LEVEL) | (cand < old)
-    improved_count = int(improving.sum())
-    touched = dst[improving]
-    if touched.size:
-        # Apply the minimum candidate per destination; UNSET maps to +inf
-        # so first touches and improvements are handled uniformly.
-        big = np.iinfo(np.int64).max
-        before = np.where(levels == UNSET_LEVEL, big, levels)
-        work = before.copy()
-        np.minimum.at(work, touched, cand[improving])
-        changed = work < before
-        levels[changed] = work[changed]
-        updated = np.flatnonzero(changed).astype(np.int64)
-    else:
-        updated = np.empty(0, dtype=np.int64)
-    return updated, degrees, improved_count, int(idx.size)
+        cand = int(base[0]) + 1 if base.size else 0
+    unsigned = levels.view(np.uint64)
+    old = unsigned[dst]
+    improving = old == _UNSET_UNSIGNED if ordered else old > cand
+    updated, improved = _scatter_min(unsigned, dst, improving, cand)
+    return updated, degrees, improved, int(idx.size)
 
 
 def bfs_step(
@@ -162,18 +188,11 @@ def sssp_relax(graph: CSRGraph, frontier: np.ndarray, dist: np.ndarray):
     ``(updated_ids, degrees, improved_count, edges_scanned)``.
     """
     idx, dst, degrees = _gather_edges(graph, frontier)
-    cand = np.repeat(dist[frontier], degrees) + graph.weights[idx]
+    cand = np.repeat(dist[frontier], degrees)
+    cand += graph.weights[idx]
 
-    improving = cand < dist[dst]
-    improved_count = int(improving.sum())
-    touched = dst[improving]
-    if touched.size:
-        before = dist.copy()
-        np.minimum.at(dist, touched, cand[improving])
-        updated = np.flatnonzero(dist < before).astype(np.int64)
-    else:
-        updated = np.empty(0, dtype=np.int64)
-    return updated, degrees, improved_count, int(idx.size)
+    updated, improved = _scatter_min(dist, dst, cand < dist[dst], cand)
+    return updated, degrees, improved, int(idx.size)
 
 
 def sssp_step(
@@ -297,7 +316,7 @@ def sssp_ordered_step(
 
     # Settle: nodes whose distance is still unset take the min key; stale
     # pairs (node already settled via a shorter path) are dropped.
-    fresh = np.unique(selected[~np.isfinite(state.dist[selected])])
+    fresh = sorted_unique(selected[~np.isfinite(state.dist[selected])])
     state.dist[fresh] = min_key
 
     improved_count = 0
@@ -348,7 +367,9 @@ def sssp_ordered_step(
         degrees=degrees_all,
         edge_cost=costs.C_EDGE_WEIGHTED,
         improved=improved_count,
-        updated_count=max(1, int(np.unique(ins_nodes).size)) if ins_nodes.size else 0,
+        updated_count=(
+            max(1, int(sorted_unique(ins_nodes).size)) if ins_nodes.size else 0
+        ),
         guard_cost=costs.C_PAIR_CHECK,
         weight_streams=1,
     )

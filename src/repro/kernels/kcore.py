@@ -29,7 +29,11 @@ from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
-from repro.graph.properties import _ragged_gather_indices, is_symmetric
+from repro.graph.properties import (
+    _ragged_gather_indices,
+    is_symmetric,
+    sorted_unique,
+)
 from repro.graph.transforms import symmetrize
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
@@ -77,7 +81,7 @@ def kcore_peel_step(
         np.subtract.at(degree, neigh, 1)
         crossed = before & (degree[neigh] < k)
         improved = int(crossed.sum())
-        candidates = np.unique(neigh[(degree[neigh] < k)])
+        candidates = sorted_unique(neigh[(degree[neigh] < k)])
         updated = candidates[alive[candidates]].astype(np.int64)
     else:
         updated = np.empty(0, dtype=np.int64)

@@ -30,7 +30,7 @@ from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
-from repro.graph.properties import _ragged_gather_indices
+from repro.graph.properties import _ragged_gather_indices, sorted_unique
 from repro.gpusim.device import DeviceSpec
 from repro.kernels import costs
 from repro.kernels.computation import StepResult
@@ -84,7 +84,7 @@ def pagerank_step(
         np.add.at(residual, dst, share)
         crossed = before & (residual[dst] >= tolerance)
         improved = int(crossed.sum())
-        updated = np.unique(dst[residual[dst] >= tolerance])
+        updated = sorted_unique(dst[residual[dst] >= tolerance])
     else:
         updated = np.empty(0, dtype=np.int64)
     # Frontier members whose residual was re-raised above tolerance by

@@ -39,6 +39,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.scan import scan_tallies
+from repro.graph.properties import sorted_unique
 from repro.kernels import costs
 from repro.kernels.variants import WorksetRepr
 
@@ -87,10 +88,14 @@ class Workset:
     def from_update_ids(
         cls, updated: np.ndarray, representation: WorksetRepr
     ) -> "Workset":
-        """Materialize the next working set from updated node ids."""
+        """Materialize the next working set from updated node ids.
+
+        Every relaxation already returns its updates strictly ascending;
+        only other id lists pay for the sort-based dedupe.
+        """
         arr = np.asarray(updated, dtype=np.int64).ravel()
-        if arr.size > 1:
-            arr = np.unique(arr)
+        if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
+            arr = sorted_unique(arr)
         return cls(nodes=arr, representation=representation)
 
 

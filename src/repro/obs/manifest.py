@@ -148,20 +148,17 @@ def graph_fingerprint(graph: CSRGraph) -> dict:
     The digest hashes the CSR arrays themselves (row offsets, column
     indices, weights), so two runs claiming the same fingerprint really
     traversed the same graph — scale, seed and repair differences all
-    change the digest.
+    change the digest.  Each :class:`CSRGraph` hashes its arrays once
+    and keeps the digest, so fingerprinting the same graph object again
+    is free.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(graph.row_offsets.tobytes())
-    h.update(graph.col_indices.tobytes())
-    if graph.weights is not None:
-        h.update(graph.weights.tobytes())
     return {
         "name": graph.name,
         "num_nodes": int(graph.num_nodes),
         "num_edges": int(graph.num_edges),
         "avg_out_degree": float(round(graph.avg_out_degree, 6)),
         "weighted": bool(graph.has_weights),
-        "digest": h.hexdigest(),
+        "digest": graph._content_digest(),
     }
 
 

@@ -116,7 +116,7 @@ def degree_histogram_bins(max_degree: int, n_bins: int = 16) -> np.ndarray:
     else:
         edges[-1] = max_degree + 1
     # Deduplicate in the degenerate max_degree == 0 case.
-    out = np.unique(np.asarray(edges, dtype=np.int64))
+    out = np.asarray(sorted(set(edges)), dtype=np.int64)
     if out.size < 2:
         out = np.array([0, 1], dtype=np.int64)
     return out

@@ -1,6 +1,10 @@
 """Tests for repro.gpusim.reduction, repro.gpusim.scan,
 repro.gpusim.transfer and repro.gpusim.timeline."""
 
+import dataclasses
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,7 @@ from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.reduction import plan_reduction, reduce_min, reduction_tallies
 from repro.gpusim.scan import exclusive_scan, scan_tallies
 from repro.gpusim.timeline import Timeline
-from repro.gpusim.transfer import record_transfer, transfer_seconds
+from repro.gpusim.transfer import TransferRecord, record_transfer, transfer_seconds
 
 
 class TestReduction:
@@ -139,3 +143,37 @@ class TestTimeline:
             tally, cost = self._kernel()
             tl.add_kernel(it, tally, cost)
         assert list(tl.iter_iterations()) == [0, 1, 2]
+
+    def test_running_totals_equal_sums_bit_for_bit(self):
+        """The totals are running sums; after interleaved adds of zero,
+        subnormal and ordinary seconds each must still equal, bit for
+        bit, its records' seconds added left to right from zero (``sum()``
+        up to Python 3.11, and what the golden fixtures hold)."""
+
+        def left_to_right(records):
+            return functools.reduce(operator.add, (r.seconds for r in records), 0)
+
+        tl = Timeline()
+        assert (tl.gpu_seconds, tl.transfer_seconds) == (0, 0)
+        tally, model_cost = self._kernel()
+        subnormal = 5e-324
+        # 1.0 then two 1e-16s: a compensated sum keeps what these lose
+        kernel_seconds = [0.0, subnormal, 0.1, 1e-9, subnormal, 1.0, 1e-16, 1e-16, 0.0]
+        transfer_secs = [subnormal, 0.0, 0.3, 1e-12, 0.7, subnormal, 1e-5]
+        for i in range(max(len(kernel_seconds), len(transfer_secs))):
+            if i < len(kernel_seconds):
+                cost = dataclasses.replace(model_cost, seconds=kernel_seconds[i])
+                tl.add_kernel(i, tally, cost)
+            if i < len(transfer_secs):
+                tl.add_transfer(TransferRecord("h2d", i, transfer_secs[i]))
+            assert float.hex(tl.gpu_seconds) == float.hex(left_to_right(tl.kernels))
+            assert float.hex(tl.transfer_seconds) == float.hex(
+                left_to_right(tl.transfers)
+            )
+        assert float.hex(tl.total_seconds) == float.hex(
+            left_to_right(tl.kernels) + left_to_right(tl.transfers) + tl.host_seconds
+        )
+        # A timeline built with records already in it totals them the same way.
+        rebuilt = Timeline(kernels=list(tl.kernels), transfers=list(tl.transfers))
+        assert float.hex(rebuilt.gpu_seconds) == float.hex(tl.gpu_seconds)
+        assert float.hex(rebuilt.transfer_seconds) == float.hex(tl.transfer_seconds)

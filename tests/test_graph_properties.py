@@ -1,5 +1,8 @@
 """Tests for repro.graph.properties."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,10 @@ from repro.graph.properties import (
     out_degree_histogram,
     pseudo_diameter,
     reachable_count,
+    sorted_unique,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestRaggedGather:
@@ -45,6 +51,69 @@ class TestRaggedGather:
             [np.arange(s, e) for s, e in zip(starts, ends)] or [np.empty(0, int)]
         )
         assert _ragged_gather_indices(starts, ends).tolist() == expected.tolist()
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [7],
+            [3, 3, 3, 3],
+            [5, 1, 4, 1, 5, 9, 2, 6, 5, 3],
+            [0, 1, 2, 3],
+            [-4, 2**20, -4, 0, 2**20],
+        ],
+        ids=["empty", "single", "all-equal", "unsorted", "sorted", "negative"],
+    )
+    def test_matches_np_unique(self, values, dtype):
+        arr = np.array(values, dtype=dtype)
+        got = sorted_unique(arr)
+        want = np.unique(arr)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_matches_np_unique_random(self, dtype):
+        rng = np.random.default_rng(7)
+        for size in (2, 17, 1000):
+            arr = rng.integers(0, size // 2 + 1, size=size).astype(dtype)
+            got = sorted_unique(arr)
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.unique(arr))
+
+    def test_input_untouched(self):
+        arr = np.array([3, 1, 3], dtype=np.int64)
+        sorted_unique(arr)
+        assert arr.tolist() == [3, 1, 3]
+
+    def test_no_hashing_np_unique_in_src(self):
+        """Value-only ``np.unique`` hashes integer input on recent NumPy;
+        ``sorted_unique`` replaces it everywhere under ``src/``.  Calls
+        that ask for ``return_index``/``return_inverse``/``return_counts``
+        take NumPy's sort-based path and are allowed."""
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                ):
+                    continue
+                if not any(
+                    kw.arg is not None and kw.arg.startswith("return_")
+                    for kw in node.keywords
+                ):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert not offenders, (
+            "use repro.graph.properties.sorted_unique instead of np.unique at "
+            + ", ".join(offenders)
+        )
 
 
 class TestBfsLevels:

@@ -71,6 +71,13 @@ class TestWorkset:
         assert ws.nodes.tolist() == [1, 3, 5]
         assert ws.size == 3
 
+    @pytest.mark.parametrize("ids", [[1, 3, 3, 5], [1, 3, 5]])
+    def test_from_update_ids_ascending_input(self, ids):
+        """Strictly ascending ids skip the dedupe; sorted duplicates do not."""
+        ws = Workset.from_update_ids(np.array(ids, dtype=np.int32), WorksetRepr.QUEUE)
+        assert ws.nodes.tolist() == [1, 3, 5]
+        assert ws.nodes.dtype == np.int64
+
     def test_empty(self):
         ws = Workset.from_update_ids(np.array([]), WorksetRepr.BITMAP)
         assert ws.is_empty

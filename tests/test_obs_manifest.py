@@ -1,6 +1,7 @@
 """Tests for run manifests and the combined Perfetto trace."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -133,6 +134,35 @@ class TestFingerprint:
             graph_fingerprint(graph)["digest"]
             != graph_fingerprint(weighted)["digest"]
         )
+
+    def test_digest_is_blake2b_of_the_csr_arrays(self):
+        from repro.graph.generators import attach_uniform_weights
+
+        for graph in (rmat_graph(7, seed=3),
+                      attach_uniform_weights(rmat_graph(7, seed=3), seed=1)):
+            h = hashlib.blake2b(digest_size=16)
+            for array in (graph.row_offsets, graph.col_indices, graph.weights):
+                if array is not None:
+                    h.update(array.tobytes())
+            assert graph_fingerprint(graph)["digest"] == h.hexdigest()
+
+    def test_each_graph_object_is_hashed_once(self, monkeypatch):
+        graph = road_network(100, seed=5)
+        twin = road_network(100, seed=5)
+        calls = []
+        real = hashlib.blake2b
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", counting)
+        first = graph_fingerprint(graph)
+        assert graph_fingerprint(graph) == first
+        assert len(calls) == 1
+        # Same content, another object: hashed on its own, same digest.
+        assert graph_fingerprint(twin)["digest"] == first["digest"]
+        assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------

@@ -80,13 +80,18 @@ def _sha(values):
 # ----------------------------------------------------------------------
 
 def batch():
-    """16 queries in one batch, manifest out, exit 0."""
+    """16 queries in one batch, manifest out, exit 0; then the read-path
+    gate."""
     repro("batch", "--file", "examples/roadnet.snap.txt",
           "--queries", "examples/batch_queries.jsonl",
           "--manifest", "batch-manifest.json")
     doc = _load("batch-manifest.json")
     assert doc["algorithm"] == "batch", doc["algorithm"]
     assert doc["result"]["failed"] == 0, doc["result"]
+
+    # Read-path gate: every query and served answer's SHA-256 against
+    # repro.cpu, and counts that repeat between passes.
+    run_pytest("perfbench", "-q", "-k", "social and (query or serve)")
 
 
 def serve_chaos():
