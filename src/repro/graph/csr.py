@@ -52,7 +52,8 @@ class CSRGraph:
     """
 
     __slots__ = (
-        "_row_offsets", "_col_indices", "_weights", "name", "_out_degrees", "_digest"
+        "_row_offsets", "_col_indices", "_weights", "name", "_out_degrees",
+        "_digest", "_reverse",
     )
 
     def __init__(
@@ -82,6 +83,7 @@ class CSRGraph:
         self.name = name
         self._out_degrees: Optional[np.ndarray] = None
         self._digest: Optional[str] = None
+        self._reverse: Optional[CSRGraph] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -238,19 +240,22 @@ class CSRGraph:
         return self.with_weights(np.ones(self.num_edges, dtype=WEIGHT_DTYPE))
 
     def reverse(self) -> "CSRGraph":
-        """Return the transpose graph (every edge u->v becomes v->u)."""
-        n, m = self.num_nodes, self.num_edges
-        src = np.repeat(np.arange(n, dtype=INDEX_DTYPE), self.out_degrees)
-        dst = self._col_indices
-        order = np.argsort(dst, kind="stable")
-        new_cols = src[order]
-        counts = np.bincount(dst, minlength=n)
-        new_offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)
-        np.cumsum(counts, out=new_offsets[1:])
-        new_weights = self._weights[order] if self._weights is not None else None
-        return CSRGraph(
-            new_offsets, new_cols, new_weights, name=f"{self.name}^T", validate=False
-        )
+        """The transpose graph (every edge u->v becomes v->u), built on
+        first use and kept: the arrays are read-only."""
+        if self._reverse is None:
+            n, m = self.num_nodes, self.num_edges
+            src = np.repeat(np.arange(n, dtype=INDEX_DTYPE), self.out_degrees)
+            dst = self._col_indices
+            order = np.argsort(dst, kind="stable")
+            new_cols = src[order]
+            counts = np.bincount(dst, minlength=n)
+            new_offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)
+            np.cumsum(counts, out=new_offsets[1:])
+            new_weights = self._weights[order] if self._weights is not None else None
+            self._reverse = CSRGraph(
+                new_offsets, new_cols, new_weights, name=f"{self.name}^T", validate=False
+            )
+        return self._reverse
 
     # ------------------------------------------------------------------
     # Device footprint (used by the PCIe-transfer model)

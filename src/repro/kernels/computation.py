@@ -120,9 +120,19 @@ def bfs_relax(
     frontier (every node on one level, the only kind a from-scratch BFS
     produces) offers a single candidate level; a mixed one (incremental
     seeding) offers one per edge and keeps the minimum per destination.
+
+    The frontier *pushes*: every frontier node scans its out-edges.  A
+    wide level-synchronous level on a graph that already holds its
+    transpose may be *pulled* instead (:func:`_pull_level`), with the
+    same results; ``edges_scanned`` still counts the push's edges, which
+    is what the simulated kernel prices.
     """
     if levels.dtype != np.int64:
         raise KernelError(f"BFS levels must be int64, got {levels.dtype}")
+    if graph._reverse is not None:
+        pulled = _pull_level(graph, frontier, levels, ordered)
+        if pulled is not None:
+            return pulled
     idx, dst, degrees = _gather_edges(graph, frontier)
     base = levels[frontier]
     if base.size and (base != base[0]).any():
@@ -134,6 +144,69 @@ def bfs_relax(
     improving = old == _UNSET_UNSIGNED if ordered else old > cand
     updated, improved = _scatter_min(unsigned, dst, improving, cand)
     return updated, degrees, improved, int(idx.size)
+
+
+def _pull_level(graph, frontier, levels, ordered):
+    """Relax one BFS level by pull over the transpose *graph* holds, or
+    return ``None`` when push is the one to run.
+
+    Pull scans the in-edges of U, the nodes that have an in-edge and
+    whose level the candidate would lower, for a frontier parent.  It
+    runs only when that is exact and touches fewer edges than push:
+
+    - the frontier is non-empty and strictly ascending, since push
+      counts a duplicated node's edges twice;
+    - the frontier's E_f out-edges number at least |V|, so the
+      |V|-wide passes below cost no more than the push scan;
+    - every frontier node is on one level, so there is one candidate;
+    - U's in-edges number fewer than E_f.
+
+    The cheapest checks run first.  An ascending frontier's out-edges
+    lie between its first node's row start and its last node's row
+    end, so a level whose span holds fewer than |V| edges (most levels
+    on a road graph) is rejected before any per-node work.
+
+    Every improving push edge is an in-edge of U from the frontier, so
+    the hits are push's improving edges and the nodes hit are its
+    ``updated``, already sorted.  The relax never builds a transpose:
+    sharded runs partition the graph again on every query.
+    """
+    n = graph.num_nodes
+    row_offsets = graph.row_offsets
+    if frontier.size == 0 or (
+        row_offsets[frontier[-1] + 1] - row_offsets[frontier[0]] < n
+    ):
+        return None
+    degrees = row_offsets[frontier + 1] - row_offsets[frontier]
+    frontier_edges = int(degrees.sum())
+    if frontier_edges < n or (frontier[1:] <= frontier[:-1]).any():
+        return None
+    base = levels[frontier]
+    if (base != base[0]).any():
+        return None
+    cand = int(base[0]) + 1
+    unsigned = levels.view(np.uint64)
+    improvable = unsigned == _UNSET_UNSIGNED if ordered else unsigned > cand
+    reverse = graph._reverse
+    lengths = reverse.out_degrees[improvable]
+    if int(lengths.sum()) >= frontier_edges:
+        return None
+    reached = lengths > 0
+    targets = np.flatnonzero(improvable)[reached]
+    lengths = lengths[reached]
+    # U's in-rows, gathered as in _ragged_gather_indices; every row is
+    # non-empty, so each one's first slot starts a reduceat segment.
+    row_ends = np.cumsum(lengths)
+    first_slot = row_ends - lengths
+    idx = np.repeat(reverse.row_offsets[targets] - first_slot, lengths)
+    idx += np.arange(idx.size, dtype=np.int64)
+    in_frontier = np.zeros(n, dtype=bool)
+    in_frontier[frontier] = True
+    hits = np.take(in_frontier, np.take(reverse.col_indices, idx))
+    updated = targets[np.logical_or.reduceat(hits, first_slot)]
+    if updated.size:
+        unsigned[updated] = cand
+    return updated, degrees, int(np.count_nonzero(hits)), frontier_edges
 
 
 def bfs_step(

@@ -16,7 +16,12 @@ substrates, with Beamer's two-threshold heuristic:
 
 Pull sweeps need the reverse adjacency (CSC); like real
 direction-optimizing implementations, both CSR and CSC are resident on
-the device (the initial transfer pays for both).
+the device (the initial transfer pays for both).  The CSC is the
+transpose the graph keeps (:meth:`~repro.graph.csr.CSRGraph.reverse`
+builds it once per graph), the one a
+:class:`~repro.serve.session.GraphSession` already holds and the BFS
+relax pulls its wide levels over; an undirected graph's CSR is its own
+transpose and ships once.
 
 The pull kernel's cost profile differs structurally from push: every
 unvisited node is scanned, but each stops at its *first* frontier

@@ -1,9 +1,10 @@
 """Graph sessions: ingest once, serve many queries.
 
 A :class:`GraphSession` pins everything a query needs that does not
-depend on the query itself: the CSR arrays, the Table-1 property
-profile, the resolved decision :class:`~repro.core.decision.Thresholds`
-and the :class:`~repro.gpusim.device.DeviceSpec`.  Building one is the
+depend on the query itself: the CSR arrays (and, until a refresh,
+their transpose), the Table-1 property profile, the resolved decision
+:class:`~repro.core.decision.Thresholds` and the
+:class:`~repro.gpusim.device.DeviceSpec`.  Building one is the
 expensive part of answering a graph query (ingestion, characterization,
 threshold resolution); answering the query itself is cheap — so a
 serving process keeps sessions in a :class:`SessionCache`, an LRU keyed
@@ -51,6 +52,9 @@ class GraphSession:
         #: decision thresholds resolved once for (device, graph size) —
         #: already clamped to a consistent ordering
         self.thresholds = self.config.resolve_thresholds(device, graph.num_nodes)
+        # The graph keeps its transpose, so the BFS relax can pull the
+        # wide levels of the queries served from this session.
+        graph.reverse()
 
     @property
     def num_nodes(self) -> int:
@@ -64,7 +68,9 @@ class GraphSession:
         thresholds — so policy decisions never see pre-mutation stats,
         while the session object itself (and anything holding it)
         survives.  The profile refresh is degree-vector work only, not
-        a full re-ingest.
+        a full re-ingest.  The transpose is the exception: the new
+        graph's is not built, so BFS on a refreshed session pushes
+        every level.
         """
         self.graph = graph
         self.fingerprint = graph_fingerprint(graph)
@@ -85,10 +91,11 @@ class SessionCache:
     """LRU cache of :class:`GraphSession` objects keyed by content digest.
 
     ``get`` is the only entry point: it returns the cached session when
-    the graph's digest (and device) match, otherwise ingests a fresh
-    session and evicts the least-recently-used one past *capacity*.
-    A digest hit under a *different* device is a miss — thresholds are
-    device-resolved — and replaces the stale session.
+    the graph's digest, device and config match, otherwise ingests a
+    fresh session and evicts the least-recently-used one past
+    *capacity*.  Device and config compare by value.  A digest hit
+    under a *different* device or config is a miss — thresholds are
+    resolved from both — and replaces the stale session.
     """
 
     def __init__(self, capacity: int = 4):
@@ -122,7 +129,11 @@ class SessionCache:
     ) -> GraphSession:
         digest = graph_fingerprint(graph)["digest"]
         session = self._sessions.get(digest)
-        if session is not None and session.device is device:
+        if (
+            session is not None
+            and session.device == device
+            and session.config == (config or RuntimeConfig())
+        ):
             self._sessions.move_to_end(digest)
             self.hits += 1
             self._observe("hits")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
@@ -112,6 +113,61 @@ class TestDerivedGraphs:
         # weight of 0->1 (1.0) must follow the reversed edge 1->0
         pos = rev.neighbors(1).tolist().index(0)
         assert rev.edge_weights_of(1)[pos] == 1.0
+
+
+def _stable_argsort_reverse(graph):
+    """The transpose as first built: a stable argsort of the int32
+    destinations orders the sources and the weights."""
+    n = graph.num_nodes
+    src = np.repeat(np.arange(n, dtype=np.int32), graph.out_degrees)
+    dst = graph.col_indices
+    order = np.argsort(dst, kind="stable")
+    new_cols = src[order]
+    counts = np.bincount(dst, minlength=n)
+    new_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=new_offsets[1:])
+    new_weights = graph.weights[order] if graph.weights is not None else None
+    return CSRGraph(
+        new_offsets, new_cols, new_weights, name=f"{graph.name}^T", validate=False
+    )
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """CSR graphs built directly, rows in drawn (unsorted) order, with
+    multi-edges, self-loops and distinct weights that show any
+    reordering; sometimes unweighted."""
+    n = draw(st.integers(0, 12))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    m = sum(degrees)
+    cols = draw(st.lists(st.integers(0, max(0, n - 1)), min_size=m, max_size=m))
+    offsets = np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)])
+    weights = np.arange(m, dtype=np.float32)[::-1] if draw(st.booleans()) else None
+    return CSRGraph(offsets, np.array(cols, dtype=np.int32), weights, name="g")
+
+
+class TestReverseKept:
+    def test_same_object_on_every_call(self, tiny_weighted):
+        assert tiny_weighted.reverse() is tiny_weighted.reverse()
+
+    @given(weighted_multigraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stable_argsort_construction(self, graph):
+        got = graph.reverse()
+        want = _stable_argsort_reverse(graph)
+        assert got == want
+        assert got.name == want.name
+        for a, b in ((got.row_offsets, want.row_offsets),
+                     (got.col_indices, want.col_indices)):
+            assert a.dtype == b.dtype
+        assert (got.weights is None) == (want.weights is None)
+        if got.weights is not None:
+            assert got.weights.dtype == want.weights.dtype
+
+    @given(weighted_multigraphs())
+    @settings(max_examples=50, deadline=None)
+    def test_same_device_bytes(self, graph):
+        assert graph.reverse().device_bytes() == graph.device_bytes()
 
 
 class TestEqualityAndRepr:

@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import KernelError
 from repro.graph.builder import from_edge_list
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import attach_uniform_weights, chain_graph, star_graph
-from repro.graph.properties import _ragged_gather_indices
+from repro.graph.properties import _ragged_gather_indices, sorted_unique
 from repro.gpusim.device import TESLA_C2070
-from repro.kernels import costs
+from repro.kernels import computation, costs
 from repro.kernels.cc import cc_step
 from repro.kernels.computation import (
     INF,
@@ -273,6 +274,103 @@ def _ref_cc_step(graph, workset, labels, variant, threads_per_block, device,
     )
 
 
+# The push-only BFS relax the pull path joined, copied verbatim: it
+# compares levels as uint64 and stores a level-synchronous candidate with
+# one scalar store (so frontier levels below -1 raise OverflowError).
+
+_PARENT_UNSET_UNSIGNED = np.iinfo(np.uint64).max
+
+
+def _parent_gather_edges(graph: CSRGraph, nodes: np.ndarray):
+    """Edge indices, destinations and per-node degrees for *nodes*.
+
+    Destinations are widened to int64 once: NumPy indexes with int32
+    ids through a casting path that costs more than the copy, and every
+    relaxation indexes the value array with them.
+    """
+    starts = graph.row_offsets[nodes]
+    ends = graph.row_offsets[nodes + 1]
+    degrees = ends - starts
+    idx = _ragged_gather_indices(starts, ends)
+    return idx, graph.col_indices[idx].astype(np.int64), degrees
+
+
+def _parent_scatter_min(values: np.ndarray, dst: np.ndarray, improving: np.ndarray, cand):
+    """Lower ``values`` at the improving edges' destinations to their
+    candidates (the minimum per destination).
+
+    Returns ``(updated, improved_count)``.  Every improving candidate
+    lies strictly below its destination's value, so the distinct touched
+    destinations are exactly the nodes that changed: the update vector,
+    found without a |V|-wide copy and compare.  A scalar *cand* (one
+    candidate for every edge) is a plain store.
+    """
+    # Positions, then takes: boolean-mask indexing is several times
+    # slower on the mixed masks a relaxation produces.
+    hit = np.flatnonzero(improving)
+    if hit.size == 0:
+        return np.empty(0, dtype=np.int64), 0
+    touched = dst[hit]
+    if np.ndim(cand):
+        np.minimum.at(values, touched, cand[hit])
+    else:
+        values[touched] = cand
+    return sorted_unique(touched), int(hit.size)
+
+
+def _parent_bfs_relax(
+    graph: CSRGraph,
+    frontier: np.ndarray,
+    levels: np.ndarray,
+    *,
+    ordered: bool = False,
+):
+    """The BFS relaxation itself, independent of the execution substrate.
+
+    Mutates *levels* (int64, ``-1`` unset) in place and returns
+    ``(updated_ids, degrees, improved_count, edges_scanned)``.  Shared by
+    the simulated GPU kernels and the hybrid runtime's CPU iterations.
+
+    Levels are compared as uint64, where unset (-1) is the largest
+    value, so "unset or worse" is one compare.  A level-synchronous
+    frontier (every node on one level, the only kind a from-scratch BFS
+    produces) offers a single candidate level; a mixed one (incremental
+    seeding) offers one per edge and keeps the minimum per destination.
+    """
+    if levels.dtype != np.int64:
+        raise KernelError(f"BFS levels must be int64, got {levels.dtype}")
+    idx, dst, degrees = _parent_gather_edges(graph, frontier)
+    base = levels[frontier]
+    if base.size and (base != base[0]).any():
+        cand = np.repeat(base + 1, degrees).view(np.uint64)
+    else:
+        cand = int(base[0]) + 1 if base.size else 0
+    unsigned = levels.view(np.uint64)
+    old = unsigned[dst]
+    improving = old == _PARENT_UNSET_UNSIGNED if ordered else old > cand
+    updated, improved = _parent_scatter_min(unsigned, dst, improving, cand)
+    return updated, degrees, improved, int(idx.size)
+
+
+def _with_transpose(graph):
+    """A graph with *graph*'s arrays that already holds its transpose."""
+    held = CSRGraph(
+        graph.row_offsets, graph.col_indices, graph.weights,
+        name=graph.name, validate=False,
+    )
+    held.reverse()
+    return held
+
+
+def _relax_outcome(relax, graph, frontier, levels, ordered):
+    """*relax*'s result, or OverflowError when it stored a candidate
+    below -1 (a frontier level below -1) into the uint64 view."""
+    try:
+        return relax(graph, frontier, levels, ordered=ordered)
+    except OverflowError:
+        return OverflowError
+
+
 #: few distinct values, so ties, zero-weight edges and equal levels are common
 _WEIGHTS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.25])
 _DISTANCES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.25, np.inf, np.inf])
@@ -318,6 +416,29 @@ def bfs_cases(draw, level_synchronous):
     return graph, frontier, levels
 
 
+_INT64 = np.iinfo(np.int64)
+#: levels anywhere in int64: unset, other negatives, the extremes
+_ANY_LEVEL = st.one_of(
+    st.integers(-1, 6),
+    st.sampled_from([-2, -7, int(_INT64.min), int(_INT64.max), int(_INT64.max) - 1]),
+)
+
+
+@st.composite
+def pull_cases(draw):
+    """(graph, frontier, levels): dense graphs with multi-edges,
+    self-loops and nodes without in-edges, and a strictly ascending
+    level-synchronous frontier, wide enough to pull or not."""
+    graph = draw(relax_graphs(max_nodes=10, max_edges=60))
+    n = graph.num_nodes
+    assume(n > 0)
+    ids = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    frontier = np.array(sorted(ids), dtype=np.int64)
+    levels = np.array(draw(st.lists(_ANY_LEVEL, min_size=n, max_size=n)), dtype=np.int64)
+    levels[frontier] = draw(_ANY_LEVEL)
+    return graph, frontier, levels
+
+
 def _assert_same_relax(got, want, values, ref_values):
     updated, degrees, improved, edges = got
     ref_updated, ref_degrees, ref_improved, ref_edges = want
@@ -338,9 +459,29 @@ class TestRelaxMatchesReference:
     def test_bfs(self, data, ordered, level_synchronous):
         graph, frontier, levels = data.draw(bfs_cases(level_synchronous))
         ref_levels = levels.copy()
-        got = bfs_relax(graph, frontier, levels, ordered=ordered)
         want = _ref_bfs_relax(graph, frontier, ref_levels, ordered=ordered)
-        _assert_same_relax(got, want, levels, ref_levels)
+        for g in (graph, _with_transpose(graph)):
+            got_levels = levels.copy()
+            got = bfs_relax(g, frontier, got_levels, ordered=ordered)
+            _assert_same_relax(got, want, got_levels, ref_levels)
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bfs_pull_matches_parent(self, data, ordered):
+        """Push or pull, the relax answers as the push-only relax did,
+        exceptions included."""
+        graph, frontier, levels = data.draw(pull_cases())
+        ref_levels = levels.copy()
+        want = _relax_outcome(_parent_bfs_relax, graph, frontier, ref_levels, ordered)
+        for g in (graph, _with_transpose(graph)):
+            got_levels = levels.copy()
+            got = _relax_outcome(bfs_relax, g, frontier, got_levels, ordered)
+            if isinstance(want, type):
+                assert got is want
+                assert np.array_equal(got_levels, ref_levels)
+            else:
+                _assert_same_relax(got, want, got_levels, ref_levels)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -386,3 +527,121 @@ class TestRelaxMatchesReference:
         workset = Workset.from_update_ids(np.array([]), WorksetRepr.BITMAP)
         with pytest.raises(KernelError):
             cc_step(tiny_graph, workset, labels, UTBM, 192, TESLA_C2070)
+
+
+# ----------------------------------------------------------------------
+# Push or pull: which one runs, and that each fallback pushes
+# ----------------------------------------------------------------------
+
+def _wide_level(extra_nodes=0, extra_edges=()):
+    """(graph, frontier, levels): frontier {0, 1} on level 1 with ten
+    out-edges (multi-edges and a self-loop among them) to visited nodes
+    2 and 3 and unvisited nodes 4 and 5; node 5 also reaches 0.  Pull
+    wins: U = {4, 5} has two in-edges against E_f = 10 >= |V| = 6."""
+    src = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 5] + [u for u, _ in extra_edges]
+    dst = [2, 2, 2, 3, 3, 5, 2, 2, 1, 4, 0] + [v for _, v in extra_edges]
+    graph = from_edge_list(src, dst, num_nodes=6 + extra_nodes)
+    levels = np.full(graph.num_nodes, UNSET_LEVEL, dtype=np.int64)
+    levels[[0, 1, 2, 3]] = [1, 1, 0, 1]
+    return graph, np.array([0, 1], dtype=np.int64), levels
+
+
+class TestPullChoice:
+    @pytest.fixture
+    def pulls(self, monkeypatch):
+        """Whether each call of the pull helper answered (True) or left
+        the level to push (False)."""
+        seen = []
+        helper = computation._pull_level
+
+        def spy(*args):
+            result = helper(*args)
+            seen.append(result is not None)
+            return result
+
+        monkeypatch.setattr(computation, "_pull_level", spy)
+        return seen
+
+    def _relax(self, graph, frontier, levels, ordered=False):
+        ref_levels = levels.copy()
+        want = _parent_bfs_relax(graph, frontier, ref_levels, ordered=ordered)
+        got = bfs_relax(graph, frontier, levels, ordered=ordered)
+        _assert_same_relax(got, want, levels, ref_levels)
+        return got
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_wide_level_pulls(self, pulls, ordered):
+        graph, frontier, levels = _wide_level()
+        graph.reverse()
+        updated, _, improved, edges = self._relax(graph, frontier, levels, ordered)
+        assert pulls == [True]
+        assert updated.tolist() == [4, 5]
+        assert (improved, edges) == (2, 10)
+
+    def test_unordered_lowers_a_level(self, pulls):
+        graph, frontier, levels = _wide_level()
+        graph.reverse()
+        levels[3] = 5
+        updated, _, improved, _ = self._relax(graph, frontier, levels)
+        assert pulls == [True]
+        assert updated.tolist() == [3, 4, 5] and improved == 4
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_nodes_without_in_edges_stay_out_of_u(self, pulls, ordered):
+        # Unvisited nodes 4 and 6 have no in-edge; 5 has one from the
+        # frontier.  U = {5}: an empty in-row must not borrow a hit.
+        src = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1]
+        dst = [2, 2, 2, 3, 3, 5, 2, 2, 1, 3]
+        graph = from_edge_list(src, dst, num_nodes=7)
+        graph.reverse()
+        levels = np.full(7, UNSET_LEVEL, dtype=np.int64)
+        levels[[0, 1, 2, 3]] = [1, 1, 0, 1]
+        frontier = np.array([0, 1], dtype=np.int64)
+        updated, _, improved, edges = self._relax(graph, frontier, levels, ordered)
+        assert pulls == [True]
+        assert updated.tolist() == [5] and (improved, edges) == (1, 10)
+
+    def test_no_transpose_pushes(self, pulls):
+        graph, frontier, levels = _wide_level()
+        self._relax(graph, frontier, levels)
+        assert pulls == []
+
+    def test_mixed_levels_push(self, pulls):
+        graph, frontier, levels = _wide_level()
+        graph.reverse()
+        levels[1] = 0
+        self._relax(graph, frontier, levels)
+        assert pulls == [False]
+
+    @pytest.mark.parametrize("frontier", [[1, 0], [0, 0, 1]])
+    def test_unsorted_or_duplicated_frontier_pushes(self, pulls, frontier):
+        graph, _, levels = _wide_level()
+        graph.reverse()
+        self._relax(graph, np.array(frontier, dtype=np.int64), levels)
+        assert pulls == [False]
+
+    @pytest.mark.parametrize("wide_span", [False, True])
+    def test_fewer_frontier_edges_than_nodes_pushes(self, pulls, wide_span):
+        if wide_span:
+            # Frontier {0, 2}: its row span takes in node 1's ten
+            # self-loops and reaches |V| = 8, but its E_f = 5 does not.
+            graph = from_edge_list(
+                [0, 0, 0] + [1] * 10 + [2, 2], [3, 4, 1] + [1] * 10 + [5, 1],
+                num_nodes=8,
+            )
+            frontier = np.array([0, 2], dtype=np.int64)
+            levels = np.full(8, UNSET_LEVEL, dtype=np.int64)
+            levels[[0, 1, 2]] = [1, 0, 1]
+        else:
+            graph, frontier, levels = _wide_level(extra_nodes=5)
+        graph.reverse()
+        self._relax(graph, frontier, levels)
+        assert pulls == [False]
+
+    def test_costlier_in_edges_push(self, pulls):
+        # Eight more in-edges of node 4 from visited node 2: U's ten
+        # in-edges no longer undercut E_f = 10.
+        graph, frontier, levels = _wide_level(extra_edges=[(2, 4)] * 8)
+        graph.reverse()
+        self._relax(graph, frontier, levels)
+        assert pulls == [False]

@@ -1,12 +1,14 @@
 """Tests for the serving layer: repro.serve sessions, the LRU session
 cache, the batch runner's routing/isolation, and the batch manifest."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from repro.core.config import RuntimeConfig
 from repro.core.runtime import adaptive_run
 from repro.errors import RuntimeConfigError
 from repro.gpusim.device import GTX_580, TESLA_C2070
@@ -95,6 +97,10 @@ class TestGraphSession:
         # Already clamped: the degenerate T3 < T2 ordering never leaks.
         assert session.thresholds.t3 >= session.thresholds.t2
 
+    def test_holds_the_transpose(self):
+        session = GraphSession(_graph(seed=1))
+        assert session.graph._reverse is not None
+
 
 class TestSessionCache:
     def test_digest_keyed_hits(self):
@@ -121,6 +127,26 @@ class TestSessionCache:
         swapped = cache.get(_graph(), device=GTX_580)
         assert swapped.device is GTX_580
         assert (cache.hits, cache.misses) == (0, 2)
+
+    def test_config_mismatch_is_a_miss(self):
+        cache = SessionCache(capacity=2)
+        cache.get(_graph())
+        config = RuntimeConfig(t1=64, queue_gen="scan")
+        session = cache.get(_graph(), config=config)
+        assert (session.config.t1, session.config.queue_gen) == (64, "scan")
+        assert session.thresholds.t1 == 64
+        assert (cache.hits, cache.misses) == (0, 2)
+        # An equal config built afresh (as every CLI call builds one) hits.
+        again = cache.get(_graph(), config=RuntimeConfig(t1=64, queue_gen="scan"))
+        assert again is session
+        assert (cache.hits, cache.misses) == (1, 2)
+
+    def test_equal_device_is_a_hit(self):
+        cache = SessionCache(capacity=2)
+        first = cache.get(_graph(), device=TESLA_C2070)
+        again = cache.get(_graph(), device=dataclasses.replace(TESLA_C2070))
+        assert again is first
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(RuntimeConfigError):
