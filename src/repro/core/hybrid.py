@@ -13,12 +13,17 @@ the two adaptivity axes can be compared (``bench_extension_hybrid``):
 - iterations with large frontiers run on the simulated GPU under the
   paper's adaptive variant selection;
 - every device transition pays a state synchronization over PCIe (the
-  level/distance array plus the frontier), so the policy uses hysteresis
-  to avoid ping-ponging.
+  level/distance array plus the frontier), so the placement uses
+  hysteresis to avoid ping-ponging.
 
-The per-iteration device choice compares the serial cost estimate of
-the upcoming sweep (``nodes, expected edges`` priced by the CPU model)
-against the GPU's fixed per-iteration floor.
+A hybrid run is the row core's single-row schedule
+(:mod:`repro.engine.driver`) with a placement step before each
+decision, comparing the serial cost estimate of the upcoming sweep
+(``nodes, expected edges`` priced by the CPU model) against the GPU's
+fixed per-iteration floor.  A device iteration is an adaptive
+iteration that chooses at the top; a host iteration runs
+``spec.batch_relax``, prices :attr:`HybridConfig.cpu` seconds and
+records variant ``"cpu"``.
 """
 
 from __future__ import annotations
@@ -31,29 +36,15 @@ import numpy as np
 from repro.core.config import RuntimeConfig
 from repro.core.policies import AdaptivePolicy
 from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
-from repro.engine.driver import (
-    _final_transfers,
-    _initial_transfers,
-    _readback,
-    _tpb_for,
-)
+from repro.engine.driver import _drive, _relax
 from repro.engine.registry import get_algorithm
-from repro.engine.types import IterationRecord, TraversalResult
+from repro.engine.spec import StepOutcome
+from repro.engine.types import TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostModel, CostParams
-from repro.gpusim.timeline import Timeline
+from repro.gpusim.kernel import CostParams
 from repro.gpusim.transfer import record_transfer
-from repro.kernels.computation import (
-    INF,
-    UNSET_LEVEL,
-    bfs_relax,
-    bfs_step,
-    sssp_relax,
-    sssp_step,
-)
-from repro.kernels.workset import Workset, workset_gen_tallies
 
 __all__ = ["HybridConfig", "HybridResult", "hybrid_run"]
 
@@ -96,16 +87,46 @@ class HybridResult:
         return sum(1 for d in self.devices if d == "gpu")
 
 
-def _gpu_iteration_floor(device: DeviceSpec) -> float:
-    """The fixed cost of one GPU iteration: two kernel launches plus the
-    loop-condition readback."""
-    return 2 * device.kernel_launch_overhead_s + device.pcie_latency_s
+class _Placement:
+    """The per-iteration host/device choice, with hysteresis.  It runs
+    before the policy is consulted, and runs host iterations itself."""
 
+    def __init__(self, graph: CSRGraph, device: DeviceSpec, config: HybridConfig):
+        self.config = config
+        self.out_degrees = graph.out_degrees
+        #: the fixed cost of one GPU iteration: two kernel launches plus
+        #: the loop-condition readback
+        self.gpu_floor = 2 * device.kernel_launch_overhead_s + device.pcie_latency_s
+        self.on_device = True  # the initial transfers put the state there
+        self.run_length = config.min_run_length  # free first choice
 
-def _state_sync_bytes(num_nodes: int, frontier_size: int) -> int:
-    """Bytes moved when execution changes device: the state array plus
-    the current frontier."""
-    return 4 * num_nodes + 4 * frontier_size
+    def __call__(self, ctx, row, size: int) -> Optional[StepOutcome]:
+        # The host holds the row offsets, so the upcoming sweep's edge
+        # count is known exactly — no average-degree estimate needed.
+        cpu = self.config.cpu
+        est_edges = int(self.out_degrees[row.state.frontier].sum())
+        est_cpu = cpu.bfs_seconds(size, est_edges, 0)
+        on_device = est_cpu >= self.config.cpu_advantage * self.gpu_floor
+        if on_device != self.on_device and self.run_length < self.config.min_run_length:
+            on_device = self.on_device
+        if on_device != self.on_device:
+            # A switch moves the state array plus the current frontier.
+            ctx.timeline.add_transfer(record_transfer(
+                "h2d" if on_device else "d2h",
+                4 * ctx.graph.num_nodes + 4 * size,
+                ctx.device,
+            ))
+            self.on_device = on_device
+            self.run_length = 0
+        self.run_length += 1
+        if on_device:
+            return None
+        outcome, _ = _relax(row, ctx.graph)
+        seconds = cpu.bfs_seconds(size, outcome.edges_scanned, 0)
+        ctx.timeline.add_host_seconds(seconds)
+        ctx.seconds += seconds
+        outcome.label = "cpu"
+        return outcome
 
 
 def hybrid_run(
@@ -126,127 +147,20 @@ def hybrid_run(
         raise KernelError(
             f"hybrid execution runs 'bfs' or 'sssp', not {algorithm!r}"
         )
-    source = get_algorithm(algorithm).resolve_source(graph, source)
-    hybrid_config = hybrid_config or HybridConfig()
-    weighted = algorithm == "sssp"
-    if weighted and graph.weights is None:
+    info = get_algorithm(algorithm)
+    source = info.resolve_source(graph, source)
+    if algorithm == "sssp" and graph.weights is None:
         raise KernelError("hybrid SSSP requires a weighted graph")
-
-    model = CostModel(device, cost_params)
-    policy = AdaptivePolicy(graph, config, device=device)
-    cpu = hybrid_config.cpu
-    timeline = Timeline()
-    _initial_transfers(graph, timeline, device)
-
-    n = graph.num_nodes
-    if weighted:
-        state = np.full(n, INF, dtype=np.float64)
-        state[source] = 0.0
-    else:
-        state = np.full(n, UNSET_LEVEL, dtype=np.int64)
-        state[source] = 0
-
-    frontier = np.array([source], dtype=np.int64)
-    out_degrees = graph.out_degrees
-    gpu_floor = _gpu_iteration_floor(device)
-
-    records: List[IterationRecord] = []
-    devices: List[str] = []
-    location = "gpu"  # the initial transfers put the state on the device
-    transitions = 0
-    run_length = hybrid_config.min_run_length  # free first choice
-    iteration = 0
-    cap = max_iterations if max_iterations is not None else 16 * n + 64
-
-    while frontier.size:
-        if iteration >= cap:
-            raise KernelError(f"hybrid {algorithm} exceeded {cap} iterations")
-
-        # --- device decision (with hysteresis) -------------------------
-        # The host holds the row offsets, so the upcoming sweep's edge
-        # count is known exactly — no average-degree estimate needed.
-        est_edges = int(out_degrees[frontier].sum())
-        est_cpu = cpu.bfs_seconds(int(frontier.size), est_edges, 0)
-        want = "cpu" if est_cpu < hybrid_config.cpu_advantage * gpu_floor else "gpu"
-        if want != location and run_length < hybrid_config.min_run_length:
-            want = location
-        if want != location:
-            timeline.add_transfer(
-                record_transfer(
-                    "h2d" if want == "gpu" else "d2h",
-                    _state_sync_bytes(n, int(frontier.size)),
-                    device,
-                )
-            )
-            location = want
-            transitions += 1
-            run_length = 0
-        run_length += 1
-
-        # --- execute the sweep -----------------------------------------
-        if location == "cpu":
-            if weighted:
-                updated, _, improved, edges = sssp_relax(graph, frontier, state)
-            else:
-                updated, _, improved, edges = bfs_relax(graph, frontier, state)
-            seconds = cpu.bfs_seconds(int(frontier.size), edges, 0)
-            timeline.add_host_seconds(seconds)
-            record = IterationRecord(
-                iteration=iteration,
-                variant="cpu",
-                workset_size=int(frontier.size),
-                processed=int(frontier.size),
-                updated=int(updated.size),
-                edges_scanned=edges,
-                improved_relaxations=improved,
-                seconds=seconds,
-            )
-        else:
-            variant = policy.choose(iteration, int(frontier.size))
-            tpb = _tpb_for(variant, graph, device)
-            workset = Workset.from_update_ids(frontier, variant.workset)
-            step = (
-                sssp_step(graph, workset, state, variant, tpb, device)
-                if weighted
-                else bfs_step(graph, workset, state, variant, tpb, device)
-            )
-            comp_cost = model.price(step.tally)
-            timeline.add_kernel(iteration, step.tally, comp_cost, variant.code)
-            seconds = comp_cost.seconds
-            for tally in workset_gen_tallies(
-                n, int(step.updated.size), variant.workset, device
-            ):
-                cost = model.price(tally)
-                timeline.add_kernel(iteration, tally, cost, variant.code)
-                seconds += cost.seconds
-            _readback(timeline, device)
-            updated = step.updated
-            record = IterationRecord(
-                iteration=iteration,
-                variant=variant.code,
-                workset_size=workset.size,
-                processed=step.processed,
-                updated=int(updated.size),
-                edges_scanned=step.edges_scanned,
-                improved_relaxations=step.improved_relaxations,
-                seconds=seconds,
-            )
-
-        records.append(record)
-        devices.append(location)
-        frontier = updated
-        iteration += 1
-
-    if location == "gpu":
-        _final_transfers(graph, timeline, device)
-
-    traversal = TraversalResult(
-        algorithm=f"hybrid_{algorithm}",
-        source=source,
-        values=state,
-        iterations=records,
-        timeline=timeline,
-        device=device,
-        policy_name="hybrid",
+    config = config or RuntimeConfig()
+    placement = _Placement(graph, device, hybrid_config or HybridConfig())
+    traversal = _drive(
+        graph, source, AdaptivePolicy(graph, config, device=device),
+        info.make_spec(), device, cost_params, max_iterations,
+        config.queue_gen, place=placement,
     )
+    traversal.algorithm = f"hybrid_{algorithm}"
+    traversal.policy_name = "hybrid"
+    devices = ["cpu" if r.variant == "cpu" else "gpu" for r in traversal.iterations]
+    # Execution starts on the device, where the initial transfers put it.
+    transitions = sum(a != b for a, b in zip(["gpu"] + devices, devices))
     return HybridResult(traversal=traversal, devices=devices, transitions=transitions)

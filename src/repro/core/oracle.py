@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.inspector import StaticAttributes
 from repro.core.runtime import AdaptiveResult
+from repro.engine.driver import _state_payload
 from repro.engine.types import TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
@@ -150,9 +151,8 @@ def per_iteration_oracle(
 
     report = OracleReport(algorithm=algorithm)
     # Fixed costs mirror the frame: initial H2D, final D2H.
-    state_bytes = 4 * n + n + 4 * n + n // 8
     report.fixed_seconds += transfer_seconds(
-        graph.device_bytes() + state_bytes, device
+        graph.device_bytes() + _state_payload(n), device
     )
     report.fixed_seconds += transfer_seconds(4 * n, device)
 

@@ -1,4 +1,4 @@
-"""The batched multi-source driver: many queries, one Figure-8 loop.
+"""The batched multi-source schedule: many queries, one Figure-8 loop.
 
 :class:`BatchFrame` executes a batch of ``(spec, source, policy)``
 queries over one device-resident graph by stacking the per-query
@@ -15,12 +15,11 @@ one iteration:
   on latency-bound traversals, where the paper's per-iteration readback
   is most of the wall clock.
 
-Everything *functional* stays per-query: each row owns its value array,
-frontier, variant policy and decision trace, and the driver mirrors
-:func:`repro.engine.driver.run_frame`'s decision points exactly — the
-pre-loop choice, then ``choose(iteration + 1, next_size)`` after each
-computation step — so a batched query's values and decision trace are
-bit-identical to its single-source run.  Only the *pricing* is fused.
+Every row is a :mod:`repro.engine.driver` row — start, gate, decision
+point, overhead pricing and bookkeeping are a single-source run's — so
+a batched query's values and decision trace are bit-identical to its
+single-source run.  Only admission, grouping, the fused pricing and
+ejection are the batch's own.
 
 **Continuous batching**: rows do not all have to arrive up front.
 :meth:`BatchFrame.admit` can be called between super-iterations, so a
@@ -53,8 +52,21 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.fusion import fuse_tallies
-from repro.engine.spec import AlgorithmSpec, FrameState
+from repro.engine.driver import (
+    FrameContext,
+    _Row,
+    _choose_next,
+    _commit,
+    _fuse,
+    _gate,
+    _overhead,
+    _readback,
+    _relax,
+    _report_fusion,
+    _state_payload,
+)
+from repro.engine.fusion import FusionStats
+from repro.engine.spec import AlgorithmSpec
 from repro.engine.types import HOST_INIT_PER_NODE_S, IterationRecord, VariantPolicy
 from repro.errors import KernelError, NonConvergenceError, ReproError
 from repro.graph.csr import CSRGraph
@@ -65,10 +77,8 @@ from repro.gpusim.transfer import record_transfer
 from repro.kernels.multisource import (
     RowRelaxation,
     fused_computation_tally,
-    fused_readback_bytes,
     fused_workset_gen_tallies,
 )
-from repro.kernels.variants import Variant
 from repro.obs.context import current_observer
 
 __all__ = [
@@ -160,26 +170,20 @@ class BatchFrameResult:
         return sum(1 for q in self.queries if q.ok)
 
 
-class _Row:
-    """Mutable per-query loop state (private to the driver)."""
+class _BatchRow(_Row):
+    """A row of the batch: the row core's loop state plus admission
+    and ejection."""
 
     def __init__(self, index: int, plan: QueryPlan, watchdog=None):
+        super().__init__(plan.spec, plan.policy)
         self.index = index
-        self.spec = plan.spec
         self.source = plan.source
-        self.policy = plan.policy
         self.watchdog = watchdog
-        self.state: Optional[FrameState] = None
-        self.variant: Optional[Variant] = None
-        self.records: List[IterationRecord] = []
-        self.iteration = 0
-        self.cap = 0
         self.error: Optional[str] = None
         self.ejected = False
         self.eject_kind: Optional[str] = None
         self.sim_seconds = 0.0
         self.resident = False  # state block charged against device memory
-        self.pending = None  # (updated, improved, edges, size) within a pass
 
     def result(self) -> BatchQueryResult:
         values = None
@@ -198,17 +202,6 @@ class _Row:
             eject_kind=self.eject_kind,
             sim_seconds=self.sim_seconds,
         )
-
-
-class _RowContext:
-    """The minimal FrameContext stand-in ``spec.init_state`` reads."""
-
-    def __init__(self, graph: CSRGraph, device: DeviceSpec, source: int,
-                 policy: VariantPolicy):
-        self.graph = graph
-        self.device = device
-        self.source = source
-        self.policy = policy
 
 
 class BatchFrame:
@@ -250,25 +243,27 @@ class BatchFrame:
         #: with its generation launch when the pass is uniform (one
         #: comp group, pinned policies, single-kernel generation)
         self.fusion = bool(fusion)
-        self.fused_supersteps = 0
-        self.fusion_refused_supersteps = 0
-        self.fusion_overhead_saved_s = 0.0
-        self.rows: List[_Row] = []
+        self._fusion_stats = FusionStats(plan=None)
+        self.rows: List[_BatchRow] = []
         self.super_iterations = 0
         self.fused_launches = 0
         self.launches_saved = 0
         self.readbacks_saved = 0
         self.rows_ejected = 0
-        n = graph.num_nodes
-        self._n = n
+        self._n = graph.num_nodes
         #: per-row device footprint: values + membership + frontier + bitmap
-        self._state_bytes = 4 * n + n + 4 * n + n // 8
+        self._state_bytes = _state_payload(graph.num_nodes)
+        #: prices every launch of a pass into the batch's timeline (its
+        #: ``source`` and ``policy`` point at the row being started)
+        self._ctx = FrameContext(
+            graph, device, self.model, self.timeline, queue_gen, -1
+        )
         self._graph_resident = False
         self._resident_rows = 0
         #: rows that finished ok but whose value readback is not priced yet
-        self._unpriced: List[_Row] = []
+        self._unpriced: List[_BatchRow] = []
         #: rows finished (ok, failed or ejected) not yet handed to the caller
-        self._finished: List[_Row] = []
+        self._finished: List[_BatchRow] = []
 
     # ------------------------------------------------------------------
     # Admission
@@ -285,7 +280,7 @@ class BatchFrame:
         *,
         watchdogs: Optional[Sequence] = None,
         isolate_capacity: bool = False,
-    ) -> List[_Row]:
+    ) -> List[_BatchRow]:
         """Add *plans* as new rows, joining at the next super-iteration.
 
         Non-batchable specs raise :class:`~repro.errors.KernelError` —
@@ -305,10 +300,10 @@ class BatchFrame:
                     f"{plan.spec.name} does not support batched multi-source "
                     "execution (route it through the single-source fallback)"
                 )
-        new_rows: List[_Row] = []
+        new_rows: List[_BatchRow] = []
         for offset, plan in enumerate(plans):
             watchdog = watchdogs[offset] if watchdogs is not None else None
-            row = _Row(len(self.rows), plan, watchdog=watchdog)
+            row = _BatchRow(len(self.rows), plan, watchdog=watchdog)
             self.rows.append(row)
             new_rows.append(row)
             try:
@@ -322,7 +317,7 @@ class BatchFrame:
         # plus every new live row's state block, behind one PCIe latency.
         graph_bytes = 0 if self._graph_resident else self.graph.device_bytes()
         capacity = self.device.global_mem_bytes
-        admitted: List[_Row] = []
+        admitted: List[_BatchRow] = []
         for row in live:
             needed = graph_bytes + self.resident_bytes + (
                 (len(admitted) + 1) * self._state_bytes
@@ -342,58 +337,40 @@ class BatchFrame:
                 self._finished.append(row)
                 continue
             admitted.append(row)
-        if admitted or graph_bytes:
+        if admitted:
             total_bytes = graph_bytes + len(admitted) * self._state_bytes
-            if admitted:
-                self.timeline.add_transfer(
-                    record_transfer("h2d", total_bytes, self.device)
-                )
-                self.timeline.add_host_seconds(
-                    len(admitted) * self._n * HOST_INIT_PER_NODE_S
-                )
-                self._graph_resident = True
-                self._resident_rows += len(admitted)
-                for row in admitted:
-                    row.resident = True
-
-        # Per-query init + the pre-loop variant choice, mirroring
-        # run_frame: the paper's decision point is after each computation
-        # kernel, so the pre-loop choice covers iteration 0 only.
-        for row in admitted:
-            ctx = _RowContext(self.graph, self.device, row.source, row.policy)
-            row.state = row.spec.init_state(ctx)
-            row.cap = (
-                self.max_iterations
-                if self.max_iterations is not None
-                else row.spec.default_cap(self.graph)
+            self.timeline.add_transfer(
+                record_transfer("h2d", total_bytes, self.device)
             )
-            # A hint of 0 means this row's loop never runs a kernel, so
-            # the policy must not be consulted (mirrors run_frame).
-            hint = row.spec.first_choose_size(row.state)
-            if hint:
-                row.variant = row.policy.choose(0, hint)
-            elif hint is None and row.spec.work_remaining(row.state):
-                row.variant = row.policy.choose(
-                    0, row.spec.work_remaining(row.state)
-                )
+            self.timeline.add_host_seconds(
+                len(admitted) * self._n * HOST_INIT_PER_NODE_S
+            )
+            self._graph_resident = True
+            self._resident_rows += len(admitted)
+            for row in admitted:
+                row.resident = True
+
+        ctx = self._ctx
+        for row in admitted:
+            ctx.source, ctx.policy = row.source, row.policy
+            row.start(ctx, self.max_iterations)
         return new_rows
 
     # ------------------------------------------------------------------
     # Row retirement
     # ------------------------------------------------------------------
 
-    def _retire(self, row: _Row) -> None:
+    def _retire(self, row: _BatchRow) -> None:
         if row.resident:
             row.resident = False
             self._resident_rows -= 1
         self._finished.append(row)
 
-    def _eject(self, row: _Row, reason: str, kind: str) -> None:
+    def _eject(self, row: _BatchRow, reason: str, kind: str) -> None:
         """Remove one faulting/expired row; the slab keeps running."""
         row.ejected = True
         row.eject_kind = kind
         row.error = reason
-        row.pending = None
         self.rows_ejected += 1
         observer = current_observer()
         if observer is not None:
@@ -409,11 +386,10 @@ class BatchFrame:
         return [row.result() for row in out]
 
     def _price_value_readbacks(self) -> None:
-        done_ok = [r for r in self._unpriced]
-        if done_ok:
-            self.timeline.add_transfer(
-                record_transfer("d2h", len(done_ok) * 4 * self._n, self.device)
-            )
+        if self._unpriced:
+            self.timeline.add_transfer(record_transfer(
+                "d2h", len(self._unpriced) * 4 * self._n, self.device
+            ))
         self._unpriced = []
 
     # ------------------------------------------------------------------
@@ -421,7 +397,7 @@ class BatchFrame:
     # ------------------------------------------------------------------
 
     @property
-    def active_rows(self) -> List[_Row]:
+    def active_rows(self) -> List[_BatchRow]:
         return [
             r for r in self.rows
             if r.error is None and r.state is not None
@@ -444,38 +420,30 @@ class BatchFrame:
             return False
 
         pass_start = self.timeline.total_seconds
+        ctx = self._ctx
+        ctx.iteration = self.super_iterations
 
         survivors = []
         for row in active:
-            if row.iteration >= row.cap:
-                row.error = row.spec.cap_message(row.cap)
-                self._retire(row)
+            try:
+                _gate(row, row.watchdog, self.fault_hook, row.sim_seconds)
+            except ReproError as exc:
+                if row.iteration >= row.cap:
+                    row.error = str(exc)
+                    self._retire(row)
+                else:
+                    expired = isinstance(exc, NonConvergenceError)
+                    self._eject(row, str(exc), "deadline" if expired else "fault")
                 continue
-            if row.watchdog is not None:
-                try:
-                    row.watchdog.check(row.iteration, row.sim_seconds)
-                except NonConvergenceError as exc:
-                    self._eject(row, str(exc), kind="deadline")
-                    continue
-            if self.fault_hook is not None:
-                try:
-                    self.fault_hook.on_iteration(
-                        row.iteration, row.state.values, row.state.frontier
-                    )
-                except ReproError as exc:
-                    self._eject(row, str(exc), kind="fault")
-                    continue
             survivors.append(row)
-        active = survivors
-        if not active:
+        if not survivors:
             return False
 
         # --- fused computation: group rows by (algorithm, variant, tpb)
         groups: dict = {}
-        for row in active:
+        for row in survivors:
             tpb = row.spec.tpb(row.variant, self.graph, self.device)
-            key = (row.spec.name, row.variant.code, tpb)
-            groups.setdefault(key, []).append(row)
+            groups.setdefault((row.spec.name, row.variant.code, tpb), []).append(row)
 
         # Spec-fusion precondition: one uniform computation group of
         # pinned (specialized) rows and a single-kernel generation
@@ -487,47 +455,32 @@ class BatchFrame:
             self.fusion
             and len(groups) == 1
             and self.queue_gen != "scan"
-            and all(
-                getattr(row.policy, "variant", None) is not None
-                for row in active
-            )
+            and all(getattr(row.policy, "variant", None) is not None
+                    for row in survivors)
         )
-        held_comp = None
-
+        held = None
+        relaxed: dict = {}
         for (alg, code, tpb), members in groups.items():
+            healthy: dict = {}
             relaxations = []
-            healthy = []
             for row in members:
-                size = int(row.spec.work_remaining(row.state))
                 try:
-                    updated, degrees, improved, edges = row.spec.batch_relax(
-                        self.graph, row.state
-                    )
+                    outcome, degrees = _relax(row, self.graph)
                 except ReproError as exc:
                     self._eject(row, str(exc), kind="fault")
                     continue
-                row.pending = (updated, improved, edges, size)
-                healthy.append(row)
-                relaxations.append(
-                    RowRelaxation(
-                        active_ids=row.state.frontier,
-                        degrees=degrees,
-                        improved=improved,
-                        updated_count=int(updated.size),
-                    )
-                )
+                healthy[row] = outcome
+                relaxations.append(RowRelaxation(
+                    row.state.frontier, degrees,
+                    outcome.improved_relaxations, outcome.updated_count,
+                ))
             if not healthy:
                 continue
-            edge_cost, weight_streams = healthy[0].spec.batch_kernel_profile()
+            edge_cost, weight_streams = members[0].spec.batch_kernel_profile()
             try:
                 tally = fused_computation_tally(
-                    relaxations,
-                    healthy[0].variant,
-                    tpb,
-                    self._n,
-                    self.device,
-                    edge_cost=edge_cost,
-                    weight_streams=weight_streams,
+                    relaxations, members[0].variant, tpb, self._n, self.device,
+                    edge_cost=edge_cost, weight_streams=weight_streams,
                     name=f"batch_{alg}_comp",
                 )
             except ReproError as exc:
@@ -536,60 +489,28 @@ class BatchFrame:
                 # state, so only a from-scratch fallback rerun is
                 # bit-safe); other groups keep running.
                 for row in healthy:
-                    self._eject(
-                        row, f"fused launch failed: {exc}", kind="fault"
-                    )
+                    self._eject(row, f"fused launch failed: {exc}", kind="fault")
                 continue
+            relaxed.update(healthy)
             if defer_fusion:
-                held_comp = (tally, code, healthy)
+                held = (tally, code, list(healthy))
                 continue
-            cost = self.model.price(tally)
-            self.timeline.add_kernel(self.super_iterations, tally, cost,
-                                     f"batch:{code}")
+            ctx.price(tally, f"batch:{code}")
             self.fused_launches += 1
             self.launches_saved += len(healthy) - 1
 
-        active = [r for r in active if r.pending is not None]
-
-        # --- per-query decision point + bookkeeping (exactly run_frame's
-        # sequence: choose(iteration + 1, next_size) when work remains,
-        # keep the current variant when the query just drained)
+        # --- the row core's decision point and bookkeeping, per row
         gen_groups: dict = {}
-        for row in active:
-            updated, improved, edges, size = row.pending
-            row.pending = None
-            next_size = int(updated.size)
-            next_variant = (
-                row.policy.choose(row.iteration + 1, next_size)
-                if next_size
-                else row.variant
-            )
-            for tally in row.policy.overhead_tallies(
-                row.iteration, size, self._n, self.device
-            ):
-                cost = self.model.price(tally)
-                self.timeline.add_kernel(
-                    self.super_iterations, tally, cost,
-                    f"batch:{row.variant.code}",
-                )
-            entry = gen_groups.setdefault(next_variant.workset, ([], []))
-            entry[0].append(next_size)
-            entry[1].append(row)
-            record = IterationRecord(
-                iteration=row.iteration,
-                variant=row.variant.code,
-                workset_size=size,
-                processed=size,
-                updated=next_size,
-                edges_scanned=edges,
-                improved_relaxations=improved,
-                seconds=0.0,
-            )
-            row.records.append(record)
-            row.policy.notify(record)
-            row.state.frontier = updated
-            row.variant = next_variant
-            row.iteration += 1
+        for row in survivors:
+            outcome = relaxed.get(row)
+            if outcome is None:
+                continue
+            next_variant = _choose_next(row, outcome.updated_count)
+            _overhead(ctx, row, outcome.processed, f"batch:{row.variant.code}")
+            counts, members = gen_groups.setdefault(next_variant.workset, ([], []))
+            counts.append(outcome.updated_count)
+            members.append(row)
+            _commit(ctx, row, outcome.processed, outcome, next_variant, 0.0)
 
         # --- fused workset generation: one launch per emitted
         # representation, covering every row headed there (rows that just
@@ -598,55 +519,35 @@ class BatchFrame:
         for representation, (counts, members) in gen_groups.items():
             # Mixed-spec groups share one stride; every batchable spec
             # emits 4-byte ids today, but honor the declared width.
-            entry_bytes = max(
-                row.spec.workset_entry_bytes for row in members
-            )
+            entry_bytes = max(row.spec.workset_entry_bytes for row in members)
             try:
                 gen_tallies = fused_workset_gen_tallies(
                     self._n, counts, representation, self.device,
                     scheme=self.queue_gen, entry_bytes=entry_bytes,
                 )
-                if (
-                    held_comp is not None
-                    and len(gen_groups) == 1
-                    and len(gen_tallies) == 1
-                ):
-                    comp_tally, code, comp_members = held_comp
-                    held_comp = None
-                    merged = fuse_tallies([comp_tally, gen_tallies[0]])
-                    cost = self.model.price(merged)
-                    self.timeline.add_kernel(
-                        self.super_iterations, merged, cost, f"batch:{code}"
+                if held is not None and len(gen_groups) == 1 and len(gen_tallies) == 1:
+                    comp, code, riders = held
+                    held = None
+                    ctx.price(
+                        _fuse(self._fusion_stats, comp, gen_tallies[0], self.device),
+                        f"batch:{code}",
                     )
                     self.fused_launches += 1
                     # The merged launch replaces one per surviving comp
                     # rider, one per gen rider, and the gen launch itself.
-                    self.launches_saved += (
-                        (len(comp_members) - 1) + (len(counts) - 1) + 1
-                    )
-                    self.fused_supersteps += 1
-                    self.fusion_overhead_saved_s += (
-                        self.device.kernel_launch_overhead_s
-                    )
+                    self.launches_saved += (len(riders) - 1) + (len(counts) - 1) + 1
                     continue
                 for tally in gen_tallies:
-                    cost = self.model.price(tally)
-                    self.timeline.add_kernel(
-                        self.super_iterations, tally, cost, "batch:gen"
-                    )
+                    ctx.price(tally, "batch:gen")
             except ReproError as exc:
-                if held_comp is not None:
-                    # The merged launch failed as a unit: its comp
-                    # riders fall with the gen riders.
-                    for row in held_comp[2]:
-                        if row.error is None and not row.ejected:
-                            self._eject(
-                                row, f"fused launch failed: {exc}",
-                                kind="fault",
-                            )
-                    held_comp = None
+                # A merged launch fails as a unit: its comp riders fall
+                # with the gen riders.
+                riders = held[2] if held is not None else []
+                held = None
+                for row in riders:
+                    self._eject(row, f"fused launch failed: {exc}", kind="fault")
                 for row in members:
-                    if row.error is None and not row.ejected:
+                    if row.error is None:
                         self._eject(
                             row, f"fused generation launch failed: {exc}",
                             kind="fault",
@@ -655,27 +556,20 @@ class BatchFrame:
             self.fused_launches += 1
             self.launches_saved += len(counts) - 1
 
-        if held_comp is not None:
+        if held is not None:
             # Fusion armed but no generation launch to merge with (every
             # rider ejected mid-pass): price the held computation as-is.
-            tally, code, healthy = held_comp
-            cost = self.model.price(tally)
-            self.timeline.add_kernel(
-                self.super_iterations, tally, cost, f"batch:{code}"
-            )
+            tally, code, riders = held
+            ctx.price(tally, f"batch:{code}")
             self.fused_launches += 1
-            self.launches_saved += len(healthy) - 1
-            self.fusion_refused_supersteps += 1
+            self.launches_saved += len(riders) - 1
+            self._fusion_stats.refused_iterations += 1
 
         # --- one fused readback for the whole batch: every surviving
         # row's 4-byte working-set size behind a single PCIe latency
-        survivors = [r for r in active if not r.ejected and r.error is None]
+        survivors = [r for r in survivors if r.error is None and r in relaxed]
         if survivors:
-            self.timeline.add_transfer(
-                record_transfer(
-                    "d2h", fused_readback_bytes(len(survivors)), self.device
-                )
-            )
+            _readback(self.timeline, self.device, len(survivors))
             self.readbacks_saved += len(survivors) - 1
         self.super_iterations += 1
 
@@ -714,18 +608,7 @@ class BatchFrame:
             metrics.counter("batch.launches_saved").inc(self.launches_saved)
             metrics.counter("batch.readbacks_saved").inc(self.readbacks_saved)
             if self.fusion:
-                metrics.counter("fusion.fused_launches").inc(
-                    self.fused_supersteps
-                )
-                metrics.counter("fusion.launches_eliminated").inc(
-                    self.fused_supersteps
-                )
-                metrics.counter("fusion.overhead_saved_s").inc(
-                    self.fusion_overhead_saved_s
-                )
-                metrics.counter("fusion.refused_iterations").inc(
-                    self.fusion_refused_supersteps
-                )
+                _report_fusion(self._fusion_stats)
             observer.spans.add_span(
                 "batch_frame",
                 sim_seconds=self.timeline.total_seconds,
@@ -742,8 +625,8 @@ class BatchFrame:
             launches_saved=self.launches_saved,
             readbacks_saved=self.readbacks_saved,
             rows_ejected=self.rows_ejected,
-            fused_supersteps=self.fused_supersteps,
-            fusion_overhead_saved_s=self.fusion_overhead_saved_s,
+            fused_supersteps=self._fusion_stats.fused_iterations,
+            fusion_overhead_saved_s=self._fusion_stats.overhead_saved_s,
         )
 
 

@@ -1,4 +1,4 @@
-"""The one host-side iteration driver (the paper's Figure 8).
+"""The one host-side iteration core (the paper's Figure 8).
 
 ::
 
@@ -10,22 +10,24 @@
     6:   Invoke CUDA_workingset_generation kernel
     7: end while
 
-:func:`run_frame` is that loop, generic over an
-:class:`~repro.engine.spec.AlgorithmSpec` (the algorithm-specific
-pieces) and a :class:`~repro.engine.types.VariantPolicy` (the
-implementation choice per iteration) — the same frame drives the static
-variants, the adaptive runtime, and every extension algorithm, so the
-cross-cutting seams exist exactly once:
+A *row* (:class:`_Row`) is one query's loop state over an
+:class:`~repro.engine.spec.AlgorithmSpec` and a
+:class:`~repro.engine.types.VariantPolicy`.  This module owns the loop
+body once, as plain functions over a row: the row start, the gate
+(cap, watchdog, fault hook), the decision point (pre-loop, top of
+iteration or after the computation kernel), pricing (policy overhead,
+working-set generation, the computation-plus-generation merge, the
+4-byte size readback) and bookkeeping (record, ``policy.notify``,
+observer metrics, checkpoint offer, frontier advance).
 
-- the per-iteration 4-byte working-set-size readback (the ``while``
-  condition is host code — a real PCIe latency every iteration);
-- watchdog budgets, checkpoint offers, resume, fault-injection hooks
-  (:mod:`repro.reliability`), all ``None`` by default and free when
-  absent;
-- :class:`~repro.gpusim.allocator.MemoryBudget` charging of graph,
-  state, per-iteration worksets and checkpoint staging;
-- observer metrics and simulated-clock-aligned spans
-  (:mod:`repro.obs`).
+Four schedules iterate rows through it, each deciding which rows
+advance together, where a row's relax runs and where its kernels are
+priced: :func:`run_frame` (one row, priced into its timeline, with
+resume, refill, fusion plans and memory charging),
+:class:`~repro.engine.batch.BatchFrame` (N rows fused per variant),
+:func:`~repro.engine.shard.run_sharded` (one row per shard, priced
+into device seconds) and :func:`~repro.core.hybrid.hybrid_run` (one
+row with a host/device placement step).
 
 A resumed traversal's :class:`~repro.engine.types.TraversalResult`
 carries the full iteration history (prior records come from the
@@ -35,7 +37,8 @@ attempt — the guarded runner accounts for time across attempts.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+import contextlib
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.engine.fusion import FusionStats, LaunchPlan, fuse_tallies, lower
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
@@ -52,6 +55,7 @@ from repro.gpusim.kernel import CostModel, CostParams, KernelTally
 from repro.gpusim.memory import traversal_state_bytes
 from repro.gpusim.timeline import Timeline
 from repro.gpusim.transfer import record_transfer
+from repro.kernels.multisource import fused_readback_bytes
 from repro.kernels.variants import Variant, WorksetRepr
 from repro.kernels.workset import workset_gen_tallies
 from repro.obs.context import current_observer
@@ -66,14 +70,16 @@ __all__ = ["FrameContext", "run_frame"]
 
 class FrameContext:
     """What a spec's hooks may touch mid-iteration: the work graph, the
-    device/cost model, and kernel pricing against the shared timeline."""
+    device/cost model, and kernel pricing against the shared timeline.
+
+    A shard prices with no timeline, into :attr:`seconds` only."""
 
     def __init__(
         self,
         graph: CSRGraph,
         device: DeviceSpec,
         model: CostModel,
-        timeline: Timeline,
+        timeline: Optional[Timeline],
         queue_gen: str,
         source: int,
     ):
@@ -89,7 +95,7 @@ class FrameContext:
         self.iteration = 0
         self.label = ""
         #: simulated seconds accumulated into the current iteration's
-        #: record (reset by the driver at each iteration start)
+        #: record (reset by the schedule at each iteration start)
         self.seconds = 0.0
         #: when set (by the driver, around ``spec.compute`` under a
         #: fusible :class:`~repro.engine.fusion.LaunchPlan`), ``price``
@@ -104,7 +110,8 @@ class FrameContext:
             self.collect.append((tally, label or self.label))
             return
         cost = self.model.price(tally)
-        self.timeline.add_kernel(self.iteration, tally, cost, label or self.label)
+        if self.timeline is not None:
+            self.timeline.add_kernel(self.iteration, tally, cost, label or self.label)
         self.seconds += cost.seconds
 
     def price_unattributed(self, tally: KernelTally) -> None:
@@ -119,28 +126,14 @@ class FrameContext:
 
 
 # ----------------------------------------------------------------------
-# Shared frame pieces
+# Transfers
 # ----------------------------------------------------------------------
 
-def _observe_iteration(observer, record: IterationRecord) -> None:
-    """Report one finished iteration into the current observer.
-
-    Called only when an observer is installed (:mod:`repro.obs`); the
-    span advance keeps the profiler's simulated clock aligned with the
-    kernel stream so spans and kernels merge onto one Perfetto axis.
-    """
-    metrics = observer.metrics
-    metrics.counter("frame.iterations").inc()
-    metrics.counter("frame.processed_nodes").inc(record.processed)
-    metrics.counter("frame.edges_scanned").inc(record.edges_scanned)
-    metrics.histogram("frame.workset_size").observe(record.workset_size)
-    observer.spans.add_span(
-        "iteration",
-        sim_seconds=record.seconds,
-        iteration=record.iteration,
-        variant=record.variant,
-        workset_size=record.workset_size,
-    )
+def _state_payload(num_nodes: int) -> int:
+    """Opening h2d payload of one row's traversal state: the state
+    array (4 B/node), update flags (1 B/node), queue capacity
+    (4 B/node) and the bitmap (1 bit/node)."""
+    return 4 * num_nodes + num_nodes + 4 * num_nodes + num_nodes // 8
 
 
 def _initial_transfers(
@@ -160,123 +153,236 @@ def _initial_transfers(
     isn't re-transferred.
     """
     n = graph.num_nodes
-    state_bytes = 4 * n + n + 4 * n + n // 8
+    graph_bytes = graph.device_bytes()
+    state_bytes = _state_payload(n)
     if memory is not None:
-        # Budgeted path: the CSR arrays and traversal state are charged
-        # as resident (never-spillable) allocations; the per-iteration
-        # working set is charged separately by the loop.  An overflow
-        # raises DeviceOOMError — survivable by the guard's OOM ladder,
-        # unlike the hard KernelError below.
-        memory.allocate(
-            graph.device_bytes(), "graph", label=f"CSR arrays of {graph.name!r}"
-        )
+        # The CSR arrays and traversal state are charged as resident
+        # (never-spillable) allocations; the per-iteration working set
+        # is charged separately by the loop.  An overflow raises
+        # DeviceOOMError — survivable by the guard's OOM ladder, unlike
+        # the hard KernelError below.
+        memory.allocate(graph_bytes, "graph", label=f"CSR arrays of {graph.name!r}")
         memory.allocate(
             traversal_state_bytes(n), "state", label="traversal state arrays"
         )
-        # Same initial h2d payload as the legacy path below (state init
-        # includes zeroing the workset capacity), so a budget is
-        # time-neutral until it actually intervenes.
-        total_bytes = state_bytes if resident else graph.device_bytes() + state_bytes
-        timeline.add_transfer(record_transfer("h2d", total_bytes, device))
-        timeline.add_host_seconds(n * HOST_INIT_PER_NODE_S)
-        return
-    # Legacy (unbudgeted) capacity check: graph arrays + state array
-    # (4 B/node) + update flags (1 B/node) + queue capacity (4 B/node)
-    # + bitmap (1 bit/node).
-    total_bytes = graph.device_bytes() + state_bytes
-    if total_bytes > device.global_mem_bytes:
+    elif graph_bytes + state_bytes > device.global_mem_bytes:
         raise KernelError(
-            f"graph {graph.name!r} needs {total_bytes / 2**30:.2f} GiB of device "
-            f"memory but {device.name} has {device.global_mem_bytes / 2**30:.2f} GiB "
+            f"graph {graph.name!r} needs {(graph_bytes + state_bytes) / 2**30:.2f} "
+            f"GiB of device memory but {device.name} has "
+            f"{device.global_mem_bytes / 2**30:.2f} GiB "
             "(the paper's system keeps the whole CSR resident)"
         )
     timeline.add_transfer(
-        record_transfer("h2d", state_bytes if resident else total_bytes, device)
+        record_transfer(
+            "h2d", state_bytes if resident else graph_bytes + state_bytes, device
+        )
     )
     timeline.add_host_seconds(n * HOST_INIT_PER_NODE_S)
 
 
-def _final_transfers(graph: CSRGraph, timeline: Timeline, device: DeviceSpec) -> None:
-    timeline.add_transfer(record_transfer("d2h", 4 * graph.num_nodes, device))
-
-
-def _readback(timeline: Timeline, device: DeviceSpec) -> None:
-    """The per-iteration working-set-size readback (loop condition)."""
-    timeline.add_transfer(record_transfer("d2h", 4, device))
-
-
-def _tpb_for(variant: Variant, graph: CSRGraph, device: DeviceSpec) -> int:
-    return variant.threads_per_block(graph.avg_out_degree, device)
-
-
-def _restore_state(resume_from: "TraversalCheckpoint", algorithm: str, source: int):
-    """Private copies of a checkpoint's state, ready to resume from."""
-    if not resume_from.matches(algorithm, source):
-        raise KernelError(
-            f"checkpoint holds a {resume_from.algorithm!r} query from source "
-            f"{resume_from.source}; cannot resume {algorithm!r} from {source}"
-        )
-    return (
-        resume_from.values.copy(),
-        resume_from.frontier.copy(),
-        list(resume_from.records),
-        resume_from.next_iteration,
-    )
-
-
-def _offer_checkpoint(
-    keeper: Optional["CheckpointKeeper"],
-    timeline: Timeline,
-    device: DeviceSpec,
-    memory: Optional["MemoryBudget"] = None,
-    **state,
-) -> None:
-    """Let the keeper snapshot post-iteration state; price the copy."""
-    if keeper is None:
-        return
-    nbytes = keeper.offer(**state)
-    if not nbytes:
-        return
-    observer = current_observer()
-    if observer is not None:
-        observer.metrics.counter("frame.checkpoint_bytes").inc(nbytes)
-    if memory is not None:
-        # The staging buffer lives on the device only for the copy's
-        # duration; under spill mode the part that does not fit stages
-        # from host memory directly and costs nothing extra (the d2h
-        # copy below moves every byte off-device regardless).
-        with memory.transient(nbytes, "checkpoint", label="checkpoint staging"):
-            timeline.add_transfer(record_transfer("d2h", nbytes, device))
-        return
-    timeline.add_transfer(record_transfer("d2h", nbytes, device))
-
-
-def _charge_workset(
-    memory: Optional["MemoryBudget"],
-    variant: Variant,
-    workset_size: int,
-    graph: CSRGraph,
-    timeline: Timeline,
-    device: DeviceSpec,
-    *,
-    entry_bytes: int = 4,
-) -> None:
-    """Charge this iteration's materialized working set against the
-    budget.  In spill mode the overflow lives in host memory: the frame
-    prices it as one write-out plus one read-back over PCIe (the
-    generation kernel emits it, the computation kernel consumes it)."""
-    if memory is None:
-        return
-    spilled = memory.charge_workset(
-        variant.workset, workset_size, graph.num_nodes, entry_bytes=entry_bytes
-    )
-    if spilled:
-        timeline.add_transfer(record_transfer("d2h", spilled, device))
-        timeline.add_transfer(record_transfer("h2d", spilled, device))
+def _readback(timeline: Timeline, device: DeviceSpec, rows: int = 1) -> None:
+    """The working-set-size readback (loop condition): one 4-byte size
+    per row behind a single PCIe latency."""
+    timeline.add_transfer(record_transfer("d2h", fused_readback_bytes(rows), device))
 
 
 # ----------------------------------------------------------------------
-# The driver
+# The row core
+# ----------------------------------------------------------------------
+
+class _Row:
+    """One query's loop state: the unit every schedule advances."""
+
+    def __init__(self, spec: AlgorithmSpec, policy: Optional[VariantPolicy],
+                 *, top: bool = False):
+        self.spec = spec
+        self.policy = policy
+        #: consult the policy at the top of each iteration, not after the
+        #: computation kernel (the paper's unordered decision point)
+        self.top = top or spec.chooses_at_top
+        self.state: Optional[FrameState] = None
+        self.cap = 0
+        self.records: List[IterationRecord] = []
+        self.iteration = 0
+        self.variant: Optional[Variant] = None
+        #: simulated seconds of this row's records (the watchdog's clock)
+        self.elapsed = 0.0
+
+    def start(self, ctx: FrameContext, max_iterations: Optional[int],
+              resume_from: Optional["TraversalCheckpoint"] = None) -> "_Row":
+        """The row start: initial (or resumed) state, the iteration cap
+        and the pre-loop variant choice."""
+        spec = self.spec
+        if resume_from is not None:
+            if not resume_from.matches(spec.name, ctx.source):
+                raise KernelError(
+                    f"checkpoint holds a {resume_from.algorithm!r} query from "
+                    f"source {resume_from.source}; cannot resume {spec.name!r} "
+                    f"from {ctx.source}"
+                )
+            self.state = spec.resume_state(
+                resume_from.values.copy(), resume_from.frontier.copy(), resume_from
+            )
+            self.records = list(resume_from.records)
+            self.iteration = resume_from.next_iteration
+        else:
+            self.state = spec.init_state(ctx)
+        self.cap = (
+            max_iterations if max_iterations is not None
+            else spec.default_cap(ctx.graph)
+        )
+        if not self.top:
+            # The pre-loop choice covers the first iteration only.  At
+            # size 0 the loop exits before any kernel launches, so
+            # neither the policy nor its priced overhead may run.
+            size = spec.first_choose_size(self.state)
+            if size is None:
+                size = spec.work_remaining(self.state)
+            if size:
+                self.variant = self.policy.choose(self.iteration, size)
+        return self
+
+
+def _gate(row: _Row, watchdog, fault_hook, elapsed: float) -> None:
+    """The row gate: iteration cap, watchdog, fault hook.  It raises;
+    a batch turns the raise into an ejection of that row."""
+    if row.iteration >= row.cap:
+        raise NonConvergenceError(row.spec.cap_message(row.cap))
+    if watchdog is not None:
+        watchdog.check(row.iteration, elapsed)
+    if fault_hook is not None:
+        fault_hook.on_iteration(row.iteration, row.state.values, row.state.frontier)
+
+
+def _choose_top(row: _Row, size: int) -> Variant:
+    """The decision point at the top of an iteration, for rows that
+    choose there."""
+    if row.top:
+        row.variant = row.policy.choose(row.iteration, size)
+    return row.variant
+
+
+def _choose_next(row: _Row, next_size: int) -> Variant:
+    """The paper's decision point, after the computation kernel: the
+    generation kernel then materializes whichever representation the
+    next iteration reads.  A drained row keeps its variant."""
+    if row.top or not next_size:
+        return row.variant
+    return row.policy.choose(row.iteration + 1, next_size)
+
+
+def _relax(row: _Row, graph: CSRGraph):
+    """The row's functional update on *graph* without pricing it (batch
+    rows, shards and host sweeps): ``(outcome, degrees)``."""
+    size = row.spec.work_remaining(row.state)
+    updated, degrees, improved, edges = row.spec.batch_relax(graph, row.state)
+    return StepOutcome(updated, int(updated.size), int(size), int(edges),
+                       int(improved)), degrees
+
+
+def _overhead(ctx: FrameContext, row: _Row, size: int, label: str) -> None:
+    """Price the policy's monitoring kernels for this iteration."""
+    for tally in row.policy.overhead_tallies(
+        row.iteration, size, ctx.graph.num_nodes, ctx.device
+    ):
+        ctx.price(tally, label)
+
+
+def _fuse(stats: FusionStats, comp: KernelTally, gen: KernelTally,
+          device: DeviceSpec) -> KernelTally:
+    """Merge a computation launch with the single generation launch
+    after it into one fused launch, and count the saving.  The
+    readback survives: the host still needs the next size."""
+    fused = fuse_tallies([comp, gen])
+    stats.fused_iterations += 1
+    stats.launches_eliminated += 1
+    stats.overhead_saved_s += device.kernel_launch_overhead_s
+    return fused
+
+
+def _commit(ctx: FrameContext, row: _Row, size: int, outcome: StepOutcome,
+            next_variant: Optional[Variant], seconds: float, *,
+            keeper: Optional["CheckpointKeeper"] = None,
+            memory: Optional["MemoryBudget"] = None,
+            notify: bool = True, span: bool = False) -> None:
+    """Bookkeeping: the record, ``policy.notify``, observer metrics
+    (*span*: on the row's own simulated clock), the checkpoint offer and
+    the frontier advance."""
+    record = IterationRecord(
+        iteration=row.iteration,
+        variant=outcome.label or row.variant.code,
+        workset_size=size,
+        processed=outcome.processed,
+        updated=outcome.updated_count,
+        edges_scanned=outcome.edges_scanned,
+        improved_relaxations=outcome.improved_relaxations,
+        seconds=seconds,
+    )
+    row.records.append(record)
+    if notify:
+        row.policy.notify(record)
+    observer = current_observer()
+    if observer is not None:
+        metrics = observer.metrics
+        metrics.counter("frame.iterations").inc()
+        metrics.counter("frame.processed_nodes").inc(record.processed)
+        metrics.counter("frame.edges_scanned").inc(record.edges_scanned)
+        metrics.histogram("frame.workset_size").observe(record.workset_size)
+        if span:
+            # Keeps the profiler's simulated clock aligned with the
+            # kernel stream, so spans and kernels share one axis.
+            observer.spans.add_span(
+                "iteration",
+                sim_seconds=record.seconds,
+                iteration=record.iteration,
+                variant=record.variant,
+                workset_size=record.workset_size,
+            )
+    row.elapsed += seconds
+    nbytes = keeper.offer(
+        algorithm=row.spec.name,
+        source=ctx.source,
+        iteration=row.iteration,
+        values=row.state.values,
+        frontier=outcome.next_frontier,
+        variant_code=next_variant.code,
+        records=row.records,
+        seconds=seconds,
+        extra=row.spec.checkpoint_extra(row.state),
+    ) if keeper is not None else 0
+    if nbytes:
+        if observer is not None:
+            observer.metrics.counter("frame.checkpoint_bytes").inc(nbytes)
+        # The staging buffer lives on the device only for the copy's
+        # duration; under spill mode the part that does not fit stages
+        # from host memory directly and costs nothing extra (the d2h
+        # copy moves every byte off-device regardless).
+        with (
+            memory.transient(nbytes, "checkpoint", label="checkpoint staging")
+            if memory is not None else contextlib.nullcontext()
+        ):
+            ctx.timeline.add_transfer(record_transfer("d2h", nbytes, ctx.device))
+    if outcome.next_frontier is not None:
+        row.state.frontier = outcome.next_frontier
+    row.variant = next_variant
+    row.iteration += 1
+
+
+def _report_fusion(stats: FusionStats) -> None:
+    """Add one run's fusion savings to the observer's counters."""
+    observer = current_observer()
+    if observer is None:
+        return
+    metrics = observer.metrics
+    metrics.counter("fusion.fused_launches").inc(stats.fused_iterations)
+    metrics.counter("fusion.launches_eliminated").inc(stats.launches_eliminated)
+    metrics.counter("fusion.overhead_saved_s").inc(stats.overhead_saved_s)
+    metrics.counter("fusion.hoisted_h2d_bytes").inc(stats.hoisted_h2d_bytes)
+    metrics.counter("fusion.refused_iterations").inc(stats.refused_iterations)
+
+
+# ----------------------------------------------------------------------
+# The single-row schedule
 # ----------------------------------------------------------------------
 
 def run_frame(
@@ -318,6 +424,19 @@ def run_frame(
     :class:`~repro.errors.DeviceOOMError` on overflow (or pricing the
     spilled bytes as PCIe traffic in spill mode).
     """
+    return _drive(graph, source, policy, spec, device, cost_params,
+                  max_iterations, queue_gen, watchdog, checkpoint_keeper,
+                  resume_from, fault_hook, memory, fusion)
+
+
+def _drive(graph, source, policy, spec, device, cost_params, max_iterations,
+           queue_gen, watchdog=None, checkpoint_keeper=None, resume_from=None,
+           fault_hook=None, memory=None, fusion=None,
+           place: Optional[Callable] = None) -> TraversalResult:
+    """:func:`run_frame`'s loop.  *place* (hybrid execution) runs before
+    the policy: ``place(ctx, row, size)`` returns the outcome of an
+    iteration it ran on the host, or None for the device, and
+    ``place.on_device`` says whether the answer needs a final d2h."""
     spec.validate(graph, source)
     if not spec.checkpointable and (
         checkpoint_keeper is not None
@@ -347,7 +466,8 @@ def run_frame(
             else lower(spec, policy, queue_gen=queue_gen)
         )
         fusion_stats = FusionStats(plan=plan)
-    hoist_bytes = plan.hoist_h2d_bytes if plan is not None and plan.fusible else 0
+    fusing = plan is not None and plan.fusible
+    hoist_bytes = plan.hoist_h2d_bytes if fusing else 0
     hoisted_iterations = 0
     if hoist_bytes:
         # Invariant hoisting: the per-iteration H2D payload is
@@ -360,36 +480,15 @@ def run_frame(
         # trace layout, which lays the opening h2d copies before kernels.
         observer.spans.advance_sim(timeline.transfer_seconds)
 
-    if resume_from is not None:
-        values, frontier, records, iteration = _restore_state(
-            resume_from, spec.name, source
-        )
-        state = spec.resume_state(values, frontier, resume_from)
-    else:
-        state = spec.init_state(ctx)
-        records: List[IterationRecord] = []
-        iteration = 0
-    n = work_graph.num_nodes
-    cap = (
-        max_iterations if max_iterations is not None else spec.default_cap(work_graph)
+    row = _Row(spec, policy, top=place is not None).start(
+        ctx, max_iterations, resume_from
     )
-    elapsed_s = 0.0
-    variant: Optional[Variant] = None
-    if not spec.chooses_at_top:
-        # The paper's decision point is *after* each computation kernel;
-        # the pre-loop choice covers iteration 0 only.  A hint of 0
-        # means the loop exits before any kernel launches, so neither
-        # the policy nor its priced overhead region may run.
-        hint = spec.first_choose_size(state)
-        if hint:
-            variant = policy.choose(iteration, hint)
-        elif hint is None and spec.work_remaining(state):
-            variant = policy.choose(iteration, spec.work_remaining(state))
-        if variant is not None:
-            ctx.label = variant.code
+    state = row.state
+    if row.variant is not None:
+        ctx.label = row.variant.code
 
     while True:
-        ctx.iteration = iteration
+        ctx.iteration = row.iteration
         size = spec.work_remaining(state)
         if not size:
             # Multi-phase algorithms re-seed here (k-core's next-k
@@ -399,22 +498,28 @@ def run_frame(
                 break
             state.frontier = refreshed
             continue
-        if iteration >= cap:
-            raise NonConvergenceError(spec.cap_message(cap))
-        if watchdog is not None:
-            watchdog.check(iteration, elapsed_s)
-        if fault_hook is not None:
-            fault_hook.on_iteration(iteration, state.values, state.frontier)
-        if spec.chooses_at_top:
-            variant = policy.choose(iteration, size)
-        ctx.label = variant.code
+        _gate(row, watchdog, fault_hook, row.elapsed)
         ctx.seconds = 0.0
+        outcome = place(ctx, row, size) if place is not None else None
+        if outcome is not None:
+            # A host iteration: no policy, generation or readback.
+            _commit(ctx, row, size, outcome, row.variant, ctx.seconds,
+                    notify=False, span=True)
+            continue
+        variant = _choose_top(row, size)
+        ctx.label = variant.code
         tpb = spec.tpb(variant, work_graph, device)
-        _charge_workset(
-            memory, variant, size, work_graph, timeline, device,
-            entry_bytes=spec.workset_entry_bytes,
-        )
-
+        if memory is not None:
+            # The materialized working set is charged against the budget;
+            # in spill mode the overflow lives in host memory, priced as
+            # one write-out plus one read-back over PCIe.
+            spilled = memory.charge_workset(
+                variant.workset, size, work_graph.num_nodes,
+                entry_bytes=spec.workset_entry_bytes,
+            )
+            if spilled:
+                timeline.add_transfer(record_transfer("d2h", spilled, device))
+                timeline.add_transfer(record_transfer("h2d", spilled, device))
         if spec.iteration_h2d_bytes:
             if hoist_bytes:
                 hoisted_iterations += 1
@@ -423,56 +528,38 @@ def run_frame(
                     record_transfer("h2d", spec.iteration_h2d_bytes, device)
                 )
 
-        fusing = plan is not None and plan.fusible
         if fusing:
             ctx.collect = []
         outcome = spec.compute(ctx, state, variant, tpb)
-        deferred = ctx.collect
-        ctx.collect = None
+        deferred, ctx.collect = ctx.collect, None
         if outcome is None:
             # The step itself detected termination (DOBFS's pull sweep
             # with nothing left to visit): no generation, no readback.
-            if deferred:
-                for dtally, dlabel in deferred:
-                    ctx.price(dtally, dlabel)
+            for dtally, dlabel in deferred or ():
+                ctx.price(dtally, dlabel)
             break
 
-        # Decide the next iteration's variant now: the generation kernel
-        # below materializes whichever representation it will read.
-        next_size = outcome.updated_count
-        if spec.chooses_at_top:
-            next_variant = variant
-        else:
-            next_variant = (
-                policy.choose(iteration + 1, next_size) if next_size else variant
-            )
+        next_variant = _choose_next(row, outcome.updated_count)
         label = outcome.label or variant.code
-        for tally in policy.overhead_tallies(iteration, size, n, device):
-            ctx.price(tally, label)
-
-        gen_count = next_size if outcome.gen_count is None else outcome.gen_count
+        _overhead(ctx, row, size, label)
         gen_tallies = workset_gen_tallies(
-            n, gen_count, next_variant.workset, device, scheme=queue_gen,
+            work_graph.num_nodes,
+            outcome.updated_count if outcome.gen_count is None else outcome.gen_count,
+            next_variant.workset,
+            device,
+            scheme=queue_gen,
             entry_bytes=spec.workset_entry_bytes,
         )
         if (
             deferred is not None
             and len(deferred) == 1
             and len(gen_tallies) == 1
-            and (
-                plan.fuse_always
-                or next_variant.workset is WorksetRepr.BITMAP
-            )
+            and (plan.fuse_always or next_variant.workset is WorksetRepr.BITMAP)
         ):
             # One computation kernel, one generation kernel, and the
-            # plan guarantees the representation: merge them into one
-            # fused launch.  The readback below survives — the host
-            # still needs the next size either way.
-            fused = fuse_tallies([deferred[0][0], gen_tallies[0]])
-            ctx.price(fused, label)
-            fusion_stats.fused_iterations += 1
-            fusion_stats.launches_eliminated += 1
-            fusion_stats.overhead_saved_s += device.kernel_launch_overhead_s
+            # plan guarantees the representation: one fused launch.
+            ctx.price(_fuse(fusion_stats, deferred[0][0], gen_tallies[0], device),
+                      label)
         else:
             if deferred is not None:
                 fusion_stats.refused_iterations += 1
@@ -481,73 +568,25 @@ def run_frame(
             for tally in gen_tallies:
                 ctx.price(tally, label)
         _readback(timeline, device)
-
-        record = IterationRecord(
-            iteration=iteration,
-            variant=label,
-            workset_size=size,
-            processed=outcome.processed,
-            updated=next_size,
-            edges_scanned=outcome.edges_scanned,
-            improved_relaxations=outcome.improved_relaxations,
-            seconds=ctx.seconds,
-        )
-        records.append(record)
-        policy.notify(record)
-        if observer is not None:
-            _observe_iteration(observer, record)
-        elapsed_s += ctx.seconds
-        _offer_checkpoint(
-            checkpoint_keeper,
-            timeline,
-            device,
-            memory,
-            algorithm=spec.name,
-            source=source,
-            iteration=iteration,
-            values=state.values,
-            frontier=outcome.next_frontier,
-            variant_code=next_variant.code,
-            records=records,
-            seconds=ctx.seconds,
-            extra=spec.checkpoint_extra(state),
-        )
-        if outcome.next_frontier is not None:
-            state.frontier = outcome.next_frontier
-        variant = next_variant
-        ctx.label = variant.code
-        iteration += 1
+        _commit(ctx, row, size, outcome, next_variant, ctx.seconds,
+                keeper=checkpoint_keeper, memory=memory, span=True)
+        ctx.label = row.variant.code
 
     if memory is not None:
         memory.release_workset()
-    _final_transfers(work_graph, timeline, device)
+    if place is None or place.on_device:
+        timeline.add_transfer(record_transfer("d2h", 4 * work_graph.num_nodes, device))
     if fusion_stats is not None:
         if hoist_bytes:
             fusion_stats.hoisted_h2d_bytes = hoist_bytes * max(
                 0, hoisted_iterations - 1
             )
-        if observer is not None:
-            metrics = observer.metrics
-            metrics.counter("fusion.fused_launches").inc(
-                fusion_stats.fused_iterations
-            )
-            metrics.counter("fusion.launches_eliminated").inc(
-                fusion_stats.launches_eliminated
-            )
-            metrics.counter("fusion.overhead_saved_s").inc(
-                fusion_stats.overhead_saved_s
-            )
-            metrics.counter("fusion.hoisted_h2d_bytes").inc(
-                fusion_stats.hoisted_h2d_bytes
-            )
-            metrics.counter("fusion.refused_iterations").inc(
-                fusion_stats.refused_iterations
-            )
+        _report_fusion(fusion_stats)
     return TraversalResult(
         algorithm=spec.result_algorithm(policy),
         source=source,
         values=spec.final_values(state),
-        iterations=records,
+        iterations=row.records,
         timeline=timeline,
         device=device,
         policy_name=policy.name,

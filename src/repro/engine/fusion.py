@@ -86,7 +86,8 @@ class LaunchPlan:
 class FusionStats:
     """What one fused run actually saved, attributed by cause."""
 
-    plan: LaunchPlan
+    #: None for a batch, which decides fusion pass by pass
+    plan: Optional[LaunchPlan]
     fused_iterations: int = 0
     launches_eliminated: int = 0
     #: eliminated ``kernel_launch_overhead_s`` charges, in seconds

@@ -40,6 +40,7 @@ priced by :meth:`~repro.graph.dynamic.DeltaOverlayGraph.compact`).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
@@ -77,8 +78,10 @@ INCREMENTAL_ALGORITHMS = ("cc", "bfs", "sssp")
 # Warm-start specs: ordinary specs whose initial state is seeded
 # ----------------------------------------------------------------------
 
-class IncrementalCcSpec(CcSpec):
-    """CC warm-started from prior labels and an affected-vertex frontier."""
+class _Seeded:
+    """A spec warm-started from a seed: the prior values and an
+    affected-vertex frontier, plus the host seconds the seeding pass
+    took."""
 
     graph_resident = True
 
@@ -87,10 +90,10 @@ class IncrementalCcSpec(CcSpec):
         seed_values: np.ndarray,
         seed_frontier: np.ndarray,
         *,
-        assume_symmetric: bool = False,
         seed_host_seconds: float = 0.0,
+        **params,
     ):
-        super().__init__(assume_symmetric=assume_symmetric)
+        super().__init__(**params)
         self._seed_values = seed_values
         self._seed_frontier = seed_frontier
         self._seed_host_seconds = seed_host_seconds
@@ -104,60 +107,22 @@ class IncrementalCcSpec(CcSpec):
             self._seed_values.copy(), self._seed_frontier.copy()
         )
 
+
+class IncrementalCcSpec(_Seeded, CcSpec):
+    """CC warm-started from prior labels and an affected-vertex frontier."""
+
     def first_choose_size(self, state: FrameState) -> int:
         # The warm frontier can legitimately be empty (a mutation batch
         # that moved nothing): 0 must skip the policy entirely.
         return int(state.frontier.size)
 
 
-class IncrementalBfsSpec(BfsSpec):
+class IncrementalBfsSpec(_Seeded, BfsSpec):
     """BFS warm-started from prior levels and a re-seeded frontier."""
 
-    graph_resident = True
 
-    def __init__(
-        self,
-        seed_values: np.ndarray,
-        seed_frontier: np.ndarray,
-        *,
-        seed_host_seconds: float = 0.0,
-    ):
-        self._seed_values = seed_values
-        self._seed_frontier = seed_frontier
-        self._seed_host_seconds = seed_host_seconds
-
-    def prepare(self, graph: CSRGraph):
-        return graph, self._seed_host_seconds
-
-    def init_state(self, ctx) -> FrameState:
-        return FrameState(
-            self._seed_values.copy(), self._seed_frontier.copy()
-        )
-
-
-class IncrementalSsspSpec(SsspSpec):
+class IncrementalSsspSpec(_Seeded, SsspSpec):
     """Unordered SSSP warm-started from prior distances."""
-
-    graph_resident = True
-
-    def __init__(
-        self,
-        seed_values: np.ndarray,
-        seed_frontier: np.ndarray,
-        *,
-        seed_host_seconds: float = 0.0,
-    ):
-        self._seed_values = seed_values
-        self._seed_frontier = seed_frontier
-        self._seed_host_seconds = seed_host_seconds
-
-    def prepare(self, graph: CSRGraph):
-        return graph, self._seed_host_seconds
-
-    def init_state(self, ctx) -> FrameState:
-        return FrameState(
-            self._seed_values.copy(), self._seed_frontier.copy()
-        )
 
 
 # ----------------------------------------------------------------------
@@ -447,32 +412,19 @@ def run_incremental(
 
     with observing(observe):
         observer = current_observer()
+        span = contextlib.nullcontext()
         if observer is not None:
             observer.metrics.counter("dynamic.incremental_runs").inc()
             observer.metrics.histogram("dynamic.affected_nodes").observe(affected)
             observer.metrics.histogram("dynamic.seed_frontier").observe(
                 int(frontier.size)
             )
-            with observer.span(
+            span = observer.span(
                 f"incremental_{algorithm}",
                 affected=affected,
                 seed_frontier=int(frontier.size),
-            ):
-                traversal = run_frame(
-                    work_graph,
-                    run_source,
-                    driver,
-                    spec,
-                    device=device,
-                    cost_params=cost_params,
-                    max_iterations=max_iterations,
-                    queue_gen=driver.config.queue_gen,
-                    watchdog=watchdog,
-                    checkpoint_keeper=checkpoint_keeper,
-                    fault_hook=fault_hook,
-                    memory=memory,
-                )
-        else:
+            )
+        with span:
             traversal = run_frame(
                 work_graph,
                 run_source,

@@ -38,11 +38,17 @@ Straggler detection compares each shard's per-round simulated compute
 time against the round median; a shard slower than
 ``straggler_factor x median`` is recorded (``shard.stragglers``).
 
+Each round runs one :mod:`repro.engine.driver` row per shard, choosing
+at the top and priced into the device's seconds; this module keeps
+what sharding adds: partitions, the exchange barrier and the recovery
+ladder.
+
 See ``docs/sharding.md`` for the full protocol.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
@@ -50,17 +56,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.config import RuntimeConfig
 from repro.core.policies import AdaptivePolicy
+from repro.engine.driver import (
+    FrameContext,
+    _Row,
+    _choose_top,
+    _commit,
+    _gate,
+    _overhead,
+    _relax,
+    _state_payload,
+)
 from repro.engine.registry import get_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState
-from repro.engine.types import HOST_INIT_PER_NODE_S, IterationRecord
+from repro.engine.types import HOST_INIT_PER_NODE_S
 from repro.errors import (
     DeviceLostError,
     DeviceOOMError,
     KernelError,
     LaunchError,
     MemoryFaultError,
-    NonConvergenceError,
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphShard, partition_graph
@@ -199,13 +215,12 @@ class _ShardRun:
     """One shard's mutable execution state across super-iterations."""
 
     shard: GraphShard
-    policy: AdaptivePolicy
+    #: the shard's row: its policy, variant and records
+    row: _Row
     keeper: CheckpointKeeper
     device_index: int
-    last_variant_code: str = ""
     compute_seconds: float = 0.0
     rounds_active: int = 0
-    records: List[IterationRecord] = field(default_factory=list)
 
 
 class _RoundFault(Exception):
@@ -237,16 +252,8 @@ class _Degrade(Exception):
         self.reason = reason
 
 
-class _NullContext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 def _installed(injector: Optional[FaultInjector]):
-    return injector.installed() if injector is not None else _NullContext()
+    return injector.installed() if injector is not None else contextlib.nullcontext()
 
 
 def _combine_floor(dtype: np.dtype):
@@ -264,23 +271,28 @@ def _shard_resident_bytes(shard: GraphShard) -> int:
     )
 
 
+def _allocate_shard(budget: MemoryBudget, shard: GraphShard, how: str = "") -> None:
+    """Charge one shard's resident CSR slice and state slice."""
+    budget.allocate(
+        shard.csr.device_bytes(), "graph",
+        label=f"{how}CSR slice of shard {shard.shard_index}",
+    )
+    budget.allocate(
+        traversal_state_bytes(max(1, shard.num_owned)), "state",
+        label=f"{how}state slice of shard {shard.shard_index}",
+    )
+
+
 def _shard_h2d_bytes(shard: GraphShard) -> int:
     """Initial host-to-device payload for one shard (mirrors the
     single-device frame's opening copy, scaled to the owned range)."""
-    o = shard.num_owned
-    return shard.csr.device_bytes() + 4 * o + o + 4 * o + o // 8
+    return shard.csr.device_bytes() + _state_payload(shard.num_owned)
 
 
 def _inc(name: str, amount: int = 1) -> None:
     observer = current_observer()
     if observer is not None:
         observer.metrics.counter(name).inc(amount)
-
-
-def _observe_hist(name: str, value: float) -> None:
-    observer = current_observer()
-    if observer is not None:
-        observer.metrics.histogram(name).observe(value)
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +315,6 @@ def run_sharded(
     max_retries: int = 2,
     max_restores: int = 4,
     mem_budget=None,
-    queue_gen: str = "atomic",
     max_super_iterations: Optional[int] = None,
     straggler_factor: float = 4.0,
     watchdog: Optional[Watchdog] = None,
@@ -321,7 +332,9 @@ def run_sharded(
     failing.  *checkpoint_every* is the coordinated-checkpoint cadence
     in super-iterations; *max_retries* bounds same-device launch
     retries per incident and *max_restores* bounds checkpoint rollbacks
-    before the run degrades to the CPU reference.
+    before the run degrades to the CPU reference.  *config* (a
+    :class:`~repro.core.config.RuntimeConfig`) drives every shard's
+    adaptive policy, and its ``queue_gen`` picks the generation scheme.
     """
     info = get_algorithm(algorithm)
     spec: AlgorithmSpec = info.make_spec(**params)
@@ -357,32 +370,29 @@ def run_sharded(
 
     runs: List[_ShardRun] = []
     for shard in shards:
+        policy = AdaptivePolicy(
+            shard.view(n),
+            config,
+            device=device,
+            memory=devices[shard.shard_index].budget,
+        )
         runs.append(
             _ShardRun(
                 shard=shard,
-                policy=AdaptivePolicy(
-                    shard.view(n),
-                    config,
-                    device=device,
-                    memory=devices[shard.shard_index].budget,
-                ),
+                row=_Row(spec, policy, top=True),
                 keeper=CheckpointKeeper(every=1, device=device),
                 device_index=shard.shard_index,
             )
         )
 
     # -- initial state and transfers (parallel h2d across devices) -----
-    values, frontier = _initial_state(spec, graph, source, model, device,
-                                      queue_gen)
+    # Kernels are priced into each device's seconds, not a timeline.
+    queue_gen = (config or RuntimeConfig()).queue_gen
+    ctx = FrameContext(graph, device, model, None, queue_gen, source)
+    run_row = _Row(spec, None, top=True)
+    values, frontier = _opening_state(run_row, ctx, max_super_iterations)
     sim_seconds = _initial_transfers(runs, devices, device)
     sim_seconds += n * HOST_INIT_PER_NODE_S
-
-    cap = (
-        max_super_iterations
-        if max_super_iterations is not None
-        else spec.default_cap(graph)
-    )
-    edge_cost, weight_streams = spec.batch_kernel_profile()
 
     events: List[RecoveryEvent] = []
     rung = "none"
@@ -404,10 +414,9 @@ def run_sharded(
             rung = name
 
     while frontier.size:
-        if k >= cap:
-            raise NonConvergenceError(spec.cap_message(cap))
-        if watchdog is not None:
-            watchdog.check(k, sim_seconds)
+        # The run's gate: one cap and one watchdog over every shard.
+        run_row.iteration = k
+        _gate(run_row, watchdog, None, sim_seconds)
         try:
             round_out = _execute_round(
                 k,
@@ -415,13 +424,7 @@ def run_sharded(
                 values,
                 runs,
                 devices,
-                spec,
-                model,
-                device,
-                queue_gen,
-                edge_cost,
-                weight_streams,
-                n,
+                ctx,
                 breaker,
                 max_retries,
                 events,
@@ -459,8 +462,7 @@ def run_sharded(
                         f"restore budget exhausted ({max_restores} rollbacks)"
                     )
                 values, frontier, restored_k = _rollback(
-                    runs, spec, graph, source, values.dtype, model, device,
-                    queue_gen,
+                    runs, run_row, ctx, max_super_iterations, values.dtype
                 )
                 replayed += k - restored_k
                 _inc("shard.replayed_super_iterations", max(0, k - restored_k))
@@ -515,7 +517,7 @@ def run_sharded(
     decisions: List[dict] = []
     shard_reports: List[dict] = []
     for run in runs:
-        for decision in run.policy.trace.decisions:
+        for decision in run.row.policy.trace.decisions:
             doc = dataclasses.asdict(decision)
             doc["shard_index"] = run.shard.shard_index
             decisions.append(doc)
@@ -566,13 +568,12 @@ def run_sharded(
 # ----------------------------------------------------------------------
 
 
-def _initial_state(spec, graph, source, model, device, queue_gen):
-    """The algorithm's global initial (values, frontier)."""
-    from repro.engine.driver import FrameContext
-    from repro.gpusim.timeline import Timeline
-
-    ctx = FrameContext(graph, device, model, Timeline(), queue_gen, source)
-    state = spec.init_state(ctx)
+def _opening_state(
+    run_row: _Row, ctx: FrameContext, max_super_iterations: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The row start over the whole graph: the run's cap and its initial
+    (values, sorted frontier)."""
+    state = run_row.start(ctx, max_super_iterations).state
     return state.values, np.sort(np.asarray(state.frontier, dtype=np.int64))
 
 
@@ -588,16 +589,7 @@ def _initial_transfers(
     for run in runs:
         dev = devices[run.device_index]
         if dev.budget is not None:
-            dev.budget.allocate(
-                run.shard.csr.device_bytes(),
-                "graph",
-                label=f"CSR slice of shard {run.shard.shard_index}",
-            )
-            dev.budget.allocate(
-                traversal_state_bytes(max(1, run.shard.num_owned)),
-                "state",
-                label=f"state slice of shard {run.shard.shard_index}",
-            )
+            _allocate_shard(dev.budget, run.shard)
         per_device_bytes[run.device_index] += _shard_h2d_bytes(run.shard)
     return max(
         (transfer_seconds(b, device) for b in per_device_bytes if b),
@@ -611,13 +603,7 @@ def _execute_round(
     values: np.ndarray,
     runs: Sequence[_ShardRun],
     devices: Sequence[_DeviceState],
-    spec: AlgorithmSpec,
-    model: CostModel,
-    device: DeviceSpec,
-    queue_gen: str,
-    edge_cost: float,
-    weight_streams: int,
-    n: int,
+    ctx: FrameContext,
     breaker: CircuitBreaker,
     max_retries: int,
     events: List[RecoveryEvent],
@@ -632,6 +618,8 @@ def _execute_round(
     exchange_transfers, exchange_seconds, stragglers)``.  Raises
     :class:`_RoundFault` when the round must be rolled back.
     """
+    n = ctx.graph.num_nodes
+    device = ctx.device
     # Device-loss site: one draw per fault domain per super-iteration.
     for dev in devices:
         if dev.lost or dev.injector is None:
@@ -662,8 +650,7 @@ def _execute_round(
         while True:
             try:
                 seconds, updated, proposed = _relax_shard(
-                    run, owned, values, k, dev, spec, model, device,
-                    queue_gen, edge_cost, weight_streams, n,
+                    run, owned, values, k, dev, ctx
                 )
                 breaker.record_success(("device", dev.index))
                 break
@@ -712,7 +699,9 @@ def _execute_round(
         if updated.size:
             proposals.append((run, updated, proposed))
 
-    _observe_hist("shard.active_shards", active)
+    observer = current_observer()
+    if observer is not None:
+        observer.metrics.histogram("shard.active_shards").observe(active)
 
     # -- barrier: min-combine every shard's proposals ------------------
     if proposals:
@@ -790,89 +779,74 @@ def _relax_shard(
     values: np.ndarray,
     k: int,
     dev: _DeviceState,
-    spec: AlgorithmSpec,
-    model: CostModel,
-    device: DeviceSpec,
-    queue_gen: str,
-    edge_cost: float,
-    weight_streams: int,
-    n: int,
+    ctx: FrameContext,
 ) -> Tuple[float, np.ndarray, np.ndarray]:
-    """One shard's relaxation of its owned frontier on a scratch copy.
+    """One round of the shard's row: its owned frontier relaxed on a
+    scratch copy.
 
     The scratch copy is what makes every recovery rung safe: a faulted
     or retried attempt never touched the committed global state, so
     replays are exact.  Returns ``(simulated_seconds, updated_global_ids,
     proposed_values)``.
     """
-    shard = run.shard
-    policy = run.policy
-    variant = policy.choose(k, int(owned.size))
-    run.last_variant_code = variant.code
+    shard, row = run.shard, run.row
+    n = ctx.graph.num_nodes
+    row.iteration = k
+    variant = _choose_top(row, int(owned.size))
     scratch = values.copy()
     work = owned.astype(np.int64, copy=True)
-    seconds = 0.0
+    row.state = FrameState(scratch, work)
+    ctx.seconds = 0.0
     with _installed(dev.injector):
         if dev.injector is not None:
             # Memory-fault site: corruption lands on the scratch copy
             # (the simulated device's resident slice), never on the
             # committed host-side state.
             dev.injector.on_iteration(k, scratch, work)
-        updated, degrees, improved, edges_scanned = spec.batch_relax(
-            shard.view(n), FrameState(scratch, work)
-        )
-        local_ids = work - shard.start
+        outcome, degrees = _relax(row, shard.view(n))
+        edge_cost, weight_streams = row.spec.batch_kernel_profile()
         tpb = variant.threads_per_block(
-            shard.csr.avg_out_degree if shard.num_owned else 1.0, device
+            shard.csr.avg_out_degree if shard.num_owned else 1.0, ctx.device
         )
-        tally = fused_computation_tally(
-            [RowRelaxation(local_ids, degrees, int(improved), int(updated.size))],
+        ctx.price(fused_computation_tally(
+            [RowRelaxation(work - shard.start, degrees,
+                           outcome.improved_relaxations, outcome.updated_count)],
             variant,
             tpb,
             max(1, shard.num_owned),
-            device,
+            ctx.device,
             edge_cost=edge_cost,
             weight_streams=weight_streams,
             name=f"shard{shard.shard_index}_comp",
-        )
-        seconds += model.price(tally).seconds
-        for overhead in policy.overhead_tallies(k, int(owned.size), n, device):
-            seconds += model.price(overhead).seconds
+        ))
+        _overhead(ctx, row, outcome.processed, variant.code)
         # The shard's update vector is full graph width (ghost vertices
         # must be flaggable), so generation scans n flags, not num_owned.
         for gen in workset_gen_tallies(
             max(1, n),
-            int(updated.size),
+            outcome.updated_count,
             variant.workset,
-            device,
-            scheme=queue_gen,
+            ctx.device,
+            scheme=ctx.queue_gen,
             name=f"shard{shard.shard_index}_workset_gen",
         ):
-            seconds += model.price(gen).seconds
+            ctx.price(gen)
     if dev.budget is not None:
+        # The working set is charged once generated, at its new size.
         spilled = dev.budget.charge_workset(
             variant.workset,
-            int(updated.size),
+            outcome.updated_count,
             max(1, n),
-            entry_bytes=spec.workset_entry_bytes,
+            entry_bytes=row.spec.workset_entry_bytes,
         )
         if spilled:
-            seconds += 2 * transfer_seconds(spilled, device)
-    record = IterationRecord(
-        iteration=k,
-        variant=variant.code,
-        workset_size=int(owned.size),
-        processed=int(owned.size),
-        updated=int(updated.size),
-        edges_scanned=int(edges_scanned),
-        improved_relaxations=int(improved),
-        seconds=seconds,
-    )
-    run.records.append(record)
-    policy.notify(record)
-    run.compute_seconds += seconds
+            ctx.seconds += 2 * transfer_seconds(spilled, ctx.device)
+    _commit(ctx, row, outcome.processed, outcome, variant, ctx.seconds)
+    run.compute_seconds += ctx.seconds
     run.rounds_active += 1
-    return seconds, updated, scratch[updated].copy()
+    updated = outcome.next_frontier
+    row.state = None  # the scratch copy dies with the round
+    return ctx.seconds, updated, scratch[updated].copy()
 
 
 # ----------------------------------------------------------------------
@@ -903,8 +877,8 @@ def _coordinated_checkpoint(
             iteration=k,
             values=values[shard.start : shard.stop],
             frontier=shard.owned_slice(frontier),
-            variant_code=run.last_variant_code,
-            records=run.records,
+            variant_code=run.row.variant.code if run.row.variant else "",
+            records=run.row.records,
             seconds=0.0,
         )
         if not nbytes:
@@ -926,27 +900,23 @@ def _coordinated_checkpoint(
 
 def _rollback(
     runs: Sequence[_ShardRun],
-    spec: AlgorithmSpec,
-    graph: CSRGraph,
-    source: int,
+    run_row: _Row,
+    ctx: FrameContext,
+    max_super_iterations: Optional[int],
     values_dtype,
-    model: CostModel,
-    device: DeviceSpec,
-    queue_gen: str,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Restore the last exchange-consistent checkpoint set (or restart
     from scratch when none was taken).  Returns ``(values, frontier,
     super_iteration)`` to resume from."""
-    checkpoints = [run.keeper.restore(spec.name, source) for run in runs]
+    spec = run_row.spec
+    checkpoints = [run.keeper.restore(spec.name, ctx.source) for run in runs]
     if any(cp is None for cp in checkpoints):
-        values, frontier = _initial_state(
-            spec, graph, source, model, device, queue_gen
-        )
+        values, frontier = _opening_state(run_row, ctx, max_super_iterations)
         for run in runs:
-            run.records = []
+            run.row.records = []
         return values, frontier, 0
     target = checkpoints[0].next_iteration
-    values = np.empty(graph.num_nodes, dtype=values_dtype)
+    values = np.empty(ctx.graph.num_nodes, dtype=values_dtype)
     pieces = []
     for run, cp in zip(runs, checkpoints):
         if cp.next_iteration != target:
@@ -957,7 +927,7 @@ def _rollback(
             )
         values[run.shard.start : run.shard.stop] = cp.values
         pieces.append(cp.frontier)
-        run.records = list(cp.records)
+        run.row.records = list(cp.records)
     frontier = np.sort(np.concatenate(pieces)) if pieces else np.empty(
         0, dtype=np.int64
     )
@@ -997,26 +967,11 @@ def _lose_device(
         for target in sorted(survivors, key=_load):
             if target.budget is not None:
                 try:
-                    target.budget.allocate(
-                        run.shard.csr.device_bytes(),
-                        "graph",
-                        label=(
-                            f"migrated CSR slice of shard "
-                            f"{run.shard.shard_index}"
-                        ),
-                    )
-                    target.budget.allocate(
-                        traversal_state_bytes(max(1, run.shard.num_owned)),
-                        "state",
-                        label=(
-                            f"migrated state slice of shard "
-                            f"{run.shard.shard_index}"
-                        ),
-                    )
+                    _allocate_shard(target.budget, run.shard, "migrated ")
                 except DeviceOOMError:
                     continue
             run.device_index = target.index
-            run.policy.memory = target.budget
+            run.row.policy.memory = target.budget
             move_seconds += transfer_seconds(
                 _shard_h2d_bytes(run.shard), target.spec
             )

@@ -5,8 +5,8 @@ loop while the working set is non-empty, run the computation kernel,
 run the working-set generation kernel, read the new size back.  An
 :class:`AlgorithmSpec` supplies exactly the algorithm-specific pieces —
 initial state, the computation step, convergence bookkeeping, the
-checkpoint payload and a CPU reference — while the single driver
-(:func:`repro.engine.driver.run_frame`) owns everything cross-cutting:
+checkpoint payload and a CPU reference — while the engine's row core
+(:mod:`repro.engine.driver`) owns everything cross-cutting:
 variant policy dispatch, per-iteration readback, watchdog, checkpoints,
 resume, fault hooks, memory charging and observer metrics/spans.
 

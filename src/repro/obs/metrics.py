@@ -55,15 +55,16 @@ class MetricSpec:
 #: (docs/observability.md renders this as the metrics catalog)
 METRICS_CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec("frame.iterations", "counter", "iterations",
-               "repro.kernels.frame", "traversal while-loop iterations"),
+               "repro.engine.driver",
+               "row iterations, of every batch row and shard too"),
     MetricSpec("frame.processed_nodes", "counter", "nodes",
-               "repro.kernels.frame", "working-set elements processed"),
+               "repro.engine.driver", "working-set elements processed"),
     MetricSpec("frame.edges_scanned", "counter", "edges",
-               "repro.kernels.frame", "edges inspected by computation kernels"),
+               "repro.engine.driver", "edges inspected by computation kernels"),
     MetricSpec("frame.workset_size", "histogram", "nodes",
-               "repro.kernels.frame", "per-iteration working-set size"),
+               "repro.engine.driver", "per-iteration working-set size"),
     MetricSpec("frame.checkpoint_bytes", "counter", "bytes",
-               "repro.kernels.frame", "checkpoint snapshot bytes copied d2h"),
+               "repro.engine.driver", "checkpoint snapshot bytes copied d2h"),
     MetricSpec("runtime.decisions", "counter", "decisions",
                "repro.core.runtime", "decision-maker invocations"),
     MetricSpec("runtime.switches", "counter", "switches",

@@ -1,11 +1,13 @@
 """Tests for repro.engine: the registry and the cross-cutting seams
-(watchdog, checkpointing, memory budget, observer) that every
-registered algorithm now inherits from the shared iteration engine."""
+(watchdog, checkpointing, fault hook, memory budget, observer) that
+every registered algorithm and every execution shape inherits from the
+shared iteration engine."""
 
 import numpy as np
 import pytest
 
-from repro.core import adaptive_run, run_static
+from repro.core import HybridConfig, adaptive_run, hybrid_run, run_static
+from repro.core.policies import AdaptivePolicy
 from repro.engine import (
     AlgorithmInfo,
     AlgorithmSpec,
@@ -13,12 +15,24 @@ from repro.engine import (
     register_algorithm,
     registered_algorithms,
 )
-from repro.errors import KernelError, NonConvergenceError
+from repro.engine.batch import BatchFrame, QueryPlan
+from repro.engine.shard import run_sharded
+from repro.errors import (
+    DeviceOOMError,
+    KernelError,
+    MemoryFaultError,
+    NonConvergenceError,
+)
 from repro.graph.datasets import make_dataset
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import TESLA_C2070
-from repro.obs import Observer
-from repro.reliability import CheckpointKeeper, Watchdog, resilient_run
+from repro.obs import Observer, observing
+from repro.reliability import (
+    CheckpointKeeper,
+    FaultPlan,
+    Watchdog,
+    resilient_run,
+)
 
 BUILTINS = ("bfs", "sssp", "pagerank", "cc", "kcore", "dobfs")
 #: every algorithm the decision maker can drive
@@ -177,7 +191,55 @@ def _run(name, graph, **kwargs):
     return info.run_default(graph, source if source is not None else -1, **kwargs)
 
 
+class _OneShotFault:
+    """A frame fault hook that raises on its first call only."""
+
+    def __init__(self):
+        self.fired = False
+
+    def on_iteration(self, iteration, values, frontier):
+        if not self.fired:
+            self.fired = True
+            raise MemoryFaultError("scripted row fault")
+
+
+BATCH_SOURCES = (0, 5, 9)
+
+
+def _batch(graph, algorithm="bfs", *, watchdogs=None, fault_hook=None):
+    """A drained three-row batch of adaptive *algorithm* queries."""
+    frame = BatchFrame(graph, fault_hook=fault_hook)
+    frame.admit(
+        [
+            QueryPlan(
+                get_algorithm(algorithm).make_spec(), source,
+                AdaptivePolicy(graph, device=TESLA_C2070),
+            )
+            for source in BATCH_SOURCES
+        ],
+        watchdogs=watchdogs,
+    )
+    return frame.finish()
+
+
+#: row iterations one door ran: per query, summed over batch rows or
+#: shards (each shard row's rounds)
+DOOR_ITERATIONS = {
+    "batch": lambda g: sum(q.num_iterations for q in _batch(g).queries),
+    "shard": lambda g: sum(
+        report["rounds_active"]
+        for report in run_sharded(g, 0, num_devices=3).shard_reports
+    ),
+    "hybrid": lambda g: hybrid_run(g, "bfs", 0).traversal.num_iterations,
+}
+
+
 class TestEngineSeams:
+    """The seam matrix.  Each seam is checked on every door that exposes
+    it: the per-algorithm tests drive ``run_frame`` (through the run
+    modes); the per-door tests drive the other shapes — batch rows,
+    ``run_sharded`` and ``hybrid_run``."""
+
     @pytest.mark.parametrize("name", BUILTINS)
     def test_watchdog_budget_enforced(self, graph, name):
         with pytest.raises(NonConvergenceError, match="iteration budget"):
@@ -221,6 +283,84 @@ class TestEngineSeams:
         assert snap["gpusim.kernel_launches"]["value"] > 0
         names = [s.name for s in observer.spans.spans]
         assert names.count("iteration") == result.num_iterations
+
+    @pytest.mark.parametrize("door", sorted(DOOR_ITERATIONS))
+    def test_observer_counts_row_iterations(self, graph, door):
+        observer = Observer()
+        with observing(observer):
+            iterations = DOOR_ITERATIONS[door](graph)
+        snap = observer.metrics.snapshot()
+        assert iterations > 0
+        assert snap["frame.iterations"]["value"] == iterations
+
+    @pytest.mark.parametrize("door", ("batch", "shard"))
+    def test_watchdog_per_door(self, graph, door):
+        if door == "shard":
+            with pytest.raises(NonConvergenceError, match="iteration budget"):
+                run_sharded(
+                    graph, 0, num_devices=2, watchdog=Watchdog(max_iterations=1)
+                )
+            return
+        now = [0.0]
+        dog = Watchdog(deadline_s=1.0, clock=lambda: now[0]).arm()
+        now[0] = 5.0  # the first row's admission deadline has expired
+        result = _batch(graph, watchdogs=[dog, None, None])
+        expired, *rest = result.queries
+        assert expired.ejected and expired.eject_kind == "deadline"
+        assert "wall-clock deadline" in expired.error
+        for outcome in rest:
+            single = adaptive_run(graph, "bfs", outcome.source)
+            assert np.array_equal(outcome.values, single.values)
+
+    @pytest.mark.parametrize("door", ("frame", "batch", "shard"))
+    def test_fault_hook_per_door(self, graph, door):
+        if door == "frame":
+            with pytest.raises(MemoryFaultError, match="scripted row fault"):
+                adaptive_run(graph, "bfs", 0, fault_hook=_OneShotFault())
+            return
+        if door == "shard":
+            reference = run_sharded(graph, 0, algorithm="sssp", num_devices=1)
+            result = run_sharded(
+                graph, 0, algorithm="sssp", num_devices=3, checkpoint_every=2,
+                fault_plan=FaultPlan(seed=5, memory_fault_rate=0.1, max_faults=1),
+            )
+            assert result.faults and result.restores >= 1
+            assert result.device_losses == 0
+            assert result.values_sha256 == reference.values_sha256
+            return
+        result = _batch(graph, fault_hook=_OneShotFault())
+        ejected = [q for q in result.queries if q.ejected]
+        survivors = [q for q in result.queries if not q.ejected]
+        assert len(ejected) == 1 and ejected[0].eject_kind == "fault"
+        assert "scripted row fault" in ejected[0].error
+        assert result.rows_ejected == 1
+        # Survivors are untouched — bit-identical to single-source runs.
+        assert len(survivors) == 2
+        for outcome in survivors:
+            assert outcome.ok
+            single = adaptive_run(graph, "bfs", outcome.source)
+            assert np.array_equal(outcome.values, single.values)
+
+    @pytest.mark.parametrize("door", ("shard",))
+    def test_memory_budget_per_door(self, graph, door):
+        with pytest.raises(DeviceOOMError, match="CSR slice"):
+            run_sharded(graph, 0, num_devices=2, mem_budget=1024)
+        # An ample budget charges every slice and working set without
+        # changing the answer.
+        plain = run_sharded(graph, 0, num_devices=2)
+        budgeted = run_sharded(
+            graph, 0, num_devices=2, mem_budget=graph.device_bytes()
+        )
+        assert budgeted.values_sha256 == plain.values_sha256
+
+    @pytest.mark.parametrize("door", ("shard",))
+    def test_checkpoints_per_door(self, graph, door):
+        result = run_sharded(graph, 0, num_devices=3, checkpoint_every=1)
+        assert result.checkpoints_saved >= result.super_iterations
+        assert all(
+            report["checkpoint_saves"] == result.super_iterations
+            for report in result.shard_reports
+        )
 
 
 # ----------------------------------------------------------------------

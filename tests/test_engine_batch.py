@@ -256,59 +256,6 @@ class TestBatchFrameContinuous:
         assert sorted(o.index for o in seen) == [0, 1, 2]
         assert frame.take_finished() == []
 
-    def test_fault_hook_ejects_one_row_only(self, random_graph):
-        from repro.engine.batch import BatchFrame
-        from repro.errors import MemoryFaultError
-
-        class OneShot:
-            fired = False
-
-            def on_iteration(self, iteration, values, frontier):
-                if not OneShot.fired:
-                    OneShot.fired = True
-                    raise MemoryFaultError("scripted row fault")
-
-        frame = BatchFrame(random_graph, fault_hook=OneShot())
-        frame.admit([
-            _adaptive_plan(random_graph, "bfs", s) for s in (0, 5, 9)
-        ])
-        result = self._drain(frame)
-        ejected = [q for q in result.queries if q.ejected]
-        survivors = [q for q in result.queries if not q.ejected]
-        assert len(ejected) == 1 and ejected[0].eject_kind == "fault"
-        assert "scripted row fault" in ejected[0].error
-        assert result.rows_ejected == 1
-        # Survivors are untouched — bit-identical to single-source runs.
-        assert len(survivors) == 2
-        for outcome in survivors:
-            assert outcome.ok
-            single = adaptive_run(random_graph, "bfs", outcome.source)
-            assert np.array_equal(outcome.values, single.values)
-
-    def test_expired_watchdog_ejects_with_deadline_kind(self, random_graph):
-        from repro.engine.batch import BatchFrame
-        from repro.reliability import Watchdog
-
-        now = [0.0]
-        dog = Watchdog(deadline_s=1.0, clock=lambda: now[0]).arm()
-        frame = BatchFrame(random_graph)
-        frame.admit(
-            [
-                _adaptive_plan(random_graph, "bfs", 0),
-                _adaptive_plan(random_graph, "bfs", 8),
-            ],
-            watchdogs=[dog, None],
-        )
-        frame.step()
-        now[0] = 5.0  # the first row's admission deadline expires
-        result = self._drain(frame)
-        timed_out, ok = result.queries
-        assert timed_out.ejected and timed_out.eject_kind == "deadline"
-        assert ok.ok
-        assert np.array_equal(
-            ok.values, adaptive_run(random_graph, "bfs", 8).values
-        )
-
     def test_isolate_capacity_refuses_rows_individually(self, random_graph):
         from repro.engine.batch import BatchFrame
         from repro.gpusim.device import DeviceSpec

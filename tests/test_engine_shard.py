@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.config import RuntimeConfig
 from repro.engine.registry import get_algorithm
 from repro.engine.shard import RECOVERY_RUNGS, run_sharded
 from repro.errors import (
@@ -23,7 +24,6 @@ from repro.graph.generators import attach_uniform_weights, power_law_graph
 from repro.obs import Observer, build_shard_manifest, observing
 from repro.obs.manifest import RunManifest
 from repro.reliability.faults import FaultPlan
-from repro.reliability.watchdog import Watchdog
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +86,14 @@ class TestFaultFreeParity:
         with pytest.raises(NonConvergenceError):
             run_sharded(graph, 0, num_devices=2, max_super_iterations=1)
 
-    def test_watchdog_budget_applies(self, graph):
-        with pytest.raises(NonConvergenceError):
-            run_sharded(
-                graph, 0, num_devices=2, watchdog=Watchdog(max_iterations=1)
-            )
+    def test_config_queue_gen_is_priced(self, graph):
+        atomic = run_sharded(graph, 0, num_devices=2)
+        scan = run_sharded(
+            graph, 0, num_devices=2, config=RuntimeConfig(queue_gen="scan")
+        )
+        assert scan.values_sha256 == atomic.values_sha256
+        # Scan generation is a multi-kernel pipeline: dearer per round.
+        assert scan.sim_seconds > atomic.sim_seconds
 
 
 class TestDeviceLossRecovery:
@@ -190,21 +193,6 @@ class TestDeviceLossRecovery:
         if result.faults:
             assert result.recovery_rung in RECOVERY_RUNGS
             assert any(e.rung == "retry" for e in result.recovery_events)
-
-    def test_memory_fault_restores_from_checkpoint(self, graph):
-        reference = run_sharded(graph, 0, algorithm="sssp", num_devices=1)
-        result = run_sharded(
-            graph,
-            0,
-            algorithm="sssp",
-            num_devices=3,
-            fault_plan=FaultPlan(seed=5, memory_fault_rate=0.1, max_faults=1),
-            checkpoint_every=2,
-        )
-        assert result.values_sha256 == reference.values_sha256
-        if result.faults:
-            assert result.restores >= 1
-            assert result.device_losses == 0
 
 
 class TestShardManifest:

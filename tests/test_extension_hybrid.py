@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import HybridConfig, adaptive_run, hybrid_run
+from repro.core import HybridConfig, RuntimeConfig, adaptive_run, hybrid_run
+from repro.core.policies import AdaptivePolicy
 from repro.cpu import cpu_bfs, cpu_dijkstra
+from repro.engine.driver import run_frame
 from repro.errors import KernelError
+from repro.graph.datasets import make_dataset
 from repro.graph.generators import (
     attach_uniform_weights,
     chain_graph,
@@ -14,6 +17,7 @@ from repro.graph.generators import (
     road_network,
 )
 from repro.gpusim.device import TESLA_C2070
+from repro.kernels.frame import BfsSpec, SsspSpec
 
 
 class TestCorrectness:
@@ -117,3 +121,54 @@ class TestHybridAdvantage:
             g, "bfs", 0, hybrid_config=HybridConfig(cpu_advantage=0.0),
         )
         assert never_cpu.cpu_iterations == 0
+
+
+class _TopBfs(BfsSpec):
+    chooses_at_top = True
+
+
+class _TopSssp(SsspSpec):
+    chooses_at_top = True
+
+
+RUN_CONFIGS = {
+    "default": RuntimeConfig(),
+    "scan": RuntimeConfig(queue_gen="scan"),
+    "monitor": RuntimeConfig(monitor_workset_degree=True),
+    "rebuild": RuntimeConfig(switch_mode="rebuild"),
+}
+
+
+class TestDeviceIterations:
+    """With every iteration on the device, a hybrid run is an adaptive
+    run that chooses its variant at the top of each iteration — under
+    the same run config, so the config's generation scheme, monitoring
+    kernels and switch costs are priced too."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return make_dataset("citeseer", scale=0.01, weighted=True, seed=1)
+
+    @pytest.mark.parametrize("config_name", sorted(RUN_CONFIGS))
+    @pytest.mark.parametrize("algorithm,spec_cls", [("bfs", _TopBfs), ("sssp", _TopSssp)])
+    def test_gpu_only_run_is_the_top_choosing_frame(
+        self, graph, algorithm, spec_cls, config_name
+    ):
+        config = RUN_CONFIGS[config_name]
+        source = int(np.argmax(graph.out_degrees))
+        hybrid = hybrid_run(
+            graph, algorithm, source, config=config,
+            hybrid_config=HybridConfig(cpu_advantage=0.0),
+        )
+        frame = run_frame(
+            graph, source, AdaptivePolicy(graph, config, device=TESLA_C2070),
+            spec_cls(), queue_gen=config.queue_gen,
+        )
+        assert hybrid.cpu_iterations == 0
+        assert np.array_equal(hybrid.values, frame.values)
+        assert hybrid.traversal.iterations == frame.iterations
+        tl, ref = hybrid.traversal.timeline, frame.timeline
+        assert (len(tl.kernels), len(tl.transfers)) == (
+            len(ref.kernels), len(ref.transfers)
+        )
+        assert hybrid.total_seconds == frame.total_seconds
