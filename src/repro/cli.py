@@ -42,7 +42,8 @@ from repro._version import __version__
 from repro.core import RuntimeConfig, adaptive_run, run_static
 from repro.errors import ReproError
 from repro.core.tuning import sweep_t3, tune_t3
-from repro.cpu import cpu_bfs, cpu_dijkstra
+from repro.engine import get_algorithm
+from repro.engine.incremental import INCREMENTAL_ALGORITHMS, run_incremental
 from repro.graph.datasets import DATASETS, dataset_keys, make_dataset
 from repro.graph.generators import attach_uniform_weights
 from repro.graph.io import IngestLimits, IngestReport, load_graph
@@ -478,7 +479,6 @@ def cmd_run(args) -> int:
     """``repro run``: one run of a registered algorithm through the door
     (public entry function) that ``--mode`` / ``--devices`` pick,
     verified against the algorithm's CPU reference."""
-    from repro.engine import get_algorithm
     from repro.obs import (
         Observer, build_manifest, build_shard_manifest, export_combined_trace,
         observing,
@@ -626,9 +626,9 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    weighted = args.algorithm == "sssp"
-    graph, source, device = _resolve_workload(args, weighted=weighted)
-    cpu = cpu_dijkstra(graph, source) if weighted else cpu_bfs(graph, source)
+    info = get_algorithm(args.algorithm)
+    graph, source, device = _resolve_workload(args, weighted=info.weighted)
+    _, cpu = info.cpu_run(graph, source)
     variants = extended_variants() if args.extended else unordered_variants()
 
     table = Table(
@@ -662,8 +662,9 @@ def cmd_compare(args) -> int:
 def cmd_oracle(args) -> int:
     from repro.core.oracle import decision_quality, per_iteration_oracle
 
-    weighted = args.algorithm == "sssp"
-    graph, source, device = _resolve_workload(args, weighted=weighted)
+    graph, source, device = _resolve_workload(
+        args, weighted=get_algorithm(args.algorithm).weighted
+    )
     report = per_iteration_oracle(graph, source, args.algorithm, device=device)
     ad = adaptive_run(graph, args.algorithm, source, device=device)
     quality = decision_quality(ad, report)
@@ -732,8 +733,6 @@ def cmd_sweep_t3(args) -> int:
 def _batch_weighted(queries) -> bool:
     """Whether any query's algorithm needs edge weights (unknown
     algorithm names are isolated later, not here)."""
-    from repro.engine import get_algorithm
-
     for query in queries:
         try:
             if get_algorithm(query.algorithm).weighted:
@@ -1100,15 +1099,15 @@ def cmd_mutate(args) -> int:
     warm-started values are SHA-identical to a from-scratch run on the
     compacted graph.
     """
-    import hashlib
-
     from repro.core import adaptive_run
-    from repro.engine.incremental import run_incremental
     from repro.graph.dynamic import DeltaOverlayGraph, EdgeBatch
-    from repro.obs import Observer, build_dynamic_manifest, observing
+    from repro.obs import (
+        Observer, build_dynamic_manifest, observing, values_sha256,
+    )
 
     batch = EdgeBatch.from_jsonl(args.mutations)
-    weighted = any(
+    info = get_algorithm(args.algorithm) if args.algorithm else None
+    weighted = (info is not None and info.weighted) or any(
         op.weight is not None for op in batch.ops if op.op == "insert"
     )
     graph, source, device = _resolve_workload(
@@ -1156,27 +1155,17 @@ def cmd_mutate(args) -> int:
     }
 
     exit_code = 0
-    if args.algorithm is not None:
-        def _sha(values):
-            return hashlib.sha256(
-                np.ascontiguousarray(values).tobytes()
-            ).hexdigest()
-
+    if info is not None:
+        run_source = source if info.source_based else None
         with observing(observer):
-            previous = adaptive_run(
-                graph, args.algorithm,
-                source if args.algorithm != "cc" else None,
-            )
+            previous = adaptive_run(graph, args.algorithm, run_source)
             incremental = run_incremental(
                 mutated, args.algorithm, previous, delta,
-                source=None if args.algorithm == "cc" else source,
-                device=device,
+                source=run_source, device=device,
             )
-            scratch = adaptive_run(
-                mutated, args.algorithm,
-                source if args.algorithm != "cc" else None,
-            )
-        parity = _sha(incremental.values) == _sha(scratch.values)
+            scratch = adaptive_run(mutated, args.algorithm, run_source)
+        digest = values_sha256(incremental.values)
+        parity = digest == values_sha256(scratch.values)
         speedup = scratch.total_seconds / max(
             incremental.total_seconds, 1e-12
         )
@@ -1196,7 +1185,7 @@ def cmd_mutate(args) -> int:
             "seed_frontier": incremental.seed_frontier_size,
             "incremental_seconds": float(incremental.total_seconds),
             "scratch_seconds": float(scratch.total_seconds),
-            "values_sha256": _sha(incremental.values),
+            "values_sha256": digest,
             "parity": parity,
         }
         if not parity:
@@ -1486,7 +1475,7 @@ def build_parser() -> argparse.ArgumentParser:
                    '{"op": "insert", "u": 0, "v": 9, "weight": 2.0} / '
                    '{"op": "delete", "u": 3, "v": 7} / '
                    '{"op": "grow", "nodes": 16}')
-    p.add_argument("--algorithm", choices=("bfs", "sssp", "cc"),
+    p.add_argument("--algorithm", choices=INCREMENTAL_ALGORITHMS,
                    default=None,
                    help="also recompute incrementally and verify SHA "
                    "parity against a from-scratch run")

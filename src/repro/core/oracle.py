@@ -59,10 +59,6 @@ class IterationCosts:
     def best_seconds(self) -> float:
         return self.seconds_by_variant[self.best_variant]
 
-    @property
-    def worst_seconds(self) -> float:
-        return max(self.seconds_by_variant.values())
-
 
 @dataclass
 class OracleReport:
@@ -115,6 +111,10 @@ def per_iteration_oracle(
     depend on the variant); each candidate's computation + generation
     kernels are tallied against the same frontier.
     """
+    if algorithm not in ("bfs", "sssp"):
+        raise KernelError(
+            f"the per-iteration oracle prices 'bfs' or 'sssp', not {algorithm!r}"
+        )
     graph._check_node(source)
     weighted = algorithm == "sssp"
     if weighted and graph.weights is None:

@@ -404,10 +404,6 @@ class BatchFrame:
             and r.spec.work_remaining(r.state)
         ]
 
-    @property
-    def has_work(self) -> bool:
-        return bool(self.active_rows)
-
     def step(self) -> bool:
         """Advance every active row by one iteration (one fused pass).
 

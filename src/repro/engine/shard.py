@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -94,6 +93,7 @@ from repro.gpusim.transfer import transfer_seconds
 from repro.kernels.multisource import RowRelaxation, fused_computation_tally
 from repro.kernels.workset import workset_gen_tallies
 from repro.obs.context import current_observer
+from repro.obs.manifest import values_sha256
 from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.checkpoint import CheckpointKeeper
 from repro.reliability.faults import FaultInjector, FaultPlan
@@ -155,9 +155,7 @@ class ShardedResult:
 
     @property
     def values_sha256(self) -> str:
-        return hashlib.sha256(
-            np.ascontiguousarray(self.values).tobytes()
-        ).hexdigest()
+        return values_sha256(self.values)
 
     def reliability_dict(self) -> dict:
         """The manifest's recovery story."""

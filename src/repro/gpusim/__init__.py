@@ -3,15 +3,21 @@
 The paper runs on an NVIDIA Tesla C2070 (Fermi: 14 SMs x 32 cores, warp
 size 32, 144 GB/s global memory).  No GPU is available here, so this
 package simulates one at the granularity that determines graph-algorithm
-performance:
+performance.  Each effect is priced in exactly one place:
 
 - **warp divergence** — a warp's cost is the *maximum* of its lanes'
-  work (``repro.gpusim.warp``), which is what punishes thread-mapping on
-  skewed outdegree distributions;
+  work, which is what punishes thread-mapping on skewed outdegree
+  distributions; the tally builders in :mod:`repro.kernels.mapping`
+  take that per-warp max over the actual frontier;
 - **memory coalescing** — contiguous accesses collapse into 128-byte
-  transactions, scattered ones do not (``repro.gpusim.memory``);
+  transactions, scattered ones do not: ``SCATTER_FRACTION`` and
+  ``THREAD_ADJ_FRACTION`` in :mod:`repro.kernels.mapping`, plus
+  ``segment_stream_transactions`` and ``bandwidth_cycles`` in
+  :mod:`repro.gpusim.memory`;
 - **atomic serialization** — same-address atomics (queue insertion
-  indices) serialize (``repro.gpusim.atomics``);
+  indices) serialize: the atomic term of :meth:`CostModel.price
+  <repro.gpusim.kernel.CostModel.price>` at
+  ``CostParams.atomic_cycles_per_op`` cycles each;
 - **SM scheduling and occupancy** — blocks are scheduled onto a finite
   set of SMs; too little parallelism leaves SMs idle and exposes memory
   latency (``repro.gpusim.smscheduler``, ``repro.gpusim.occupancy``);
@@ -39,7 +45,6 @@ from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.occupancy import OccupancyResult, occupancy
 from repro.gpusim.sharedmem import conflict_degree
 from repro.gpusim.timeline import KernelRecord, Timeline
-from repro.gpusim.traceexport import export_chrome_trace
 from repro.gpusim.transfer import transfer_seconds
 
 __all__ = [
@@ -60,7 +65,6 @@ __all__ = [
     "KernelRecord",
     "transfer_seconds",
     "conflict_degree",
-    "export_chrome_trace",
     "InterconnectSpec",
     "PCIE_P2P",
     "NVLINK",

@@ -173,9 +173,6 @@ class MemoryBudget:
             return 0.0
         return self.current_bytes / self.capacity_bytes
 
-    def would_fit(self, nbytes: int) -> bool:
-        return int(nbytes) <= self.headroom_bytes
-
     def allocate(self, nbytes: int, category: str = "other", *, label: str = "") -> int:
         """Charge *nbytes* against the budget; returns the bytes spilled
         to the host (0 when everything landed on the device).

@@ -102,14 +102,6 @@ class DeviceSpec:
         """A copy of this spec with some fields replaced (for what-if runs)."""
         return replace(self, **kwargs)
 
-    def make_budget(self, capacity_bytes=None, *, spill: bool = False):
-        """A :class:`~repro.gpusim.allocator.MemoryBudget` for this
-        device, capped at *capacity_bytes* (default: the full global
-        memory).  Accepts human sizes like ``"512M"``."""
-        from repro.gpusim.allocator import MemoryBudget
-
-        return MemoryBudget(capacity_bytes, device=self, spill=spill)
-
 
 #: The paper's platform: Tesla C2070, Fermi GF100, 14 SMs x 32 cores.
 TESLA_C2070 = DeviceSpec(

@@ -36,10 +36,8 @@ __all__ = [
     "InterconnectSpec",
     "PCIE_P2P",
     "NVLINK",
-    "PeerTransferRecord",
     "interconnect_registry",
     "peer_transfer_seconds",
-    "record_peer_transfer",
 ]
 
 
@@ -74,16 +72,6 @@ def interconnect_registry() -> Dict[str, InterconnectSpec]:
     return {"pcie": PCIE_P2P, "nvlink": NVLINK}
 
 
-@dataclass(frozen=True)
-class PeerTransferRecord:
-    """One device-to-device copy: endpoints, payload, simulated cost."""
-
-    src_device: int
-    dst_device: int
-    num_bytes: int
-    seconds: float
-
-
 @lru_cache(maxsize=16)
 def _link_device(interconnect: InterconnectSpec, device: DeviceSpec) -> DeviceSpec:
     """A device spec whose host link is replaced by the peer link, so
@@ -103,23 +91,3 @@ def peer_transfer_seconds(
     """Simulated seconds to move *num_bytes* device-to-device."""
     return transfer_seconds(num_bytes, _link_device(interconnect, device))
 
-
-def record_peer_transfer(
-    src_device: int,
-    dst_device: int,
-    num_bytes: int,
-    interconnect: InterconnectSpec = PCIE_P2P,
-    *,
-    device: DeviceSpec = TESLA_C2070,
-) -> PeerTransferRecord:
-    """Build a :class:`PeerTransferRecord` with its priced cost."""
-    if src_device == dst_device:
-        raise DeviceError(
-            f"peer transfer needs two distinct devices, got {src_device} twice"
-        )
-    return PeerTransferRecord(
-        src_device=int(src_device),
-        dst_device=int(dst_device),
-        num_bytes=int(num_bytes),
-        seconds=peer_transfer_seconds(num_bytes, interconnect, device=device),
-    )

@@ -159,7 +159,8 @@ class CostModel:
         dispatch = launch.grid_blocks * params.block_dispatch_cycles
         issue_total = tally.issue_cycles + dispatch
         issue_cycles = makespan_cycles(
-            (issue_total, tally.max_block_cycles),
+            issue_total,
+            tally.max_block_cycles,
             device,
             imbalance_slack=params.imbalance_slack,
         )

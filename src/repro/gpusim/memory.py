@@ -3,9 +3,12 @@
 Fermi global memory is accessed in 128-byte transactions; a warp's 32
 accesses collapse into a handful of transactions when they fall into few
 128-byte segments (coalescing) and into up to 32 transactions when
-scattered (Section III.C of the paper).  These helpers count transactions
-for the access patterns graph kernels produce; the cost model converts
-transaction counts into cycles via the device bandwidth.
+scattered (Section III.C of the paper).  This module counts the
+transactions of streamed adjacency segments; the scattered state
+accesses are priced where the tallies are built
+(``SCATTER_FRACTION`` / ``THREAD_ADJ_FRACTION`` in
+:mod:`repro.kernels.mapping`).  The cost model converts transaction
+counts into cycles via the device bandwidth (:func:`bandwidth_cycles`).
 """
 
 from __future__ import annotations
@@ -15,52 +18,11 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec
 
 __all__ = [
-    "coalesced_transactions",
-    "scattered_transactions",
-    "strided_transactions",
     "segment_stream_transactions",
     "bandwidth_cycles",
     "traversal_state_bytes",
     "workset_device_bytes",
 ]
-
-
-def coalesced_transactions(
-    num_elements, element_bytes: int, device: DeviceSpec
-) -> float:
-    """Transactions for *num_elements* consecutive accesses by consecutive
-    threads — the ideal pattern (queue reads, bitmap sweeps).
-
-    Scalar or ndarray *num_elements* supported.
-    """
-    bytes_total = np.asarray(num_elements, dtype=np.float64) * element_bytes
-    out = np.ceil(bytes_total / device.transaction_bytes)
-    return float(out) if np.isscalar(num_elements) else out
-
-
-def scattered_transactions(num_accesses) -> float:
-    """Transactions for fully scattered accesses: one each.
-
-    Neighbor state lookups (``level[dst]``, ``dist[dst]``) land anywhere
-    in the arrays, so each access occupies its own transaction.
-    """
-    arr = np.asarray(num_accesses, dtype=np.float64)
-    return float(arr) if np.isscalar(num_accesses) else arr
-
-
-def strided_transactions(
-    num_accesses, stride_bytes: int, element_bytes: int, device: DeviceSpec
-) -> float:
-    """Transactions when consecutive threads access with a fixed stride.
-
-    With ``stride >= transaction_bytes`` every access is its own
-    transaction; below that, ``stride / transaction_bytes`` of a
-    transaction is wasted per access.
-    """
-    arr = np.asarray(num_accesses, dtype=np.float64)
-    per_access = min(1.0, max(stride_bytes, element_bytes) / device.transaction_bytes)
-    out = np.ceil(arr * per_access)
-    return float(out) if np.isscalar(num_accesses) else out
 
 
 def segment_stream_transactions(

@@ -2,11 +2,12 @@
 
 The paper implements the ordered-SSSP ``findmin`` as a parallel
 reduction on the GPU, "which is faster than maintaining a heap on CPU"
-(Section V.B).  This module provides the functional result (a NumPy
-reduction) together with the tally of what the standard tree-reduction
-kernel sequence would have cost: each pass launches ``n / (2*block)``
-blocks, each block reduces ``2*block`` elements in ``log2`` steps
-through shared memory, and passes repeat until one value remains.
+(Section V.B).  This module provides the tally of what the standard
+tree-reduction kernel sequence would have cost (the minimum itself is
+taken with NumPy in :mod:`repro.kernels.findmin`): each pass launches
+``n / (2*block)`` blocks, each block reduces ``2*block`` elements in
+``log2`` steps through shared memory, and passes repeat until one value
+remains.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.gpusim.kernel import KernelTally
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.sharedmem import reduction_step_cycles
 
-__all__ = ["reduce_min", "reduction_tallies", "ReductionPlan"]
+__all__ = ["reduction_tallies", "ReductionPlan"]
 
 #: warp instructions per shared-memory reduction step (compare, select,
 #: sync amortized; the shared-memory traffic is priced separately via
@@ -106,10 +107,3 @@ def reduction_tallies(
         )
     return tallies
 
-
-def reduce_min(values: np.ndarray) -> float:
-    """Functional result of the reduction (the device would return this)."""
-    arr = np.asarray(values)
-    if arr.size == 0:
-        raise ValueError("cannot reduce an empty array")
-    return float(arr.min())

@@ -1,4 +1,4 @@
-"""Prefix scan (Blelchoch work-efficient scan) — functional + tally.
+"""Prefix scan (Blelloch work-efficient scan) — kernel tallies.
 
 Merrill et al. replace the queue-generation atomics with prefix scans;
 the paper cites this as an orthogonal optimization (Section V.C).  We
@@ -17,19 +17,10 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
 from repro.gpusim.launch import LaunchConfig
 
-__all__ = ["exclusive_scan", "scan_tallies"]
+__all__ = ["scan_tallies"]
 
 #: warp instructions per element-step of the up/down sweep
 _STEP_COST = 3.0
-
-
-def exclusive_scan(values: np.ndarray) -> np.ndarray:
-    """Functional exclusive prefix sum (what the device would compute)."""
-    arr = np.asarray(values, dtype=np.int64).ravel()
-    out = np.zeros(arr.size, dtype=np.int64)
-    if arr.size > 1:
-        np.cumsum(arr[:-1], out=out[1:])
-    return out
 
 
 def scan_tallies(

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from repro.gpusim.device import DeviceSpec
-
 __all__ = [
     "NUM_BANKS",
     "conflict_degree",
-    "shared_access_cycles",
     "reduction_step_cycles",
 ]
 
@@ -48,19 +45,6 @@ def conflict_degree(stride_words: int, active_lanes: int = 32, num_banks: int = 
         return 1  # broadcast
     distinct_banks = num_banks // gcd(stride_words, num_banks)
     return max(1, min(active_lanes, (active_lanes + distinct_banks - 1) // distinct_banks))
-
-
-def shared_access_cycles(
-    num_warp_accesses: float,
-    stride_words: int,
-    device: DeviceSpec,
-    *,
-    active_lanes: int = 32,
-) -> float:
-    """Cycles for *num_warp_accesses* warp-wide shared-memory accesses at
-    the given stride."""
-    degree = conflict_degree(stride_words, active_lanes, NUM_BANKS)
-    return float(num_warp_accesses) * _BASE_CYCLES * degree
 
 
 def reduction_step_cycles(step: int, *, sequential_addressing: bool) -> float:

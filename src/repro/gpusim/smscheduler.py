@@ -12,37 +12,19 @@ cost.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpusim.device import DeviceSpec
 
-__all__ = ["makespan_cycles", "wave_count"]
+__all__ = ["makespan_cycles"]
 
 
 def makespan_cycles(
-    block_cycles,
+    total: float,
+    longest: float,
     device: DeviceSpec,
     *,
     imbalance_slack: float = 0.05,
 ) -> float:
-    """Estimated cycles to drain the given per-block issue costs.
-
-    ``block_cycles`` may be an array of per-block costs or a pair
-    ``(total, longest)`` when the caller has already aggregated.
-    """
-    if isinstance(block_cycles, tuple):
-        total, longest = (float(block_cycles[0]), float(block_cycles[1]))
-    else:
-        arr = np.asarray(block_cycles, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return 0.0
-        total, longest = float(arr.sum()), float(arr.max())
-    ideal = total / device.num_sms
-    return max(ideal * (1.0 + imbalance_slack), longest)
-
-
-def wave_count(num_blocks: int, blocks_per_sm: int, device: DeviceSpec) -> int:
-    """Number of full scheduling waves needed for *num_blocks* blocks
-    given the occupancy-derived resident-block capacity per SM."""
-    capacity = max(1, blocks_per_sm) * device.num_sms
-    return max(1, -(-num_blocks // capacity)) if num_blocks > 0 else 0
+    """Estimated cycles to drain blocks whose issue costs sum to *total*,
+    the costliest of them being *longest*."""
+    ideal = float(total) / device.num_sms
+    return max(ideal * (1.0 + imbalance_slack), float(longest))

@@ -1,23 +1,22 @@
-"""Export a traversal timeline as a Chrome trace (chrome://tracing /
+"""Lay a traversal timeline out as Chrome trace events (chrome://tracing /
 Perfetto JSON).
 
 Each kernel launch becomes a duration event on a per-kernel-name row;
 transfers get their own row; iteration boundaries are instant events.
-Load the produced file at https://ui.perfetto.dev or chrome://tracing
-to scrub through a traversal's kernels visually.
+:func:`repro.obs.trace.export_combined_trace` writes these events (plus
+decision and host-span tracks when given) to a file; load it at
+https://ui.perfetto.dev or chrome://tracing to scrub through a
+traversal's kernels visually.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.gpusim.timeline import Timeline
 
 __all__ = [
     "timeline_to_trace_events",
-    "export_chrome_trace",
     "iteration_start_times",
 ]
 
@@ -142,15 +141,3 @@ def timeline_to_trace_events(
 
     return events
 
-
-def export_chrome_trace(
-    timeline: Timeline,
-    path: Union[str, os.PathLike],
-    *,
-    process_name: str = "simulated GPU",
-) -> str:
-    """Write *timeline* as a Chrome trace JSON file; returns the path."""
-    events = timeline_to_trace_events(timeline, process_name=process_name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, fh)
-    return str(path)

@@ -46,6 +46,7 @@ from repro.obs.manifest import (
     build_serve_manifest,
     build_shard_manifest,
     graph_fingerprint,
+    values_sha256,
 )
 from repro.obs.metrics import (
     Counter,
@@ -79,6 +80,7 @@ __all__ = [
     "build_serve_manifest",
     "build_shard_manifest",
     "graph_fingerprint",
+    "values_sha256",
     "combined_trace_events",
     "export_combined_trace",
 ]

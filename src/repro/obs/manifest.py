@@ -48,6 +48,7 @@ __all__ = [
     "build_dynamic_manifest",
     "build_serve_manifest",
     "build_shard_manifest",
+    "values_sha256",
 ]
 
 #: bump when the document shape changes incompatibly
@@ -162,6 +163,13 @@ def graph_fingerprint(graph: CSRGraph) -> dict:
     }
 
 
+def values_sha256(values: np.ndarray) -> str:
+    """SHA-256 hex digest of an answer array's raw bytes (C-contiguous
+    canonical form): the value digest every result, manifest, serve
+    response and checkpoint seal compares."""
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
 def _device_dict(device) -> dict:
     if device is None:
         return {}
@@ -192,9 +200,7 @@ def _result_summary(traversal, values) -> dict:
         # Content digest of the answer array: lets two manifests (e.g. a
         # fused and an unfused run) assert value parity without shipping
         # the arrays themselves.
-        summary["values_sha256"] = hashlib.sha256(
-            np.ascontiguousarray(answer).tobytes()
-        ).hexdigest()
+        summary["values_sha256"] = values_sha256(answer)
     if traversal is not None and getattr(traversal, "timeline", None) is not None:
         timeline = traversal.timeline
         summary.update(

@@ -23,7 +23,7 @@ production traversal service actually sees.
 See ``docs/reliability.md`` for the fault model and guarantees.
 """
 
-from repro.reliability.breaker import BreakerOpenError, CircuitBreaker
+from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.checkpoint import CheckpointKeeper, TraversalCheckpoint
 from repro.reliability.faults import (
     FAULT_KINDS,
@@ -53,6 +53,5 @@ __all__ = [
     "ResilientResult",
     "resilient_run",
     "guarded_query",
-    "BreakerOpenError",
     "CircuitBreaker",
 ]

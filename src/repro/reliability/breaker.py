@@ -36,15 +36,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional
 
-from repro.errors import ReproError, RuntimeConfigError
+from repro.errors import RuntimeConfigError
 from repro.obs.context import current_observer
 
-__all__ = ["BreakerOpenError", "CircuitBreaker"]
-
-
-class BreakerOpenError(ReproError):
-    """A query was refused because its routing path's circuit is open
-    (the path kept failing and is cooling down)."""
+__all__ = ["CircuitBreaker"]
 
 
 @dataclass

@@ -38,6 +38,7 @@ import numpy as np
 from repro.errors import CheckpointError, KernelError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.transfer import transfer_seconds
+from repro.obs.manifest import values_sha256
 
 __all__ = ["TraversalCheckpoint", "CheckpointKeeper"]
 
@@ -50,11 +51,6 @@ def _extra_bytes(extra: Optional[dict]) -> int:
     return sum(
         int(v.nbytes) if isinstance(v, np.ndarray) else 8 for v in extra.values()
     )
-
-
-def _array_digest(array: np.ndarray) -> str:
-    """SHA-256 of an array's raw bytes (C-contiguous canonical form)."""
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 def _extra_digest(extra: Optional[dict]) -> str:
@@ -100,20 +96,13 @@ class TraversalCheckpoint:
 
     def __post_init__(self):
         if not self.values_sha256:
-            object.__setattr__(self, "values_sha256", _array_digest(self.values))
+            object.__setattr__(self, "values_sha256", values_sha256(self.values))
         if not self.frontier_sha256:
             object.__setattr__(
-                self, "frontier_sha256", _array_digest(self.frontier)
+                self, "frontier_sha256", values_sha256(self.frontier)
             )
         if not self.extra_sha256:
             object.__setattr__(self, "extra_sha256", _extra_digest(self.extra))
-
-    @property
-    def state_bytes(self) -> int:
-        """Device bytes a real runtime would copy out for this state."""
-        return int(self.values.nbytes + self.frontier.nbytes + 8) + _extra_bytes(
-            self.extra
-        )
 
     def matches(self, algorithm: str, source: int) -> bool:
         return self.algorithm == algorithm and self.source == source
@@ -124,11 +113,11 @@ class TraversalCheckpoint:
         whose current bytes no longer match the digest taken at
         capture."""
         checks = (
-            ("values", self.values_sha256, lambda: _array_digest(self.values)),
+            ("values", self.values_sha256, lambda: values_sha256(self.values)),
             (
                 "frontier",
                 self.frontier_sha256,
-                lambda: _array_digest(self.frontier),
+                lambda: values_sha256(self.frontier),
             ),
             ("extra", self.extra_sha256, lambda: _extra_digest(self.extra)),
         )

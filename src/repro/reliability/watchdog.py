@@ -79,10 +79,6 @@ class Watchdog:
         return self._clock() - self._started_at
 
     @property
-    def simulated_s(self) -> float:
-        return self._simulated_s
-
-    @property
     def remaining_s(self) -> Optional[float]:
         """Wall-clock budget left (None without a deadline; never
         negative — an expired budget reads 0.0)."""

@@ -25,7 +25,6 @@ Queries arrive programmatically or as JSONL
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
@@ -39,7 +38,7 @@ from repro.engine.registry import get_algorithm
 from repro.engine.types import StaticPolicy
 from repro.errors import ReproError, RuntimeConfigError
 from repro.kernels.variants import Ordering, Variant
-from repro.obs.manifest import RunManifest, build_batch_manifest
+from repro.obs.manifest import RunManifest, build_batch_manifest, values_sha256
 from repro.reliability.guard import guarded_query
 from repro.serve.session import GraphSession
 
@@ -237,12 +236,6 @@ class BatchResult:
         }
 
 
-def _sha256(values: Optional[np.ndarray]) -> Optional[str]:
-    if values is None:
-        return None
-    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
-
-
 def _trace_decisions(result: QueryResult) -> List[dict]:
     """The query's decisions, each tagged with its query index."""
     import dataclasses
@@ -322,7 +315,10 @@ class BatchRunner:
                     query=queries[i],
                     batched=True,
                     values=outcome.values,
-                    values_sha256=_sha256(outcome.values),
+                    values_sha256=(
+                        None if outcome.values is None
+                        else values_sha256(outcome.values)
+                    ),
                     iterations=outcome.num_iterations,
                     seconds=0.0,
                     error=outcome.error,
@@ -421,7 +417,7 @@ class BatchRunner:
             query=query,
             batched=False,
             values=traversal.values,
-            values_sha256=_sha256(traversal.values),
+            values_sha256=values_sha256(traversal.values),
             iterations=traversal.num_iterations,
             seconds=float(traversal.total_seconds),
             error=None,

@@ -42,10 +42,10 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.errors import GraphError, ReproError
 from repro.graph.dynamic import DeltaOverlayGraph, EdgeBatch
 from repro.obs.context import current_observer
-from repro.obs.manifest import RunManifest, build_serve_manifest
+from repro.obs.manifest import RunManifest, build_serve_manifest, values_sha256
 from repro.reliability.breaker import CircuitBreaker
 from repro.serve.admission import AdmissionQueue, AdmittedQuery
-from repro.serve.batch import BatchQuery, BatchRunner, _sha256
+from repro.serve.batch import BatchQuery, BatchRunner
 from repro.serve.session import GraphSession, SessionCache
 
 __all__ = ["ServeLoop", "ServeReport", "percentile"]
@@ -563,7 +563,7 @@ class ServeLoop:
         doc.update(
             ok=True,
             iterations=iterations,
-            values_sha256=_sha256(values),
+            values_sha256=None if values is None else values_sha256(values),
             latency_sim_s=float(sim_latency),
         )
         self._emit(doc)

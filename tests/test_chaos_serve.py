@@ -17,8 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.engine.incremental import INCREMENTAL_ALGORITHMS
 from repro.graph.generators import attach_uniform_weights, erdos_renyi_graph
-from repro.graph.io import write_dimacs
+from repro.graph.io import write_dimacs, write_snap_edgelist
 from repro.reliability import FaultPlan
 from repro.serve.chaos import (
     default_chaos_plan,
@@ -263,6 +264,28 @@ class TestDynamicServeCli:
         assert doc["result"]["graph_epoch"] == 1
         assert doc["result"]["incremental"]["parity"] is True
         assert doc["result"]["mutation_events"][0]["inserted"] == 2
+
+    @pytest.mark.parametrize("algorithm", INCREMENTAL_ALGORITHMS)
+    def test_mutate_unweighted_batch_on_unweighted_file(
+        self, tmp_path, capsys, algorithm
+    ):
+        # An unweighted file and batch: the algorithm alone decides
+        # whether the graph gets weights, so SSSP runs and verifies too.
+        g = erdos_renyi_graph(60, 300, seed=1)
+        path = tmp_path / "little.txt"
+        write_snap_edgelist(g, path)
+        u, v = 0, int(g.neighbors(0)[0])
+        muts = tmp_path / "muts.jsonl"
+        muts.write_text(
+            json.dumps({"op": "delete", "u": u, "v": v}) + "\n"
+            + json.dumps({"op": "insert", "u": u, "v": 59}) + "\n"
+        )
+        rc = main([
+            "mutate", "--file", str(path), "--mutations", str(muts),
+            "--lenient-io", "--algorithm", algorithm, "--source", "0",
+        ])
+        assert rc == 0, capsys.readouterr().err
+        assert "PASS" in capsys.readouterr().out
 
     def test_mutate_bad_batch_is_line_numbered_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -74,6 +74,13 @@ class TestOracleReport:
         with pytest.raises(KernelError):
             per_iteration_oracle(g, 0, "sssp")
 
+    @pytest.mark.parametrize("algorithm", ["cc", "pagerank", "nonsense"])
+    def test_rejects_algorithms_it_does_not_price(self, algorithm):
+        # Only BFS and SSSP are priced; any other name must fail instead
+        # of coming back as a BFS report under its own label.
+        with pytest.raises(KernelError, match="'bfs' or 'sssp'"):
+            per_iteration_oracle(chain_graph(10), 0, algorithm)
+
 
 class TestSinglePropertySource:
     def test_launch_geometry_derived_once_per_variant(self, workload, monkeypatch):

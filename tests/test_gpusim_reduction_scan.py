@@ -11,20 +11,13 @@ import pytest
 from repro.gpusim.device import TESLA_C2070
 from repro.gpusim.kernel import CostModel, KernelTally
 from repro.gpusim.launch import LaunchConfig
-from repro.gpusim.reduction import plan_reduction, reduce_min, reduction_tallies
-from repro.gpusim.scan import exclusive_scan, scan_tallies
+from repro.gpusim.reduction import plan_reduction, reduction_tallies
+from repro.gpusim.scan import scan_tallies
 from repro.gpusim.timeline import Timeline
 from repro.gpusim.transfer import TransferRecord, record_transfer, transfer_seconds
 
 
 class TestReduction:
-    def test_functional_min(self):
-        assert reduce_min(np.array([5.0, 2.0, 9.0])) == 2.0
-
-    def test_functional_empty_raises(self):
-        with pytest.raises(ValueError):
-            reduce_min(np.array([]))
-
     def test_plan_pass_structure(self):
         plan = plan_reduction(1_000_000, threads_per_block=256)
         # 2*256 = 512 elements per block: 1e6 -> 1954 -> 4 -> 1.
@@ -54,15 +47,6 @@ class TestReduction:
 
 
 class TestScan:
-    def test_functional_exclusive(self):
-        assert exclusive_scan([1, 0, 1, 1, 0]).tolist() == [0, 1, 1, 2, 3]
-
-    def test_functional_empty(self):
-        assert exclusive_scan([]).size == 0
-
-    def test_functional_single(self):
-        assert exclusive_scan([5]).tolist() == [0]
-
     def test_tallies_single_block(self):
         assert len(scan_tallies(100, TESLA_C2070)) == 1
 

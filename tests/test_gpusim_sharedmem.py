@@ -5,11 +5,7 @@ import pytest
 from repro.gpusim.device import TESLA_C2070
 from repro.gpusim.kernel import CostModel
 from repro.gpusim.reduction import reduction_tallies
-from repro.gpusim.sharedmem import (
-    conflict_degree,
-    reduction_step_cycles,
-    shared_access_cycles,
-)
+from repro.gpusim.sharedmem import conflict_degree, reduction_step_cycles
 
 
 class TestConflictDegree:
@@ -39,16 +35,6 @@ class TestConflictDegree:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             conflict_degree(-1)
-
-
-class TestSharedAccessCycles:
-    def test_scales_with_conflicts(self):
-        free = shared_access_cycles(100, 1, TESLA_C2070)
-        conflicted = shared_access_cycles(100, 32, TESLA_C2070)
-        assert conflicted == 32 * free
-
-    def test_zero_accesses(self):
-        assert shared_access_cycles(0, 1, TESLA_C2070) == 0.0
 
 
 class TestReductionAddressing:

@@ -5,12 +5,9 @@ import json
 import pytest
 
 from repro.core import run_static
-from repro.gpusim.traceexport import (
-    export_chrome_trace,
-    iteration_start_times,
-    timeline_to_trace_events,
-)
+from repro.gpusim.traceexport import iteration_start_times, timeline_to_trace_events
 from repro.graph.generators import balanced_tree
+from repro.obs.trace import export_combined_trace
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +87,7 @@ class TestTraceEvents:
 class TestExportFile:
     def test_writes_valid_json(self, traversal, tmp_path):
         path = tmp_path / "trace.json"
-        out = export_chrome_trace(traversal.timeline, path)
+        out = export_combined_trace(traversal.timeline, path)
         assert out == str(path)
         with open(path) as fh:
             doc = json.load(fh)

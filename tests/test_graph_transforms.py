@@ -92,17 +92,33 @@ class TestDegreeSortRelabel:
         assert np.array_equal(levels1[mapping], levels0)
 
     def test_reduces_thread_divergence(self):
-        """The point of the transform: warp-max sums drop on skewed
-        degree sequences when similar degrees share warps."""
-        from repro.gpusim.warp import profile_warps
+        """The point of the transform: a thread-mapped launch over every
+        node issues fewer warp-max cycles on a skewed degree sequence
+        when similar degrees share warps."""
+        from repro.gpusim.device import TESLA_C2070
         from repro.graph.generators import power_law_graph
         from repro.graph.transforms import degree_sort_relabel
+        from repro.kernels import costs
+        from repro.kernels.mapping import ComputationShape, computation_tally
+        from repro.kernels.variants import Mapping, WorksetRepr
+
+        def issue_cycles(graph):
+            shape = ComputationShape(
+                name="all_nodes",
+                num_nodes=graph.num_nodes,
+                active_ids=np.arange(graph.num_nodes),
+                degrees=graph.out_degrees,
+                edge_cost=costs.C_EDGE,
+                improved=0,
+                updated_count=0,
+            )
+            return computation_tally(
+                shape, Mapping.THREAD, WorksetRepr.QUEUE, 192, TESLA_C2070
+            ).issue_cycles
 
         g = power_law_graph(4000, alpha=1.8, max_degree=200, seed=13)
         sorted_g, _ = degree_sort_relabel(g)
-        before = profile_warps(g.out_degrees.astype(float)).issue_cycles
-        after = profile_warps(sorted_g.out_degrees.astype(float)).issue_cycles
-        assert after < 0.7 * before
+        assert issue_cycles(sorted_g) < 0.7 * issue_cycles(g)
 
     def test_ascending_option(self, skewed_graph):
         from repro.graph.transforms import degree_sort_relabel
