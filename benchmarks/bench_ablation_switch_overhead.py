@@ -47,7 +47,7 @@ def build_report():
         table.add_row(
             [
                 key,
-                shared.num_switches,
+                shared.trace.num_switches,
                 f"{shared.total_seconds * 1e3:.3f}",
                 f"{rebuild.total_seconds * 1e3:.3f}",
                 f"{100 * penalty:+.1f}%",
@@ -62,12 +62,12 @@ def test_ablation_switch_overhead(benchmark):
 
     for key, (shared, rebuild) in results.items():
         # Identical decisions and answers.
-        assert shared.num_switches == rebuild.num_switches, key
-        assert shared.traversal.reached == rebuild.traversal.reached, key
+        assert shared.trace.num_switches == rebuild.trace.num_switches, key
+        assert shared.reached == rebuild.reached, key
         # Rebuild can only add cost.
         assert rebuild.total_seconds >= shared.total_seconds, key
 
     # Where switches happen, rebuilding costs something but the shared
     # scheme keeps the total penalty tiny either way (it is a handful of
     # kernels across the whole traversal).
-    assert any(s.num_switches > 0 for s, _ in results.values())
+    assert any(s.trace.num_switches > 0 for s, _ in results.values())

@@ -77,7 +77,7 @@ def build_report():
                     f"{statics[worst] * 1e3:.2f}",
                     f"{ad.total_seconds * 1e3:.2f}",
                     f"{ad.total_seconds / statics[best]:.2f}",
-                    ad.num_switches,
+                    ad.trace.num_switches,
                 ]
             )
         parts.append(table.render())

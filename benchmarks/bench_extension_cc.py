@@ -63,7 +63,7 @@ def build_report():
                 f"{statics[best] * 1e3:.2f}",
                 f"{ad.total_seconds * 1e3:.2f}",
                 f"{ad.total_seconds / statics[best]:.2f}",
-                ad.traversal.iterations[0].variant,
+                ad.iterations[0].variant,
             ]
         )
     return table.render(), rows, manifests
@@ -82,13 +82,13 @@ def test_extension_connected_components(benchmark):
     # active on iteration 0).
     for key in ("citeseer", "amazon", "google", "sns"):
         _, _, ad = rows[key]
-        assert ad.traversal.iterations[0].variant.endswith("BM"), key
-        assert ad.traversal.iterations[0].workset_size == ad.values.size, key
+        assert ad.iterations[0].variant.endswith("BM"), key
+        assert ad.iterations[0].workset_size == ad.values.size, key
 
     # ... and drains into the queue region before finishing.
     drained = sum(
         1
         for key, (_, _, ad) in rows.items()
-        if any(r.variant.endswith("QU") for r in ad.traversal.iterations)
+        if any(r.variant.endswith("QU") for r in ad.iterations)
     )
     assert drained >= 4

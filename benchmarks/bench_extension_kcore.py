@@ -60,7 +60,7 @@ def build_report():
                 f"{statics[best] * 1e3:.2f}",
                 f"{ad.total_seconds * 1e3:.2f}",
                 f"{ad.total_seconds / statics[best]:.2f}",
-                ad.num_switches,
+                ad.trace.num_switches,
             ]
         )
     return table.render(), rows, manifests

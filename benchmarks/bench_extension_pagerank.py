@@ -85,10 +85,10 @@ def test_extension_pagerank(benchmark):
     # small-working-set queue region.
     for key in ("citeseer", "amazon", "google", "sns"):
         _, _, ad = rows[key]
-        first = ad.traversal.iterations[0]
+        first = ad.iterations[0]
         assert first.workset_size == ad.values.size, key
         assert first.variant.endswith("BM"), key
-        assert any(r.variant == "U_B_QU" for r in ad.traversal.iterations), key
+        assert any(r.variant == "U_B_QU" for r in ad.iterations), key
 
     # The GPU beats the serial push baseline on the dense graphs.
     for key in ("citeseer", "google", "sns"):

@@ -46,7 +46,7 @@ def run_one(key: str, algorithm: str):
 
     # 1. plentiful memory: accounting only, no intervention
     ample = adaptive_run(graph, algorithm, source, memory=MemoryBudget("1G"))
-    overhead = ample.traversal.total_seconds / base.traversal.total_seconds - 1.0
+    overhead = ample.total_seconds / base.total_seconds - 1.0
 
     # 2. tight budget: pressure-aware policy forces compact worksets
     tight_budget = resident + bitmap + 64
@@ -54,24 +54,24 @@ def run_one(key: str, algorithm: str):
         graph, algorithm, source, memory=MemoryBudget(tight_budget, spill=True)
     )
     tight_identical = bool(
-        np.array_equal(tight.traversal.values, base.traversal.values)
+        np.array_equal(tight.values, base.values)
     )
 
     # 3. genuine OOM: guarded runner climbs to the spill rung
     oom_guard = GuardConfig(mem_budget=resident + 16, sleeper=lambda s: None)
     recovered = resilient_run(graph, algorithm, source, guard=oom_guard)
-    oom_identical = bool(np.array_equal(recovered.values, base.traversal.values))
+    oom_identical = bool(np.array_equal(recovered.values, base.values))
     recovery = (
         (recovered.final_seconds + recovered.replayed_seconds)
-        / base.traversal.total_seconds
+        / base.total_seconds
         - 1.0
     )
 
     return {
         "dataset": key,
         "algorithm": algorithm,
-        "base_seconds": base.traversal.total_seconds,
-        "ample_seconds": ample.traversal.total_seconds,
+        "base_seconds": base.total_seconds,
+        "ample_seconds": ample.total_seconds,
         "overhead": overhead,
         "peak_bytes": ample.memory.peak_bytes,
         "forced_decisions": tight.trace.num_memory_forced,

@@ -36,13 +36,13 @@ def build_report():
         src = source if info.source_based else -1
         if info.adaptive_eligible:
             result = adaptive_run(graph, info.name, src if info.source_based else None)
-            traversal, mode = result.traversal, "adaptive"
+            mode = "adaptive"
         else:
             result = info.run_default(graph, src)
-            traversal, mode = result, "default"
+            mode = "default"
         oracle, cpu = info.cpu_run(graph, src)
-        ok = _matches(info, traversal.values, oracle)
-        rows[info.name] = (traversal, cpu, mode, ok)
+        ok = _matches(info, result.values, oracle)
+        rows[info.name] = (result, cpu, mode, ok)
         manifests.append(build_manifest(result, graph=graph, mode=mode))
 
     table = Table(

@@ -69,7 +69,7 @@ def main(scale: float = 0.02) -> None:
                 name,
                 result.num_iterations,
                 format_seconds(result.total_seconds),
-                result.num_switches,
+                result.trace.num_switches,
                 "+".join(sorted(result.variants_used())),
             ]
         )
@@ -77,7 +77,7 @@ def main(scale: float = 0.02) -> None:
 
     print("\nworking-set trajectories (each scaled to its own peak):")
     for name, result in runs.items():
-        curve = result.traversal.workset_curve()
+        curve = result.workset_curve()
         print(f"  {name:22s} |{sparkline(curve)}|  peak {format_si(curve.max())}")
 
     # Cross-algorithm facts from one run each.

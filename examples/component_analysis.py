@@ -48,7 +48,7 @@ def analyze_components() -> None:
         f"{format_seconds(ad.total_seconds)} vs union-find "
         f"{format_seconds(cpu.seconds)}"
     )
-    curve = ad.traversal.workset_curve()
+    curve = ad.workset_curve()
     print(
         f"working set drained {curve[0]} -> {curve[-1]} over "
         f"{ad.num_iterations} iterations; variants: {ad.variants_used()}"

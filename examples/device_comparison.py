@@ -46,7 +46,7 @@ def main() -> None:
                 derive_t2(device),
                 format_seconds(result.total_seconds),
                 f"{cpu.seconds / result.total_seconds:.2f}x",
-                result.num_switches,
+                result.trace.num_switches,
                 "+".join(sorted(result.variants_used())),
             ]
         )

@@ -69,7 +69,7 @@ def main(scale: float = 0.05) -> None:
 
     print(
         f"\nadaptive runtime decisions: {ad.trace.variants_chosen()} "
-        f"({ad.num_switches} switches)"
+        f"({ad.trace.num_switches} switches)"
     )
     print(
         "note: road networks expose so little frontier parallelism that the\n"

@@ -50,13 +50,13 @@ def main(scale: float = 0.02) -> None:
 
     # --- how the frontier evolved and what the runtime chose -------------
     print("\nfrontier size and variant per BFS level:")
-    for rec in ad.traversal.iterations:
+    for rec in ad.iterations:
         bar = "#" * max(1, int(40 * rec.workset_size / max(1, graph.num_nodes // 10)))
         print(
             f"  hop {rec.iteration:2d}  ws={rec.workset_size:>8d}  "
             f"{rec.variant}  {bar}"
         )
-    print(f"\nruntime switches: {ad.num_switches}; decisions: {ad.trace.variants_chosen()}")
+    print(f"\nruntime switches: {ad.trace.num_switches}; decisions: {ad.trace.variants_chosen()}")
 
     # --- value of adaptivity ---------------------------------------------
     table = Table(["implementation", "time", "speedup vs CPU"], title="BFS comparison")

@@ -26,7 +26,6 @@ Quickstart::
 
 from repro._version import __version__
 from repro.core import (
-    AdaptiveResult,
     Graph,
     RuntimeConfig,
     adaptive_run,
@@ -62,7 +61,6 @@ __all__ = [
     "Graph",
     "CSRGraph",
     "RuntimeConfig",
-    "AdaptiveResult",
     "TraversalResult",
     "AlgorithmInfo",
     "AlgorithmSpec",

@@ -400,23 +400,22 @@ def _call_door(door, args, info, graph, source, device, config, memory,
     )
 
 
-def _traversal_rows(table, door, result, traversal, info, graph, cpu,
-                    mem_report) -> None:
+def _traversal_rows(table, door, result, info, graph, cpu) -> None:
     """Rows of a single-device run that is not guarded."""
     if info.source_based:
         table.add_row(
-            ["reached nodes", f"{traversal.reached} / {graph.num_nodes}"]
+            ["reached nodes", f"{result.reached} / {graph.num_nodes}"]
         )
-    table.add_row(["iterations", traversal.num_iterations])
+    table.add_row(["iterations", result.num_iterations])
     if door == "hybrid":
         table.add_row(["CPU iterations", result.cpu_iterations])
         table.add_row(["GPU iterations", result.gpu_iterations])
         table.add_row(["device transitions", result.transitions])
-    table.add_row(["simulated GPU time", format_seconds(traversal.total_seconds)])
+    table.add_row(["simulated GPU time", format_seconds(result.total_seconds)])
     table.add_row(["serial CPU baseline", format_seconds(cpu.seconds)])
-    table.add_row(["speedup", f"{cpu.seconds / traversal.total_seconds:.2f}x"])
-    _add_memory_rows(table, mem_report)
-    stats = traversal.fusion
+    table.add_row(["speedup", f"{cpu.seconds / result.total_seconds:.2f}x"])
+    _add_memory_rows(table, result.memory)
+    stats = result.fusion
     if stats is None:
         return
     plan = stats.plan
@@ -520,12 +519,12 @@ def cmd_run(args) -> int:
         )
     if door == "adaptive" and result.policy is not None:
         mode = "learned"
-    # The single-device run's TraversalResult: a guarded result wraps the
-    # stage that served it; sharded and CPU-degraded runs have none.
-    inner = getattr(result, "result", result)
-    traversal = getattr(inner, "traversal", inner)
-    if getattr(traversal, "timeline", None) is None:
+    # The single-device run's TraversalResult: a guarded run's is the
+    # attempt that answered; sharded and CPU-degraded runs have none.
+    if door == "sharded" or (door == "resilient" and result.degraded):
         traversal = None
+    else:
+        traversal = result.result if door == "resilient" else result
     oracle, cpu = info.cpu_run(graph, source, **params)
     ok = _values_match(result.values, oracle, exact=info.cpu_exact)
 
@@ -561,9 +560,7 @@ def cmd_run(args) -> int:
     elif door == "resilient":
         _resilient_rows(table, result, traversal)
     else:
-        mem_report = memory.report() if memory is not None else None
-        _traversal_rows(table, door, result, traversal, info, graph, cpu,
-                        mem_report)
+        _traversal_rows(table, door, result, info, graph, cpu)
     if args.algorithm in _SUMMARY_ROWS:
         name, summarize = _SUMMARY_ROWS[args.algorithm]
         table.add_row([name, summarize(result.values)])
@@ -573,7 +570,7 @@ def cmd_run(args) -> int:
     if door == "adaptive":
         trace = result.trace
         line = (f"decisions: {trace.variants_chosen()}  "
-                f"switches: {result.num_switches}")
+                f"switches: {trace.num_switches}")
         if trace.num_memory_forced:
             line += f"  memory-forced: {trace.num_memory_forced}"
         print(line)
@@ -595,7 +592,7 @@ def cmd_run(args) -> int:
         else:
             export_combined_trace(
                 traversal.timeline, args.trace,
-                trace=getattr(result, "trace", None), observer=observer,
+                trace=result.trace, observer=observer,
             )
             print(f"[combined trace written to {args.trace} "
                   "(open in ui.perfetto.dev or chrome://tracing)]")
@@ -1105,13 +1102,18 @@ def cmd_mutate(args) -> int:
         Observer, build_dynamic_manifest, observing, values_sha256,
     )
 
-    batch = EdgeBatch.from_jsonl(args.mutations)
     info = get_algorithm(args.algorithm) if args.algorithm else None
+    source_based = info is not None and info.source_based
+    if info is not None and not source_based and args.source is not None:
+        print(f"repro mutate: --source is not read by --algorithm {info.name}",
+              file=sys.stderr)
+        return 2
+    batch = EdgeBatch.from_jsonl(args.mutations)
     weighted = (info is not None and info.weighted) or any(
         op.weight is not None for op in batch.ops if op.op == "insert"
     )
     graph, source, device = _resolve_workload(
-        args, weighted=weighted, resolve_source=args.algorithm is not None
+        args, weighted=weighted, resolve_source=source_based
     )
     memory = _make_memory(args, device)
 
@@ -1156,14 +1158,13 @@ def cmd_mutate(args) -> int:
 
     exit_code = 0
     if info is not None:
-        run_source = source if info.source_based else None
         with observing(observer):
-            previous = adaptive_run(graph, args.algorithm, run_source)
+            previous = adaptive_run(graph, args.algorithm, source)
             incremental = run_incremental(
                 mutated, args.algorithm, previous, delta,
-                source=run_source, device=device,
+                source=source, device=device,
             )
-            scratch = adaptive_run(mutated, args.algorithm, run_source)
+            scratch = adaptive_run(mutated, args.algorithm, source)
         digest = values_sha256(incremental.values)
         parity = digest == values_sha256(scratch.values)
         speedup = scratch.total_seconds / max(

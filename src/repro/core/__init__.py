@@ -43,8 +43,8 @@ from repro.core.oracle import (
     decision_quality,
     per_iteration_oracle,
 )
-from repro.core.policies import AdaptivePolicy, FixedPolicy
-from repro.core.runtime import AdaptiveResult, adaptive_run, run_static
+from repro.core.policies import AdaptivePolicy
+from repro.core.runtime import adaptive_run, run_static
 from repro.core.telemetry import RECOVERY_ACTIONS, Decision, DecisionTrace, FaultEvent
 from repro.core.tuning import (
     derive_t1,
@@ -62,7 +62,6 @@ __all__ = [
     "GraphInspector",
     "StaticAttributes",
     "AdaptivePolicy",
-    "FixedPolicy",
     "FEATURE_NAMES",
     "LearnedDecisionMaker",
     "LearnedPolicy",
@@ -73,7 +72,6 @@ __all__ = [
     "load_policy",
     "resolve_policy",
     "variant_costs",
-    "AdaptiveResult",
     "adaptive_run",
     "run_static",
     "hybrid_run",

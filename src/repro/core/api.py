@@ -9,12 +9,12 @@ adaptively by default, or under any named static variant.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import AdaptiveResult, adaptive_run, run_static
+from repro.core.runtime import adaptive_run, run_static
 from repro.engine.types import TraversalResult
 from repro.errors import GraphError
 from repro.graph.builder import from_edge_list
@@ -24,8 +24,6 @@ from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.kernel import CostParams
 
 __all__ = ["Graph"]
-
-ResultLike = Union[AdaptiveResult, TraversalResult]
 
 
 class Graph:
@@ -108,7 +106,7 @@ class Graph:
     # Algorithms
     # ------------------------------------------------------------------
 
-    def bfs(self, source: int, *, mode: str = "adaptive") -> ResultLike:
+    def bfs(self, source: int, *, mode: str = "adaptive") -> TraversalResult:
         """Breadth-first search from *source*.
 
         *mode* is ``"adaptive"`` (default) or a static variant code like
@@ -117,7 +115,7 @@ class Graph:
         """
         return self._run("bfs", source, mode)
 
-    def sssp(self, source: int, *, mode: str = "adaptive") -> ResultLike:
+    def sssp(self, source: int, *, mode: str = "adaptive") -> TraversalResult:
         """Single-source shortest paths from *source*.
 
         Requires edge weights (see :meth:`with_random_weights`).  Returns
@@ -130,7 +128,7 @@ class Graph:
             )
         return self._run("sssp", source, mode)
 
-    def connected_components(self, *, mode: str = "adaptive") -> ResultLike:
+    def connected_components(self, *, mode: str = "adaptive") -> TraversalResult:
         """Weakly connected components (extension algorithm).
 
         ``result.values[i]`` is the minimum node id in node *i*'s
@@ -144,7 +142,7 @@ class Graph:
         damping: float = 0.85,
         tolerance: float = 1e-6,
         mode: str = "adaptive",
-    ) -> ResultLike:
+    ) -> TraversalResult:
         """Push-based PageRank (extension algorithm).
 
         ``result.values`` are unnormalized ranks (they sum to just under
@@ -154,7 +152,7 @@ class Graph:
             "pagerank", None, mode, damping=damping, tolerance=tolerance
         )
 
-    def _run(self, algorithm: str, source, mode: str, **params) -> ResultLike:
+    def _run(self, algorithm: str, source, mode: str, **params) -> TraversalResult:
         """*algorithm* through the adaptive runtime, or through one
         static variant when *mode* is a variant code."""
         if mode == "adaptive":

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.core.config import RuntimeConfig
 from repro.core.policies import AdaptivePolicy
 from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
@@ -62,29 +60,29 @@ class HybridConfig:
     cpu: CpuModel = DEFAULT_CPU
 
 
-@dataclass
-class HybridResult:
-    """Traversal outcome plus the device schedule."""
-
-    traversal: TraversalResult
-    devices: List[str]  # "cpu" or "gpu" per iteration
-    transitions: int
+class HybridResult(TraversalResult):
+    """A traversal whose iterations each ran on the host or the device;
+    the schedule is read off the records (host iterations record
+    variant ``"cpu"``)."""
 
     @property
-    def values(self) -> np.ndarray:
-        return self.traversal.values
+    def devices(self) -> List[str]:
+        """``"cpu"`` or ``"gpu"`` per iteration."""
+        return ["cpu" if r.variant == "cpu" else "gpu" for r in self.iterations]
 
     @property
-    def total_seconds(self) -> float:
-        return self.traversal.total_seconds
+    def transitions(self) -> int:
+        # Execution starts on the device, where the initial transfers put it.
+        devices = self.devices
+        return sum(a != b for a, b in zip(["gpu"] + devices, devices))
 
     @property
     def cpu_iterations(self) -> int:
-        return sum(1 for d in self.devices if d == "cpu")
+        return sum(1 for r in self.iterations if r.variant == "cpu")
 
     @property
     def gpu_iterations(self) -> int:
-        return sum(1 for d in self.devices if d == "gpu")
+        return self.num_iterations - self.cpu_iterations
 
 
 class _Placement:
@@ -158,9 +156,6 @@ def hybrid_run(
         info.make_spec(), device, cost_params, max_iterations,
         config.queue_gen, place=placement,
     )
-    traversal.algorithm = f"hybrid_{algorithm}"
-    traversal.policy_name = "hybrid"
-    devices = ["cpu" if r.variant == "cpu" else "gpu" for r in traversal.iterations]
-    # Execution starts on the device, where the initial transfers put it.
-    transitions = sum(a != b for a, b in zip(["gpu"] + devices, devices))
-    return HybridResult(traversal=traversal, devices=devices, transitions=transitions)
+    return HybridResult(**dict(
+        vars(traversal), algorithm=f"hybrid_{algorithm}", policy_name="hybrid"
+    ))

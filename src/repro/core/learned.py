@@ -810,8 +810,7 @@ class LearnedPolicy(AdaptivePolicy):
         return unconstrained, variant, region
 
     def policy_info(self) -> dict:
-        """Provenance dict recorded in :class:`AdaptiveResult` and the
-        run's manifest."""
+        """Provenance dict recorded in the run's result and manifest."""
         return {
             "kind": self.artifact.kind,
             "digest": self.artifact.digest,

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.inspector import StaticAttributes
-from repro.core.runtime import AdaptiveResult
 from repro.engine.driver import _state_payload
 from repro.engine.types import TraversalResult
 from repro.errors import KernelError
@@ -220,7 +219,7 @@ class DecisionQuality:
 
 
 def decision_quality(
-    result: Union[AdaptiveResult, TraversalResult], report: OracleReport
+    result: TraversalResult, report: OracleReport
 ) -> DecisionQuality:
     """Score a traversal's per-iteration variant choices against the oracle.
 
@@ -228,15 +227,14 @@ def decision_quality(
     so agreement and regret compare decisions, not incidental cost-model
     noise.
     """
-    traversal = result.traversal if isinstance(result, AdaptiveResult) else result
-    if len(traversal.iterations) != len(report.iterations):
+    if len(result.iterations) != len(report.iterations):
         raise KernelError(
             f"iteration count mismatch: traversal has "
-            f"{len(traversal.iterations)}, oracle has {len(report.iterations)}"
+            f"{len(result.iterations)}, oracle has {len(report.iterations)}"
         )
     agree = 0
     realized = report.fixed_seconds
-    for rec, it in zip(traversal.iterations, report.iterations):
+    for rec, it in zip(result.iterations, report.iterations):
         if rec.variant not in it.seconds_by_variant:
             raise KernelError(
                 f"variant {rec.variant} not in the oracle's candidate set"

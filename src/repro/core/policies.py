@@ -2,8 +2,8 @@
 
 :class:`AdaptivePolicy` is the paper's runtime: a graph inspector feeding
 a decision maker, with sampling to bound monitoring overhead and a
-decision trace for telemetry.  :class:`FixedPolicy` re-exports the static
-behaviour under the policy interface (used by the benches' baselines).
+decision trace for telemetry.  :func:`make_policy` picks it, or its
+learned subclass, for one run.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.core.config import RuntimeConfig
 from repro.core.decision import DecisionMaker
 from repro.core.inspector import GraphInspector
 from repro.core.telemetry import Decision, DecisionTrace
-from repro.engine.types import IterationRecord, StaticPolicy, VariantPolicy
+from repro.engine.types import IterationRecord, VariantPolicy
 from repro.graph.csr import CSRGraph
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import DeviceSpec
@@ -24,12 +24,7 @@ from repro.gpusim.reduction import reduction_tallies
 from repro.kernels.variants import Variant, WorksetRepr
 from repro.kernels.workset import workset_gen_tallies
 
-__all__ = ["AdaptivePolicy", "FixedPolicy"]
-
-
-class FixedPolicy(StaticPolicy):
-    """Alias of :class:`~repro.engine.types.StaticPolicy` under the
-    adaptive-runtime vocabulary."""
+__all__ = ["AdaptivePolicy", "make_policy"]
 
 
 class AdaptivePolicy(VariantPolicy):
@@ -195,3 +190,24 @@ class AdaptivePolicy(VariantPolicy):
     @property
     def num_switches(self) -> int:
         return self.trace.num_switches
+
+
+def make_policy(
+    graph: CSRGraph,
+    policy=None,
+    config: Optional[RuntimeConfig] = None,
+    *,
+    device: DeviceSpec,
+    memory: Optional[MemoryBudget] = None,
+) -> AdaptivePolicy:
+    """The adaptive runtime's policy for one run on *graph*: the
+    threshold decision maker, or a
+    :class:`~repro.core.learned.LearnedPolicy` when *policy* is a
+    ``"learned:<policy.json>"`` spec or a loaded artifact."""
+    if policy is None:
+        return AdaptivePolicy(graph, config, device=device, memory=memory)
+    from repro.core.learned import LearnedPolicy, resolve_policy
+
+    return LearnedPolicy(
+        graph, resolve_policy(policy), config, device=device, memory=memory
+    )

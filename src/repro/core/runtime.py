@@ -4,33 +4,30 @@ One door per run mode, each working for every registered algorithm
 through the :mod:`algorithm registry <repro.engine.registry>`:
 
 - :func:`run_static` runs one static variant;
-- :func:`adaptive_run` runs under the inspector + decision-maker policy
-  and returns an :class:`AdaptiveResult` bundling the traversal outcome
-  with the decision trace.
+- :func:`adaptive_run` runs under the inspector + decision-maker policy.
 
 Both build the algorithm's spec (``info.make_spec(**params)``) and
 drive it on the one Figure-8 loop (:func:`repro.engine.driver.run_frame`),
 so comparisons share an identical code path and a newly registered
-algorithm gets both modes for free.  The guarded mode is
+algorithm gets both modes for free.  Both return the loop's
+:class:`~repro.engine.types.TraversalResult`; under the adaptive policy
+it also carries the decision trace and thresholds.  The guarded mode is
 :func:`repro.reliability.resilient_run`; hybrid CPU/GPU execution is
 :func:`repro.core.hybrid.hybrid_run`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.core.config import RuntimeConfig
-from repro.core.decision import Thresholds
-from repro.core.policies import AdaptivePolicy
-from repro.core.telemetry import DecisionTrace
+from repro.core.policies import make_policy
 from repro.engine.driver import run_frame
 from repro.engine.registry import AlgorithmInfo, get_algorithm
 from repro.engine.types import StaticPolicy, TraversalResult, VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
-from repro.gpusim.allocator import MemoryBudget, MemoryReport
+from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.kernel import CostParams
 from repro.kernels.frame import OrderedSsspSpec, SsspSpec
@@ -38,50 +35,14 @@ from repro.kernels.variants import Variant
 from repro.obs.context import current_observer, observing
 
 __all__ = [
-    "AdaptiveResult",
     "adaptive_run",
     "run_static",
 ]
 
 
-@dataclass
-class AdaptiveResult:
-    """A traversal result plus the adaptive runtime's decision trace."""
-
-    traversal: TraversalResult
-    trace: DecisionTrace
-    thresholds: Thresholds
-    #: device-memory accounting snapshot (None when no budget attached)
-    memory: Optional[MemoryReport] = None
-    #: learned-policy provenance (kind, artifact digest, tree shape);
-    #: None under the threshold policy
-    policy: Optional[Dict] = None
-
-    # Convenience pass-throughs ----------------------------------------
-
-    @property
-    def values(self):
-        return self.traversal.values
-
-    @property
-    def total_seconds(self) -> float:
-        return self.traversal.total_seconds
-
-    @property
-    def num_iterations(self) -> int:
-        return self.traversal.num_iterations
-
-    @property
-    def num_switches(self) -> int:
-        return self.trace.num_switches
-
-    def variants_used(self) -> Dict[str, int]:
-        return self.traversal.variants_used()
-
-
-def _observed_traverse(span_name: str, run, trace: DecisionTrace, policy=None):
+def _observed_traverse(span_name: str, run, policy):
     """Run *run()* under the current observer's span (if any) and report
-    the trace's decision counts — plus the learned policy's ``policy.*``
+    *policy*'s decision counts — plus the learned policy's ``policy.*``
     telemetry, when one drives the run — into its metrics registry."""
     observer = current_observer()
     if observer is None:
@@ -89,6 +50,7 @@ def _observed_traverse(span_name: str, run, trace: DecisionTrace, policy=None):
     with observer.span(span_name):
         result = run()
     metrics = observer.metrics
+    trace = policy.trace
     metrics.counter("runtime.decisions").inc(trace.num_decisions)
     metrics.counter("runtime.switches").inc(trace.num_switches)
     metrics.counter("runtime.memory_forced").inc(trace.num_memory_forced)
@@ -139,7 +101,7 @@ def adaptive_run(
     policy=None,
     fuse: bool = False,
     **params,
-) -> AdaptiveResult:
+) -> TraversalResult:
     """Run any registered *algorithm* under the adaptive runtime.
 
     The registry supplies the algorithm's spec; the same inspector +
@@ -154,8 +116,7 @@ def adaptive_run(
     :class:`~repro.core.learned.PolicyArtifact` and the run is driven
     by a :class:`~repro.core.learned.LearnedPolicy` instead (same
     sampling cadence, same memory-pressure overrides); the artifact's
-    digest lands in :attr:`AdaptiveResult.policy` and the run's
-    manifest.
+    digest lands in the result's ``policy`` and the run's manifest.
 
     The reliability keywords (*watchdog*, *checkpoint_keeper*,
     *resume_from*, *fault_hook*) are pass-throughs to the traversal
@@ -177,17 +138,9 @@ def adaptive_run(
             "unordered working-set variants the decision maker switches)"
         )
     source = info.resolve_source(graph, source)
-    if policy is not None:
-        from repro.core.learned import LearnedPolicy, resolve_policy
-
-        artifact = resolve_policy(policy)
-        driver = LearnedPolicy(
-            graph, artifact, config, device=device, memory=memory
-        )
-    else:
-        driver = AdaptivePolicy(graph, config, device=device, memory=memory)
+    driver = make_policy(graph, policy, config, device=device, memory=memory)
     with observing(observe):
-        result = _observed_traverse(
+        return _observed_traverse(
             f"{driver.name}_{algorithm}",
             lambda: _run_spec(
                 info,
@@ -206,16 +159,8 @@ def adaptive_run(
                 memory=memory,
                 fusion=fuse or None,
             ),
-            driver.trace,
-            policy=driver,
+            driver,
         )
-    return AdaptiveResult(
-        traversal=result,
-        trace=driver.trace,
-        thresholds=driver.thresholds,
-        memory=memory.report() if memory is not None else None,
-        policy=driver.policy_info() if hasattr(driver, "policy_info") else None,
-    )
 
 
 def run_static(

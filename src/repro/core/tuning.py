@@ -153,7 +153,7 @@ def sweep_t3(
             T3SweepPoint(
                 t3_fraction=float(fraction),
                 seconds=result.total_seconds,
-                num_switches=result.num_switches,
+                num_switches=result.trace.num_switches,
             )
         )
     return points

@@ -197,7 +197,7 @@ class _BatchRow(_Row):
             values=values,
             iterations=self.records,
             error=self.error,
-            trace=getattr(self.policy, "trace", None),
+            trace=self.policy.trace,
             ejected=self.ejected,
             eject_kind=self.eject_kind,
             sim_seconds=self.sim_seconds,

@@ -423,6 +423,10 @@ def run_frame(
     staging copies are charged against it, raising
     :class:`~repro.errors.DeviceOOMError` on overflow (or pricing the
     spilled bytes as PCIe traffic in spill mode).
+
+    The result carries the budget's memory report and *policy*'s
+    decision trace, thresholds and provenance (each None where there is
+    none), so every door's result has one shape.
     """
     return _drive(graph, source, policy, spec, device, cost_params,
                   max_iterations, queue_gen, watchdog, checkpoint_keeper,
@@ -591,4 +595,8 @@ def _drive(graph, source, policy, spec, device, cost_params, max_iterations,
         device=device,
         policy_name=policy.name,
         fusion=fusion_stats,
+        trace=policy.trace,
+        thresholds=policy.thresholds,
+        memory=memory.report() if memory is not None else None,
+        policy=policy.policy_info(),
     )

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -257,32 +257,15 @@ def _distance_seed(
 # Entry point
 # ----------------------------------------------------------------------
 
-@dataclass
-class IncrementalResult:
+@dataclass(kw_only=True)
+class IncrementalResult(TraversalResult):
     """An incremental traversal plus what the warm start reused."""
 
-    traversal: TraversalResult
-    trace: object
-    thresholds: object
     delta: MutationDelta
     #: vertices the seeding pass invalidated (0 for insert-only deltas)
     affected_nodes: int
     #: size of the warm frontier the frame started from
     seed_frontier_size: int
-    memory: Optional[object] = None
-    policy: Optional[Dict] = None
-
-    @property
-    def values(self):
-        return self.traversal.values
-
-    @property
-    def total_seconds(self) -> float:
-        return self.traversal.total_seconds
-
-    @property
-    def num_iterations(self) -> int:
-        return self.traversal.num_iterations
 
 
 def _previous_values(previous) -> np.ndarray:
@@ -398,17 +381,9 @@ def run_incremental(
 
     # The adaptive policy layer lives above the engine; import lazily to
     # keep repro.engine importable on its own (same pattern as sharding).
-    from repro.core.policies import AdaptivePolicy
+    from repro.core.policies import make_policy
 
-    if policy is not None:
-        from repro.core.learned import LearnedPolicy, resolve_policy
-
-        artifact = resolve_policy(policy)
-        driver = LearnedPolicy(
-            work_graph, artifact, config, device=device, memory=memory
-        )
-    else:
-        driver = AdaptivePolicy(work_graph, config, device=device, memory=memory)
+    driver = make_policy(work_graph, policy, config, device=device, memory=memory)
 
     with observing(observe):
         observer = current_observer()
@@ -441,12 +416,8 @@ def run_incremental(
             )
 
     return IncrementalResult(
-        traversal=traversal,
-        trace=driver.trace,
-        thresholds=driver.thresholds,
+        **vars(traversal),
         delta=delta,
         affected_nodes=affected,
         seed_frontier_size=int(frontier.size),
-        memory=memory.report() if memory is not None else None,
-        policy=driver.policy_info() if hasattr(driver, "policy_info") else None,
     )

@@ -36,7 +36,7 @@ the device they describe).  The recovery ladder:
 
 Straggler detection compares each shard's per-round simulated compute
 time against the round median; a shard slower than
-``straggler_factor x median`` is recorded (``shard.stragglers``).
+``STRAGGLER_FACTOR x median`` is recorded (``shard.stragglers``).
 
 Each round runs one :mod:`repro.engine.driver` row per shard, choosing
 at the top and priced into the device's seconds; this module keeps
@@ -105,6 +105,12 @@ __all__ = ["RECOVERY_RUNGS", "RecoveryEvent", "ShardedResult", "run_sharded"]
 RECOVERY_RUNGS = ("none", "retry", "restore", "cpu")
 
 _RUNG_RANK = {name: rank for rank, name in enumerate(RECOVERY_RUNGS)}
+
+#: checkpoint rollbacks a run may take before it degrades to the CPU
+MAX_RESTORES = 4
+#: a shard whose round compute exceeds this multiple of the round
+#: median is flagged a straggler
+STRAGGLER_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -311,10 +317,8 @@ def run_sharded(
     fault_plan: Optional[FaultPlan] = None,
     checkpoint_every: int = 4,
     max_retries: int = 2,
-    max_restores: int = 4,
     mem_budget=None,
     max_super_iterations: Optional[int] = None,
-    straggler_factor: float = 4.0,
     watchdog: Optional[Watchdog] = None,
     breaker: Optional[CircuitBreaker] = None,
     **params,
@@ -329,8 +333,8 @@ def run_sharded(
     worksets and checkpoint staging overflow to the host instead of
     failing.  *checkpoint_every* is the coordinated-checkpoint cadence
     in super-iterations; *max_retries* bounds same-device launch
-    retries per incident and *max_restores* bounds checkpoint rollbacks
-    before the run degrades to the CPU reference.  *config* (a
+    retries per incident and :data:`MAX_RESTORES` bounds checkpoint
+    rollbacks before the run degrades to the CPU reference.  *config* (a
     :class:`~repro.core.config.RuntimeConfig`) drives every shard's
     adaptive policy, and its ``queue_gen`` picks the generation scheme.
     """
@@ -428,7 +432,6 @@ def run_sharded(
                 events,
                 _raise_rung,
                 interconnect,
-                straggler_factor,
             )
         except _RoundFault as fault:
             _inc("shard.restores")
@@ -455,9 +458,9 @@ def run_sharded(
                         )
                     )
                 restores_used += 1
-                if restores_used > max_restores:
+                if restores_used > MAX_RESTORES:
                     raise _Degrade(
-                        f"restore budget exhausted ({max_restores} rollbacks)"
+                        f"restore budget exhausted ({MAX_RESTORES} rollbacks)"
                     )
                 values, frontier, restored_k = _rollback(
                     runs, run_row, ctx, max_super_iterations, values.dtype
@@ -607,7 +610,6 @@ def _execute_round(
     events: List[RecoveryEvent],
     raise_rung,
     interconnect: InterconnectSpec,
-    straggler_factor: float,
 ) -> Tuple[np.ndarray, float, int, int, float, int]:
     """One super-iteration: per-shard relaxation, barrier min-combine,
     ghost exchange.  Mutates *values* only on successful commit.
@@ -754,7 +756,7 @@ def _execute_round(
         median = float(np.median(times))
         if median > 0:
             for run, seconds in shard_seconds:
-                if seconds > straggler_factor * median:
+                if seconds > STRAGGLER_FACTOR * median:
                     round_stragglers += 1
                     _inc("shard.stragglers")
 

@@ -44,7 +44,10 @@ class IterationRecord:
 
 @dataclass
 class TraversalResult:
-    """Everything a traversal produced: answers, structure, simulated time."""
+    """Everything a traversal produced: answers, structure, simulated
+    time, and what the policy and the memory budget saw.  Every
+    single-traversal door returns one (hybrid and incremental runs a
+    subclass that adds its own fields)."""
 
     algorithm: str
     source: int
@@ -58,6 +61,16 @@ class TraversalResult:
     #: :class:`~repro.engine.fusion.FusionStats` when the run executed
     #: under a fused launch plan (``None`` for ordinary runs)
     fusion: Optional[object] = None
+    #: the policy's :class:`~repro.core.telemetry.DecisionTrace` and
+    #: :class:`~repro.core.decision.Thresholds` (None under a static policy)
+    trace: Optional[object] = None
+    thresholds: Optional[object] = None
+    #: the budget's :class:`~repro.gpusim.allocator.MemoryReport` (None
+    #: without a budget)
+    memory: Optional[object] = None
+    #: learned-policy provenance (kind, artifact digest, tree shape);
+    #: None under every other policy
+    policy: Optional[Dict] = None
 
     @property
     def num_iterations(self) -> int:
@@ -112,6 +125,10 @@ class VariantPolicy:
     """
 
     name = "policy"
+    #: the decisions this policy took, and the thresholds it took them
+    #: by (set by the adaptive policies; None for the rest)
+    trace = None
+    thresholds = None
 
     def choose(self, iteration: int, workset_size: int) -> Variant:  # pragma: no cover
         raise NotImplementedError
@@ -132,6 +149,11 @@ class VariantPolicy:
         graph inspector's working-set profiling); priced into the
         traversal's timeline by the frame."""
         return []
+
+    def policy_info(self) -> Optional[Dict]:
+        """Provenance recorded on the result and its manifest (a learned
+        policy's artifact digest); None for every other policy."""
+        return None
 
 
 class StaticPolicy(VariantPolicy):

@@ -192,35 +192,53 @@ def _config_dict(config) -> dict:
 
 
 def _result_summary(traversal, values) -> dict:
-    summary = {}
-    answer = values
-    if answer is None and traversal is not None:
-        answer = getattr(traversal, "values", None)
-    if answer is not None:
-        # Content digest of the answer array: lets two manifests (e.g. a
-        # fused and an unfused run) assert value parity without shipping
-        # the arrays themselves.
-        summary["values_sha256"] = values_sha256(answer)
-    if traversal is not None and getattr(traversal, "timeline", None) is not None:
-        timeline = traversal.timeline
-        summary.update(
-            {
-                "iterations": int(traversal.num_iterations),
-                "total_seconds": float(traversal.total_seconds),
-                "gpu_seconds": float(timeline.gpu_seconds),
-                "transfer_seconds": float(timeline.transfer_seconds),
-                "host_seconds": float(timeline.host_seconds),
-                "kernel_launches": int(timeline.num_launches),
-                "reached": int(traversal.reached),
-                "total_edges_scanned": int(traversal.total_edges_scanned),
-                "variants_used": {
-                    k: int(v) for k, v in traversal.variants_used().items()
-                },
-            }
-        )
-    elif values is not None:
+    # Content digest of the answer array: lets two manifests (e.g. a
+    # fused and an unfused run) assert value parity without shipping
+    # the arrays themselves.
+    summary = {"values_sha256": values_sha256(values)}
+    if traversal is None:  # CPU-degraded: no simulated timeline
         summary["reached"] = int(len(values))
+        return summary
+    timeline = traversal.timeline
+    summary.update(
+        {
+            "iterations": int(traversal.num_iterations),
+            "total_seconds": float(traversal.total_seconds),
+            "gpu_seconds": float(timeline.gpu_seconds),
+            "transfer_seconds": float(timeline.transfer_seconds),
+            "host_seconds": float(timeline.host_seconds),
+            "kernel_launches": int(timeline.num_launches),
+            "reached": int(traversal.reached),
+            "total_edges_scanned": int(traversal.total_edges_scanned),
+            "variants_used": {
+                k: int(v) for k, v in traversal.variants_used().items()
+            },
+        }
+    )
     return summary
+
+
+def _envelope(
+    *, algorithm: str, mode: str, source: int, graph: CSRGraph, device,
+    config, observer, result: dict, **sections,
+) -> RunManifest:
+    """A manifest over the envelope every builder shares: the schema
+    version, graph fingerprint, device, config, metrics snapshot and
+    spans.  *sections* fill the remaining fields (decisions, faults,
+    memory, reliability, policy)."""
+    return RunManifest(
+        schema_version=MANIFEST_SCHEMA_VERSION,
+        algorithm=algorithm,
+        mode=mode,
+        source=int(source),
+        graph=graph_fingerprint(graph),
+        device=_device_dict(device),
+        config=_config_dict(config),
+        result=result,
+        metrics=observer.metrics.snapshot() if observer is not None else {},
+        spans=observer.spans.to_dicts() if observer is not None else [],
+        **sections,
+    )
 
 
 def build_manifest(
@@ -234,42 +252,26 @@ def build_manifest(
     config=None,
     observer=None,
 ) -> RunManifest:
-    """Assemble a :class:`RunManifest` from any runner's result.
+    """Assemble a :class:`RunManifest` from one traversal's result.
 
-    *result* may be an :class:`~repro.core.runtime.AdaptiveResult`, a
-    plain :class:`~repro.engine.types.TraversalResult`, or a
-    :class:`~repro.reliability.ResilientResult`; decisions, faults,
-    memory and the recovery story are pulled from whichever parts the
-    result carries.  *algorithm* and *source* default to what the
-    result itself reports, so any registered algorithm's result can be
-    manifested without restating them.  Pass the run's
-    :class:`~repro.obs.Observer` to embed its metrics snapshot and
-    spans.
+    *result* is the :class:`~repro.engine.types.TraversalResult` a
+    single-traversal door returns (``run_static``, ``adaptive_run``,
+    ``hybrid_run``, ``run_incremental``, ``run_frame``) or a
+    :class:`~repro.reliability.ResilientResult`, whose recovery story
+    lands in ``reliability``.  Decisions and faults come from the
+    result's trace, ``memory`` from its budget report and ``policy``
+    from its learned-policy provenance.  *algorithm* and *source*
+    default to what the result itself reports, so any registered
+    algorithm's result can be manifested without restating them.  Pass
+    the run's :class:`~repro.obs.Observer` to embed its metrics
+    snapshot and spans.
     """
-    trace = getattr(result, "trace", None)
-    inner = getattr(result, "result", result)  # ResilientResult unwrap
-    traversal = getattr(inner, "traversal", inner)
-    if algorithm is None:
-        algorithm = getattr(result, "algorithm", None) or getattr(
-            traversal, "algorithm", "unknown"
-        )
-    if source is None:
-        source = getattr(result, "source", None)
-        if source is None:
-            source = getattr(traversal, "source", -1)
-    if getattr(traversal, "timeline", None) is None:
-        traversal = None  # CPU-degraded: no simulated timeline
-
-    decisions = (
-        [dataclasses.asdict(d) for d in trace.decisions] if trace else []
-    )
-    faults = [dataclasses.asdict(f) for f in trace.faults] if trace else []
-
-    memory_report = getattr(result, "memory", None)
-    memory = memory_report.to_dict() if memory_report is not None else None
-
+    guarded = hasattr(result, "attempts")  # a ResilientResult
+    traversal = result
     reliability = None
-    if hasattr(result, "stage") and hasattr(result, "attempts"):
+    if guarded:
+        # The attempt that answered; a CPU-degraded run has none.
+        traversal = None if result.degraded else result.result
         reliability = {
             "stage": result.stage,
             "attempts": int(result.attempts),
@@ -280,27 +282,22 @@ def build_manifest(
             "replayed_seconds": float(result.replayed_seconds),
             "backoff_seconds": float(result.backoff_seconds),
         }
-
-    summary = _result_summary(traversal, getattr(result, "values", None))
-    if not summary and hasattr(result, "total_seconds"):
-        summary["total_seconds"] = float(result.total_seconds)
-
-    policy = getattr(result, "policy", None)
-
-    return RunManifest(
-        schema_version=MANIFEST_SCHEMA_VERSION,
-        algorithm=algorithm,
+    trace = result.trace
+    policy = None if guarded else result.policy
+    return _envelope(
+        algorithm=algorithm if algorithm is not None else result.algorithm,
         mode=mode,
-        source=int(source),
-        graph=graph_fingerprint(graph),
-        device=_device_dict(device),
-        config=_config_dict(config),
-        result=summary,
-        decisions=decisions,
-        faults=faults,
-        metrics=observer.metrics.snapshot() if observer is not None else {},
-        memory=memory,
-        spans=observer.spans.to_dicts() if observer is not None else [],
+        source=source if source is not None else result.source,
+        graph=graph,
+        device=device,
+        config=config,
+        observer=observer,
+        result=_result_summary(traversal, result.values),
+        decisions=(
+            [dataclasses.asdict(d) for d in trace.decisions] if trace else []
+        ),
+        faults=[dataclasses.asdict(f) for f in trace.faults] if trace else [],
+        memory=result.memory.to_dict() if result.memory is not None else None,
         reliability=reliability,
         policy=dict(policy) if policy else None,
     )
@@ -326,18 +323,10 @@ def build_batch_manifest(
     JSON-shaped; *decisions* may carry the concatenation of the
     per-query decision traces, each entry tagged with its query index.
     """
-    return RunManifest(
-        schema_version=MANIFEST_SCHEMA_VERSION,
-        algorithm="batch",
-        mode="batch",
-        source=-1,
-        graph=graph_fingerprint(graph),
-        device=_device_dict(device),
-        config=_config_dict(config),
-        result=result,
+    return _envelope(
+        algorithm="batch", mode="batch", source=-1, graph=graph,
+        device=device, config=config, observer=observer, result=result,
         decisions=list(decisions or []),
-        metrics=observer.metrics.snapshot() if observer is not None else {},
-        spans=observer.spans.to_dicts() if observer is not None else [],
     )
 
 
@@ -359,17 +348,9 @@ def build_serve_manifest(
     catalog metrics land in the embedded metrics snapshot when the
     session's :class:`~repro.obs.Observer` is passed.
     """
-    return RunManifest(
-        schema_version=MANIFEST_SCHEMA_VERSION,
-        algorithm="serve",
-        mode="serve",
-        source=-1,
-        graph=graph_fingerprint(graph),
-        device=_device_dict(device),
-        config=_config_dict(config),
-        result=result,
-        metrics=observer.metrics.snapshot() if observer is not None else {},
-        spans=observer.spans.to_dicts() if observer is not None else [],
+    return _envelope(
+        algorithm="serve", mode="serve", source=-1, graph=graph,
+        device=device, config=config, observer=observer, result=result,
     )
 
 
@@ -391,17 +372,9 @@ def build_dynamic_manifest(
     ``result`` dict under ``mutation_events``, so existing readers
     round-trip dynamic manifests unchanged.
     """
-    return RunManifest(
-        schema_version=MANIFEST_SCHEMA_VERSION,
-        algorithm=algorithm,
-        mode="dynamic",
-        source=int(source),
-        graph=graph_fingerprint(graph),
-        device=_device_dict(device),
-        config=_config_dict(config),
-        result=result,
-        metrics=observer.metrics.snapshot() if observer is not None else {},
-        spans=observer.spans.to_dicts() if observer is not None else [],
+    return _envelope(
+        algorithm=algorithm, mode="dynamic", source=source, graph=graph,
+        device=device, config=config, observer=observer, result=result,
     )
 
 
@@ -425,18 +398,11 @@ def build_shard_manifest(
     events (tagged ``device_index``) in ``faults``; and the recovery
     summary in ``reliability``.
     """
-    return RunManifest(
-        schema_version=MANIFEST_SCHEMA_VERSION,
-        algorithm=result.algorithm,
-        mode="sharded",
-        source=int(result.source),
-        graph=graph_fingerprint(graph),
-        device=_device_dict(device),
-        config=_config_dict(config),
+    return _envelope(
+        algorithm=result.algorithm, mode="sharded", source=result.source,
+        graph=graph, device=device, config=config, observer=observer,
         result=result.result_dict(),
         decisions=list(result.decisions),
         faults=list(result.faults),
-        metrics=observer.metrics.snapshot() if observer is not None else {},
-        spans=observer.spans.to_dicts() if observer is not None else [],
         reliability=result.reliability_dict(),
     )

@@ -186,7 +186,7 @@ METRICS_CATALOG: Tuple[MetricSpec, ...] = (
                "peer-to-peer ghost-update transfers priced"),
     MetricSpec("shard.stragglers", "counter", "shards",
                "repro.engine.shard",
-               "shard rounds flagged slower than straggler_factor x median"),
+               "shard rounds flagged slower than STRAGGLER_FACTOR x median"),
     MetricSpec("shard.device_losses", "counter", "devices",
                "repro.engine.shard",
                "devices lost to injected or escalated faults"),

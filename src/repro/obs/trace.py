@@ -14,8 +14,7 @@ decision picked it, which fault interrupted it, which OOM rung answered
 >>> from repro.graph.generators import balanced_tree
 >>> from repro.obs.trace import combined_trace_events
 >>> result = adaptive_run(balanced_tree(2, 6), "bfs", 0)
->>> events = combined_trace_events(result.traversal.timeline,
-...                                trace=result.trace)
+>>> events = combined_trace_events(result.timeline, trace=result.trace)
 >>> any(e.get("tid") == TID_DECISIONS for e in events)
 True
 """

@@ -99,10 +99,9 @@ class GuardConfig:
     #: answer from the serial CPU baseline as a last resort; with False
     #: an exhausted ladder re-raises the final error
     degrade_to_cpu: bool = True
-    #: checkpoint every N iterations (None = cost-aware policy)
+    #: checkpoint every N iterations (None = the keeper's cost-aware
+    #: policy, within a 2% overhead budget)
     checkpoint_every: Optional[int] = None
-    #: overhead budget of the cost-aware checkpoint policy
-    checkpoint_budget: float = 0.02
     #: device-memory budget for every GPU attempt (bytes, or a
     #: human-readable size like ``"512M"``); ``None`` disables memory
     #: accounting.  A :class:`~repro.errors.DeviceOOMError` escalates
@@ -151,8 +150,8 @@ class ResilientResult:
     attempts: int
     #: True when the CPU baseline answered
     degraded: bool
-    #: the winning attempt's full result (AdaptiveResult,
-    #: TraversalResult, or a CPU result object)
+    #: the winning attempt's full result (a TraversalResult, or the CPU
+    #: reference's result object when degraded)
     result: object
     #: simulated seconds of the winning attempt (checkpoint copies
     #: included); the number to compare against an unguarded run
@@ -298,11 +297,7 @@ def _resilient(
     watchdog = Watchdog(
         max_iterations=guard.max_iterations, deadline_s=guard.deadline_s
     ).arm()
-    keeper = CheckpointKeeper(
-        every=guard.checkpoint_every,
-        budget=guard.checkpoint_budget,
-        device=device,
-    )
+    keeper = CheckpointKeeper(every=guard.checkpoint_every, device=device)
     stages = _stages_for(info)
     jitter_rng = np.random.default_rng(guard.seed)
 
@@ -457,24 +452,23 @@ def _resilient(
 
         # ---------------- success ----------------
         _drain(injector, events, attempts, absorbed_only=True)
-        traversal = getattr(outcome, "traversal", outcome)
-        trace = getattr(outcome, "trace", None) or DecisionTrace()
+        trace = outcome.trace or DecisionTrace()
         for event in events:
             trace.record_fault(event)
-        useful = sum(r.seconds for r in traversal.iterations)
+        useful = sum(r.seconds for r in outcome.iterations)
         replayed = max(0.0, keeper.work_seconds - useful)
-        watchdog.bank_simulated(traversal.total_seconds)
+        watchdog.bank_simulated(outcome.total_seconds)
         _observe_guard(attempts, len(trace.faults), oom_rung, degraded=False)
         return ResilientResult(
             algorithm=algorithm,
             source=source,
-            values=traversal.values,
+            values=outcome.values,
             trace=trace,
             stage=stage,
             attempts=attempts,
             degraded=False,
             result=outcome,
-            final_seconds=traversal.total_seconds,
+            final_seconds=outcome.total_seconds,
             replayed_seconds=replayed,
             backoff_seconds=backoff_total,
             checkpoints_saved=keeper.saves,

@@ -411,15 +411,14 @@ class BatchRunner:
                 index=index, query=query, batched=False, values=None,
                 values_sha256=None, iterations=0, seconds=0.0, error=error,
             )
-        traversal = getattr(result, "traversal", result)
         return QueryResult(
             index=index,
             query=query,
             batched=False,
-            values=traversal.values,
-            values_sha256=values_sha256(traversal.values),
-            iterations=traversal.num_iterations,
-            seconds=float(traversal.total_seconds),
+            values=result.values,
+            values_sha256=values_sha256(result.values),
+            iterations=result.num_iterations,
+            seconds=float(result.total_seconds),
             error=None,
-            trace=getattr(result, "trace", None),
+            trace=result.trace,
         )

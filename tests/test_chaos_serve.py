@@ -280,9 +280,37 @@ class TestDynamicServeCli:
             json.dumps({"op": "delete", "u": u, "v": v}) + "\n"
             + json.dumps({"op": "insert", "u": u, "v": 59}) + "\n"
         )
+        source = ["--source", "0"] if algorithm != "cc" else []
         rc = main([
             "mutate", "--file", str(path), "--mutations", str(muts),
-            "--lenient-io", "--algorithm", algorithm, "--source", "0",
+            "--lenient-io", "--algorithm", algorithm, *source,
+        ])
+        assert rc == 0, capsys.readouterr().err
+        assert "PASS" in capsys.readouterr().out
+
+    def test_mutate_cc_reads_no_source(self, tmp_path, capsys, monkeypatch):
+        # CC has no source: an explicit one is refused like `repro run`
+        # refuses it, and none is searched for when it is absent.
+        import repro.cli as cli_mod
+
+        rc = main([
+            "mutate", "--file", _graph_file(tmp_path),
+            "--mutations", self._mutations_file(tmp_path), "--lenient-io",
+            "--algorithm", "cc", "--source", "9999",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "repro mutate: --source is not read by --algorithm cc"
+        )
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched a source for CC")
+
+        monkeypatch.setattr(cli_mod, "largest_out_component_node", no_search)
+        rc = main([
+            "mutate", "--file", _graph_file(tmp_path),
+            "--mutations", self._mutations_file(tmp_path), "--lenient-io",
+            "--algorithm", "cc",
         ])
         assert rc == 0, capsys.readouterr().err
         assert "PASS" in capsys.readouterr().out

@@ -169,7 +169,7 @@ class TestRunSubcommand:
 
         def perturbed(*args, **kwargs):
             result = real_adaptive_run(*args, **kwargs)
-            values = result.traversal.values
+            values = result.values
             node = np.flatnonzero(np.isfinite(values) & (values > 0))[0]
             values[node] = nudge(values[node])
             return result

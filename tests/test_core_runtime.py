@@ -46,7 +46,7 @@ class TestAdaptiveBfs:
     def test_starts_with_b_qu(self, medium_graph):
         # The working set starts at one node: the small-ws region.
         result = adaptive_run(medium_graph, "bfs", 0)
-        first = result.traversal.iterations[0]
+        first = result.iterations[0]
         assert first.variant == "U_B_QU"
 
     def test_config_respected(self, medium_graph):
@@ -68,7 +68,7 @@ class TestAdaptiveSssp:
             power_law_graph(60_000, alpha=1.9, max_degree=300, seed=7), seed=8
         )
         result = adaptive_run(g, "sssp", int(np.argmax(g.out_degrees)))
-        assert result.num_switches >= 1
+        assert result.trace.num_switches >= 1
         assert len(result.variants_used()) >= 2
 
     def test_unordered_only(self, medium_weighted):

@@ -230,7 +230,7 @@ DOOR_ITERATIONS = {
         report["rounds_active"]
         for report in run_sharded(g, 0, num_devices=3).shard_reports
     ),
-    "hybrid": lambda g: hybrid_run(g, "bfs", 0).traversal.num_iterations,
+    "hybrid": lambda g: hybrid_run(g, "bfs", 0).num_iterations,
 }
 
 

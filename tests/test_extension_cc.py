@@ -121,9 +121,9 @@ class TestAdaptiveCc:
         assert np.array_equal(r.values, oracle)
         # CC starts with all nodes active -> bitmap region first, then
         # drains into the queue region: the reverse BFS trajectory.
-        first = r.traversal.iterations[0].variant
+        first = r.iterations[0].variant
         assert first.endswith("BM")
-        assert r.num_switches >= 1
+        assert r.trace.num_switches >= 1
 
     def test_graph_api(self):
         g = Graph.from_edges([(0, 1), (2, 3)], num_nodes=4, symmetric=True)

@@ -18,6 +18,7 @@ from repro.graph.generators import (
 )
 from repro.gpusim.device import TESLA_C2070
 from repro.kernels.frame import BfsSpec, SsspSpec
+from repro.obs import build_manifest
 
 
 class TestCorrectness:
@@ -50,7 +51,7 @@ class TestCorrectness:
 class TestDeviceSchedule:
     def test_devices_per_iteration(self, random_graph):
         r = hybrid_run(random_graph, "bfs", 0)
-        assert len(r.devices) == r.traversal.num_iterations
+        assert len(r.devices) == r.num_iterations
         assert set(r.devices) <= {"cpu", "gpu"}
         assert r.cpu_iterations + r.gpu_iterations == len(r.devices)
 
@@ -67,7 +68,7 @@ class TestDeviceSchedule:
         assert r.gpu_iterations >= 1
         # The peak-frontier iteration must be on the GPU.
         peak = max(range(len(r.devices)),
-                   key=lambda i: r.traversal.iterations[i].workset_size)
+                   key=lambda i: r.iterations[i].workset_size)
         assert r.devices[peak] == "gpu"
 
     def test_transitions_counted_and_paid(self):
@@ -83,7 +84,7 @@ class TestDeviceSchedule:
         # Each transition shows up as a PCIe transfer of at least the
         # state array.
         big_transfers = [
-            t for t in r.traversal.timeline.transfers
+            t for t in r.timeline.transfers
             if t.num_bytes >= 4 * g.num_nodes
         ]
         assert len(big_transfers) >= r.transitions
@@ -166,9 +167,19 @@ class TestDeviceIterations:
         )
         assert hybrid.cpu_iterations == 0
         assert np.array_equal(hybrid.values, frame.values)
-        assert hybrid.traversal.iterations == frame.iterations
-        tl, ref = hybrid.traversal.timeline, frame.timeline
+        assert hybrid.iterations == frame.iterations
+        tl, ref = hybrid.timeline, frame.timeline
         assert (len(tl.kernels), len(tl.transfers)) == (
             len(ref.kernels), len(ref.transfers)
         )
         assert hybrid.total_seconds == frame.total_seconds
+
+    def test_manifest_keeps_the_device_iterations_decisions(self):
+        # The device iterations' adaptive policy decides; its trace rides
+        # on the result, so the manifest explains every GPU choice.
+        graph = make_dataset("sns", scale=0.01, seed=1)
+        result = hybrid_run(graph, "bfs", 0)
+        assert result.devices == ["cpu", "cpu", "gpu", "gpu", "cpu"]
+        manifest = build_manifest(result, graph=graph, mode="hybrid")
+        assert result.trace.num_decisions == 2
+        assert len(manifest.decisions) == result.trace.num_decisions

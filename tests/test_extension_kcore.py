@@ -108,7 +108,7 @@ class TestAdaptiveKCore:
         r = adaptive_run(g, "kcore")
         assert np.array_equal(r.values, nx_coreness(g))
         # The sawtooth trajectory repeatedly crosses decision regions.
-        assert r.num_switches >= 2
+        assert r.trace.num_switches >= 2
 
 
 class TestObservedKcore:

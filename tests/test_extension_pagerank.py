@@ -114,8 +114,8 @@ class TestAdaptivePagerank:
     def test_starts_in_bitmap_region(self):
         g = power_law_graph(50_000, alpha=2.0, max_degree=300, seed=9)
         ad = adaptive_run(g, "pagerank")
-        assert ad.traversal.iterations[0].variant.endswith("BM")
-        assert ad.num_switches >= 1  # drains into the queue region
+        assert ad.iterations[0].variant.endswith("BM")
+        assert ad.trace.num_switches >= 1  # drains into the queue region
 
     def test_graph_api(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 0)], num_nodes=3)

@@ -45,7 +45,7 @@ class TestDatasetsEndToEnd:
         result = adaptive_run(g, "bfs", src)
         oracle = cpu_bfs(g, src)
         assert np.array_equal(result.values, oracle.levels)
-        assert result.traversal.reached == oracle.reached
+        assert result.reached == oracle.reached
 
     def test_adaptive_sssp_correct(self, key):
         g = make_dataset(key, scale=0.005, weighted=True, seed=2, min_nodes=400)

@@ -42,7 +42,7 @@ class TestBudgetedAdaptive:
         baseline = adaptive_run(graph, "bfs", 0)
         memory = MemoryBudget("64M")
         result = adaptive_run(graph, "bfs", 0, memory=memory)
-        assert np.array_equal(result.traversal.values, baseline.traversal.values)
+        assert np.array_equal(result.values, baseline.values)
         report = result.memory
         assert report is not None
         assert report.by_category["graph"] == graph.device_bytes()
@@ -59,7 +59,7 @@ class TestBudgetedAdaptive:
         baseline = adaptive_run(graph, "bfs", 0)
         budget = _resident_bytes(graph) + _bitmap_bytes(graph) + 64
         result = adaptive_run(graph, "bfs", 0, memory=MemoryBudget(budget))
-        assert np.array_equal(result.traversal.values, baseline.traversal.values)
+        assert np.array_equal(result.values, baseline.values)
         assert result.trace.num_memory_forced > 0
         assert result.trace.peak_memory_pressure > 0.9
         assert result.memory.oom_events == 0
@@ -75,7 +75,7 @@ class TestBudgetedAdaptive:
         budget = _resident_bytes(graph) + 16  # no room for any workset
         memory = MemoryBudget(budget, spill=True)
         result = adaptive_run(graph, "bfs", 0, memory=memory)
-        assert np.array_equal(result.traversal.values, baseline.traversal.values)
+        assert np.array_equal(result.values, baseline.values)
         assert result.memory.spilled_bytes > 0
         assert result.memory.spill_events > 0
 
@@ -85,7 +85,7 @@ class TestBudgetedAdaptive:
         result = adaptive_run(
             weighted_graph, "sssp", 0, memory=MemoryBudget(budget, spill=True),
         )
-        assert np.allclose(result.traversal.values, baseline.traversal.values)
+        assert np.allclose(result.values, baseline.values)
 
 
 class TestPressureTelemetry:

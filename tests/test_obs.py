@@ -270,7 +270,7 @@ class TestObservedRuns:
         assert snap["frame.workset_size"]["count"] == result.num_iterations
         assert (
             snap["frame.edges_scanned"]["value"]
-            == result.traversal.total_edges_scanned
+            == result.total_edges_scanned
         )
 
     def test_adaptive_sssp_reports_metrics(self, graph):
@@ -295,7 +295,7 @@ class TestObservedRuns:
         # iteration's kernels (later copy-backs land after it closes).
         iter_total = sum(s.sim_seconds for s in spans if s.name == "iteration")
         assert iter_total == pytest.approx(
-            sum(r.seconds for r in result.traversal.iterations)
+            sum(r.seconds for r in result.iterations)
         )
         assert outer.sim_seconds >= iter_total
         assert outer.sim_seconds <= result.total_seconds + 1e-12

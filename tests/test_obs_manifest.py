@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RuntimeConfig, adaptive_run, run_static
+from repro.cli import main
+from repro.core import RuntimeConfig, adaptive_run, hybrid_run, run_static
+from repro.engine.driver import run_frame
+from repro.engine.incremental import run_incremental
+from repro.engine.types import StaticPolicy, TraversalResult
+from repro.graph.dynamic import DeltaOverlayGraph, EdgeBatch
 from repro.graph.generators import balanced_tree, rmat_graph, road_network
 from repro.gpusim.device import TESLA_C2070
+from repro.kernels.frame import BfsSpec
+from repro.kernels.variants import Variant
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
     Observer,
@@ -186,7 +193,7 @@ class TestBuildManifest:
             device=TESLA_C2070, config=RuntimeConfig(), observer=observer,
         )
         assert manifest.result["iterations"] == result.num_iterations
-        assert manifest.result["reached"] == result.traversal.reached
+        assert manifest.result["reached"] == result.reached
         assert len(manifest.decisions) == result.trace.num_decisions
         assert manifest.metrics["frame.iterations"]["value"] == result.num_iterations
         assert manifest.spans, "observer spans should be embedded"
@@ -226,6 +233,53 @@ class TestBuildManifest:
         )
         json.dumps(manifest.to_dict())  # must not raise
 
+    def test_static_door_manifest_keeps_its_memory(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        rc = main([
+            "run", "--file", "examples/roadnet.snap.txt", "--mode", "U_T_BM",
+            "--mem-budget", "64M", "--manifest", str(path),
+        ])
+        assert rc == 0, capsys.readouterr().err
+        doc = json.loads(path.read_text())
+        assert doc["memory"] is not None
+        assert doc["memory"]["peak_bytes"] > 0
+
+
+def _incremental(graph):
+    previous = adaptive_run(graph, "bfs", 0)
+    overlay = DeltaOverlayGraph(graph)
+    delta = overlay.apply(EdgeBatch.inserts([(0, graph.num_nodes - 1)]))
+    return run_incremental(overlay, "bfs", previous, delta, source=0)
+
+
+def _resilient(graph):
+    guarded = resilient_run(graph, "bfs", 0)
+    assert not guarded.degraded
+    return guarded.result
+
+
+#: every door that runs one traversal on one device
+_DOORS = {
+    "run_static": lambda g: run_static(g, 0, "bfs", "U_B_QU"),
+    "adaptive_run": lambda g: adaptive_run(g, "bfs", 0),
+    "hybrid_run": lambda g: hybrid_run(g, "bfs", 0),
+    "run_incremental": _incremental,
+    "run_frame": lambda g: run_frame(
+        g, 0, StaticPolicy(Variant.parse("U_T_BM")), BfsSpec()
+    ),
+    "resilient_run": _resilient,
+}
+
+
+@pytest.mark.parametrize("door", sorted(_DOORS))
+def test_every_single_traversal_door_returns_a_traversal_result(graph, door):
+    result = _DOORS[door](graph)
+    assert isinstance(result, TraversalResult)
+    manifest = build_manifest(result, graph=graph, mode=door)
+    assert manifest.result["iterations"] == result.num_iterations
+    decisions = result.trace.num_decisions if result.trace is not None else 0
+    assert len(manifest.decisions) == decisions
+
 
 # ----------------------------------------------------------------------
 # Combined trace: trace-event schema conformance
@@ -256,7 +310,7 @@ class TestCombinedTrace:
         observer = Observer()
         result = adaptive_run(graph, "bfs", 0, observe=observer)
         events = combined_trace_events(
-            result.traversal.timeline, trace=result.trace, observer=observer
+            result.timeline, trace=result.trace, observer=observer
         )
         _assert_valid_trace_events(events)
         tids = {e.get("tid") for e in events}
@@ -275,7 +329,7 @@ class TestCombinedTrace:
         plan = FaultPlan(seed=3, launch_failure_rate=0.3, max_faults=2)
         result = resilient_run(graph, "bfs", 0, plan=plan, observe=observer)
         events = combined_trace_events(
-            result.result.traversal.timeline,
+            result.result.timeline,
             trace=result.trace,
             observer=observer,
         )
@@ -298,13 +352,13 @@ class TestCombinedTrace:
         observer = Observer()
         result = adaptive_run(graph, "bfs", 0, observe=observer)
         events = combined_trace_events(
-            result.traversal.timeline, trace=result.trace, observer=observer
+            result.timeline, trace=result.trace, observer=observer
         )
         spans = [e for e in events if e.get("tid") == TID_SPANS and e["ph"] == "X"]
         assert spans
         end = (
-            result.traversal.timeline.gpu_seconds
-            + result.traversal.timeline.transfer_seconds
+            result.timeline.gpu_seconds
+            + result.timeline.transfer_seconds
         ) * 1e6
         for e in spans:
             assert 0.0 <= e["ts"] <= end + 1e-6
@@ -315,7 +369,7 @@ class TestCombinedTrace:
         result = adaptive_run(graph, "bfs", 0, observe=observer)
         path = tmp_path / "combined.json"
         out = export_combined_trace(
-            result.traversal.timeline, path,
+            result.timeline, path,
             trace=result.trace, observer=observer,
         )
         assert out == str(path)

@@ -54,6 +54,6 @@ class TestExecutorAgreement:
     def test_hybrid_schedule_well_formed(self, gs):
         g, source = gs
         r = hybrid_run(g, "bfs", source)
-        assert len(r.devices) == r.traversal.num_iterations
+        assert len(r.devices) == r.num_iterations
         assert r.transitions <= len(r.devices) + 1
         assert r.total_seconds > 0

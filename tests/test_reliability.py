@@ -427,13 +427,13 @@ class TestResilientFaultFree:
         assert res.attempts == 1
         assert not res.degraded and res.stage == "adaptive"
         assert res.num_faults == 0
-        assert np.array_equal(res.values, base.traversal.values)
+        assert np.array_equal(res.values, base.values)
 
     def test_sssp_no_plan_matches_adaptive(self):
         graph = small_graph(weighted=True)
         base = adaptive_run(graph, "sssp", 0)
         res = resilient_run(graph, "sssp", 0, guard=NO_SLEEP)
-        assert np.array_equal(res.values, base.traversal.values)
+        assert np.array_equal(res.values, base.values)
         assert res.replayed_seconds == 0.0
 
     def test_empty_plan_is_not_installed(self):
@@ -469,7 +469,7 @@ class TestResilientUnderFaults:
         guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=2)
         res = resilient_run(graph, algorithm, 0, guard=guard, plan=SEEDED_PLAN)
 
-        assert np.array_equal(res.values, base.traversal.values)
+        assert np.array_equal(res.values, base.values)
         assert res.num_faults > 0  # the plan really fired
         # Every injected fault appears in the trace with a recovery action.
         for event in res.trace.faults:

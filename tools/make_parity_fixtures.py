@@ -154,17 +154,13 @@ def build() -> dict:
                 run_static(graph, source, algo, code)
             )
         for algo in ("bfs", "sssp", "cc", "pagerank", "kcore"):
-            runs[f"adaptive_{algo}"] = _traversal(
-                adaptive_run(graph, algo, source).traversal
-            )
+            runs[f"adaptive_{algo}"] = _traversal(adaptive_run(graph, algo, source))
         for algo in ("pagerank", "cc", "kcore", "triangles"):
             runs[f"run_{algo}"] = _traversal(
                 run_static(graph, -1, algo, get_algorithm(algo).default_variant)
             )
         runs["dobfs"] = _traversal(direction_optimizing_bfs(graph, source))
-        runs["adaptive_triangles"] = _traversal(
-            adaptive_run(graph, "triangles", -1).traversal
-        )
+        runs["adaptive_triangles"] = _traversal(adaptive_run(graph, "triangles", -1))
 
         # Fused-vs-unfused parity: every registry algorithm through the
         # spec-fusion pass, static (fuse-always) and adaptive
@@ -180,8 +176,8 @@ def build() -> dict:
             )
         for algo in ("bfs", "sssp", "cc", "pagerank", "kcore", "triangles"):
             fused[f"adaptive_{algo}"] = _fused_parity(
-                adaptive_run(graph, algo, source).traversal,
-                adaptive_run(graph, algo, source, fuse=True).traversal,
+                adaptive_run(graph, algo, source),
+                adaptive_run(graph, algo, source, fuse=True),
             )
         fused["dobfs"] = _fused_parity(
             direction_optimizing_bfs(graph, source),
@@ -475,7 +471,7 @@ def build_shapes() -> dict:
                 result = hybrid_run(
                     graph, algo, source, hybrid_config=hybrid_config
                 )
-                doc = _single(result.traversal)
+                doc = _single(result)
                 doc["devices"] = result.devices
                 doc["transitions"] = result.transitions
                 runs[f"hybrid_{algo}_{name}"] = doc
@@ -496,7 +492,7 @@ def build_shapes() -> dict:
                 result = run_incremental(
                     current, algo, previous, delta, source=run_source
                 )
-                doc = _single(result.traversal)
+                doc = _single(result)
                 doc["affected_nodes"] = result.affected_nodes
                 runs[f"incremental_{algo}_{kind}"] = doc
                 previous = result
@@ -506,11 +502,11 @@ def build_shapes() -> dict:
         for algo in ("bfs", "sssp"):
             tight = MemoryBudget(resident + (n + 7) // 8 + 64)
             runs[f"budget_{algo}"] = _single(
-                adaptive_run(graph, algo, source, memory=tight).traversal
+                adaptive_run(graph, algo, source, memory=tight)
             )
             spill = MemoryBudget(resident + 16, spill=True)
             runs[f"budget_{algo}_spill"] = _single(
-                adaptive_run(graph, algo, source, memory=spill).traversal
+                adaptive_run(graph, algo, source, memory=spill)
             )
 
         out["workloads"][label] = {"dataset": spec, "runs": runs}
