@@ -18,7 +18,7 @@ import numpy as np
 from common import bench_workload, dataset_keys, write_report
 from repro.core import adaptive_run, run_static
 from repro.kernels import unordered_variants
-from repro.obs import Observer, build_manifest
+from repro.obs import Observer, build_manifest, observing
 from repro.utils.tables import Table
 
 
@@ -33,7 +33,8 @@ def run_comparison(algorithm: str):
             result = run_static(graph, source, algorithm, variant)
             statics[variant.code] = result.total_seconds
         observer = Observer()
-        ad = adaptive_run(graph, algorithm, source, observe=observer)
+        with observing(observer):
+            ad = adaptive_run(graph, algorithm, source)
         manifests.append(
             build_manifest(
                 ad, graph=graph, algorithm=algorithm, mode="adaptive",

@@ -58,7 +58,7 @@ def run_one(key: str, algorithm: str):
     )
 
     # 3. genuine OOM: guarded runner climbs to the spill rung
-    oom_guard = GuardConfig(mem_budget=resident + 16, sleeper=lambda s: None)
+    oom_guard = GuardConfig(mem_budget=resident + 16)
     recovered = resilient_run(graph, algorithm, source, guard=oom_guard)
     oom_identical = bool(np.array_equal(recovered.values, base.values))
     recovery = (

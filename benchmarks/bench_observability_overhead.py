@@ -25,7 +25,7 @@ import numpy as np
 
 from common import bench_workload, write_report
 from repro.core import adaptive_run
-from repro.obs import Observer, build_manifest
+from repro.obs import Observer, build_manifest, observing
 from repro.obs.context import current_observer
 from repro.utils.tables import Table
 
@@ -40,7 +40,8 @@ def measure():
     # --- bit-identical simulation with and without an observer ---
     base = adaptive_run(graph, "bfs", source)
     observer = Observer()
-    observed = adaptive_run(graph, "bfs", source, observe=observer)
+    with observing(observer):
+        observed = adaptive_run(graph, "bfs", source)
     assert np.array_equal(base.values, observed.values)
     assert base.total_seconds == observed.total_seconds  # bit-identical
     assert base.num_iterations == observed.num_iterations

@@ -32,19 +32,18 @@ FAULT_PLAN = FaultPlan(
     latency_spike_factor=4.0,
 )
 
-_NO_SLEEP = GuardConfig(sleeper=lambda s: None)
-_NO_SLEEP_TIGHT = GuardConfig(sleeper=lambda s: None, checkpoint_every=4)
+_TIGHT = GuardConfig(checkpoint_every=4)
 
 
 def run_one(key: str, algorithm: str):
     weighted = algorithm == "sssp"
     graph, source = bench_workload(key, weighted=weighted)
     base = adaptive_run(graph, algorithm, source)
-    guarded = resilient_run(graph, algorithm, source, guard=_NO_SLEEP)
+    guarded = resilient_run(graph, algorithm, source)
     overhead = guarded.final_seconds / base.total_seconds - 1.0
 
     faulty = resilient_run(
-        graph, algorithm, source, guard=_NO_SLEEP_TIGHT, plan=FAULT_PLAN
+        graph, algorithm, source, guard=_TIGHT, plan=FAULT_PLAN
     )
     identical = bool(np.array_equal(faulty.values, base.values))
     recovery = (

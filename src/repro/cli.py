@@ -453,7 +453,6 @@ def _resilient_rows(table, result, traversal) -> None:
     table.add_row(
         ["replayed simulated time", format_seconds(result.replayed_seconds)]
     )
-    table.add_row(["backoff wall-clock", format_seconds(result.backoff_seconds)])
 
 
 def _sharded_rows(table, result, cpu) -> None:
@@ -1104,9 +1103,12 @@ def cmd_mutate(args) -> int:
 
     info = get_algorithm(args.algorithm) if args.algorithm else None
     source_based = info is not None and info.source_based
-    if info is not None and not source_based and args.source is not None:
-        print(f"repro mutate: --source is not read by --algorithm {info.name}",
-              file=sys.stderr)
+    if not source_based and args.source is not None:
+        reason = (
+            "without --algorithm" if info is None
+            else f"by --algorithm {info.name}"
+        )
+        print(f"repro mutate: --source is not read {reason}", file=sys.stderr)
         return 2
     batch = EdgeBatch.from_jsonl(args.mutations)
     weighted = (info is not None and info.weighted) or any(

@@ -21,7 +21,6 @@ from repro.graph.builder import from_edge_list
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import attach_uniform_weights
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams
 
 __all__ = ["Graph"]
 
@@ -41,12 +40,10 @@ class Graph:
         *,
         device: DeviceSpec = TESLA_C2070,
         config: Optional[RuntimeConfig] = None,
-        cost_params: Optional[CostParams] = None,
     ):
         self.csr = csr
         self.device = device
         self.config = config or RuntimeConfig()
-        self.cost_params = cost_params
 
     # ------------------------------------------------------------------
     # Construction
@@ -83,7 +80,6 @@ class Graph:
             attach_uniform_weights(self.csr, low=low, high=high, seed=seed),
             device=self.device,
             config=self.config,
-            cost_params=self.cost_params,
         )
 
     # ------------------------------------------------------------------
@@ -162,7 +158,6 @@ class Graph:
                 source,
                 config=self.config,
                 device=self.device,
-                cost_params=self.cost_params,
                 **params,
             )
         return run_static(
@@ -171,7 +166,6 @@ class Graph:
             algorithm,
             mode,
             device=self.device,
-            cost_params=self.cost_params,
             **params,
         )
 

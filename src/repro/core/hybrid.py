@@ -22,8 +22,9 @@ decision, comparing the serial cost estimate of the upcoming sweep
 (``nodes, expected edges`` priced by the CPU model) against the GPU's
 fixed per-iteration floor.  A device iteration is an adaptive
 iteration that chooses at the top; a host iteration runs
-``spec.batch_relax``, prices :attr:`HybridConfig.cpu` seconds and
-records variant ``"cpu"``.
+``spec.batch_relax``, prices its seconds on the serial CPU model
+(:data:`~repro.cpu.costmodel.DEFAULT_CPU`) and records variant
+``"cpu"``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import List, Optional
 
 from repro.core.config import RuntimeConfig
 from repro.core.policies import AdaptivePolicy
-from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
+from repro.cpu.costmodel import DEFAULT_CPU
 from repro.engine.driver import _drive, _relax
 from repro.engine.registry import get_algorithm
 from repro.engine.spec import StepOutcome
@@ -41,7 +42,6 @@ from repro.engine.types import TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams
 from repro.gpusim.transfer import record_transfer
 
 __all__ = ["HybridConfig", "HybridResult", "hybrid_run"]
@@ -56,8 +56,6 @@ class HybridConfig:
     cpu_advantage: float = 1.0
     #: consecutive iterations a device is kept after a switch (hysteresis)
     min_run_length: int = 2
-    #: serial-CPU cost model for host-side sweeps
-    cpu: CpuModel = DEFAULT_CPU
 
 
 class HybridResult(TraversalResult):
@@ -101,9 +99,8 @@ class _Placement:
     def __call__(self, ctx, row, size: int) -> Optional[StepOutcome]:
         # The host holds the row offsets, so the upcoming sweep's edge
         # count is known exactly — no average-degree estimate needed.
-        cpu = self.config.cpu
         est_edges = int(self.out_degrees[row.state.frontier].sum())
-        est_cpu = cpu.bfs_seconds(size, est_edges, 0)
+        est_cpu = DEFAULT_CPU.bfs_seconds(size, est_edges, 0)
         on_device = est_cpu >= self.config.cpu_advantage * self.gpu_floor
         if on_device != self.on_device and self.run_length < self.config.min_run_length:
             on_device = self.on_device
@@ -120,7 +117,7 @@ class _Placement:
         if on_device:
             return None
         outcome, _ = _relax(row, ctx.graph)
-        seconds = cpu.bfs_seconds(size, outcome.edges_scanned, 0)
+        seconds = DEFAULT_CPU.bfs_seconds(size, outcome.edges_scanned, 0)
         ctx.timeline.add_host_seconds(seconds)
         ctx.seconds += seconds
         outcome.label = "cpu"
@@ -135,7 +132,6 @@ def hybrid_run(
     hybrid_config: Optional[HybridConfig] = None,
     config: Optional[RuntimeConfig] = None,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
     max_iterations: Optional[int] = None,
 ) -> HybridResult:
     """BFS or SSSP (*algorithm*) from *source* with per-iteration
@@ -153,7 +149,7 @@ def hybrid_run(
     placement = _Placement(graph, device, hybrid_config or HybridConfig())
     traversal = _drive(
         graph, source, AdaptivePolicy(graph, config, device=device),
-        info.make_spec(), device, cost_params, max_iterations,
+        info.make_spec(), device, max_iterations,
         config.queue_gen, place=placement,
     )
     return HybridResult(**dict(

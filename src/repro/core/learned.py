@@ -47,7 +47,7 @@ from repro.core.decision import DecisionMaker
 from repro.core.policies import AdaptivePolicy
 from repro.errors import ReproError, RuntimeConfigError
 from repro.gpusim.device import DeviceSpec, TESLA_C2070, device_registry
-from repro.gpusim.kernel import CostModel, CostParams
+from repro.gpusim.kernel import CostModel
 from repro.graph.properties import sorted_unique
 from repro.kernels import costs as kcosts
 from repro.kernels.mapping import ComputationShape, computation_tally
@@ -127,7 +127,6 @@ def variant_costs(
     *,
     updated_count: Optional[int] = None,
     weighted: bool = False,
-    cost_params: Optional[CostParams] = None,
     candidates: Optional[Sequence[Variant]] = None,
 ) -> Dict[str, float]:
     """Price every candidate variant on a surrogate frontier.
@@ -146,7 +145,7 @@ def variant_costs(
     if updated_count is None:
         updated_count = int(ids.size)
     updated_count = max(0, min(int(updated_count), int(num_nodes)))
-    model = CostModel(device, cost_params)
+    model = CostModel(device)
     shape = ComputationShape(
         name="policy_label",
         num_nodes=int(num_nodes),
@@ -196,11 +195,7 @@ def _device_for(manifest: RunManifest) -> DeviceSpec:
     return TESLA_C2070
 
 
-def extract_samples(
-    manifest: RunManifest,
-    *,
-    cost_params: Optional[CostParams] = None,
-) -> List[TrainingSample]:
+def extract_samples(manifest: RunManifest) -> List[TrainingSample]:
     """Featurize and label every decision in one manifest's trace.
 
     Each decision contributes one sample; the *next* decision's
@@ -240,7 +235,6 @@ def extract_samples(
                     device,
                     updated_count=updated,
                     weighted=weighted,
-                    cost_params=cost_params,
                 ),
                 algorithm=manifest.algorithm,
                 graph=manifest.graph.get("name", "unknown"),
@@ -541,7 +535,6 @@ def fit_policy(
     *,
     max_depth: int = 8,
     min_samples_leaf: int = 2,
-    cost_params: Optional[CostParams] = None,
 ) -> PolicyArtifact:
     """Fit a decision-tree policy from a corpus of run manifests.
 
@@ -567,7 +560,7 @@ def fit_policy(
     samples: List[TrainingSample] = []
     sources: List[dict] = []
     for name, manifest in pairs:
-        extracted = extract_samples(manifest, cost_params=cost_params)
+        extracted = extract_samples(manifest)
         samples.extend(extracted)
         sources.append(
             {

@@ -25,7 +25,7 @@ from repro.engine.types import TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostModel, CostParams
+from repro.gpusim.kernel import CostModel
 from repro.gpusim.transfer import transfer_seconds
 from repro.kernels import costs as kcosts
 from repro.kernels.computation import INF, UNSET_LEVEL, bfs_relax, sssp_relax
@@ -101,7 +101,6 @@ def per_iteration_oracle(
     *,
     variants: Optional[Sequence[Union[Variant, str]]] = None,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
     max_iterations: Optional[int] = None,
 ) -> OracleReport:
     """Price every candidate variant on every iteration of one traversal.
@@ -139,7 +138,7 @@ def per_iteration_oracle(
         v.code: v.threads_per_block(avg_out_degree, device) for v in candidates
     }
 
-    model = CostModel(device, cost_params)
+    model = CostModel(device)
     n = graph.num_nodes
     if weighted:
         state = np.full(n, INF, dtype=np.float64)

@@ -29,10 +29,9 @@ from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams
 from repro.kernels.frame import OrderedSsspSpec, SsspSpec
 from repro.kernels.variants import Variant
-from repro.obs.context import current_observer, observing
+from repro.obs.context import current_observer
 
 __all__ = [
     "adaptive_run",
@@ -90,14 +89,12 @@ def adaptive_run(
     *,
     config: Optional[RuntimeConfig] = None,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
     max_iterations: Optional[int] = None,
     watchdog=None,
     checkpoint_keeper=None,
     resume_from=None,
     fault_hook=None,
     memory: Optional[MemoryBudget] = None,
-    observe=None,
     policy=None,
     fuse: bool = False,
     **params,
@@ -123,8 +120,8 @@ def adaptive_run(
     frame, used by :mod:`repro.reliability`'s guarded runner.
     *memory* attaches a device-memory budget: the policy folds its
     pressure into variant decisions and the frame charges every
-    allocation against it.  *observe* installs a
-    :class:`~repro.obs.Observer` for the duration of the run, so every
+    allocation against it.  Under an installed
+    :class:`~repro.obs.Observer` (``with observing(obs):``) every
     instrumented layer reports metrics and spans into it.  Extra
     keyword arguments (*params*) build the algorithm's spec
     (PageRank's ``damping``/``tolerance``, CC's ``assume_symmetric``).
@@ -139,28 +136,26 @@ def adaptive_run(
         )
     source = info.resolve_source(graph, source)
     driver = make_policy(graph, policy, config, device=device, memory=memory)
-    with observing(observe):
-        return _observed_traverse(
-            f"{driver.name}_{algorithm}",
-            lambda: _run_spec(
-                info,
-                graph,
-                source,
-                driver,
-                params,
-                device=device,
-                cost_params=cost_params,
-                queue_gen=driver.config.queue_gen,
-                max_iterations=max_iterations,
-                watchdog=watchdog,
-                checkpoint_keeper=checkpoint_keeper,
-                resume_from=resume_from,
-                fault_hook=fault_hook,
-                memory=memory,
-                fusion=fuse or None,
-            ),
+    return _observed_traverse(
+        f"{driver.name}_{algorithm}",
+        lambda: _run_spec(
+            info,
+            graph,
+            source,
             driver,
-        )
+            params,
+            device=device,
+            queue_gen=driver.config.queue_gen,
+            max_iterations=max_iterations,
+            watchdog=watchdog,
+            checkpoint_keeper=checkpoint_keeper,
+            resume_from=resume_from,
+            fault_hook=fault_hook,
+            memory=memory,
+            fusion=fuse or None,
+        ),
+        driver,
+    )
 
 
 def run_static(
@@ -170,7 +165,6 @@ def run_static(
     variant: Union[Variant, str],
     *,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
     max_iterations: Optional[int] = None,
     queue_gen: str = "atomic",
     watchdog=None,
@@ -178,7 +172,6 @@ def run_static(
     resume_from=None,
     fault_hook=None,
     memory: Optional[MemoryBudget] = None,
-    observe=None,
     fuse: bool = False,
     **params,
 ) -> TraversalResult:
@@ -192,12 +185,10 @@ def run_static(
     queue-generation scheme: ``"atomic"`` (the paper's baseline),
     ``"scan"`` (Merrill-style prefix scan) or ``"hierarchical"``
     (Luo-style shared-memory queues) — Section V.C's orthogonal
-    optimizations.  *observe* installs an :class:`~repro.obs.Observer`
-    for the run, as in :func:`adaptive_run`; *fuse* runs under a fused
-    launch plan (pinned variants fuse every iteration).  The
-    reliability keywords and *memory* pass through to the frame, and
-    extra keyword arguments (*params*) build the algorithm's spec, as
-    in :func:`adaptive_run`."""
+    optimizations.  *fuse* runs under a fused launch plan (pinned
+    variants fuse every iteration).  The reliability keywords and
+    *memory* pass through to the frame, and extra keyword arguments
+    (*params*) build the algorithm's spec, as in :func:`adaptive_run`."""
     info = get_algorithm(algorithm)
     if not info.supports_variants:
         raise KernelError(
@@ -217,7 +208,6 @@ def run_static(
             policy,
             params,
             device=device,
-            cost_params=cost_params,
             max_iterations=max_iterations,
             queue_gen=queue_gen,
             watchdog=watchdog,
@@ -228,9 +218,8 @@ def run_static(
             fusion=fuse or None,
         )
 
-    with observing(observe):
-        observer = current_observer()
-        if observer is None:
-            return run()
-        with observer.span(f"static_{algorithm}", variant=variant.code):
-            return run()
+    observer = current_observer()
+    if observer is None:
+        return run()
+    with observer.span(f"static_{algorithm}", variant=variant.code):
+        return run()

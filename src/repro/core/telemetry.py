@@ -65,7 +65,7 @@ class FaultEvent:
     site: str
     #: recovery action taken (one of :data:`RECOVERY_ACTIONS`)
     action: str
-    #: free-form detail (backoff applied, checkpoint iteration, ...)
+    #: free-form detail (fallback target, restored iteration, ...)
     detail: str = ""
 
 

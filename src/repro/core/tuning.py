@@ -23,7 +23,7 @@ from repro.core.runtime import adaptive_run
 from repro.errors import TuningError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostModel, CostParams
+from repro.gpusim.kernel import CostModel
 from repro.kernels import costs
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import (
@@ -58,7 +58,6 @@ def measure_t2_crossover(
     graph: CSRGraph,
     *,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
     sizes: Optional[Sequence[int]] = None,
     seed: int = 0,
 ) -> Tuple[int, List[Tuple[int, float, float]]]:
@@ -74,7 +73,7 @@ def measure_t2_crossover(
     rng = np.random.default_rng(seed)
     if sizes is None:
         sizes = [2**k for k in range(4, 18) if 2**k <= graph.num_nodes]
-    model = CostModel(device, cost_params)
+    model = CostModel(device)
     rows: List[Tuple[int, float, float]] = []
     crossover = graph.num_nodes
     for size in sizes:
@@ -137,7 +136,6 @@ def sweep_t3(
     fractions: Sequence[float] = tuple(f / 100 for f in range(1, 14)),
     base_config: Optional[RuntimeConfig] = None,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
 ) -> List[T3SweepPoint]:
     """Adaptive-runtime execution time as T3 sweeps 1 %..13 % of |V|
     (the x-axis of Figure 13)."""
@@ -146,8 +144,7 @@ def sweep_t3(
     for fraction in fractions:
         config = base.with_overrides(t3_fraction=float(fraction))
         result = adaptive_run(
-            graph, algorithm, source, config=config, device=device,
-            cost_params=cost_params,
+            graph, algorithm, source, config=config, device=device
         )
         points.append(
             T3SweepPoint(

@@ -3,7 +3,7 @@
 Level-synchronous frontier BFS — algorithmically identical to the FIFO
 formulation (every node is settled at its minimum hop count) but
 vectorized per level so multi-million-node oracles stay fast in Python.
-Operation counts feed :class:`repro.cpu.costmodel.CpuModel` to produce
+Operation counts feed :data:`repro.cpu.costmodel.DEFAULT_CPU` to produce
 the baseline's simulated runtime.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
+from repro.cpu.costmodel import DEFAULT_CPU
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
 
@@ -36,9 +36,7 @@ class CpuBfsResult:
         return int((self.levels >= 0).sum())
 
 
-def cpu_bfs(
-    graph: CSRGraph, source: int, *, cpu: CpuModel = DEFAULT_CPU
-) -> CpuBfsResult:
+def cpu_bfs(graph: CSRGraph, source: int) -> CpuBfsResult:
     """Serial BFS from *source*; levels are -1 for unreachable nodes."""
     graph._check_node(source)
     n = graph.num_nodes
@@ -66,7 +64,7 @@ def cpu_bfs(
         levels[fresh] = level
         frontier = fresh
 
-    seconds = cpu.bfs_seconds(nodes_visited, edges_scanned, n)
+    seconds = DEFAULT_CPU.bfs_seconds(nodes_visited, edges_scanned, n)
     return CpuBfsResult(
         levels=levels,
         nodes_visited=nodes_visited,

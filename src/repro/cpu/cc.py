@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
+from repro.cpu.costmodel import EDGE_SCAN_S, INIT_PER_NODE_S, NODE_VISIT_S, UPDATE_S
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import sorted_unique
 from repro.graph.transforms import edge_arrays
@@ -32,9 +32,7 @@ class CpuCcResult:
     seconds: float
 
 
-def cpu_connected_components(
-    graph: CSRGraph, *, cpu: CpuModel = DEFAULT_CPU
-) -> CpuCcResult:
+def cpu_connected_components(graph: CSRGraph) -> CpuCcResult:
     """Weakly connected components via union-find.
 
     Edge direction is ignored (weak connectivity), matching what the
@@ -81,10 +79,10 @@ def cpu_connected_components(
     # Pricing: a find chain step costs about an edge scan (pointer chase);
     # unions are node updates.
     seconds = (
-        n * cpu.init_per_node_s
-        + finds * cpu.edge_scan_s
-        + unions * cpu.update_s
-        + n * cpu.node_visit_s
+        n * INIT_PER_NODE_S
+        + finds * EDGE_SCAN_S
+        + unions * UPDATE_S
+        + n * NODE_VISIT_S
     )
     return CpuCcResult(
         labels=labels,

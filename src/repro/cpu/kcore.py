@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
+from repro.cpu.costmodel import EDGE_SCAN_S, INIT_PER_NODE_S, NODE_VISIT_S, UPDATE_S
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices, is_symmetric
 from repro.graph.transforms import symmetrize
@@ -34,7 +34,7 @@ class CpuKCoreResult:
     seconds: float
 
 
-def cpu_kcore(graph: CSRGraph, *, cpu: CpuModel = DEFAULT_CPU) -> CpuKCoreResult:
+def cpu_kcore(graph: CSRGraph) -> CpuKCoreResult:
     """Peeling k-core decomposition; returns per-node core numbers."""
     work = graph if is_symmetric(graph) else symmetrize(graph)
     n = work.num_nodes
@@ -63,9 +63,9 @@ def cpu_kcore(graph: CSRGraph, *, cpu: CpuModel = DEFAULT_CPU) -> CpuKCoreResult
         k += 1
 
     seconds = (
-        n * cpu.init_per_node_s
-        + peeled * (cpu.node_visit_s + cpu.update_s)
-        + edges * cpu.edge_scan_s
+        n * INIT_PER_NODE_S
+        + peeled * (NODE_VISIT_S + UPDATE_S)
+        + edges * EDGE_SCAN_S
     )
     return CpuKCoreResult(
         coreness=coreness,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
+from repro.cpu.costmodel import EDGE_SCAN_S, INIT_PER_NODE_S, NODE_VISIT_S, UPDATE_S
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 
@@ -53,7 +53,6 @@ def cpu_pagerank(
     *,
     damping: float = 0.85,
     tolerance: float = 1e-6,
-    cpu: CpuModel = DEFAULT_CPU,
     max_pushes: int = 50_000_000,
     method: str = "auto",
 ) -> CpuPageRankResult:
@@ -71,7 +70,7 @@ def cpu_pagerank(
     if method == "auto":
         method = "fifo" if graph.num_edges <= _FAST_THRESHOLD_EDGES else "fast"
     if method == "fast":
-        return _pagerank_fast(graph, damping, tolerance, cpu, max_pushes)
+        return _pagerank_fast(graph, damping, tolerance, max_pushes)
     if method != "fifo":
         raise ValueError(f"unknown method {method!r}")
     n = graph.num_nodes
@@ -110,9 +109,9 @@ def cpu_pagerank(
                 queue.append(v)
 
     seconds = (
-        n * cpu.init_per_node_s
-        + pushes * (cpu.node_visit_s + cpu.update_s)
-        + edges * cpu.edge_scan_s
+        n * INIT_PER_NODE_S
+        + pushes * (NODE_VISIT_S + UPDATE_S)
+        + edges * EDGE_SCAN_S
     )
     return CpuPageRankResult(
         ranks=rank, pushes=pushes, edges_pushed=edges, seconds=seconds
@@ -123,7 +122,6 @@ def _pagerank_fast(
     graph: CSRGraph,
     damping: float,
     tolerance: float,
-    cpu: CpuModel,
     max_pushes: int,
 ) -> CpuPageRankResult:
     """Sweep-synchronous push PageRank with vectorized scatter-adds."""
@@ -157,9 +155,9 @@ def _pagerank_fast(
             share = np.repeat(damping * r[has_out] / deg[has_out], deg[has_out])
             np.add.at(residual, cols[idx], share)
     seconds = (
-        n * cpu.init_per_node_s
-        + pushes * (cpu.node_visit_s + cpu.update_s)
-        + edges * cpu.edge_scan_s
+        n * INIT_PER_NODE_S
+        + pushes * (NODE_VISIT_S + UPDATE_S)
+        + edges * EDGE_SCAN_S
     )
     return CpuPageRankResult(
         ranks=rank, pushes=pushes, edges_pushed=edges, seconds=seconds

@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
+from repro.cpu.costmodel import DEFAULT_CPU
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
@@ -68,7 +68,6 @@ def cpu_dijkstra(
     graph: CSRGraph,
     source: int,
     *,
-    cpu: CpuModel = DEFAULT_CPU,
     method: Literal["auto", "heap", "fast"] = "auto",
 ) -> CpuSsspResult:
     """Serial Dijkstra from *source*; unreachable nodes get ``inf``."""
@@ -77,14 +76,14 @@ def cpu_dijkstra(
     if method == "auto":
         method = "heap" if graph.num_edges <= _FAST_THRESHOLD_EDGES else "fast"
     if method == "heap":
-        return _dijkstra_heap(graph, weights, source, cpu)
+        return _dijkstra_heap(graph, weights, source)
     if method == "fast":
-        return _dijkstra_fast(graph, weights, source, cpu)
+        return _dijkstra_fast(graph, weights, source)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _dijkstra_heap(
-    graph: CSRGraph, weights: np.ndarray, source: int, cpu: CpuModel
+    graph: CSRGraph, weights: np.ndarray, source: int
 ) -> CpuSsspResult:
     n = graph.num_nodes
     offsets = graph.row_offsets
@@ -112,7 +111,7 @@ def _dijkstra_heap(
                 heapq.heappush(heap, (nd, v))
                 pushes += 1
                 max_heap = max(max_heap, len(heap))
-    seconds = cpu.dijkstra_seconds(visited, edges, pushes, pops, max_heap, n)
+    seconds = DEFAULT_CPU.dijkstra_seconds(visited, edges, pushes, pops, max_heap, n)
     return CpuSsspResult(
         distances=dist,
         nodes_visited=visited,
@@ -125,7 +124,7 @@ def _dijkstra_heap(
 
 
 def _dijkstra_fast(
-    graph: CSRGraph, weights: np.ndarray, source: int, cpu: CpuModel
+    graph: CSRGraph, weights: np.ndarray, source: int
 ) -> CpuSsspResult:
     """Vectorized settle-order Dijkstra.
 
@@ -167,7 +166,7 @@ def _dijkstra_fast(
         np.minimum.at(cur, dsts[improves], cand[improves])
     pops = pushes
     max_heap = max(1, pushes - visited + 1)
-    seconds = cpu.dijkstra_seconds(visited, edges, pushes, pops, max_heap, n)
+    seconds = DEFAULT_CPU.dijkstra_seconds(visited, edges, pushes, pops, max_heap, n)
     return CpuSsspResult(
         distances=final,
         nodes_visited=visited,
@@ -202,9 +201,7 @@ def _bellman_distances(
     return dist
 
 
-def cpu_bellman_ford(
-    graph: CSRGraph, source: int, *, cpu: CpuModel = DEFAULT_CPU
-) -> CpuSsspResult:
+def cpu_bellman_ford(graph: CSRGraph, source: int) -> CpuSsspResult:
     """Serial frontier Bellman-Ford (the unordered CPU counterpart)."""
     weights = _require_weights(graph)
     graph._check_node(source)
@@ -228,7 +225,7 @@ def cpu_bellman_ford(
         np.minimum.at(dist, dsts, cand)
         improved = dist[dsts] < before
         frontier = sorted_unique(dsts[improved])
-    seconds = cpu.bellman_ford_seconds(relaxations, node_visits, n)
+    seconds = DEFAULT_CPU.bellman_ford_seconds(relaxations, node_visits, n)
     return CpuSsspResult(
         distances=dist,
         nodes_visited=node_visits,

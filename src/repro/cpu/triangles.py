@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
+from repro.cpu.costmodel import EDGE_SCAN_S, INIT_PER_NODE_S, NODE_VISIT_S, UPDATE_S
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import is_symmetric
 from repro.graph.transforms import rank_oriented_adjacency, symmetrize
@@ -36,7 +36,7 @@ class CpuTrianglesResult:
     seconds: float
 
 
-def cpu_triangles(graph: CSRGraph, *, cpu: CpuModel = DEFAULT_CPU) -> CpuTrianglesResult:
+def cpu_triangles(graph: CSRGraph) -> CpuTrianglesResult:
     """Count triangles; ``counts[u]`` is the number pivoted at *u*."""
     work = graph if is_symmetric(graph) else symmetrize(graph)
     n = work.num_nodes
@@ -61,9 +61,9 @@ def cpu_triangles(graph: CSRGraph, *, cpu: CpuModel = DEFAULT_CPU) -> CpuTriangl
         counts[u] = found
     total = int(counts.sum())
     seconds = (
-        n * (cpu.init_per_node_s + cpu.node_visit_s)
-        + comparisons * cpu.edge_scan_s
-        + total * cpu.update_s
+        n * (INIT_PER_NODE_S + NODE_VISIT_S)
+        + comparisons * EDGE_SCAN_S
+        + total * UPDATE_S
     )
     return CpuTrianglesResult(
         counts=counts,

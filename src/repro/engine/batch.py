@@ -71,7 +71,7 @@ from repro.engine.types import HOST_INIT_PER_NODE_S, IterationRecord, VariantPol
 from repro.errors import KernelError, NonConvergenceError, ReproError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostModel, CostParams
+from repro.gpusim.kernel import CostModel
 from repro.gpusim.timeline import Timeline
 from repro.gpusim.transfer import record_transfer
 from repro.kernels.multisource import (
@@ -226,7 +226,6 @@ class BatchFrame:
         graph: CSRGraph,
         *,
         device: DeviceSpec = TESLA_C2070,
-        cost_params: Optional[CostParams] = None,
         max_iterations: Optional[int] = None,
         queue_gen: str = "atomic",
         fault_hook=None,
@@ -234,7 +233,7 @@ class BatchFrame:
     ):
         self.graph = graph
         self.device = device
-        self.model = CostModel(device, cost_params)
+        self.model = CostModel(device)
         self.timeline = Timeline()
         self.max_iterations = max_iterations
         self.queue_gen = queue_gen
@@ -631,7 +630,6 @@ def run_batch_frame(
     plans: Sequence[QueryPlan],
     *,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
     max_iterations: Optional[int] = None,
     queue_gen: str = "atomic",
     fault_hook=None,
@@ -655,7 +653,6 @@ def run_batch_frame(
     frame = BatchFrame(
         graph,
         device=device,
-        cost_params=cost_params,
         max_iterations=max_iterations,
         queue_gen=queue_gen,
         fault_hook=fault_hook,

@@ -51,7 +51,7 @@ from repro.engine.types import (
 from repro.errors import KernelError, NonConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostModel, CostParams, KernelTally
+from repro.gpusim.kernel import CostModel, KernelTally
 from repro.gpusim.memory import traversal_state_bytes
 from repro.gpusim.timeline import Timeline
 from repro.gpusim.transfer import record_transfer
@@ -392,7 +392,6 @@ def run_frame(
     spec: AlgorithmSpec,
     *,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
     max_iterations: Optional[int] = None,
     queue_gen: str = "atomic",
     watchdog: Optional["Watchdog"] = None,
@@ -428,13 +427,13 @@ def run_frame(
     decision trace, thresholds and provenance (each None where there is
     none), so every door's result has one shape.
     """
-    return _drive(graph, source, policy, spec, device, cost_params,
-                  max_iterations, queue_gen, watchdog, checkpoint_keeper,
-                  resume_from, fault_hook, memory, fusion)
+    return _drive(graph, source, policy, spec, device, max_iterations,
+                  queue_gen, watchdog, checkpoint_keeper, resume_from,
+                  fault_hook, memory, fusion)
 
 
-def _drive(graph, source, policy, spec, device, cost_params, max_iterations,
-           queue_gen, watchdog=None, checkpoint_keeper=None, resume_from=None,
+def _drive(graph, source, policy, spec, device, max_iterations, queue_gen,
+           watchdog=None, checkpoint_keeper=None, resume_from=None,
            fault_hook=None, memory=None, fusion=None,
            place: Optional[Callable] = None) -> TraversalResult:
     """:func:`run_frame`'s loop.  *place* (hybrid execution) runs before
@@ -450,7 +449,7 @@ def _drive(graph, source, policy, spec, device, cost_params, max_iterations,
         raise KernelError(
             f"{spec.name} does not support checkpoint/resume or fault hooks"
         )
-    model = CostModel(device, cost_params)
+    model = CostModel(device)
     timeline = Timeline()
     work_graph, host_prep_seconds = spec.prepare(graph)
     _initial_transfers(

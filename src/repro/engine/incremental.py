@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -51,13 +51,13 @@ from repro.engine.spec import FrameState
 from repro.engine.types import TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
-from repro.graph.dynamic import DeltaOverlayGraph, MutationDelta
+from repro.graph.dynamic import MutationDelta
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.kernels.cc import CcSpec
 from repro.kernels.computation import INF, UNSET_LEVEL
 from repro.kernels.frame import BfsSpec, SsspSpec
-from repro.obs.context import current_observer, observing
+from repro.obs.context import current_observer
 
 __all__ = [
     "IncrementalResult",
@@ -281,7 +281,7 @@ def _previous_values(previous) -> np.ndarray:
 
 
 def run_incremental(
-    graph: Union[CSRGraph, DeltaOverlayGraph],
+    graph: CSRGraph,
     algorithm: str,
     previous,
     delta: MutationDelta,
@@ -289,24 +289,23 @@ def run_incremental(
     source: Optional[int] = None,
     config=None,
     device: DeviceSpec = TESLA_C2070,
-    cost_params=None,
     max_iterations: Optional[int] = None,
     watchdog=None,
     checkpoint_keeper=None,
     fault_hook=None,
     memory=None,
-    observe=None,
     policy=None,
     assume_symmetric: bool = False,
 ) -> IncrementalResult:
     """Recompute *algorithm* after *delta*, warm-starting from *previous*.
 
-    *graph* is the post-mutation graph — a
-    :class:`~repro.graph.dynamic.DeltaOverlayGraph` (materialized here)
-    or an already-compacted :class:`~repro.graph.csr.CSRGraph`.
-    *previous* is the previous run's values (array, or any result object
-    with ``.values``) on the pre-mutation graph; *delta* is what
-    :meth:`~repro.graph.dynamic.DeltaOverlayGraph.apply` returned.
+    *graph* is the post-mutation graph, compacted to a
+    :class:`~repro.graph.csr.CSRGraph`
+    (:meth:`~repro.graph.dynamic.DeltaOverlayGraph.compact` prices that
+    step).  *previous* is the previous run's values (array, or any
+    result object with ``.values``) on the pre-mutation graph; *delta*
+    is what :meth:`~repro.graph.dynamic.DeltaOverlayGraph.apply`
+    returned.
 
     The run goes through the ordinary adaptive machinery —
     :class:`~repro.core.policies.AdaptivePolicy` (or a learned policy
@@ -320,16 +319,12 @@ def run_incremental(
             f"incremental recompute supports {INCREMENTAL_ALGORITHMS}, "
             f"got {algorithm!r}"
         )
-    work_graph = (
-        graph.materialize() if isinstance(graph, DeltaOverlayGraph) else graph
-    )
-    if not isinstance(work_graph, CSRGraph):
+    if not isinstance(graph, CSRGraph):
         raise KernelError(
-            f"graph must be a CSRGraph or DeltaOverlayGraph, got "
-            f"{type(graph).__name__}"
+            f"graph must be a compacted CSRGraph, got {type(graph).__name__}"
         )
     prev = _previous_values(previous)
-    n = work_graph.num_nodes
+    n = graph.num_nodes
     if prev.size > n:
         raise KernelError(
             f"previous values cover {prev.size} nodes but the mutated "
@@ -350,10 +345,10 @@ def run_incremental(
     else:
         if source is None:
             raise KernelError(f"incremental {algorithm} requires a source node")
-        work_graph._check_node(source)
-        if algorithm == "sssp" and work_graph.weights is None:
+        graph._check_node(source)
+        if algorithm == "sssp" and graph.weights is None:
             raise KernelError(
-                f"SSSP requires edge weights; graph {work_graph.name!r} has none"
+                f"SSSP requires edge weights; graph {graph.name!r} has none"
             )
         unset = UNSET_LEVEL if algorithm == "bfs" else INF
         dtype = np.int64 if algorithm == "bfs" else np.float64
@@ -364,7 +359,7 @@ def run_incremental(
                 f"{source} (previous[source] must be 0)"
             )
         seed_values, frontier, affected, host_edges = _distance_seed(
-            work_graph,
+            graph,
             prev,
             delta,
             unset=unset,
@@ -383,37 +378,35 @@ def run_incremental(
     # keep repro.engine importable on its own (same pattern as sharding).
     from repro.core.policies import make_policy
 
-    driver = make_policy(work_graph, policy, config, device=device, memory=memory)
+    driver = make_policy(graph, policy, config, device=device, memory=memory)
 
-    with observing(observe):
-        observer = current_observer()
-        span = contextlib.nullcontext()
-        if observer is not None:
-            observer.metrics.counter("dynamic.incremental_runs").inc()
-            observer.metrics.histogram("dynamic.affected_nodes").observe(affected)
-            observer.metrics.histogram("dynamic.seed_frontier").observe(
-                int(frontier.size)
-            )
-            span = observer.span(
-                f"incremental_{algorithm}",
-                affected=affected,
-                seed_frontier=int(frontier.size),
-            )
-        with span:
-            traversal = run_frame(
-                work_graph,
-                run_source,
-                driver,
-                spec,
-                device=device,
-                cost_params=cost_params,
-                max_iterations=max_iterations,
-                queue_gen=driver.config.queue_gen,
-                watchdog=watchdog,
-                checkpoint_keeper=checkpoint_keeper,
-                fault_hook=fault_hook,
-                memory=memory,
-            )
+    observer = current_observer()
+    span = contextlib.nullcontext()
+    if observer is not None:
+        observer.metrics.counter("dynamic.incremental_runs").inc()
+        observer.metrics.histogram("dynamic.affected_nodes").observe(affected)
+        observer.metrics.histogram("dynamic.seed_frontier").observe(
+            int(frontier.size)
+        )
+        span = observer.span(
+            f"incremental_{algorithm}",
+            affected=affected,
+            seed_frontier=int(frontier.size),
+        )
+    with span:
+        traversal = run_frame(
+            graph,
+            run_source,
+            driver,
+            spec,
+            device=device,
+            max_iterations=max_iterations,
+            queue_gen=driver.config.queue_gen,
+            watchdog=watchdog,
+            checkpoint_keeper=checkpoint_keeper,
+            fault_hook=fault_hook,
+            memory=memory,
+        )
 
     return IncrementalResult(
         **vars(traversal),

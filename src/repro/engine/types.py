@@ -15,6 +15,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
 from repro.gpusim.timeline import Timeline
 from repro.kernels.variants import Ordering, Variant
+from repro.obs.manifest import reached_count
 
 __all__ = [
     "HOST_INIT_PER_NODE_S",
@@ -86,9 +87,7 @@ class TraversalResult:
 
     @property
     def reached(self) -> int:
-        if self.values.dtype.kind == "f":
-            return int(np.isfinite(self.values).sum())
-        return int((self.values >= 0).sum())
+        return reached_count(self.values)
 
     @property
     def total_edges_scanned(self) -> int:

@@ -17,7 +17,7 @@ performance.  Each effect is priced in exactly one place:
 - **atomic serialization** — same-address atomics (queue insertion
   indices) serialize: the atomic term of :meth:`CostModel.price
   <repro.gpusim.kernel.CostModel.price>` at
-  ``CostParams.atomic_cycles_per_op`` cycles each;
+  ``ATOMIC_CYCLES_PER_OP`` cycles each;
 - **SM scheduling and occupancy** — blocks are scheduled onto a finite
   set of SMs; too little parallelism leaves SMs idle and exposes memory
   latency (``repro.gpusim.smscheduler``, ``repro.gpusim.occupancy``);
@@ -40,7 +40,7 @@ from repro.gpusim.interconnect import (
     interconnect_registry,
     peer_transfer_seconds,
 )
-from repro.gpusim.kernel import CostModel, CostParams, KernelTally
+from repro.gpusim.kernel import CostModel, KernelTally
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.occupancy import OccupancyResult, occupancy
 from repro.gpusim.sharedmem import conflict_degree
@@ -57,7 +57,6 @@ __all__ = [
     "OccupancyResult",
     "KernelTally",
     "CostModel",
-    "CostParams",
     "MemoryBudget",
     "MemoryReport",
     "parse_mem_size",

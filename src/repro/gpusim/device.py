@@ -3,9 +3,9 @@
 :data:`TESLA_C2070` mirrors the paper's evaluation platform (Section VII:
 "an Nvidia Tesla C2070 GPU, which contains 14 32-core SMs").  All limits
 follow the Fermi (compute capability 2.0) datasheet; anything the cost
-model calibrates (instruction costs, atomic costs) lives in
-:class:`repro.gpusim.kernel.CostParams` instead, so a device spec is pure
-hardware description.
+model calibrates (instruction costs, atomic costs) lives in the
+constants of :mod:`repro.gpusim.kernel` and :mod:`repro.kernels.costs`
+instead, so a device spec is pure hardware description.
 """
 
 from __future__ import annotations

@@ -13,14 +13,15 @@ where the issue pipeline is the SM-scheduler makespan of the issued
 warp instructions (each SM issues one warp instruction per cycle), the
 memory pipeline is bandwidth cycles inflated by a latency-exposure
 factor when too few warps are resident to hide DRAM latency, and
-atomics serialize after both.  All tunable coefficients live in
-:class:`CostParams` so experiments can ablate them.
+atomics serialize after both.  The hardware coefficients are the
+module constants below, fixed once against the paper's anchors (see
+``docs/simulator.md``); the instruction costs of the kernel bodies are
+in :mod:`repro.kernels.costs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.errors import KernelError
 from repro.gpusim.device import DeviceSpec
@@ -30,7 +31,36 @@ from repro.gpusim.occupancy import occupancy
 from repro.gpusim.smscheduler import makespan_cycles
 from repro.obs.context import current_observer
 
-__all__ = ["KernelTally", "CostParams", "CostModel", "KernelCost"]
+__all__ = [
+    "KernelTally",
+    "CostModel",
+    "KernelCost",
+    "ATOMIC_CYCLES_PER_OP",
+    "BLOCK_DISPATCH_CYCLES",
+    "LATENCY_HIDING_WARPS",
+    "MAX_LATENCY_PENALTY",
+    "IMBALANCE_SLACK",
+    "REGISTERS_PER_THREAD",
+]
+
+#: cycles per same-address atomic (queue-counter serialization;
+#: Fermi-era L2 atomic units sustain a few cycles per same-word op)
+ATOMIC_CYCLES_PER_OP = 3.0
+
+#: per-block scheduling/dispatch cost charged to the issue pipeline
+BLOCK_DISPATCH_CYCLES = 40.0
+
+#: resident warps per SM needed to fully hide DRAM latency
+LATENCY_HIDING_WARPS = 16.0
+
+#: cap on the latency-exposure inflation of memory time
+MAX_LATENCY_PENALTY = 8.0
+
+#: list-scheduling imbalance slack on the issue makespan
+IMBALANCE_SLACK = 0.05
+
+#: registers per thread assumed for occupancy (graph kernels are lean)
+REGISTERS_PER_THREAD = 20
 
 
 @dataclass(frozen=True)
@@ -91,35 +121,6 @@ class KernelTally:
 
 
 @dataclass(frozen=True)
-class CostParams:
-    """Calibration coefficients of the timing model.
-
-    The instruction-cost constants are expressed in *warp-instruction
-    issues* for one warp doing the operation once.  Defaults are
-    calibrated so the static-variant comparison reproduces the paper's
-    Table 2/3 structure on the Table 1 dataset analogues (see
-    ``benchmarks/``); the ablation benches perturb them.
-    """
-
-    #: cycles per same-address atomic (queue-counter serialization;
-    #: Fermi-era L2 atomic units sustain a few cycles per same-word op)
-    atomic_cycles_per_op: float = 3.0
-    #: per-block scheduling/dispatch cost charged to the issue pipeline
-    block_dispatch_cycles: float = 40.0
-    #: resident warps per SM needed to fully hide DRAM latency
-    latency_hiding_warps: float = 16.0
-    #: cap on the latency-exposure inflation of memory time
-    max_latency_penalty: float = 8.0
-    #: list-scheduling imbalance slack on the issue makespan
-    imbalance_slack: float = 0.05
-    #: registers per thread assumed for occupancy (graph kernels are lean)
-    registers_per_thread: int = 20
-
-    def with_overrides(self, **kwargs) -> "CostParams":
-        return replace(self, **kwargs)
-
-
-@dataclass(frozen=True)
 class KernelCost:
     """Priced execution of one kernel: the component breakdown."""
 
@@ -140,49 +141,48 @@ class KernelCost:
 class CostModel:
     """Prices :class:`KernelTally` objects on a :class:`DeviceSpec`."""
 
-    def __init__(self, device: DeviceSpec, params: Optional[CostParams] = None):
+    def __init__(self, device: DeviceSpec):
         self.device = device
-        self.params = params or CostParams()
 
     def price(self, tally: KernelTally) -> KernelCost:
         """Simulated wall-clock cost of one kernel launch."""
-        device, params = self.device, self.params
+        device = self.device
         launch = tally.launch
 
         occ = occupancy(
             device,
             min(launch.threads_per_block, device.max_threads_per_block),
-            registers_per_thread=params.registers_per_thread,
+            registers_per_thread=REGISTERS_PER_THREAD,
         )
 
         # --- issue pipeline: SMs retire one warp instruction per cycle ---
-        dispatch = launch.grid_blocks * params.block_dispatch_cycles
+        dispatch = launch.grid_blocks * BLOCK_DISPATCH_CYCLES
         issue_total = tally.issue_cycles + dispatch
         issue_cycles = makespan_cycles(
             issue_total,
             tally.max_block_cycles,
             device,
-            imbalance_slack=params.imbalance_slack,
+            imbalance_slack=IMBALANCE_SLACK,
         )
 
         # --- memory pipeline: bandwidth floor x latency exposure ---
         mem_cycles = bandwidth_cycles(tally.mem_transactions, device)
         resident_warps = self._resident_warps(tally, occ.warps_per_sm)
-        if resident_warps >= params.latency_hiding_warps:
+        if resident_warps >= LATENCY_HIDING_WARPS:
             penalty = 1.0
         else:
             penalty = min(
-                params.max_latency_penalty,
-                params.latency_hiding_warps / max(resident_warps, 1e-9),
+                MAX_LATENCY_PENALTY,
+                LATENCY_HIDING_WARPS / max(resident_warps, 1e-9),
             )
         mem_cycles *= penalty
 
         # --- atomics: serialized after compute/memory overlap ---
-        atomic_cycles = tally.atomics_same_address * params.atomic_cycles_per_op
+        atomic_cycles = tally.atomics_same_address * ATOMIC_CYCLES_PER_OP
         if tally.atomics_multi_address > 0:
             addresses = max(1, tally.atomic_address_count)
             hottest = tally.atomics_multi_address / addresses
-            atomic_cycles += (hottest + hottest**0.5) * params.atomic_cycles_per_op
+            atomic_cycles += (hottest + hottest**0.5) * ATOMIC_CYCLES_PER_OP
 
         total_cycles = max(issue_cycles, mem_cycles) + atomic_cycles
         hook = current_fault_hook()

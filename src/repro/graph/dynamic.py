@@ -12,13 +12,9 @@ traffic:
   strict/lenient + quarantine machinery (and line-numbered
   diagnostics) as the file readers in :mod:`repro.graph.io`;
 - :class:`DeltaOverlayGraph` — a base CSR plus an adjacency overlay
-  for inserted edges and a deletion mask over base edges.  Outdegree
-  statistics are maintained incrementally on every apply, so the
-  decision maker and the learned policy see fresh ``num_edges`` /
-  ``avg_out_degree`` inputs without a full re-profile
-  (:func:`~repro.graph.properties.characterize` and
-  :class:`~repro.core.inspector.StaticAttributes` both consume the
-  overlay directly);
+  for inserted edges and a deletion mask over base edges.  Node and
+  edge counts are maintained on every apply; the kernels, the
+  inspector and the learned policy read the compacted CSR;
 - :meth:`DeltaOverlayGraph.compact` — a *priced* rebuild through the
   canonical :func:`~repro.graph.builder.from_edge_list` path (so the
   compacted CSR is array- and digest-identical to a from-scratch build
@@ -441,10 +437,9 @@ class CompactionResult:
 class DeltaOverlayGraph:
     """A base CSR plus an insert overlay and a deletion mask.
 
-    Read statistics (``num_nodes``, ``num_edges``, ``out_degrees``,
-    ``avg_out_degree``) reflect the *logical* mutated graph and are
-    maintained incrementally on apply — no edge scan, no re-profile.
-    The kernels keep running on concrete CSR arrays: call
+    ``num_nodes`` and ``num_edges`` reflect the *logical* mutated graph
+    and are maintained on apply — no edge scan.  The kernels keep
+    running on concrete CSR arrays: call
     :meth:`materialize` (unpriced, host-side oracle) or
     :meth:`compact` (priced, the serving path) to realize the logical
     graph as a canonical :class:`~repro.graph.csr.CSRGraph`.
@@ -460,10 +455,9 @@ class DeltaOverlayGraph:
         self._deleted_count = 0
         #: overlay adjacency: (u, v) -> weight (None on unweighted base)
         self._overlay: Dict[Tuple[int, int], Optional[float]] = {}
-        self._out_degrees = base.out_degrees.copy()
         self.mutations_applied = 0
 
-    # -- read interface (CSRGraph-compatible statistics) ----------------
+    # -- read interface --------------------------------------------------
 
     @property
     def num_nodes(self) -> int:
@@ -477,26 +471,11 @@ class DeltaOverlayGraph:
     def has_weights(self) -> bool:
         return self.base.has_weights
 
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return self._out_degrees
-
-    @property
-    def avg_out_degree(self) -> float:
-        if self.num_nodes == 0:
-            return 0.0
-        return self.num_edges / self.num_nodes
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise GraphError(
                 f"node {node} out of range for graph with {self.num_nodes} nodes"
             )
-
-    def device_bytes(self) -> int:
-        """Device bytes of the logical graph once compacted."""
-        per_edge = 4 + (4 if self.has_weights else 0)
-        return (self.num_nodes + 1) * 8 + self.num_edges * per_edge
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -662,14 +641,7 @@ class DeltaOverlayGraph:
         fresh_at = at[last_ins[ends_fresh]]
         by_line = np.argsort(fresh_at)
         added = n - self.num_nodes
-        if added:
-            self._added_nodes += added
-            self._out_degrees = np.concatenate(
-                [self._out_degrees, np.zeros(added, dtype=np.int64)]
-            )
-        change = np.where(removed, -before.copies, 0)
-        change[group[ends_fresh]] += 1
-        np.add.at(self._out_degrees, pairs // n, change)
+        self._added_nodes += added
         for pair in _pair_tuples(pairs[removed & before.in_overlay], n):
             del self._overlay[pair]
         gone = removed & ~before.in_overlay

@@ -2,8 +2,8 @@
 
 These are properties of the *kernel code* (how many warp instructions
 the compiled loop bodies issue), as opposed to the hardware coefficients
-in :class:`repro.gpusim.kernel.CostParams`.  Units: warp-instruction
-issues for one warp performing the operation once.
+among the constants of :mod:`repro.gpusim.kernel`.  Units:
+warp-instruction issues for one warp performing the operation once.
 
 The values approximate the Fermi SASS for the paper's kernel bodies
 (Figure 9): a bounds/flag check is a couple of loads plus a predicated

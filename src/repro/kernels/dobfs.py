@@ -51,14 +51,12 @@ from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices, is_symmetric
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams
 from repro.gpusim.transfer import record_transfer
 from repro.kernels import costs
 from repro.kernels.computation import UNSET_LEVEL
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Mapping, Ordering, Variant, WorksetRepr
 from repro.kernels.workset import Workset
-from repro.obs.context import observing
 
 __all__ = ["DirectionConfig", "pull_step", "DobfsSpec", "direction_optimizing_bfs"]
 
@@ -255,14 +253,12 @@ def direction_optimizing_bfs(
     *,
     config: Optional[DirectionConfig] = None,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
     max_iterations: Optional[int] = None,
     watchdog=None,
     checkpoint_keeper=None,
     resume_from=None,
     fault_hook=None,
     memory=None,
-    observe=None,
     fusion=None,
 ) -> TraversalResult:
     """BFS with Beamer-style push/pull direction switching.
@@ -270,25 +266,22 @@ def direction_optimizing_bfs(
     Push iterations run the paper's ``U_T_BM`` kernel; pull iterations
     run the bottom-up kernel.  ``result.variants_used()`` reports
     ``"push"``/``"pull"`` per iteration.  The reliability keywords and
-    *memory* pass through to :func:`~repro.engine.driver.run_frame`;
-    *observe* installs an :class:`~repro.obs.Observer` for the run.
+    *memory* pass through to :func:`~repro.engine.driver.run_frame`.
     """
-    with observing(observe):
-        return run_frame(
-            graph,
-            source,
-            _DirectionPolicy(),
-            DobfsSpec(config=config),
-            device=device,
-            cost_params=cost_params,
-            max_iterations=max_iterations,
-            watchdog=watchdog,
-            checkpoint_keeper=checkpoint_keeper,
-            resume_from=resume_from,
-            fault_hook=fault_hook,
-            memory=memory,
-            fusion=fusion,
-        )
+    return run_frame(
+        graph,
+        source,
+        _DirectionPolicy(),
+        DobfsSpec(config=config),
+        device=device,
+        max_iterations=max_iterations,
+        watchdog=watchdog,
+        checkpoint_keeper=checkpoint_keeper,
+        resume_from=resume_from,
+        fault_hook=fault_hook,
+        memory=memory,
+        fusion=fusion,
+    )
 
 
 def _cpu_dobfs_reference(graph, source, **params):

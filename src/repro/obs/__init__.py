@@ -18,7 +18,7 @@ stack:
 
 Observability is off by default and costs one ``is None`` test per
 instrument point when off.  Turn it on by installing an
-:class:`Observer` — either directly::
+:class:`Observer` around the runs it should see::
 
     from repro.obs import Observer, observing
 
@@ -26,11 +26,6 @@ instrument point when off.  Turn it on by installing an
     with observing(obs):
         result = adaptive_run(graph, "bfs", 0)
     print(obs.metrics.snapshot()["frame.iterations"])
-
-or through the runners' ``observe=`` hook, which scopes the install for
-you::
-
-    result = adaptive_run(graph, "bfs", 0, observe=obs)
 
 See ``docs/observability.md`` for the metrics catalog, the manifest
 schema and a Perfetto walkthrough.

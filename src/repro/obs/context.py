@@ -45,8 +45,8 @@ def observing(observer) -> Iterator[Optional[object]]:
 
     Nested installs restore the outer observer on exit, so a guarded
     retry loop can observe each attempt under the caller's observer.
-    ``observing(None)`` is a no-op scope (convenient for ``observe=``
-    pass-through parameters that default to ``None``).
+    ``observing(None)`` is a no-op scope (convenient for callers whose
+    observer is optional, like ``repro run`` without ``--manifest``).
     """
     global _observer
     previous = _observer

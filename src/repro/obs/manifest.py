@@ -48,6 +48,7 @@ __all__ = [
     "build_dynamic_manifest",
     "build_serve_manifest",
     "build_shard_manifest",
+    "reached_count",
     "values_sha256",
 ]
 
@@ -170,6 +171,15 @@ def values_sha256(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
+def reached_count(values: np.ndarray) -> int:
+    """Nodes an answer array marks as reached: finite entries of a
+    float answer (SSSP distances, ranks), non-negative entries of an
+    integer one (BFS levels, labels, core numbers)."""
+    if values.dtype.kind == "f":
+        return int(np.isfinite(values).sum())
+    return int((values >= 0).sum())
+
+
 def _device_dict(device) -> dict:
     if device is None:
         return {}
@@ -197,7 +207,7 @@ def _result_summary(traversal, values) -> dict:
     # the arrays themselves.
     summary = {"values_sha256": values_sha256(values)}
     if traversal is None:  # CPU-degraded: no simulated timeline
-        summary["reached"] = int(len(values))
+        summary["reached"] = reached_count(values)
         return summary
     timeline = traversal.timeline
     summary.update(
@@ -280,7 +290,6 @@ def build_manifest(
             "checkpoints_saved": int(result.checkpoints_saved),
             "restores": int(result.restores),
             "replayed_seconds": float(result.replayed_seconds),
-            "backoff_seconds": float(result.backoff_seconds),
         }
     trace = result.trace
     policy = None if guarded else result.policy

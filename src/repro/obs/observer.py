@@ -1,10 +1,9 @@
 """The observer: one object bundling a run's metrics and spans.
 
 An :class:`Observer` is what you install with
-:func:`~repro.obs.observing` (or pass to ``adaptive_run(...,
-observe=)``); instrumented code throughout the stack reports into its
-:class:`~repro.obs.MetricsRegistry` and :class:`~repro.obs.SpanProfiler`
-while it is current.  After the run it is the raw material for a
+:func:`~repro.obs.observing`; instrumented code throughout the stack
+reports into its :class:`~repro.obs.MetricsRegistry` and
+:class:`~repro.obs.SpanProfiler` while it is current.  After the run it is the raw material for a
 :class:`~repro.obs.RunManifest` and for the combined Perfetto trace.
 
 >>> from repro.obs import Observer
@@ -27,9 +26,8 @@ class Observer:
     """Collects one run's observability: metrics + spans.
 
     The object is cheap to create and carries no global state; install
-    it with :func:`~repro.obs.observing` to make it current, or hand it
-    to a runner's ``observe=`` keyword, which does the installing for
-    the duration of the run.
+    it with :func:`~repro.obs.observing` to make it current for the
+    runs inside the ``with`` block.
     """
 
     def __init__(self):

@@ -13,9 +13,9 @@ production traversal service actually sees.
 - :mod:`repro.reliability.watchdog` — iteration and deadline budgets
   with :class:`~repro.errors.NonConvergenceError`;
 - :mod:`repro.reliability.guard` — ``resilient_run``, the guarded run
-  mode for every registered algorithm: retry with backoff, variant
-  fallback, checkpoint restore and CPU degradation, every step recorded
-  in the decision trace;
+  mode for every registered algorithm: retry, variant fallback,
+  checkpoint restore and CPU degradation, every step recorded in the
+  decision trace;
 - :mod:`repro.reliability.breaker` — a per-(algorithm, path) circuit
   breaker the serving layer uses to route around paths that keep
   failing instead of re-walking the guard ladder per query.

@@ -15,9 +15,10 @@ arrays).  Two policies:
   want tight recovery points;
 - cost-aware (the default) — checkpoint only once enough simulated
   compute has accumulated since the last checkpoint that the copy stays
-  within an overhead *budget* (a simplified Young/Daly rule: with
-  checkpoint cost ``C`` and budget ``b``, checkpoint every ``C / b``
-  simulated seconds, so steady-state overhead is at most ``b``).
+  within the overhead budget :data:`CHECKPOINT_BUDGET` (a simplified
+  Young/Daly rule: with checkpoint cost ``C`` and budget ``b``,
+  checkpoint every ``C / b`` simulated seconds, so steady-state overhead
+  is at most ``b``).
 
 Every checkpoint is **integrity-sealed** at capture: SHA-256 digests of
 ``values``, ``frontier``, and ``extra`` are computed when the snapshot
@@ -40,7 +41,11 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.transfer import transfer_seconds
 from repro.obs.manifest import values_sha256
 
-__all__ = ["TraversalCheckpoint", "CheckpointKeeper"]
+__all__ = ["CHECKPOINT_BUDGET", "TraversalCheckpoint", "CheckpointKeeper"]
+
+#: the cost-aware policy's ceiling on checkpoint copies, as a fraction of
+#: the simulated compute they protect
+CHECKPOINT_BUDGET = 0.02
 
 
 def _extra_bytes(extra: Optional[dict]) -> int:
@@ -146,15 +151,11 @@ class CheckpointKeeper:
         self,
         *,
         every: Optional[int] = None,
-        budget: float = 0.02,
         device: Optional[DeviceSpec] = None,
     ):
         if every is not None and every < 1:
             raise KernelError(f"checkpoint interval must be >= 1, got {every}")
-        if not 0.0 < budget <= 1.0:
-            raise KernelError(f"checkpoint budget must be in (0, 1], got {budget}")
         self.every = every
-        self.budget = budget
         self.device = device
         self.latest: Optional[TraversalCheckpoint] = None
         self.saves = 0
@@ -176,7 +177,7 @@ class CheckpointKeeper:
         if self.device is None:
             return False
         cost_s = transfer_seconds(state_bytes, self.device)
-        return self._since_last_s >= cost_s / self.budget
+        return self._since_last_s >= cost_s / CHECKPOINT_BUDGET
 
     # ------------------------------------------------------------------
     # Frame interface

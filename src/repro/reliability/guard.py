@@ -4,14 +4,14 @@
 runtime (:mod:`repro.core.runtime`) in a recovery ladder:
 
 1. **retry** — a transient failure (injected or genuine launch error)
-   re-runs the query, resuming from the last checkpoint, after an
-   exponential backoff with jitter;
+   re-runs the query at once, resuming from the last checkpoint;
 2. **checkpoint restore** — a memory fault invalidates the live state,
    so the retry *must* restore the last known-good snapshot;
-3. **variant fallback** — repeated failures without forward progress
-   abandon the current implementation (the adaptive policy first, then
-   each unordered static variant in turn), the reliability counterpart
-   of the paper's performance-motivated variant switching;
+3. **variant fallback** — :data:`RETRIES_PER_STAGE` failures without
+   forward progress abandon the current implementation (the adaptive
+   policy first, then each unordered static variant in turn), the
+   reliability counterpart of the paper's performance-motivated variant
+   switching;
 4. **CPU degradation** — when the simulated GPU cannot finish (ladder
    exhausted, or the watchdog declares non-convergence), the query is
    answered by the serial :mod:`repro.cpu` baseline.  Slow, but correct
@@ -40,9 +40,8 @@ the action that answered it is recorded as a
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -60,19 +59,24 @@ from repro.errors import (
 from repro.graph.csr import CSRGraph
 from repro.gpusim.allocator import MemoryBudget, MemoryReport, parse_mem_size
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.gpusim.kernel import CostParams
 from repro.kernels.variants import Variant, WorksetRepr, unordered_variants
-from repro.obs.context import current_observer, observing
+from repro.obs.context import current_observer
 from repro.reliability.checkpoint import CheckpointKeeper
 from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.reliability.watchdog import Watchdog
 
 __all__ = [
+    "RETRIES_PER_STAGE",
     "GuardConfig",
     "ResilientResult",
     "resilient_run",
     "guarded_query",
 ]
+
+
+#: consecutive no-progress failures of one stage before falling back to
+#: the next implementation
+RETRIES_PER_STAGE = 3
 
 
 @dataclass(frozen=True)
@@ -83,22 +87,10 @@ class GuardConfig:
     #: rest of the ladder and degrading to the CPU (None = let the
     #: ladder run its full course)
     max_retries: Optional[int] = None
-    #: consecutive no-progress failures of one stage before falling back
-    #: to the next implementation
-    retries_per_stage: int = 3
-    #: exponential backoff between retries (host wall-clock seconds)
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 0.5
-    #: +/- fraction of each backoff randomized (decorrelates retry storms)
-    jitter: float = 0.25
     #: real wall-clock deadline for the whole query (None = unbounded)
     deadline_s: Optional[float] = None
     #: iteration budget across the whole query, retries included
     max_iterations: Optional[int] = None
-    #: answer from the serial CPU baseline as a last resort; with False
-    #: an exhausted ladder re-raises the final error
-    degrade_to_cpu: bool = True
     #: checkpoint every N iterations (None = the keeper's cost-aware
     #: policy, within a 2% overhead budget)
     checkpoint_every: Optional[int] = None
@@ -107,28 +99,12 @@ class GuardConfig:
     #: accounting.  A :class:`~repro.errors.DeviceOOMError` escalates
     #: the OOM ladder: spill -> force bitmap -> checkpoint relief -> CPU
     mem_budget: Optional[object] = None
-    #: seed of the backoff-jitter stream
-    seed: int = 0
-    #: sleep function (tests and benches inject a no-op)
-    sleeper: Callable[[float], None] = time.sleep
 
     def __post_init__(self):
         if self.max_retries is not None and self.max_retries < 1:
             raise RuntimeConfigError(
                 f"max_retries must be >= 1, got {self.max_retries}"
             )
-        if self.retries_per_stage < 1:
-            raise RuntimeConfigError(
-                f"retries_per_stage must be >= 1, got {self.retries_per_stage}"
-            )
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise RuntimeConfigError("backoff durations must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise RuntimeConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise RuntimeConfigError(f"jitter must be in [0, 1), got {self.jitter}")
         if self.mem_budget is not None:
             parse_mem_size(self.mem_budget)  # fail fast on nonsense sizes
 
@@ -158,8 +134,6 @@ class ResilientResult:
     final_seconds: float
     #: simulated compute re-executed or wasted by failed attempts
     replayed_seconds: float
-    #: host wall-clock spent in backoff sleeps
-    backoff_seconds: float
     checkpoints_saved: int
     restores: int
     faults: List[FaultEvent] = field(default_factory=list)
@@ -188,10 +162,8 @@ def resilient_run(
     *,
     config: Optional[RuntimeConfig] = None,
     device: DeviceSpec = TESLA_C2070,
-    cost_params: Optional[CostParams] = None,
     guard: Optional[GuardConfig] = None,
     plan: Optional[FaultPlan] = None,
-    observe=None,
     **params,
 ) -> ResilientResult:
     """Run any registered *algorithm* with the full recovery ladder.
@@ -203,20 +175,16 @@ def resilient_run(
     straight to the CPU.  Source-based algorithms need a valid
     *source*; whole-graph algorithms ignore it.
 
-    *observe* installs an :class:`~repro.obs.Observer` for the run, so
-    guard metrics (attempts, faults, OOM rung, degradations) land in it
-    alongside the traversal's own metrics and spans.  Extra keyword
-    arguments (*params*) are forwarded to the algorithm (PageRank's
+    Under an installed :class:`~repro.obs.Observer` the guard's metrics
+    (attempts, faults, OOM rung, degradations) land in it alongside the
+    traversal's own metrics and spans.  Extra keyword arguments
+    (*params*) are forwarded to the algorithm (PageRank's
     ``damping``/``tolerance``)."""
     # An invalid source is a bad request, not a transient fault: reject
-    # it here instead of burning the whole retry/fallback ladder (and
-    # its backoff sleeps) on a query that can never succeed.
+    # it here instead of burning the whole retry/fallback ladder on a
+    # query that can never succeed.
     source = get_algorithm(algorithm).resolve_source(graph, source)
-    with observing(observe):
-        return _resilient(
-            algorithm, graph, source, config, device, cost_params, guard, plan,
-            params,
-        )
+    return _resilient(algorithm, graph, source, config, device, guard, plan, params)
 
 
 def guarded_query(run, *, label: str = "query"):
@@ -283,7 +251,6 @@ def _resilient(
     source: int,
     config: Optional[RuntimeConfig],
     device: DeviceSpec,
-    cost_params: Optional[CostParams],
     guard: Optional[GuardConfig],
     plan: Optional[FaultPlan],
     params: Optional[dict] = None,
@@ -293,13 +260,12 @@ def _resilient(
     info = get_algorithm(algorithm)
     injector = FaultInjector(plan) if plan is not None and not plan.is_empty else None
     # Armed up front: the guard's deadline covers the whole ladder —
-    # every retry, backoff sleep and fallback attempt shares one clock.
+    # every retry and fallback attempt shares one clock.
     watchdog = Watchdog(
         max_iterations=guard.max_iterations, deadline_s=guard.deadline_s
     ).arm()
     keeper = CheckpointKeeper(every=guard.checkpoint_every, device=device)
     stages = _stages_for(info)
-    jitter_rng = np.random.default_rng(guard.seed)
 
     events: List[FaultEvent] = []
     attempts = 0
@@ -307,9 +273,7 @@ def _resilient(
     stage_failures = 0
     no_progress = 0
     oom_rung = 0
-    backoff_total = 0.0
     last_marker = -1
-    last_error: Optional[ReproError] = None
 
     while True:
         attempts += 1
@@ -335,23 +299,22 @@ def _resilient(
                 with injector.installed():
                     outcome = _run_stage(
                         algorithm, stage, graph, source, run_config, device,
-                        cost_params, watchdog, run_keeper, resume, injector,
-                        memory, force_bitmap, params,
+                        watchdog, run_keeper, resume, injector, memory,
+                        force_bitmap, params,
                     )
             else:
                 outcome = _run_stage(
                     algorithm, stage, graph, source, run_config, device,
-                    cost_params, watchdog, run_keeper, resume, None,
-                    memory, force_bitmap, params,
+                    watchdog, run_keeper, resume, None, memory, force_bitmap,
+                    params,
                 )
         except DeviceOOMError as exc:
-            last_error = exc
             oom_rung += 1
             if oom_rung <= len(_OOM_ACTIONS):
                 action = _OOM_ACTIONS[oom_rung - 1]
                 detail = f"rung {oom_rung}: {str(exc)[:100]}"
             else:
-                action = "cpu_degradation" if guard.degrade_to_cpu else "raised"
+                action = "cpu_degradation"
                 detail = f"OOM ladder exhausted: {str(exc)[:90]}"
             _drain(injector, events, attempts, absorbed_only=True)
             events.append(
@@ -365,15 +328,12 @@ def _resilient(
                 )
             )
             if oom_rung > len(_OOM_ACTIONS):
-                if not guard.degrade_to_cpu:
-                    raise
                 return _degrade(
                     algorithm, graph, source, keeper, events, attempts,
-                    backoff_total, oom_rung=oom_rung, params=params,
+                    oom_rung=oom_rung, params=params,
                 )
             continue
         except NonConvergenceError as exc:
-            last_error = exc
             _drain(injector, events, attempts, absorbed_only=True)
             events.append(
                 FaultEvent(
@@ -381,18 +341,14 @@ def _resilient(
                     iteration=-1,
                     kind="non_convergence",
                     site="watchdog",
-                    action="cpu_degradation" if guard.degrade_to_cpu else "raised",
+                    action="cpu_degradation",
                     detail=str(exc)[:120],
                 )
             )
-            if not guard.degrade_to_cpu:
-                raise
             return _degrade(
-                algorithm, graph, source, keeper, events, attempts,
-                backoff_total, params=params,
+                algorithm, graph, source, keeper, events, attempts, params=params
             )
         except ReproError as exc:
-            last_error = exc
             marker = keeper.latest.next_iteration if keeper.latest is not None else -1
             progressed = marker > last_marker
             last_marker = marker
@@ -405,14 +361,14 @@ def _resilient(
             exhausted = (
                 guard.max_retries is not None and no_progress > guard.max_retries
             )
-            fall_back = not exhausted and stage_failures >= guard.retries_per_stage
+            fall_back = not exhausted and stage_failures >= RETRIES_PER_STAGE
             if fall_back:
                 stage_idx += 1
                 stage_failures = 0
                 if stage_idx >= len(stages):
                     exhausted = True
             if exhausted:
-                action = "cpu_degradation" if guard.degrade_to_cpu else "raised"
+                action = "cpu_degradation"
             elif fall_back:
                 action = "variant_fallback"
             elif isinstance(exc, MemoryFaultError) and keeper.latest is not None:
@@ -441,13 +397,10 @@ def _resilient(
                     )
                 )
             if exhausted:
-                if not guard.degrade_to_cpu:
-                    raise
                 return _degrade(
                     algorithm, graph, source, keeper, events, attempts,
-                    backoff_total, params=params,
+                    params=params,
                 )
-            backoff_total += _backoff(guard, no_progress, jitter_rng)
             continue
 
         # ---------------- success ----------------
@@ -470,7 +423,6 @@ def _resilient(
             result=outcome,
             final_seconds=outcome.total_seconds,
             replayed_seconds=replayed,
-            backoff_seconds=backoff_total,
             checkpoints_saved=keeper.saves,
             restores=keeper.restores,
             faults=list(trace.faults),
@@ -480,14 +432,12 @@ def _resilient(
 
 
 def _run_stage(
-    algorithm, stage, graph, source, config, device, cost_params,
-    watchdog, keeper, resume, injector, memory=None, force_bitmap=False,
-    params=None,
+    algorithm, stage, graph, source, config, device, watchdog, keeper,
+    resume, injector, memory=None, force_bitmap=False, params=None,
 ):
     params = params or {}
     kwargs = dict(
         device=device,
-        cost_params=cost_params,
         watchdog=watchdog,
         checkpoint_keeper=keeper,
         resume_from=resume,
@@ -549,23 +499,9 @@ def _drain(
     return tagged
 
 
-def _backoff(guard: GuardConfig, consecutive: int, rng: np.random.Generator) -> float:
-    if guard.backoff_base_s <= 0:
-        return 0.0
-    delay = min(
-        guard.backoff_max_s,
-        guard.backoff_base_s * guard.backoff_factor ** max(0, consecutive - 1),
-    )
-    if guard.jitter > 0:
-        delay *= float(rng.uniform(1.0 - guard.jitter, 1.0 + guard.jitter))
-    if delay > 0:
-        guard.sleeper(delay)
-    return delay
-
-
 def _degrade(
-    algorithm, graph, source, keeper, events, attempts, backoff_total,
-    oom_rung: int = 0, params=None,
+    algorithm, graph, source, keeper, events, attempts, oom_rung: int = 0,
+    params=None,
 ) -> ResilientResult:
     """Last rung: answer from the registered serial CPU baseline."""
     values, cpu = get_algorithm(algorithm).cpu_run(graph, source, **(params or {}))
@@ -584,7 +520,6 @@ def _degrade(
         result=cpu,
         final_seconds=cpu.seconds,
         replayed_seconds=keeper.work_seconds,
-        backoff_seconds=backoff_total,
         checkpoints_saved=keeper.saves,
         restores=keeper.restores,
         faults=list(trace.faults),

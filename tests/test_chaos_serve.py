@@ -315,6 +315,19 @@ class TestDynamicServeCli:
         assert rc == 0, capsys.readouterr().err
         assert "PASS" in capsys.readouterr().out
 
+    def test_mutate_source_needs_an_algorithm(self, tmp_path, capsys):
+        # Without --algorithm nothing traverses, so no option reads a
+        # source: one is refused like `repro run` refuses unread flags.
+        rc = main([
+            "mutate", "--file", _graph_file(tmp_path),
+            "--mutations", self._mutations_file(tmp_path), "--lenient-io",
+            "--source", "9999",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "repro mutate: --source is not read without --algorithm"
+        )
+
     def test_mutate_bad_batch_is_line_numbered_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps({"op": "delete", "u": 0, "v": 59}) + "\n")

@@ -310,11 +310,12 @@ class TestDeployment:
         assert again == manifest
 
     def test_policy_metrics_reported(self, workload, artifact):
-        from repro.obs import Observer
+        from repro.obs import Observer, observing
 
         g, src = workload
         observer = Observer()
-        adaptive_run(g, "sssp", src, policy=artifact, observe=observer)
+        with observing(observer):
+            adaptive_run(g, "sssp", src, policy=artifact)
         snapshot = observer.metrics.snapshot()
         assert snapshot["policy.evaluations"]["value"] > 0
         assert "policy.leaf_depth" in snapshot

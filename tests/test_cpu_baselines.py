@@ -5,11 +5,11 @@ import pytest
 
 from repro.cpu import (
     DEFAULT_CPU,
-    CpuModel,
     cpu_bellman_ford,
     cpu_bfs,
     cpu_dijkstra,
 )
+from repro.cpu import costmodel
 from repro.errors import GraphError
 from repro.graph.generators import attach_uniform_weights, chain_graph, erdos_renyi_graph
 from tests.conftest import assert_bfs_matches_networkx, assert_sssp_matches_networkx
@@ -104,18 +104,16 @@ class TestBellmanFord:
 
 class TestCpuModel:
     def test_bfs_formula(self):
-        m = CpuModel()
-        s = m.bfs_seconds(nodes_visited=10, edges_scanned=20, num_nodes=100)
-        expected = 100 * m.init_per_node_s + 10 * (m.node_visit_s + m.update_s) + 20 * m.edge_scan_s
+        s = DEFAULT_CPU.bfs_seconds(nodes_visited=10, edges_scanned=20, num_nodes=100)
+        expected = (
+            100 * costmodel.INIT_PER_NODE_S
+            + 10 * (costmodel.NODE_VISIT_S + costmodel.UPDATE_S)
+            + 20 * costmodel.EDGE_SCAN_S
+        )
         assert s == pytest.approx(expected)
 
     def test_dijkstra_heap_term_grows_with_heap(self):
-        m = CpuModel()
+        m = DEFAULT_CPU
         small = m.dijkstra_seconds(10, 20, 30, 30, 4, 100)
         large = m.dijkstra_seconds(10, 20, 30, 30, 4096, 100)
         assert large > small
-
-    def test_overrides(self):
-        m = DEFAULT_CPU.with_overrides(edge_scan_s=1.0)
-        assert m.edge_scan_s == 1.0
-        assert DEFAULT_CPU.edge_scan_s != 1.0

@@ -277,7 +277,8 @@ class TestEngineSeams:
     @pytest.mark.parametrize("name", BUILTINS)
     def test_observer_sees_every_algorithm(self, graph, name):
         observer = Observer()
-        result = _run(name, graph, observe=observer)
+        with observing(observer):
+            result = _run(name, graph)
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["gpusim.kernel_launches"]["value"] > 0

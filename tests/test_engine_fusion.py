@@ -33,7 +33,7 @@ from repro.engine.types import StaticPolicy, VariantPolicy
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import make_dataset
 from repro.gpusim.device import TESLA_C2070
-from repro.gpusim.kernel import CostModel, CostParams
+from repro.gpusim.kernel import CostModel
 from repro.kernels.dobfs import direction_optimizing_bfs
 from repro.kernels.findmin import findmin_tallies
 from repro.kernels.frame import BfsSpec, OrderedSsspSpec
@@ -126,7 +126,7 @@ def test_lower_refuses_ordered_and_scan():
 
 def test_fuse_tallies_never_costs_more_than_parts(graph):
     base = run_static(graph, 0, "bfs", "U_T_BM")
-    model = CostModel(TESLA_C2070, CostParams())
+    model = CostModel(TESLA_C2070)
     kernels = base.timeline.kernels
     comp, gen = kernels[0].tally, kernels[1].tally
     fused = fuse_tallies([comp, gen])
@@ -196,10 +196,11 @@ def test_fused_triangles_hoists_h2d(graph):
 
 
 def test_fusion_metrics_reported(graph):
-    from repro.obs import Observer
+    from repro.obs import Observer, observing
 
     observer = Observer()
-    run_static(graph, 0, "bfs", "U_T_BM", fuse=True, observe=observer)
+    with observing(observer):
+        run_static(graph, 0, "bfs", "U_T_BM", fuse=True)
     snap = observer.metrics.snapshot()
     assert snap["fusion.fused_launches"]["value"] > 0
     assert snap["fusion.launches_eliminated"]["value"] > 0

@@ -92,15 +92,6 @@ class TestIncrementalShaParity:
         # state somewhere along the way.
         assert saw_affected
 
-    def test_overlay_accepted_directly(self):
-        graph = _stress_graph(False)
-        previous = adaptive_run(graph, "bfs", 0)
-        overlay = DeltaOverlayGraph(graph)
-        delta = overlay.apply(EdgeBatch.inserts([(5, 200), (200, 7)]))
-        incremental = run_incremental(overlay, "bfs", previous, delta, source=0)
-        scratch = adaptive_run(overlay.materialize(), "bfs", 0)
-        assert _sha(incremental.values) == _sha(scratch.values)
-
     def test_grow_extends_previous_values(self):
         graph = _stress_graph(False)
         previous = adaptive_run(graph, "cc", None)
@@ -242,3 +233,11 @@ class TestIncrementalValidation:
         graph, _, delta = self._setup()
         with pytest.raises(KernelError, match="values"):
             run_incremental(graph, "bfs", object(), delta, source=0)
+
+    def test_overlay_must_be_compacted_first(self):
+        graph = _stress_graph(False)
+        previous = adaptive_run(graph, "bfs", 0)
+        overlay = DeltaOverlayGraph(graph)
+        delta = overlay.apply(EdgeBatch.inserts([(5, 200)]))
+        with pytest.raises(KernelError, match="compacted CSRGraph"):
+            run_incremental(overlay, "bfs", previous, delta, source=0)

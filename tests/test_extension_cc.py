@@ -138,20 +138,22 @@ class TestAdaptiveCc:
 
 class TestObservedCc:
     def test_run_cc_accepts_observe(self):
-        from repro.obs import Observer
+        from repro.obs import Observer, observing
 
         g = erdos_renyi_graph(800, 4000, seed=4)
         observer = Observer()
-        result = run_static(g, -1, "cc", "U_T_BM", observe=observer)
+        with observing(observer):
+            result = run_static(g, -1, "cc", "U_T_BM")
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["gpusim.kernel_launches"]["value"] > 0
 
     def test_observation_does_not_change_result(self):
-        from repro.obs import Observer
+        from repro.obs import Observer, observing
 
         g = erdos_renyi_graph(800, 4000, seed=4)
         plain = run_static(g, -1, "cc", "U_B_QU")
-        observed = run_static(g, -1, "cc", "U_B_QU", observe=Observer())
+        with observing(Observer()):
+            observed = run_static(g, -1, "cc", "U_B_QU")
         assert np.array_equal(plain.values, observed.values)
         assert plain.total_seconds == observed.total_seconds

@@ -126,11 +126,12 @@ class TestDirectionOptimizingBfs:
 
 class TestObservedDobfs:
     def test_dobfs_accepts_observe(self):
-        from repro.obs import Observer
+        from repro.obs import Observer, observing
 
         g = power_law_graph(4000, alpha=1.9, max_degree=200, seed=6)
         observer = Observer()
-        result = direction_optimizing_bfs(g, 0, observe=observer)
+        with observing(observer):
+            result = direction_optimizing_bfs(g, 0)
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["gpusim.kernel_launches"]["value"] > 0
@@ -138,10 +139,11 @@ class TestObservedDobfs:
         assert names.count("iteration") == result.num_iterations
 
     def test_observation_does_not_change_result(self):
-        from repro.obs import Observer
+        from repro.obs import Observer, observing
 
         g = power_law_graph(4000, alpha=1.9, max_degree=200, seed=6)
         plain = direction_optimizing_bfs(g, 0)
-        observed = direction_optimizing_bfs(g, 0, observe=Observer())
+        with observing(Observer()):
+            observed = direction_optimizing_bfs(g, 0)
         assert np.array_equal(plain.values, observed.values)
         assert plain.total_seconds == observed.total_seconds

@@ -113,20 +113,22 @@ class TestAdaptiveKCore:
 
 class TestObservedKcore:
     def test_run_kcore_accepts_observe(self):
-        from repro.obs import Observer
+        from repro.obs import Observer, observing
 
         g = erdos_renyi_graph(800, 4000, seed=5)
         observer = Observer()
-        result = run_static(g, -1, "kcore", "U_B_QU", observe=observer)
+        with observing(observer):
+            result = run_static(g, -1, "kcore", "U_B_QU")
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["gpusim.kernel_launches"]["value"] > 0
 
     def test_observation_does_not_change_result(self):
-        from repro.obs import Observer
+        from repro.obs import Observer, observing
 
         g = erdos_renyi_graph(800, 4000, seed=5)
         plain = run_static(g, -1, "kcore", "U_B_QU")
-        observed = run_static(g, -1, "kcore", "U_B_QU", observe=Observer())
+        with observing(Observer()):
+            observed = run_static(g, -1, "kcore", "U_B_QU")
         assert np.array_equal(plain.values, observed.values)
         assert plain.total_seconds == observed.total_seconds

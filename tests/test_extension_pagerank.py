@@ -131,11 +131,12 @@ class TestAdaptivePagerank:
 
 class TestObservedPagerank:
     def test_run_pagerank_accepts_observe(self):
-        from repro.obs import Observer
+        from repro.obs import Observer, observing
 
         g = erdos_renyi_graph(800, 4000, seed=3)
         observer = Observer()
-        result = run_static(g, -1, "pagerank", "U_B_QU", observe=observer)
+        with observing(observer):
+            result = run_static(g, -1, "pagerank", "U_B_QU")
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["gpusim.kernel_launches"]["value"] > 0
@@ -143,10 +144,11 @@ class TestObservedPagerank:
         assert names.count("iteration") == result.num_iterations
 
     def test_observation_does_not_change_result(self):
-        from repro.obs import Observer
+        from repro.obs import Observer, observing
 
         g = erdos_renyi_graph(800, 4000, seed=3)
         plain = run_static(g, -1, "pagerank", "U_T_BM")
-        observed = run_static(g, -1, "pagerank", "U_T_BM", observe=Observer())
+        with observing(Observer()):
+            observed = run_static(g, -1, "pagerank", "U_T_BM")
         assert np.array_equal(plain.values, observed.values)
         assert plain.total_seconds == observed.total_seconds

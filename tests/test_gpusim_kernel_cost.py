@@ -4,7 +4,12 @@ import pytest
 
 from repro.errors import KernelError
 from repro.gpusim.device import TESLA_C2070
-from repro.gpusim.kernel import CostModel, CostParams, KernelTally
+from repro.gpusim.kernel import (
+    ATOMIC_CYCLES_PER_OP,
+    MAX_LATENCY_PENALTY,
+    CostModel,
+    KernelTally,
+)
 from repro.gpusim.launch import LaunchConfig
 
 
@@ -62,7 +67,7 @@ class TestCostModel:
         noisy = model.price(make_tally(atomics_same_address=100_000.0))
         assert noisy.seconds > quiet.seconds
         assert noisy.atomic_seconds == pytest.approx(
-            TESLA_C2070.cycles_to_seconds(100_000 * model.params.atomic_cycles_per_op)
+            TESLA_C2070.cycles_to_seconds(100_000 * ATOMIC_CYCLES_PER_OP)
         )
 
     def test_critical_path_floor(self):
@@ -96,23 +101,17 @@ class TestCostModel:
         assert tiny_cost.memory_seconds > big_cost.memory_seconds
 
     def test_latency_penalty_capped(self):
-        params = CostParams(max_latency_penalty=8.0)
-        model = CostModel(TESLA_C2070, params)
+        model = CostModel(TESLA_C2070)
         cost = model.price(
             make_tally(launch=LaunchConfig(1, 32), active_warps=1, active_threads=1)
         )
-        assert cost.latency_penalty <= 8.0
+        assert cost.latency_penalty <= MAX_LATENCY_PENALTY
 
     def test_block_dispatch_charged(self):
         model = CostModel(TESLA_C2070)
         few = model.price(make_tally(launch=LaunchConfig(10, 192)))
         many = model.price(make_tally(launch=LaunchConfig(100_000, 192)))
         assert many.issue_seconds > few.issue_seconds
-
-    def test_params_override(self):
-        params = CostParams().with_overrides(atomic_cycles_per_op=50.0)
-        assert params.atomic_cycles_per_op == 50.0
-        assert CostParams().atomic_cycles_per_op != 50.0
 
     def test_more_issue_cycles_cost_more(self):
         model = CostModel(TESLA_C2070)

@@ -128,13 +128,6 @@ class TestOOMLadder:
         assert actions.get("checkpoint_relief") == 1
         assert actions.get("cpu_degradation") == 1
 
-    def test_ladder_exhaustion_without_cpu_fallback_raises(self, graph):
-        guard = GuardConfig(
-            mem_budget=_resident_bytes(graph) // 2, degrade_to_cpu=False
-        )
-        with pytest.raises(DeviceOOMError):
-            resilient_run(graph, "bfs", 0, guard=guard)
-
     def test_no_budget_means_no_rung(self, graph):
         result = resilient_run(graph, "bfs", 0)
         assert result.oom_rung == 0

@@ -260,7 +260,8 @@ def graph():
 class TestObservedRuns:
     def test_adaptive_bfs_reports_metrics(self, graph):
         observer = Observer()
-        result = adaptive_run(graph, "bfs", 0, observe=observer)
+        with observing(observer):
+            result = adaptive_run(graph, "bfs", 0)
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["runtime.decisions"]["value"] == result.trace.num_decisions
@@ -278,13 +279,15 @@ class TestObservedRuns:
 
         weighted = attach_uniform_weights(graph, seed=1)
         observer = Observer()
-        result = adaptive_run(weighted, "sssp", 0, observe=observer)
+        with observing(observer):
+            result = adaptive_run(weighted, "sssp", 0)
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
 
     def test_spans_cover_the_whole_traversal(self, graph):
         observer = Observer()
-        result = adaptive_run(graph, "bfs", 0, observe=observer)
+        with observing(observer):
+            result = adaptive_run(graph, "bfs", 0)
         spans = observer.spans.spans
         names = [s.name for s in spans]
         assert names.count("iteration") == result.num_iterations
@@ -306,25 +309,29 @@ class TestObservedRuns:
         weighted = attach_uniform_weights(graph, seed=1)
         for algorithm, g in (("bfs", graph), ("sssp", weighted)):
             observer = Observer()
-            result = run_static(g, 0, algorithm, "U_T_BM", observe=observer)
+            with observing(observer):
+                result = run_static(g, 0, algorithm, "U_T_BM")
             snap = observer.metrics.snapshot()
             assert snap["frame.iterations"]["value"] == result.num_iterations
             assert "runtime.decisions" not in snap  # no decision maker ran
 
     def test_run_static_has_named_span(self, graph):
         observer = Observer()
-        run_static(graph, 0, "bfs", "U_B_QU", observe=observer)
+        with observing(observer):
+            run_static(graph, 0, "bfs", "U_B_QU")
         assert observer.spans.spans[-1].name == "static_bfs"
         assert observer.spans.spans[-1].attrs == {"variant": "U_B_QU"}
 
     def test_observation_does_not_change_simulation(self, graph):
         base = adaptive_run(graph, "bfs", 0)
-        observed = adaptive_run(graph, "bfs", 0, observe=Observer())
+        with observing(Observer()):
+            observed = adaptive_run(graph, "bfs", 0)
         assert np.array_equal(base.values, observed.values)
         assert base.total_seconds == observed.total_seconds
 
     def test_no_observer_leaks_after_run(self, graph):
-        adaptive_run(graph, "bfs", 0, observe=Observer())
+        with observing(Observer()):
+            adaptive_run(graph, "bfs", 0)
         assert current_observer() is None
 
     def test_memory_metrics_with_budget(self, graph):
@@ -333,7 +340,8 @@ class TestObservedRuns:
 
         observer = Observer()
         memory = MemoryBudget("128M", device=TESLA_C2070)
-        adaptive_run(graph, "bfs", 0, memory=memory, observe=observer)
+        with observing(observer):
+            adaptive_run(graph, "bfs", 0, memory=memory)
         snap = observer.metrics.snapshot()
         assert snap["memory.peak_bytes"]["max"] == memory.peak_bytes
         assert snap["memory.current_bytes"]["max"] > 0
@@ -345,7 +353,8 @@ class TestObservedRuns:
         graph = balanced_tree(2, 10)
         observer = Observer()
         keeper = CheckpointKeeper(every=2, device=TESLA_C2070)
-        adaptive_run(graph, "bfs", 0, checkpoint_keeper=keeper, observe=observer)
+        with observing(observer):
+            adaptive_run(graph, "bfs", 0, checkpoint_keeper=keeper)
         snap = observer.metrics.snapshot()
         if keeper.saves:
             assert snap["frame.checkpoint_bytes"]["value"] > 0
@@ -354,7 +363,8 @@ class TestObservedRuns:
 class TestGuardMetrics:
     def test_clean_run(self, graph):
         observer = Observer()
-        result = resilient_run(graph, "bfs", 0, observe=observer)
+        with observing(observer):
+            result = resilient_run(graph, "bfs", 0)
         snap = observer.metrics.snapshot()
         assert snap["guard.attempts"]["value"] == result.attempts == 1
         assert snap["guard.faults"]["value"] == 0
@@ -366,7 +376,8 @@ class TestGuardMetrics:
 
         observer = Observer()
         plan = FaultPlan(seed=7, launch_failure_rate=0.4, max_faults=3)
-        result = resilient_run(graph, "bfs", 0, plan=plan, observe=observer)
+        with observing(observer):
+            result = resilient_run(graph, "bfs", 0, plan=plan)
         snap = observer.metrics.snapshot()
         assert snap["guard.attempts"]["value"] == result.attempts
         assert snap["guard.faults"]["value"] == result.num_faults
@@ -376,8 +387,9 @@ class TestGuardMetrics:
         from repro.reliability import GuardConfig
 
         observer = Observer()
-        guard = GuardConfig(mem_budget=1024, degrade_to_cpu=True)
-        result = resilient_run(graph, "bfs", 0, guard=guard, observe=observer)
+        guard = GuardConfig(mem_budget=1024)
+        with observing(observer):
+            result = resilient_run(graph, "bfs", 0, guard=guard)
         assert result.degraded
         snap = observer.metrics.snapshot()
         assert snap["guard.cpu_degradations"]["value"] == 1

@@ -26,6 +26,7 @@ from repro.obs import (
     combined_trace_events,
     export_combined_trace,
     graph_fingerprint,
+    observing,
 )
 from repro.obs.trace import TID_DECISIONS, TID_FAULTS, TID_SPANS
 from repro.reliability import resilient_run
@@ -184,10 +185,10 @@ def graph():
 class TestBuildManifest:
     def test_from_adaptive_result(self, graph):
         observer = Observer()
-        result = adaptive_run(
-            graph, "bfs", 0, config=RuntimeConfig(), device=TESLA_C2070,
-            observe=observer,
-        )
+        with observing(observer):
+            result = adaptive_run(
+                graph, "bfs", 0, config=RuntimeConfig(), device=TESLA_C2070
+            )
         manifest = build_manifest(
             result, graph=graph, algorithm="bfs", mode="adaptive", source=0,
             device=TESLA_C2070, config=RuntimeConfig(), observer=observer,
@@ -214,7 +215,8 @@ class TestBuildManifest:
 
         observer = Observer()
         plan = FaultPlan(seed=3, launch_failure_rate=0.3, max_faults=2)
-        result = resilient_run(graph, "bfs", 0, plan=plan, observe=observer)
+        with observing(observer):
+            result = resilient_run(graph, "bfs", 0, plan=plan)
         manifest = build_manifest(
             result, graph=graph, algorithm="bfs", mode="resilient", source=0,
             observer=observer,
@@ -226,7 +228,8 @@ class TestBuildManifest:
 
     def test_manifest_is_json_clean(self, graph):
         observer = Observer()
-        result = adaptive_run(graph, "bfs", 0, observe=observer)
+        with observing(observer):
+            result = adaptive_run(graph, "bfs", 0)
         manifest = build_manifest(
             result, graph=graph, algorithm="bfs", mode="adaptive", source=0,
             observer=observer,
@@ -244,12 +247,31 @@ class TestBuildManifest:
         assert doc["memory"] is not None
         assert doc["memory"]["peak_bytes"] > 0
 
+    def test_degraded_run_counts_reached_like_a_gpu_run(self, tmp_path, capsys):
+        # A CPU-degraded guarded run reports the nodes its answer reaches,
+        # by the rule a GPU-served run of the same query uses.
+        workload = ["--dataset", "p2p", "--scale", "0.05"]
+        degraded, served = tmp_path / "degraded.json", tmp_path / "served.json"
+        rc = main([
+            "run", *workload, "--mode", "resilient", "--max-retries", "1",
+            "--fault-plan", '{"seed": 1, "launch_failure_rate": 1.0}',
+            "--manifest", str(degraded),
+        ])
+        assert rc == 0, capsys.readouterr().err
+        rc = main(["run", *workload, "--manifest", str(served)])
+        assert rc == 0, capsys.readouterr().err
+        cpu, gpu = (json.loads(p.read_text()) for p in (degraded, served))
+        assert cpu["reliability"]["degraded"]
+        assert cpu["result"]["values_sha256"] == gpu["result"]["values_sha256"]
+        assert cpu["result"]["reached"] == gpu["result"]["reached"]
+        assert cpu["result"]["reached"] < cpu["graph"]["num_nodes"]
+
 
 def _incremental(graph):
     previous = adaptive_run(graph, "bfs", 0)
     overlay = DeltaOverlayGraph(graph)
     delta = overlay.apply(EdgeBatch.inserts([(0, graph.num_nodes - 1)]))
-    return run_incremental(overlay, "bfs", previous, delta, source=0)
+    return run_incremental(overlay.compact().graph, "bfs", previous, delta, source=0)
 
 
 def _resilient(graph):
@@ -308,7 +330,8 @@ def _assert_valid_trace_events(events):
 class TestCombinedTrace:
     def test_all_tracks_present_and_valid(self, graph):
         observer = Observer()
-        result = adaptive_run(graph, "bfs", 0, observe=observer)
+        with observing(observer):
+            result = adaptive_run(graph, "bfs", 0)
         events = combined_trace_events(
             result.timeline, trace=result.trace, observer=observer
         )
@@ -327,7 +350,8 @@ class TestCombinedTrace:
 
         observer = Observer()
         plan = FaultPlan(seed=3, launch_failure_rate=0.3, max_faults=2)
-        result = resilient_run(graph, "bfs", 0, plan=plan, observe=observer)
+        with observing(observer):
+            result = resilient_run(graph, "bfs", 0, plan=plan)
         events = combined_trace_events(
             result.result.timeline,
             trace=result.trace,
@@ -350,7 +374,8 @@ class TestCombinedTrace:
 
     def test_span_track_positions_on_sim_axis(self, graph):
         observer = Observer()
-        result = adaptive_run(graph, "bfs", 0, observe=observer)
+        with observing(observer):
+            result = adaptive_run(graph, "bfs", 0)
         events = combined_trace_events(
             result.timeline, trace=result.trace, observer=observer
         )
@@ -366,7 +391,8 @@ class TestCombinedTrace:
 
     def test_export_writes_valid_doc(self, graph, tmp_path):
         observer = Observer()
-        result = adaptive_run(graph, "bfs", 0, observe=observer)
+        with observing(observer):
+            result = adaptive_run(graph, "bfs", 0)
         path = tmp_path / "combined.json"
         out = export_combined_trace(
             result.timeline, path,

@@ -43,9 +43,6 @@ def small_graph(weighted=False, seed=11):
     return attach_uniform_weights(g, seed=seed + 1) if weighted else g
 
 
-NO_SLEEP = GuardConfig(sleeper=lambda s: None)
-
-
 # ----------------------------------------------------------------------
 # Fault plans
 # ----------------------------------------------------------------------
@@ -276,7 +273,7 @@ class TestCheckpoint:
         from repro.gpusim.device import TESLA_C2070
 
         baseline = self._bfs(graph)
-        keeper = CheckpointKeeper(budget=0.02, device=TESLA_C2070)
+        keeper = CheckpointKeeper(device=TESLA_C2070)
         guarded = self._bfs(graph, checkpoint_keeper=keeper)
         # The cost-aware rule only checkpoints when the copy fits the
         # overhead budget, so total simulated time stays within ~2%.
@@ -292,8 +289,6 @@ class TestCheckpoint:
     def test_interval_validation(self):
         with pytest.raises(KernelError):
             CheckpointKeeper(every=0)
-        with pytest.raises(KernelError):
-            CheckpointKeeper(budget=0.0)
 
     @staticmethod
     def _offered_keeper(extra=None):
@@ -423,7 +418,7 @@ class TestResilientFaultFree:
     def test_bfs_no_plan_single_attempt(self):
         graph = small_graph()
         base = adaptive_run(graph, "bfs", 0)
-        res = resilient_run(graph, "bfs", 0, guard=NO_SLEEP)
+        res = resilient_run(graph, "bfs", 0)
         assert res.attempts == 1
         assert not res.degraded and res.stage == "adaptive"
         assert res.num_faults == 0
@@ -432,13 +427,13 @@ class TestResilientFaultFree:
     def test_sssp_no_plan_matches_adaptive(self):
         graph = small_graph(weighted=True)
         base = adaptive_run(graph, "sssp", 0)
-        res = resilient_run(graph, "sssp", 0, guard=NO_SLEEP)
+        res = resilient_run(graph, "sssp", 0)
         assert np.array_equal(res.values, base.values)
         assert res.replayed_seconds == 0.0
 
     def test_empty_plan_is_not_installed(self):
         graph = small_graph()
-        res = resilient_run(graph, "bfs", 0, guard=NO_SLEEP, plan=FaultPlan())
+        res = resilient_run(graph, "bfs", 0, plan=FaultPlan())
         assert res.attempts == 1 and res.num_faults == 0
 
     def test_guard_config_validation(self):
@@ -446,10 +441,6 @@ class TestResilientFaultFree:
 
         with pytest.raises(RuntimeConfigError):
             GuardConfig(max_retries=0)
-        with pytest.raises(RuntimeConfigError):
-            GuardConfig(jitter=1.5)
-        with pytest.raises(RuntimeConfigError):
-            GuardConfig(backoff_factor=0.5)
 
 
 SEEDED_PLAN = FaultPlan(
@@ -466,7 +457,7 @@ class TestResilientUnderFaults:
     def test_bit_identical_to_fault_free(self, algorithm):
         graph = small_graph(weighted=algorithm == "sssp")
         base = adaptive_run(graph, algorithm, 0)
-        guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=2)
+        guard = GuardConfig(checkpoint_every=2)
         res = resilient_run(graph, algorithm, 0, guard=guard, plan=SEEDED_PLAN)
 
         assert np.array_equal(res.values, base.values)
@@ -481,7 +472,7 @@ class TestResilientUnderFaults:
 
     def test_runs_are_reproducible(self):
         graph = small_graph()
-        guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=2)
+        guard = GuardConfig(checkpoint_every=2)
         a = resilient_run(graph, "bfs", 0, guard=guard, plan=SEEDED_PLAN)
         b = resilient_run(graph, "bfs", 0, guard=guard, plan=SEEDED_PLAN)
         assert np.array_equal(a.values, b.values)
@@ -493,7 +484,7 @@ class TestResilientUnderFaults:
     def test_memory_fault_recovers_via_checkpoint(self):
         graph = small_graph()
         plan = FaultPlan(seed=2, memory_fault_rate=0.25, max_faults=2)
-        guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=1)
+        guard = GuardConfig(checkpoint_every=1)
         res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
         assert np.array_equal(res.values, cpu_bfs(graph, 0).levels)
         actions = res.recovery_actions()
@@ -506,8 +497,7 @@ class TestResilientUnderFaults:
         # back until the injector runs out of faults, then a static
         # variant finishes on the GPU.
         plan = FaultPlan(seed=5, launch_failure_rate=1.0, max_faults=4)
-        guard = GuardConfig(sleeper=lambda s: None, retries_per_stage=2)
-        res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
+        res = resilient_run(graph, "bfs", 0, plan=plan)
         assert not res.degraded
         assert res.stage != "adaptive"
         assert res.recovery_actions().get("variant_fallback", 0) >= 1
@@ -516,8 +506,7 @@ class TestResilientUnderFaults:
     def test_degrades_to_cpu_when_gpu_unusable(self):
         graph = small_graph()
         plan = FaultPlan(seed=6, launch_failure_rate=1.0)
-        guard = GuardConfig(sleeper=lambda s: None, retries_per_stage=1)
-        res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
+        res = resilient_run(graph, "bfs", 0, plan=plan)
         assert res.degraded and res.stage == "cpu"
         assert res.recovery_actions().get("cpu_degradation", 0) == 1
         assert np.array_equal(res.values, cpu_bfs(graph, 0).levels)
@@ -525,43 +514,18 @@ class TestResilientUnderFaults:
     def test_max_retries_short_circuits_ladder(self):
         graph = small_graph()
         plan = FaultPlan(seed=6, launch_failure_rate=1.0)
-        guard = GuardConfig(
-            sleeper=lambda s: None, max_retries=2, retries_per_stage=10
-        )
+        guard = GuardConfig(max_retries=2)
         res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
         assert res.degraded
         assert res.attempts == 3  # 2 tolerated no-progress failures + 1
 
-    def test_degrade_disabled_reraises(self):
-        graph = small_graph()
-        plan = FaultPlan(seed=6, launch_failure_rate=1.0)
-        guard = GuardConfig(
-            sleeper=lambda s: None, max_retries=1, degrade_to_cpu=False
-        )
-        with pytest.raises(LaunchError):
-            resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
-
     def test_non_convergence_degrades(self):
         graph = small_graph()
-        guard = GuardConfig(sleeper=lambda s: None, max_iterations=1)
+        guard = GuardConfig(max_iterations=1)
         res = resilient_run(graph, "bfs", 0, guard=guard)
         assert res.degraded
         kinds = [e.kind for e in res.trace.faults]
         assert "non_convergence" in kinds
-
-    def test_backoff_sleeps_and_reports(self):
-        graph = small_graph()
-        slept = []
-        plan = FaultPlan(seed=5, launch_failure_rate=1.0, max_faults=2)
-        guard = GuardConfig(
-            sleeper=slept.append, backoff_base_s=0.01, backoff_max_s=0.04
-        )
-        res = resilient_run(graph, "bfs", 0, guard=guard, plan=plan)
-        assert len(slept) >= 1
-        assert res.backoff_seconds == pytest.approx(sum(slept))
-        # exponential-with-jitter stays within the configured envelope
-        for delay in slept:
-            assert 0 < delay <= 0.04 * (1 + guard.jitter)
 
 
 # ----------------------------------------------------------------------
@@ -596,7 +560,7 @@ class TestPagerankRecovery:
         graph = self._graph()
         clean = adaptive_run(graph, "pagerank")
         plan = FaultPlan(seed=13, memory_fault_rate=0.3, max_faults=2)
-        guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=2, seed=5)
+        guard = GuardConfig(checkpoint_every=2)
         res = resilient_run(graph, "pagerank", guard=guard, plan=plan)
 
         assert res.num_faults > 0  # the plan really fired
@@ -608,7 +572,7 @@ class TestPagerankRecovery:
     def test_faulted_runs_reproducible(self):
         graph = self._graph()
         plan = FaultPlan(seed=13, memory_fault_rate=0.3, max_faults=2)
-        guard = GuardConfig(sleeper=lambda s: None, checkpoint_every=2, seed=5)
+        guard = GuardConfig(checkpoint_every=2)
         a = resilient_run(graph, "pagerank", guard=guard, plan=plan)
         b = resilient_run(graph, "pagerank", guard=guard, plan=plan)
         assert np.array_equal(a.values, b.values)
@@ -620,13 +584,16 @@ class TestPagerankRecovery:
 
 class TestResilientSourceValidation:
     """Regression: a bad source used to burn the whole retry/fallback
-    ladder (with its backoff sleeps) on a query that can never succeed."""
+    ladder on a query that can never succeed."""
 
-    def test_bad_source_rejected_without_retries(self):
+    def test_bad_source_rejected_without_retries(self, monkeypatch):
         from repro.errors import GraphError
+        from repro.reliability import guard as guard_mod
+
+        def no_attempt(*args, **kwargs):
+            raise AssertionError("the ladder ran an attempt")
+
+        monkeypatch.setattr(guard_mod, "_run_stage", no_attempt)
         graph = erdos_renyi_graph(120, 500, seed=3)
-        slept = []
-        guard = GuardConfig(sleeper=slept.append, backoff_base_s=0.01)
         with pytest.raises(GraphError, match="out of range"):
-            resilient_run(graph, "bfs", 10_000, guard=guard)
-        assert slept == []  # rejected up front: no backoff ladder
+            resilient_run(graph, "bfs", 10_000)

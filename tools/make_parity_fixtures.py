@@ -187,7 +187,7 @@ def build() -> dict:
 
         plan = FaultPlan(seed=13, memory_fault_rate=0.25, max_faults=2)
         res = resilient_run(
-            graph, "bfs", source, guard=GuardConfig(checkpoint_every=2, seed=5),
+            graph, "bfs", source, guard=GuardConfig(checkpoint_every=2),
             plan=plan,
         )
         runs["resilient_bfs_faulted"] = {
