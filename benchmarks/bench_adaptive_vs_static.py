@@ -13,8 +13,6 @@ adaptive time vs the best and the worst static.  Reproduced shapes:
   penalty for using the adaptive runtime is nil.
 """
 
-import numpy as np
-
 from common import bench_workload, dataset_keys, write_report
 from repro.core import adaptive_run, run_static
 from repro.kernels import unordered_variants

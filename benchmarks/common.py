@@ -16,8 +16,6 @@ import json
 import os
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.cpu import CpuBfsResult, CpuSsspResult, cpu_bfs, cpu_dijkstra
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import dataset_keys, make_dataset

@@ -738,7 +738,7 @@ def _batch_weighted(queries) -> bool:
     return False
 
 
-def _print_batch(batch, cache, title: str) -> None:
+def _print_batch(batch, title: str) -> None:
     table = Table(
         ["#", "algorithm", "source", "mode", "path", "iters", "result"],
         title=title,
@@ -762,25 +762,21 @@ def _print_batch(batch, cache, title: str) -> None:
     summary.add_row(["fused launches", batch.fused_launches])
     summary.add_row(["launches saved", batch.launches_saved])
     summary.add_row(["readbacks saved", batch.readbacks_saved])
-    summary.add_row(
-        ["session cache", f"{cache.hits} hits / {cache.misses} misses"]
-    )
     print(summary.render())
 
 
 def cmd_batch(args) -> int:
     """Answer a JSONL file of queries in one batched multi-source run."""
     from repro.obs import Observer, observing
-    from repro.serve import BatchRunner, SessionCache, load_queries_jsonl
+    from repro.serve import BatchRunner, GraphSession, load_queries_jsonl
 
     queries = load_queries_jsonl(args.queries)
     graph, _, device = _resolve_workload(
         args, weighted=_batch_weighted(queries), resolve_source=False
     )
     observer = Observer()
-    cache = SessionCache(capacity=args.cache_size)
     with observing(observer):
-        session = cache.get(graph, device=device, config=RuntimeConfig())
+        session = GraphSession(graph, device=device, config=RuntimeConfig())
         runner = BatchRunner(session, max_iterations=args.max_iterations)
         batch = runner.run(queries)
 
@@ -789,7 +785,7 @@ def cmd_batch(args) -> int:
         manifest.write(args.manifest)
 
     _print_batch(
-        batch, cache,
+        batch,
         f"batch: {len(batch.queries)} queries on {graph.name} "
         f"(digest {batch.graph_digest[:12]})",
     )
@@ -815,7 +811,7 @@ def cmd_serve(args) -> int:
     import json as _json
 
     from repro.obs import Observer, observing
-    from repro.serve import ServeLoop, SessionCache
+    from repro.serve import GraphSession, ServeLoop
 
     graph, _, device = _resolve_workload(
         args, weighted=True, resolve_source=False
@@ -829,7 +825,6 @@ def cmd_serve(args) -> int:
             injector = FaultInjector(plan)
 
     observer = Observer()
-    cache = SessionCache(capacity=args.cache_size)
     served = 0
     interrupted = False
     mutations_on = bool(getattr(args, "mutations", False))
@@ -849,7 +844,7 @@ def cmd_serve(args) -> int:
             mutation_events_emitted += 1
 
     with observing(observer):
-        session = cache.get(graph, device=device, config=RuntimeConfig())
+        session = GraphSession(graph, device=device, config=RuntimeConfig())
         loop = ServeLoop(
             session,
             queue_capacity=args.queue_capacity,
@@ -858,7 +853,6 @@ def cmd_serve(args) -> int:
             scheduler=args.scheduler,
             max_iterations=getattr(args, "max_iterations", None),
             fault_injector=injector,
-            cache=cache,
             mutation_mode=_io_mode(args),
         )
         try:
@@ -926,16 +920,12 @@ def cmd_serve(args) -> int:
                 "[interrupted: pending queries flushed, shutting down]",
                 file=sys.stderr,
             )
-        print(
-            f"[served {served} queries; cache {cache.hits} hits / "
-            f"{cache.misses} misses]",
-            file=sys.stderr,
-        )
+        print(f"[served {served} queries]", file=sys.stderr)
         if mutations_on:
             print(
                 f"[mutations: {report.mutations_applied} applied / "
                 f"{report.mutations_rejected} rejected; graph epoch "
-                f"{report.graph_epoch}; cache patches {cache.patches}]",
+                f"{report.graph_epoch}]",
                 file=sys.stderr,
             )
         wall = report.result_dict()["latency_wall_s"]
@@ -1064,8 +1054,6 @@ def cmd_chaos(args) -> int:
         table.add_row(["mutation batches", report.mutation_batches])
         table.add_row(["graph epoch", doc["graph_epoch"]])
         table.add_row(["digest mismatches", report.mutation_digest_mismatches])
-        table.add_row(["cache patches", report.cache_patches])
-        table.add_row(["cache evictions", report.cache_evictions])
     table.add_row(["verdict", "PASS" if report.passed else "FAIL"])
     print(table.render())
     for violation in report.violations:
@@ -1373,15 +1361,13 @@ def build_parser() -> argparse.ArgumentParser:
                    "mode (default 'adaptive')")
     p.add_argument("--manifest", default=None, metavar="FILE",
                    help="write the batch RunManifest JSON here")
-    p.add_argument("--cache-size", type=int, default=4,
-                   help="session-cache LRU capacity")
     p.add_argument("--max-iterations", type=int, default=None,
                    help="per-query iteration budget")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser(
         "serve",
-        help="serve queries from stdin against a cached graph session "
+        help="serve queries from stdin against one graph session "
         "(JSONL requests in, JSON answers out)",
         description="A resilient continuous-batching server: a bounded "
         "admission queue sheds overload with explicit error responses, "
@@ -1393,8 +1379,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p)
     p.add_argument("--batch-size", type=int, default=32,
                    help="max rows resident in the fused frame at once")
-    p.add_argument("--cache-size", type=int, default=4,
-                   help="session-cache LRU capacity")
     p.add_argument("--queue-capacity", type=int, default=64,
                    help="admission-queue bound; overload sheds with "
                    "explicit error responses")
@@ -1452,8 +1436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutations", type=int, default=0, metavar="N",
                    help="interleave N seeded mutation batches with the "
                    "query stream: the soak turns epoch-aware (per-epoch "
-                   "SHA parity, post-compaction digest checks, in-place "
-                   "session patching)")
+                   "SHA parity, post-compaction digest checks)")
     p.add_argument("--manifest", default=None, metavar="FILE",
                    help="write the soak's RunManifest JSON here")
     p.set_defaults(func=cmd_chaos)

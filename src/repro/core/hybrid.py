@@ -23,7 +23,7 @@ decision, comparing the serial cost estimate of the upcoming sweep
 fixed per-iteration floor.  A device iteration is an adaptive
 iteration that chooses at the top; a host iteration runs
 ``spec.batch_relax``, prices its seconds on the serial CPU model
-(:data:`~repro.cpu.costmodel.DEFAULT_CPU`) and records variant
+(:func:`~repro.cpu.costmodel.traversal_seconds`) and records variant
 ``"cpu"``.
 """
 
@@ -34,7 +34,7 @@ from typing import List, Optional
 
 from repro.core.config import RuntimeConfig
 from repro.core.policies import AdaptivePolicy
-from repro.cpu.costmodel import DEFAULT_CPU
+from repro.cpu.costmodel import traversal_seconds
 from repro.engine.driver import _drive, _relax
 from repro.engine.registry import get_algorithm
 from repro.engine.spec import StepOutcome
@@ -100,7 +100,7 @@ class _Placement:
         # The host holds the row offsets, so the upcoming sweep's edge
         # count is known exactly — no average-degree estimate needed.
         est_edges = int(self.out_degrees[row.state.frontier].sum())
-        est_cpu = DEFAULT_CPU.bfs_seconds(size, est_edges, 0)
+        est_cpu = traversal_seconds(size, est_edges, 0)
         on_device = est_cpu >= self.config.cpu_advantage * self.gpu_floor
         if on_device != self.on_device and self.run_length < self.config.min_run_length:
             on_device = self.on_device
@@ -117,7 +117,7 @@ class _Placement:
         if on_device:
             return None
         outcome, _ = _relax(row, ctx.graph)
-        seconds = DEFAULT_CPU.bfs_seconds(size, outcome.edges_scanned, 0)
+        seconds = traversal_seconds(size, outcome.edges_scanned, 0)
         ctx.timeline.add_host_seconds(seconds)
         ctx.seconds += seconds
         outcome.label = "cpu"

@@ -1,28 +1,23 @@
 """The graph inspector (Section VI.A).
 
-The inspector supplies the decision maker's two inputs:
+The inspector supplies the decision maker's static input and its
+sampling schedule:
 
 - **static attributes** of the graph (node/edge counts, min/max/average
   outdegree), computed once when the graph is loaded — "a value computed
   only once when reading the graph" (Section VI.E);
-- **runtime attributes** — the working-set size (free: the generation
-  kernel's queue counter) and optionally the working set's *own* average
-  outdegree, which costs an extra reduction kernel and is therefore
-  sampled (Section VI.E's overhead-reduction design: whole-graph average
-  by default, sampling when precise monitoring is on).
+- **sampling** — runtime attributes are consulted only every k-th
+  iteration (Section VI.E's overhead-reduction design).  The working-set
+  size is free (the generation kernel's queue counter, passed to the
+  policy's ``choose``); the working set's own average outdegree costs a
+  reduction kernel and is measured by the policy in precise mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.gpusim.device import DeviceSpec
-from repro.gpusim.kernel import KernelTally
-from repro.gpusim.reduction import reduction_tallies
 
 __all__ = ["StaticAttributes", "GraphInspector"]
 
@@ -59,87 +54,22 @@ class GraphInspector:
     graph:
         The traversed graph (static attributes are derived immediately).
     sampling_interval:
-        Measure runtime attributes only every k-th iteration; between
-        samples the last measured values are reused.
-    monitor_workset_degree:
-        When true, each sample also measures the current working set's
-        average outdegree with a reduction kernel whose cost the caller
-        must charge (see :meth:`consume_overhead_tallies`).
+        Re-evaluate the decision only every k-th iteration; between
+        samples the policy keeps its current variant.
+
+    The working set's own average outdegree (precise mode,
+    ``RuntimeConfig.monitor_workset_degree``) is measured by
+    :class:`~repro.core.policies.AdaptivePolicy` from each iteration's
+    record, which also charges its reduction kernel.
     """
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        *,
-        sampling_interval: int = 1,
-        monitor_workset_degree: bool = False,
-    ):
+    def __init__(self, graph: CSRGraph, *, sampling_interval: int = 1):
         if sampling_interval < 1:
             raise ValueError(
                 f"sampling_interval must be >= 1, got {sampling_interval}"
             )
-        self.graph = graph
         self.static = StaticAttributes.of(graph)
         self.sampling_interval = int(sampling_interval)
-        self.monitor_workset_degree = bool(monitor_workset_degree)
-        self._last_ws_size: int = 0
-        self._last_avg_degree: float = self.static.avg_out_degree
-        self._samples_taken: int = 0
-        self._pending_tallies: List[KernelTally] = []
-
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
 
     def should_sample(self, iteration: int) -> bool:
         return iteration % self.sampling_interval == 0
-
-    def observe(
-        self,
-        iteration: int,
-        workset_size: int,
-        workset_nodes: Optional[np.ndarray] = None,
-        device: Optional[DeviceSpec] = None,
-    ) -> None:
-        """Record this iteration's runtime attributes (if due for a sample).
-
-        *workset_nodes* enables the precise per-working-set outdegree
-        measurement; its reduction cost is queued as pending tallies.
-        """
-        if not self.should_sample(iteration):
-            return
-        self._samples_taken += 1
-        self._last_ws_size = int(workset_size)
-        if self.monitor_workset_degree and workset_nodes is not None and workset_nodes.size:
-            degrees = self.graph.out_degrees[workset_nodes]
-            self._last_avg_degree = float(degrees.mean())
-            if device is not None:
-                # One reduction pass over the working set's degrees.
-                self._pending_tallies.extend(
-                    reduction_tallies(
-                        int(workset_nodes.size), device, name="inspector_degree"
-                    )
-                )
-
-    def consume_overhead_tallies(self) -> List[KernelTally]:
-        """Drain the monitoring kernels queued since the last call."""
-        out, self._pending_tallies = self._pending_tallies, []
-        return out
-
-    # ------------------------------------------------------------------
-    # Attribute reads
-    # ------------------------------------------------------------------
-
-    @property
-    def workset_size(self) -> int:
-        return self._last_ws_size
-
-    @property
-    def avg_out_degree(self) -> float:
-        """The decision maker's degree input: the whole-graph average by
-        default, the sampled working-set average in precise mode."""
-        return self._last_avg_degree
-
-    @property
-    def samples_taken(self) -> int:
-        return self._samples_taken

@@ -49,9 +49,7 @@ class AdaptivePolicy(VariantPolicy):
         self.device = device
         self.memory = memory
         self.inspector = GraphInspector(
-            graph,
-            sampling_interval=self.config.sampling_interval,
-            monitor_workset_degree=self.config.monitor_workset_degree,
+            graph, sampling_interval=self.config.sampling_interval
         )
         self.thresholds = self.config.resolve_thresholds(device, graph.num_nodes)
         self.decision_maker = DecisionMaker(
@@ -74,7 +72,6 @@ class AdaptivePolicy(VariantPolicy):
     def choose(self, iteration: int, workset_size: int) -> Variant:
         if self._current is not None and not self.inspector.should_sample(iteration):
             return self._current
-        self.inspector.observe(iteration, workset_size)
         pressure = self.memory.pressure if self.memory is not None else 0.0
         unconstrained, variant, region = self._decide(
             iteration, workset_size, pressure

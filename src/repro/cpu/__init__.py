@@ -16,7 +16,6 @@ baseline.
 
 from repro.cpu.bfs import CpuBfsResult, cpu_bfs
 from repro.cpu.cc import CpuCcResult, cpu_connected_components
-from repro.cpu.costmodel import CpuModel, DEFAULT_CPU
 from repro.cpu.kcore import CpuKCoreResult, cpu_kcore
 from repro.cpu.pagerank import CpuPageRankResult, cpu_pagerank
 from repro.cpu.sssp import CpuSsspResult, cpu_bellman_ford, cpu_dijkstra
@@ -36,6 +35,4 @@ __all__ = [
     "cpu_triangles",
     "CpuTrianglesResult",
     "CpuKCoreResult",
-    "CpuModel",
-    "DEFAULT_CPU",
 ]

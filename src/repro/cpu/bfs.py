@@ -3,8 +3,8 @@
 Level-synchronous frontier BFS — algorithmically identical to the FIFO
 formulation (every node is settled at its minimum hop count) but
 vectorized per level so multi-million-node oracles stay fast in Python.
-Operation counts feed :data:`repro.cpu.costmodel.DEFAULT_CPU` to produce
-the baseline's simulated runtime.
+Operation counts feed :func:`repro.cpu.costmodel.traversal_seconds` to
+produce the baseline's simulated runtime.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.costmodel import DEFAULT_CPU
+from repro.cpu.costmodel import traversal_seconds
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
 
@@ -64,7 +64,7 @@ def cpu_bfs(graph: CSRGraph, source: int) -> CpuBfsResult:
         levels[fresh] = level
         frontier = fresh
 
-    seconds = DEFAULT_CPU.bfs_seconds(nodes_visited, edges_scanned, n)
+    seconds = traversal_seconds(nodes_visited, edges_scanned, n)
     return CpuBfsResult(
         levels=levels,
         nodes_visited=nodes_visited,

@@ -6,8 +6,9 @@ from operation counts: a cache-resident graph traversal on that class of
 machine sustains on the order of 10^8 edge relaxations per second, and
 binary-heap operations cost a few tens of nanoseconds each.  The paper
 measures one host, so the per-operation costs are the module constants
-below, and :data:`DEFAULT_CPU` is the one :class:`CpuModel` that
-combines them.
+below, and the two formulas that combine them are module functions:
+:func:`traversal_seconds` for FIFO BFS and frontier Bellman-Ford, and
+:func:`dijkstra_seconds` for the binary-heap Dijkstra.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "CpuModel",
-    "DEFAULT_CPU",
+    "traversal_seconds",
+    "dijkstra_seconds",
     "NODE_VISIT_S",
     "EDGE_SCAN_S",
     "UPDATE_S",
@@ -40,45 +41,31 @@ HEAP_STEP_S = 9.0e-9
 INIT_PER_NODE_S = 1.2e-9
 
 
-class CpuModel:
-    """Aggregate formulas of the serial baseline (Core i7, gcc -O3),
-    in seconds, over the per-operation constants of this module."""
-
-    def bfs_seconds(self, nodes_visited: int, edges_scanned: int, num_nodes: int) -> float:
-        """FIFO BFS: every reached node visited once, every out-edge scanned."""
-        return (
-            num_nodes * INIT_PER_NODE_S
-            + nodes_visited * (NODE_VISIT_S + UPDATE_S)
-            + edges_scanned * EDGE_SCAN_S
-        )
-
-    def dijkstra_seconds(
-        self,
-        nodes_visited: int,
-        edges_scanned: int,
-        heap_pushes: int,
-        heap_pops: int,
-        max_heap_size: int,
-        num_nodes: int,
-    ) -> float:
-        """Binary-heap Dijkstra: pushes/pops cost log2(heap size) steps."""
-        log_h = math.log2(max(2, max_heap_size))
-        return (
-            num_nodes * INIT_PER_NODE_S
-            + nodes_visited * NODE_VISIT_S
-            + edges_scanned * EDGE_SCAN_S
-            + (heap_pushes + heap_pops) * log_h * HEAP_STEP_S
-        )
-
-    def bellman_ford_seconds(
-        self, total_relaxations: int, total_node_visits: int, num_nodes: int
-    ) -> float:
-        """Frontier Bellman-Ford: cost proportional to total work done."""
-        return (
-            num_nodes * INIT_PER_NODE_S
-            + total_node_visits * (NODE_VISIT_S + UPDATE_S)
-            + total_relaxations * EDGE_SCAN_S
-        )
+def traversal_seconds(nodes_visited: int, edges_scanned: int, num_nodes: int) -> float:
+    """A FIFO or frontier sweep, in seconds on the serial baseline (Core
+    i7, gcc -O3): every visit updates its node, every scan reads one
+    edge.  FIFO BFS visits each reached node once; frontier Bellman-Ford
+    counts every re-visit and relaxation."""
+    return (
+        num_nodes * INIT_PER_NODE_S
+        + nodes_visited * (NODE_VISIT_S + UPDATE_S)
+        + edges_scanned * EDGE_SCAN_S
+    )
 
 
-DEFAULT_CPU = CpuModel()
+def dijkstra_seconds(
+    nodes_visited: int,
+    edges_scanned: int,
+    heap_pushes: int,
+    heap_pops: int,
+    max_heap_size: int,
+    num_nodes: int,
+) -> float:
+    """Binary-heap Dijkstra: pushes/pops cost log2(heap size) steps."""
+    log_h = math.log2(max(2, max_heap_size))
+    return (
+        num_nodes * INIT_PER_NODE_S
+        + nodes_visited * NODE_VISIT_S
+        + edges_scanned * EDGE_SCAN_S
+        + (heap_pushes + heap_pops) * log_h * HEAP_STEP_S
+    )

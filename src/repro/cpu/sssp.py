@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.cpu.costmodel import DEFAULT_CPU
+from repro.cpu.costmodel import dijkstra_seconds, traversal_seconds
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
@@ -111,7 +111,7 @@ def _dijkstra_heap(
                 heapq.heappush(heap, (nd, v))
                 pushes += 1
                 max_heap = max(max_heap, len(heap))
-    seconds = DEFAULT_CPU.dijkstra_seconds(visited, edges, pushes, pops, max_heap, n)
+    seconds = dijkstra_seconds(visited, edges, pushes, pops, max_heap, n)
     return CpuSsspResult(
         distances=dist,
         nodes_visited=visited,
@@ -166,7 +166,7 @@ def _dijkstra_fast(
         np.minimum.at(cur, dsts[improves], cand[improves])
     pops = pushes
     max_heap = max(1, pushes - visited + 1)
-    seconds = DEFAULT_CPU.dijkstra_seconds(visited, edges, pushes, pops, max_heap, n)
+    seconds = dijkstra_seconds(visited, edges, pushes, pops, max_heap, n)
     return CpuSsspResult(
         distances=final,
         nodes_visited=visited,
@@ -225,7 +225,7 @@ def cpu_bellman_ford(graph: CSRGraph, source: int) -> CpuSsspResult:
         np.minimum.at(dist, dsts, cand)
         improved = dist[dsts] < before
         frontier = sorted_unique(dsts[improved])
-    seconds = DEFAULT_CPU.bellman_ford_seconds(relaxations, node_visits, n)
+    seconds = traversal_seconds(node_visits, relaxations, n)
     return CpuSsspResult(
         distances=dist,
         nodes_visited=node_visits,

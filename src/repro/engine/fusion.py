@@ -44,7 +44,7 @@ identical to unfused runs (enforced by the golden parity fixtures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.gpusim.kernel import KernelTally

@@ -32,7 +32,6 @@ from repro.graph.dynamic import (
     EdgeBatch,
     MutationDelta,
     MutationReport,
-    load_mutations_jsonl,
 )
 from repro.graph.io import IngestLimits, IngestReport, load_graph
 from repro.graph.partition import (
@@ -58,7 +57,6 @@ __all__ = [
     "MutationDelta",
     "MutationReport",
     "CompactionResult",
-    "load_mutations_jsonl",
     "characterize",
     "GraphCharacterization",
     "out_degree_histogram",

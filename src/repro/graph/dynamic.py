@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.errors import GraphError, GraphFormatError
 from repro.graph.builder import from_edge_list
-from repro.graph.csr import CSRGraph, INDEX_DTYPE, WEIGHT_DTYPE
+from repro.graph.csr import CSRGraph, WEIGHT_DTYPE
 from repro.graph.io import IngestLimits, _MODES
 from repro.graph.properties import sorted_unique
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
@@ -61,7 +61,6 @@ __all__ = [
     "MutationDelta",
     "DeltaOverlayGraph",
     "CompactionResult",
-    "load_mutations_jsonl",
 ]
 
 #: host-side cost of one edge through the CSR rebuild (same per-edge
@@ -345,15 +344,6 @@ class EdgeBatch:
             ),
             path=path,
         )
-
-
-def load_mutations_jsonl(
-    path: Union[str, os.PathLike],
-    *,
-    limits: Optional[IngestLimits] = None,
-) -> EdgeBatch:
-    """Read a mutation batch from a JSONL file (see :class:`EdgeBatch`)."""
-    return EdgeBatch.from_jsonl(path, limits=limits)
 
 
 @dataclass

@@ -105,7 +105,6 @@ def workset_gen_tallies(
     representation: WorksetRepr,
     device: DeviceSpec,
     *,
-    use_scan: bool = False,
     scheme: str = "atomic",
     name: str = "workset_gen",
     entry_bytes: int = 4,
@@ -121,7 +120,6 @@ def workset_gen_tallies(
     ``atomicAdd`` per element), ``"scan"`` (a prefix scan computes the
     indices; extra kernels, no atomics), or ``"hierarchical"``
     (per-block shared-memory queues with one global atomic per block).
-    ``use_scan=True`` is a shorthand for ``scheme="scan"``.
 
     *entry_bytes* is the size of each emitted queue slot: 4 B for plain
     node ids, 8 B for an ordered frame's ``(node, key)`` pairs (the
@@ -132,8 +130,6 @@ def workset_gen_tallies(
         raise WorksetError(
             f"updated_count ({updated_count}) cannot exceed num_nodes ({num_nodes})"
         )
-    if use_scan:
-        scheme = "scan"
     if scheme not in QUEUE_GEN_SCHEMES:
         raise WorksetError(
             f"unknown queue generation scheme {scheme!r}; "

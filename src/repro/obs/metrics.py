@@ -144,12 +144,6 @@ METRICS_CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec("fusion.refused_iterations", "counter", "iterations",
                "repro.engine.fusion",
                "iterations a fused plan fell back to separate launches"),
-    MetricSpec("serve.cache.hits", "counter", "lookups",
-               "repro.serve.session", "session-cache digest hits"),
-    MetricSpec("serve.cache.misses", "counter", "lookups",
-               "repro.serve.session", "session-cache misses (fresh ingest)"),
-    MetricSpec("serve.cache.evictions", "counter", "sessions",
-               "repro.serve.session", "sessions evicted past LRU capacity"),
     MetricSpec("serve.admitted", "counter", "queries",
                "repro.serve.admission",
                "queries admitted into the bounded queue"),
@@ -208,10 +202,6 @@ METRICS_CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec("policy.leaf_depth", "histogram", "levels",
                "repro.core.runtime",
                "tree depth of the leaf each learned decision landed in"),
-    MetricSpec("serve.cache.patches", "counter", "sessions",
-               "repro.serve.session",
-               "cached sessions re-keyed in place after a mutation "
-               "(epoch-aware invalidation, no eviction)"),
     MetricSpec("serve.mutation_barriers", "counter", "barriers",
                "repro.serve.loop",
                "super-iteration barriers at which mutation batches applied"),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.gpusim.timeline import Timeline
 from repro.gpusim.traceexport import iteration_start_times, timeline_to_trace_events

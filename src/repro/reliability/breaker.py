@@ -33,7 +33,7 @@ trip happened.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.errors import RuntimeConfigError

@@ -3,12 +3,10 @@
 A traversal *service* answers many queries against the same graph, so
 the expensive work should happen once per graph, not once per query:
 
-- :class:`GraphSession` ingests a graph once and caches everything
-  query-independent — CSR arrays, property profile, resolved decision
-  thresholds, device spec — under a content digest;
-- :class:`SessionCache` is the LRU of sessions a long-lived server
-  keeps (hit = skip ingestion entirely; answers from a cached session
-  are bit-identical to a cold ingest);
+- :class:`GraphSession` ingests a graph once and holds what every
+  query shares — CSR arrays and their transpose, device spec, runtime
+  config and the content digest; a mutation barrier re-points it at
+  the compacted graph;
 - :class:`BatchRunner` answers a list of :class:`BatchQuery` requests,
   stacking every batch-capable query into one fused multi-source host
   loop (:func:`repro.engine.batch.run_batch_frame`) that amortizes the
@@ -41,7 +39,7 @@ from repro.serve.batch import (
     load_queries_jsonl,
 )
 from repro.serve.loop import ServeLoop, ServeReport
-from repro.serve.session import GraphSession, SessionCache
+from repro.serve.session import GraphSession
 
 __all__ = [
     "AdmissionQueue",
@@ -53,6 +51,5 @@ __all__ = [
     "QueryResult",
     "ServeLoop",
     "ServeReport",
-    "SessionCache",
     "load_queries_jsonl",
 ]

@@ -175,10 +175,16 @@ class AdmissionQueue:
 
     def expire_overdue(self) -> List[AdmittedQuery]:
         """Remove and return entries whose deadline expired while they
-        waited — the loop answers them without spending GPU time."""
-        overdue = [e for e in self._entries if e.overdue]
+        waited — the loop answers them without spending GPU time.
+
+        Each entry's ``overdue`` (a clock read) is evaluated once, so an
+        entry is either returned or kept, never dropped unanswered.
+        """
+        overdue, kept = [], []
+        for entry in self._entries:
+            (overdue if entry.overdue else kept).append(entry)
         if overdue:
-            self._entries = [e for e in self._entries if not e.overdue]
+            self._entries = kept
             observer = current_observer()
             if observer is not None:
                 observer.metrics.gauge("serve.queue_depth").set(

@@ -39,7 +39,7 @@ from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.serve.batch import BatchQuery, BatchRunner
 from repro.serve.loop import ServeLoop, ServeReport
-from repro.serve.session import GraphSession, SessionCache
+from repro.serve.session import GraphSession
 
 __all__ = [
     "ChaosReport",
@@ -169,8 +169,6 @@ class ChaosReport:
     #: mutation soak bookkeeping (zero when no mutations interleaved)
     mutation_batches: int = 0
     mutation_digest_mismatches: int = 0
-    cache_patches: int = 0
-    cache_evictions: int = 0
 
     @property
     def passed(self) -> bool:
@@ -190,8 +188,6 @@ class ChaosReport:
             sha_mismatches=self.sha_mismatches,
             mutation_batches=self.mutation_batches,
             mutation_digest_mismatches=self.mutation_digest_mismatches,
-            cache_patches=self.cache_patches,
-            cache_evictions=self.cache_evictions,
         )
         return doc
 
@@ -224,7 +220,6 @@ def run_chaos(
     max_batch_rows: int = 16,
     deadline_s: Optional[float] = 5.0,
     scheduler: str = "continuous",
-    session: Optional[GraphSession] = None,
     pump_every: int = 4,
     mutation_batches: int = 0,
     mutation_ops: int = 12,
@@ -244,16 +239,10 @@ def run_chaos(
     epoch it was answered on*, and every applied batch's post-compaction
     digest must equal the independently materialized epoch graph's.
     """
-    cache = SessionCache(capacity=4)
-    if session is None:
-        graph = attach_uniform_weights(
-            power_law_graph(num_nodes, seed=seed, name=f"chaos{num_nodes}"),
-            seed=seed,
-        )
-        session = cache.get(graph)
-    else:
-        session = cache.get(session.graph, device=session.device,
-                            config=session.config)
+    session = GraphSession(attach_uniform_weights(
+        power_law_graph(num_nodes, seed=seed, name=f"chaos{num_nodes}"),
+        seed=seed,
+    ))
     plan = fault_plan if fault_plan is not None else default_chaos_plan(seed)
     queries = generate_queries(
         num_queries, session.num_nodes, seed=seed, deadline_s=deadline_s
@@ -283,7 +272,6 @@ def run_chaos(
         scheduler=scheduler,
         fault_injector=injector,
         breaker=CircuitBreaker(failure_threshold=3, cooldown_s=0.05),
-        cache=cache,
         mutation_mode="lenient",
     )
     mutate_every = (
@@ -313,8 +301,6 @@ def run_chaos(
         session=session,
         faults_injected=injector.num_injected if injector else 0,
         mutation_batches=len(batches),
-        cache_patches=cache.patches,
-        cache_evictions=cache.evictions,
     )
 
     # Dynamic invariants: every batch applied, every barrier's
@@ -339,11 +325,6 @@ def run_chaos(
                     f"{event['new_digest'][:12]}… != reference build "
                     f"{epoch_digests[epoch][:12]}…"
                 )
-        if cache.evictions:
-            report.violations.append(
-                f"mutations evicted {cache.evictions} cached sessions "
-                "instead of patching in place"
-            )
 
     # Invariant: exactly one response per submitted query.
     seen: Dict[int, int] = {}

@@ -46,7 +46,7 @@ from repro.obs.manifest import RunManifest, build_serve_manifest, values_sha256
 from repro.reliability.breaker import CircuitBreaker
 from repro.serve.admission import AdmissionQueue, AdmittedQuery
 from repro.serve.batch import BatchQuery, BatchRunner
-from repro.serve.session import GraphSession, SessionCache
+from repro.serve.session import GraphSession
 
 __all__ = ["ServeLoop", "ServeReport", "percentile"]
 
@@ -164,7 +164,6 @@ class ServeLoop:
         fault_injector=None,
         breaker: Optional[CircuitBreaker] = None,
         clock: Callable[[], float] = time.monotonic,
-        cache: Optional[SessionCache] = None,
         mutation_mode: Optional[str] = "strict",
     ):
         if scheduler not in _SCHEDULERS:
@@ -194,7 +193,6 @@ class ServeLoop:
         self._responses: List[dict] = []
         self.report = ServeReport(scheduler=scheduler)
         #: live graph mutation state (``repro serve --mutations``)
-        self.cache = cache
         self.mutation_mode = mutation_mode
         self.graph_epoch = 0
         self._pending_mutations: List[EdgeBatch] = []
@@ -320,8 +318,8 @@ class ServeLoop:
         The batch is held until the live frame drains, then applied
         through the delta overlay, compacted (priced: host rebuild +
         delta PCIe upload burn simulated time, so deadline clocks feel
-        mutations), and the session is patched in place — the next
-        dispatch runs on the new graph epoch.
+        mutations), and the session is re-pointed at the compacted
+        graph — the next dispatch runs on the new graph epoch.
         """
         self._pending_mutations.append(batch)
 
@@ -362,10 +360,7 @@ class ServeLoop:
             device=self.session.device, name=self.session.graph.name
         )
         self._retired_sim_seconds += compaction.seconds
-        if self.cache is not None:
-            self.cache.patch(self.session, compaction.graph)
-        else:
-            self.session.refresh(compaction.graph)
+        self.session.refresh(compaction.graph)
         # One epoch per applied batch (even when a barrier coalesces
         # several): epoch k always names the graph after the first k
         # batches, which is what the chaos harness verifies against.

@@ -376,7 +376,6 @@ class TestDynamicServeCli:
         assert events[0]["ok"] and events[0]["edges_inserted"] == 1
         assert events[0]["old_digest"] != events[0]["new_digest"]
         assert "graph epoch 1" in proc.stderr
-        assert "cache patches 1" in proc.stderr
 
     def test_chaos_mutations_subcommand(self, capsys):
         rc = main(["chaos", "--queries", "30", "--nodes", "200",

@@ -1,7 +1,6 @@
 """Tests for repro.core.inspector, repro.core.policies and
 repro.core.telemetry."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import RuntimeConfig
@@ -9,7 +8,7 @@ from repro.core.inspector import GraphInspector, StaticAttributes
 from repro.core.policies import AdaptivePolicy
 from repro.core.telemetry import Decision, DecisionTrace
 from repro.engine.types import IterationRecord
-from repro.graph.generators import erdos_renyi_graph, power_law_graph, star_graph
+from repro.graph.generators import erdos_renyi_graph, power_law_graph
 from repro.gpusim.device import TESLA_C2070
 
 
@@ -29,25 +28,6 @@ class TestInspector:
         assert not insp.should_sample(1)
         assert not insp.should_sample(2)
         assert insp.should_sample(3)
-
-    def test_observations_between_samples_skipped(self, skewed_graph):
-        insp = GraphInspector(skewed_graph, sampling_interval=2)
-        insp.observe(0, 100)
-        insp.observe(1, 999)  # skipped
-        assert insp.workset_size == 100
-        assert insp.samples_taken == 1
-
-    def test_default_degree_is_whole_graph(self, skewed_graph):
-        insp = GraphInspector(skewed_graph)
-        assert insp.avg_out_degree == pytest.approx(skewed_graph.avg_out_degree)
-
-    def test_precise_mode_measures_workset(self, skewed_graph):
-        insp = GraphInspector(skewed_graph, monitor_workset_degree=True)
-        hubs = np.argsort(skewed_graph.out_degrees)[-5:]
-        insp.observe(0, 5, workset_nodes=np.sort(hubs), device=TESLA_C2070)
-        assert insp.avg_out_degree > skewed_graph.avg_out_degree
-        assert len(insp.consume_overhead_tallies()) > 0
-        assert insp.consume_overhead_tallies() == []  # drained
 
     def test_rejects_bad_interval(self, skewed_graph):
         with pytest.raises(ValueError):

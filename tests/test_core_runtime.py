@@ -9,8 +9,6 @@ from repro.cpu import cpu_bfs, cpu_dijkstra
 from repro.errors import GraphError, KernelError
 from repro.graph.generators import (
     attach_uniform_weights,
-    balanced_tree,
-    chain_graph,
     erdos_renyi_graph,
     power_law_graph,
 )

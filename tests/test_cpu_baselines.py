@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cpu import (
-    DEFAULT_CPU,
-    cpu_bellman_ford,
-    cpu_bfs,
-    cpu_dijkstra,
-)
+from repro.cpu import cpu_bellman_ford, cpu_bfs, cpu_dijkstra
 from repro.cpu import costmodel
 from repro.errors import GraphError
-from repro.graph.generators import attach_uniform_weights, chain_graph, erdos_renyi_graph
+from repro.graph.generators import chain_graph
 from tests.conftest import assert_bfs_matches_networkx, assert_sssp_matches_networkx
 
 
@@ -104,7 +99,9 @@ class TestBellmanFord:
 
 class TestCpuModel:
     def test_bfs_formula(self):
-        s = DEFAULT_CPU.bfs_seconds(nodes_visited=10, edges_scanned=20, num_nodes=100)
+        s = costmodel.traversal_seconds(
+            nodes_visited=10, edges_scanned=20, num_nodes=100
+        )
         expected = (
             100 * costmodel.INIT_PER_NODE_S
             + 10 * (costmodel.NODE_VISIT_S + costmodel.UPDATE_S)
@@ -113,7 +110,6 @@ class TestCpuModel:
         assert s == pytest.approx(expected)
 
     def test_dijkstra_heap_term_grows_with_heap(self):
-        m = DEFAULT_CPU
-        small = m.dijkstra_seconds(10, 20, 30, 30, 4, 100)
-        large = m.dijkstra_seconds(10, 20, 30, 30, 4096, 100)
+        small = costmodel.dijkstra_seconds(10, 20, 30, 30, 4, 100)
+        large = costmodel.dijkstra_seconds(10, 20, 30, 30, 4096, 100)
         assert large > small

@@ -6,7 +6,7 @@ shared iteration engine."""
 import numpy as np
 import pytest
 
-from repro.core import HybridConfig, adaptive_run, hybrid_run, run_static
+from repro.core import adaptive_run, hybrid_run, run_static
 from repro.core.policies import AdaptivePolicy
 from repro.engine import (
     AlgorithmInfo,

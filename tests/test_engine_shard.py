@@ -7,8 +7,6 @@ the value array is bit-identical (SHA-256) to the 1-device run — the
 recovery ladder may cost simulated time, never answers.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 

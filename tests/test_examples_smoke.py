@@ -7,9 +7,6 @@ evolves.
 
 import importlib.util
 import pathlib
-import sys
-
-import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 

@@ -1,14 +1,18 @@
 """Every module's ``__all__`` names what the module really defines,
-and no public signature takes back a setting that is now a constant.
+no public signature takes back a setting that is now a constant, and
+no module imports a name it never reads.
 
 A name deleted from a module but left in its ``__all__`` fails no
-other test, yet breaks ``from module import *``.
+other test, yet breaks ``from module import *``.  The repository has no
+linter, so the unused-import check is an AST scan here.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,10 +35,11 @@ def test_all_entries_resolve_once(name):
     assert not repeated, f"{name}.__all__ repeats {repeated}"
 
 
-#: parameters of settings the paper fixes (one device, one serial host)
-#: or that only restate another door: each is a constant or a ``with
-#: observing(obs):`` block, never a keyword
-FIXED_SETTINGS = {"cost_params", "cpu", "observe"}
+#: parameters of settings the paper fixes (one device, one serial host,
+#: one graph per serving process) or that only restate another door:
+#: each is a constant or a ``with observing(obs):`` block, never a
+#: keyword (a ``cache`` of sessions only ever holds one)
+FIXED_SETTINGS = {"cost_params", "cpu", "observe", "cache"}
 
 
 def _public_callables():
@@ -80,3 +85,89 @@ def test_guard_config_keeps_the_run_settings_only():
         "checkpoint_every",
         "mem_budget",
     ]
+
+
+def test_one_session_per_graph():
+    """A serving process holds one :class:`GraphSession` over its one
+    graph: nothing caches or re-keys sessions (and no public callable
+    takes a ``cache``, see :data:`FIXED_SETTINGS`), and the session
+    keeps no derived artifact that no query reads."""
+    import repro.serve
+    from repro.graph.generators import chain_graph
+    from repro.serve import GraphSession
+
+    assert not hasattr(repro.serve, "SessionCache")
+    session = GraphSession(chain_graph(4))
+    assert sorted(vars(session)) == ["config", "device", "digest", "graph"]
+
+
+#: trees whose modules the unused-import check parses; ``perfbench/``
+#: is a benchmark harness with its own conventions and stays out
+LINTED_TREES = ("src", "tests", "tools", "benchmarks", "examples")
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _annotation_names(tree: ast.AST) -> set:
+    """Names read inside string annotations such as ``List["X"]``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    try:
+                        expr = ast.parse(sub.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    names.update(
+                        n.id for n in ast.walk(expr) if isinstance(n, ast.Name)
+                    )
+    return names
+
+
+def _unused_imports(path: Path) -> list:
+    """``file:line: name`` for each top-level import *path* never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [
+                (alias.asname or alias.name.partition(".")[0], node.lineno)
+                for alias in node.names
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    read |= _annotation_names(tree)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            read.update(
+                c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+            )
+    rel = path.relative_to(REPO_ROOT)
+    return [f"{rel}:{line}: {name}" for name, line in imported if name not in read]
+
+
+def test_no_unused_imports():
+    """Every top-level import is read somewhere in its module.  A
+    package ``__init__.py`` imports to re-export, so it is exempt."""
+    unused = [
+        hit
+        for tree in LINTED_TREES
+        for path in sorted((REPO_ROOT / tree).rglob("*.py"))
+        if path.name != "__init__.py"
+        for hit in _unused_imports(path)
+    ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -12,7 +12,6 @@ from repro.graph.generators import (
     attach_uniform_weights,
     erdos_renyi_graph,
     power_law_graph,
-    star_graph,
 )
 from repro.gpusim.device import TESLA_C2070
 from repro.kernels.costs import C_EDGE

@@ -5,7 +5,6 @@ import dataclasses
 import functools
 import operator
 
-import numpy as np
 import pytest
 
 from repro.gpusim.device import TESLA_C2070

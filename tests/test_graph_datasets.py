@@ -1,7 +1,6 @@
 """Tests for repro.graph.datasets: the Table-1 analogues must reproduce
 the published structure (scaled)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import DatasetError

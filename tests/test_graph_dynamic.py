@@ -12,8 +12,6 @@ report tally and note, and for a rejected batch the exact message and
 an unchanged overlay.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,6 @@ from repro.graph.dynamic import (
     DeltaOverlayGraph,
     EdgeBatch,
     MutationReport,
-    load_mutations_jsonl,
 )
 from repro.gpusim.allocator import MemoryBudget
 from repro.obs import Observer, observing
@@ -57,7 +54,7 @@ class TestEdgeBatchParsing:
                 ]
             )
         )
-        batch = load_mutations_jsonl(path)
+        batch = EdgeBatch.from_jsonl(path)
         assert len(batch) == 3
         ops = list(batch)
         assert [op.op for op in ops] == ["insert", "delete", "grow"]

@@ -17,7 +17,6 @@ from repro.graph.builder import from_edge_list
 from repro.graph.generators import attach_uniform_weights, power_law_graph
 from repro.graph.partition import (
     PARTITION_STRATEGIES,
-    GraphShard,
     partition_graph,
     reassemble,
 )

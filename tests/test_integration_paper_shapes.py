@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import adaptive_run, run_static
-from repro.cpu import cpu_bfs, cpu_dijkstra
+from repro.cpu import cpu_bfs
 from repro.graph.datasets import make_dataset
 from repro.graph.properties import largest_out_component_node
 from repro.kernels import unordered_variants

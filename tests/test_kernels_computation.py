@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.errors import KernelError
 from repro.graph.builder import from_edge_list
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import attach_uniform_weights, chain_graph, star_graph
+from repro.graph.generators import attach_uniform_weights, chain_graph
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
 from repro.gpusim.device import TESLA_C2070
 from repro.kernels import computation, costs

@@ -103,7 +103,7 @@ class TestWorksetGen:
 
     def test_scan_based_queue_replaces_atomics(self):
         tallies = workset_gen_tallies(
-            100_000, 5_000, WorksetRepr.QUEUE, TESLA_C2070, use_scan=True
+            100_000, 5_000, WorksetRepr.QUEUE, TESLA_C2070, scheme="scan"
         )
         assert len(tallies) > 1  # scan kernels prepended
         assert all(t.atomics_same_address == 0 for t in tallies)
@@ -124,7 +124,7 @@ class TestWorksetGen:
         scan = sum(
             model.price(t).seconds
             for t in workset_gen_tallies(
-                n, u, WorksetRepr.QUEUE, TESLA_C2070, use_scan=True
+                n, u, WorksetRepr.QUEUE, TESLA_C2070, scheme="scan"
             )
         )
         assert scan < atomic  # Merrill et al.'s observation
@@ -141,7 +141,7 @@ class TestWorksetGen:
         scan = sum(
             model.price(t).seconds
             for t in workset_gen_tallies(
-                n, u, WorksetRepr.QUEUE, TESLA_C2070, use_scan=True
+                n, u, WorksetRepr.QUEUE, TESLA_C2070, scheme="scan"
             )
         )
         assert atomic < scan  # scan pays fixed multi-kernel overhead

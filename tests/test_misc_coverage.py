@@ -111,16 +111,6 @@ class TestQueueGenSchemes:
         )
         assert hier < flat
 
-    def test_use_scan_alias(self):
-        a = workset_gen_tallies(
-            1000, 100, WorksetRepr.QUEUE, TESLA_C2070, use_scan=True
-        )
-        b = workset_gen_tallies(
-            1000, 100, WorksetRepr.QUEUE, TESLA_C2070, scheme="scan"
-        )
-        assert len(a) == len(b)
-        assert a[-1].atomics_same_address == 0
-
     def test_bitmap_ignores_scheme(self):
         for scheme in QUEUE_GEN_SCHEMES:
             tallies = workset_gen_tallies(

@@ -1,6 +1,5 @@
 """Tests for run manifests and the combined Perfetto trace."""
 
-import dataclasses
 import hashlib
 import json
 

@@ -1,7 +1,6 @@
-"""Tests for the serving layer: repro.serve sessions, the LRU session
-cache, the batch runner's routing/isolation, and the batch manifest."""
+"""Tests for the serving layer: repro.serve sessions, the batch
+runner's routing/isolation, and the batch manifest."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -11,15 +10,15 @@ import pytest
 from repro.core.config import RuntimeConfig
 from repro.core.runtime import adaptive_run
 from repro.errors import RuntimeConfigError
-from repro.gpusim.device import GTX_580, TESLA_C2070
+from repro.gpusim.device import TESLA_C2070
 from repro.graph.generators import attach_uniform_weights, erdos_renyi_graph
 from repro.obs import Observer, RunManifest, observing
+from repro.obs.manifest import graph_fingerprint
 from repro.reliability import guarded_query
 from repro.serve import (
     BatchQuery,
     BatchRunner,
     GraphSession,
-    SessionCache,
     load_queries_jsonl,
 )
 
@@ -90,88 +89,16 @@ class TestLoadQueriesJsonl:
 
 class TestGraphSession:
     def test_caches_query_independent_artifacts(self):
-        session = GraphSession(_graph())
-        assert session.digest == session.fingerprint["digest"]
+        graph = _graph()
+        session = GraphSession(graph)
+        assert session.digest == graph_fingerprint(graph)["digest"]
         assert session.num_nodes == 200
-        assert session.profile is not None
-        # Already clamped: the degenerate T3 < T2 ordering never leaks.
-        assert session.thresholds.t3 >= session.thresholds.t2
+        assert session.config == RuntimeConfig()
+        assert session.device is TESLA_C2070
 
     def test_holds_the_transpose(self):
         session = GraphSession(_graph(seed=1))
         assert session.graph._reverse is not None
-
-
-class TestSessionCache:
-    def test_digest_keyed_hits(self):
-        cache = SessionCache(capacity=2)
-        first = cache.get(_graph())
-        # Same content, a different graph object: still one session.
-        again = cache.get(_graph())
-        assert again is first
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_eviction_order_is_lru(self):
-        cache = SessionCache(capacity=2)
-        a = cache.get(_graph(seed=1))
-        b = cache.get(_graph(seed=2))
-        cache.get(_graph(seed=1))  # touch a: b is now least recent
-        cache.get(_graph(seed=3))  # evicts b
-        assert cache.evictions == 1
-        assert cache.digests() == [a.digest, cache.get(_graph(seed=3)).digest]
-        assert b.digest not in cache.digests()
-
-    def test_device_mismatch_is_a_miss(self):
-        cache = SessionCache(capacity=2)
-        cache.get(_graph(), device=TESLA_C2070)
-        swapped = cache.get(_graph(), device=GTX_580)
-        assert swapped.device is GTX_580
-        assert (cache.hits, cache.misses) == (0, 2)
-
-    def test_config_mismatch_is_a_miss(self):
-        cache = SessionCache(capacity=2)
-        cache.get(_graph())
-        config = RuntimeConfig(t1=64, queue_gen="scan")
-        session = cache.get(_graph(), config=config)
-        assert (session.config.t1, session.config.queue_gen) == (64, "scan")
-        assert session.thresholds.t1 == 64
-        assert (cache.hits, cache.misses) == (0, 2)
-        # An equal config built afresh (as every CLI call builds one) hits.
-        again = cache.get(_graph(), config=RuntimeConfig(t1=64, queue_gen="scan"))
-        assert again is session
-        assert (cache.hits, cache.misses) == (1, 2)
-
-    def test_equal_device_is_a_hit(self):
-        cache = SessionCache(capacity=2)
-        first = cache.get(_graph(), device=TESLA_C2070)
-        again = cache.get(_graph(), device=dataclasses.replace(TESLA_C2070))
-        assert again is first
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(RuntimeConfigError):
-            SessionCache(capacity=0)
-
-    def test_hit_answers_bit_identical_to_cold_ingest(self):
-        cache = SessionCache()
-        cache.get(_graph())
-        warm = BatchRunner(cache.get(_graph())).run([BatchQuery("bfs", 17)])
-        cold = BatchRunner(GraphSession(_graph())).run([BatchQuery("bfs", 17)])
-        assert cache.hits == 1
-        assert warm.queries[0].values_sha256 == cold.queries[0].values_sha256
-        assert np.array_equal(warm.queries[0].values, cold.queries[0].values)
-
-    def test_observer_counters(self):
-        observer = Observer()
-        with observing(observer):
-            cache = SessionCache(capacity=1)
-            cache.get(_graph(seed=1))
-            cache.get(_graph(seed=1))
-            cache.get(_graph(seed=2))
-        snapshot = observer.metrics.snapshot()
-        assert snapshot["serve.cache.hits"]["value"] == 1
-        assert snapshot["serve.cache.misses"]["value"] == 2
-        assert snapshot["serve.cache.evictions"]["value"] == 1
 
 
 class TestBatchRunner:

@@ -1,30 +1,25 @@
-"""Dynamic serving: epoch-aware cache patches and mutation barriers.
+"""Dynamic serving: mutation barriers in the serve loop.
 
-Three layers under test.  :meth:`SessionCache.patch` must re-key a live
-session in place — no eviction, no rebuild, post-mutation lookups hit
-the same object — while stale artifacts (thresholds, profile, digest)
-are all re-derived from the mutated graph: a mutated graph must never
-be served with pre-mutation thresholds.  :class:`ServeLoop` applies
-queued mutation batches only at super-iteration barriers, preserving
-exactly-once and answering every post-barrier query on the new epoch
-with SHA parity against a from-scratch run.  The chaos soak composes
-both with fault injection.
+:class:`ServeLoop` applies queued mutation batches only at
+super-iteration barriers, re-points its one session at the compacted
+graph, preserves exactly-once and answers every post-barrier query on
+the new epoch with SHA parity against a from-scratch run — and with
+decision thresholds resolved from the mutated graph, never the graph
+the session was built on.  The chaos soak composes the barrier with
+fault injection.
 """
 
 import hashlib
 import json
 
 import numpy as np
-import pytest
 
 from repro.core.config import RuntimeConfig
 from repro.core.runtime import adaptive_run
-from repro.errors import RuntimeConfigError
 from repro.graph.dynamic import DeltaOverlayGraph, EdgeBatch
 from repro.graph.generators import attach_uniform_weights, erdos_renyi_graph
-from repro.obs import Observer, observing
 from repro.obs.manifest import graph_fingerprint
-from repro.serve import BatchQuery, GraphSession, ServeLoop, SessionCache
+from repro.serve import BatchQuery, GraphSession, ServeLoop
 from repro.serve.chaos import generate_mutations, run_chaos
 
 
@@ -39,95 +34,13 @@ def _mutated(graph, batch, mode=None):
 
 
 # ----------------------------------------------------------------------
-# Epoch-aware session cache invalidation
-# ----------------------------------------------------------------------
-
-class TestSessionPatch:
-    def test_patch_rekeys_in_place_without_eviction(self, random_graph):
-        cache = SessionCache(capacity=4)
-        session = cache.get(random_graph)
-        old_digest = session.digest
-        mutated, _ = _mutated(random_graph, EdgeBatch.inserts([(0, 150)]))
-
-        patched = cache.patch(session, mutated)
-        assert patched is session  # same live object, not a rebuild
-        assert cache.patches == 1 and cache.evictions == 0
-        assert session.digest != old_digest
-        assert session.digest == graph_fingerprint(mutated)["digest"]
-        # Post-mutation lookups hit the patched entry...
-        hits_before = cache.hits
-        assert cache.get(mutated) is session
-        assert cache.hits == hits_before + 1
-        # ...and non-incremental consumers see the digest bump: the old
-        # key no longer resolves (a fresh get under it would miss).
-        assert old_digest not in cache.digests()
-
-    def test_mutated_graph_never_reuses_stale_thresholds(self, random_graph):
-        """Regression: T3 is resolved from num_nodes at session build;
-        a grow mutation must re-resolve it, not serve the stale value."""
-        config = RuntimeConfig(t2=4)  # keep T3 out of the T3>=T2 clamp
-        cache = SessionCache(capacity=4)
-        session = cache.get(random_graph, config=config)
-        stale = session.thresholds
-        assert stale.t3 == config.resolve_thresholds(
-            session.device, random_graph.num_nodes
-        ).t3
-
-        grow = EdgeBatch.from_docs(
-            enumerate(
-                [
-                    {"op": "grow", "nodes": 800},
-                    {"op": "insert", "u": 900, "v": 0},
-                ],
-                start=1,
-            )
-        )
-        mutated, _ = _mutated(random_graph, grow)
-        cache.patch(session, mutated)
-        fresh = config.resolve_thresholds(session.device, mutated.num_nodes)
-        assert session.thresholds.t3 == fresh.t3
-        assert session.thresholds.t3 != stale.t3
-        # The profile the decision maker reads is post-mutation too.
-        assert session.profile.num_nodes == mutated.num_nodes
-        assert session.profile.num_edges == mutated.num_edges
-
-    def test_patch_requires_cached_session(self, random_graph):
-        cache = SessionCache(capacity=2)
-        foreign = GraphSession(random_graph)
-        mutated, _ = _mutated(random_graph, EdgeBatch.inserts([(1, 2)]))
-        with pytest.raises(RuntimeConfigError, match="does not hold"):
-            cache.patch(foreign, mutated)
-
-    def test_patch_supersedes_collision_under_new_digest(self, random_graph):
-        cache = SessionCache(capacity=4)
-        session = cache.get(random_graph)
-        mutated, _ = _mutated(random_graph, EdgeBatch.inserts([(0, 150)]))
-        rival = cache.get(mutated)  # someone already ingested the target
-        assert rival is not session
-        cache.patch(session, mutated)
-        assert cache.get(mutated) is session
-        assert cache.evictions == 1  # the rival, counted honestly
-
-    def test_patch_observed(self, random_graph):
-        observer = Observer()
-        with observing(observer):
-            cache = SessionCache(capacity=2)
-            session = cache.get(random_graph)
-            mutated, _ = _mutated(random_graph, EdgeBatch.inserts([(3, 4)]))
-            cache.patch(session, mutated)
-        snap = observer.metrics.snapshot()
-        assert snap["serve.cache.patches"]["value"] == 1
-
-
-# ----------------------------------------------------------------------
 # Serve-loop mutation barriers
 # ----------------------------------------------------------------------
 
 class TestServeLoopMutations:
     def test_barrier_applies_between_frames_with_parity(self, random_graph):
-        cache = SessionCache(capacity=4)
-        session = cache.get(random_graph)
-        loop = ServeLoop(session, max_batch_rows=4, cache=cache)
+        session = GraphSession(random_graph)
+        loop = ServeLoop(session, max_batch_rows=4)
 
         loop.submit(BatchQuery("bfs", 0), line=1)
         loop.pump()  # frame mid-flight
@@ -148,15 +61,56 @@ class TestServeLoopMutations:
 
         assert loop.report.mutations_applied == 1
         assert loop.graph_epoch == 1
-        assert cache.patches == 1 and cache.evictions == 0
+        assert loop.session is session  # re-pointed, not rebuilt
         (event,) = loop.report.mutation_events
         assert event["ok"] and event["edges_inserted"] == 2
         assert event["new_digest"] == session.digest
         assert event["compaction_seconds"] > 0
 
+    def test_mutated_graph_never_reuses_stale_thresholds(
+        self, random_graph, monkeypatch
+    ):
+        """Regression: T3 scales with num_nodes, so after a grow barrier
+        the next adaptive query's policy must resolve it from the
+        mutated graph, not the graph the session was built on."""
+        config = RuntimeConfig(t2=4)  # keep T3 out of the T3>=T2 clamp
+        session = GraphSession(random_graph, config=config)
+        loop = ServeLoop(session)
+        plans = []
+        route = loop._runner._route
+
+        def spy(query):
+            plans.append(route(query))
+            return plans[-1]
+
+        monkeypatch.setattr(loop._runner, "_route", spy)
+        loop.submit(BatchQuery("bfs", 0), line=1)
+        loop.drain()
+        grow = EdgeBatch.from_docs(
+            enumerate(
+                [
+                    {"op": "grow", "nodes": 800},
+                    {"op": "insert", "u": 900, "v": 0},
+                ],
+                start=1,
+            )
+        )
+        loop.submit_mutation(grow)
+        loop.submit(BatchQuery("bfs", 0), line=2)
+        loop.drain()
+
+        mutated = loop.session.graph
+        assert mutated.num_nodes == random_graph.num_nodes + 800
+        stale = config.resolve_thresholds(session.device, random_graph.num_nodes)
+        fresh = config.resolve_thresholds(session.device, mutated.num_nodes)
+        assert fresh.t3 != stale.t3
+        before, after = (plan.policy.thresholds for plan in plans)
+        assert before.t3 == stale.t3
+        assert after.t3 == fresh.t3
+
     def test_mutation_burns_simulated_time(self, random_graph):
         session = GraphSession(random_graph)
-        loop = ServeLoop(session, cache=None)
+        loop = ServeLoop(session)
         loop.submit(BatchQuery("bfs", 0), line=1)
         loop.drain()
         before = loop.sim_now
@@ -270,12 +224,11 @@ class TestDynamicChaos:
         assert report.duplicate_responses == 0
         assert report.missing_responses == 0
         assert report.sha_mismatches == 0
-        # Epoch-aware invalidation, not eviction: one patch per barrier
-        # (a barrier may coalesce several batches), never an eviction.
-        assert 1 <= report.cache_patches <= 3
-        assert report.cache_evictions == 0
-        doc = report.result_dict()
-        assert doc["mutation_batches"] == 3 and doc["cache_evictions"] == 0
+        # One applied event per barrier; a barrier may coalesce batches.
+        applied = [e for e in report.serve.mutation_events if e["ok"]]
+        assert 1 <= len(applied) <= 3
+        assert sum(e["batches"] for e in applied) == 3
+        assert report.result_dict()["mutation_batches"] == 3
 
     def test_mutating_soak_is_deterministic(self):
         first = run_chaos(num_queries=30, num_nodes=150, seed=8,

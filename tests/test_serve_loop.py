@@ -99,6 +99,25 @@ class TestAdmissionQueue:
         assert [e.line for e in overdue] == [1]
         assert len(queue) == 2
 
+    def test_expire_overdue_returns_or_keeps_every_entry(self):
+        # A clock that moves on with every read, so a deadline can lapse
+        # while expire_overdue scans the queue.
+        now, step = [0.0], [0.0]
+
+        def clock():
+            now[0] += step[0]
+            return now[0]
+
+        queue = AdmissionQueue(capacity=4, clock=clock)
+        queue.offer(BatchQuery("bfs", 0), line=1, deadline_s=1.0)
+        now[0] = 0.5
+        queue.offer(BatchQuery("bfs", 1), line=2, deadline_s=1.0)
+        now[0], step[0] = 1.0, 0.2
+        expired = [e.line for e in queue.expire_overdue()]
+        kept = [e.line for e in queue.pop(4)]
+        assert expired == [1]
+        assert sorted(expired + kept) == [1, 2]
+
     def test_metrics_reported_to_observer(self):
         observer = Observer()
         with observing(observer):
