@@ -8,7 +8,8 @@ band.
 """
 
 from common import bench_graph, write_report
-from repro.core.tuning import derive_t2, measure_t2_crossover
+from repro.core.config import derive_t2
+from repro.core.tuning import measure_t2_crossover
 from repro.gpusim.device import TESLA_C2070
 from repro.utils.tables import Table
 

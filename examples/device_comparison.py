@@ -14,7 +14,7 @@ Run with::
 import numpy as np
 
 from repro import adaptive_run
-from repro.core.tuning import derive_t2
+from repro.core.config import derive_t2
 from repro.cpu import cpu_dijkstra
 from repro.graph.datasets import make_dataset
 from repro.graph.properties import largest_out_component_node

@@ -8,31 +8,33 @@ per run mode: :func:`run_static`, :func:`adaptive_run`,
 
 - :mod:`repro.core.api` — the user-facing :class:`Graph` type;
 - :mod:`repro.core.inspector` — static + monitored runtime attributes;
-- :mod:`repro.core.decision` — the Figure-11 decision space (T1/T2/T3);
+- :mod:`repro.core.decision` — the Figure-11 decision space (T1/T2/T3),
+  one lookup per decision, and the memory-pressure override both
+  policies apply to their pick;
 - :mod:`repro.core.learned` — the fitted decision-tree alternative
-  (offline ``fit_policy`` from manifests, online ``LearnedPolicy``);
+  (offline ``fit_policy`` from manifests, online ``LearnedPolicy``: one
+  tree walk per decision in place of the lookup);
 - :mod:`repro.core.policies` — the adaptive policy driving the frame;
 - :mod:`repro.core.runtime` — ``run_static`` / ``adaptive_run``;
 - :mod:`repro.core.hybrid` — ``hybrid_run``, per-iteration CPU/GPU
   placement;
-- :mod:`repro.core.tuning` — threshold derivation and the T2/T3 sweeps;
-- :mod:`repro.core.config` / :mod:`repro.core.telemetry` — knobs, traces.
+- :mod:`repro.core.tuning` — the T2 crossover and T3 sweeps;
+- :mod:`repro.core.config` / :mod:`repro.core.telemetry` — knobs and the
+  analytical T1/T2, traces.
 """
 
 from repro.core.api import Graph
-from repro.core.config import RuntimeConfig
+from repro.core.config import RuntimeConfig, derive_t1, derive_t2
 from repro.core.decision import DecisionMaker, Thresholds
 from repro.core.hybrid import HybridConfig, HybridResult, hybrid_run
 from repro.core.inspector import GraphInspector, StaticAttributes
 from repro.core.learned import (
     FEATURE_NAMES,
-    LearnedDecisionMaker,
     LearnedPolicy,
     PolicyArtifact,
     extract_samples,
     fit_policy,
     load_manifest_corpus,
-    load_policy,
     resolve_policy,
     variant_costs,
 )
@@ -46,13 +48,7 @@ from repro.core.oracle import (
 from repro.core.policies import AdaptivePolicy
 from repro.core.runtime import adaptive_run, run_static
 from repro.core.telemetry import RECOVERY_ACTIONS, Decision, DecisionTrace, FaultEvent
-from repro.core.tuning import (
-    derive_t1,
-    derive_t2,
-    measure_t2_crossover,
-    sweep_t3,
-    tune_t3,
-)
+from repro.core.tuning import measure_t2_crossover, sweep_t3, tune_t3
 
 __all__ = [
     "Graph",
@@ -63,13 +59,11 @@ __all__ = [
     "StaticAttributes",
     "AdaptivePolicy",
     "FEATURE_NAMES",
-    "LearnedDecisionMaker",
     "LearnedPolicy",
     "PolicyArtifact",
     "extract_samples",
     "fit_policy",
     "load_manifest_corpus",
-    "load_policy",
     "resolve_policy",
     "variant_costs",
     "adaptive_run",

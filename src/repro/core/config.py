@@ -15,7 +15,18 @@ from repro.errors import RuntimeConfigError
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.variants import THREAD_MAPPING_TPB
 
-__all__ = ["RuntimeConfig"]
+__all__ = ["RuntimeConfig", "derive_t1", "derive_t2"]
+
+
+def derive_t1(device: DeviceSpec) -> float:
+    """T1 = warp size: below it, block mapping idles cores (Section VII.B)."""
+    return float(device.warp_size)
+
+
+def derive_t2(device: DeviceSpec) -> int:
+    """T2 = threads/block x #SMs: smaller working sets leave SMs idle
+    under thread mapping (192 x 14 = 2,688 on the C2070)."""
+    return THREAD_MAPPING_TPB * device.num_sms
 
 
 @dataclass(frozen=True)
@@ -46,9 +57,6 @@ class RuntimeConfig:
     #: extension: let the decision maker select the virtual-warp mapping
     #: for mid-range average outdegrees (outside the paper's space)
     use_warp_mapping: bool = False
-    #: extension: lower degree bound of the warp-mapping band; ``None``
-    #: derives warp_size / 8 from the device
-    t1_low: Optional[float] = None
     #: queue-generation scheme: "atomic" (the paper's baseline), "scan"
     #: (Merrill-style prefix scan) or "hierarchical" (Luo-style
     #: shared-memory queues)
@@ -57,9 +65,6 @@ class RuntimeConfig:
     #: regardless of the decision maker's choice; the guard's OOM ladder
     #: uses "bitmap" to cap the footprint at O(|V|/8)
     force_workset: Optional[str] = None
-    #: device-memory pressure (used/capacity) above which the decision
-    #: maker switches to footprint-minimal choices
-    pressure_threshold: float = 0.85
 
     def __post_init__(self):
         if self.t1 is not None and self.t1 <= 0:
@@ -78,8 +83,6 @@ class RuntimeConfig:
             raise RuntimeConfigError(
                 f"switch_mode must be 'shared' or 'rebuild', got {self.switch_mode!r}"
             )
-        if self.t1_low is not None and self.t1_low <= 0:
-            raise RuntimeConfigError(f"t1_low must be > 0, got {self.t1_low}")
         if self.queue_gen not in ("atomic", "scan", "hierarchical"):
             raise RuntimeConfigError(
                 f"queue_gen must be 'atomic', 'scan' or 'hierarchical', "
@@ -90,36 +93,24 @@ class RuntimeConfig:
                 f"force_workset must be None, 'bitmap' or 'queue', "
                 f"got {self.force_workset!r}"
             )
-        if not 0.0 < self.pressure_threshold <= 1.0:
-            raise RuntimeConfigError(
-                f"pressure_threshold must be in (0, 1], got {self.pressure_threshold}"
-            )
 
     def resolve_t1(self, device: DeviceSpec) -> float:
-        """T1: below-warp average outdegrees underutilize block mapping."""
-        return float(self.t1) if self.t1 is not None else float(device.warp_size)
+        """T1: the configured value, else :func:`derive_t1`."""
+        return float(self.t1) if self.t1 is not None else derive_t1(device)
 
     def resolve_t2(self, device: DeviceSpec) -> int:
-        """T2: working sets below threads/block x #SMs leave SMs idle
-        under thread mapping (192 x 14 = 2,688 on the C2070)."""
-        if self.t2 is not None:
-            return int(self.t2)
-        return THREAD_MAPPING_TPB * device.num_sms
+        """T2: the configured value, else :func:`derive_t2`."""
+        return int(self.t2) if self.t2 is not None else derive_t2(device)
 
     def resolve_t3(self, num_nodes: int) -> int:
         """T3 in absolute nodes for a graph of *num_nodes*."""
         return max(1, int(round(self.t3_fraction * num_nodes)))
 
-    def resolve_t1_low(self, device: DeviceSpec) -> float:
-        """Lower bound of the extended warp-mapping degree band."""
-        if self.t1_low is not None:
-            return float(self.t1_low)
-        return device.warp_size / 8.0
-
     def resolve_thresholds(self, device: DeviceSpec, num_nodes: int):
         """All four thresholds for one (graph, device) pair, with the
         degenerate-ordering clamp applied (``T3 >= T2`` — tiny graphs
         otherwise resolve T3 below T2 and invert the Figure-11 regions).
+        The warp-mapping band's lower bound ``t1_low`` is warp_size / 8.
         """
         from repro.core.decision import Thresholds
 
@@ -128,7 +119,7 @@ class RuntimeConfig:
             t1=t1,
             t2=self.resolve_t2(device),
             t3=self.resolve_t3(num_nodes),
-            t1_low=min(self.resolve_t1_low(device), t1),
+            t1_low=min(device.warp_size / 8.0, t1),
         ).resolved()
 
     def with_overrides(self, **kwargs) -> "RuntimeConfig":

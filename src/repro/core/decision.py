@@ -14,18 +14,33 @@ average outdegree on the y-axis — split into regions by three thresholds:
 
 Only unordered variants are selected: "our adaptive framework uses only
 unordered versions of SSSP and BFS" (Section VI.A).
+
+:meth:`DecisionMaker.decide` makes that lookup once per decision and
+returns the variant with its region label.  :func:`pressure_override`
+then applies the one memory-pressure rule that both the threshold and
+the learned policy share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Tuple
 
 from repro.errors import RuntimeConfigError
 from repro.kernels.variants import Mapping, Ordering, Variant, WorksetRepr
 
-__all__ = ["Thresholds", "DecisionMaker"]
+__all__ = [
+    "PRESSURE_THRESHOLD",
+    "Thresholds",
+    "DecisionMaker",
+    "check_inputs",
+    "pressure_override",
+]
+
+#: device-memory pressure (used / capacity) at or above which a decision
+#: turns footprint-minimal (:func:`pressure_override`)
+PRESSURE_THRESHOLD = 0.85
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,30 @@ class Thresholds:
         )
 
 
+def check_inputs(workset_size: int, avg_out_degree: float) -> None:
+    """Reject inputs outside the decision space's domain.
+
+    A NaN average outdegree would silently fall through every threshold
+    comparison into the thread-mapped region; fail loudly instead.  A
+    zero average outdegree is valid input (an all-zero-outdegree working
+    set) and lands in the thread-mapped region by design — below any
+    sensible T1.
+    """
+    if workset_size < 0:
+        raise RuntimeConfigError(f"workset_size must be >= 0, got {workset_size}")
+    if not math.isfinite(avg_out_degree) or avg_out_degree < 0:
+        raise RuntimeConfigError(
+            f"avg_out_degree must be finite and >= 0, got {avg_out_degree}"
+        )
+
+
+_DEGREE_PART = {
+    Mapping.THREAD: "low-degree",
+    Mapping.WARP: "mid-degree",
+    Mapping.BLOCK: "high-degree",
+}
+
+
 class DecisionMaker:
     """Maps (working-set size, average outdegree) to a variant.
 
@@ -76,110 +115,58 @@ class DecisionMaker:
     the mid/high-degree band splits in two: degrees in ``[t1_low, t1)``
     select the virtual-warp mapping, which parallelizes each element's
     neighborhood without dedicating a whole block to it.
-
-    Memory awareness (beyond Figure 11): when the caller reports device
-    memory pressure at or above ``pressure_threshold``, the decision
-    flips to footprint-minimal choices — the representation with fewer
-    device bytes (the fixed ``|V|/8`` bitmap unless the queue is
-    genuinely smaller) and thread mapping (whose 192-thread blocks hold
-    no per-block neighbor-staging buffers).  Verstraaten et al. and
-    Hong et al. both treat footprint as a first-class selection axis;
-    this is that axis grafted onto the paper's decision space.
     """
 
-    def __init__(
-        self,
-        thresholds: Thresholds,
-        *,
-        use_warp_mapping: bool = False,
-        num_nodes: Optional[int] = None,
-        pressure_threshold: float = 0.85,
-    ):
+    def __init__(self, thresholds: Thresholds, *, use_warp_mapping: bool = False):
         self.thresholds = thresholds
         self.use_warp_mapping = bool(use_warp_mapping)
-        self.num_nodes = num_nodes
-        if not 0.0 < pressure_threshold <= 1.0:
-            raise RuntimeConfigError(
-                f"pressure_threshold must be in (0, 1], got {pressure_threshold}"
-            )
-        self.pressure_threshold = float(pressure_threshold)
 
-    def _mapping_for_degree(self, avg_out_degree: float) -> Mapping:
+    def decide(self, workset_size: int, avg_out_degree: float) -> Tuple[Variant, str]:
+        """The Figure-11 region lookup: the variant and its region label
+        (telemetry / debugging)."""
+        check_inputs(workset_size, avg_out_degree)
         t = self.thresholds
+        if workset_size < t.t2:
+            mapping, workset = Mapping.BLOCK, WorksetRepr.QUEUE
+            return Variant(Ordering.UNORDERED, mapping, workset), "small-ws"
         if avg_out_degree >= t.t1:
-            return Mapping.BLOCK
-        if self.use_warp_mapping and avg_out_degree >= t.t1_low:
-            return Mapping.WARP
-        return Mapping.THREAD
-
-    def _minimal_workset(self, workset_size: int) -> WorksetRepr:
-        """The representation with the smaller device footprint."""
-        if self.num_nodes is None:
-            return WorksetRepr.BITMAP
-        queue_bytes = 4 * workset_size
-        bitmap_bytes = (self.num_nodes + 7) // 8
-        return WorksetRepr.QUEUE if queue_bytes < bitmap_bytes else WorksetRepr.BITMAP
-
-    def under_pressure(self, memory_pressure: float) -> bool:
-        return memory_pressure >= self.pressure_threshold
-
-    @staticmethod
-    def _check_inputs(workset_size: int, avg_out_degree: float) -> None:
-        """Reject inputs outside the decision space's domain.
-
-        A NaN average outdegree would silently fall through every
-        threshold comparison into the thread-mapped region; fail loudly
-        instead.  A zero average outdegree is valid input (an
-        all-zero-outdegree working set) and lands in the thread-mapped
-        region by design — below any sensible T1.
-        """
-        if workset_size < 0:
-            raise RuntimeConfigError(
-                f"workset_size must be >= 0, got {workset_size}"
-            )
-        if not math.isfinite(avg_out_degree) or avg_out_degree < 0:
-            raise RuntimeConfigError(
-                f"avg_out_degree must be finite and >= 0, got {avg_out_degree}"
-            )
-
-    def decide(
-        self,
-        workset_size: int,
-        avg_out_degree: float,
-        *,
-        memory_pressure: float = 0.0,
-    ) -> Variant:
-        """The Figure-11 region lookup, with a memory-pressure override."""
-        self._check_inputs(workset_size, avg_out_degree)
-        t = self.thresholds
-        if workset_size < t.t2:
             mapping = Mapping.BLOCK
-            workset = WorksetRepr.QUEUE
+        elif self.use_warp_mapping and avg_out_degree >= t.t1_low:
+            mapping = Mapping.WARP
         else:
-            mapping = self._mapping_for_degree(avg_out_degree)
-            workset = (
-                WorksetRepr.QUEUE if workset_size < t.t3 else WorksetRepr.BITMAP
-            )
-        if self.under_pressure(memory_pressure):
-            workset = self._minimal_workset(workset_size)
-            if mapping is Mapping.BLOCK:
-                mapping = Mapping.THREAD
-        return Variant(Ordering.UNORDERED, mapping, workset)
+            mapping = Mapping.THREAD
+        if workset_size < t.t3:
+            workset, size_part = WorksetRepr.QUEUE, "mid-ws"
+        else:
+            workset, size_part = WorksetRepr.BITMAP, "large-ws"
+        return (
+            Variant(Ordering.UNORDERED, mapping, workset),
+            f"{size_part}/{_DEGREE_PART[mapping]}",
+        )
 
-    def region(
-        self, workset_size: int, avg_out_degree: float, *, memory_pressure: float = 0.0
-    ) -> str:
-        """Human-readable region label (telemetry / debugging)."""
-        self._check_inputs(workset_size, avg_out_degree)
-        t = self.thresholds
-        suffix = "/mem-pressure" if self.under_pressure(memory_pressure) else ""
-        if workset_size < t.t2:
-            return "small-ws" + suffix
-        size_part = "mid-ws" if workset_size < t.t3 else "large-ws"
-        mapping = self._mapping_for_degree(avg_out_degree)
-        degree_part = {
-            Mapping.THREAD: "low-degree",
-            Mapping.WARP: "mid-degree",
-            Mapping.BLOCK: "high-degree",
-        }[mapping]
-        return f"{size_part}/{degree_part}{suffix}"
+
+def pressure_override(
+    variant: Variant,
+    region: str,
+    workset_size: int,
+    num_nodes: int,
+    memory_pressure: float,
+) -> Tuple[Variant, str]:
+    """Memory awareness (beyond Figure 11): the decision under pressure.
+
+    Below :data:`PRESSURE_THRESHOLD` the pick and its label pass through.
+    At or above it the pick turns footprint-minimal — the representation
+    with fewer device bytes (the fixed ``|V|/8`` bitmap unless the queue
+    is genuinely smaller) and thread mapping in place of block mapping
+    (whose blocks hold per-block neighbor-staging buffers) — and the
+    label gains ``/mem-pressure``.  Verstraaten et al. and Hong et al.
+    both treat footprint as a first-class selection axis; this is that
+    axis grafted onto whichever decision maker made the pick.
+    """
+    if memory_pressure < PRESSURE_THRESHOLD:
+        return variant, region
+    queue_bytes = 4 * workset_size
+    bitmap_bytes = (num_nodes + 7) // 8
+    workset = WorksetRepr.QUEUE if queue_bytes < bitmap_bytes else WorksetRepr.BITMAP
+    mapping = Mapping.THREAD if variant.mapping is Mapping.BLOCK else variant.mapping
+    return Variant(variant.ordering, mapping, workset), region + "/mem-pressure"

@@ -1,4 +1,4 @@
-"""Learned decision maker: fit offline from manifests, infer online.
+"""Learned decision policy: fit offline from manifests, infer online.
 
 The paper's decision maker is a hand-tuned rule (three thresholds over
 two graph properties, Figure 11).  Merrill's follow-up line of work —
@@ -14,19 +14,17 @@ outdegree and memory pressure.  This module closes that loop:
 2. **Labels** are the oracle-best variant per decision, obtained by
    re-pricing all four unordered variants on a surrogate frontier
    reconstructed from the recorded properties — through the *same*
-   :func:`~repro.kernels.mapping.computation_tally` /
-   :func:`~repro.kernels.workset.workset_gen_tallies` /
-   :class:`~repro.gpusim.kernel.CostModel` stack the per-iteration
+   :func:`~repro.core.oracle.candidate_pricer` the per-iteration
    oracle uses (:func:`variant_costs`).
 3. **Model**: a dependency-free, cost-sensitive CART
    (:func:`fit_policy`) whose splits minimize total *regret* — the sum
    of each leaf's best-single-variant cost — rather than label
    impurity, so a near-tie between variants never forces a split.
 4. **Artifact**: a versioned, digest-pinned JSON document
-   (:class:`PolicyArtifact`) that :class:`LearnedDecisionMaker` loads
-   as a drop-in :class:`~repro.core.decision.DecisionMaker`
-   replacement — including the memory-pressure overrides, which are
-   *borrowed from* ``DecisionMaker`` rather than re-implemented.
+   (:class:`PolicyArtifact`) that :class:`LearnedPolicy` deploys in
+   place of the Figure-11 lookup: one tree walk per decision, then the
+   memory-pressure override the threshold policy applies too
+   (:func:`~repro.core.decision.pressure_override`).
 
 ``repro fit-policy runs/*.json --out policy.json`` drives the offline
 step; ``repro run --policy learned:policy.json`` deploys the artifact.
@@ -43,16 +41,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.decision import DecisionMaker
+from repro.core.decision import check_inputs, pressure_override
+from repro.core.oracle import candidate_pricer
 from repro.core.policies import AdaptivePolicy
-from repro.errors import ReproError, RuntimeConfigError
+from repro.errors import ReproError
 from repro.gpusim.device import DeviceSpec, TESLA_C2070, device_registry
 from repro.gpusim.kernel import CostModel
 from repro.graph.properties import sorted_unique
 from repro.kernels import costs as kcosts
-from repro.kernels.mapping import ComputationShape, computation_tally
-from repro.kernels.variants import Mapping, Variant, unordered_variants
-from repro.kernels.workset import workset_gen_tallies
+from repro.kernels.mapping import ComputationShape
+from repro.kernels.variants import Variant, unordered_variants
+from repro.obs.context import current_observer
 from repro.obs.manifest import RunManifest
 
 __all__ = [
@@ -64,9 +63,7 @@ __all__ = [
     "extract_samples",
     "load_manifest_corpus",
     "fit_policy",
-    "load_policy",
     "resolve_policy",
-    "LearnedDecisionMaker",
     "LearnedPolicy",
 ]
 
@@ -127,25 +124,23 @@ def variant_costs(
     *,
     updated_count: Optional[int] = None,
     weighted: bool = False,
-    candidates: Optional[Sequence[Variant]] = None,
 ) -> Dict[str, float]:
-    """Price every candidate variant on a surrogate frontier.
+    """Price every unordered variant on a surrogate frontier.
 
-    This is the per-iteration oracle's pricing loop
-    (:func:`~repro.core.oracle.per_iteration_oracle`) applied to a
-    frontier *reconstructed* from (size, average outdegree) instead of
+    This is the per-iteration oracle's pricing
+    (:func:`~repro.core.oracle.candidate_pricer`) applied to a frontier
+    *reconstructed* from (size, average outdegree) instead of
     materialized by a traversal — which is exactly the information a
     manifest's decision trace records, so training labels can be
     derived offline from manifests alone.
     """
     if num_nodes <= 0:
         raise ReproError(f"num_nodes must be > 0, got {num_nodes}")
-    DecisionMaker._check_inputs(workset_size, avg_out_degree)
+    check_inputs(workset_size, avg_out_degree)
     ids, degrees = _surrogate_frontier(workset_size, avg_out_degree, num_nodes)
     if updated_count is None:
         updated_count = int(ids.size)
     updated_count = max(0, min(int(updated_count), int(num_nodes)))
-    model = CostModel(device)
     shape = ComputationShape(
         name="policy_label",
         num_nodes=int(num_nodes),
@@ -156,18 +151,7 @@ def variant_costs(
         updated_count=updated_count,
         weight_streams=1 if weighted else 0,
     )
-    out: Dict[str, float] = {}
-    for variant in candidates if candidates is not None else unordered_variants():
-        tpb = variant.threads_per_block(avg_out_degree, device)
-        seconds = model.price(
-            computation_tally(shape, variant.mapping, variant.workset, tpb, device)
-        ).seconds
-        for tally in workset_gen_tallies(
-            int(num_nodes), updated_count, variant.workset, device
-        ):
-            seconds += model.price(tally).seconds
-        out[variant.code] = seconds
-    return out
+    return candidate_pricer(avg_out_degree, CostModel(device))(shape)
 
 
 # ----------------------------------------------------------------------
@@ -602,13 +586,8 @@ def fit_policy(
 
 
 # ----------------------------------------------------------------------
-# Deployment: spec parsing + the drop-in decision maker / policy
+# Deployment: spec parsing + the learned policy
 # ----------------------------------------------------------------------
-
-def load_policy(path: Union[str, os.PathLike]) -> PolicyArtifact:
-    """Load and digest-verify a policy artifact from disk."""
-    return PolicyArtifact.load(path)
-
 
 def resolve_policy(spec: Union[str, PolicyArtifact]) -> PolicyArtifact:
     """Resolve a ``--policy`` spec: ``learned:<path>`` or an artifact."""
@@ -618,128 +597,20 @@ def resolve_policy(spec: Union[str, PolicyArtifact]) -> PolicyArtifact:
         path = spec[len("learned:"):]
         if not path:
             raise ReproError("--policy learned: requires an artifact path")
-        return load_policy(path)
+        return PolicyArtifact.load(path)
     raise ReproError(
         f"unknown policy spec {spec!r} (supported: 'learned:<policy.json>')"
     )
 
 
-class LearnedDecisionMaker:
-    """Evaluates a fitted tree as a drop-in
-    :class:`~repro.core.decision.DecisionMaker` replacement.
-
-    The memory-pressure overrides are *the* PR-2 overrides — the
-    footprint-minimal representation pick and the BLOCK→THREAD demotion
-    are borrowed from ``DecisionMaker`` unchanged, so a learned policy
-    under pressure behaves exactly like the threshold policy under
-    pressure (the tree only replaces the Figure-11 region lookup).
-    """
-
-    # Reuse, not reimplementation: the pressure helpers are shared with
-    # the threshold decision maker.
-    under_pressure = DecisionMaker.under_pressure
-    _minimal_workset = DecisionMaker._minimal_workset
-    _check_inputs = staticmethod(DecisionMaker._check_inputs)
-
-    def __init__(
-        self,
-        artifact: PolicyArtifact,
-        *,
-        num_nodes: Optional[int] = None,
-        pressure_threshold: float = 0.85,
-    ):
-        self.artifact = artifact
-        self.num_nodes = num_nodes
-        if not 0.0 < pressure_threshold <= 1.0:
-            raise RuntimeConfigError(
-                f"pressure_threshold must be in (0, 1], got {pressure_threshold}"
-            )
-        self.pressure_threshold = float(pressure_threshold)
-        #: telemetry for the policy.* catalog metrics
-        self.evaluations = 0
-        self.overrides = 0
-        self.leaf_depths: List[int] = []
-
-    def _features(
-        self, iteration: int, workset_size: int, avg_out_degree: float,
-        growth: float, memory_pressure: float,
-    ) -> Tuple[float, ...]:
-        ratio = (
-            workset_size / self.num_nodes
-            if self.num_nodes
-            else 0.0
-        )
-        return (
-            float(iteration),
-            float(workset_size),
-            ratio,
-            float(avg_out_degree),
-            float(growth),
-            float(memory_pressure),
-        )
-
-    def _evaluate(self, features: Sequence[float]) -> Tuple[str, int]:
-        index = {name: i for i, name in enumerate(self.artifact.feature_names)}
-        node = self.artifact.tree
-        depth = 0
-        while "variant" not in node:
-            value = features[index[node["feature"]]]
-            node = node["left"] if value <= node["threshold"] else node["right"]
-            depth += 1
-        self.evaluations += 1
-        self.leaf_depths.append(depth)
-        return node["variant"], depth
-
-    def decide(
-        self,
-        workset_size: int,
-        avg_out_degree: float,
-        *,
-        iteration: int = 0,
-        growth: float = 1.0,
-        memory_pressure: float = 0.0,
-    ) -> Variant:
-        """Tree lookup, then the shared memory-pressure override."""
-        self._check_inputs(workset_size, avg_out_degree)
-        code, _ = self._evaluate(
-            self._features(
-                iteration, workset_size, avg_out_degree, growth, memory_pressure
-            )
-        )
-        variant = Variant.parse(code)
-        if self.under_pressure(memory_pressure):
-            workset = self._minimal_workset(workset_size)
-            mapping = variant.mapping
-            if mapping is Mapping.BLOCK:
-                mapping = Mapping.THREAD
-            if variant.workset is not workset or variant.mapping is not mapping:
-                self.overrides += 1
-            variant = Variant(variant.ordering, mapping, workset)
-        return variant
-
-    def region(
-        self,
-        workset_size: int,
-        avg_out_degree: float,
-        *,
-        iteration: int = 0,
-        growth: float = 1.0,
-        memory_pressure: float = 0.0,
-    ) -> str:
-        """Leaf-depth region label (telemetry / decision traces)."""
-        self._check_inputs(workset_size, avg_out_degree)
-        index = {name: i for i, name in enumerate(self.artifact.feature_names)}
-        features = self._features(
-            iteration, workset_size, avg_out_degree, growth, memory_pressure
-        )
-        node = self.artifact.tree
-        depth = 0
-        while "variant" not in node:
-            value = features[index[node["feature"]]]
-            node = node["left"] if value <= node["threshold"] else node["right"]
-            depth += 1
-        suffix = "/mem-pressure" if self.under_pressure(memory_pressure) else ""
-        return f"learned/leaf-depth-{depth}{suffix}"
+def _walk(tree: dict, features: Dict[str, float]) -> Tuple[str, int]:
+    """The leaf *features* land in: its variant code and its depth."""
+    node, depth = tree, 0
+    while "variant" not in node:
+        value = features[node["feature"]]
+        node = node["left"] if value <= node["threshold"] else node["right"]
+        depth += 1
+    return node["variant"], depth
 
 
 class LearnedPolicy(AdaptivePolicy):
@@ -748,9 +619,11 @@ class LearnedPolicy(AdaptivePolicy):
     Everything around the decision is inherited from
     :class:`~repro.core.policies.AdaptivePolicy` — the inspector's
     sampling cadence, precise-mode degree monitoring, the ``rebuild``
-    switch-cost ablation and the budget fit-check — only the
-    decision-maker consultation (:meth:`_decide`) is replaced, so the
-    learned and threshold policies are directly comparable run-for-run.
+    switch-cost ablation and the budget fit-check — only the lookup
+    (:meth:`_decide`) is replaced: one tree walk where the threshold
+    policy reads Figure 11, then the same
+    :func:`~repro.core.decision.pressure_override`.  So the learned and
+    threshold policies are directly comparable run-for-run.
     """
 
     def __init__(
@@ -764,16 +637,11 @@ class LearnedPolicy(AdaptivePolicy):
     ):
         super().__init__(graph, config, device=device, memory=memory)
         self.artifact = artifact
-        self.decision_maker = LearnedDecisionMaker(
-            artifact,
-            num_nodes=graph.num_nodes,
-            pressure_threshold=self.config.pressure_threshold,
-        )
         self.name = "learned"
         self._last_workset: Optional[int] = None
 
     def _decide(self, iteration: int, workset_size: int, pressure: float):
-        dm = self.decision_maker
+        check_inputs(workset_size, self._avg_degree)
         # Frontier momentum, measured exactly as training saw it: this
         # decision's size over the previous *decision's* (samples, not
         # raw iterations, when sampling_interval > 1).
@@ -783,23 +651,34 @@ class LearnedPolicy(AdaptivePolicy):
             else 1.0
         )
         self._last_workset = workset_size
-        unconstrained = dm.decide(
-            workset_size, self._avg_degree, iteration=iteration, growth=growth
+        features = {
+            "iteration": float(iteration),
+            "workset_size": float(workset_size),
+            "workset_ratio": (
+                workset_size / self._num_nodes if self._num_nodes else 0.0
+            ),
+            "avg_out_degree": float(self._avg_degree),
+            "growth": float(growth),
+            "memory_pressure": float(pressure),
+        }
+        code, depth = _walk(self.artifact.tree, features)
+        picked = Variant.parse(code)
+        variant, region = pressure_override(
+            picked, f"learned/leaf-depth-{depth}", workset_size,
+            self._num_nodes, pressure,
         )
-        variant = dm.decide(
-            workset_size,
-            self._avg_degree,
-            iteration=iteration,
-            growth=growth,
-            memory_pressure=pressure,
-        )
-        region = dm.region(
-            workset_size,
-            self._avg_degree,
-            iteration=iteration,
-            growth=growth,
-            memory_pressure=pressure,
-        )
+        # The tree reads the pressure as a feature, so the unconstrained
+        # pick is its walk at zero pressure.
+        unconstrained = picked
+        if pressure:
+            features["memory_pressure"] = 0.0
+            unconstrained = Variant.parse(_walk(self.artifact.tree, features)[0])
+        observer = current_observer()
+        if observer is not None:
+            metrics = observer.metrics
+            metrics.counter("policy.evaluations").inc()
+            metrics.counter("policy.overrides").inc(int(variant != picked))
+            metrics.histogram("policy.leaf_depth").observe(depth)
         return unconstrained, variant, region
 
     def policy_info(self) -> dict:

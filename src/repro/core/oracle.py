@@ -15,7 +15,7 @@ contribution the way a follow-up study would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -30,13 +30,14 @@ from repro.gpusim.transfer import transfer_seconds
 from repro.kernels import costs as kcosts
 from repro.kernels.computation import INF, UNSET_LEVEL, bfs_relax, sssp_relax
 from repro.kernels.mapping import ComputationShape, computation_tally
-from repro.kernels.variants import Variant, unordered_variants
+from repro.kernels.variants import unordered_variants
 from repro.kernels.workset import workset_gen_tallies
 
 __all__ = [
     "IterationCosts",
     "OracleReport",
     "DecisionQuality",
+    "candidate_pricer",
     "per_iteration_oracle",
     "decision_quality",
 ]
@@ -94,16 +95,44 @@ class OracleReport:
         return best, totals[best]
 
 
+def candidate_pricer(
+    avg_out_degree: float, model: CostModel
+) -> Callable[[ComputationShape], Dict[str, float]]:
+    """The pricing of every unordered variant: a function from a shape to
+    each candidate's seconds, its computation tally (launched with the
+    threads per block *avg_out_degree* gives it, derived once per
+    variant) plus its working-set generation tallies for
+    ``shape.updated_count`` updates."""
+    device = model.device
+    launches = [
+        (variant, variant.threads_per_block(avg_out_degree, device))
+        for variant in unordered_variants()
+    ]
+
+    def price(shape: ComputationShape) -> Dict[str, float]:
+        out: Dict[str, float] = {}
+        for variant, tpb in launches:
+            seconds = model.price(
+                computation_tally(shape, variant.mapping, variant.workset, tpb, device)
+            ).seconds
+            for tally in workset_gen_tallies(
+                shape.num_nodes, shape.updated_count, variant.workset, device
+            ):
+                seconds += model.price(tally).seconds
+            out[variant.code] = seconds
+        return out
+
+    return price
+
+
 def per_iteration_oracle(
     graph: CSRGraph,
     source: int,
     algorithm: str = "bfs",
     *,
-    variants: Optional[Sequence[Union[Variant, str]]] = None,
     device: DeviceSpec = TESLA_C2070,
-    max_iterations: Optional[int] = None,
 ) -> OracleReport:
-    """Price every candidate variant on every iteration of one traversal.
+    """Price every unordered variant on every iteration of one traversal.
 
     The functional state advances once per iteration (the result does not
     depend on the variant); each candidate's computation + generation
@@ -117,11 +146,6 @@ def per_iteration_oracle(
     weighted = algorithm == "sssp"
     if weighted and graph.weights is None:
         raise KernelError("SSSP requires a weighted graph")
-    candidates = [
-        Variant.parse(v) if isinstance(v, str) else v
-        for v in (variants if variants is not None else unordered_variants())
-    ]
-
     # One source of graph properties for the whole report: the inspector's
     # static profile.  The block-mapping launch geometry depends on the
     # average outdegree, and recomputing it per variant per iteration
@@ -134,11 +158,7 @@ def per_iteration_oracle(
         "profiled average outdegree diverged from the graph's own "
         f"({avg_out_degree} != {graph.avg_out_degree})"
     )
-    tpb_by_code = {
-        v.code: v.threads_per_block(avg_out_degree, device) for v in candidates
-    }
-
-    model = CostModel(device)
+    price = candidate_pricer(avg_out_degree, CostModel(device))
     n = graph.num_nodes
     if weighted:
         state = np.full(n, INF, dtype=np.float64)
@@ -156,7 +176,7 @@ def per_iteration_oracle(
 
     frontier = np.array([source], dtype=np.int64)
     iteration = 0
-    cap = max_iterations if max_iterations is not None else 16 * n + 64
+    cap = 16 * n + 64
     while frontier.size:
         if iteration >= cap:
             raise KernelError(f"oracle traversal exceeded {cap} iterations")
@@ -176,23 +196,11 @@ def per_iteration_oracle(
             updated_count=int(updated.size),
             weight_streams=1 if weighted else 0,
         )
-        per_variant: Dict[str, float] = {}
-        for variant in candidates:
-            tpb = tpb_by_code[variant.code]
-            seconds = model.price(
-                computation_tally(shape, variant.mapping, variant.workset, tpb, device)
-            ).seconds
-            for tally in workset_gen_tallies(
-                n, int(updated.size), variant.workset, device
-            ):
-                seconds += model.price(tally).seconds
-            per_variant[variant.code] = seconds
-
         report.iterations.append(
             IterationCosts(
                 iteration=iteration,
                 workset_size=int(frontier.size),
-                seconds_by_variant=per_variant,
+                seconds_by_variant=price(shape),
             )
         )
         report.fixed_seconds += transfer_seconds(4, device)  # readback

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.config import RuntimeConfig
-from repro.core.decision import DecisionMaker
+from repro.core.decision import DecisionMaker, pressure_override
 from repro.core.inspector import GraphInspector
 from repro.core.telemetry import Decision, DecisionTrace
 from repro.engine.types import IterationRecord, VariantPolicy
@@ -53,10 +53,7 @@ class AdaptivePolicy(VariantPolicy):
         )
         self.thresholds = self.config.resolve_thresholds(device, graph.num_nodes)
         self.decision_maker = DecisionMaker(
-            self.thresholds,
-            use_warp_mapping=self.config.use_warp_mapping,
-            num_nodes=graph.num_nodes,
-            pressure_threshold=self.config.pressure_threshold,
+            self.thresholds, use_warp_mapping=self.config.use_warp_mapping
         )
         self.trace = DecisionTrace()
         self.name = "adaptive"
@@ -113,17 +110,16 @@ class AdaptivePolicy(VariantPolicy):
         return variant
 
     def _decide(self, iteration: int, workset_size: int, pressure: float):
-        """One decision-maker consultation: (unconstrained, pressured,
-        region-label).  The learned policy overrides this seam — and
-        only this seam — so sampling, tracing, the fit-check and the
-        switch-cost ablation stay shared between the two runtimes."""
-        dm = self.decision_maker
-        unconstrained = dm.decide(workset_size, self._avg_degree)
-        variant = dm.decide(
-            workset_size, self._avg_degree, memory_pressure=pressure
+        """One decision-maker lookup plus the shared pressure override:
+        (unconstrained, pressured, region-label).  The learned policy
+        overrides this seam — and only this seam — so sampling, tracing,
+        the fit-check and the switch-cost ablation stay shared between
+        the two runtimes."""
+        unconstrained, region = self.decision_maker.decide(
+            workset_size, self._avg_degree
         )
-        region = dm.region(
-            workset_size, self._avg_degree, memory_pressure=pressure
+        variant, region = pressure_override(
+            unconstrained, region, workset_size, self._num_nodes, pressure
         )
         return unconstrained, variant, region
 

@@ -41,8 +41,8 @@ __all__ = [
 
 def _observed_traverse(span_name: str, run, policy):
     """Run *run()* under the current observer's span (if any) and report
-    *policy*'s decision counts — plus the learned policy's ``policy.*``
-    telemetry, when one drives the run — into its metrics registry."""
+    *policy*'s decision counts into its metrics registry (a learned
+    policy reports its own ``policy.*`` metrics as it decides)."""
     observer = current_observer()
     if observer is None:
         return run()
@@ -53,13 +53,6 @@ def _observed_traverse(span_name: str, run, policy):
     metrics.counter("runtime.decisions").inc(trace.num_decisions)
     metrics.counter("runtime.switches").inc(trace.num_switches)
     metrics.counter("runtime.memory_forced").inc(trace.num_memory_forced)
-    dm = getattr(policy, "decision_maker", None)
-    if dm is not None and hasattr(dm, "leaf_depths"):
-        metrics.counter("policy.evaluations").inc(dm.evaluations)
-        metrics.counter("policy.overrides").inc(dm.overrides)
-        depth_hist = metrics.histogram("policy.leaf_depth")
-        for depth in dm.leaf_depths:
-            depth_hist.observe(depth)
     return result
 
 

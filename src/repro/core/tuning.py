@@ -1,7 +1,10 @@
 """Experimental tuning of the runtime thresholds (Section VII.B).
 
-- :func:`derive_t1` / :func:`derive_t2` — the analytical values (warp
-  size; threads-per-block x #SMs);
+The analytical values (T1 = warp size, T2 = threads-per-block x #SMs)
+are :func:`~repro.core.config.derive_t1` and
+:func:`~repro.core.config.derive_t2`, the defaults
+:class:`~repro.core.config.RuntimeConfig` resolves to.
+
 - :func:`measure_t2_crossover` — the paper's empirical confirmation:
   measure per-kernel time of ``T_QU`` vs ``B_QU`` across working-set
   sizes and find where thread mapping starts winning ("B_QU outperforms
@@ -34,24 +37,11 @@ from repro.kernels.variants import (
 )
 
 __all__ = [
-    "derive_t1",
-    "derive_t2",
     "measure_t2_crossover",
     "T3SweepPoint",
     "sweep_t3",
     "tune_t3",
 ]
-
-
-def derive_t1(device: DeviceSpec) -> float:
-    """T1 = warp size: below it, block mapping idles cores (Section VII.B)."""
-    return float(device.warp_size)
-
-
-def derive_t2(device: DeviceSpec, threads_per_block: int = THREAD_MAPPING_TPB) -> int:
-    """T2 = threads/block x #SMs: smaller working sets leave SMs idle
-    under thread mapping (192 x 14 = 2,688 on the C2070)."""
-    return threads_per_block * device.num_sms
 
 
 def measure_t2_crossover(

@@ -43,7 +43,6 @@ from repro.gpusim.interconnect import (
 from repro.gpusim.kernel import CostModel, KernelTally
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.occupancy import OccupancyResult, occupancy
-from repro.gpusim.sharedmem import conflict_degree
 from repro.gpusim.timeline import KernelRecord, Timeline
 from repro.gpusim.transfer import transfer_seconds
 
@@ -63,7 +62,6 @@ __all__ = [
     "Timeline",
     "KernelRecord",
     "transfer_seconds",
-    "conflict_degree",
     "InterconnectSpec",
     "PCIE_P2P",
     "NVLINK",

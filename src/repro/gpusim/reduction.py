@@ -20,14 +20,18 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
 from repro.gpusim.launch import LaunchConfig
-from repro.gpusim.sharedmem import reduction_step_cycles
 
 __all__ = ["reduction_tallies", "ReductionPlan"]
 
 #: warp instructions per shared-memory reduction step (compare, select,
-#: sync amortized; the shared-memory traffic is priced separately via
-#: the bank-conflict model)
+#: sync amortized)
 _STEP_COST = 2.0
+
+#: shared-memory cycles per reduction step and warp: one read and one
+#: write of 2 cycles each; the sequential-addressing layout
+#: (``s = blockDim/2; s >>= 1``) keeps the active lanes on contiguous
+#: words, so no step has a bank conflict
+_SHARED_STEP_CYCLES = 4.0
 
 
 @dataclass(frozen=True)
@@ -64,18 +68,13 @@ def reduction_tallies(
     *,
     threads_per_block: int = 256,
     name: str = "reduce",
-    sequential_addressing: bool = True,
     entry_bytes: int = 4,
 ) -> List[KernelTally]:
     """Tallies of the kernel launches a min-reduction of *n* values costs.
 
-    *sequential_addressing* selects the conflict-free shared-memory
-    layout (the standard optimized formulation); ``False`` models the
-    naive interleaved tree, whose late steps serialize on the banks —
-    exposed for the bank-conflict ablation.  *entry_bytes* is the size
-    of each reduced element's global-memory record (ordered worksets
-    stream 8-byte ``(node, key)`` pairs; plain value reductions read
-    4 B).
+    *entry_bytes* is the size of each reduced element's global-memory
+    record (ordered worksets stream 8-byte ``(node, key)`` pairs; plain
+    value reductions read 4 B).
     """
     plan = plan_reduction(n, threads_per_block)
     tallies: List[KernelTally] = []
@@ -87,11 +86,7 @@ def reduction_tallies(
         )
         warps_per_block = launch.warps_per_block(device)
         steps = int(np.ceil(np.log2(max(2, per_block))))
-        per_warp_cycles = sum(
-            _STEP_COST
-            + reduction_step_cycles(step, sequential_addressing=sequential_addressing)
-            for step in range(steps)
-        )
+        per_warp_cycles = steps * (_STEP_COST + _SHARED_STEP_CYCLES)
         issue = blocks * warps_per_block * per_warp_cycles
         mem = np.ceil(elements * entry_bytes / device.transaction_bytes) + blocks
         tallies.append(

@@ -194,13 +194,13 @@ METRICS_CATALOG: Tuple[MetricSpec, ...] = (
                "repro.engine.shard",
                "super-iterations re-executed after a rollback"),
     MetricSpec("policy.evaluations", "counter", "evaluations",
-               "repro.core.runtime",
-               "learned-policy decision-tree evaluations"),
+               "repro.core.learned",
+               "learned-policy decisions, one tree evaluation each"),
     MetricSpec("policy.overrides", "counter", "decisions",
-               "repro.core.runtime",
-               "learned-policy picks overridden by memory pressure"),
+               "repro.core.learned",
+               "learned-policy picks changed by the memory-pressure override"),
     MetricSpec("policy.leaf_depth", "histogram", "levels",
-               "repro.core.runtime",
+               "repro.core.learned",
                "tree depth of the leaf each learned decision landed in"),
     MetricSpec("serve.mutation_barriers", "counter", "barriers",
                "repro.serve.loop",

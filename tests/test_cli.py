@@ -690,9 +690,9 @@ class TestFitPolicy:
         stdout = capsys.readouterr().out
         assert "training samples" in stdout
         assert f"[policy written to {out}]" in stdout
-        from repro.core import load_policy
+        from repro.core import PolicyArtifact
 
-        artifact = load_policy(out)
+        artifact = PolicyArtifact.load(out)
         assert artifact.digest[:16] in stdout
         assert len(artifact.training["manifests"]) == 2
 
@@ -722,12 +722,12 @@ class TestFitPolicy:
                    "--algorithm", "sssp", "--policy", f"learned:{policy}",
                    "--manifest", str(out)])
         assert rc == 0
-        from repro.core import load_policy
+        from repro.core import PolicyArtifact
         from repro.obs import RunManifest
 
         manifest = RunManifest.read(out)
         assert manifest.mode == "learned"
-        assert manifest.policy["digest"] == load_policy(policy).digest
+        assert manifest.policy["digest"] == PolicyArtifact.load(policy).digest
 
     def test_policy_requires_adaptive_mode(self, tmp_path, capsys):
         rc = main(["run", "--algorithm", "sssp", "--dataset", "p2p",

@@ -4,9 +4,15 @@ decision space."""
 import pytest
 
 from repro.core.config import RuntimeConfig
-from repro.core.decision import DecisionMaker, Thresholds
+from repro.core.decision import (
+    PRESSURE_THRESHOLD,
+    DecisionMaker,
+    Thresholds,
+    pressure_override,
+)
 from repro.errors import RuntimeConfigError
 from repro.gpusim.device import GTX_580, TESLA_C2070
+from repro.kernels.variants import Variant
 
 
 @pytest.fixture
@@ -18,40 +24,63 @@ def maker():
 class TestDecisionRegions:
     def test_tiny_workset_always_b_qu(self, maker):
         # Left of T2: B_QU regardless of degree (Figure 11).
-        assert maker.decide(10, 2.5).code == "U_B_QU"
-        assert maker.decide(2687, 500.0).code == "U_B_QU"
+        assert maker.decide(10, 2.5)[0].code == "U_B_QU"
+        assert maker.decide(2687, 500.0)[0].code == "U_B_QU"
 
     def test_mid_workset_low_degree(self, maker):
-        assert maker.decide(5000, 8.0).code == "U_T_QU"
+        assert maker.decide(5000, 8.0)[0].code == "U_T_QU"
 
     def test_mid_workset_high_degree(self, maker):
-        assert maker.decide(5000, 73.9).code == "U_B_QU"
+        assert maker.decide(5000, 73.9)[0].code == "U_B_QU"
 
     def test_large_workset_low_degree(self, maker):
-        assert maker.decide(50_000, 8.0).code == "U_T_BM"
+        assert maker.decide(50_000, 8.0)[0].code == "U_T_BM"
 
     def test_large_workset_high_degree(self, maker):
-        assert maker.decide(50_000, 73.9).code == "U_B_BM"
+        assert maker.decide(50_000, 73.9)[0].code == "U_B_BM"
 
     def test_boundaries_inclusive_exclusive(self, maker):
         # ws == T2 leaves the small-ws region; ws == T3 enters bitmap.
-        assert maker.decide(2688, 8.0).code == "U_T_QU"
-        assert maker.decide(10_000, 8.0).code == "U_T_BM"
-        assert maker.decide(9_999, 8.0).code == "U_T_QU"
+        assert maker.decide(2688, 8.0)[0].code == "U_T_QU"
+        assert maker.decide(10_000, 8.0)[0].code == "U_T_BM"
+        assert maker.decide(9_999, 8.0)[0].code == "U_T_QU"
 
     def test_t1_boundary(self, maker):
-        assert maker.decide(5000, 31.9).code == "U_T_QU"
-        assert maker.decide(5000, 32.0).code == "U_B_QU"
+        assert maker.decide(5000, 31.9)[0].code == "U_T_QU"
+        assert maker.decide(5000, 32.0)[0].code == "U_B_QU"
 
     def test_only_unordered(self, maker):
         for ws in (1, 5000, 50_000):
             for deg in (2.0, 100.0):
-                assert maker.decide(ws, deg).code.startswith("U_")
+                assert maker.decide(ws, deg)[0].code.startswith("U_")
 
     def test_region_labels(self, maker):
-        assert maker.region(10, 5.0) == "small-ws"
-        assert maker.region(5000, 5.0) == "mid-ws/low-degree"
-        assert maker.region(50_000, 100.0) == "large-ws/high-degree"
+        assert maker.decide(10, 5.0)[1] == "small-ws"
+        assert maker.decide(5000, 5.0)[1] == "mid-ws/low-degree"
+        assert maker.decide(50_000, 100.0)[1] == "large-ws/high-degree"
+
+
+class TestPressureOverride:
+    """The one memory-pressure rule both policies apply to their pick."""
+
+    PICK = Variant.parse("U_B_QU")
+
+    def test_below_threshold_passes_through(self):
+        out = pressure_override(self.PICK, "mid-ws/high-degree", 5000, 10_000, 0.84)
+        assert out == (self.PICK, "mid-ws/high-degree")
+
+    def test_at_threshold_turns_footprint_minimal(self):
+        assert PRESSURE_THRESHOLD == 0.85
+        variant, region = pressure_override(
+            self.PICK, "mid-ws/high-degree", 5000, 10_000, PRESSURE_THRESHOLD
+        )
+        # 4 B x 5000 queue entries outweigh a 1,250 B bitmap.
+        assert variant.code == "U_T_BM"
+        assert region == "mid-ws/high-degree/mem-pressure"
+
+    def test_small_queue_stays_a_queue(self):
+        variant, _ = pressure_override(self.PICK, "small-ws", 10, 10_000, 0.99)
+        assert variant.code == "U_T_QU"
 
 
 class TestThresholds:
@@ -119,18 +148,20 @@ class TestDecisionInputAudit:
             maker.decide(-1, 5.0)
 
     def test_region_audits_too(self, maker):
+        # The region label comes out of the same audited pass as the
+        # variant, also where the label reads the degree.
         with pytest.raises(RuntimeConfigError):
-            maker.region(10, float("nan"))
+            maker.decide(5000, float("nan"))
 
     def test_empty_workset_is_valid_input(self, maker):
         # An empty working set is a legal (terminal) state, not an error.
-        assert maker.decide(0, 0.0).code == "U_B_QU"
+        assert maker.decide(0, 0.0)[0].code == "U_B_QU"
 
     def test_all_zero_outdegree_workset_pins_thread_side(self, maker):
         # Zero average outdegree sits below any sensible T1: the working
         # set maps to threads in both the mid and large regions.
-        assert maker.decide(5000, 0.0).code == "U_T_QU"
-        assert maker.decide(50_000, 0.0).code == "U_T_BM"
+        assert maker.decide(5000, 0.0)[0].code == "U_T_QU"
+        assert maker.decide(50_000, 0.0)[0].code == "U_T_BM"
 
 
 class TestThresholdOrdering:
@@ -162,5 +193,5 @@ class TestThresholdOrdering:
         maker = DecisionMaker(t)
         # At the clamped boundary a working set is unambiguously in the
         # bitmap region, never "both mid and large" as pre-clamp.
-        assert maker.decide(int(t.t2), 5.0).code.endswith("BM")
-        assert maker.decide(int(t.t2) - 1, 5.0).code == "U_B_QU"
+        assert maker.decide(int(t.t2), 5.0)[0].code.endswith("BM")
+        assert maker.decide(int(t.t2) - 1, 5.0)[0].code == "U_B_QU"

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     FEATURE_NAMES,
-    LearnedDecisionMaker,
     LearnedPolicy,
     PolicyArtifact,
     adaptive_run,
@@ -21,15 +20,21 @@ from repro.core import (
     run_static,
     variant_costs,
 )
+from repro.core.decision import PRESSURE_THRESHOLD
 from repro.core.learned import POLICY_SCHEMA_VERSION
 from repro.errors import ReproError
+from repro.gpusim.allocator import MemoryBudget
+from repro.gpusim.device import TESLA_C2070
+from repro.gpusim.memory import traversal_state_bytes
 from repro.graph.generators import (
     attach_uniform_weights,
+    chain_graph,
     erdos_renyi_graph,
     power_law_graph,
+    rmat_graph,
 )
 from repro.kernels.variants import Mapping, WorksetRepr
-from repro.obs import build_manifest
+from repro.obs import Observer, build_manifest, observing
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +70,14 @@ def corpus(workload):
 @pytest.fixture(scope="module")
 def artifact(corpus):
     return fit_policy(corpus)
+
+
+def _learned_decision(artifact, workset_size, avg_out_degree, pressure):
+    """One learned decision on a 10,000-node graph at a given average
+    outdegree and memory pressure: (unconstrained, variant, region)."""
+    policy = LearnedPolicy(chain_graph(10_000), artifact, device=TESLA_C2070)
+    policy._avg_degree = avg_out_degree
+    return policy._decide(0, workset_size, pressure)
 
 
 class TestVariantCosts:
@@ -216,15 +229,13 @@ class TestArtifactProperties:
            pressure=st.floats(0, 1))
     @settings(max_examples=60, deadline=None)
     def test_decide_always_legal(self, tree, ws, deg, pressure):
-        dm = LearnedDecisionMaker(
-            PolicyArtifact(tree=tree, classes=_CLASSES), num_nodes=10_000
-        )
-        variant = dm.decide(ws, deg, memory_pressure=pressure)
+        art = PolicyArtifact(tree=tree, classes=_CLASSES)
+        _, variant, _ = _learned_decision(art, ws, deg, pressure)
         assert variant.code in {
             "U_T_BM", "U_T_QU", "U_B_BM", "U_B_QU",
             "U_W_BM", "U_W_QU",
         }
-        if dm.under_pressure(pressure):
+        if pressure >= PRESSURE_THRESHOLD:
             assert variant.mapping is not Mapping.BLOCK
 
 
@@ -246,33 +257,68 @@ class TestResolvePolicy:
             resolve_policy("oracle")
 
 
-class TestLearnedDecisionMaker:
-    def test_pressure_override_borrows_threshold_behaviour(self, artifact):
-        dm = LearnedDecisionMaker(artifact, num_nodes=10_000)
-        relaxed = dm.decide(4_000, 8.0, memory_pressure=0.0)
-        squeezed = dm.decide(4_000, 8.0, memory_pressure=0.95)
+class TestLearnedPolicyDecisions:
+    def test_pressure_override_is_the_threshold_policys(self, artifact):
+        relaxed, _, _ = _learned_decision(artifact, 4_000, 8.0, 0.0)
+        _, squeezed, _ = _learned_decision(artifact, 4_000, 8.0, 0.95)
         assert squeezed.workset is WorksetRepr.BITMAP  # minimal for big ws
         assert squeezed.mapping is not Mapping.BLOCK
         assert relaxed.ordering is squeezed.ordering
 
     def test_region_labels(self, artifact):
-        dm = LearnedDecisionMaker(artifact, num_nodes=10_000)
-        assert dm.region(100, 4.0).startswith("learned/leaf-depth-")
-        assert dm.region(100, 4.0, memory_pressure=0.99).endswith("/mem-pressure")
+        _, _, region = _learned_decision(artifact, 100, 4.0, 0.0)
+        assert region.startswith("learned/leaf-depth-")
+        _, _, region = _learned_decision(artifact, 100, 4.0, 0.99)
+        assert region.endswith("/mem-pressure")
 
-    def test_telemetry_counters(self, artifact):
-        dm = LearnedDecisionMaker(artifact, num_nodes=10_000)
-        dm.decide(100, 4.0)
-        dm.decide(5_000, 4.0, memory_pressure=0.99)
-        assert dm.evaluations == 2
-        assert len(dm.leaf_depths) == 2
-        assert dm.overrides >= 0
+    def test_unconstrained_pick_is_the_zero_pressure_walk(self):
+        """The tree reads memory pressure as a feature: a decision whose
+        final variant is the tree's own pick under pressure still counts
+        as forced when the tree picks otherwise at zero pressure."""
+        leaf = {"samples": 1, "regret": 0.0}
+        tree = {
+            "feature": "memory_pressure",
+            "threshold": 0.5,
+            "samples": 2,
+            "left": {"variant": "U_B_QU", **leaf},
+            "right": {"variant": "U_T_BM", **leaf},
+        }
+        art = PolicyArtifact(tree=tree, classes=_CLASSES)
+        graph = attach_uniform_weights(rmat_graph(10, 8.0, seed=3), seed=3)
+        n = graph.num_nodes
+        budget = graph.device_bytes() + traversal_state_bytes(n) + (n + 7) // 8 + 64
+        result = adaptive_run(
+            graph, "sssp", 0, memory=MemoryBudget(budget), policy=art
+        )
+        kept = [
+            d for d in result.trace.decisions
+            if d.variant == "U_T_BM" and d.memory_pressure > 0.5
+        ]
+        assert kept
+        assert all(d.forced_by_memory for d in kept)
+        assert all(d.region.endswith("/mem-pressure") for d in kept)
 
-    def test_invalid_pressure_threshold(self, artifact):
-        from repro.errors import RuntimeConfigError
-
-        with pytest.raises(RuntimeConfigError):
-            LearnedDecisionMaker(artifact, pressure_threshold=0.0)
+    def test_overrides_count_the_changed_picks(self):
+        """``policy.overrides`` counts the decisions whose tree pick the
+        pressure override changed, not every pressured decision."""
+        art = PolicyArtifact(
+            tree={"variant": "U_T_BM", "samples": 1, "regret": 0.0},
+            classes=_CLASSES,
+        )
+        graph = attach_uniform_weights(rmat_graph(10, 8.0, seed=3), seed=3)
+        n = graph.num_nodes
+        budget = graph.device_bytes() + traversal_state_bytes(n) + (n + 7) // 8 + 64
+        observer = Observer()
+        with observing(observer):
+            result = adaptive_run(
+                graph, "sssp", 0, memory=MemoryBudget(budget), policy=art
+            )
+        decisions = result.trace.decisions
+        changed = sum(d.variant != "U_T_BM" for d in decisions)
+        assert all(d.region.endswith("/mem-pressure") for d in decisions)
+        assert 0 < changed < len(decisions)
+        snapshot = observer.metrics.snapshot()
+        assert snapshot["policy.overrides"]["value"] == changed
 
 
 class TestDeployment:
@@ -310,15 +356,17 @@ class TestDeployment:
         assert again == manifest
 
     def test_policy_metrics_reported(self, workload, artifact):
-        from repro.obs import Observer, observing
-
+        # One evaluation and one leaf depth per decision (each decision
+        # used to walk the tree twice and count both walks).
         g, src = workload
         observer = Observer()
         with observing(observer):
-            adaptive_run(g, "sssp", src, policy=artifact)
+            result = adaptive_run(g, "sssp", src, policy=artifact)
         snapshot = observer.metrics.snapshot()
-        assert snapshot["policy.evaluations"]["value"] > 0
-        assert "policy.leaf_depth" in snapshot
+        decisions = snapshot["runtime.decisions"]["value"]
+        assert decisions == result.trace.num_decisions > 0
+        assert snapshot["policy.evaluations"]["value"] == decisions
+        assert snapshot["policy.leaf_depth"]["count"] == decisions
 
 
 class TestCorpusLoading:

@@ -37,13 +37,6 @@ class TestOracleReport:
             "U_T_BM", "U_T_QU", "U_B_BM", "U_B_QU",
         }
 
-    def test_custom_candidates(self, workload):
-        g, src = workload
-        report = per_iteration_oracle(
-            g, src, "bfs", variants=["U_T_BM", "U_W_QU"]
-        )
-        assert set(report.iterations[0].seconds_by_variant) == {"U_T_BM", "U_W_QU"}
-
     def test_oracle_lower_bounds_statics(self, workload):
         g, src = workload
         report = per_iteration_oracle(g, src, "sssp")

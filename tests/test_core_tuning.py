@@ -1,10 +1,10 @@
-"""Tests for repro.core.tuning (threshold derivation and sweeps)."""
+"""Tests for repro.core.tuning (threshold sweeps) and the analytical
+T1/T2 of repro.core.config."""
 
 import pytest
 
+from repro.core.config import derive_t1, derive_t2
 from repro.core.tuning import (
-    derive_t1,
-    derive_t2,
     measure_t2_crossover,
     sweep_t3,
     tune_t3,

@@ -36,10 +36,21 @@ def test_all_entries_resolve_once(name):
 
 
 #: parameters of settings the paper fixes (one device, one serial host,
-#: one graph per serving process) or that only restate another door:
-#: each is a constant or a ``with observing(obs):`` block, never a
-#: keyword (a ``cache`` of sessions only ever holds one)
-FIXED_SETTINGS = {"cost_params", "cpu", "observe", "cache"}
+#: one graph per serving process, one memory-pressure threshold, the
+#: four unordered candidates, the conflict-free reduction layout) or
+#: that only restate another door: each is a constant or a
+#: ``with observing(obs):`` block, never a keyword (a ``cache`` of
+#: sessions only ever holds one)
+FIXED_SETTINGS = {
+    "cost_params",
+    "cpu",
+    "observe",
+    "cache",
+    "pressure_threshold",
+    "candidates",
+    "variants",
+    "sequential_addressing",
+}
 
 
 def _public_callables():
@@ -84,6 +95,22 @@ def test_guard_config_keeps_the_run_settings_only():
         "max_iterations",
         "checkpoint_every",
         "mem_budget",
+    ]
+
+
+def test_runtime_config_keeps_the_varied_knobs_only():
+    from repro.core import RuntimeConfig
+
+    assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
+        "t1",
+        "t2",
+        "t3_fraction",
+        "sampling_interval",
+        "monitor_workset_degree",
+        "switch_mode",
+        "use_warp_mapping",
+        "queue_gen",
+        "force_workset",
     ]
 
 

@@ -95,21 +95,21 @@ class TestExtendedDecisionSpace:
 
     def test_disabled_by_default(self):
         maker = self._maker()
-        assert maker.decide(5000, 8.0).mapping is Mapping.THREAD
+        assert maker.decide(5000, 8.0)[0].mapping is Mapping.THREAD
 
     def test_warp_band(self):
         maker = self._maker(use_warp_mapping=True)
-        assert maker.decide(5000, 2.0).mapping is Mapping.THREAD
-        assert maker.decide(5000, 8.0).mapping is Mapping.WARP
-        assert maker.decide(5000, 64.0).mapping is Mapping.BLOCK
+        assert maker.decide(5000, 2.0)[0].mapping is Mapping.THREAD
+        assert maker.decide(5000, 8.0)[0].mapping is Mapping.WARP
+        assert maker.decide(5000, 64.0)[0].mapping is Mapping.BLOCK
 
     def test_small_ws_unchanged(self):
         maker = self._maker(use_warp_mapping=True)
-        assert maker.decide(10, 8.0).code == "U_B_QU"
+        assert maker.decide(10, 8.0)[0].code == "U_B_QU"
 
     def test_region_labels(self):
         maker = self._maker(use_warp_mapping=True)
-        assert maker.region(5000, 8.0) == "mid-ws/mid-degree"
+        assert maker.decide(5000, 8.0)[1] == "mid-ws/mid-degree"
 
     def test_thresholds_validate_t1_low(self):
         with pytest.raises(RuntimeConfigError):
@@ -120,13 +120,9 @@ class TestExtendedDecisionSpace:
 
 class TestExtendedRuntime:
     def test_config_resolution(self):
+        # The warp band's lower bound is warp_size / 8.
         cfg = RuntimeConfig(use_warp_mapping=True)
-        assert cfg.resolve_t1_low(TESLA_C2070) == 4.0
-        assert RuntimeConfig(t1_low=7.5).resolve_t1_low(TESLA_C2070) == 7.5
-
-    def test_rejects_bad_t1_low(self):
-        with pytest.raises(RuntimeConfigError):
-            RuntimeConfig(t1_low=-1.0)
+        assert cfg.resolve_thresholds(TESLA_C2070, 10_000).t1_low == 4.0
 
     def test_extended_adaptive_correct_and_uses_warp(self):
         g = attach_uniform_weights(

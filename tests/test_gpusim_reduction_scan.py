@@ -38,6 +38,14 @@ class TestReduction:
         total = sum(model.price(t).seconds for t in reduction_tallies(50_000, TESLA_C2070))
         assert total > 0
 
+    def test_every_step_costs_the_same(self):
+        # Sequential addressing is conflict-free: each of a 256-thread
+        # block's 9 steps costs every warp 2 + 4 cycles, so a pass issues
+        # blocks x 8 warps x 54 cycles.
+        tallies = reduction_tallies(500_000, TESLA_C2070)
+        assert [t.issue_cycles for t in tallies] == [422_064.0, 864.0, 432.0]
+        assert [t.max_block_cycles for t in tallies] == [432.0] * 3
+
     def test_larger_inputs_cost_more(self):
         model = CostModel(TESLA_C2070)
         small = sum(model.price(t).seconds for t in reduction_tallies(1_000, TESLA_C2070))

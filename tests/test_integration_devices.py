@@ -4,9 +4,8 @@ simulated device preset (thresholds and times shift, answers do not)."""
 import numpy as np
 import pytest
 
-from repro.core import adaptive_run, run_static
+from repro.core import adaptive_run, derive_t2, run_static
 from repro.cpu import cpu_bfs, cpu_dijkstra
-from repro.core.tuning import derive_t2
 from repro.graph.generators import attach_uniform_weights, power_law_graph
 from repro.gpusim.device import device_registry
 

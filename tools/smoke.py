@@ -155,11 +155,11 @@ def learned_policy():
     repro("run", "--algorithm", "sssp", "--dataset", "citeseer",
           "--scale", "0.05", "--seed", "1", "--policy", "learned:policy.json")
 
-    from repro.core import adaptive_run, load_policy
+    from repro.core import PolicyArtifact, adaptive_run
     from repro.graph.datasets import make_dataset
     from repro.obs import build_manifest
 
-    artifact = load_policy("policy.json")
+    artifact = PolicyArtifact.load("policy.json")
     graph = make_dataset("citeseer", scale=0.05, weighted=True, seed=1)
     threshold = adaptive_run(graph, "sssp", 358)
     learned = adaptive_run(graph, "sssp", 358, policy=artifact)
