@@ -21,10 +21,11 @@ A hybrid run is the row core's single-row schedule
 decision, comparing the serial cost estimate of the upcoming sweep
 (``nodes, expected edges`` priced by the CPU model) against the GPU's
 fixed per-iteration floor.  A device iteration is an adaptive
-iteration that chooses at the top; a host iteration runs
-``spec.batch_relax``, prices its seconds on the serial CPU model
-(:func:`~repro.cpu.costmodel.traversal_seconds`) and records variant
-``"cpu"``.
+iteration that chooses at the top; a host iteration runs the spec's
+one relaxation (:meth:`~repro.engine.spec.AlgorithmSpec.relax`, the
+function the device iterations run), prices its seconds on the serial
+CPU model (:func:`~repro.cpu.costmodel.traversal_seconds`) and records
+variant ``"cpu"``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import List, Optional
 from repro.core.config import RuntimeConfig
 from repro.core.policies import AdaptivePolicy
 from repro.cpu.costmodel import traversal_seconds
-from repro.engine.driver import _drive, _relax
+from repro.engine.driver import _drive
 from repro.engine.registry import get_algorithm
 from repro.engine.spec import StepOutcome
 from repro.engine.types import TraversalResult
@@ -116,7 +117,7 @@ class _Placement:
         self.run_length += 1
         if on_device:
             return None
-        outcome, _ = _relax(row, ctx.graph)
+        outcome, _ = row.spec.relax(ctx.graph, row.state)
         seconds = traversal_seconds(size, outcome.edges_scanned, 0)
         ctx.timeline.add_host_seconds(seconds)
         ctx.seconds += seconds

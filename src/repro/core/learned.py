@@ -44,12 +44,12 @@ import numpy as np
 from repro.core.decision import check_inputs, pressure_override
 from repro.core.oracle import candidate_pricer
 from repro.core.policies import AdaptivePolicy
+from repro.engine.registry import get_algorithm
 from repro.errors import ReproError
 from repro.gpusim.device import DeviceSpec, TESLA_C2070, device_registry
 from repro.gpusim.kernel import CostModel
 from repro.graph.properties import sorted_unique
-from repro.kernels import costs as kcosts
-from repro.kernels.mapping import ComputationShape
+from repro.kernels.multisource import RowRelaxation, launch_shape
 from repro.kernels.variants import Variant, unordered_variants
 from repro.obs.context import current_observer
 from repro.obs.manifest import RunManifest
@@ -132,7 +132,8 @@ def variant_costs(
     *reconstructed* from (size, average outdegree) instead of
     materialized by a traversal — which is exactly the information a
     manifest's decision trace records, so training labels can be
-    derived offline from manifests alone.
+    derived offline from manifests alone.  The launch profile is SSSP's
+    (*weighted*) or BFS's, read off its spec.
     """
     if num_nodes <= 0:
         raise ReproError(f"num_nodes must be > 0, got {num_nodes}")
@@ -141,15 +142,13 @@ def variant_costs(
     if updated_count is None:
         updated_count = int(ids.size)
     updated_count = max(0, min(int(updated_count), int(num_nodes)))
-    shape = ComputationShape(
+    spec = get_algorithm("sssp" if weighted else "bfs").make_spec
+    shape = launch_shape(
+        [RowRelaxation(ids, degrees, updated_count, updated_count)],
+        int(num_nodes),
+        edge_cost=spec.edge_cost,
+        weight_streams=spec.weight_streams,
         name="policy_label",
-        num_nodes=int(num_nodes),
-        active_ids=ids,
-        degrees=degrees,
-        edge_cost=kcosts.C_EDGE_WEIGHTED if weighted else kcosts.C_EDGE,
-        improved=updated_count,
-        updated_count=updated_count,
-        weight_streams=1 if weighted else 0,
     )
     return candidate_pricer(avg_out_degree, CostModel(device))(shape)
 

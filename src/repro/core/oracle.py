@@ -17,18 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
 from repro.core.inspector import StaticAttributes
-from repro.engine.driver import _state_payload
+from repro.engine.driver import FrameContext, _state_payload
+from repro.engine.registry import get_algorithm
 from repro.engine.types import TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.kernel import CostModel
 from repro.gpusim.transfer import transfer_seconds
-from repro.kernels import costs as kcosts
-from repro.kernels.computation import INF, UNSET_LEVEL, bfs_relax, sssp_relax
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import unordered_variants
 from repro.kernels.workset import workset_gen_tallies
@@ -135,17 +132,17 @@ def per_iteration_oracle(
     """Price every unordered variant on every iteration of one traversal.
 
     The functional state advances once per iteration (the result does not
-    depend on the variant); each candidate's computation + generation
-    kernels are tallied against the same frontier.
+    depend on the variant) through the algorithm's own spec — its initial
+    state, its relaxation and its launch shape — and each candidate's
+    computation + generation kernels are tallied against the same
+    frontier.
     """
     if algorithm not in ("bfs", "sssp"):
         raise KernelError(
             f"the per-iteration oracle prices 'bfs' or 'sssp', not {algorithm!r}"
         )
-    graph._check_node(source)
-    weighted = algorithm == "sssp"
-    if weighted and graph.weights is None:
-        raise KernelError("SSSP requires a weighted graph")
+    spec = get_algorithm(algorithm).make_spec()
+    spec.validate(graph, source)
     # One source of graph properties for the whole report: the inspector's
     # static profile.  The block-mapping launch geometry depends on the
     # average outdegree, and recomputing it per variant per iteration
@@ -158,14 +155,10 @@ def per_iteration_oracle(
         "profiled average outdegree diverged from the graph's own "
         f"({avg_out_degree} != {graph.avg_out_degree})"
     )
-    price = candidate_pricer(avg_out_degree, CostModel(device))
+    model = CostModel(device)
+    price = candidate_pricer(avg_out_degree, model)
     n = graph.num_nodes
-    if weighted:
-        state = np.full(n, INF, dtype=np.float64)
-        state[source] = 0.0
-    else:
-        state = np.full(n, UNSET_LEVEL, dtype=np.int64)
-        state[source] = 0
+    state = spec.init_state(FrameContext(graph, device, model, None, "atomic", source))
 
     report = OracleReport(algorithm=algorithm)
     # Fixed costs mirror the frame: initial H2D, final D2H.
@@ -174,37 +167,21 @@ def per_iteration_oracle(
     )
     report.fixed_seconds += transfer_seconds(4 * n, device)
 
-    frontier = np.array([source], dtype=np.int64)
     iteration = 0
-    cap = 16 * n + 64
-    while frontier.size:
+    cap = spec.default_cap(graph)
+    while state.frontier.size:
         if iteration >= cap:
             raise KernelError(f"oracle traversal exceeded {cap} iterations")
-        degrees = graph.out_degrees[frontier]
-        if weighted:
-            updated, _, improved, edges = sssp_relax(graph, frontier, state)
-        else:
-            updated, _, improved, edges = bfs_relax(graph, frontier, state)
-
-        shape = ComputationShape(
-            name=f"{algorithm}_comp",
-            num_nodes=n,
-            active_ids=frontier,
-            degrees=degrees,
-            edge_cost=kcosts.C_EDGE_WEIGHTED if weighted else kcosts.C_EDGE,
-            improved=improved,
-            updated_count=int(updated.size),
-            weight_streams=1 if weighted else 0,
-        )
+        outcome, row = spec.relax(graph, state)
         report.iterations.append(
             IterationCosts(
                 iteration=iteration,
-                workset_size=int(frontier.size),
-                seconds_by_variant=price(shape),
+                workset_size=int(state.frontier.size),
+                seconds_by_variant=price(spec.launch_shape(row, n)),
             )
         )
         report.fixed_seconds += transfer_seconds(4, device)  # readback
-        frontier = updated
+        state.frontier = outcome.next_frontier
         iteration += 1
     return report
 

@@ -8,6 +8,7 @@ learned subclass, for one run.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional
 
 from repro.core.config import RuntimeConfig
@@ -32,7 +33,9 @@ class AdaptivePolicy(VariantPolicy):
 
     The decision is (re-)evaluated on iteration 0 and then every
     ``sampling_interval`` iterations; between samples the current variant
-    is kept (Section VI.E's sampling trade-off).  In precise-monitoring
+    is kept (Section VI.E's sampling trade-off) unless the memory
+    fit-check would swap its representation, which takes a full decision
+    there as a sample would.  In precise-monitoring
     mode the working set's own average outdegree replaces the whole-graph
     average, at the cost of one reduction kernel per sample.
     """
@@ -52,9 +55,6 @@ class AdaptivePolicy(VariantPolicy):
             graph, sampling_interval=self.config.sampling_interval
         )
         self.thresholds = self.config.resolve_thresholds(device, graph.num_nodes)
-        self.decision_maker = DecisionMaker(
-            self.thresholds, use_warp_mapping=self.config.use_warp_mapping
-        )
         self.trace = DecisionTrace()
         self.name = "adaptive"
         self._num_nodes = graph.num_nodes
@@ -62,12 +62,27 @@ class AdaptivePolicy(VariantPolicy):
         self._avg_degree: float = self.inspector.static.avg_out_degree
         self._pending: List[KernelTally] = []
 
+    @cached_property
+    def decision_maker(self) -> DecisionMaker:
+        """The Figure-11 lookup, built at the threshold policy's first
+        decision (a learned policy walks its tree instead)."""
+        return DecisionMaker(
+            self.thresholds, use_warp_mapping=self.config.use_warp_mapping
+        )
+
     # ------------------------------------------------------------------
     # VariantPolicy interface
     # ------------------------------------------------------------------
 
     def choose(self, iteration: int, workset_size: int) -> Variant:
-        if self._current is not None and not self.inspector.should_sample(iteration):
+        # Between samples the held variant stays while the fit-check
+        # keeps it; one it would swap takes a full decision, as a sample.
+        if (
+            self._current is not None
+            and not self.inspector.should_sample(iteration)
+            and self._apply_memory_constraints(self._current, workset_size)
+            == self._current
+        ):
             return self._current
         pressure = self.memory.pressure if self.memory is not None else 0.0
         unconstrained, variant, region = self._decide(

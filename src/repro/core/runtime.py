@@ -30,7 +30,7 @@ from repro.graph.csr import CSRGraph
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.kernels.frame import OrderedSsspSpec, SsspSpec
-from repro.kernels.variants import Variant
+from repro.kernels.variants import Ordering, Variant
 from repro.obs.context import current_observer
 
 __all__ = [
@@ -173,7 +173,9 @@ def run_static(
     *variant* is a :class:`~repro.kernels.variants.Variant` or a
     paper-style code like ``"U_B_QU"``; ordered SSSP variants run the
     GPU-Dijkstra frame (findmin by parallel reduction), unordered ones
-    the Bellman-Ford frame (Figure 5).  Whole-graph algorithms ignore
+    the Bellman-Ford frame (Figure 5).  An ordered variant of an
+    algorithm without ``ordered_support`` raises
+    :class:`~repro.errors.KernelError`.  Whole-graph algorithms ignore
     *source* (pass -1 or None).  *queue_gen* selects the
     queue-generation scheme: ``"atomic"`` (the paper's baseline),
     ``"scan"`` (Merrill-style prefix scan) or ``"hierarchical"``
@@ -190,6 +192,11 @@ def run_static(
         )
     if isinstance(variant, str):
         variant = Variant.parse(variant)
+    if variant.ordering is Ordering.ORDERED and not info.ordered_support:
+        raise KernelError(
+            f"{algorithm!r} has no ordered variants; {variant.code} is "
+            f"ordered (run an unordered one, e.g. {info.default_variant})"
+        )
     source = info.resolve_source(graph, source)
     policy = StaticPolicy(variant)
 

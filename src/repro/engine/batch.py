@@ -16,10 +16,12 @@ one iteration:
   is most of the wall clock.
 
 Every row is a :mod:`repro.engine.driver` row — start, gate, decision
-point, overhead pricing and bookkeeping are a single-source run's — so
-a batched query's values and decision trace are bit-identical to its
-single-source run.  Only admission, grouping, the fused pricing and
-ejection are the batch's own.
+point, overhead pricing and bookkeeping are a single-source run's, and
+its relaxation is the spec's own
+(:meth:`~repro.engine.spec.AlgorithmSpec.relax`) — so a batched query's
+values and decision trace are bit-identical to its single-source run.
+Only admission, grouping, the fused pricing and ejection are the
+batch's own.
 
 **Continuous batching**: rows do not all have to arrive up front.
 :meth:`BatchFrame.admit` can be called between super-iterations, so a
@@ -61,7 +63,6 @@ from repro.engine.driver import (
     _gate,
     _overhead,
     _readback,
-    _relax,
     _report_fusion,
     _state_payload,
 )
@@ -75,7 +76,6 @@ from repro.gpusim.kernel import CostModel
 from repro.gpusim.timeline import Timeline
 from repro.gpusim.transfer import record_transfer
 from repro.kernels.multisource import (
-    RowRelaxation,
     fused_computation_tally,
     fused_workset_gen_tallies,
 )
@@ -460,22 +460,19 @@ class BatchFrame:
             relaxations = []
             for row in members:
                 try:
-                    outcome, degrees = _relax(row, self.graph)
+                    outcome, relaxation = row.spec.relax(self.graph, row.state)
                 except ReproError as exc:
                     self._eject(row, str(exc), kind="fault")
                     continue
                 healthy[row] = outcome
-                relaxations.append(RowRelaxation(
-                    row.state.frontier, degrees,
-                    outcome.improved_relaxations, outcome.updated_count,
-                ))
+                relaxations.append(relaxation)
             if not healthy:
                 continue
-            edge_cost, weight_streams = members[0].spec.batch_kernel_profile()
+            spec = members[0].spec
             try:
                 tally = fused_computation_tally(
                     relaxations, members[0].variant, tpb, self._n, self.device,
-                    edge_cost=edge_cost, weight_streams=weight_streams,
+                    edge_cost=spec.edge_cost, weight_streams=spec.weight_streams,
                     name=f"batch_{alg}_comp",
                 )
             except ReproError as exc:

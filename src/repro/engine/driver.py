@@ -21,8 +21,10 @@ working-set generation, the computation-plus-generation merge, the
 observer metrics, checkpoint offer, frontier advance).
 
 Four schedules iterate rows through it, each deciding which rows
-advance together, where a row's relax runs and where its kernels are
-priced: :func:`run_frame` (one row, priced into its timeline, with
+advance together, where a row's relaxation
+(:meth:`~repro.engine.spec.AlgorithmSpec.relax`, the same function on
+every schedule) runs and where its kernels are priced: :func:`run_frame`
+(one row through ``spec.compute``, priced into its timeline, with
 resume, refill, fusion plans and memory charging),
 :class:`~repro.engine.batch.BatchFrame` (N rows fused per variant),
 :func:`~repro.engine.shard.run_sharded` (one row per shard, priced
@@ -269,15 +271,6 @@ def _choose_next(row: _Row, next_size: int) -> Variant:
     if row.top or not next_size:
         return row.variant
     return row.policy.choose(row.iteration + 1, next_size)
-
-
-def _relax(row: _Row, graph: CSRGraph):
-    """The row's functional update on *graph* without pricing it (batch
-    rows, shards and host sweeps): ``(outcome, degrees)``."""
-    size = row.spec.work_remaining(row.state)
-    updated, degrees, improved, edges = row.spec.batch_relax(graph, row.state)
-    return StepOutcome(updated, int(updated.size), int(size), int(edges),
-                       int(improved)), degrees
 
 
 def _overhead(ctx: FrameContext, row: _Row, size: int, label: str) -> None:

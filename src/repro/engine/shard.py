@@ -17,15 +17,16 @@ vertices) are exactly what the one-device kernel produces — so a
 
 **Fault domains and recovery.**  Every device is one fault domain with
 its own seeded :class:`~repro.reliability.FaultInjector` (derived via
-``FaultPlan.for_device``), its own :class:`~repro.gpusim.MemoryBudget`
-and a :class:`~repro.reliability.CircuitBreaker` circuit keyed
-``("device", i)``.  Shards capture **exchange-consistent** checkpoints:
+``FaultPlan.for_device``) and its own :class:`~repro.gpusim.MemoryBudget`.
+Shards capture **exchange-consistent** checkpoints:
 every ``checkpoint_every`` super-iterations all shards snapshot their
 owned slice at the same barrier (host-resident, so checkpoints survive
 the device they describe).  The recovery ladder:
 
 1. **retry** — a transient launch failure re-runs the shard's round on
-   its own device (the scratch copy makes replays side-effect-free);
+   its own device (the scratch copy makes replays side-effect-free), up
+   to ``max_retries`` times per incident; one more failure loses the
+   device;
 2. **restore** — device loss or state corruption rolls every shard back
    to the last coordinated checkpoint and replays; a *lost* device's
    shards are first migrated to the least-loaded surviving device
@@ -64,7 +65,6 @@ from repro.engine.driver import (
     _commit,
     _gate,
     _overhead,
-    _relax,
     _state_payload,
 )
 from repro.engine.registry import get_algorithm
@@ -90,11 +90,10 @@ from repro.gpusim.interconnect import (
 from repro.gpusim.kernel import CostModel
 from repro.gpusim.memory import traversal_state_bytes
 from repro.gpusim.transfer import transfer_seconds
-from repro.kernels.multisource import RowRelaxation, fused_computation_tally
+from repro.kernels.multisource import fused_computation_tally
 from repro.kernels.workset import workset_gen_tallies
 from repro.obs.context import current_observer
 from repro.obs.manifest import values_sha256
-from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.checkpoint import CheckpointKeeper
 from repro.reliability.faults import FaultInjector, FaultPlan
 from repro.reliability.watchdog import Watchdog
@@ -320,7 +319,6 @@ def run_sharded(
     mem_budget=None,
     max_super_iterations: Optional[int] = None,
     watchdog: Optional[Watchdog] = None,
-    breaker: Optional[CircuitBreaker] = None,
     **params,
 ) -> ShardedResult:
     """Run *algorithm* from *source* sharded across *num_devices*
@@ -333,7 +331,8 @@ def run_sharded(
     worksets and checkpoint staging overflow to the host instead of
     failing.  *checkpoint_every* is the coordinated-checkpoint cadence
     in super-iterations; *max_retries* bounds same-device launch
-    retries per incident and :data:`MAX_RESTORES` bounds checkpoint
+    retries per incident (the failure after the last retry loses the
+    device) and :data:`MAX_RESTORES` bounds checkpoint
     rollbacks before the run degrades to the CPU reference.  *config* (a
     :class:`~repro.core.config.RuntimeConfig`) drives every shard's
     adaptive policy, and its ``queue_gen`` picks the generation scheme.
@@ -353,7 +352,6 @@ def run_sharded(
     shards = partition_graph(graph, num_devices, strategy=partition)
     n = graph.num_nodes
     model = CostModel(device)
-    breaker = breaker if breaker is not None else CircuitBreaker()
     plan = fault_plan if fault_plan is not None and not fault_plan.is_empty else None
 
     devices: List[_DeviceState] = []
@@ -427,7 +425,6 @@ def run_sharded(
                 runs,
                 devices,
                 ctx,
-                breaker,
                 max_retries,
                 events,
                 _raise_rung,
@@ -605,7 +602,6 @@ def _execute_round(
     runs: Sequence[_ShardRun],
     devices: Sequence[_DeviceState],
     ctx: FrameContext,
-    breaker: CircuitBreaker,
     max_retries: int,
     events: List[RecoveryEvent],
     raise_rung,
@@ -652,19 +648,9 @@ def _execute_round(
                 seconds, updated, proposed = _relax_shard(
                     run, owned, values, k, dev, ctx
                 )
-                breaker.record_success(("device", dev.index))
                 break
             except LaunchError as exc:
                 attempt += 1
-                tripped = breaker.record_failure(("device", dev.index))
-                if tripped:
-                    raise _RoundFault(
-                        dev.index,
-                        run.shard.shard_index,
-                        "launch_failure",
-                        f"breaker tripped for device {dev.index}: {exc}",
-                        lose_device=True,
-                    ) from exc
                 if attempt > max_retries:
                     raise _RoundFault(
                         dev.index,
@@ -803,20 +789,19 @@ def _relax_shard(
             # (the simulated device's resident slice), never on the
             # committed host-side state.
             dev.injector.on_iteration(k, scratch, work)
-        outcome, degrees = _relax(row, shard.view(n))
-        edge_cost, weight_streams = row.spec.batch_kernel_profile()
+        outcome, relaxation = row.spec.relax(shard.view(n), row.state)
         tpb = variant.threads_per_block(
             shard.csr.avg_out_degree if shard.num_owned else 1.0, ctx.device
         )
         ctx.price(fused_computation_tally(
-            [RowRelaxation(work - shard.start, degrees,
-                           outcome.improved_relaxations, outcome.updated_count)],
+            # The launch covers the shard's owned slots only.
+            [dataclasses.replace(relaxation, active_ids=work - shard.start)],
             variant,
             tpb,
             max(1, shard.num_owned),
             ctx.device,
-            edge_cost=edge_cost,
-            weight_streams=weight_streams,
+            edge_cost=row.spec.edge_cost,
+            weight_streams=row.spec.weight_streams,
             name=f"shard{shard.shard_index}_comp",
         ))
         _overhead(ctx, row, outcome.processed, variant.code)

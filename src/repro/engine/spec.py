@@ -4,11 +4,19 @@ The paper's Figure 8 host loop is algorithm-agnostic: create state,
 loop while the working set is non-empty, run the computation kernel,
 run the working-set generation kernel, read the new size back.  An
 :class:`AlgorithmSpec` supplies exactly the algorithm-specific pieces —
-initial state, the computation step, convergence bookkeeping, the
+initial state, its one relaxation (:meth:`AlgorithmSpec.relax`) and the
+launch profile it is priced with (:attr:`AlgorithmSpec.edge_cost`,
+:attr:`AlgorithmSpec.weight_streams`), convergence bookkeeping, the
 checkpoint payload and a CPU reference — while the engine's row core
 (:mod:`repro.engine.driver`) owns everything cross-cutting:
 variant policy dispatch, per-iteration readback, watchdog, checkpoints,
 resume, fault hooks, memory charging and observer metrics/spans.
+
+Every schedule runs the same relaxation: the single-source frame
+through the default :meth:`AlgorithmSpec.compute`, batch rows, shards
+and hybrid host sweeps by calling :meth:`AlgorithmSpec.relax` directly.
+Every computation launch's shape comes from
+:func:`repro.kernels.multisource.launch_shape`.
 
 A new algorithm is one subclass (typically < 50 lines; see
 ``docs/engine.md``) plus a registry entry.
@@ -17,13 +25,17 @@ A new algorithm is one subclass (typically < 50 lines; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec
+from repro.kernels import costs, multisource
+from repro.kernels.mapping import ComputationShape, computation_tally
+from repro.kernels.multisource import RowRelaxation
+from repro.kernels.variants import Ordering
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.driver import FrameContext
@@ -31,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernels.variants import Variant
     from repro.reliability.checkpoint import TraversalCheckpoint
 
-__all__ = ["AlgorithmSpec", "FrameState", "StepOutcome"]
+__all__ = ["AlgorithmSpec", "FrameState", "StepOutcome", "relaxed"]
 
 
 class FrameState:
@@ -54,10 +66,12 @@ class FrameState:
 class StepOutcome:
     """What one computation step tells the driver.
 
-    The step prices its own computation kernels through the context
-    (some algorithms run more than one — ordered SSSP's findmin — or
-    label them specially — DOBFS's push/pull); the driver prices the
-    policy-overhead and workset-generation kernels afterwards.
+    :meth:`AlgorithmSpec.relax` returns it beside the row's
+    :class:`~repro.kernels.multisource.RowRelaxation`; the default
+    :meth:`AlgorithmSpec.compute` prices that row as one launch (ordered
+    SSSP's findmin and DOBFS's pull kernel price their own), and the
+    driver prices the policy-overhead and workset-generation kernels
+    afterwards.
     """
 
     #: the next working set's node ids (None when the spec tracks the
@@ -77,13 +91,27 @@ class StepOutcome:
     gen_count: Optional[int] = None
 
 
+def relaxed(frontier: np.ndarray, result) -> Tuple[StepOutcome, RowRelaxation]:
+    """:meth:`AlgorithmSpec.relax`'s answer for a min-combine relaxation
+    (BFS, SSSP, CC) from its ``(updated_ids, degrees, improved_count,
+    edges_scanned)``: the launch prices one atomic per improving
+    relaxation and emits the update vector."""
+    updated, degrees, improved, edges = result
+    count = int(updated.size)
+    return (
+        StepOutcome(updated, count, int(frontier.size), int(edges), int(improved)),
+        RowRelaxation(frontier, degrees, int(improved), count),
+    )
+
+
 class AlgorithmSpec:
     """Base class for algorithm specifications.
 
-    Class attributes are the registry's capability flags; methods are
-    the hooks :func:`~repro.engine.driver.run_frame` calls.  Defaults
-    implement the common unordered BFS-like shape, so simple algorithms
-    override only :meth:`init_state`, :meth:`compute` and a cap.
+    Class attributes are the registry's capability flags and the
+    computation launch's profile; methods are the hooks
+    :func:`~repro.engine.driver.run_frame` calls.  Defaults implement
+    the common unordered BFS-like shape, so simple algorithms implement
+    only :meth:`init_state`, :meth:`relax` and a cap.
     """
 
     #: registry key; also tags checkpoints and (by default) results
@@ -110,9 +138,9 @@ class AlgorithmSpec:
     #: kernel with the next size (the paper's unordered decision point)
     chooses_at_top: bool = False
     #: supports the batched multi-source frame
-    #: (:func:`repro.engine.batch.run_batch_frame`): the spec's step
-    #: decomposes into :meth:`batch_relax` (per-query functional update)
-    #: plus one fused multi-source computation launch
+    #: (:func:`repro.engine.batch.run_batch_frame`) and sharding: rows'
+    #: :meth:`relax` results are min-combinable and share one fused
+    #: multi-source computation launch
     batchable: bool = False
     #: the CPU reference reproduces GPU values bit-identically (floats
     #: accumulated in a different order are only close, e.g. PageRank)
@@ -127,6 +155,11 @@ class AlgorithmSpec:
     #: :class:`~repro.engine.fusion.LaunchPlan` hoists it out of the
     #: loop and ships it once.  0 = no such payload.
     iteration_h2d_bytes: int = 0
+    #: the computation launch's per-edge cost (a :mod:`repro.kernels.costs`
+    #: constant: each unit of a row's ``degrees`` costs this much)
+    edge_cost: float = costs.C_EDGE
+    #: weight-array streams the computation launch reads (1 for SSSP)
+    weight_streams: int = 0
 
     # -- setup ---------------------------------------------------------
 
@@ -175,34 +208,49 @@ class AlgorithmSpec:
     def tpb(self, variant: "Variant", graph: CSRGraph, device: DeviceSpec) -> int:
         return variant.threads_per_block(graph.avg_out_degree, device)
 
+    def relax(
+        self, graph: CSRGraph, state: FrameState, *, ordered: bool = False
+    ) -> Tuple[StepOutcome, RowRelaxation]:
+        """The algorithm's one relaxation: process ``state.frontier``
+        on *graph*, mutating *state* exactly as the computation kernel
+        does, and return the engine's outcome plus the row the launch
+        is priced from (:meth:`launch_shape`).
+
+        Precondition: ``state.frontier`` is strictly ascending (every
+        relaxation's update vector is, and so is every seeded working
+        set).  *ordered* is ordered BFS's visit-once rule, the only
+        thing a relaxation reads from the variant.
+        """
+        raise NotImplementedError  # pragma: no cover
+
+    def launch_shape(
+        self, row: RowRelaxation, num_nodes: int, *, ordered: bool = False
+    ) -> ComputationShape:
+        """The single-source computation launch ``{name}_comp`` of one
+        relaxed row; an ordered variant pays the key-check guard."""
+        return multisource.launch_shape(
+            [row],
+            num_nodes,
+            edge_cost=self.edge_cost,
+            weight_streams=self.weight_streams,
+            name=f"{self.name}_comp",
+            guard_cost=costs.C_PAIR_CHECK if ordered else 0.0,
+        )
+
     def compute(
         self, ctx: "FrameContext", state: FrameState, variant: "Variant", tpb: int
     ) -> Optional[StepOutcome]:
-        """One computation step: mutate state, price kernels through
-        *ctx*, describe the outcome.  Return None to terminate the loop
-        immediately (DOBFS's drained pull sweep)."""
-        raise NotImplementedError  # pragma: no cover
-
-    # -- batched multi-source execution --------------------------------
-
-    def batch_relax(self, graph: CSRGraph, state: FrameState):
-        """One query-row relaxation of the batched multi-source frame.
-
-        Mutates ``state.values`` in place exactly as the single-source
-        computation kernel would (so batched values stay bit-identical)
-        and returns ``(updated_ids, degrees, improved_count,
-        edges_scanned)``.  Only meaningful when :attr:`batchable`.
-        """
-        raise KernelError(
-            f"{self.name} does not support batched multi-source execution"
-        )
-
-    def batch_kernel_profile(self):
-        """``(edge_cost, weight_streams)`` of the fused multi-source
-        computation launch (see :func:`repro.kernels.multisource`)."""
-        raise KernelError(
-            f"{self.name} does not support batched multi-source execution"
-        )
+        """One computation step: :meth:`relax`, then price the row as one
+        launch through *ctx*.  Specs that launch other kernels (ordered
+        SSSP's findmin, DOBFS's pull sweep) override it; returning None
+        terminates the loop immediately (DOBFS's drained pull sweep)."""
+        ordered = variant.ordering is Ordering.ORDERED
+        outcome, row = self.relax(ctx.graph, state, ordered=ordered)
+        ctx.price(computation_tally(
+            self.launch_shape(row, ctx.graph.num_nodes, ordered=ordered),
+            variant.mapping, variant.workset, tpb, ctx.device,
+        ))
+        return outcome
 
     # -- results & reliability -----------------------------------------
 

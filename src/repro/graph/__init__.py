@@ -6,25 +6,19 @@ host and the (simulated) device: a *node vector* of row offsets and an
 provides that representation plus everything needed to feed it:
 
 - :mod:`repro.graph.csr` — the :class:`CSRGraph` structure;
-- :mod:`repro.graph.builder` — edge lists / COO / networkx -> CSR;
+- :mod:`repro.graph.builder` — edge lists -> CSR (and CSR -> networkx);
 - :mod:`repro.graph.generators` — synthetic topology generators;
 - :mod:`repro.graph.datasets` — analogues of the paper's six datasets;
 - :mod:`repro.graph.io` — DIMACS / SNAP / Matrix Market readers+writers;
 - :mod:`repro.graph.properties` — degree statistics and characterization;
-- :mod:`repro.graph.transforms` — symmetrize, relabel, subgraph, components;
+- :mod:`repro.graph.transforms` — symmetrize, relabel, components, orientation;
 - :mod:`repro.graph.partition` — 1D vertex partitioning for multi-device
   sharded traversal (contiguous and degree-balanced strategies);
 - :mod:`repro.graph.dynamic` — mutation batches, the delta-CSR overlay
   and priced compaction for graphs changing under live traffic.
 """
 
-from repro.graph.builder import (
-    BuildStats,
-    from_coo,
-    from_edge_list,
-    from_networkx,
-    to_networkx,
-)
+from repro.graph.builder import BuildStats, from_edge_list, to_networkx
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import (
     CompactionResult,
@@ -46,8 +40,6 @@ __all__ = [
     "CSRGraph",
     "BuildStats",
     "from_edge_list",
-    "from_coo",
-    "from_networkx",
     "to_networkx",
     "IngestLimits",
     "IngestReport",

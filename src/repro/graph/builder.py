@@ -11,7 +11,7 @@ edge lists are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from repro.graph.csr import CSRGraph, INDEX_DTYPE, OFFSET_DTYPE, WEIGHT_DTYPE
 __all__ = [
     "BuildStats",
     "from_edge_list",
-    "from_coo",
-    "from_networkx",
     "to_networkx",
 ]
 
@@ -170,51 +168,6 @@ def from_edge_list(
     row_offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)
     np.cumsum(counts, out=row_offsets[1:])
     return CSRGraph(row_offsets, col_indices, out_weights, name=name)
-
-
-def from_coo(
-    coo_pairs: Iterable[Tuple[int, int]],
-    *,
-    weights=None,
-    num_nodes: Optional[int] = None,
-    name: str = "graph",
-    **kwargs,
-) -> CSRGraph:
-    """Build a CSR graph from an iterable of ``(u, v)`` pairs."""
-    pairs = np.asarray(list(coo_pairs), dtype=np.int64)
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise GraphError("coo_pairs must be an iterable of (u, v) pairs")
-    return from_edge_list(
-        pairs[:, 0], pairs[:, 1], weights, num_nodes=num_nodes, name=name, **kwargs
-    )
-
-
-def from_networkx(nx_graph, *, weight_attr: Optional[str] = None, name: Optional[str] = None) -> CSRGraph:
-    """Convert a ``networkx`` (Di)Graph with integer-labelable nodes.
-
-    Nodes are relabelled to ``0..n-1`` in sorted order.  Undirected
-    networkx graphs become symmetric CSR graphs.
-    """
-    nodes = sorted(nx_graph.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
-    directed = nx_graph.is_directed()
-    src, dst, wts = [], [], []
-    for u, v, data in nx_graph.edges(data=True):
-        src.append(index[u])
-        dst.append(index[v])
-        if weight_attr is not None:
-            wts.append(float(data.get(weight_attr, 1.0)))
-    weights = wts if weight_attr is not None else None
-    return from_edge_list(
-        src,
-        dst,
-        weights,
-        num_nodes=len(nodes),
-        name=name or getattr(nx_graph, "name", None) or "networkx",
-        symmetric=not directed,
-    )
 
 
 def to_networkx(graph: CSRGraph):

@@ -42,7 +42,7 @@ from repro.graph.generators import (
 from repro.utils.rng import SeedLike, spawn_rngs
 from repro.utils.validation import check_in_range
 
-__all__ = ["DatasetSpec", "DATASETS", "make_dataset", "dataset_keys", "paper_table1_rows"]
+__all__ = ["DatasetSpec", "DATASETS", "make_dataset", "dataset_keys"]
 
 
 @dataclass(frozen=True)
@@ -230,17 +230,3 @@ def make_dataset(
             graph, low=weight_range[0], high=weight_range[1], seed=weight_rng
         )
     return graph
-
-
-def paper_table1_rows() -> Tuple[Tuple, ...]:
-    """The paper's Table-1 rows (published values) for report printing."""
-    return tuple(
-        (
-            spec.key,
-            spec.paper_nodes,
-            spec.paper_edges,
-            spec.paper_avg_outdegree,
-            spec.paper_max_outdegree,
-        )
-        for spec in DATASETS.values()
-    )

@@ -1,5 +1,5 @@
-"""Structural graph transforms: symmetrize, relabel, subgraph extraction,
-connected components.
+"""Structural graph transforms: symmetrize, relabel, connected
+components, rank orientation.
 
 These are host-side preprocessing steps; the paper symmetrizes the road
 and co-citation networks (they are undirected datasets) and traverses the
@@ -22,9 +22,7 @@ __all__ = [
     "rank_oriented_adjacency",
     "relabel",
     "degree_sort_relabel",
-    "induced_subgraph",
     "weakly_connected_components",
-    "largest_weakly_connected_subgraph",
     "edge_arrays",
 ]
 
@@ -87,30 +85,6 @@ def degree_sort_relabel(
     return relabel(graph, mapping), mapping
 
 
-def induced_subgraph(graph: CSRGraph, nodes) -> Tuple[CSRGraph, np.ndarray]:
-    """Subgraph induced by *nodes*, with ids compacted to ``0..k-1``.
-
-    Returns ``(subgraph, kept)`` where ``kept[i]`` is the original id of
-    the subgraph's node *i*.
-    """
-    kept = sorted_unique(np.asarray(nodes, dtype=np.int64))
-    if kept.size and (kept[0] < 0 or kept[-1] >= graph.num_nodes):
-        raise GraphError("subgraph nodes out of range")
-    inverse = np.full(graph.num_nodes, -1, dtype=np.int64)
-    inverse[kept] = np.arange(kept.size)
-    src, dst, w = edge_arrays(graph)
-    mask = (inverse[src] >= 0) & (inverse[dst] >= 0)
-    sub_w = w[mask] if w is not None else None
-    sub = from_edge_list(
-        inverse[src[mask]],
-        inverse[dst[mask]],
-        sub_w,
-        num_nodes=kept.size,
-        name=f"{graph.name}[{kept.size}]",
-    )
-    return sub, kept
-
-
 def weakly_connected_components(graph: CSRGraph) -> np.ndarray:
     """Component label per node (labels are the min node id per component).
 
@@ -135,14 +109,6 @@ def weakly_connected_components(graph: CSRGraph) -> np.ndarray:
         if np.array_equal(candidate, labels):
             return labels
         labels = candidate
-
-
-def largest_weakly_connected_subgraph(graph: CSRGraph) -> Tuple[CSRGraph, np.ndarray]:
-    """The induced subgraph of the largest weakly connected component."""
-    labels = weakly_connected_components(graph)
-    uniq, counts = np.unique(labels, return_counts=True)
-    big = uniq[np.argmax(counts)]
-    return induced_subgraph(graph, np.flatnonzero(labels == big))
 
 
 def rank_oriented_adjacency(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:

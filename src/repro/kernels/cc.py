@@ -29,61 +29,13 @@ import numpy as np
 
 from repro.engine.driver import FrameContext
 from repro.engine.registry import AlgorithmInfo, register_algorithm
-from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
-from repro.errors import KernelError
+from repro.engine.spec import AlgorithmSpec, FrameState, relaxed
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import is_symmetric
 from repro.graph.transforms import symmetrize
-from repro.gpusim.device import DeviceSpec
-from repro.kernels import costs
 from repro.kernels.computation import _gather_edges, _scatter_min
-from repro.kernels.mapping import ComputationShape, computation_tally
-from repro.kernels.variants import Variant
-from repro.kernels.workset import Workset
 
-__all__ = ["cc_step", "CcSpec"]
-
-
-def cc_step(
-    graph: CSRGraph,
-    workset: Workset,
-    labels: np.ndarray,
-    variant: Variant,
-    threads_per_block: int,
-    device: DeviceSpec,
-    *,
-    name: str = "cc_comp",
-):
-    """One min-label propagation sweep; mutates *labels* in place."""
-    from repro.kernels.computation import StepResult
-
-    frontier = workset.nodes
-    if frontier.size == 0:
-        raise KernelError("cc_step called with an empty working set")
-    idx, dst, degrees = _gather_edges(graph, frontier)
-    cand = np.repeat(labels[frontier], degrees)
-
-    updated, improved_count = _scatter_min(labels, dst, cand < labels[dst], cand)
-
-    shape = ComputationShape(
-        name=name,
-        num_nodes=graph.num_nodes,
-        active_ids=frontier,
-        degrees=degrees,
-        edge_cost=costs.C_EDGE,
-        improved=improved_count,
-        updated_count=int(updated.size),
-    )
-    tally = computation_tally(
-        shape, variant.mapping, variant.workset, threads_per_block, device
-    )
-    return StepResult(
-        updated=updated,
-        tally=tally,
-        improved_relaxations=improved_count,
-        edges_scanned=int(idx.size),
-        processed=int(frontier.size),
-    )
+__all__ = ["CcSpec"]
 
 
 class CcSpec(AlgorithmSpec):
@@ -121,17 +73,13 @@ class CcSpec(AlgorithmSpec):
         # where the policy must not be consulted at all.
         return int(state.values.size)
 
-    def compute(self, ctx, state, variant, tpb) -> StepOutcome:
-        workset = Workset.from_update_ids(state.frontier, variant.workset)
-        step = cc_step(ctx.graph, workset, state.values, variant, tpb, ctx.device)
-        ctx.price(step.tally)
-        return StepOutcome(
-            next_frontier=step.updated,
-            updated_count=int(step.updated.size),
-            processed=step.processed,
-            edges_scanned=step.edges_scanned,
-            improved_relaxations=step.improved_relaxations,
-        )
+    def relax(self, graph, state, *, ordered=False):
+        """One min-label propagation sweep; mutates the labels in place."""
+        frontier, labels = state.frontier, state.values
+        idx, dst, degrees = _gather_edges(graph, frontier)
+        cand = np.repeat(labels[frontier], degrees)
+        updated, improved = _scatter_min(labels, dst, cand < labels[dst], cand)
+        return relaxed(frontier, (updated, degrees, improved, int(idx.size)))
 
 
 def _cpu_cc_reference(graph, source, **params):

@@ -1,13 +1,16 @@
-"""The ``CUDA_computation`` kernel: functional execution + cost tally.
+"""The ``CUDA_computation`` kernels of BFS and SSSP: their relaxations.
 
-Each step processes the working set's neighborhood exactly as the
+Each relaxation processes the working set's neighborhood exactly as the
 paper's kernels do (Figure 9): read the working set, process each active
 node (compute its level/distance), visit its neighbors, and mark
 improved neighbors in the update vector.  The *results* come from
-vectorized NumPy; the *cost* comes from
-:func:`repro.kernels.mapping.computation_tally`, fed with the structural
-profile (which nodes were active, their outdegrees, how many relaxations
-improved).
+vectorized NumPy and return the structural profile (the update vector,
+the active nodes' outdegrees, how many relaxations improved, how many
+edges were scanned); the specs of :mod:`repro.kernels.frame` hand that
+profile to the one launch pricing
+(:meth:`repro.engine.spec.AlgorithmSpec.compute`).  Ordered SSSP's
+step (:func:`sssp_ordered_step`) selects its own subset and prices
+itself.
 
 BFS levels use ``int64`` with ``-1`` as "unset"; SSSP distances use
 ``float64`` with ``inf`` as "unset".
@@ -16,6 +19,7 @@ BFS levels use ``int64`` with ``-1`` as "unset"; SSSP distances use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -27,16 +31,11 @@ from repro.gpusim.kernel import KernelTally
 from repro.kernels import costs
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Variant
-from repro.kernels.workset import Workset
 
 __all__ = [
-    "StepResult",
     "bfs_relax",
-    "bfs_step",
     "sssp_relax",
-    "sssp_step",
     "OrderedSsspState",
-    "OrderedStepResult",
     "sssp_ordered_step",
 ]
 
@@ -44,19 +43,6 @@ UNSET_LEVEL = np.int64(-1)
 INF = np.float64(np.inf)
 #: UNSET_LEVEL seen through a uint64 view of the levels: the largest value
 _UNSET_UNSIGNED = np.iinfo(np.uint64).max
-
-
-@dataclass(frozen=True)
-class StepResult:
-    """Outcome of one computation-kernel launch."""
-
-    #: sorted unique ids of nodes whose state improved (the update vector)
-    updated: np.ndarray
-    tally: KernelTally
-    improved_relaxations: int
-    edges_scanned: int
-    #: nodes that actually did neighborhood work this step
-    processed: int
 
 
 def _gather_edges(graph: CSRGraph, nodes: np.ndarray):
@@ -112,8 +98,10 @@ def bfs_relax(
     """The BFS relaxation itself, independent of the execution substrate.
 
     Mutates *levels* (int64, ``-1`` unset) in place and returns
-    ``(updated_ids, degrees, improved_count, edges_scanned)``.  Shared by
-    the simulated GPU kernels and the hybrid runtime's CPU iterations.
+    ``(updated_ids, degrees, improved_count, edges_scanned)``.  BFS's
+    :meth:`~repro.kernels.frame.BfsSpec.relax`, so every schedule runs
+    it: the simulated GPU kernels, batch rows, shards and the hybrid
+    runtime's CPU iterations.
 
     Levels are compared as uint64, where unset (-1) is the largest
     value, so "unset or worse" is one compare.  A level-synchronous
@@ -209,47 +197,6 @@ def _pull_level(graph, frontier, levels, ordered):
     return updated, degrees, int(np.count_nonzero(hits)), frontier_edges
 
 
-def bfs_step(
-    graph: CSRGraph,
-    workset: Workset,
-    levels: np.ndarray,
-    variant: Variant,
-    threads_per_block: int,
-    device: DeviceSpec,
-    *,
-    name: str = "bfs_comp",
-) -> StepResult:
-    """One BFS sweep over *workset*; mutates *levels* in place."""
-    frontier = workset.nodes
-    if frontier.size == 0:
-        raise KernelError("bfs_step called with an empty working set")
-    updated, degrees, improved_count, edges = bfs_relax(
-        graph, frontier, levels, ordered=variant.ordering.value == "O"
-    )
-
-    shape = ComputationShape(
-        name=name,
-        num_nodes=graph.num_nodes,
-        active_ids=frontier,
-        degrees=degrees,
-        edge_cost=costs.C_EDGE,
-        improved=improved_count,
-        updated_count=int(updated.size),
-        guard_cost=costs.C_PAIR_CHECK if variant.ordering.value == "O" else 0.0,
-        weight_streams=0,
-    )
-    tally = computation_tally(
-        shape, variant.mapping, variant.workset, threads_per_block, device
-    )
-    return StepResult(
-        updated=updated,
-        tally=tally,
-        improved_relaxations=improved_count,
-        edges_scanned=edges,
-        processed=int(frontier.size),
-    )
-
-
 # ----------------------------------------------------------------------
 # Unordered SSSP (Bellman-Ford sweeps over the working set — Figure 5)
 # ----------------------------------------------------------------------
@@ -266,46 +213,6 @@ def sssp_relax(graph: CSRGraph, frontier: np.ndarray, dist: np.ndarray):
 
     updated, improved = _scatter_min(dist, dst, cand < dist[dst], cand)
     return updated, degrees, improved, int(idx.size)
-
-
-def sssp_step(
-    graph: CSRGraph,
-    workset: Workset,
-    dist: np.ndarray,
-    variant: Variant,
-    threads_per_block: int,
-    device: DeviceSpec,
-    *,
-    name: str = "sssp_comp",
-) -> StepResult:
-    """One unordered SSSP sweep; mutates *dist* in place."""
-    if graph.weights is None:
-        raise KernelError("SSSP requires a weighted graph")
-    frontier = workset.nodes
-    if frontier.size == 0:
-        raise KernelError("sssp_step called with an empty working set")
-    updated, degrees, improved_count, edges = sssp_relax(graph, frontier, dist)
-
-    shape = ComputationShape(
-        name=name,
-        num_nodes=graph.num_nodes,
-        active_ids=frontier,
-        degrees=degrees,
-        edge_cost=costs.C_EDGE_WEIGHTED,
-        improved=improved_count,
-        updated_count=int(updated.size),
-        weight_streams=1,
-    )
-    tally = computation_tally(
-        shape, variant.mapping, variant.workset, threads_per_block, device
-    )
-    return StepResult(
-        updated=updated,
-        tally=tally,
-        improved_relaxations=improved_count,
-        edges_scanned=edges,
-        processed=int(frontier.size),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -347,17 +254,6 @@ class OrderedSsspState:
         return int(self.ws_nodes.size)
 
 
-@dataclass(frozen=True)
-class OrderedStepResult:
-    """Outcome of one ordered-SSSP computation launch."""
-
-    tally: KernelTally
-    settled: int
-    improved_relaxations: int
-    edges_scanned: int
-    workset_size: int
-
-
 def sssp_ordered_step(
     graph: CSRGraph,
     state: OrderedSsspState,
@@ -367,13 +263,14 @@ def sssp_ordered_step(
     device: DeviceSpec,
     *,
     name: str = "sssp_ordered_comp",
-) -> OrderedStepResult:
+) -> Tuple[KernelTally, int, int, int]:
     """Process the minimum-key subset of the working set (Dijkstra order).
 
     Every working-set element pays the key-comparison guard; only the
     elements at the minimum key settle and expand (Section IV.A:
     "ordered algorithms effectively process only a subset of the working
-    set" each iteration).  Mutates *state* in place.
+    set" each iteration).  Mutates *state* in place and returns the
+    launch's ``(tally, settled, improved_relaxations, edges_scanned)``.
     """
     if graph.weights is None:
         raise KernelError("SSSP requires a weighted graph")
@@ -449,10 +346,4 @@ def sssp_ordered_step(
     tally = computation_tally(
         shape, variant.mapping, variant.workset, threads_per_block, device
     )
-    return OrderedStepResult(
-        tally=tally,
-        settled=int(fresh.size),
-        improved_relaxations=improved_count,
-        edges_scanned=edges,
-        workset_size=ws_size,
-    )
+    return tally, int(fresh.size), improved_count, edges

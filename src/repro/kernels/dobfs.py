@@ -29,7 +29,9 @@ in-neighbor — the tally charges exactly the edges examined before the
 hit, which the functional sweep computes precisely.
 
 On the generic engine (:mod:`repro.engine`) the direction switch lives
-inside :meth:`DobfsSpec.compute` (it needs the hysteresis state), while
+inside :meth:`DobfsSpec.compute` (it needs the hysteresis state); a push
+sweep is BFS's own relaxation and ``bfs_comp`` launch
+(:class:`~repro.kernels.frame.BfsSpec`) under the label ``push``, while
 a fixed :class:`_DirectionPolicy` satisfies the engine's policy seam —
 DOBFS chooses directions, not ``{mapping} x {workset}`` variants, so
 ``supports_variants`` is False.  The checkpoint payload carries the
@@ -54,9 +56,9 @@ from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.transfer import record_transfer
 from repro.kernels import costs
 from repro.kernels.computation import UNSET_LEVEL
+from repro.kernels.frame import BfsSpec
 from repro.kernels.mapping import ComputationShape, computation_tally
 from repro.kernels.variants import Mapping, Ordering, Variant, WorksetRepr
-from repro.kernels.workset import Workset
 
 __all__ = ["DirectionConfig", "pull_step", "DobfsSpec", "direction_optimizing_bfs"]
 
@@ -143,6 +145,9 @@ def pull_step(
 
 _PUSH_VARIANT = Variant(Ordering.UNORDERED, Mapping.THREAD, WorksetRepr.BITMAP)
 
+#: the push half's relaxation and launch profile: BFS's own
+_PUSH = BfsSpec()
+
 
 class _DirectionPolicy(VariantPolicy):
     """DOBFS chooses sweep directions, not paper variants; the engine's
@@ -219,14 +224,14 @@ class DobfsSpec(AlgorithmSpec):
             processed = int((state.values == UNSET_LEVEL).sum()) + new_frontier.size
             improved = int(new_frontier.size)
         else:
-            workset = Workset.from_update_ids(frontier, WorksetRepr.BITMAP)
-            from repro.kernels.computation import bfs_step
-
-            step = bfs_step(graph, workset, state.values, _PUSH_VARIANT, tpb, ctx.device)
-            ctx.price(step.tally, "push")
-            new_frontier, edges = step.updated, step.edges_scanned
-            processed = step.processed
-            improved = step.improved_relaxations
+            outcome, row = _PUSH.relax(graph, state)
+            ctx.price(computation_tally(
+                _PUSH.launch_shape(row, n), _PUSH_VARIANT.mapping,
+                _PUSH_VARIANT.workset, tpb, ctx.device,
+            ), "push")
+            new_frontier, edges = outcome.next_frontier, outcome.edges_scanned
+            processed = outcome.processed
+            improved = outcome.improved_relaxations
 
         return StepOutcome(
             next_frontier=new_frontier,

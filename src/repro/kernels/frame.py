@@ -7,7 +7,8 @@ static implementations and the adaptive runtime) and an
 paper's two core algorithms as specs and registers them:
 
 - :class:`BfsSpec` — level-synchronous BFS; ordered and unordered
-  policies share the frame (their step rule differs inside the kernel);
+  policies share the frame (their relaxation differs only in the
+  visit-once rule);
 - :class:`SsspSpec` — unordered (Bellman-Ford-style) SSSP;
 - :class:`OrderedSsspSpec` — ordered SSSP (GPU Dijkstra with a findmin
   reduction each iteration, choosing its variant at the loop top);
@@ -28,21 +29,21 @@ import numpy as np
 
 from repro.engine.driver import FrameContext
 from repro.engine.registry import AlgorithmInfo, register_algorithm
-from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
+from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome, relaxed
 from repro.engine.types import VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
+from repro.kernels import costs
 from repro.kernels.computation import (
     INF,
     OrderedSsspState,
     UNSET_LEVEL,
-    bfs_step,
+    bfs_relax,
     sssp_ordered_step,
-    sssp_step,
+    sssp_relax,
 )
 from repro.kernels.findmin import findmin, findmin_tallies
 from repro.kernels.variants import WorksetRepr
-from repro.kernels.workset import Workset
 
 __all__ = ["BfsSpec", "SsspSpec", "OrderedSsspSpec"]
 
@@ -69,30 +70,13 @@ class BfsSpec(AlgorithmSpec):
             "(non-convergence)"
         )
 
-    def compute(self, ctx, state, variant, tpb) -> StepOutcome:
-        workset = Workset.from_update_ids(state.frontier, variant.workset)
-        step = bfs_step(ctx.graph, workset, state.values, variant, tpb, ctx.device)
-        ctx.price(step.tally)
-        return StepOutcome(
-            next_frontier=step.updated,
-            updated_count=int(step.updated.size),
-            processed=step.processed,
-            edges_scanned=step.edges_scanned,
-            improved_relaxations=step.improved_relaxations,
-        )
+    def relax(self, graph, state, *, ordered=False):
+        return relaxed(state.frontier, bfs_relax(
+            graph, state.frontier, state.values, ordered=ordered
+        ))
 
     def result_algorithm(self, policy: VariantPolicy) -> str:
         return "bfs_ordered" if policy.is_ordered() else "bfs"
-
-    def batch_relax(self, graph: CSRGraph, state: FrameState):
-        from repro.kernels.computation import bfs_relax
-
-        return bfs_relax(graph, state.frontier, state.values, ordered=False)
-
-    def batch_kernel_profile(self):
-        from repro.kernels import costs
-
-        return costs.C_EDGE, 0
 
 
 class SsspSpec(AlgorithmSpec):
@@ -102,6 +86,8 @@ class SsspSpec(AlgorithmSpec):
     weighted = True
     ordered_support = True
     batchable = True
+    edge_cost = costs.C_EDGE_WEIGHTED
+    weight_streams = 1
 
     def validate(self, graph: CSRGraph, source: int) -> None:
         super().validate(graph, source)
@@ -125,27 +111,8 @@ class SsspSpec(AlgorithmSpec):
             "(non-convergence)"
         )
 
-    def compute(self, ctx, state, variant, tpb) -> StepOutcome:
-        workset = Workset.from_update_ids(state.frontier, variant.workset)
-        step = sssp_step(ctx.graph, workset, state.values, variant, tpb, ctx.device)
-        ctx.price(step.tally)
-        return StepOutcome(
-            next_frontier=step.updated,
-            updated_count=int(step.updated.size),
-            processed=step.processed,
-            edges_scanned=step.edges_scanned,
-            improved_relaxations=step.improved_relaxations,
-        )
-
-    def batch_relax(self, graph: CSRGraph, state: FrameState):
-        from repro.kernels.computation import sssp_relax
-
-        return sssp_relax(graph, state.frontier, state.values)
-
-    def batch_kernel_profile(self):
-        from repro.kernels import costs
-
-        return costs.C_EDGE_WEIGHTED, 1
+    def relax(self, graph, state, *, ordered=False):
+        return relaxed(state.frontier, sssp_relax(graph, state.frontier, state.values))
 
 
 class OrderedSsspSpec(SsspSpec):
@@ -209,14 +176,16 @@ class OrderedSsspSpec(SsspSpec):
             # converged — terminate cleanly (the reduction above still
             # ran and is priced).
             return None
-        step = sssp_ordered_step(ctx.graph, ordered, min_key, variant, tpb, ctx.device)
-        ctx.price(step.tally)
+        tally, settled, improved, edges = sssp_ordered_step(
+            ctx.graph, ordered, min_key, variant, tpb, ctx.device
+        )
+        ctx.price(tally)
         return StepOutcome(
             next_frontier=None,
             updated_count=int(ordered.workset_size),
-            processed=step.settled,
-            edges_scanned=step.edges_scanned,
-            improved_relaxations=step.improved_relaxations,
+            processed=settled,
+            edges_scanned=edges,
+            improved_relaxations=improved,
             gen_count=min(ordered.workset_size, ctx.graph.num_nodes),
         )
 

@@ -27,7 +27,6 @@ import numpy as np
 from repro.engine.driver import FrameContext
 from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
-from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import (
     _ragged_gather_indices,
@@ -39,72 +38,10 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
 from repro.gpusim.launch import LaunchConfig
 from repro.kernels import costs
-from repro.kernels.computation import StepResult
-from repro.kernels.mapping import ComputationShape, computation_tally
-from repro.kernels.variants import Variant
-from repro.kernels.workset import GEN_TPB, Workset
+from repro.kernels.multisource import RowRelaxation
+from repro.kernels.workset import GEN_TPB
 
-__all__ = ["kcore_peel_step", "KcoreSpec"]
-
-
-def kcore_peel_step(
-    graph: CSRGraph,
-    workset: Workset,
-    degree: np.ndarray,
-    alive: np.ndarray,
-    coreness: np.ndarray,
-    k: int,
-    variant: Variant,
-    threads_per_block: int,
-    device: DeviceSpec,
-    *,
-    name: str = "kcore_comp",
-) -> StepResult:
-    """Peel one batch of sub-k nodes; mutates the state arrays in place.
-
-    Returns the alive nodes whose degree dropped below k this sweep.
-    """
-    frontier = workset.nodes
-    if frontier.size == 0:
-        raise KernelError("kcore_peel_step called with an empty working set")
-    offsets, cols = graph.row_offsets, graph.col_indices
-    degrees_now = graph.out_degrees[frontier]
-
-    coreness[frontier] = k - 1
-    alive[frontier] = False
-    idx = _ragged_gather_indices(offsets[frontier], offsets[frontier + 1])
-    edges = int(idx.size)
-    improved = 0
-    if edges:
-        neigh = cols[idx]
-        before = degree[neigh] >= k
-        np.subtract.at(degree, neigh, 1)
-        crossed = before & (degree[neigh] < k)
-        improved = int(crossed.sum())
-        candidates = sorted_unique(neigh[(degree[neigh] < k)])
-        updated = candidates[alive[candidates]].astype(np.int64)
-    else:
-        updated = np.empty(0, dtype=np.int64)
-
-    shape = ComputationShape(
-        name=name,
-        num_nodes=graph.num_nodes,
-        active_ids=frontier,
-        degrees=degrees_now,
-        edge_cost=costs.C_EDGE,  # neighbor load + atomicSub + compare
-        improved=edges,  # every decrement is an atomic
-        updated_count=max(1, int(updated.size)),
-    )
-    tally = computation_tally(
-        shape, variant.mapping, variant.workset, threads_per_block, device
-    )
-    return StepResult(
-        updated=updated,
-        tally=tally,
-        improved_relaxations=improved,
-        edges_scanned=edges,
-        processed=int(frontier.size),
-    )
+__all__ = ["KcoreSpec"]
 
 
 def _filter_tally(num_nodes: int, device: DeviceSpec) -> KernelTally:
@@ -170,19 +107,37 @@ class KcoreSpec(AlgorithmSpec):
         ctx.readback()
         return np.flatnonzero(state.alive & (state.degree < state.k)).astype(np.int64)
 
-    def compute(self, ctx, state, variant, tpb) -> StepOutcome:
-        workset = Workset.from_update_ids(state.frontier, variant.workset)
-        step = kcore_peel_step(
-            ctx.graph, workset, state.degree, state.alive, state.values,
-            state.k, variant, tpb, ctx.device,
-        )
-        ctx.price(step.tally)
-        return StepOutcome(
-            next_frontier=step.updated,
-            updated_count=int(step.updated.size),
-            processed=step.processed,
-            edges_scanned=step.edges_scanned,
-            improved_relaxations=step.improved_relaxations,
+    def relax(self, graph, state, *, ordered=False):
+        """Peel one batch of sub-k nodes; mutates the state arrays in place.
+
+        The next working set is the alive nodes whose degree dropped
+        below k this sweep.  Every neighbor load is followed by an
+        atomicSub and a compare; the launch prices one atomic per
+        decrement and emits at least one element.
+        """
+        frontier, degree, alive, k = state.frontier, state.degree, state.alive, state.k
+        offsets, cols = graph.row_offsets, graph.col_indices
+        degrees_now = graph.out_degrees[frontier]
+
+        state.values[frontier] = k - 1
+        alive[frontier] = False
+        idx = _ragged_gather_indices(offsets[frontier], offsets[frontier + 1])
+        edges = int(idx.size)
+        improved = 0
+        if edges:
+            neigh = cols[idx]
+            before = degree[neigh] >= k
+            np.subtract.at(degree, neigh, 1)
+            crossed = before & (degree[neigh] < k)
+            improved = int(crossed.sum())
+            candidates = sorted_unique(neigh[(degree[neigh] < k)])
+            updated = candidates[alive[candidates]].astype(np.int64)
+        else:
+            updated = np.empty(0, dtype=np.int64)
+        count = int(updated.size)
+        return (
+            StepOutcome(updated, count, int(frontier.size), edges, improved),
+            RowRelaxation(frontier, degrees_now, edges, max(1, count)),
         )
 
     def checkpoint_extra(self, state: FrameState) -> dict:

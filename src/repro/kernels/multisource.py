@@ -1,13 +1,17 @@
-"""Multi-source (batched) computation and workset-generation kernels.
+"""Computation-launch shapes, and the multi-source (batched) kernels.
+
+:func:`launch_shape` is the one place a computation launch's shape is
+built, from the :class:`RowRelaxation` rows a spec's
+:meth:`~repro.engine.spec.AlgorithmSpec.relax` returns: one row for a
+single-source iteration or a shard, many for a fused batch launch.
 
 The serving layer (:mod:`repro.serve`) stacks many queries' per-query
 state into one 2-D batch — one row per query over the same device-resident
 graph — so one ``run_frame``-style loop serves the whole batch.  The
 *functional* update of each row is exactly the single-source relaxation
-(:func:`~repro.kernels.computation.bfs_relax` /
-:func:`~repro.kernels.computation.sssp_relax` on the row's own frontier
-and value array), which is what keeps batched answers bit-identical to
-single-source runs.  What changes is the *cost*: rows that run the same
+(the spec's ``relax`` on the row's own frontier and value array), which
+is what keeps batched answers bit-identical to single-source runs.
+What changes is the *cost*: rows that run the same
 variant in the same super-iteration share one fused kernel launch whose
 grid covers every row's slots, so the per-launch overheads (driver
 launch latency, block dispatch) are paid once per group instead of once
@@ -37,6 +41,7 @@ from repro.kernels.workset import workset_gen_tallies
 
 __all__ = [
     "RowRelaxation",
+    "launch_shape",
     "fused_computation_tally",
     "fused_workset_gen_tallies",
     "fused_readback_bytes",
@@ -45,16 +50,59 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RowRelaxation:
-    """One query row's structural profile inside a fused launch."""
+    """One row's structural profile inside a computation launch: what
+    an :meth:`~repro.engine.spec.AlgorithmSpec.relax` hands the pricing."""
 
     #: the row's active node ids (its frontier, ascending)
     active_ids: np.ndarray
-    #: outdegree of each active node (parallel to active_ids)
+    #: work units of each active node (its outdegree; parallel to
+    #: active_ids)
     degrees: np.ndarray
-    #: improving relaxations the row performed
+    #: atomic updates the launch performs (improving relaxations, or
+    #: one per edge for PageRank's and k-core's scatter updates)
     improved: int
-    #: distinct nodes of the row whose state improved
+    #: elements the launch emits into the update vector
     updated_count: int
+
+
+def launch_shape(
+    rows: Sequence[RowRelaxation],
+    num_nodes: int,
+    *,
+    edge_cost: float,
+    weight_streams: int,
+    name: str,
+    guard_cost: float = 0.0,
+) -> ComputationShape:
+    """The structure of one computation launch over *rows*: the one
+    place a computation launch's shape is built.
+
+    The grid covers ``len(rows)`` row-slabs of ``num_nodes`` slots each;
+    row *q*'s active ids are offset into slab *q* so divergence,
+    membership traffic and atomic diversity reflect the stacked shape.
+    A one-row launch (a single-source iteration, a shard) uses the
+    row's own arrays.
+    """
+    if not rows:
+        raise ValueError("a computation launch needs at least one row")
+    if len(rows) == 1:
+        active, degrees = rows[0].active_ids, rows[0].degrees
+    else:
+        active = np.concatenate(
+            [row.active_ids + q * num_nodes for q, row in enumerate(rows)]
+        )
+        degrees = np.concatenate([row.degrees for row in rows])
+    return ComputationShape(
+        name=name,
+        num_nodes=num_nodes * len(rows),
+        active_ids=active,
+        degrees=degrees,
+        edge_cost=edge_cost,
+        improved=sum(row.improved for row in rows),
+        updated_count=sum(row.updated_count for row in rows),
+        guard_cost=guard_cost,
+        weight_streams=weight_streams,
+    )
 
 
 def fused_computation_tally(
@@ -68,28 +116,12 @@ def fused_computation_tally(
     weight_streams: int = 0,
     name: str = "batch_comp",
 ) -> KernelTally:
-    """Price one fused multi-source computation launch.
-
-    The fused grid covers ``len(rows)`` row-slabs of ``num_nodes`` slots
-    each; row *q*'s active ids are offset into slab *q* so divergence,
-    membership traffic and atomic diversity reflect the stacked shape.
-    Every row must run the same *variant* (callers group by variant).
-    """
-    if not rows:
-        raise ValueError("fused_computation_tally needs at least one row")
-    active = np.concatenate(
-        [row.active_ids + q * num_nodes for q, row in enumerate(rows)]
-    )
-    degrees = np.concatenate([row.degrees for row in rows])
-    shape = ComputationShape(
+    """Price one fused multi-source computation launch
+    (:func:`launch_shape` over *rows*).  Every row must run the same
+    *variant* (callers group by variant)."""
+    shape = launch_shape(
+        rows, num_nodes, edge_cost=edge_cost, weight_streams=weight_streams,
         name=name,
-        num_nodes=num_nodes * len(rows),
-        active_ids=active,
-        degrees=degrees,
-        edge_cost=edge_cost,
-        improved=sum(row.improved for row in rows),
-        updated_count=sum(row.updated_count for row in rows),
-        weight_streams=weight_streams,
     )
     return computation_tally(
         shape, variant.mapping, variant.workset, tpb, device

@@ -31,89 +31,10 @@ from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
-from repro.gpusim.device import DeviceSpec
 from repro.kernels import costs
-from repro.kernels.computation import StepResult
-from repro.kernels.mapping import ComputationShape, computation_tally
-from repro.kernels.variants import Variant
-from repro.kernels.workset import Workset
+from repro.kernels.multisource import RowRelaxation
 
-__all__ = ["pagerank_step", "PagerankSpec"]
-
-
-def pagerank_step(
-    graph: CSRGraph,
-    workset: Workset,
-    rank: np.ndarray,
-    residual: np.ndarray,
-    damping: float,
-    tolerance: float,
-    variant: Variant,
-    threads_per_block: int,
-    device: DeviceSpec,
-    *,
-    name: str = "pagerank_comp",
-) -> StepResult:
-    """One push sweep; mutates *rank* and *residual* in place.
-
-    Returns the nodes whose residual crossed the tolerance during this
-    sweep (the next working set).
-    """
-    frontier = workset.nodes
-    if frontier.size == 0:
-        raise KernelError("pagerank_step called with an empty working set")
-    offsets, cols = graph.row_offsets, graph.col_indices
-    degrees = graph.out_degrees[frontier]
-
-    r = residual[frontier]
-    rank[frontier] += r
-    residual[frontier] = 0.0
-
-    has_out = degrees > 0
-    src = frontier[has_out]
-    edges = 0
-    improved = 0
-    if src.size:
-        idx = _ragged_gather_indices(offsets[src], offsets[src + 1])
-        edges = int(idx.size)
-        dst = cols[idx]
-        share = np.repeat(
-            damping * r[has_out] / degrees[has_out], degrees[has_out]
-        )
-        before = residual[dst] < tolerance
-        np.add.at(residual, dst, share)
-        crossed = before & (residual[dst] >= tolerance)
-        improved = int(crossed.sum())
-        updated = sorted_unique(dst[residual[dst] >= tolerance])
-    else:
-        updated = np.empty(0, dtype=np.int64)
-    # Frontier members whose residual was re-raised above tolerance by
-    # their own neighbors within this sweep stay in the working set.
-    updated = np.union1d(
-        updated, frontier[residual[frontier] >= tolerance]
-    ).astype(np.int64)
-
-    shape = ComputationShape(
-        name=name,
-        num_nodes=graph.num_nodes,
-        active_ids=frontier,
-        degrees=degrees,
-        # Each push is a neighbor load + float divide share + atomicAdd.
-        edge_cost=costs.C_EDGE_WEIGHTED,
-        improved=edges,  # every push is an atomic residual update
-        updated_count=max(1, int(updated.size)),
-        weight_streams=0,
-    )
-    tally = computation_tally(
-        shape, variant.mapping, variant.workset, threads_per_block, device
-    )
-    return StepResult(
-        updated=updated,
-        tally=tally,
-        improved_relaxations=improved,
-        edges_scanned=edges,
-        processed=int(frontier.size),
-    )
+__all__ = ["PagerankSpec"]
 
 
 class PagerankSpec(AlgorithmSpec):
@@ -124,6 +45,8 @@ class PagerankSpec(AlgorithmSpec):
     #: the serial reference accumulates float pushes in a different
     #: order, so CPU ranks match GPU ranks only to tolerance
     cpu_exact = False
+    #: each push is a neighbor load + float divide share + atomicAdd
+    edge_cost = costs.C_EDGE_WEIGHTED
 
     def __init__(self, damping: float = 0.85, tolerance: float = 1e-6):
         if not 0 < damping < 1:
@@ -151,19 +74,49 @@ class PagerankSpec(AlgorithmSpec):
         # tolerance) must skip the policy — the loop exits immediately.
         return int(state.frontier.size)
 
-    def compute(self, ctx, state, variant, tpb) -> StepOutcome:
-        workset = Workset.from_update_ids(state.frontier, variant.workset)
-        step = pagerank_step(
-            ctx.graph, workset, state.values, state.residual,
-            self.damping, self.tolerance, variant, tpb, ctx.device,
-        )
-        ctx.price(step.tally)
-        return StepOutcome(
-            next_frontier=step.updated,
-            updated_count=int(step.updated.size),
-            processed=step.processed,
-            edges_scanned=step.edges_scanned,
-            improved_relaxations=step.improved_relaxations,
+    def relax(self, graph, state, *, ordered=False):
+        """One push sweep; mutates the ranks and residuals in place.
+
+        The next working set is the nodes whose residual is at or above
+        the tolerance after the sweep; the outcome counts the pushes
+        that crossed it, while the launch prices one atomic per push
+        and emits at least one element.
+        """
+        frontier, rank, residual = state.frontier, state.values, state.residual
+        offsets, cols = graph.row_offsets, graph.col_indices
+        degrees = graph.out_degrees[frontier]
+
+        r = residual[frontier]
+        rank[frontier] += r
+        residual[frontier] = 0.0
+
+        has_out = degrees > 0
+        src = frontier[has_out]
+        edges = 0
+        improved = 0
+        if src.size:
+            idx = _ragged_gather_indices(offsets[src], offsets[src + 1])
+            edges = int(idx.size)
+            dst = cols[idx]
+            share = np.repeat(
+                self.damping * r[has_out] / degrees[has_out], degrees[has_out]
+            )
+            before = residual[dst] < self.tolerance
+            np.add.at(residual, dst, share)
+            crossed = before & (residual[dst] >= self.tolerance)
+            improved = int(crossed.sum())
+            updated = sorted_unique(dst[residual[dst] >= self.tolerance])
+        else:
+            updated = np.empty(0, dtype=np.int64)
+        # Frontier members whose residual was re-raised above tolerance by
+        # their own neighbors within this sweep stay in the working set.
+        updated = np.union1d(
+            updated, frontier[residual[frontier] >= self.tolerance]
+        ).astype(np.int64)
+        count = int(updated.size)
+        return (
+            StepOutcome(updated, count, int(frontier.size), edges, improved),
+            RowRelaxation(frontier, degrees, edges, max(1, count)),
         )
 
     def checkpoint_extra(self, state: FrameState) -> dict:

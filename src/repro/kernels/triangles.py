@@ -36,7 +36,7 @@ from repro.graph.properties import is_symmetric
 from repro.graph.transforms import rank_oriented_adjacency, symmetrize
 from repro.gpusim.transfer import record_transfer
 from repro.kernels import costs
-from repro.kernels.mapping import ComputationShape, computation_tally
+from repro.kernels.multisource import RowRelaxation
 
 __all__ = ["TrianglesSpec"]
 
@@ -55,6 +55,8 @@ class TrianglesSpec(AlgorithmSpec):
     #: launch params) the host uploads before each computation launch;
     #: loop-invariant, so a fused plan hoists it
     iteration_h2d_bytes = 64
+    #: a merge-path intersection step is one bounds-and-compare check
+    edge_cost = costs.C_CHECK
 
     def __init__(self, chunk: int = DEFAULT_CHUNK, assume_symmetric: bool = False):
         if int(chunk) < 1:
@@ -95,10 +97,14 @@ class TrianglesSpec(AlgorithmSpec):
     def cap_message(self, cap: int) -> str:
         return f"triangle counting exceeded {cap} iterations (schedule bug)"
 
-    def compute(self, ctx, state, variant, tpb) -> StepOutcome:
+    def relax(self, graph, state, *, ordered=False):
+        """Count the triangles pivoted at each node of the chunk and
+        schedule the next chunk.  A node's work units (the launch's
+        per-node "degree") are its wedge scan plus every merge-path
+        intersection it runs."""
         indptr, indices = state.tri_indptr, state.tri_indices
         chunk_nodes = state.frontier
-        n = ctx.graph.num_nodes
+        n = graph.num_nodes
         work_units = np.zeros(chunk_nodes.size, dtype=np.int64)
         triangles = 0
         comparisons = 0
@@ -122,24 +128,12 @@ class TrianglesSpec(AlgorithmSpec):
             state.cursor, min(state.cursor + self.chunk, n), dtype=np.int64
         )
         state.cursor += int(next_chunk.size)
-        shape = ComputationShape(
-            name="triangles_comp",
-            num_nodes=n,
-            active_ids=chunk_nodes,
-            degrees=work_units,
-            edge_cost=costs.C_CHECK,
-            improved=triangles,
-            updated_count=int(next_chunk.size),
-        )
-        ctx.price(
-            computation_tally(shape, variant.mapping, variant.workset, tpb, ctx.device)
-        )
-        return StepOutcome(
-            next_frontier=next_chunk,
-            updated_count=int(next_chunk.size),
-            processed=int(chunk_nodes.size),
-            edges_scanned=comparisons,
-            improved_relaxations=triangles,
+        count = int(next_chunk.size)
+        return (
+            StepOutcome(
+                next_chunk, count, int(chunk_nodes.size), comparisons, triangles
+            ),
+            RowRelaxation(chunk_nodes, work_units, triangles, count),
         )
 
 

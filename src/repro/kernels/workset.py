@@ -1,4 +1,4 @@
-"""Working-set representations and the ``CUDA_workset_gen`` kernel.
+"""The ``CUDA_workset_gen`` kernel: materializing either working-set representation.
 
 Both representations are generated from the same *update vector* (one
 flag per node set by the computation kernel), which is the paper's key
@@ -29,7 +29,6 @@ paper's baseline is ``"atomic"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -39,11 +38,10 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.scan import scan_tallies
-from repro.graph.properties import sorted_unique
 from repro.kernels import costs
 from repro.kernels.variants import WorksetRepr
 
-__all__ = ["Workset", "workset_gen_tallies", "GEN_TPB", "QUEUE_GEN_SCHEMES"]
+__all__ = ["workset_gen_tallies", "GEN_TPB", "QUEUE_GEN_SCHEMES"]
 
 #: block size of the generation kernel (thread-mapped over the update
 #: vector regardless of the computation kernel's mapping)
@@ -56,47 +54,6 @@ QUEUE_GEN_SCHEMES = ("atomic", "scan", "hierarchical")
 #: cycles per shared-memory atomic within a block's hierarchical queue
 #: (an order of magnitude cheaper than the global L2 atomic unit)
 _SHARED_ATOMIC_CYCLES = 0.3
-
-
-@dataclass(frozen=True)
-class Workset:
-    """A materialized working set: the active node ids plus how they are
-    represented on the device.
-
-    ``nodes`` is always ascending — the queue produced by scanning the
-    update vector in index order, or the set bits of the bitmap."""
-
-    nodes: np.ndarray
-    representation: WorksetRepr
-
-    def __post_init__(self):
-        arr = self.nodes
-        if arr.ndim != 1:
-            raise WorksetError("workset nodes must be a 1-D array")
-        if arr.size > 1 and np.any(np.diff(arr) <= 0):
-            raise WorksetError("workset nodes must be strictly ascending")
-
-    @property
-    def size(self) -> int:
-        return int(self.nodes.size)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.nodes.size == 0
-
-    @classmethod
-    def from_update_ids(
-        cls, updated: np.ndarray, representation: WorksetRepr
-    ) -> "Workset":
-        """Materialize the next working set from updated node ids.
-
-        Every relaxation already returns its updates strictly ascending;
-        only other id lists pay for the sort-based dedupe.
-        """
-        arr = np.asarray(updated, dtype=np.int64).ravel()
-        if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
-            arr = sorted_unique(arr)
-        return cls(nodes=arr, representation=representation)
 
 
 def workset_gen_tallies(

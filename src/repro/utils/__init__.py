@@ -1,19 +1,11 @@
 """Shared utilities: seeded RNG, table formatting, statistics, validation."""
 
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.stats import (
-    Histogram,
-    Summary,
-    degree_histogram_bins,
-    geometric_mean,
-    histogram,
-    summarize,
-)
+from repro.utils.stats import Histogram, degree_histogram_bins, histogram
 from repro.utils.tables import Table, format_si, format_seconds
 from repro.utils.validation import (
     check_in_range,
     check_nonnegative_int,
-    check_positive,
     check_positive_int,
     check_probability,
 )
@@ -22,17 +14,13 @@ __all__ = [
     "make_rng",
     "spawn_rngs",
     "Histogram",
-    "Summary",
     "degree_histogram_bins",
-    "geometric_mean",
     "histogram",
-    "summarize",
     "Table",
     "format_si",
     "format_seconds",
     "check_in_range",
     "check_nonnegative_int",
-    "check_positive",
     "check_positive_int",
     "check_probability",
 ]

@@ -1,8 +1,7 @@
-"""Summary statistics and histogram helpers.
+"""Histogram helpers.
 
-These back the dataset characterization (Table 1 of the paper), the
-outdegree-distribution figures (Figure 1) and generic reporting in the
-benchmark harness.
+These back the dataset characterization (Table 1 of the paper) and the
+outdegree-distribution figures (Figure 1).
 """
 
 from __future__ import annotations
@@ -13,55 +12,9 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "Summary",
     "Histogram",
-    "summarize",
     "degree_histogram_bins",
-    "geometric_mean",
 ]
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-style summary of a 1-D sample."""
-
-    count: int
-    minimum: float
-    maximum: float
-    mean: float
-    std: float
-    median: float
-    p90: float
-    p99: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "min": self.minimum,
-            "max": self.maximum,
-            "mean": self.mean,
-            "std": self.std,
-            "median": self.median,
-            "p90": self.p90,
-            "p99": self.p99,
-        }
-
-
-def summarize(values) -> Summary:
-    """Compute a :class:`Summary` of *values* (any array-like, non-empty)."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return Summary(
-        count=int(arr.size),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        median=float(np.median(arr)),
-        p90=float(np.percentile(arr, 90)),
-        p99=float(np.percentile(arr, 99)),
-    )
 
 
 @dataclass(frozen=True)
@@ -128,13 +81,3 @@ def histogram(values, edges) -> Histogram:
     e = np.asarray(edges, dtype=np.float64)
     counts, _ = np.histogram(arr, bins=e)
     return Histogram(edges=tuple(float(x) for x in e), counts=tuple(int(c) for c in counts))
-
-
-def geometric_mean(values) -> float:
-    """Geometric mean of strictly positive values (used for speedup summaries)."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot take geometric mean of an empty sample")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))

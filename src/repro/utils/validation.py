@@ -13,7 +13,6 @@ from typing import Optional
 __all__ = [
     "check_positive_int",
     "check_nonnegative_int",
-    "check_positive",
     "check_probability",
     "check_in_range",
     "check_finite",
@@ -36,15 +35,6 @@ def check_nonnegative_int(name: str, value) -> int:
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return int(value)
-
-
-def check_positive(name: str, value) -> float:
-    """Validate that *value* is a real number > 0 and return it as ``float``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {type(value).__name__}")
-    if not value > 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-    return float(value)
 
 
 def check_probability(name: str, value) -> float:

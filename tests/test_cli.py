@@ -94,6 +94,16 @@ class TestRunSubcommand:
         assert rc == 0
         assert "(U_B_QU)" in capsys.readouterr().out
 
+    def test_run_ordered_variant_needs_ordered_support(self, capsys):
+        rc = main(
+            ["run", "--algorithm", "cc", "--dataset", "p2p",
+             "--scale", "0.05", "--mode", "O_T_BM"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "(O_T_BM)" not in captured.out
+        assert captured.err.startswith("repro: error: 'cc' has no ordered variants")
+
     def test_run_resilient_mode(self, capsys):
         rc = main(
             ["run", "--algorithm", "kcore", "--dataset", "p2p",

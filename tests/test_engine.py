@@ -126,6 +126,19 @@ class TestRegistry:
                 assert value == getattr(spec, flag), (info.name, flag)
             assert info.default_variant == spec.default_variant
 
+    def test_one_relaxation_per_algorithm(self):
+        """Every built-in spec states its update once, as ``relax``, and
+        inherits the engine's ``compute``; only ordered SSSP (findmin)
+        and DOBFS (the pull kernel) launch kernels of their own."""
+        from repro.kernels.frame import OrderedSsspSpec
+
+        specs = [get_algorithm(name).make_spec for name in BUILTINS + ("triangles",)]
+        specs.append(OrderedSsspSpec)
+        own = {spec for spec in specs if spec.compute is not AlgorithmSpec.compute}
+        assert own == {OrderedSsspSpec, get_algorithm("dobfs").make_spec}
+        for spec in set(specs) - own:
+            assert spec.relax is not AlgorithmSpec.relax, spec.name
+
     def test_triangles_default_variant(self):
         # The spec and the golden fixture's static run use U_T_QU; the
         # registry (and so `repro algorithms`) must report the same.
@@ -375,6 +388,12 @@ class TestRunStaticGeneric:
         result = run_static(graph, -1, name, info.default_variant)
         oracle, _ = info.cpu_run(graph, -1)
         assert _matches(info, result.values, oracle)
+
+    @pytest.mark.parametrize("name", ("cc", "pagerank", "kcore", "triangles"))
+    def test_ordered_variant_needs_ordered_support(self, graph, name):
+        assert not get_algorithm(name).ordered_support
+        with pytest.raises(KernelError, match="has no ordered variants"):
+            run_static(graph, -1, name, "O_T_BM")
 
     def test_params_forwarded(self, graph):
         loose = run_static(graph, -1, "pagerank", "U_B_QU", tolerance=1e-3)

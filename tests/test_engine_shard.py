@@ -193,6 +193,21 @@ class TestDeviceLossRecovery:
             assert any(e.rung == "retry" for e in result.recovery_events)
 
 
+    def test_max_retries_is_the_one_retry_bound(self):
+        """Retries run to ``max_retries`` before the device is lost; no
+        second bound ends the incident early."""
+        graph = attach_uniform_weights(power_law_graph(600, seed=1), seed=1)
+        result = run_sharded(
+            graph, 0, algorithm="bfs", num_devices=2, max_retries=5,
+            fault_plan=FaultPlan(seed=5, launch_failure_rate=0.6),
+        )
+        retries = [e.detail for e in result.recovery_events if e.rung == "retry"]
+        assert any(detail.startswith("attempt 3/5:") for detail in retries)
+        assert result.values_sha256 == run_sharded(
+            graph, 0, algorithm="bfs", num_devices=1
+        ).values_sha256
+
+
 class TestShardManifest:
     def test_manifest_round_trips(self, graph):
         observer = Observer()

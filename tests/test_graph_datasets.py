@@ -4,12 +4,7 @@ the published structure (scaled)."""
 import pytest
 
 from repro.errors import DatasetError
-from repro.graph.datasets import (
-    DATASETS,
-    dataset_keys,
-    make_dataset,
-    paper_table1_rows,
-)
+from repro.graph.datasets import DATASETS, dataset_keys, make_dataset
 from repro.graph.properties import is_symmetric, pseudo_diameter
 
 
@@ -20,14 +15,6 @@ class TestRegistry:
     def test_unknown_key(self):
         with pytest.raises(DatasetError, match="unknown dataset"):
             make_dataset("facebook")
-
-    def test_paper_rows_match_specs(self):
-        rows = paper_table1_rows()
-        assert len(rows) == 6
-        for row, key in zip(rows, dataset_keys()):
-            assert row[0] == key
-            assert row[1] == DATASETS[key].paper_nodes
-
 
 class TestScaling:
     def test_scale_controls_nodes(self):

@@ -9,8 +9,6 @@ from repro.graph.generators import chain_graph, erdos_renyi_graph
 from repro.graph.properties import is_symmetric
 from repro.graph.transforms import (
     edge_arrays,
-    induced_subgraph,
-    largest_weakly_connected_subgraph,
     relabel,
     symmetrize,
     weakly_connected_components,
@@ -128,29 +126,6 @@ class TestDegreeSortRelabel:
         assert np.all(deg[:-1] <= deg[1:])
 
 
-class TestInducedSubgraph:
-    def test_keeps_internal_edges(self, tiny_graph):
-        sub, kept = induced_subgraph(tiny_graph, [0, 1, 2])
-        assert kept.tolist() == [0, 1, 2]
-        assert sub.num_nodes == 3
-        # edges 0->1, 0->2, 1->2 survive; 2->3, 2->4, 3->4 do not
-        assert sub.num_edges == 3
-
-    def test_ids_compacted(self, tiny_graph):
-        sub, kept = induced_subgraph(tiny_graph, [2, 4])
-        assert sub.num_nodes == 2
-        assert kept.tolist() == [2, 4]
-        assert sub.neighbors(0).tolist() == [1]  # 2->4 became 0->1
-
-    def test_out_of_range(self, tiny_graph):
-        with pytest.raises(GraphError):
-            induced_subgraph(tiny_graph, [99])
-
-    def test_preserves_weights(self, tiny_weighted):
-        sub, _ = induced_subgraph(tiny_weighted, [0, 1, 2])
-        assert sub.has_weights
-
-
 class TestComponents:
     def test_single_component(self):
         labels = weakly_connected_components(chain_graph(8))
@@ -183,11 +158,3 @@ class TestComponents:
         labels = weakly_connected_components(g)
         nx_comps = list(nx.weakly_connected_components(to_networkx(g)))
         assert len(set(labels.tolist())) == len(nx_comps)
-
-    def test_largest_component_subgraph(self):
-        g = from_edge_list(
-            [0, 1, 2, 10], [1, 2, 3, 11], num_nodes=12
-        )
-        sub, kept = largest_weakly_connected_subgraph(g)
-        assert sub.num_nodes == 4
-        assert kept.tolist() == [0, 1, 2, 3]

@@ -17,17 +17,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.engine.spec import FrameState
 from repro.gpusim.device import TESLA_C2070
 from repro.gpusim.kernel import CostModel, KernelTally
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.timeline import Timeline
 from repro.gpusim.transfer import record_transfer
 from repro.graph.csr import CSRGraph
-from repro.kernels.cc import cc_step
+from repro.kernels.cc import CcSpec
 from repro.kernels import computation
 from repro.kernels.computation import INF, UNSET_LEVEL, bfs_relax, sssp_relax
-from repro.kernels.variants import Variant, WorksetRepr
-from repro.kernels.workset import Workset
 
 
 def _peak_bytes(call):
@@ -130,9 +129,8 @@ def _sssp_call(graph):
 
 def _cc_call(graph):
     labels = np.arange(graph.num_nodes, dtype=np.int64)
-    workset = Workset.from_update_ids(np.array([7]), WorksetRepr.QUEUE)
-    variant = Variant.parse("U_T_QU")
-    return lambda: cc_step(graph, workset, labels, variant, 192, TESLA_C2070)
+    state = FrameState(labels, np.array([7], dtype=np.int64))
+    return lambda: CcSpec().relax(graph, state)
 
 
 @pytest.mark.parametrize("make_call", [_bfs_call, _sssp_call, _cc_call])

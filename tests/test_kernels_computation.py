@@ -4,29 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.core.runtime import run_static
+from repro.engine.driver import FrameContext
+from repro.engine.spec import FrameState
 from repro.errors import KernelError
 from repro.graph.builder import from_edge_list
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import attach_uniform_weights, chain_graph
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
 from repro.gpusim.device import TESLA_C2070
+from repro.gpusim.kernel import CostModel
+from repro.gpusim.timeline import Timeline
 from repro.kernels import computation, costs
-from repro.kernels.cc import cc_step
+from repro.kernels.cc import CcSpec
 from repro.kernels.computation import (
     INF,
     OrderedSsspState,
-    StepResult,
     UNSET_LEVEL,
     bfs_relax,
-    bfs_step,
     sssp_ordered_step,
     sssp_relax,
-    sssp_step,
 )
 from repro.kernels.findmin import findmin
+from repro.kernels.frame import BfsSpec, SsspSpec
 from repro.kernels.mapping import ComputationShape, computation_tally
-from repro.kernels.variants import Variant, WorksetRepr
-from repro.kernels.workset import Workset
+from repro.kernels.variants import Variant
 
 
 def fresh_levels(n, source):
@@ -42,45 +44,51 @@ def fresh_dist(n, source):
 
 
 UTBM = Variant.parse("U_T_BM")
+UTQU = Variant.parse("U_T_QU")
 OTBM = Variant.parse("O_T_BM")
+
+
+def relax_and_price(spec, graph, frontier, values, variant=UTBM):
+    """One computation step through the spec's ``compute`` — its
+    relaxation plus the shared launch pricing: ``(outcome, tally)``."""
+    state = FrameState(values, np.asarray(frontier, dtype=np.int64))
+    ctx = FrameContext(
+        graph, TESLA_C2070, CostModel(TESLA_C2070), Timeline(), "atomic", 0
+    )
+    outcome = spec.compute(ctx, state, variant, 192)
+    (record,) = ctx.timeline.kernels
+    return outcome, record.tally
 
 
 class TestBfsStep:
     def test_one_step_expands_frontier(self, tiny_graph):
         levels = fresh_levels(5, 0)
-        ws = Workset.from_update_ids(np.array([0]), WorksetRepr.BITMAP)
-        step = bfs_step(tiny_graph, ws, levels, UTBM, 192, TESLA_C2070)
-        assert step.updated.tolist() == [1, 2]
+        step, tally = relax_and_price(BfsSpec(), tiny_graph, [0], levels)
+        assert step.next_frontier.tolist() == [1, 2]
         assert levels[1] == 1 and levels[2] == 1
+        assert tally.name == "bfs_comp"
 
     def test_no_rediscovery(self, tiny_graph):
         levels = fresh_levels(5, 0)
-        ws = Workset.from_update_ids(np.array([0]), WorksetRepr.BITMAP)
-        step = bfs_step(tiny_graph, ws, levels, UTBM, 192, TESLA_C2070)
-        ws2 = Workset.from_update_ids(step.updated, WorksetRepr.BITMAP)
-        step2 = bfs_step(tiny_graph, ws2, levels, UTBM, 192, TESLA_C2070)
+        step, _ = relax_and_price(BfsSpec(), tiny_graph, [0], levels)
+        step2, _ = relax_and_price(BfsSpec(), tiny_graph, step.next_frontier, levels)
         # 1->2 does not re-add node 2 (level would not improve).
-        assert 2 not in step2.updated.tolist()
-        assert step2.updated.tolist() == [3, 4]
+        assert 2 not in step2.next_frontier.tolist()
+        assert step2.next_frontier.tolist() == [3, 4]
 
     def test_ordered_first_touch_only(self, tiny_graph):
         levels = fresh_levels(5, 0)
-        ws = Workset.from_update_ids(np.array([0]), WorksetRepr.BITMAP)
-        step = bfs_step(tiny_graph, ws, levels, OTBM, 192, TESLA_C2070)
-        assert step.updated.tolist() == [1, 2]
-
-    def test_empty_workset_rejected(self, tiny_graph):
-        levels = fresh_levels(5, 0)
-        ws = Workset.from_update_ids(np.array([]), WorksetRepr.BITMAP)
-        with pytest.raises(KernelError):
-            bfs_step(tiny_graph, ws, levels, UTBM, 192, TESLA_C2070)
+        step, tally = relax_and_price(BfsSpec(), tiny_graph, [0], levels, OTBM)
+        assert step.next_frontier.tolist() == [1, 2]
+        # The ordered launch pays the key-check guard on every element.
+        _, plain = relax_and_price(BfsSpec(), tiny_graph, [0], fresh_levels(5, 0))
+        assert tally.issue_cycles > plain.issue_cycles
 
     def test_edges_scanned_counts_frontier_degrees(self, star_64):
         levels = fresh_levels(64, 0)
-        ws = Workset.from_update_ids(np.array([0]), WorksetRepr.QUEUE)
-        step = bfs_step(star_64, ws, levels, UTBM, 192, TESLA_C2070)
+        step, _ = relax_and_price(BfsSpec(), star_64, [0], levels, UTQU)
         assert step.edges_scanned == 63
-        assert step.updated.size == 63
+        assert step.updated_count == step.next_frontier.size == 63
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.float64])
     def test_non_int64_levels_rejected(self, tiny_graph, dtype):
@@ -94,17 +102,16 @@ class TestBfsStep:
 class TestSsspStep:
     def test_relaxation(self, tiny_weighted):
         dist = fresh_dist(5, 0)
-        ws = Workset.from_update_ids(np.array([0]), WorksetRepr.QUEUE)
-        step = sssp_step(tiny_weighted, ws, dist, UTBM, 192, TESLA_C2070)
+        step, tally = relax_and_price(SsspSpec(), tiny_weighted, [0], dist, UTQU)
         assert dist[1] == 1.0 and dist[2] == 4.0
-        assert step.updated.tolist() == [1, 2]
+        assert step.next_frontier.tolist() == [1, 2]
+        assert tally.name == "sssp_comp"
 
     def test_improvement_only(self, tiny_weighted):
         dist = fresh_dist(5, 0)
         dist[1], dist[2] = 1.0, 3.0  # 2 already better than via 0 (4.0)
-        ws = Workset.from_update_ids(np.array([0]), WorksetRepr.QUEUE)
-        step = sssp_step(tiny_weighted, ws, dist, UTBM, 192, TESLA_C2070)
-        assert step.updated.size == 0
+        step, _ = relax_and_price(SsspSpec(), tiny_weighted, [0], dist, UTQU)
+        assert step.next_frontier.size == 0
 
     def test_multiple_candidates_take_min(self):
         # two paths into node 2: 0->2 (10) and 1->2 (1); frontier {0,1}
@@ -112,25 +119,25 @@ class TestSsspStep:
         g = g.with_weights([5.0, 5.0, 1.0, 1.0])  # 0-1 (5), 1-2 (1)
         dist = fresh_dist(3, 0)
         dist[1] = 5.0
-        ws = Workset.from_update_ids(np.array([0, 1]), WorksetRepr.QUEUE)
-        sssp_step(g, ws, dist, UTBM, 192, TESLA_C2070)
+        relax_and_price(SsspSpec(), g, [0, 1], dist, UTQU)
         assert dist[2] == 6.0
 
     def test_requires_weights(self, tiny_graph):
-        dist = fresh_dist(5, 0)
-        ws = Workset.from_update_ids(np.array([0]), WorksetRepr.QUEUE)
-        with pytest.raises(KernelError):
-            sssp_step(tiny_graph, ws, dist, UTBM, 192, TESLA_C2070)
+        # The SSSP door rejects an unweighted graph before any relaxation.
+        with pytest.raises(KernelError, match="requires edge weights"):
+            SsspSpec().validate(tiny_graph, 0)
+        with pytest.raises(KernelError, match="requires edge weights"):
+            run_static(tiny_graph, 0, "sssp", "U_T_QU")
 
 
 class TestOrderedSssp:
     def test_settles_min_first(self, tiny_weighted):
         state = OrderedSsspState.initial(5, 0, dedupe=True)
-        step = sssp_ordered_step(
+        _, settled, _, _ = sssp_ordered_step(
             tiny_weighted, state, findmin(state.ws_keys), OTBM, 192, TESLA_C2070
         )
         assert state.dist[0] == 0.0
-        assert step.settled == 1
+        assert settled == 1
         # neighbors of 0 inserted with their candidate keys
         assert set(state.ws_nodes.tolist()) == {1, 2}
 
@@ -170,10 +177,10 @@ class TestOrderedSssp:
         state.dist[1] = 0.5
         state.ws_nodes = np.array([1], dtype=np.int64)
         state.ws_keys = np.array([2.0], dtype=np.float64)
-        step = sssp_ordered_step(
+        _, settled, _, _ = sssp_ordered_step(
             tiny_weighted, state, 2.0, OTBM, 192, TESLA_C2070
         )
-        assert step.settled == 0
+        assert settled == 0
         assert state.dist[1] == 0.5  # untouched
 
 
@@ -236,11 +243,10 @@ def _ref_sssp_relax(graph, frontier, dist):
     return updated, degrees, improved_count, int(idx.size)
 
 
-def _ref_cc_step(graph, workset, labels, variant, threads_per_block, device,
+def _ref_cc_step(graph, frontier, labels, variant, threads_per_block, device,
                  *, name="cc_comp"):
-    frontier = workset.nodes
-    if frontier.size == 0:
-        raise KernelError("cc_step called with an empty working set")
+    """One CC sweep and its launch tally: ``(updated, tally,
+    improved_relaxations, edges_scanned, processed)``."""
     idx, dst, degrees = _ref_gather_edges(graph, frontier)
     cand = np.repeat(labels[frontier], degrees)
 
@@ -265,13 +271,7 @@ def _ref_cc_step(graph, workset, labels, variant, threads_per_block, device,
     tally = computation_tally(
         shape, variant.mapping, variant.workset, threads_per_block, device
     )
-    return StepResult(
-        updated=updated,
-        tally=tally,
-        improved_relaxations=improved_count,
-        edges_scanned=int(idx.size),
-        processed=int(frontier.size),
-    )
+    return updated, tally, improved_count, int(idx.size), int(frontier.size)
 
 
 # The push-only BFS relax the pull path joined, copied verbatim: it
@@ -510,23 +510,20 @@ class TestRelaxMatchesReference:
             dtype=np.int64,
         )
         ref_labels = labels.copy()
-        workset = Workset.from_update_ids(ids, WorksetRepr.BITMAP)
-        got = cc_step(graph, workset, labels, UTBM, 192, TESLA_C2070)
-        want = _ref_cc_step(graph, workset, ref_labels, UTBM, 192, TESLA_C2070)
-        assert got.updated.dtype == np.int64
-        assert np.array_equal(got.updated, want.updated)
-        assert got.tally == want.tally
+        # The relaxation's precondition: a strictly ascending frontier.
+        frontier = sorted_unique(ids)
+        got, tally = relax_and_price(CcSpec(), graph, frontier, labels)
+        updated, ref_tally, improved, edges, processed = _ref_cc_step(
+            graph, frontier, ref_labels, UTBM, 192, TESLA_C2070
+        )
+        assert got.next_frontier.dtype == np.int64
+        assert np.array_equal(got.next_frontier, updated)
+        assert tally == ref_tally
         assert (got.improved_relaxations, got.edges_scanned, got.processed) == (
-            want.improved_relaxations, want.edges_scanned, want.processed
+            improved, edges, processed
         )
         assert labels.dtype == ref_labels.dtype
         assert np.array_equal(labels, ref_labels)
-
-    def test_cc_empty_workset_rejected(self, tiny_graph):
-        labels = np.arange(5, dtype=np.int64)
-        workset = Workset.from_update_ids(np.array([]), WorksetRepr.BITMAP)
-        with pytest.raises(KernelError):
-            cc_step(tiny_graph, workset, labels, UTBM, 192, TESLA_C2070)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for repro.kernels.variants and repro.kernels.workset."""
 
-import numpy as np
 import pytest
 
 from repro.errors import KernelError, WorksetError
@@ -15,7 +14,7 @@ from repro.kernels.variants import (
     block_mapping_tpb,
     unordered_variants,
 )
-from repro.kernels.workset import Workset, workset_gen_tallies
+from repro.kernels.workset import workset_gen_tallies
 
 
 class TestVariantNaming:
@@ -63,32 +62,6 @@ class TestLaunchConfiguration:
     def test_block_mapping_clamped(self):
         assert block_mapping_tpb(0.5, TESLA_C2070) == 32
         assert block_mapping_tpb(1e9, TESLA_C2070) == TESLA_C2070.max_threads_per_block
-
-
-class TestWorkset:
-    def test_from_update_ids_sorts_and_dedupes(self):
-        ws = Workset.from_update_ids(np.array([5, 1, 5, 3]), WorksetRepr.QUEUE)
-        assert ws.nodes.tolist() == [1, 3, 5]
-        assert ws.size == 3
-
-    @pytest.mark.parametrize("ids", [[1, 3, 3, 5], [1, 3, 5]])
-    def test_from_update_ids_ascending_input(self, ids):
-        """Strictly ascending ids skip the dedupe; sorted duplicates do not."""
-        ws = Workset.from_update_ids(np.array(ids, dtype=np.int32), WorksetRepr.QUEUE)
-        assert ws.nodes.tolist() == [1, 3, 5]
-        assert ws.nodes.dtype == np.int64
-
-    def test_empty(self):
-        ws = Workset.from_update_ids(np.array([]), WorksetRepr.BITMAP)
-        assert ws.is_empty
-
-    def test_rejects_unsorted_direct_construction(self):
-        with pytest.raises(WorksetError):
-            Workset(np.array([3, 1]), WorksetRepr.QUEUE)
-
-    def test_rejects_2d(self):
-        with pytest.raises(WorksetError):
-            Workset(np.zeros((2, 2), dtype=np.int64), WorksetRepr.QUEUE)
 
 
 class TestWorksetGen:

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from repro.core import adaptive_run
+from repro.core.config import RuntimeConfig
 from repro.cpu import cpu_bfs
 from repro.errors import DeviceOOMError
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.memory import traversal_state_bytes
 from repro.graph.generators import attach_uniform_weights, rmat_graph
+from repro.obs import Observer, observing
 from repro.reliability import GuardConfig, resilient_run
 
 
@@ -65,6 +67,28 @@ class TestBudgetedAdaptive:
         assert result.memory.oom_events == 0
         forced = [d for d in result.trace.decisions if d.forced_by_memory]
         assert all("/mem-pressure" in d.region or d.forced_by_memory for d in forced)
+
+    @pytest.mark.parametrize("algorithm", ["bfs", "sssp"])
+    @pytest.mark.parametrize("interval", [2, 3])
+    def test_sampled_run_fit_checks_between_samples(
+        self, weighted_graph, algorithm, interval
+    ):
+        """A held variant whose working set no longer fits takes a full
+        decision, as a sample would, instead of running out of memory."""
+        baseline = adaptive_run(weighted_graph, algorithm, 0)
+        budget = _resident_bytes(weighted_graph) + _bitmap_bytes(weighted_graph) + 64
+        config = RuntimeConfig(sampling_interval=interval)
+        observer = Observer()
+        with observing(observer):
+            result = adaptive_run(
+                weighted_graph, algorithm, 0, config=config,
+                memory=MemoryBudget(budget),
+            )
+        assert np.array_equal(result.values, baseline.values)
+        assert result.memory.oom_events == 0
+        decided = [d.iteration for d in result.trace.decisions]
+        assert any(i % interval for i in decided)
+        assert observer.metrics.counter("runtime.decisions").value == len(decided)
 
     def test_impossible_budget_raises_oom(self, graph):
         with pytest.raises(DeviceOOMError, match="CSR arrays"):

@@ -3,40 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.stats import (
-    Histogram,
-    degree_histogram_bins,
-    geometric_mean,
-    histogram,
-    summarize,
-)
-
-
-class TestSummarize:
-    def test_basic_fields(self):
-        s = summarize([1, 2, 3, 4, 5])
-        assert s.count == 5
-        assert s.minimum == 1
-        assert s.maximum == 5
-        assert s.mean == 3
-        assert s.median == 3
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_single_value(self):
-        s = summarize([7.0])
-        assert s.minimum == s.maximum == s.mean == s.median == 7.0
-        assert s.std == 0.0
-
-    def test_percentiles_ordered(self):
-        s = summarize(np.arange(1000))
-        assert s.median <= s.p90 <= s.p99 <= s.maximum
-
-    def test_as_dict_keys(self):
-        d = summarize([1, 2]).as_dict()
-        assert set(d) == {"count", "min", "max", "mean", "std", "median", "p90", "p99"}
+from repro.utils.stats import Histogram, degree_histogram_bins, histogram
 
 
 class TestDegreeHistogramBins:
@@ -78,19 +45,3 @@ class TestHistogram:
     def test_bin_labels_unit_width(self):
         h = Histogram(edges=(0.0, 1.0, 2.0, 4.0), counts=(1, 2, 3))
         assert h.bin_labels() == ("0", "1", "2-3")
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-
-    def test_all_equal(self):
-        assert geometric_mean([3, 3, 3]) == pytest.approx(3.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])

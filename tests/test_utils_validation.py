@@ -6,7 +6,6 @@ from repro.utils.validation import (
     check_finite,
     check_in_range,
     check_nonnegative_int,
-    check_positive,
     check_positive_int,
     check_probability,
 )
@@ -45,19 +44,6 @@ class TestCheckNonnegativeInt:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_nonnegative_int("n", -1)
-
-
-class TestCheckPositive:
-    def test_accepts_float(self):
-        assert check_positive("x", 0.5) == 0.5
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            check_positive("x", 0.0)
-
-    def test_rejects_string(self):
-        with pytest.raises(TypeError):
-            check_positive("x", "1")
 
 
 class TestCheckProbability:
