@@ -21,8 +21,7 @@ Reproduced shapes:
 import numpy as np
 
 from common import bench_workload, cpu_baseline_bfs, dataset_keys, write_report
-from repro.core import run_static
-from repro.kernels.dobfs import direction_optimizing_bfs
+from repro.core import run_default, run_static
 from repro.obs import build_manifest
 from repro.utils.tables import Table
 
@@ -34,7 +33,7 @@ def build_report():
         graph, source = bench_workload(key)
         cpu = cpu_baseline_bfs(key)
         push = run_static(graph, source, "bfs", "U_T_BM")
-        do = direction_optimizing_bfs(graph, source)
+        do = run_default(graph, source, "dobfs")
         assert np.array_equal(do.values, cpu.levels), key
         rows[key] = (push, do)
         manifests.append(build_manifest(do, graph=graph, mode=do.policy_name))

@@ -132,10 +132,3 @@ def test_memory_pressure(benchmark):
         assert r["oom_identical"], label
         # The genuine OOM is recovered on the first (spill) rung.
         assert r["oom_rung"] == 1, (label, r["oom_rung"])
-
-
-if __name__ == "__main__":
-    content, rows, memories = build_report()
-    write_report(
-        "memory_pressure", content, data={"rows": rows}, memory=memories
-    )

@@ -5,7 +5,8 @@ algorithm needs to inherit the adaptive runtime, the CPU reference and
 the manifest path.  This bench holds the refactor to that promise: it
 walks :func:`repro.engine.registered_algorithms` (no algorithm named in
 this file's logic), runs each entry via :func:`repro.core.adaptive_run`
-or its registered default driver, verifies against the registered CPU
+or, for an algorithm that is not adaptive-eligible, the default door
+:func:`repro.core.run_default`, verifies against the registered CPU
 reference, and emits one :class:`~repro.obs.RunManifest` per algorithm
 through the report path.
 """
@@ -13,7 +14,7 @@ through the report path.
 import numpy as np
 
 from common import bench_workload, write_report
-from repro.core import adaptive_run
+from repro.core import adaptive_run, run_default
 from repro.engine import registered_algorithms
 from repro.obs import build_manifest
 from repro.utils.tables import Table
@@ -38,7 +39,7 @@ def build_report():
             result = adaptive_run(graph, info.name, src if info.source_based else None)
             mode = "adaptive"
         else:
-            result = info.run_default(graph, src)
+            result = run_default(graph, src, info.name)
             mode = "default"
         oracle, cpu = info.cpu_run(graph, src)
         ok = _matches(info, result.values, oracle)

@@ -102,8 +102,3 @@ def test_reliability_overhead(benchmark):
         assert r["overhead"] < OVERHEAD_LIMIT, (label, r["overhead"])
         # Recovery must preserve answers bit-for-bit.
         assert r["bit_identical"], label
-
-
-if __name__ == "__main__":
-    content, rows = build_report()
-    write_report("reliability_overhead", content, data={"rows": rows})

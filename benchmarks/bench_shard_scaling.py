@@ -158,8 +158,3 @@ def test_shard_scaling(benchmark):
         assert r["overhead"] < RECOVERY_OVERHEAD_LIMIT, (
             r["dataset"], r["overhead"],
         )
-
-
-if __name__ == "__main__":
-    content, data = build_report()
-    write_report("shard_scaling", content, data=data)

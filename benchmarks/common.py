@@ -106,9 +106,9 @@ def write_report(
     """Write a bench report under ``benchmarks/results`` and echo it.
 
     Besides the human-readable ``<name>.txt``, a machine-readable
-    ``<name>.json`` is always written so perf trajectories can be
-    populated from runs: pass structured rows via *data*; without it the
-    JSON carries the report text verbatim.
+    ``<name>.json`` is written when the bench passes structured rows
+    via *data* or memory reports via *memory* (a JSON copy of the text
+    alone would say nothing the ``.txt`` does not).
 
     Pass a :class:`~repro.gpusim.allocator.MemoryReport` (or a list of
     them) via *memory* to append the device-memory accounting — peak,
@@ -136,15 +136,16 @@ def write_report(
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(content if content.endswith("\n") else content + "\n")
-    payload = {"name": name}
-    payload.update(data if data is not None else {"text": content})
-    if memory is not None:
-        payload["memory"] = [rep.to_dict() for rep in reports]
-    json_path = os.path.join(RESULTS_DIR, f"{name}.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    extra = " (+ .json)"
+    written = []
+    if data is not None or memory is not None:
+        payload = {"name": name, **(data or {})}
+        if memory is not None:
+            payload["memory"] = [rep.to_dict() for rep in reports]
+        json_path = os.path.join(RESULTS_DIR, f"{name}.json")
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
+        written.append(".json")
     if manifest is not None:
         manifests = (
             manifest if isinstance(manifest, (list, tuple)) else [manifest]
@@ -155,6 +156,7 @@ def write_report(
             json.dump(docs[0] if len(docs) == 1 else docs, fh,
                       indent=2, sort_keys=True)
             fh.write("\n")
-        extra = " (+ .json, .manifest.json)"
+        written.append(".manifest.json")
+    extra = f" (+ {', '.join(written)})" if written else ""
     print(f"\n{content}\n[report written to {path}{extra}]")
     return path

@@ -30,6 +30,7 @@ from repro.core import (
     RuntimeConfig,
     adaptive_run,
     hybrid_run,
+    run_default,
     run_static,
 )
 from repro.engine import (
@@ -69,6 +70,7 @@ __all__ = [
     "get_algorithm",
     "register_algorithm",
     "registered_algorithms",
+    "run_default",
     "run_static",
     "Variant",
     "all_variants",

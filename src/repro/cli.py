@@ -39,11 +39,11 @@ from typing import Optional
 import numpy as np
 
 from repro._version import __version__
-from repro.core import RuntimeConfig, adaptive_run, run_static
+from repro.core import RuntimeConfig, adaptive_run, run_default, run_static
 from repro.errors import ReproError
 from repro.core.tuning import sweep_t3, tune_t3
 from repro.engine import get_algorithm
-from repro.engine.incremental import INCREMENTAL_ALGORITHMS, run_incremental
+from repro.engine.incremental import run_incremental
 from repro.graph.datasets import DATASETS, dataset_keys, make_dataset
 from repro.graph.generators import attach_uniform_weights
 from repro.graph.io import IngestLimits, IngestReport, load_graph
@@ -357,10 +357,9 @@ def _call_door(door, args, info, graph, source, device, config, memory,
             memory=memory, fuse=args.fuse, **params,
         )
     if door == "default":
-        if args.fuse:
-            params = dict(params, fusion=True)
-        return info.run_default(
-            graph, source, device=device, memory=memory, **params
+        return run_default(
+            graph, source, info.name, device=device, memory=memory,
+            fuse=args.fuse, **params,
         )
     if door == "hybrid":
         from repro.core.hybrid import hybrid_run
@@ -489,7 +488,7 @@ def cmd_run(args) -> int:
     else:
         door = mode if mode in _SINGLE_DEVICE else "static"
     problem = _unread_flag(args, info, door)
-    if problem is None and door == "default" and info.run_default is None:
+    if problem is None and door == "default" and info.supports_variants:
         problem = (
             f"'{args.algorithm}' has no default driver; use --mode "
             "adaptive or a variant code"
@@ -1232,7 +1231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.engine import registered_algorithms
 
-    algo_names = [info.name for info in registered_algorithms()]
+    algorithms = registered_algorithms()
+    algo_names = [info.name for info in algorithms]
 
     p = sub.add_parser(
         "run",
@@ -1242,8 +1242,9 @@ def build_parser() -> argparse.ArgumentParser:
         "algorithms`), verified against its CPU reference (exit 1 on a "
         "mismatch).  --mode and --devices pick the entry function: "
         "adaptive (adaptive_run), resilient (resilient_run: retry, "
-        "fallback, checkpoint restore, CPU degradation), default (the "
-        "algorithm's own driver, e.g. DO-BFS), hybrid (hybrid_run: "
+        "fallback, checkpoint restore, CPU degradation), default "
+        "(run_default: the algorithm's own policy, e.g. DO-BFS's "
+        "direction switch), hybrid (hybrid_run: "
         "per-iteration CPU/GPU placement, bfs and sssp), a variant code "
         "like U_B_QU (run_static), or --devices N (run_sharded).  A flag "
         "the chosen mode does not read exits 2.",
@@ -1461,7 +1462,8 @@ def build_parser() -> argparse.ArgumentParser:
                    '{"op": "insert", "u": 0, "v": 9, "weight": 2.0} / '
                    '{"op": "delete", "u": 3, "v": 7} / '
                    '{"op": "grow", "nodes": 16}')
-    p.add_argument("--algorithm", choices=INCREMENTAL_ALGORITHMS,
+    p.add_argument("--algorithm",
+                   choices=[info.name for info in algorithms if info.incremental],
                    default=None,
                    help="also recompute incrementally and verify SHA "
                    "parity against a from-scratch run")

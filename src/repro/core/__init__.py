@@ -1,13 +1,13 @@
 """The paper's contribution: the adaptive runtime (Section VI).
 
-Architecture (Figure 10): a graph API on top, a runtime layer made of a
-*graph inspector* and a *decision maker* in the middle, and the BFS/SSSP
-variant libraries below.  Every algorithm runs through one entry point
-per run mode: :func:`run_static`, :func:`adaptive_run`,
-:func:`hybrid_run` and (in :mod:`repro.reliability`) ``resilient_run``.
+Architecture (Figure 10): a graph API on top, a runtime layer in the
+middle (the monitored graph attributes feeding a *decision maker*), and
+the BFS/SSSP variant libraries below.  Every algorithm runs through one
+entry point per run mode: :func:`run_static`, :func:`adaptive_run`,
+:func:`run_default`, :func:`hybrid_run` and (in
+:mod:`repro.reliability`) ``resilient_run``.
 
 - :mod:`repro.core.api` — the user-facing :class:`Graph` type;
-- :mod:`repro.core.inspector` — static + monitored runtime attributes;
 - :mod:`repro.core.decision` — the Figure-11 decision space (T1/T2/T3),
   one lookup per decision, and the memory-pressure override both
   policies apply to their pick;
@@ -15,7 +15,8 @@ per run mode: :func:`run_static`, :func:`adaptive_run`,
   (offline ``fit_policy`` from manifests, online ``LearnedPolicy``: one
   tree walk per decision in place of the lookup);
 - :mod:`repro.core.policies` — the adaptive policy driving the frame;
-- :mod:`repro.core.runtime` — ``run_static`` / ``adaptive_run``;
+- :mod:`repro.core.runtime` — ``run_static`` / ``adaptive_run`` /
+  ``run_default``;
 - :mod:`repro.core.hybrid` — ``hybrid_run``, per-iteration CPU/GPU
   placement;
 - :mod:`repro.core.tuning` — the T2 crossover and T3 sweeps;
@@ -27,7 +28,6 @@ from repro.core.api import Graph
 from repro.core.config import RuntimeConfig, derive_t1, derive_t2
 from repro.core.decision import DecisionMaker, Thresholds
 from repro.core.hybrid import HybridConfig, HybridResult, hybrid_run
-from repro.core.inspector import GraphInspector, StaticAttributes
 from repro.core.learned import (
     FEATURE_NAMES,
     LearnedPolicy,
@@ -46,7 +46,7 @@ from repro.core.oracle import (
     per_iteration_oracle,
 )
 from repro.core.policies import AdaptivePolicy
-from repro.core.runtime import adaptive_run, run_static
+from repro.core.runtime import adaptive_run, run_default, run_static
 from repro.core.telemetry import RECOVERY_ACTIONS, Decision, DecisionTrace, FaultEvent
 from repro.core.tuning import measure_t2_crossover, sweep_t3, tune_t3
 
@@ -55,8 +55,6 @@ __all__ = [
     "RuntimeConfig",
     "DecisionMaker",
     "Thresholds",
-    "GraphInspector",
-    "StaticAttributes",
     "AdaptivePolicy",
     "FEATURE_NAMES",
     "LearnedPolicy",
@@ -67,6 +65,7 @@ __all__ = [
     "resolve_policy",
     "variant_costs",
     "adaptive_run",
+    "run_default",
     "run_static",
     "hybrid_run",
     "HybridConfig",

@@ -144,8 +144,6 @@ def hybrid_run(
         )
     info = get_algorithm(algorithm)
     source = info.resolve_source(graph, source)
-    if algorithm == "sssp" and graph.weights is None:
-        raise KernelError("hybrid SSSP requires a weighted graph")
     config = config or RuntimeConfig()
     placement = _Placement(graph, device, hybrid_config or HybridConfig())
     traversal = _drive(

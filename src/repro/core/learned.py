@@ -616,8 +616,8 @@ class LearnedPolicy(AdaptivePolicy):
     """The adaptive runtime's policy with the tree in the driver's seat.
 
     Everything around the decision is inherited from
-    :class:`~repro.core.policies.AdaptivePolicy` — the inspector's
-    sampling cadence, precise-mode degree monitoring, the ``rebuild``
+    :class:`~repro.core.policies.AdaptivePolicy` — the sampling
+    cadence, precise-mode degree monitoring, the ``rebuild``
     switch-cost ablation and the budget fit-check — only the lookup
     (:meth:`_decide`) is replaced: one tree walk where the threshold
     policy reads Figure 11, then the same

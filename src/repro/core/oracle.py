@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-from repro.core.inspector import StaticAttributes
 from repro.engine.driver import FrameContext, _state_payload
 from repro.engine.registry import get_algorithm
 from repro.engine.types import TraversalResult
@@ -143,20 +142,11 @@ def per_iteration_oracle(
         )
     spec = get_algorithm(algorithm).make_spec()
     spec.validate(graph, source)
-    # One source of graph properties for the whole report: the inspector's
-    # static profile.  The block-mapping launch geometry depends on the
-    # average outdegree, and recomputing it per variant per iteration
-    # (the old inner-loop `graph.avg_out_degree` read) both repeated the
-    # reduction |variants| x |iterations| times and left the door open to
-    # the oracle's labels and a learned policy's features disagreeing.
-    static = StaticAttributes.of(graph)
-    avg_out_degree = static.avg_out_degree
-    assert avg_out_degree == graph.avg_out_degree, (
-        "profiled average outdegree diverged from the graph's own "
-        f"({avg_out_degree} != {graph.avg_out_degree})"
-    )
+    # The block-mapping launch geometry depends on the average
+    # outdegree: read it once for the whole report, the value the
+    # adaptive policy decides with.
     model = CostModel(device)
-    price = candidate_pricer(avg_out_degree, model)
+    price = candidate_pricer(graph.avg_out_degree, model)
     n = graph.num_nodes
     state = spec.init_state(FrameContext(graph, device, model, None, "atomic", source))
 

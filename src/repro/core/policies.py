@@ -1,19 +1,19 @@
 """Variant-selection policies for the traversal frame.
 
-:class:`AdaptivePolicy` is the paper's runtime: a graph inspector feeding
-a decision maker, with sampling to bound monitoring overhead and a
-decision trace for telemetry.  :func:`make_policy` picks it, or its
-learned subclass, for one run.
+:class:`AdaptivePolicy` is the paper's runtime (Section VI): the
+monitored attributes feeding a decision maker, with sampling to bound
+monitoring overhead and a decision trace for telemetry.
+:func:`make_policy` picks it, or its learned subclass, for one run;
+:func:`observed_run` reports a run's decision counts.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.config import RuntimeConfig
 from repro.core.decision import DecisionMaker, pressure_override
-from repro.core.inspector import GraphInspector
 from repro.core.telemetry import Decision, DecisionTrace
 from repro.engine.types import IterationRecord, VariantPolicy
 from repro.graph.csr import CSRGraph
@@ -24,12 +24,15 @@ from repro.gpusim.memory import workset_device_bytes
 from repro.gpusim.reduction import reduction_tallies
 from repro.kernels.variants import Variant, WorksetRepr
 from repro.kernels.workset import workset_gen_tallies
+from repro.obs.context import current_observer
 
-__all__ = ["AdaptivePolicy", "make_policy"]
+__all__ = ["AdaptivePolicy", "make_policy", "observed_run"]
 
 
 class AdaptivePolicy(VariantPolicy):
-    """The adaptive runtime's policy: inspector + decision maker.
+    """The adaptive runtime's policy: the decision maker over the
+    working-set size and the graph's average outdegree, a static
+    attribute read once (Section VI.A).
 
     The decision is (re-)evaluated on iteration 0 and then every
     ``sampling_interval`` iterations; between samples the current variant
@@ -51,15 +54,15 @@ class AdaptivePolicy(VariantPolicy):
         self.config = config or RuntimeConfig()
         self.device = device
         self.memory = memory
-        self.inspector = GraphInspector(
-            graph, sampling_interval=self.config.sampling_interval
-        )
         self.thresholds = self.config.resolve_thresholds(device, graph.num_nodes)
         self.trace = DecisionTrace()
         self.name = "adaptive"
         self._num_nodes = graph.num_nodes
         self._current: Optional[Variant] = None
-        self._avg_degree: float = self.inspector.static.avg_out_degree
+        #: the decision's degree input: the graph's average outdegree,
+        #: read once (Section VI.E), or in precise mode the working
+        #: set's own, measured at each sample
+        self._avg_degree: float = graph.avg_out_degree
         self._pending: List[KernelTally] = []
 
     @cached_property
@@ -79,7 +82,7 @@ class AdaptivePolicy(VariantPolicy):
         # keeps it; one it would swap takes a full decision, as a sample.
         if (
             self._current is not None
-            and not self.inspector.should_sample(iteration)
+            and not self._samples(iteration)
             and self._apply_memory_constraints(self._current, workset_size)
             == self._current
         ):
@@ -123,6 +126,11 @@ class AdaptivePolicy(VariantPolicy):
             )
         self._current = variant
         return variant
+
+    def _samples(self, iteration: int) -> bool:
+        """Whether *iteration* re-evaluates the decision (every
+        ``sampling_interval``-th, from 0)."""
+        return iteration % self.config.sampling_interval == 0
 
     def _decide(self, iteration: int, workset_size: int, pressure: float):
         """One decision-maker lookup plus the shared pressure override:
@@ -173,7 +181,7 @@ class AdaptivePolicy(VariantPolicy):
     def notify(self, record: IterationRecord) -> None:
         if not self.config.monitor_workset_degree:
             return
-        if not self.inspector.should_sample(record.iteration):
+        if not self._samples(record.iteration):
             return
         # Precise mode: the working set's own average outdegree, measured
         # by a reduction over the active elements' degrees.
@@ -219,3 +227,22 @@ def make_policy(
     return LearnedPolicy(
         graph, resolve_policy(policy), config, device=device, memory=memory
     )
+
+
+def observed_run(span_name: str, run: Callable, policy: AdaptivePolicy, **span_args):
+    """Run *run()* under the current observer's span (if any) and report
+    *policy*'s decision counts into its metrics registry
+    (``runtime.decisions``, ``runtime.switches``,
+    ``runtime.memory_forced``; a learned policy also reports its own
+    ``policy.*`` metrics as it decides)."""
+    observer = current_observer()
+    if observer is None:
+        return run()
+    with observer.span(span_name, **span_args):
+        result = run()
+    metrics = observer.metrics
+    trace = policy.trace
+    metrics.counter("runtime.decisions").inc(trace.num_decisions)
+    metrics.counter("runtime.switches").inc(trace.num_switches)
+    metrics.counter("runtime.memory_forced").inc(trace.num_memory_forced)
+    return result

@@ -4,16 +4,22 @@ One door per run mode, each working for every registered algorithm
 through the :mod:`algorithm registry <repro.engine.registry>`:
 
 - :func:`run_static` runs one static variant;
-- :func:`adaptive_run` runs under the inspector + decision-maker policy.
+- :func:`adaptive_run` runs under the decision-maker policy;
+- :func:`run_default` runs an algorithm without variants under the
+  policy its spec names (DOBFS's direction switch).
 
-Both build the algorithm's spec (``info.make_spec(**params)``) and
-drive it on the one Figure-8 loop (:func:`repro.engine.driver.run_frame`),
+Each builds the algorithm's spec (``info.make_spec(**params)``) and
+drives it on the one Figure-8 loop (:func:`repro.engine.driver.run_frame`),
 so comparisons share an identical code path and a newly registered
-algorithm gets both modes for free.  Both return the loop's
-:class:`~repro.engine.types.TraversalResult`; under the adaptive policy
-it also carries the decision trace and thresholds.  The guarded mode is
-:func:`repro.reliability.resilient_run`; hybrid CPU/GPU execution is
-:func:`repro.core.hybrid.hybrid_run`.
+algorithm gets every mode its capability flags admit for free.  The
+doors read specs and flags only: the spec says which frame runs it
+under an ordered policy (:meth:`~repro.engine.spec.AlgorithmSpec.for_policy`)
+and which policy drives it when it has no variants
+(:meth:`~repro.engine.spec.AlgorithmSpec.default_policy`).  Each
+returns the loop's :class:`~repro.engine.types.TraversalResult`; under
+the adaptive policy it also carries the decision trace and thresholds.
+The guarded mode is :func:`repro.reliability.resilient_run`; hybrid
+CPU/GPU execution is :func:`repro.core.hybrid.hybrid_run`.
 """
 
 from __future__ import annotations
@@ -21,58 +27,22 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.core.config import RuntimeConfig
-from repro.core.policies import make_policy
+from repro.core.policies import make_policy, observed_run
 from repro.engine.driver import run_frame
-from repro.engine.registry import AlgorithmInfo, get_algorithm
-from repro.engine.types import StaticPolicy, TraversalResult, VariantPolicy
+from repro.engine.registry import get_algorithm
+from repro.engine.types import StaticPolicy, TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.allocator import MemoryBudget
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.kernels.frame import OrderedSsspSpec, SsspSpec
 from repro.kernels.variants import Ordering, Variant
 from repro.obs.context import current_observer
 
 __all__ = [
     "adaptive_run",
+    "run_default",
     "run_static",
 ]
-
-
-def _observed_traverse(span_name: str, run, policy):
-    """Run *run()* under the current observer's span (if any) and report
-    *policy*'s decision counts into its metrics registry (a learned
-    policy reports its own ``policy.*`` metrics as it decides)."""
-    observer = current_observer()
-    if observer is None:
-        return run()
-    with observer.span(span_name):
-        result = run()
-    metrics = observer.metrics
-    trace = policy.trace
-    metrics.counter("runtime.decisions").inc(trace.num_decisions)
-    metrics.counter("runtime.switches").inc(trace.num_switches)
-    metrics.counter("runtime.memory_forced").inc(trace.num_memory_forced)
-    return result
-
-
-def _run_spec(
-    info: AlgorithmInfo,
-    graph: CSRGraph,
-    source: int,
-    policy: VariantPolicy,
-    params: dict,
-    **frame_kwargs,
-) -> TraversalResult:
-    """Build *info*'s spec from *params* and run it under *policy* on
-    the frame.  SSSP under an ordered policy runs the GPU-Dijkstra spec
-    (:class:`~repro.kernels.frame.OrderedSsspSpec`); ordered and
-    unordered BFS share one spec."""
-    if info.make_spec is SsspSpec and policy.is_ordered():
-        spec = OrderedSsspSpec(**params)
-    else:
-        spec = info.make_spec(**params)
-    return run_frame(graph, source, policy, spec, **frame_kwargs)
 
 
 def adaptive_run(
@@ -94,8 +64,8 @@ def adaptive_run(
 ) -> TraversalResult:
     """Run any registered *algorithm* under the adaptive runtime.
 
-    The registry supplies the algorithm's spec; the same inspector +
-    decision-maker policy drives every adaptive-eligible algorithm
+    The registry supplies the algorithm's spec; the same decision-maker
+    policy drives every adaptive-eligible algorithm
     (Section I's generalization claim).  Source-based algorithms need a
     valid *source* (a missing one raises
     :class:`~repro.errors.KernelError`); whole-graph algorithms
@@ -129,14 +99,13 @@ def adaptive_run(
         )
     source = info.resolve_source(graph, source)
     driver = make_policy(graph, policy, config, device=device, memory=memory)
-    return _observed_traverse(
+    return observed_run(
         f"{driver.name}_{algorithm}",
-        lambda: _run_spec(
-            info,
+        lambda: run_frame(
             graph,
             source,
             driver,
-            params,
+            info.make_spec(**params).for_policy(driver),
             device=device,
             queue_gen=driver.config.queue_gen,
             max_iterations=max_iterations,
@@ -171,11 +140,11 @@ def run_static(
     """Run one static variant of any registered *algorithm*.
 
     *variant* is a :class:`~repro.kernels.variants.Variant` or a
-    paper-style code like ``"U_B_QU"``; ordered SSSP variants run the
-    GPU-Dijkstra frame (findmin by parallel reduction), unordered ones
-    the Bellman-Ford frame (Figure 5).  An ordered variant of an
-    algorithm without ``ordered_support`` raises
-    :class:`~repro.errors.KernelError`.  Whole-graph algorithms ignore
+    paper-style code like ``"U_B_QU"``; the spec picks the frame an
+    ordered variant runs (SSSP's GPU Dijkstra: findmin by parallel
+    reduction; unordered SSSP is the Bellman-Ford frame of Figure 5).
+    An ordered variant of an algorithm without ``ordered_support``
+    raises :class:`~repro.errors.KernelError`.  Whole-graph algorithms ignore
     *source* (pass -1 or None).  *queue_gen* selects the
     queue-generation scheme: ``"atomic"`` (the paper's baseline),
     ``"scan"`` (Merrill-style prefix scan) or ``"hierarchical"``
@@ -201,12 +170,11 @@ def run_static(
     policy = StaticPolicy(variant)
 
     def run() -> TraversalResult:
-        return _run_spec(
-            info,
+        return run_frame(
             graph,
             source,
             policy,
-            params,
+            info.make_spec(**params).for_policy(policy),
             device=device,
             max_iterations=max_iterations,
             queue_gen=queue_gen,
@@ -223,3 +191,46 @@ def run_static(
         return run()
     with observer.span(f"static_{algorithm}", variant=variant.code):
         return run()
+
+
+def run_default(
+    graph: CSRGraph,
+    source: Optional[int],
+    algorithm: str,
+    *,
+    device: DeviceSpec = TESLA_C2070,
+    max_iterations: Optional[int] = None,
+    watchdog=None,
+    checkpoint_keeper=None,
+    resume_from=None,
+    fault_hook=None,
+    memory: Optional[MemoryBudget] = None,
+    fuse: bool = False,
+    **params,
+) -> TraversalResult:
+    """Run a registered *algorithm* without variants
+    (``supports_variants`` False) under the policy its spec names
+    (:meth:`~repro.engine.spec.AlgorithmSpec.default_policy`): DOBFS
+    under its push/pull direction switch, whose iterations record
+    ``"push"``/``"pull"``.  The reliability keywords, *memory* and
+    *fuse* are :func:`run_static`'s, and extra keyword arguments
+    (*params*) build the spec (DOBFS's ``config``).  It opens no
+    observer span of its own.  An algorithm with variants has no
+    default policy and raises :class:`~repro.errors.KernelError`."""
+    info = get_algorithm(algorithm)
+    spec = info.make_spec(**params)
+    source = info.resolve_source(graph, source)
+    return run_frame(
+        graph,
+        source,
+        spec.default_policy(),
+        spec,
+        device=device,
+        max_iterations=max_iterations,
+        watchdog=watchdog,
+        checkpoint_keeper=checkpoint_keeper,
+        resume_from=resume_from,
+        fault_hook=fault_hook,
+        memory=memory,
+        fusion=fuse or None,
+    )

@@ -28,7 +28,8 @@ from repro.graph.csr import CSRGraph
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
 from repro.gpusim.kernel import CostModel
 from repro.kernels import costs
-from repro.kernels.mapping import ComputationShape, computation_tally
+from repro.kernels.mapping import computation_tally
+from repro.kernels.multisource import RowRelaxation, launch_shape
 from repro.kernels.variants import (
     Mapping,
     THREAD_MAPPING_TPB,
@@ -96,14 +97,12 @@ def _price_queue_kernel(
         if mapping is Mapping.THREAD
         else block_mapping_tpb(graph.avg_out_degree, device)
     )
-    shape = ComputationShape(
+    row = RowRelaxation(
+        nodes, degrees, int(degrees.sum() // 2), max(1, int(degrees.sum() // 4))
+    )
+    shape = launch_shape(
+        [row], graph.num_nodes, edge_cost=costs.C_EDGE, weight_streams=0,
         name="t2_probe",
-        num_nodes=graph.num_nodes,
-        active_ids=nodes,
-        degrees=degrees,
-        edge_cost=costs.C_EDGE,
-        improved=int(degrees.sum() // 2),
-        updated_count=max(1, int(degrees.sum() // 4)),
     )
     tally = computation_tally(shape, mapping, WorksetRepr.QUEUE, tpb, device)
     return model.price(tally).seconds

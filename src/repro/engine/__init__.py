@@ -21,7 +21,7 @@ from repro.engine.registry import (
     register_algorithm,
     registered_algorithms,
 )
-from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
+from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome, WarmStart
 from repro.engine.types import (
     HOST_INIT_PER_NODE_S,
     IterationRecord,
@@ -46,6 +46,7 @@ __all__ = [
     "StepOutcome",
     "TraversalResult",
     "VariantPolicy",
+    "WarmStart",
     "get_algorithm",
     "register_algorithm",
     "registered_algorithms",

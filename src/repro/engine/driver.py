@@ -148,11 +148,11 @@ def _initial_transfers(
 ) -> None:
     """Price the opening host-to-device copies.
 
-    *resident* is the incremental-recompute path: the CSR arrays are
-    already on the device (the compaction shipped the delta), so only
-    the traversal state crosses PCIe — the graph is still *allocated*
-    against the budget (it occupies device memory either way), it just
-    isn't re-transferred.
+    *resident* is a warm-started run: the CSR arrays are already on the
+    device (the compaction shipped the delta), so only the traversal
+    state crosses PCIe — the graph is still *allocated* against the
+    budget (it occupies device memory either way), it just isn't
+    re-transferred.
     """
     n = graph.num_nodes
     graph_bytes = graph.device_bytes()
@@ -212,8 +212,8 @@ class _Row:
 
     def start(self, ctx: FrameContext, max_iterations: Optional[int],
               resume_from: Optional["TraversalCheckpoint"] = None) -> "_Row":
-        """The row start: initial (or resumed) state, the iteration cap
-        and the pre-loop variant choice."""
+        """The row start: initial (resumed or warm-started) state, the
+        iteration cap and the pre-loop variant choice."""
         spec = self.spec
         if resume_from is not None:
             if not resume_from.matches(spec.name, ctx.source):
@@ -227,6 +227,9 @@ class _Row:
             )
             self.records = list(resume_from.records)
             self.iteration = resume_from.next_iteration
+        elif spec.warm is not None:
+            warm = spec.warm
+            self.state = FrameState(warm.values.copy(), warm.frontier.copy())
         else:
             self.state = spec.init_state(ctx)
         self.cap = (
@@ -445,8 +448,10 @@ def _drive(graph, source, policy, spec, device, max_iterations, queue_gen,
     model = CostModel(device)
     timeline = Timeline()
     work_graph, host_prep_seconds = spec.prepare(graph)
+    if spec.warm is not None:
+        host_prep_seconds += spec.warm.host_seconds
     _initial_transfers(
-        work_graph, timeline, device, memory, resident=spec.graph_resident
+        work_graph, timeline, device, memory, resident=spec.warm is not None
     )
     if host_prep_seconds:
         timeline.add_host_seconds(host_prep_seconds)

@@ -13,116 +13,61 @@ checkpoints, memory budget, fault hooks and observers all apply
 unchanged, and the fixed point the warm frame reaches is *bit-identical*
 to a from-scratch run on the compacted graph.
 
-Seeding rules per algorithm:
+The door is generic over the registry: every algorithm whose spec sets
+the ``incremental`` capability flag seeds its own warm start
+(:meth:`~repro.engine.spec.AlgorithmSpec.warm_start`) with one of the
+two seeding passes below, passing its own unset value and edge weights:
 
-- **cc** — inserted edges can only merge components, so min-label
-  propagation restarted from the old labels with the inserted
-  endpoints as the frontier reaches the same fixed point.  A deletion
-  can split a component, so every old component touched by a deleted
-  edge is reset to identity labels and fully re-seeded (the scoped
-  recompute: old components are vertex-disjoint, so the blast radius
-  never leaks past them).
-- **bfs / sssp** — inserted edges only shorten distances, so the old
-  values are valid upper bounds and the relaxation is min-based: the
-  frontier re-seeds from the inserted edges' source endpoints.  A
-  deletion can lengthen distances, so the *tight-edge closure* of the
-  deleted edges (every vertex whose old distance could have been
-  derived through one) is reset to unreached, and the frontier re-seeds
-  from the boundary: still-valid vertices with an edge into the reset
-  region.
+- :func:`label_seed` (CC) — inserted edges can only merge components,
+  so min-label propagation restarted from the old labels with the
+  inserted endpoints as the frontier reaches the same fixed point.  A
+  deletion can split a component, so every old component touched by a
+  deleted edge is reset to identity labels and fully re-seeded (the
+  scoped recompute: old components are vertex-disjoint, so the blast
+  radius never leaks past them).
+- :func:`distance_seed` (BFS, SSSP) — inserted edges only shorten
+  distances, so the old values are valid upper bounds and the
+  relaxation is min-based: the frontier re-seeds from the inserted
+  edges' source endpoints.  A deletion can lengthen distances, so the
+  *tight-edge closure* of the deleted edges (every vertex whose old
+  distance could have been derived through one) is reset to unreached,
+  and the frontier re-seeds from the boundary: still-valid vertices
+  with an edge into the reset region.
 
-Because the base graph is already device-resident from the previous
-run, the warm frame's spec sets
-:attr:`~repro.engine.spec.AlgorithmSpec.graph_resident`: the initial
-h2d transfer ships only the traversal state (the delta itself was
-priced by :meth:`~repro.graph.dynamic.DeltaOverlayGraph.compact`).
+The row core starts a warm-started spec from its seeded state.  The
+base graph is already device-resident from the previous run, so the
+opening h2d transfer ships only the traversal state (the delta itself
+was priced by :meth:`~repro.graph.dynamic.DeltaOverlayGraph.compact`).
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.engine.driver import run_frame
-from repro.engine.spec import FrameState
+from repro.engine.registry import get_algorithm, registered_algorithms
+from repro.engine.spec import WarmStart
 from repro.engine.types import TraversalResult
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import MutationDelta
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
 from repro.gpusim.device import DeviceSpec, TESLA_C2070
-from repro.kernels.cc import CcSpec
-from repro.kernels.computation import INF, UNSET_LEVEL
-from repro.kernels.frame import BfsSpec, SsspSpec
 from repro.obs.context import current_observer
 
 __all__ = [
     "IncrementalResult",
-    "IncrementalCcSpec",
-    "IncrementalBfsSpec",
-    "IncrementalSsspSpec",
+    "distance_seed",
+    "label_seed",
     "run_incremental",
 ]
 
 #: host-side cost of one edge scanned by the seeding passes (same
 #: per-edge constant as the builder/symmetrize passes)
 SEED_SECONDS_PER_EDGE = 12e-9
-
-INCREMENTAL_ALGORITHMS = ("cc", "bfs", "sssp")
-
-
-# ----------------------------------------------------------------------
-# Warm-start specs: ordinary specs whose initial state is seeded
-# ----------------------------------------------------------------------
-
-class _Seeded:
-    """A spec warm-started from a seed: the prior values and an
-    affected-vertex frontier, plus the host seconds the seeding pass
-    took."""
-
-    graph_resident = True
-
-    def __init__(
-        self,
-        seed_values: np.ndarray,
-        seed_frontier: np.ndarray,
-        *,
-        seed_host_seconds: float = 0.0,
-        **params,
-    ):
-        super().__init__(**params)
-        self._seed_values = seed_values
-        self._seed_frontier = seed_frontier
-        self._seed_host_seconds = seed_host_seconds
-
-    def prepare(self, graph: CSRGraph):
-        work_graph, host_seconds = super().prepare(graph)
-        return work_graph, host_seconds + self._seed_host_seconds
-
-    def init_state(self, ctx) -> FrameState:
-        return FrameState(
-            self._seed_values.copy(), self._seed_frontier.copy()
-        )
-
-
-class IncrementalCcSpec(_Seeded, CcSpec):
-    """CC warm-started from prior labels and an affected-vertex frontier."""
-
-    def first_choose_size(self, state: FrameState) -> int:
-        # The warm frontier can legitimately be empty (a mutation batch
-        # that moved nothing): 0 must skip the policy entirely.
-        return int(state.frontier.size)
-
-
-class IncrementalBfsSpec(_Seeded, BfsSpec):
-    """BFS warm-started from prior levels and a re-seeded frontier."""
-
-
-class IncrementalSsspSpec(_Seeded, SsspSpec):
-    """Unordered SSSP warm-started from prior distances."""
 
 
 # ----------------------------------------------------------------------
@@ -136,11 +81,9 @@ def _unique_concat(parts) -> np.ndarray:
     return sorted_unique(np.concatenate(parts))
 
 
-def _cc_seed(prev: np.ndarray, delta: MutationDelta, num_nodes: int):
-    """Seed labels/frontier for incremental CC.
-
-    Returns ``(labels, frontier, affected_count, host_edges_scanned)``.
-    """
+def label_seed(prev: np.ndarray, delta: MutationDelta, num_nodes: int) -> WarmStart:
+    """CC's warm start: labels and frontier seeded from the previous
+    labels *prev* (int64) after *delta*."""
     labels = np.arange(num_nodes, dtype=np.int64)
     labels[: prev.size] = prev
     parts = []
@@ -164,22 +107,27 @@ def _cc_seed(prev: np.ndarray, delta: MutationDelta, num_nodes: int):
         parts.append(delta.ins_src[bridges])
         parts.append(delta.ins_dst[bridges])
     frontier = _unique_concat(parts)
-    return labels, frontier, affected, 0
+    return WarmStart(labels, frontier, affected, 0.0)
 
 
-def _distance_seed(
+def distance_seed(
     graph: CSRGraph,
     prev: np.ndarray,
     delta: MutationDelta,
-    *,
-    unset,
     source: int,
+    *,
+    name: str,
+    unset,
     unit_weight: bool,
-):
-    """Seed values/frontier for incremental BFS (unit weights) or SSSP.
-
-    Returns ``(values, frontier, affected_count, host_edges_scanned)``.
-    """
+) -> WarmStart:
+    """BFS's (*unit_weight*) or SSSP's warm start: values and frontier
+    seeded from the previous values *prev* of the *name* run from
+    *source*, whose unreached vertices hold *unset*."""
+    if source >= prev.size or prev[source] != 0:
+        raise KernelError(
+            f"previous values are not a {name} run from source "
+            f"{source} (previous[source] must be 0)"
+        )
     n = graph.num_nodes
     values = np.full(n, unset, dtype=prev.dtype)
     values[: prev.size] = prev
@@ -250,7 +198,9 @@ def _distance_seed(
             improves = np.isfinite(values[iu]) & (values[iv] > values[iu] + iw)
         parts.append(sorted_unique(iu[improves]))
     frontier = _unique_concat(parts)
-    return values, frontier, int(affected.sum()), host_edges
+    return WarmStart(
+        values, frontier, int(affected.sum()), host_edges * SEED_SECONDS_PER_EDGE
+    )
 
 
 # ----------------------------------------------------------------------
@@ -295,108 +245,67 @@ def run_incremental(
     fault_hook=None,
     memory=None,
     policy=None,
-    assume_symmetric: bool = False,
+    **params,
 ) -> IncrementalResult:
     """Recompute *algorithm* after *delta*, warm-starting from *previous*.
 
-    *graph* is the post-mutation graph, compacted to a
+    *algorithm* is any registered algorithm with the ``incremental``
+    capability flag.  *graph* is the post-mutation graph, compacted to a
     :class:`~repro.graph.csr.CSRGraph`
     (:meth:`~repro.graph.dynamic.DeltaOverlayGraph.compact` prices that
     step).  *previous* is the previous run's values (array, or any
     result object with ``.values``) on the pre-mutation graph; *delta*
     is what :meth:`~repro.graph.dynamic.DeltaOverlayGraph.apply`
-    returned.
+    returned.  Extra keyword arguments (*params*) build the algorithm's
+    spec, as at every other door (CC's ``assume_symmetric``).
 
     The run goes through the ordinary adaptive machinery —
     :class:`~repro.core.policies.AdaptivePolicy` (or a learned policy
     artifact via *policy*, as in :func:`~repro.core.runtime.adaptive_run`)
     over :func:`~repro.engine.driver.run_frame` — so every reliability
-    and observability seam applies.  The returned values are
-    bit-identical to a from-scratch run on the same graph.
+    and observability seam applies, and an observed run reports the
+    same ``runtime.*`` decision counts as :func:`adaptive_run`.  The
+    returned values are bit-identical to a from-scratch run on the same
+    graph.
     """
-    if algorithm not in INCREMENTAL_ALGORITHMS:
+    info = get_algorithm(algorithm)
+    if not info.incremental:
+        supported = ", ".join(i.name for i in registered_algorithms() if i.incremental)
         raise KernelError(
-            f"incremental recompute supports {INCREMENTAL_ALGORITHMS}, "
-            f"got {algorithm!r}"
+            f"{algorithm!r} has no incremental recompute "
+            f"(incremental algorithms: {supported})"
         )
     if not isinstance(graph, CSRGraph):
         raise KernelError(
             f"graph must be a compacted CSRGraph, got {type(graph).__name__}"
         )
+    source = info.resolve_source(graph, source)
+    spec = info.make_spec(**params)
+    spec.validate(graph, source)
     prev = _previous_values(previous)
-    n = graph.num_nodes
-    if prev.size > n:
+    if prev.size > graph.num_nodes:
         raise KernelError(
             f"previous values cover {prev.size} nodes but the mutated "
-            f"graph has only {n}"
+            f"graph has only {graph.num_nodes}"
         )
-
-    if algorithm == "cc":
-        seed_values, frontier, affected, host_edges = _cc_seed(
-            prev.astype(np.int64, copy=False), delta, n
-        )
-        run_source = -1
-        spec = IncrementalCcSpec(
-            seed_values,
-            frontier,
-            assume_symmetric=assume_symmetric,
-            seed_host_seconds=host_edges * SEED_SECONDS_PER_EDGE,
-        )
-    else:
-        if source is None:
-            raise KernelError(f"incremental {algorithm} requires a source node")
-        graph._check_node(source)
-        if algorithm == "sssp" and graph.weights is None:
-            raise KernelError(
-                f"SSSP requires edge weights; graph {graph.name!r} has none"
-            )
-        unset = UNSET_LEVEL if algorithm == "bfs" else INF
-        dtype = np.int64 if algorithm == "bfs" else np.float64
-        prev = prev.astype(dtype, copy=False)
-        if source >= prev.size or prev[source] != 0:
-            raise KernelError(
-                f"previous values are not a {algorithm} run from source "
-                f"{source} (previous[source] must be 0)"
-            )
-        seed_values, frontier, affected, host_edges = _distance_seed(
-            graph,
-            prev,
-            delta,
-            unset=unset,
-            source=source,
-            unit_weight=algorithm == "bfs",
-        )
-        run_source = source
-        spec_cls = IncrementalBfsSpec if algorithm == "bfs" else IncrementalSsspSpec
-        spec = spec_cls(
-            seed_values,
-            frontier,
-            seed_host_seconds=host_edges * SEED_SECONDS_PER_EDGE,
-        )
+    warm = spec.warm = spec.warm_start(graph, prev, delta, source)
 
     # The adaptive policy layer lives above the engine; import lazily to
     # keep repro.engine importable on its own (same pattern as sharding).
-    from repro.core.policies import make_policy
+    from repro.core.policies import make_policy, observed_run
 
     driver = make_policy(graph, policy, config, device=device, memory=memory)
-
+    seed_frontier = int(warm.frontier.size)
     observer = current_observer()
-    span = contextlib.nullcontext()
     if observer is not None:
         observer.metrics.counter("dynamic.incremental_runs").inc()
-        observer.metrics.histogram("dynamic.affected_nodes").observe(affected)
-        observer.metrics.histogram("dynamic.seed_frontier").observe(
-            int(frontier.size)
-        )
-        span = observer.span(
-            f"incremental_{algorithm}",
-            affected=affected,
-            seed_frontier=int(frontier.size),
-        )
-    with span:
-        traversal = run_frame(
+        observer.metrics.histogram("dynamic.affected_nodes").observe(warm.affected)
+        observer.metrics.histogram("dynamic.seed_frontier").observe(seed_frontier)
+    traversal = observed_run(
+        f"incremental_{algorithm}",
+        lambda: run_frame(
             graph,
-            run_source,
+            source,
             driver,
             spec,
             device=device,
@@ -406,11 +315,14 @@ def run_incremental(
             checkpoint_keeper=checkpoint_keeper,
             fault_hook=fault_hook,
             memory=memory,
-        )
-
+        ),
+        driver,
+        affected=warm.affected,
+        seed_frontier=seed_frontier,
+    )
     return IncrementalResult(
         **vars(traversal),
         delta=delta,
-        affected_nodes=affected,
-        seed_frontier_size=int(frontier.size),
+        affected_nodes=warm.affected,
+        seed_frontier_size=seed_frontier,
     )

@@ -2,13 +2,15 @@
 
 Each registered :class:`AlgorithmInfo` bundles an algorithm's spec class
 (:class:`~repro.engine.spec.AlgorithmSpec`, whose class attributes are
-the capability flags ``repro algorithms`` lists and the run modes
-check), its default entry point when it has no variant policies, and
-its serial CPU reference.  The run modes dispatch through here — the
-static and adaptive runners (:mod:`repro.core.runtime`), the guarded
-runner (:func:`repro.reliability.guard.resilient_run`), the batched and
-sharded engines and the CLI — so adding an algorithm to the registry
-lights it up across every layer at once.
+the capability flags the run modes check and whose hooks carry every
+per-algorithm fact a door needs) and its serial CPU reference.  The run
+modes dispatch through here — the static, adaptive and default runners
+(:mod:`repro.core.runtime`), the guarded runner
+(:func:`repro.reliability.guard.resilient_run`), incremental recompute
+(:func:`repro.engine.incremental.run_incremental`), the batched and
+sharded engines and the CLI — reading specs and flags, never an
+algorithm's name, so adding an algorithm to the registry lights it up
+across every layer at once.
 
 Built-in algorithms register themselves when their module is imported;
 :func:`get_algorithm` imports lazily so ``import repro`` stays cheap
@@ -32,7 +34,7 @@ __all__ = [
     "registered_algorithms",
 ]
 
-#: the capability flags ``repro algorithms`` lists, in column order
+#: the capability flags, declared on each spec class
 CAPABILITY_FLAGS = (
     "source_based",
     "weighted",
@@ -42,12 +44,13 @@ CAPABILITY_FLAGS = (
     "supports_variants",
     "cpu_exact",
     "batchable",
+    "incremental",
 )
 
 
 @dataclass(frozen=True)
 class AlgorithmInfo:
-    """Registry entry: the algorithm's spec class + its entry points.
+    """Registry entry: the algorithm's spec class + its CPU reference.
 
     The capability flags (:data:`CAPABILITY_FLAGS` plus
     ``default_variant``) are declared once, on the spec class, and read
@@ -59,9 +62,6 @@ class AlgorithmInfo:
     #: the spec class; keyword args are the algorithm's parameters
     #: (PageRank's damping/tolerance, CC's assume_symmetric, ...)
     make_spec: Type[AlgorithmSpec]
-    #: default entry point for algorithms without variant policies:
-    #: ``run_default(graph, source, **kw)``
-    run_default: Optional[Callable] = None
     #: serial reference: ``cpu_run(graph, source, **params)`` returning
     #: ``(values, cpu_result)`` — the guard's degradation rung
     cpu_run: Optional[Callable] = None
@@ -77,7 +77,8 @@ class AlgorithmInfo:
         )
 
     def capability_flags(self) -> Dict[str, bool]:
-        """The flags ``repro algorithms`` lists."""
+        """The spec's capability flags by name (``repro algorithms``
+        lists most of them)."""
         return {flag: getattr(self.make_spec, flag) for flag in CAPABILITY_FLAGS}
 
     def resolve_source(self, graph: CSRGraph, source: Optional[int]) -> int:

@@ -18,6 +18,14 @@ and hybrid host sweeps by calling :meth:`AlgorithmSpec.relax` directly.
 Every computation launch's shape comes from
 :func:`repro.kernels.multisource.launch_shape`.
 
+The spec also carries every per-algorithm fact a run mode's door would
+otherwise restate, so the doors read specs and capability flags only:
+the policy a spec without variants runs under
+(:meth:`AlgorithmSpec.default_policy`), the frame an ordered policy
+runs (:meth:`AlgorithmSpec.for_policy`) and the warm start of
+incremental recompute (:attr:`AlgorithmSpec.incremental`,
+:meth:`AlgorithmSpec.warm_start`).
+
 A new algorithm is one subclass (typically < 50 lines; see
 ``docs/engine.md``) plus a registry entry.
 """
@@ -40,10 +48,11 @@ from repro.kernels.variants import Ordering
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.driver import FrameContext
     from repro.engine.types import VariantPolicy
+    from repro.graph.dynamic import MutationDelta
     from repro.kernels.variants import Variant
     from repro.reliability.checkpoint import TraversalCheckpoint
 
-__all__ = ["AlgorithmSpec", "FrameState", "StepOutcome", "relaxed"]
+__all__ = ["AlgorithmSpec", "FrameState", "StepOutcome", "WarmStart", "relaxed"]
 
 
 class FrameState:
@@ -60,6 +69,19 @@ class FrameState:
         self.frontier = frontier
         for key, val in extra.items():
             setattr(self, key, val)
+
+
+@dataclass(frozen=True)
+class WarmStart:
+    """What :meth:`AlgorithmSpec.warm_start` seeds a run with: the
+    previous run's values patched for a mutation delta, the frontier of
+    vertices the delta could have affected, how many vertices the
+    seeding pass reset, and the host seconds that pass took."""
+
+    values: np.ndarray
+    frontier: np.ndarray
+    affected: int
+    host_seconds: float
 
 
 @dataclass
@@ -145,10 +167,16 @@ class AlgorithmSpec:
     #: the CPU reference reproduces GPU values bit-identically (floats
     #: accumulated in a different order are only close, e.g. PageRank)
     cpu_exact: bool = True
-    #: the CSR arrays are already resident on the device (incremental
-    #: recompute after a delta compaction): the initial h2d transfer
-    #: ships only the traversal state, never the graph
-    graph_resident: bool = False
+    #: supports incremental recompute
+    #: (:func:`~repro.engine.incremental.run_incremental`): its
+    #: :meth:`warm_start` seeds a run from a previous run's values
+    incremental: bool = False
+    #: the seeded state a warm-started run begins from instead of
+    #: :meth:`init_state` (the incremental door sets it).  The graph is
+    #: then already resident on the device, so the opening h2d copy
+    #: ships only the traversal state (the delta's upload was priced by
+    #: the compaction).
+    warm: Optional[WarmStart] = None
     #: loop-invariant per-iteration H2D payload (bytes) the host ships
     #: before every computation launch (e.g. a chunk-schedule
     #: descriptor).  The driver prices it each iteration; a fused
@@ -167,6 +195,31 @@ class AlgorithmSpec:
         """Reject impossible runs before any simulated cost accrues."""
         if self.source_based:
             graph._check_node(source)
+
+    def default_policy(self) -> "VariantPolicy":
+        """The policy every run of a spec without variants uses
+        (``supports_variants`` False: DOBFS's direction switch)."""
+        raise KernelError(
+            f"{self.name!r} has no default driver; run one of its variants "
+            "or the adaptive runtime"
+        )
+
+    def for_policy(self, policy: "VariantPolicy") -> "AlgorithmSpec":
+        """The spec that runs under *policy*: this one, unless an
+        ordered policy runs another frame (SSSP's GPU Dijkstra)."""
+        return self
+
+    def warm_start(
+        self,
+        graph: CSRGraph,
+        previous: np.ndarray,
+        delta: "MutationDelta",
+        source: int,
+    ) -> WarmStart:
+        """Seed a run on the mutated *graph* from *previous*, the values
+        of a run from *source* on the graph before *delta*.  Specs with
+        the :attr:`incremental` flag implement it."""
+        raise NotImplementedError  # pragma: no cover
 
     def prepare(self, graph: CSRGraph):
         """Return ``(work_graph, host_prep_seconds)`` — e.g. CC and

@@ -20,7 +20,8 @@ decision maker.
 Expressed as :class:`CcSpec` on the generic engine
 (:mod:`repro.engine`), CC inherits the reliability seams (watchdog,
 checkpoint/resume, fault hooks), memory-budget charging and observer
-metrics for free.
+metrics for free, and warm-starts incremental recompute from the label
+seed (:func:`repro.engine.incremental.label_seed`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.driver import FrameContext
+from repro.engine.incremental import label_seed
 from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, relaxed
 from repro.graph.csr import CSRGraph
@@ -44,6 +46,7 @@ class CcSpec(AlgorithmSpec):
 
     name = "cc"
     source_based = False
+    incremental = True
 
     def __init__(self, assume_symmetric: bool = False):
         self.assume_symmetric = assume_symmetric
@@ -68,11 +71,6 @@ class CcSpec(AlgorithmSpec):
     def cap_message(self, cap: int) -> str:
         return f"CC exceeded {cap} iterations (non-convergence)"
 
-    def first_choose_size(self, state: FrameState) -> int:
-        # Every node seeds the first sweep; 0 only for an empty graph,
-        # where the policy must not be consulted at all.
-        return int(state.values.size)
-
     def relax(self, graph, state, *, ordered=False):
         """One min-label propagation sweep; mutates the labels in place."""
         frontier, labels = state.frontier, state.values
@@ -80,6 +78,11 @@ class CcSpec(AlgorithmSpec):
         cand = np.repeat(labels[frontier], degrees)
         updated, improved = _scatter_min(labels, dst, cand < labels[dst], cand)
         return relaxed(frontier, (updated, degrees, improved, int(idx.size)))
+
+    def warm_start(self, graph, previous, delta, source):
+        return label_seed(
+            previous.astype(np.int64, copy=False), delta, graph.num_nodes
+        )
 
 
 def _cpu_cc_reference(graph, source, **params):

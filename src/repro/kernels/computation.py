@@ -29,7 +29,8 @@ from repro.graph.properties import _ragged_gather_indices, sorted_unique
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelTally
 from repro.kernels import costs
-from repro.kernels.mapping import ComputationShape, computation_tally
+from repro.kernels.mapping import computation_tally
+from repro.kernels.multisource import RowRelaxation, launch_shape
 from repro.kernels.variants import Variant
 
 __all__ = [
@@ -330,18 +331,16 @@ def sssp_ordered_step(
         state.ws_nodes = np.concatenate([rem_nodes, ins_nodes])
         state.ws_keys = np.concatenate([rem_keys, ins_keys])
 
-    shape = ComputationShape(
-        name=name,
-        num_nodes=graph.num_nodes,
-        active_ids=active if state.dedupe else np.arange(ws_size, dtype=np.int64),
-        degrees=degrees_all,
-        edge_cost=costs.C_EDGE_WEIGHTED,
-        improved=improved_count,
-        updated_count=(
-            max(1, int(sorted_unique(ins_nodes).size)) if ins_nodes.size else 0
-        ),
-        guard_cost=costs.C_PAIR_CHECK,
-        weight_streams=1,
+    # A bitmap's slots are the node ids; a queue's are the pair positions.
+    row = RowRelaxation(
+        active if state.dedupe else np.arange(ws_size, dtype=np.int64),
+        degrees_all,
+        improved_count,
+        max(1, int(sorted_unique(ins_nodes).size)) if ins_nodes.size else 0,
+    )
+    shape = launch_shape(
+        [row], graph.num_nodes, edge_cost=costs.C_EDGE_WEIGHTED,
+        weight_streams=1, name=name, guard_cost=costs.C_PAIR_CHECK,
     )
     tally = computation_tally(
         shape, variant.mapping, variant.workset, threads_per_block, device

@@ -34,8 +34,12 @@ sweep is BFS's own relaxation and ``bfs_comp`` launch
 (:class:`~repro.kernels.frame.BfsSpec`) under the label ``push``, while
 a fixed :class:`_DirectionPolicy` satisfies the engine's policy seam —
 DOBFS chooses directions, not ``{mapping} x {workset}`` variants, so
-``supports_variants`` is False.  The checkpoint payload carries the
-current direction so a resumed traversal keeps the hysteresis.
+``supports_variants`` is False and the spec names that policy as its
+default (:meth:`DobfsSpec.default_policy`).  Run it through the default
+door, ``run_default(graph, source, "dobfs")``
+(:func:`repro.core.runtime.run_default`).  The checkpoint payload
+carries the current direction so a resumed traversal keeps the
+hysteresis.
 """
 
 from __future__ import annotations
@@ -45,22 +49,23 @@ from typing import Optional
 
 import numpy as np
 
-from repro.engine.driver import FrameContext, run_frame
+from repro.engine.driver import FrameContext
 from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome
-from repro.engine.types import TraversalResult, VariantPolicy
+from repro.engine.types import VariantPolicy
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.properties import _ragged_gather_indices, is_symmetric
-from repro.gpusim.device import DeviceSpec, TESLA_C2070
+from repro.gpusim.device import DeviceSpec
 from repro.gpusim.transfer import record_transfer
 from repro.kernels import costs
 from repro.kernels.computation import UNSET_LEVEL
 from repro.kernels.frame import BfsSpec
-from repro.kernels.mapping import ComputationShape, computation_tally
+from repro.kernels.mapping import computation_tally
+from repro.kernels.multisource import RowRelaxation, launch_shape
 from repro.kernels.variants import Mapping, Ordering, Variant, WorksetRepr
 
-__all__ = ["DirectionConfig", "pull_step", "DobfsSpec", "direction_optimizing_bfs"]
+__all__ = ["DirectionConfig", "pull_step", "DobfsSpec"]
 
 
 @dataclass(frozen=True)
@@ -125,14 +130,11 @@ def pull_step(
     new_frontier = unvisited[found]
     levels[new_frontier] = level
 
-    shape = ComputationShape(
+    joined = int(new_frontier.size)
+    shape = launch_shape(
+        [RowRelaxation(unvisited, examined, joined, max(1, joined))],
+        graph.num_nodes, edge_cost=costs.C_EDGE, weight_streams=0,
         name="bfs_pull",
-        num_nodes=graph.num_nodes,
-        active_ids=unvisited,
-        degrees=examined,
-        edge_cost=costs.C_EDGE,
-        improved=int(found.sum()),
-        updated_count=max(1, int(found.sum())),
     )
     # Pull is thread-mapped over the unvisited set with a bitmap of the
     # frontier (the standard formulation: the frontier is tested by
@@ -170,6 +172,9 @@ class DobfsSpec(AlgorithmSpec):
     def __init__(self, config: Optional[DirectionConfig] = None):
         self.config = config or DirectionConfig()
         self._reverse: Optional[CSRGraph] = None
+
+    def default_policy(self) -> VariantPolicy:
+        return _DirectionPolicy()
 
     def extra_transfers(self, ctx: FrameContext) -> None:
         if is_symmetric(ctx.graph):
@@ -252,43 +257,6 @@ class DobfsSpec(AlgorithmSpec):
         )
 
 
-def direction_optimizing_bfs(
-    graph: CSRGraph,
-    source: int,
-    *,
-    config: Optional[DirectionConfig] = None,
-    device: DeviceSpec = TESLA_C2070,
-    max_iterations: Optional[int] = None,
-    watchdog=None,
-    checkpoint_keeper=None,
-    resume_from=None,
-    fault_hook=None,
-    memory=None,
-    fusion=None,
-) -> TraversalResult:
-    """BFS with Beamer-style push/pull direction switching.
-
-    Push iterations run the paper's ``U_T_BM`` kernel; pull iterations
-    run the bottom-up kernel.  ``result.variants_used()`` reports
-    ``"push"``/``"pull"`` per iteration.  The reliability keywords and
-    *memory* pass through to :func:`~repro.engine.driver.run_frame`.
-    """
-    return run_frame(
-        graph,
-        source,
-        _DirectionPolicy(),
-        DobfsSpec(config=config),
-        device=device,
-        max_iterations=max_iterations,
-        watchdog=watchdog,
-        checkpoint_keeper=checkpoint_keeper,
-        resume_from=resume_from,
-        fault_hook=fault_hook,
-        memory=memory,
-        fusion=fusion,
-    )
-
-
 def _cpu_dobfs_reference(graph, source, **params):
     from repro.cpu import cpu_bfs
 
@@ -301,9 +269,6 @@ register_algorithm(
         name="dobfs",
         summary="direction-optimizing BFS (Beamer push/pull switching)",
         make_spec=DobfsSpec,
-        run_default=lambda graph, source, **kw: direction_optimizing_bfs(
-            graph, source, **kw
-        ),
         cpu_run=_cpu_dobfs_reference,
         param_names=("config",),
     )

@@ -12,8 +12,12 @@ paper's two core algorithms as specs and registers them:
 - :class:`SsspSpec` — unordered (Bellman-Ford-style) SSSP;
 - :class:`OrderedSsspSpec` — ordered SSSP (GPU Dijkstra with a findmin
   reduction each iteration, choosing its variant at the loop top);
-  :func:`repro.core.runtime.run_static` swaps it in for ``"sssp"``
-  under an ordered variant.
+  :meth:`SsspSpec.for_policy` names it as the frame an ordered variant
+  runs.
+
+BFS and SSSP warm-start incremental recompute from the shared distance
+seed (:func:`repro.engine.incremental.distance_seed`) with their own
+unset value and weights.
 
 Run them through the run modes: ``run_static(graph, source, "bfs",
 "U_B_QU")``, ``adaptive_run(graph, "sssp", source)`` and
@@ -28,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.driver import FrameContext
+from repro.engine.incremental import distance_seed
 from repro.engine.registry import AlgorithmInfo, register_algorithm
 from repro.engine.spec import AlgorithmSpec, FrameState, StepOutcome, relaxed
 from repro.engine.types import VariantPolicy
@@ -54,6 +59,7 @@ class BfsSpec(AlgorithmSpec):
     name = "bfs"
     ordered_support = True
     batchable = True
+    incremental = True
 
     def init_state(self, ctx: FrameContext) -> FrameState:
         levels = np.full(ctx.graph.num_nodes, UNSET_LEVEL, dtype=np.int64)
@@ -75,6 +81,12 @@ class BfsSpec(AlgorithmSpec):
             graph, state.frontier, state.values, ordered=ordered
         ))
 
+    def warm_start(self, graph, previous, delta, source):
+        return distance_seed(
+            graph, previous.astype(np.int64, copy=False), delta, source,
+            name=self.name, unset=UNSET_LEVEL, unit_weight=True,
+        )
+
     def result_algorithm(self, policy: VariantPolicy) -> str:
         return "bfs_ordered" if policy.is_ordered() else "bfs"
 
@@ -86,6 +98,7 @@ class SsspSpec(AlgorithmSpec):
     weighted = True
     ordered_support = True
     batchable = True
+    incremental = True
     edge_cost = costs.C_EDGE_WEIGHTED
     weight_streams = 1
 
@@ -113,6 +126,16 @@ class SsspSpec(AlgorithmSpec):
 
     def relax(self, graph, state, *, ordered=False):
         return relaxed(state.frontier, sssp_relax(graph, state.frontier, state.values))
+
+    def for_policy(self, policy: VariantPolicy) -> AlgorithmSpec:
+        """An ordered policy runs GPU Dijkstra (:class:`OrderedSsspSpec`)."""
+        return OrderedSsspSpec() if policy.is_ordered() else self
+
+    def warm_start(self, graph, previous, delta, source):
+        return distance_seed(
+            graph, previous.astype(np.float64, copy=False), delta, source,
+            name=self.name, unset=INF, unit_weight=False,
+        )
 
 
 class OrderedSsspSpec(SsspSpec):

@@ -66,11 +66,11 @@ METRICS_CATALOG: Tuple[MetricSpec, ...] = (
     MetricSpec("frame.checkpoint_bytes", "counter", "bytes",
                "repro.engine.driver", "checkpoint snapshot bytes copied d2h"),
     MetricSpec("runtime.decisions", "counter", "decisions",
-               "repro.core.runtime", "decision-maker invocations"),
+               "repro.core.policies", "decision-maker invocations"),
     MetricSpec("runtime.switches", "counter", "switches",
-               "repro.core.runtime", "mid-traversal variant switches"),
+               "repro.core.policies", "mid-traversal variant switches"),
     MetricSpec("runtime.memory_forced", "counter", "decisions",
-               "repro.core.runtime",
+               "repro.core.policies",
                "decisions overridden by memory pressure or fit checks"),
     MetricSpec("gpusim.kernel_launches", "counter", "launches",
                "repro.gpusim.launch", "validated kernel launch configurations"),

@@ -46,7 +46,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.config import RuntimeConfig
-from repro.core.runtime import adaptive_run, run_static
+from repro.core.runtime import adaptive_run, run_default, run_static
 from repro.core.telemetry import DecisionTrace, FaultEvent
 from repro.engine.registry import get_algorithm
 from repro.errors import (
@@ -240,7 +240,7 @@ def _stages_for(info) -> List[str]:
         stages.extend(v.code for v in unordered_variants())
     if not stages:
         # No variant axis to fall back along (DOBFS): retry the default
-        # entry point, then degrade.
+        # door, then degrade.
         stages.append("default")
     return stages
 
@@ -448,10 +448,9 @@ def _run_stage(
     if stage == "adaptive":
         return adaptive_run(graph, algorithm, source, config=config, **kwargs)
     if stage == "default":
-        # Variant-less algorithms (DOBFS) run their registered default
-        # entry point; the OOM ladder's bitmap pin does not apply.
-        run_default = get_algorithm(algorithm).run_default
-        return run_default(graph, source, **kwargs)
+        # Variant-less algorithms (DOBFS) run under their spec's own
+        # policy; the OOM ladder's bitmap pin does not apply.
+        return run_default(graph, source, algorithm, **kwargs)
     variant = Variant.parse(stage)
     if force_bitmap and variant.workset is not WorksetRepr.BITMAP:
         # The OOM ladder's bitmap pin applies to static stages too.

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.engine.incremental import INCREMENTAL_ALGORITHMS
+from repro.engine import registered_algorithms
 from repro.graph.generators import attach_uniform_weights, erdos_renyi_graph
 from repro.graph.io import write_dimacs, write_snap_edgelist
 from repro.reliability import FaultPlan
@@ -265,7 +265,9 @@ class TestDynamicServeCli:
         assert doc["result"]["incremental"]["parity"] is True
         assert doc["result"]["mutation_events"][0]["inserted"] == 2
 
-    @pytest.mark.parametrize("algorithm", INCREMENTAL_ALGORITHMS)
+    @pytest.mark.parametrize(
+        "algorithm", [i.name for i in registered_algorithms() if i.incremental]
+    )
     def test_mutate_unweighted_batch_on_unweighted_file(
         self, tmp_path, capsys, algorithm
     ):

@@ -1,37 +1,14 @@
-"""Tests for repro.core.inspector, repro.core.policies and
-repro.core.telemetry."""
+"""Tests for repro.core.policies (the adaptive policy's sampling and
+monitoring) and repro.core.telemetry."""
 
 import pytest
 
 from repro.core.config import RuntimeConfig
-from repro.core.inspector import GraphInspector, StaticAttributes
 from repro.core.policies import AdaptivePolicy
 from repro.core.telemetry import Decision, DecisionTrace
 from repro.engine.types import IterationRecord
 from repro.graph.generators import erdos_renyi_graph, power_law_graph
 from repro.gpusim.device import TESLA_C2070
-
-
-class TestStaticAttributes:
-    def test_of_graph(self, skewed_graph):
-        attrs = StaticAttributes.of(skewed_graph)
-        assert attrs.num_nodes == skewed_graph.num_nodes
-        assert attrs.num_edges == skewed_graph.num_edges
-        assert attrs.avg_out_degree == pytest.approx(skewed_graph.avg_out_degree)
-        assert attrs.min_out_degree <= attrs.avg_out_degree <= attrs.max_out_degree
-
-
-class TestInspector:
-    def test_sampling_interval(self, skewed_graph):
-        insp = GraphInspector(skewed_graph, sampling_interval=3)
-        assert insp.should_sample(0)
-        assert not insp.should_sample(1)
-        assert not insp.should_sample(2)
-        assert insp.should_sample(3)
-
-    def test_rejects_bad_interval(self, skewed_graph):
-        with pytest.raises(ValueError):
-            GraphInspector(skewed_graph, sampling_interval=0)
 
 
 class TestAdaptivePolicy:
@@ -41,6 +18,17 @@ class TestAdaptivePolicy:
         assert policy.choose(0, 10).code == "U_B_QU"          # tiny ws
         assert policy.choose(1, 4000).code == "U_T_QU"        # mid, low deg
         assert policy.choose(2, 50_000).code == "U_T_BM"      # large, low deg
+
+    def test_samples_on_interval_multiples(self):
+        # At interval 3 the decision is taken on iterations 0 and 3 only:
+        # 1 and 2 keep the held variant without recording a decision.
+        g = erdos_renyi_graph(50_000, 200_000, seed=0)
+        policy = AdaptivePolicy(
+            g, RuntimeConfig(sampling_interval=3), device=TESLA_C2070
+        )
+        for iteration in range(4):
+            policy.choose(iteration, 40_000)
+        assert [d.iteration for d in policy.trace.decisions] == [0, 3]
 
     def test_sampling_freezes_variant(self):
         g = erdos_renyi_graph(50_000, 200_000, seed=0)

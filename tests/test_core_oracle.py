@@ -81,7 +81,7 @@ class TestSinglePropertySource:
         outdegree and re-derive each variant's launch geometry on every
         iteration — |variants| x |iterations| recomputations of the same
         numbers, and a second property source that could drift from the
-        inspector's profile that labels learned-policy features."""
+        average outdegree the adaptive policy decides with."""
         from repro.kernels.variants import Variant
 
         calls = []
@@ -97,10 +97,8 @@ class TestSinglePropertySource:
         assert len(report.iterations) > 1
         # Once per candidate variant, not once per (variant, iteration).
         assert len(calls) == len(report.iterations[0].seconds_by_variant)
-        # And every derivation saw the inspector's single source value.
-        from repro.core import StaticAttributes
-
-        assert set(calls) == {StaticAttributes.of(g).avg_out_degree}
+        # And every derivation saw the graph's one average outdegree.
+        assert set(calls) == {g.avg_out_degree}
 
 
 class TestDecisionQuality:

@@ -6,7 +6,7 @@ shared iteration engine."""
 import numpy as np
 import pytest
 
-from repro.core import adaptive_run, hybrid_run, run_static
+from repro.core import adaptive_run, hybrid_run, run_default, run_static
 from repro.core.policies import AdaptivePolicy
 from repro.engine import (
     AlgorithmInfo,
@@ -88,6 +88,8 @@ class TestRegistry:
         assert not flags["dobfs"]["supports_variants"]
         for name in BUILTINS:
             assert flags[name]["checkpointable"]
+        incremental = {i.name for i in registered_algorithms() if i.incremental}
+        assert incremental == {"bfs", "sssp", "cc"}
 
     def test_every_builtin_has_cpu_reference(self, graph):
         for name in BUILTINS:
@@ -201,7 +203,7 @@ def _run(name, graph, **kwargs):
     source = _source_for(info, graph)
     if info.adaptive_eligible:
         return adaptive_run(graph, name, source, **kwargs)
-    return info.run_default(graph, source if source is not None else -1, **kwargs)
+    return run_default(graph, source, name, **kwargs)
 
 
 class _OneShotFault:

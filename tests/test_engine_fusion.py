@@ -24,7 +24,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import run_static
+from repro.core import run_default, run_static
 from repro.engine.batch import BatchFrame, QueryPlan, run_batch_frame
 from repro.engine.driver import run_frame
 from repro.engine.fusion import FusionStats, LaunchPlan, fuse_tallies, lower
@@ -34,7 +34,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.datasets import make_dataset
 from repro.gpusim.device import TESLA_C2070
 from repro.gpusim.kernel import CostModel
-from repro.kernels.dobfs import direction_optimizing_bfs
 from repro.kernels.findmin import findmin_tallies
 from repro.kernels.frame import BfsSpec, OrderedSsspSpec
 from repro.kernels.multisource import fused_workset_gen_tallies
@@ -284,7 +283,7 @@ def test_ordered_sssp_prices_findmin_once_per_iteration(graph):
 
 
 def test_dobfs_label_override_charges_no_extra_launches(graph):
-    result = direction_optimizing_bfs(graph, 0)
+    result = run_default(graph, 0, "dobfs")
     counts = _kernel_counts(result)
     iters = result.num_iterations
     # Push and pull iterations together cover every iteration exactly

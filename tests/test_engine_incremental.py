@@ -1,7 +1,8 @@
 """Incremental recompute: warm-started traversals after mutations.
 
 The headline contract — the acceptance criterion for the dynamic-graph
-layer — is SHA-256 parity: for cc, bfs and sssp, a warm-started
+layer — is SHA-256 parity: for every registered algorithm with the
+``incremental`` flag (bfs, cc and sssp), a warm-started
 :func:`run_incremental` on the mutated graph produces values
 *bit-identical* to a from-scratch :func:`adaptive_run` on the compacted
 graph, across seeded sequences of insert and delete batches.  The
@@ -17,16 +18,17 @@ import numpy as np
 import pytest
 
 from repro.core.runtime import adaptive_run
-from repro.engine.incremental import (
-    IncrementalBfsSpec,
-    IncrementalCcSpec,
-    IncrementalSsspSpec,
-    run_incremental,
-)
+from repro.engine import get_algorithm, registered_algorithms
+from repro.engine.driver import _state_payload
+from repro.engine.incremental import run_incremental
+from repro.engine.types import HOST_INIT_PER_NODE_S
 from repro.errors import KernelError
 from repro.graph.dynamic import DeltaOverlayGraph, EdgeBatch
 from repro.graph.generators import attach_uniform_weights, power_law_graph
 from repro.obs import Observer, observing
+
+#: the registry's incremental algorithms
+INCREMENTAL = [info.name for info in registered_algorithms() if info.incremental]
 
 
 def _sha(values) -> str:
@@ -61,11 +63,12 @@ def _delete_batch(rng, current, count):
 
 
 class TestIncrementalShaParity:
-    @pytest.mark.parametrize("algorithm", ["cc", "bfs", "sssp"])
+    @pytest.mark.parametrize("algorithm", INCREMENTAL)
     def test_chained_insert_delete_rounds_stay_bit_identical(self, algorithm):
-        weighted = algorithm == "sssp"
+        info = get_algorithm(algorithm)
+        weighted = info.weighted
         graph = _stress_graph(weighted)
-        source = None if algorithm == "cc" else 0
+        source = 0 if info.source_based else None
         rng = np.random.default_rng(5)
         previous = adaptive_run(graph, algorithm, source)
         saw_affected = False
@@ -166,16 +169,36 @@ class TestSeedingRules:
         assert _sha(result.values) == _sha(scratch.values)
 
     def test_warm_specs_price_seed_scan_and_stay_resident(self):
-        for cls in (IncrementalCcSpec, IncrementalBfsSpec, IncrementalSsspSpec):
-            assert cls.graph_resident is True
-        graph = _stress_graph(False)
-        spec = IncrementalBfsSpec(
-            np.zeros(graph.num_nodes, dtype=np.int64),
-            np.array([0], dtype=np.int64),
-            seed_host_seconds=0.25,
-        )
-        _, host_seconds = spec.prepare(graph)
-        assert host_seconds == 0.25
+        # The graph is already on the device: a warm run's opening h2d
+        # copy moves only the traversal state, and its host seconds add
+        # the seeding pass's edge scan to the frame's own.
+        scanned = []
+        for algorithm in INCREMENTAL:
+            info = get_algorithm(algorithm)
+            graph = _stress_graph(info.weighted)
+            source = 0 if info.source_based else None
+            previous = adaptive_run(graph, algorithm, source)
+            overlay = DeltaOverlayGraph(graph)
+            # Deleting node 0's out-edges cuts tight edges of every
+            # distance run from 0: the seeding pass must scan.
+            delta = overlay.apply(
+                EdgeBatch.deletes([(0, int(v)) for v in graph.neighbors(0)])
+            )
+            mutated = overlay.materialize()
+            result = run_incremental(mutated, algorithm, previous, delta, source=source)
+            spec = info.make_spec()
+            warm = spec.warm_start(
+                mutated, previous.values, delta, info.resolve_source(mutated, source)
+            )
+            _, prep_seconds = spec.prepare(mutated)
+            n = mutated.num_nodes
+            opening = result.timeline.transfers[0]
+            assert (opening.direction, opening.num_bytes) == ("h2d", _state_payload(n))
+            assert result.timeline.host_seconds == (
+                n * HOST_INIT_PER_NODE_S + (prep_seconds + warm.host_seconds)
+            )
+            scanned.append(warm.host_seconds > 0)
+        assert any(scanned)
 
     def test_incremental_observed(self):
         graph = _stress_graph(False)
@@ -194,6 +217,24 @@ class TestSeedingRules:
             s["name"] == "incremental_bfs" for s in observer.spans.to_dicts()
         )
 
+    def test_incremental_reports_decision_counts(self):
+        # The incremental door drives the adaptive policy, so it reports
+        # the same runtime.* decision counts as adaptive_run.
+        graph = _stress_graph(False)
+        previous = adaptive_run(graph, "bfs", 0)
+        overlay = DeltaOverlayGraph(graph)
+        delta = overlay.apply(_delete_batch(np.random.default_rng(4), graph, 6))
+        observer = Observer()
+        with observing(observer):
+            result = run_incremental(
+                overlay.materialize(), "bfs", previous, delta, source=0
+            )
+        snap = observer.metrics.snapshot()
+        assert result.trace.num_decisions >= 1
+        assert snap["runtime.decisions"]["value"] == result.trace.num_decisions
+        assert snap["runtime.switches"]["value"] == result.trace.num_switches
+        assert snap["runtime.memory_forced"]["value"] == 0
+
 
 class TestIncrementalValidation:
     def _setup(self, weighted=False):
@@ -205,7 +246,9 @@ class TestIncrementalValidation:
 
     def test_unknown_algorithm_rejected(self):
         graph, previous, delta = self._setup()
-        with pytest.raises(KernelError, match="incremental recompute supports"):
+        with pytest.raises(
+            KernelError, match="incremental algorithms: bfs, cc, sssp"
+        ):
             run_incremental(graph, "pagerank", previous, delta)
 
     def test_distance_algorithms_require_source(self):

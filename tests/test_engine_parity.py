@@ -5,7 +5,7 @@ traversals bit-identically.
 iteration engine existed and has stayed byte-identical since.  This
 test rebuilds the same 32 runs (2 workloads x 16 run labels) through
 ``tools/make_parity_fixtures.py`` — ``run_static``, ``adaptive_run``,
-``resilient_run`` and DOBFS's ``direction_optimizing_bfs`` — and diffs
+``resilient_run`` and ``run_default`` (DOBFS) — and diffs
 every field: value-array SHA-256, per-iteration records, and simulated
 times serialized as float hex — any drift in kernel ordering, pricing
 or float addition fails here before it can silently change a paper

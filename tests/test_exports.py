@@ -1,6 +1,7 @@
 """Every module's ``__all__`` names what the module really defines,
-no public signature takes back a setting that is now a constant, and
-no module imports a name it never reads.
+no public signature takes back a setting that is now a constant, no
+module imports a name it never reads, and the run modes' doors stay
+generic over the algorithm registry.
 
 A name deleted from a module but left in its ``__all__`` fails no
 other test, yet breaks ``from module import *``.  The repository has no
@@ -198,3 +199,57 @@ def test_no_unused_imports():
         for hit in _unused_imports(path)
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+#: the layers whose doors reach algorithms through the registry only
+GENERIC_LAYERS = ("core", "engine", "reliability", "serve")
+
+
+def _imported_modules(tree: ast.AST):
+    """(line, dotted name) of every module or module member *tree*
+    imports, top-level or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module
+            for alias in node.names:
+                yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def test_doors_import_no_algorithm_module():
+    """A door reads a spec and its capability flags, never a spec class:
+    no module under repro.core, repro.engine, repro.reliability,
+    repro.serve or repro.cli imports from a module that registers an
+    algorithm (the registry imports those on demand)."""
+    from repro.engine.registry import _BUILTIN_MODULES
+
+    registering = set(_BUILTIN_MODULES.values())
+    package = REPO_ROOT / "src" / "repro"
+    paths = [package / "cli.py"] + [
+        path
+        for layer in GENERIC_LAYERS
+        for path in sorted((package / layer).rglob("*.py"))
+    ]
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+        for path in paths
+        for line, name in _imported_modules(ast.parse(path.read_text()))
+        if name in registering
+    ]
+    assert not offenders, "doors import algorithm modules:\n" + "\n".join(offenders)
+
+
+def test_one_computation_shape_builder():
+    """Every computation launch's shape comes from
+    ``repro.kernels.multisource.launch_shape``: nothing else constructs
+    a ``ComputationShape``."""
+    builders = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "ComputationShape" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                builders.append(str(path.relative_to(REPO_ROOT)))
+    assert builders == ["src/repro/kernels/multisource.py"], builders

@@ -1,9 +1,10 @@
-"""Tests for direction-optimizing (push/pull) BFS."""
+"""Tests for direction-optimizing (push/pull) BFS, run through the
+default door (``run_default``) under the policy its spec names."""
 
 import numpy as np
 import pytest
 
-from repro.core import run_static
+from repro.core import run_default, run_static
 from repro.cpu import cpu_bfs
 from repro.errors import KernelError
 from repro.graph.generators import (
@@ -14,11 +15,7 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.kernels.computation import UNSET_LEVEL
-from repro.kernels.dobfs import (
-    DirectionConfig,
-    direction_optimizing_bfs,
-    pull_step,
-)
+from repro.kernels.dobfs import DirectionConfig, pull_step
 from repro.gpusim.device import TESLA_C2070
 
 
@@ -69,19 +66,19 @@ class TestDirectionOptimizingBfs:
     )
     def test_levels_match_cpu(self, maker):
         g = maker()
-        result = direction_optimizing_bfs(g, 0)
+        result = run_default(g, 0, "dobfs")
         assert np.array_equal(result.values, cpu_bfs(g, 0).levels)
 
     def test_dense_graph_uses_pull(self):
         g = power_law_graph(20_000, alpha=1.6, max_degree=800, seed=23,
                             symmetric=True)
         src = int(np.argmax(g.out_degrees))
-        result = direction_optimizing_bfs(g, src)
+        result = run_default(g, src, "dobfs")
         assert "pull" in result.variants_used()
         assert np.array_equal(result.values, cpu_bfs(g, src).levels)
 
     def test_sparse_chain_stays_push(self):
-        result = direction_optimizing_bfs(chain_graph(300), 0)
+        result = run_default(chain_graph(300), 0, "dobfs")
         assert set(result.variants_used()) == {"push"}
 
     def test_pull_scans_fewer_edges(self):
@@ -89,7 +86,7 @@ class TestDirectionOptimizingBfs:
                             symmetric=True)
         src = int(np.argmax(g.out_degrees))
         push = run_static(g, src, "bfs", "U_T_BM")
-        do = direction_optimizing_bfs(g, src)
+        do = run_default(g, src, "dobfs")
         assert do.total_edges_scanned < 0.5 * push.total_edges_scanned
 
     def test_thresholds_validated(self):
@@ -101,25 +98,25 @@ class TestDirectionOptimizingBfs:
     def test_alpha_extremes(self):
         g = erdos_renyi_graph(2_000, 16_000, seed=24)
         # Tiny alpha raises the switch threshold to m/alpha >> m: never pull.
-        never_pull = direction_optimizing_bfs(
-            g, 0, config=DirectionConfig(alpha=1e-9)
+        never_pull = run_default(
+            g, 0, "dobfs", config=DirectionConfig(alpha=1e-9)
         )
         assert set(never_pull.variants_used()) == {"push"}
         assert np.array_equal(never_pull.values, cpu_bfs(g, 0).levels)
         # Huge alpha drops the threshold to ~0: pull engages immediately
         # (beta=0+ keeps it there), and the answer is still right.
-        eager_pull = direction_optimizing_bfs(
-            g, 0, config=DirectionConfig(alpha=1e9, beta=1e9)
+        eager_pull = run_default(
+            g, 0, "dobfs", config=DirectionConfig(alpha=1e9, beta=1e9)
         )
         assert "pull" in eager_pull.variants_used()
         assert np.array_equal(eager_pull.values, cpu_bfs(g, 0).levels)
 
     def test_directed_graph_uses_reverse(self, tiny_graph):
-        result = direction_optimizing_bfs(tiny_graph, 0)
+        result = run_default(tiny_graph, 0, "dobfs")
         assert np.array_equal(result.values, cpu_bfs(tiny_graph, 0).levels)
 
     def test_algorithm_tag(self):
-        r = direction_optimizing_bfs(chain_graph(5), 0)
+        r = run_default(chain_graph(5), 0, "dobfs")
         assert r.algorithm == "dobfs"
         assert r.policy_name == "direction-optimizing"
 
@@ -131,7 +128,7 @@ class TestObservedDobfs:
         g = power_law_graph(4000, alpha=1.9, max_degree=200, seed=6)
         observer = Observer()
         with observing(observer):
-            result = direction_optimizing_bfs(g, 0)
+            result = run_default(g, 0, "dobfs")
         snap = observer.metrics.snapshot()
         assert snap["frame.iterations"]["value"] == result.num_iterations
         assert snap["gpusim.kernel_launches"]["value"] > 0
@@ -142,8 +139,8 @@ class TestObservedDobfs:
         from repro.obs import Observer, observing
 
         g = power_law_graph(4000, alpha=1.9, max_degree=200, seed=6)
-        plain = direction_optimizing_bfs(g, 0)
+        plain = run_default(g, 0, "dobfs")
         with observing(Observer()):
-            observed = direction_optimizing_bfs(g, 0)
+            observed = run_default(g, 0, "dobfs")
         assert np.array_equal(plain.values, observed.values)
         assert plain.total_seconds == observed.total_seconds

@@ -31,7 +31,8 @@ class TestCorrectness:
         assert np.allclose(r.values, cpu_dijkstra(random_weighted, 0).distances)
 
     def test_sssp_requires_weights(self, random_graph):
-        with pytest.raises(KernelError, match="weighted"):
+        # The spec's own check, run before any pricing.
+        with pytest.raises(KernelError, match="SSSP requires edge weights"):
             hybrid_run(random_graph, "sssp", 0)
 
     def test_bad_source(self, random_graph):

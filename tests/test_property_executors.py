@@ -5,9 +5,8 @@ runtime must all compute identical answers — they differ only in cost."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import adaptive_run, hybrid_run
+from repro.core import adaptive_run, hybrid_run, run_default
 from repro.graph.builder import from_edge_list
-from repro.kernels.dobfs import direction_optimizing_bfs
 
 
 @st.composite
@@ -45,7 +44,7 @@ class TestExecutorAgreement:
     def test_dobfs_agrees(self, gs):
         g, source = gs
         assert np.array_equal(
-            direction_optimizing_bfs(g, source).values,
+            run_default(g, source, "dobfs").values,
             adaptive_run(g, "bfs", source).values,
         )
 

@@ -5,7 +5,7 @@ The fixtures pin the *observable* behaviour of every run mode — values,
 per-iteration records and simulated times — so any refactor can prove
 bit-identical results against the committed file.  Every run goes
 through a run mode's entry point (``run_static``, ``adaptive_run``,
-``resilient_run``, plus DOBFS's ``direction_optimizing_bfs``); the run
+``resilient_run``, plus ``run_default`` for DOBFS); the run
 labels (``run_bfs_U_T_BM``, ``adaptive_cc``, ``resilient_bfs_faulted``,
 ...) are plain fixture keys, kept stable so the file never churns.  The
 whole-graph static runs use each algorithm's registered default
@@ -39,6 +39,7 @@ from repro import (  # noqa: E402
     adaptive_run,
     get_algorithm,
     resilient_run,
+    run_default,
     run_static,
 )
 from repro.core.config import RuntimeConfig  # noqa: E402
@@ -55,7 +56,6 @@ from repro.graph.partition import partition_graph  # noqa: E402
 from repro.gpusim.allocator import MemoryBudget  # noqa: E402
 from repro.gpusim.device import TESLA_C2070  # noqa: E402
 from repro.gpusim.memory import traversal_state_bytes  # noqa: E402
-from repro.kernels.dobfs import direction_optimizing_bfs  # noqa: E402
 from repro.kernels.frame import BfsSpec, SsspSpec  # noqa: E402
 from repro.kernels.variants import Variant  # noqa: E402
 from repro.reliability import FaultPlan, GuardConfig, Watchdog  # noqa: E402
@@ -159,7 +159,7 @@ def build() -> dict:
             runs[f"run_{algo}"] = _traversal(
                 run_static(graph, -1, algo, get_algorithm(algo).default_variant)
             )
-        runs["dobfs"] = _traversal(direction_optimizing_bfs(graph, source))
+        runs["dobfs"] = _traversal(run_default(graph, source, "dobfs"))
         runs["adaptive_triangles"] = _traversal(adaptive_run(graph, "triangles", -1))
 
         # Fused-vs-unfused parity: every registry algorithm through the
@@ -180,8 +180,8 @@ def build() -> dict:
                 adaptive_run(graph, algo, source, fuse=True),
             )
         fused["dobfs"] = _fused_parity(
-            direction_optimizing_bfs(graph, source),
-            direction_optimizing_bfs(graph, source, fusion=True),
+            run_default(graph, source, "dobfs"),
+            run_default(graph, source, "dobfs", fuse=True),
         )
         entry["fused_parity"] = fused
 
