@@ -259,11 +259,22 @@ def _installed(injector: Optional[FaultInjector]):
     return injector.installed() if injector is not None else contextlib.nullcontext()
 
 
-def _combine_floor(dtype: np.dtype):
-    """The identity of the min-combine for this value dtype."""
-    if np.issubdtype(dtype, np.floating):
-        return np.inf
-    return np.iinfo(dtype).max
+def _min_combine(
+    values: np.ndarray, ids: np.ndarray, vals: np.ndarray
+) -> np.ndarray:
+    """The exchange barrier's min-combine: commit to each proposed id in
+    *ids* the minimum of its proposals *vals*, whatever its committed
+    value was (a corrupted scratch copy may propose above it), and
+    return the sorted distinct ids, the next frontier.  Mutates
+    *values*: each proposed id is reset to the combine's identity, then
+    its proposals are min-ed in.
+    """
+    if np.issubdtype(values.dtype, np.floating):
+        values[ids] = np.inf
+    else:
+        values[ids] = np.iinfo(values.dtype).max
+    np.minimum.at(values, ids, vals)
+    return sorted_unique(ids)
 
 
 def _shard_resident_bytes(shard: GraphShard) -> int:
@@ -691,13 +702,11 @@ def _execute_round(
 
     # -- barrier: min-combine every shard's proposals ------------------
     if proposals:
-        ids = np.concatenate([p[1] for p in proposals])
-        vals = np.concatenate([p[2] for p in proposals])
-        uniq, inverse = np.unique(ids, return_inverse=True)
-        best = np.full(uniq.size, _combine_floor(vals.dtype), dtype=vals.dtype)
-        np.minimum.at(best, inverse, vals)
-        values[uniq] = best
-        next_frontier = uniq
+        next_frontier = _min_combine(
+            values,
+            np.concatenate([p[1] for p in proposals]),
+            np.concatenate([p[2] for p in proposals]),
+        )
     else:
         next_frontier = np.empty(0, dtype=np.int64)
 
@@ -709,12 +718,13 @@ def _execute_round(
     entry_bytes = 4 + values.dtype.itemsize
     for run, updated, _ in proposals:
         owners = np.searchsorted(bounds, updated, side="right") - 1
+        counts = np.bincount(owners, minlength=len(runs))
         src_dev = run.device_index
-        for owner_index in sorted_unique(owners):
+        for owner_index in np.flatnonzero(counts):
             owner_run = runs[int(owner_index)]
             if owner_run.shard.shard_index == run.shard.shard_index:
                 continue
-            count = int(np.count_nonzero(owners == owner_index))
+            count = int(counts[owner_index])
             dst_dev = owner_run.device_index
             if dst_dev == src_dev:
                 continue  # co-resident after migration: no link traffic

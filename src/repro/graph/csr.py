@@ -53,7 +53,7 @@ class CSRGraph:
 
     __slots__ = (
         "_row_offsets", "_col_indices", "_weights", "name", "_out_degrees",
-        "_digest", "_reverse",
+        "_digest", "_reverse", "_partitions",
     )
 
     def __init__(
@@ -84,6 +84,9 @@ class CSRGraph:
         self._out_degrees: Optional[np.ndarray] = None
         self._digest: Optional[str] = None
         self._reverse: Optional[CSRGraph] = None
+        #: shards per ``(num_shards, strategy)``, kept by
+        #: :func:`repro.graph.partition.partition_graph`
+        self._partitions: dict = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -241,12 +244,22 @@ class CSRGraph:
 
     def reverse(self) -> "CSRGraph":
         """The transpose graph (every edge u->v becomes v->u), built on
-        first use and kept: the arrays are read-only."""
+        first use and kept: the arrays are read-only.
+
+        Each in-row lists its sources in edge order: the edges are
+        ordered by a stable sort of their destinations, done as two
+        stable argsorts of the destinations' 16-bit halves, low half
+        first.  NumPy radix-sorts 16-bit keys, so this is a two-pass
+        LSD radix sort with no comparison sort and no key that can
+        overflow.
+        """
         if self._reverse is None:
-            n, m = self.num_nodes, self.num_edges
+            n = self.num_nodes
             src = np.repeat(np.arange(n, dtype=INDEX_DTYPE), self.out_degrees)
             dst = self._col_indices
-            order = np.argsort(dst, kind="stable")
+            order = np.argsort((dst & 0xFFFF).astype(np.uint16), kind="stable")
+            high = (dst >> 16).astype(np.uint16)[order]
+            order = order[np.argsort(high, kind="stable")]
             new_cols = src[order]
             counts = np.bincount(dst, minlength=n)
             new_offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)

@@ -158,7 +158,22 @@ def partition_graph(
     is owned by exactly one shard and every edge lives with its source
     vertex's owner, so :func:`reassemble` can rebuild the original
     graph exactly.
+
+    The shards are built once per ``(num_shards, strategy)`` and kept
+    on *graph*, like its digest and its transpose: later calls return
+    the same shards (so their ghost sets and views are built once), in
+    a fresh list the caller may edit.
     """
+    kept = graph._partitions.get((num_shards, strategy))
+    if kept is None:
+        kept = graph._partitions[num_shards, strategy] = tuple(
+            _cut(graph, num_shards, strategy)
+        )
+    return list(kept)
+
+
+def _cut(graph: CSRGraph, num_shards: int, strategy: str) -> List[GraphShard]:
+    """:func:`partition_graph`'s build: validate, then cut the ranges."""
     if num_shards < 1:
         raise GraphError(f"num_shards must be >= 1, got {num_shards}")
     if strategy not in PARTITION_STRATEGIES:
@@ -197,6 +212,8 @@ def partition_graph(
         ghosts = sorted_unique(cols[(cols < start) | (cols >= stop)]).astype(
             INDEX_DTYPE, copy=False
         )
+        # Read-only like the CSR slice: the graph keeps the shard.
+        ghosts.setflags(write=False)
         shards.append(
             GraphShard(
                 shard_index=index,

@@ -157,8 +157,14 @@ def _pull_level(graph, frontier, levels, ordered):
 
     Every improving push edge is an in-edge of U from the frontier, so
     the hits are push's improving edges and the nodes hit are its
-    ``updated``, already sorted.  The relax never builds a transpose:
-    sharded runs partition the graph again on every query.
+    ``updated``, already sorted.  The relax never builds a transpose.
+    A fresh whole-graph run builds it once per graph
+    (:meth:`~repro.kernels.frame.BfsSpec.prepare`), and so does a
+    :class:`~repro.serve.session.GraphSession`.  A shard view holds
+    none: it is |V| rows wide, so a pull pays its |V|-wide passes for
+    about a quarter of the edges and measured slower than the push.  A
+    warm start holds none either: its graph is new each epoch and its
+    mixed-level frontiers never pull.
     """
     n = graph.num_nodes
     row_offsets = graph.row_offsets
@@ -202,18 +208,61 @@ def _pull_level(graph, frontier, levels, ordered):
 # Unordered SSSP (Bellman-Ford sweeps over the working set — Figure 5)
 # ----------------------------------------------------------------------
 
+#: out-edges per slice of a wide SSSP relaxation (see :func:`sssp_relax`)
+_SLICE_EDGES = 1 << 16
+
+
+def _edge_slices(graph: CSRGraph, frontier: np.ndarray):
+    """*frontier* cut into runs of about ``_SLICE_EDGES`` out-edges (a
+    node with more gets a run of its own), or whole when its row span
+    holds no more than that."""
+    row_offsets = graph.row_offsets
+    if frontier.size == 0 or (
+        row_offsets[frontier[-1] + 1] - row_offsets[frontier[0]] <= _SLICE_EDGES
+    ):
+        return [frontier]
+    ends = np.cumsum(row_offsets[frontier + 1] - row_offsets[frontier])
+    marks = np.arange(_SLICE_EDGES, int(ends[-1]), _SLICE_EDGES)
+    cuts = sorted_unique(np.searchsorted(ends, marks) + 1)
+    return np.split(frontier, cuts[cuts < frontier.size])
+
+
+def _joined(parts):
+    """One array from per-slice parts (the part itself when only one)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def sssp_relax(graph: CSRGraph, frontier: np.ndarray, dist: np.ndarray):
     """The SSSP relaxation itself, independent of the execution substrate.
 
     Mutates *dist* in place and returns
     ``(updated_ids, degrees, improved_count, edges_scanned)``.
-    """
-    idx, dst, degrees = _gather_edges(graph, frontier)
-    cand = np.repeat(dist[frontier], degrees)
-    cand += graph.weights[idx]
 
-    updated, improved = _scatter_min(dist, dst, cand < dist[dst], cand)
-    return updated, degrees, improved, int(idx.size)
+    A wide frontier is relaxed in slices of about ``_SLICE_EDGES``
+    out-edges.  Every slice reads the distances as they were on entry,
+    and the improving edges' candidates are min-scattered in edge order
+    after the last slice, so the result is the one-pass result.  In one
+    pass, a wide iteration's temporaries took about 25 MB at once:
+    glibc grew its heap past the trim threshold and gave the pages back
+    at every free, so whenever the heap held no block that large, each
+    wide iteration faulted them in again (7-13k minor faults per query
+    on sns @ 0.02).
+    """
+    touched, cands, degrees, edges = [], [], [], 0
+    for nodes in _edge_slices(graph, frontier):
+        idx, dst, part_degrees = _gather_edges(graph, nodes)
+        cand = np.repeat(dist[nodes], part_degrees)
+        cand += graph.weights[idx]
+        hit = np.flatnonzero(cand < dist[dst])
+        touched.append(dst[hit])
+        cands.append(cand[hit])
+        degrees.append(part_degrees)
+        edges += idx.size
+    touched, degrees = _joined(touched), _joined(degrees)
+    if touched.size == 0:
+        return np.empty(0, dtype=np.int64), degrees, 0, edges
+    np.minimum.at(dist, touched, _joined(cands))
+    return sorted_unique(touched), degrees, int(touched.size), edges
 
 
 # ----------------------------------------------------------------------

@@ -61,6 +61,20 @@ class BfsSpec(AlgorithmSpec):
     batchable = True
     incremental = True
 
+    def prepare(self, graph: CSRGraph):
+        """A fresh run keeps *graph*'s transpose, so its relax can pull
+        the wide levels (:func:`~repro.kernels.computation.bfs_relax`).
+
+        The build is host-side bookkeeping, not a simulated cost: no
+        transfer, no budget charge and no host seconds, since the
+        simulated kernels still price the push.  A warm start builds
+        nothing: its graph is new each epoch and its mixed-level
+        frontiers never pull.
+        """
+        if self.warm is None:
+            graph.reverse()
+        return graph, 0.0
+
     def init_state(self, ctx: FrameContext) -> FrameState:
         levels = np.full(ctx.graph.num_nodes, UNSET_LEVEL, dtype=np.int64)
         levels[ctx.source] = 0

@@ -9,15 +9,17 @@ recovery ladder may cost simulated time, never answers.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import RuntimeConfig
 from repro.engine.registry import get_algorithm
-from repro.engine.shard import RECOVERY_RUNGS, run_sharded
+from repro.engine.shard import RECOVERY_RUNGS, _min_combine, run_sharded
 from repro.errors import (
     FaultPlanError,
     KernelError,
     NonConvergenceError,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import attach_uniform_weights, power_law_graph
 from repro.obs import Observer, build_shard_manifest, observing
 from repro.obs.manifest import RunManifest
@@ -206,6 +208,81 @@ class TestDeviceLossRecovery:
         assert result.values_sha256 == run_sharded(
             graph, 0, algorithm="bfs", num_devices=1
         ).values_sha256
+
+
+class TestKeptPartition:
+    def test_repeat_run_on_one_graph_matches(self, graph):
+        """A second run reuses the graph's kept shards and their views;
+        through a retry, a restore and a device loss it answers and
+        prices exactly as the first run and a run on a fresh copy."""
+        plan = FaultPlan(
+            seed=3, launch_failure_rate=0.2, device_loss_rate=0.3, max_faults=3
+        )
+        fresh = CSRGraph(
+            graph.row_offsets, graph.col_indices, graph.weights, name=graph.name
+        )
+        first, second, copy = (
+            run_sharded(
+                g, 0, algorithm="bfs", num_devices=4, partition="balanced",
+                fault_plan=plan, checkpoint_every=2,
+            )
+            for g in (graph, graph, fresh)
+        )
+        assert first.device_losses >= 1
+        assert {e.rung for e in first.recovery_events} >= {"retry", "restore"}
+        for result in (second, copy):
+            assert result.values_sha256 == first.values_sha256
+            assert result.sim_seconds.hex() == first.sim_seconds.hex()
+            assert result.exchange_bytes == first.exchange_bytes
+            assert result.recovery_events == first.recovery_events
+
+
+def _unique_barrier(values, ids, vals):
+    """The exchange barrier by ``np.unique``: the reference
+    :func:`_min_combine` must match."""
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    if np.issubdtype(vals.dtype, np.floating):
+        floor = np.inf
+    else:
+        floor = np.iinfo(vals.dtype).max
+    best = np.full(uniq.size, floor, dtype=vals.dtype)
+    np.minimum.at(best, inverse, vals)
+    values[uniq] = best
+    return uniq
+
+
+_LEVELS = st.integers(min_value=-1, max_value=40)
+_DISTANCES = st.floats(min_value=0.0, max_value=1e6) | st.just(np.inf)
+
+
+class TestBarrierMatchesUnique:
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_commit_and_frontier(self, data, dtype):
+        """Repeated ids, and proposals above the committed value (a
+        corrupted scratch copy), commit the minimum proposal either way."""
+        elements = _LEVELS if dtype is np.int64 else _DISTANCES
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        committed = np.array(
+            data.draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype
+        )
+        count = data.draw(st.integers(min_value=1, max_value=3 * n))
+        ids = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count)),
+            dtype=np.int64,
+        )
+        vals = np.array(
+            data.draw(st.lists(elements, min_size=count, max_size=count)),
+            dtype=dtype,
+        )
+        want_values = committed.copy()
+        want = _unique_barrier(want_values, ids, vals)
+        got_values = committed.copy()
+        got = _min_combine(got_values, ids, vals)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_values, want_values)
 
 
 class TestShardManifest:

@@ -164,6 +164,26 @@ class TestReverseKept:
         if got.weights is not None:
             assert got.weights.dtype == want.weights.dtype
 
+    @given(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        min_size=1, max_size=40,
+    ))
+    @settings(max_examples=30, deadline=None)
+    def test_destinations_past_16_bits(self, edges):
+        """Destinations that share their low or their high 16-bit half
+        still land in the stable argsort's order."""
+        sources = np.array([s for s, _, _ in edges], dtype=np.int64)
+        order = np.argsort(sources, kind="stable")
+        cols = np.array([(hi << 16) | lo for _, hi, lo in edges], dtype=np.int32)
+        offsets = np.zeros((4 << 16) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=4), out=offsets[1:5])
+        offsets[5:] = len(edges)
+        weights = np.arange(len(edges), dtype=np.float32)
+        graph = CSRGraph(offsets, cols[order], weights, name="g")
+        got, want = graph.reverse(), _stable_argsort_reverse(graph)
+        assert got == want
+        assert np.array_equal(got.weights, want.weights)
+
     @given(weighted_multigraphs())
     @settings(max_examples=50, deadline=None)
     def test_same_device_bytes(self, graph):

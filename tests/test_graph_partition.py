@@ -104,6 +104,30 @@ class TestPartitionBasics:
         owned = shard.owned_slice(frontier)
         assert owned.tolist() == list(range(shard.start, shard.stop))
 
+    def test_kept_per_graph_and_key(self):
+        graph = power_law_graph(60, seed=2)
+        first = partition_graph(graph, 2, strategy="balanced")
+        again = partition_graph(graph, 2, strategy="balanced")
+        assert again is not first
+        assert len(again) == 2 and all(a is b for a, b in zip(first, again))
+        for other in (
+            partition_graph(graph, 2, strategy="contiguous"),
+            partition_graph(graph, 3, strategy="balanced"),
+        ):
+            assert not any(a is b for a, b in zip(first, other))
+
+    def test_editing_the_result_leaves_the_kept_shards(self):
+        graph = power_law_graph(60, seed=2)
+        shards = partition_graph(graph, 3)
+        kept = list(shards)
+        shards.reverse()
+        shards.pop()
+        again = partition_graph(graph, 3)
+        assert len(again) == 3 and all(a is b for a, b in zip(again, kept))
+        for shard in again:
+            assert not shard.ghost_targets.flags.writeable
+            assert not shard.csr.col_indices.flags.writeable
+
     def test_reassemble_rejects_holes(self, tiny_graph):
         shards = partition_graph(tiny_graph, 3)
         with pytest.raises(GraphError):

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.runtime import run_static
+from repro.core.runtime import adaptive_run, run_static
+from repro.cpu import cpu_bfs
 from repro.engine.driver import FrameContext
+from repro.engine.incremental import run_incremental
+from repro.engine.shard import run_sharded
 from repro.engine.spec import FrameState
 from repro.errors import KernelError
 from repro.graph.builder import from_edge_list
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import attach_uniform_weights, chain_graph
+from repro.graph.dynamic import DeltaOverlayGraph, EdgeBatch
+from repro.graph.generators import attach_uniform_weights, chain_graph, rmat_graph
+from repro.graph.partition import partition_graph
 from repro.graph.properties import _ragged_gather_indices, sorted_unique
 from repro.gpusim.device import TESLA_C2070
 from repro.gpusim.kernel import CostModel
@@ -497,6 +502,24 @@ class TestRelaxMatchesReference:
         want = _ref_sssp_relax(graph, frontier, ref_dist)
         _assert_same_relax(got, want, dist, ref_dist)
 
+    @given(data=st.data(), slice_edges=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_sssp_in_slices(self, data, slice_edges):
+        """A frontier relaxed in slices of a few edges answers as one
+        pass does."""
+        graph = data.draw(relax_graphs())
+        n = graph.num_nodes
+        frontier = data.draw(frontiers(n))
+        dist = np.array(
+            data.draw(st.lists(_DISTANCES, min_size=n, max_size=n)), dtype=np.float64
+        )
+        ref_dist = dist.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(computation, "_SLICE_EDGES", slice_edges)
+            got = sssp_relax(graph, frontier, dist)
+        want = _ref_sssp_relax(graph, frontier, ref_dist)
+        _assert_same_relax(got, want, dist, ref_dist)
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_cc(self, data):
@@ -543,22 +566,23 @@ def _wide_level(extra_nodes=0, extra_edges=()):
     return graph, np.array([0, 1], dtype=np.int64), levels
 
 
+@pytest.fixture
+def pulls(monkeypatch):
+    """Whether each call of the pull helper answered (True) or left the
+    level to push (False)."""
+    seen = []
+    helper = computation._pull_level
+
+    def spy(*args):
+        result = helper(*args)
+        seen.append(result is not None)
+        return result
+
+    monkeypatch.setattr(computation, "_pull_level", spy)
+    return seen
+
+
 class TestPullChoice:
-    @pytest.fixture
-    def pulls(self, monkeypatch):
-        """Whether each call of the pull helper answered (True) or left
-        the level to push (False)."""
-        seen = []
-        helper = computation._pull_level
-
-        def spy(*args):
-            result = helper(*args)
-            seen.append(result is not None)
-            return result
-
-        monkeypatch.setattr(computation, "_pull_level", spy)
-        return seen
-
     def _relax(self, graph, frontier, levels, ordered=False):
         ref_levels = levels.copy()
         want = _parent_bfs_relax(graph, frontier, ref_levels, ordered=ordered)
@@ -642,3 +666,43 @@ class TestPullChoice:
         graph.reverse()
         self._relax(graph, frontier, levels)
         assert pulls == [False]
+
+
+class TestTransposeHolders:
+    """Which runs' graphs hold a transpose, and so may pull: a fresh
+    whole-graph BFS builds its graph's, a warm start and a shard view
+    hold none."""
+
+    @staticmethod
+    def _wide():
+        # Two of its levels are wide enough to pull.
+        return rmat_graph(8, 8.0, seed=3)
+
+    def test_fresh_adaptive_run_pulls_and_keeps_the_transpose(self, pulls):
+        graph = self._wide()
+        result = adaptive_run(graph, "bfs", 0)
+        assert True in pulls
+        assert graph._reverse is not None
+        np.testing.assert_array_equal(result.values, cpu_bfs(graph, 0).levels)
+
+    def test_incremental_run_leaves_its_graph_without_one(self, pulls):
+        graph = self._wide()
+        previous = adaptive_run(graph, "bfs", 0).values
+        overlay = DeltaOverlayGraph(graph)
+        delta = overlay.apply(EdgeBatch.inserts([(0, 200), (5, 7), (9, 250)]))
+        mutated = overlay.compact().graph
+        pulls.clear()
+        run_incremental(mutated, "bfs", previous, delta, source=0)
+        assert mutated._reverse is None
+        assert pulls == []
+
+    def test_sharded_run_pulls_on_no_shard_view(self, pulls):
+        graph = self._wide()
+        graph.reverse()
+        result = run_sharded(
+            graph, 0, algorithm="bfs", num_devices=4, partition="balanced"
+        )
+        assert pulls == []
+        for shard in partition_graph(graph, 4, strategy="balanced"):
+            assert shard.view(graph.num_nodes)._reverse is None
+        np.testing.assert_array_equal(result.values, cpu_bfs(graph, 0).levels)
